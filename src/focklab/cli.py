@@ -650,7 +650,11 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         flag_value = getattr(args, key, None)
         if key != "command" and flag_value is not None:
             mapping[key] = flag_value
-    return RunConfig.from_mapping(mapping)
+    config = RunConfig.from_mapping(mapping)
+    if getattr(args, "dim", None) is None and "dim" not in file_mapping:
+        # no dimension requested: take it from the spec, so the header records the m used
+        config.dim = parse_function_spec(config.fn, default_alpha=config.alpha).m
+    return config
 
 
 def main(argv=None) -> int:

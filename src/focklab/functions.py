@@ -25,6 +25,7 @@ __all__ = [
     "FockParams",
     "DensityValue",
     "TestFunction",
+    "RadialProfile",
     "Constant",
     "Coherent",
     "Monomial",
@@ -75,6 +76,41 @@ class DensityValue:
         return math.exp(self.log_u) if self.log_u != -math.inf else 0.0
 
 
+@dataclass(frozen=True)
+class RadialProfile:
+    """Density of the form log u(x) = A + K log r - B r^2 with r = |x - centre|.
+
+    K >= 0; B > 0 whenever u is integrable.  Zero K makes every superlevel set
+    a ball about the centre; positive K makes it an annulus.
+    """
+
+    centre: tuple[float, ...]
+    A: float
+    K: float
+    B: float
+
+    def radii(self, log_t: float) -> tuple[float, float]:
+        """(r_in, r_out) with {u > t} = {r_in < r < r_out}; (0, 0) when it is empty."""
+        if self.K == 0.0:
+            rho2 = (self.A - log_t) / self.B
+            return 0.0, (math.sqrt(rho2) if rho2 > 0 else 0.0)
+
+        def psi(r):
+            return self.A + self.K * math.log(r) - self.B * r * r
+
+        r_peak = math.sqrt(self.K / (2.0 * self.B))
+        if psi(r_peak) <= log_t:
+            return 0.0, 0.0
+        # psi(r) < A + K log r, so psi < log_t below exp((log_t - A) / K) < r_peak
+        r_lo = 0.5 * math.exp((log_t - self.A) / self.K)
+        r_in = brentq(lambda r: psi(r) - log_t, r_lo, r_peak, xtol=1e-15, rtol=8.9e-16)
+        r_hi = 2.0 * r_peak
+        while psi(r_hi) >= log_t:
+            r_hi *= 2.0
+        r_out = brentq(lambda r: psi(r) - log_t, r_peak, r_hi, xtol=1e-15, rtol=8.9e-16)
+        return r_in, r_out
+
+
 def _as_tuple(v) -> tuple[float, ...]:
     arr = np.atleast_1d(np.asarray(v, dtype=float))
     if arr.ndim != 1:
@@ -119,6 +155,10 @@ class TestFunction:
         """Upper bound for log|f| (without log_scale) on the sphere |x| = r."""
         raise NotImplementedError
 
+    def radial_profile(self, params: FockParams) -> RadialProfile | None:
+        """The density as a radial profile about a centre, or None if it is not one."""
+        return None
+
     def max_hints(self, params: FockParams) -> list[np.ndarray]:
         """Candidate maximizers of the density, used to seed multistart search."""
         return [np.zeros(self.m)]
@@ -133,7 +173,8 @@ class TestFunction:
         return replace(self, log_scale=self.log_scale + delta)
 
     def has_envelope(self, params: FockParams) -> bool:
-        return True
+        profile = self.radial_profile(params)
+        return profile is None or profile.B > 0
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -162,8 +203,9 @@ class Constant(TestFunction):
         v = math.log(self.value) if self.value > 0 else -math.inf
         return np.full(X.shape[0], v)
 
-    def _radial_bound_raw(self, r):
-        return math.log(self.value) if self.value > 0 else -math.inf
+    def radial_profile(self, params):
+        top = params.p * ((math.log(self.value) if self.value > 0 else -math.inf) + self.log_scale)
+        return RadialProfile((0.0,) * self.m, top, 0.0, 0.5 * params.rate)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -194,15 +236,20 @@ class Coherent(TestFunction):
         a = np.asarray(self.center)
         return self.alpha * (X @ a - 0.5 * float(a @ a))
 
-    def _radial_bound_raw(self, r):
+    def radial_profile(self, params):
+        # completing the square: u peaks at (built-in rate / weight rate) * a
         a = np.asarray(self.center)
-        na = float(np.linalg.norm(a))
-        return self.alpha * (na * r - 0.5 * na * na)
+        c0 = (self.alpha / params.alpha) * a
+        top = (
+            0.5 * params.rate * float(c0 @ c0)
+            - 0.5 * params.p * self.alpha * float(a @ a)
+            + params.p * self.log_scale
+        )
+        return RadialProfile(_as_tuple(c0), top, 0.0, 0.5 * params.rate)
 
     def max_hints(self, params):
-        a = np.asarray(self.center)
-        # completing the square: argmax of u sits at (built-in rate / weight rate) * a
-        return [a * (self.alpha / params.alpha), a, np.zeros(self.m)]
+        centre = np.asarray(self.radial_profile(params).centre)
+        return [centre, np.asarray(self.center), np.zeros(self.m)]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -243,6 +290,13 @@ class Monomial(TestFunction):
         if r <= 0:
             return -math.inf if self.degree > 0 else 0.0
         return self.degree * math.log(r)
+
+    def radial_profile(self, params):
+        if len(self.powers) != 1:
+            return None
+        return RadialProfile(
+            (0.0, 0.0), params.p * self.log_scale, params.p * self.powers[0], 0.5 * params.rate
+        )
 
     def max_hints(self, params):
         x = np.zeros(self.m)
@@ -356,11 +410,10 @@ class ExpQuadratic(TestFunction):
     def _log_abs_raw(self, X):
         return self.c * np.sum(X * X, axis=1)
 
-    def _radial_bound_raw(self, r):
-        return self.c * r * r
-
-    def has_envelope(self, params):
-        return self.c < params.alpha / 2
+    def radial_profile(self, params):
+        return RadialProfile(
+            (0.0,) * self.m, params.p * self.log_scale, 0.0, params.p * (params.alpha / 2 - self.c)
+        )
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -465,30 +518,6 @@ def eval_density(f: TestFunction, params: FockParams, x) -> DensityValue:
     return DensityValue(log_u=float(log_density_batch(f, params, x[None, :])[0]))
 
 
-def _envelope_const(f: Constant, params: FockParams, log_t: float) -> float:
-    top = params.p * ((math.log(f.value) if f.value > 0 else -math.inf) + f.log_scale)
-    if top <= log_t:
-        return 0.0
-    return math.sqrt(2.0 * (top - log_t) / params.rate)
-
-def _envelope_coherent(f: Coherent, params: FockParams, log_t: float) -> float:
-    # larger root of (rate/2) r^2 - p*ab*|a| r + (p*ab*|a|^2/2 + log t - p*log_scale) = 0
-    na = float(np.linalg.norm(np.asarray(f.center)))
-    rate = params.rate
-    b = params.p * f.alpha * na
-    c0 = 0.5 * params.p * f.alpha * na * na + log_t - params.p * f.log_scale
-    disc = b * b - 2.0 * rate * c0
-    if disc <= 0:
-        return 0.0
-    return (b + math.sqrt(disc)) / rate
-
-def _envelope_expquad(f: ExpQuadratic, params: FockParams, log_t: float) -> float:
-    gap = params.p * (params.alpha / 2 - f.c)
-    num = params.p * f.log_scale - log_t
-    if num <= 0:
-        return 0.0
-    return math.sqrt(num / gap)
-
 def _envelope_bisect(f: TestFunction, params: FockParams, log_t: float) -> float:
     def phi(r):
         return params.p * (f._radial_bound_raw(r) + f.log_scale) - 0.5 * params.rate * r * r - log_t
@@ -510,8 +539,8 @@ def _envelope_bisect(f: TestFunction, params: FockParams, log_t: float) -> float
 def envelope_radius(f: TestFunction, params: FockParams, t: float) -> float:
     """Radius R with u(x) < t whenever |x| > R.  Returns 0 when u < t everywhere.
 
-    Uses exact quadratic roots for the Gaussian-type families and monotone
-    bisection on a radial upper bound for the polynomial-type ones.
+    Uses the exact radii of the radial profile where the family has one and
+    monotone bisection on a radial upper bound for the others.
     """
     _check_dims(f, params)
     if not (t > 0) or not math.isfinite(t):
@@ -521,13 +550,11 @@ def envelope_radius(f: TestFunction, params: FockParams, t: float) -> float:
             f"|f| grows like exp({getattr(f, 'c', '?')}|x|^2) >= exp(alpha/2 |x|^2); no envelope"
         )
     log_t = math.log(t)
-    if isinstance(f, Constant):
-        return _envelope_const(f, params, log_t)
-    if isinstance(f, Coherent):
-        return _envelope_coherent(f, params, log_t)
-    if isinstance(f, ExpQuadratic):
-        return _envelope_expquad(f, params, log_t)
-    return _envelope_bisect(f, params, log_t)
+    profile = f.radial_profile(params)
+    if profile is None:
+        return _envelope_bisect(f, params, log_t)
+    r_out = profile.radii(log_t)[1]
+    return math.hypot(*profile.centre) + r_out if r_out > 0 else 0.0
 
 
 @dataclass(frozen=True)

@@ -125,17 +125,6 @@ def _gh_axis(n: int):
     return y, np.log(w) + y * y
 
 
-def _tensor_guard(n: int, m: int):
-    if m > 6:
-        raise MethodUnavailableError(f"tensor Gauss-Hermite supports m <= 6, got m={m}")
-    if n < 8:
-        raise InvalidInputError(f"need at least 8 nodes per axis, got {n}")
-    if n**m > _MAX_TENSOR_POINTS:
-        raise MethodUnavailableError(
-            f"tensor grid {n}^{m} exceeds the supported budget of {_MAX_TENSOR_POINTS} points"
-        )
-
-
 def _iter_gh_chunks(params: FockParams, n: int):
     """Yield (X, logw) blocks of the tensor rule, weights carrying the exp(y^2)
     correction and the change-of-variables Jacobian."""
@@ -180,14 +169,19 @@ def gauss_hermite_integrate(
     log_u: Callable, params: FockParams, nodes_per_axis: int = 32
 ) -> IntegralEstimate:
     """Integral of exp(log_u) over R^m; error from a node-count refinement pair."""
-    n = int(nodes_per_axis)
-    _tensor_guard(n, params.m)
-    if (2 * n) ** params.m <= _DOUBLING_BUDGET:
-        coarse = _gh_raw(log_u, params, n)
-        fine = _gh_raw(log_u, params, 2 * n)
-        return IntegralEstimate(value=fine, error_bound=abs(fine - coarse))
-    coarse = _gh_raw(log_u, params, max(8, n // 2))
-    fine = _gh_raw(log_u, params, n)
+    n, m = int(nodes_per_axis), params.m
+    if m > 6:
+        raise MethodUnavailableError(f"tensor Gauss-Hermite supports m <= 6, got m={m}")
+    if n < 8:
+        raise InvalidInputError(f"need at least 8 nodes per axis, got {n}")
+    if n**m > _MAX_TENSOR_POINTS:
+        raise MethodUnavailableError(
+            f"tensor grid {n}^{m} exceeds the supported budget of {_MAX_TENSOR_POINTS} points"
+        )
+    # refine by doubling while the finer grid fits the budget, else halve for the coarse one
+    n_coarse, n_fine = (n, 2 * n) if (2 * n) ** m <= _DOUBLING_BUDGET else (max(8, n // 2), n)
+    coarse = _gh_raw(log_u, params, n_coarse)
+    fine = _gh_raw(log_u, params, n_fine)
     return IntegralEstimate(value=fine, error_bound=abs(fine - coarse))
 
 
@@ -255,11 +249,6 @@ def radial_integrate(
 # Monte Carlo
 
 
-def _mc_points(params: FockParams, samples: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((samples, params.m)) / math.sqrt(params.rate)
-
-
 def mc_integrate(
     log_u: Callable, params: FockParams, samples: int = 100_000, seed: int = 0
 ) -> IntegralEstimate:
@@ -271,7 +260,7 @@ def mc_integrate(
     samples = int(samples)
     if samples < 1000:
         raise InvalidInputError(f"need at least 1000 samples, got {samples}")
-    X = _mc_points(params, samples, seed)
+    X = np.random.default_rng(seed).standard_normal((samples, params.m)) / math.sqrt(params.rate)
     half_rate_sq = 0.5 * params.rate * np.sum(X * X, axis=1)
     log_ratio = log_u(X) + half_rate_sq - math.log(norm_constant(params))
     peak = float(np.max(log_ratio))
@@ -436,59 +425,23 @@ class Custom(ConvexFunction):
         return (up - dn) / (np.minimum(t, h) + h)
 
 
-def _convex_gh_raw(f, params, G, n):
-    total = 0.0
-    for X, logw in _iter_gh_chunks(params, n):
-        u = np.exp(log_density_batch(f, params, X))
-        total += float(np.sum(np.exp(logw) * G.value(u)))
-    return total
-
-
-def _convex_radial_raw(f, params, G, nr, na):
-    m = params.m
-    s, lws = _radial_axis(nr, m)
-    omega, aw = _sphere_rule(m, na)
-    r = np.sqrt(2.0 * s / params.rate)
-    log_jac = math.log(0.5) + 0.5 * m * math.log(2.0 / params.rate)
-    X = (r[:, None, None] * omega[None, :, :]).reshape(-1, m)
-    logw = (lws[:, None] + np.log(aw)[None, :] + log_jac).reshape(-1)
-    u = np.exp(log_density_batch(f, params, X))
-    return float(np.sum(np.exp(logw) * G.value(u)))
-
-
 def convex_functional(
     f: TestFunction, params: FockParams, G: ConvexFunction, method=GaussHermite()
 ) -> FunctionalEstimate:
-    """Integral of G(u) over R^m for convex nondecreasing G with G(0) = 0."""
+    """Integral of G(u) over R^m for convex nondecreasing G with G(0) = 0.
+
+    Runs through the norm backends with the integrand log G(u) in place of log u.
+    """
     G.validate()
     if not f.has_envelope(params):
         raise NoEnvelopeError("density is unbounded; the functional diverges")
-    if isinstance(method, GaussHermite):
-        n = int(method.nodes_per_axis)
-        _tensor_guard(n, params.m)
-        if (2 * n) ** params.m <= _DOUBLING_BUDGET:
-            coarse = _convex_gh_raw(f, params, G, n)
-            fine = _convex_gh_raw(f, params, G, 2 * n)
-        else:
-            coarse = _convex_gh_raw(f, params, G, max(8, n // 2))
-            fine = _convex_gh_raw(f, params, G, n)
-        return FunctionalEstimate(value=fine, error_bound=abs(fine - coarse), method=method)
-    if isinstance(method, Radial):
-        coarse = _convex_radial_raw(f, params, G, method.radial_nodes, method.angular_nodes)
-        fine = _convex_radial_raw(f, params, G, 2 * method.radial_nodes, 2 * method.angular_nodes)
-        return FunctionalEstimate(value=fine, error_bound=abs(fine - coarse), method=method)
-    if isinstance(method, MonteCarlo):
-        samples = int(method.samples)
-        if samples < 1000:
-            raise InvalidInputError(f"need at least 1000 samples, got {samples}")
-        X = _mc_points(params, samples, method.seed)
-        log_u = log_density_batch(f, params, X)
-        u = np.exp(log_u)
-        lw = 0.5 * params.rate * np.sum(X * X, axis=1) - math.log(norm_constant(params))
-        vals = np.exp(lw) * G.value(u)
-        mean_v = float(np.mean(vals))
-        std_v = float(np.std(vals, ddof=1)) if samples > 1 else 0.0
-        return FunctionalEstimate(
-            value=mean_v, error_bound=std_v / math.sqrt(samples), method=method
-        )
-    raise InvalidInputError(f"unknown integration method {method!r}")
+
+    def log_G(X):
+        g = G.value(np.exp(log_density_batch(f, params, X)))
+        if np.any(g < 0):
+            raise UnsupportedFunctionalError("G must be nonnegative")
+        with np.errstate(divide="ignore"):
+            return np.log(g)
+
+    est = _dispatch_raw(log_G, params, method)
+    return FunctionalEstimate(value=est.value, error_bound=est.error_bound, method=method)

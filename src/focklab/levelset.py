@@ -19,20 +19,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq, minimize
+from scipy.optimize import minimize
 from scipy.special import gamma as gamma_fn
 
 from .errors import InvalidInputError, OptimizationFailureError
-from .functions import (
-    Coherent,
-    Constant,
-    ExpQuadratic,
-    FockParams,
-    Monomial,
-    TestFunction,
-    envelope_radius,
-    log_density_batch,
-)
+from .functions import FockParams, TestFunction, envelope_radius, log_density_batch
 from .integrate import ConvexFunction, GaussHermite, convex_functional
 
 __all__ = [
@@ -239,64 +230,23 @@ def superlevel_measure(
 
 
 def has_exact_measure(f: TestFunction) -> bool:
-    """True when u is a radial profile (possibly about a shifted center)."""
-    if isinstance(f, (Constant, ExpQuadratic, Coherent)):
-        return True
-    return isinstance(f, Monomial) and len(f.powers) == 1
+    """True when u is a radial profile about some center; that does not depend on p or alpha."""
+    return f.radial_profile(FockParams(f.m, 1.0, 1.0)) is not None
 
 
 def superlevel_measure_exact(f: TestFunction, params: FockParams, t: float) -> float:
-    """mu(t) by radial root-finding; only for radially representable densities."""
+    """mu(t) from the radii of the radial profile; only for radially representable densities."""
     if not (t > 0) or not math.isfinite(t):
         raise InvalidInputError(f"threshold t must be finite and positive, got {t}")
     if f.m != params.m:
         raise InvalidInputError(f"function lives on R^{f.m}, params say m={params.m}")
-    m, p, rate = params.m, params.p, params.rate
-    log_t = math.log(t)
-
-    if isinstance(f, Constant):
-        top = p * ((math.log(f.value) if f.value > 0 else -math.inf) + f.log_scale)
-        rho2 = 2.0 * (top - log_t) / rate
-        return unit_ball_volume(m) * max(rho2, 0.0) ** (m / 2.0)
-
-    if isinstance(f, ExpQuadratic):
-        B = p * (params.alpha / 2.0 - f.c)
-        if B <= 0:
-            raise InvalidInputError("density is not decaying; measure is infinite")
-        rho2 = (p * f.log_scale - log_t) / B
-        return unit_ball_volume(m) * max(rho2, 0.0) ** (m / 2.0)
-
-    if isinstance(f, Coherent):
-        a = np.asarray(f.center)
-        c0 = (f.alpha / params.alpha) * a
-        A = 0.5 * rate * float(c0 @ c0) - 0.5 * p * f.alpha * float(a @ a) + p * f.log_scale
-        rho2 = 2.0 * (A - log_t) / rate
-        return unit_ball_volume(m) * max(rho2, 0.0) ** (m / 2.0)
-
-    if isinstance(f, Monomial) and len(f.powers) == 1:
-        k = f.powers[0]
-        if k == 0:
-            top = p * f.log_scale
-            rho2 = 2.0 * (top - log_t) / rate
-            return unit_ball_volume(m) * max(rho2, 0.0) ** (m / 2.0)
-
-        def psi(r):
-            return k * p * math.log(r) + p * f.log_scale - 0.5 * rate * r * r
-
-        r_peak = math.sqrt(k / params.alpha)
-        if psi(r_peak) <= log_t:
-            return 0.0
-        r_lo = 0.5 * math.exp((log_t - p * f.log_scale) / (k * p))
-        while psi(r_lo) >= log_t:
-            r_lo *= 0.5
-        r1 = brentq(lambda r: psi(r) - log_t, r_lo, r_peak, xtol=1e-15, rtol=8.9e-16)
-        r_hi = 2.0 * r_peak
-        while psi(r_hi) >= log_t:
-            r_hi *= 2.0
-        r2 = brentq(lambda r: psi(r) - log_t, r_peak, r_hi, xtol=1e-15, rtol=8.9e-16)
-        return math.pi * (r2 * r2 - r1 * r1)
-
-    raise InvalidInputError(f"no radial representation for family '{f.family}'")
+    profile = f.radial_profile(params)
+    if profile is None:
+        raise InvalidInputError(f"no radial representation for family '{f.family}'")
+    if profile.B <= 0:
+        raise InvalidInputError("density is not decaying; measure is infinite")
+    r_in, r_out = profile.radii(math.log(t))
+    return unit_ball_volume(params.m) * (r_out**params.m - r_in**params.m)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +386,7 @@ def layer_cake(
     mx = find_max(f, params, seed=seed)
     t_max = mx.t_max
 
-    if has_exact_measure(f):
+    if f.radial_profile(params) is not None:
         ratio = grid.ratio
         count = max(grid.count, int(math.ceil(math.log(1e-12) / math.log(ratio))))
         edges = t_max * ratio ** np.arange(0, count + 1)

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import gamma as gamma_fn
 
 from .errors import InvalidInputError
@@ -299,8 +300,9 @@ def check_limit_norm(
     mx = find_max(f, FockParams(f.m, 1.0, alpha), seed=seed)
     sup_norm = mx.t_max
 
+    # a flat (coherent) ladder differs by roundoff only, hence the relative floor
     mono_margin = min(
-        values[i] - values[i + 1] + 3.0 * (errors[i] + errors[i + 1])
+        values[i] - values[i + 1] + 3.0 * (errors[i] + errors[i + 1]) + 1e-12 * abs(values[i])
         for i in range(len(values) - 1)
     )
     above_margin = min(
@@ -493,17 +495,11 @@ def _lemma_panels(profile, phi, log_scale, log_T, S):
             lt = log_T - s
             return log_scale + float(profile.log_g(np.array([lt]))[0]) - lt
 
-        lo, hi = 0.0, S
-        if arg(lo) < 0.0 < arg(hi):
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if arg(mid) < 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            clip = 0.5 * (lo + hi)
+        arg_lo, arg_hi = arg(0.0), arg(S)
+        if arg_lo < 0.0 < arg_hi:
+            clip = brentq(arg, 0.0, S, xtol=1e-15, rtol=8.9e-16)
             edges.add(clip)
-        elif arg(hi) <= 0.0:
+        elif arg_hi <= 0.0:
             return [], clip  # integrand vanishes on the whole window
     ordered = sorted(edges)
     panels = []
@@ -511,10 +507,8 @@ def _lemma_panels(profile, phi, log_scale, log_T, S):
         n_sub = max(1, int(math.ceil((b - a) / 5.0)))
         sub = np.linspace(a, b, n_sub + 1)
         for aa, bb in zip(sub[:-1], sub[1:]):
-            panels.append((aa, bb, clip is not None and abs(aa - clip) < 1e-300))
-    # mark the panel that starts exactly at the clip point for the sqrt substitution
-    if clip is not None:
-        panels = [(a, b, abs(a - clip) < 1e-12) for a, b, _ in panels]
+            # the panel starting at the clip point gets the sqrt substitution
+            panels.append((aa, bb, clip is not None and abs(aa - clip) < 1e-12))
     return panels, clip
 
 
@@ -570,15 +564,7 @@ def _solve_constraint_scale(profile, phi, T: float, t_lo: float, target: float) 
         hi += 60.0
     if not (C(lo) < target < C(hi)):
         raise InvalidInputError("constraint not satisfiable by rescaling this profile")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if C(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14:
-            break
-    return 0.5 * (lo + hi)
+    return brentq(lambda ls: C(ls) - target, lo, hi, xtol=1e-14)
 
 
 _REFERENCE_PROFILE = PowerDecayProfile(beta=0.0)

@@ -252,6 +252,17 @@ def test_mc_norm_byte_identical(tmp_path):
     assert out.read_bytes() == first
 
 
+@pytest.mark.parametrize("spec,m", [("monomial:k=1,1", 4), ("coherent:a=1,0,0", 3)])
+def test_norm_infers_dimension_from_spec(tmp_path, spec, m):
+    out = tmp_path / "norm.csv"
+    assert main(["norm", "--fn", spec, "--output", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert f"# dim={m}" in lines
+    header_idx = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    # both have unit norm at p = 2, alpha = 1
+    assert float(lines[header_idx + 1].split(",")[0]) == pytest.approx(1.0, abs=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # failure modes
 

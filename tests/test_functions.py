@@ -147,6 +147,45 @@ def test_envelope_radius_is_sound(f, t_frac):
     assert np.all(log_u < math.log(t))
 
 
+def _radial_cases():
+    cases = []
+    for m in (1, 2, 3):
+        e1 = (0.7,) + (-0.4,) * (m - 1)
+        cases += [
+            (Constant(value=1.3, dim=m), FockParams(m, 2.0, 1.0)),
+            (Coherent(center=e1, alpha=1.0), FockParams(m, 3.0, 1.0)),
+            (Coherent(center=e1, alpha=0.6), FockParams(m, 2.0, 1.4)),  # built-in rate differs
+            (ExpQuadratic(c=0.2, dim=m), FockParams(m, 1.5, 1.0)),
+        ]
+    cases += [(Monomial(powers=(k,)), FockParams(2, 2.5, 0.8)) for k in (0, 1, 2)]
+    return [(f.log_shifted(shift), params) for f, params in cases for shift in (0.0, 0.37)]
+
+
+_RADIAL_CASES = _radial_cases()
+
+
+@pytest.mark.parametrize(
+    "f,params",
+    _RADIAL_CASES,
+    ids=[f"{f.family}-m{p.m}-alpha{p.alpha}-shift{f.log_scale}" for f, p in _RADIAL_CASES],
+)
+def test_radial_profile_matches_density(f, params):
+    # checked against log_density_batch, which does not go through the profile
+    prof = f.radial_profile(params)
+    X = np.random.default_rng(5).normal(scale=1.5, size=(200, params.m))
+    r = np.linalg.norm(X - np.asarray(prof.centre), axis=1)
+    with np.errstate(divide="ignore"):
+        log_u = prof.A + prof.K * np.log(r) - prof.B * r * r
+    np.testing.assert_allclose(log_u, log_density_batch(f, params, X), rtol=1e-12)
+
+
+def test_radial_profile_absent_for_other_families():
+    assert Monomial(powers=(1, 1)).radial_profile(FockParams(4, 2.0, 1.0)) is None
+    for f in default_family_members(2):
+        if f.family in ("poly", "sumcoherent"):
+            assert f.radial_profile(P2) is None
+
+
 def test_envelope_radius_coherent_closed_form():
     f = Coherent(center=(1.0, 0.0), alpha=1.0)
     t = 0.1

@@ -238,6 +238,14 @@ def test_piecewise_linear_matches_custom():
     assert a.value == pytest.approx(b.value, rel=1e-10)
 
 
+@pytest.mark.parametrize("method", [GaussHermite(), Radial()], ids=repr)
+def test_negative_G_is_rejected(method):
+    # passes the grid screen on [0, 4] but dips below 0 for tiny u in the tails
+    G = Custom(fn=lambda t: t * t - 1e-18 if t > 0 else 0.0)
+    with pytest.raises(UnsupportedFunctionalError, match="nonnegative"):
+        convex_functional(Coherent(center=(0.0, 0.0), alpha=1.0), P2, G, method=method)
+
+
 def test_custom_screening():
     with pytest.raises(UnsupportedFunctionalError):
         Custom(fn=lambda t: t + 1.0).validate()  # G(0) != 0

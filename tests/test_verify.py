@@ -163,6 +163,13 @@ def test_limit_norm_coherent_flat_ladder():
     assert np.max(np.abs(np.asarray(report.details["ladder"]) - 1.0)) <= 1e-6
 
 
+def test_limit_norm_flat_ladder_tolerates_roundoff():
+    # this ladder reads 1.0, 0.9999999999999998, 0.9999999999999999, 1.0, ...
+    f = Coherent(center=(0.18902713714856834, 0.05509667889786518), alpha=1.0)
+    report = check_limit_norm(f, 1.0)
+    assert report.passed, report.margin
+
+
 def test_limit_norm_rejects_unordered_ladder():
     with pytest.raises(InvalidInputError):
         check_limit_norm(Monomial(powers=(1,)), 1.0, p_ladder=(4.0, 2.0))
