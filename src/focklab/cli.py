@@ -602,7 +602,10 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--nodes", type=int, help="Gauss-Hermite nodes per axis")
         sp.add_argument("--radial-nodes", type=int, dest="radial_nodes")
         sp.add_argument("--angular-nodes", type=int, dest="angular_nodes")
-        sp.add_argument("--samples", type=int, help="Monte Carlo sample count")
+        sp.add_argument(
+            "--samples", type=int,
+            help="Monte Carlo points per level ball (per integral with --method mc)",
+        )
         sp.add_argument("--seed", type=int, help="RNG seed (default FOCKLAB_SEED or 0)")
         sp.add_argument("--format", choices=("csv", "json"), help="artifact format")
         sp.add_argument("--output", help="artifact path (default: stdout)")

@@ -73,7 +73,11 @@ class MaxResult:
 
 @dataclass(frozen=True)
 class MeasureEstimate:
-    """Hit-count estimate of mu(t) = |{u > t}| with its binomial stderr."""
+    """Hit-count estimate of mu(t) = |{u > t}| with its binomial stderr.
+
+    The stderr uses the hit share (hits + 1) / (n + 2), so it stays positive
+    when no point or every point hits.
+    """
 
     value: float
     stderr: float
@@ -119,6 +123,7 @@ class LevelProfile:
     violations: tuple[tuple[float, float, float], ...]
     samples: int
     seed: int
+    points: int  # density evaluations made for mu, all levels together
 
     def violation_flags(self) -> np.ndarray:
         flags = np.zeros(len(self.t_grid), dtype=bool)
@@ -203,30 +208,84 @@ def find_max(
 # superlevel measure
 
 
-def superlevel_measure(
-    f: TestFunction, params: FockParams, t: float, samples: int = 200_000, seed: int = 0
-) -> MeasureEstimate:
-    """Uniform hit-counting inside the envelope ball, radius padded by 5 percent."""
-    if not (t > 0) or not math.isfinite(t):
-        raise InvalidInputError(f"threshold t must be finite and positive, got {t}")
+def _level_rng(seed: int) -> np.random.Generator:
+    """The level-set stream of `seed`: a spawned child of SeedSequence(seed).
+
+    It never equals default_rng(s'), the `find_max` stream of any seed s'.
+    """
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+
+
+@dataclass(frozen=True)
+class _NestedCloud:
+    mu: np.ndarray  # mu(t_k), one per level
+    cov: np.ndarray  # covariance matrix of mu
+    radii: np.ndarray  # padded ball radii R_k, nondecreasing
+    points: int  # density evaluations, all shells together
+
+
+def _nested_measures(
+    f: TestFunction, params: FockParams, t_grid: np.ndarray, samples: int, seed: int
+) -> _NestedCloud:
+    """Hit-count estimates of mu(t_k) on a decreasing grid from one stratified cloud.
+
+    Level k samples the ball B_k of radius R_k = 1.05 * envelope radius of t_k
+    (made nondecreasing), so the balls are nested.  Shell j = B_j minus B_{j-1}
+    gets ceil(samples |S_j| / |B_j|) uniform points: every level sees at least
+    the point density of `samples` points in its own ball.  log u is evaluated
+    once per point, and each shell's hits at every level come from one
+    searchsorted against the ascending log-t grid.  Hits at two nested levels
+    are correlated, Cov(I_k, I_l) = h_k (1 - h_l) for t_k >= t_l; the
+    covariance uses h = (hits + 1) / (n + 2), so that a shell with no hits or
+    all hits still states a positive variance.
+    """
     samples = int(samples)
     if samples < 1000:
         raise InvalidInputError(f"need at least 1000 samples, got {samples}")
-    R = envelope_radius(f, params, t)
-    if R == 0.0:
-        return MeasureEstimate(0.0, 0.0, t, samples, seed, 0.0)
-    R_s = 1.05 * R
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((samples, params.m))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = R_s * rng.random(samples) ** (1.0 / params.m)
-    pts = dirs * radii[:, None]
-    hits = log_density_batch(f, params, pts) > math.log(t)
-    vol = unit_ball_volume(params.m) * R_s**params.m
-    phat = float(np.mean(hits))
-    value = vol * phat
-    stderr = vol * math.sqrt(phat * (1.0 - phat) / samples)
-    return MeasureEstimate(value, stderr, t, samples, seed, R_s)
+    m, count = params.m, len(t_grid)
+    radii = np.maximum.accumulate(
+        [1.05 * envelope_radius(f, params, float(t)) for t in t_grid]
+    )
+    ball = unit_ball_volume(m) * radii**m
+    shell = np.diff(ball, prepend=0.0)
+    log_t_asc = np.log(t_grid[::-1])
+    rng = _level_rng(seed)
+    mu = np.zeros(count)
+    cov = np.zeros((count, count))
+    points = 0
+    for j in range(count):
+        if shell[j] <= 0.0:
+            continue
+        n = math.ceil(samples * shell[j] / ball[j])
+        pts = rng.standard_normal((n, m))
+        inner = radii[j - 1] ** m if j > 0 else 0.0
+        r = (inner + rng.random(n) * (radii[j] ** m - inner)) ** (1.0 / m)
+        pts *= (r / np.sqrt(np.einsum("ij,ij->i", pts, pts)))[:, None]
+        # thresholds below log u, counted on the ascending grid
+        below = np.searchsorted(log_t_asc, log_density_batch(f, params, pts))
+        at_least = np.cumsum(np.bincount(below, minlength=count + 1)[::-1])[::-1]
+        hits = at_least[count - j : 0 : -1]  # levels j..count-1; B_j misses the smaller sets
+        mu[j:] += shell[j] * hits / n
+        h = (hits + 1.0) / (n + 2.0)
+        upper = np.triu(np.outer(h, 1.0 - h))
+        cov[j:, j:] += shell[j] ** 2 / n * (upper + np.triu(upper, 1).T)
+        points += n
+    return _NestedCloud(mu, cov, radii, points)
+
+
+def superlevel_measure(
+    f: TestFunction, params: FockParams, t: float, samples: int = 200_000, seed: int = 0
+) -> MeasureEstimate:
+    """Uniform hit-counting inside the envelope ball, radius padded by 5 percent.
+
+    The one-level case of the nested-shell estimator behind `g_diagnostic`.
+    """
+    if not (t > 0) or not math.isfinite(t):
+        raise InvalidInputError(f"threshold t must be finite and positive, got {t}")
+    cloud = _nested_measures(f, params, np.array([float(t)]), samples, seed)
+    return MeasureEstimate(
+        float(cloud.mu[0]), math.sqrt(cloud.cov[0, 0]), t, int(samples), seed, float(cloud.radii[0])
+    )
 
 
 def has_exact_measure(f: TestFunction) -> bool:
@@ -291,22 +350,23 @@ def g_diagnostic(
 ) -> LevelProfile:
     """Profile of the diagnostic g on a geometric grid below the density max.
 
-    Per-level seeds are derived as seed + 1 + k so reruns are bit-identical and
-    levels are statistically independent.  A monotonicity violation is recorded
-    only when the drop between adjacent levels exceeds 3x the summed
-    propagated errors.
+    All levels are answered from one stratified cloud over nested shells, in
+    which each level sees at least the density of `samples` points in its own
+    ball.  The cloud is drawn from a stream of `seed` separate from the
+    `find_max` one, so reruns are bit-identical.  Levels share points and are
+    therefore correlated.  A monotonicity violation is recorded only when the
+    drop between adjacent levels exceeds 3x the summed propagated errors.
     """
     grid = grid or LevelGrid()
     mx = find_max(f, params, restarts=restarts, seed=seed)
     t_grid = grid.levels(mx.t_max)
 
-    mu = np.zeros(grid.count)
-    mu_err = np.zeros(grid.count)
+    cloud = _nested_measures(f, params, t_grid, samples, seed)
+    mu = cloud.mu
+    mu_err = np.sqrt(np.diag(cloud.cov))
     g = np.zeros(grid.count)
     g_err = np.zeros(grid.count)
     for k, t in enumerate(t_grid):
-        est = superlevel_measure(f, params, float(t), samples=samples, seed=seed + 1 + k)
-        mu[k], mu_err[k] = est.value, est.stderr
         g[k] = g_from_mu(mu[k], float(t), params, variant)
         up = g_from_mu(mu[k] + mu_err[k], float(t), params, variant)
         dn = g_from_mu(max(mu[k] - mu_err[k], 0.0), float(t), params, variant)
@@ -314,6 +374,7 @@ def g_diagnostic(
 
     violations = []
     for k in range(1, grid.count):
+        # correlated levels keep the rule valid: Var(a - b) <= (sigma_a + sigma_b)^2 always
         drop = g[k - 1] - g[k]
         thresh = 3.0 * (g_err[k - 1] + g_err[k])
         if drop > thresh:
@@ -331,6 +392,7 @@ def g_diagnostic(
         violations=tuple(violations),
         samples=samples,
         seed=seed,
+        points=cloud.points,
     )
 
 
@@ -378,8 +440,9 @@ def layer_cake(
 
     For radially representable densities mu(t) is computed exactly by
     root-finding and the geometric grid is extended until the remaining tail is
-    negligible; otherwise mu comes from hit-count sampling on the given grid
-    and the statistical error is propagated.
+    negligible; otherwise mu comes from hit-count sampling on the given grid,
+    all levels from one cloud, and the statistical error is propagated through
+    the covariance of the levels.
     """
     G.validate()
     grid = grid or LevelGrid()
@@ -403,24 +466,19 @@ def layer_cake(
         mode = "exact-radial"
     else:
         t_grid = grid.levels(t_max)
-        mu = np.zeros(grid.count)
-        sig = np.zeros(grid.count)
-        for k, t in enumerate(t_grid):
-            est = superlevel_measure(f, params, float(t), samples=samples, seed=seed + 1 + k)
-            mu[k], sig[k] = est.value, est.stderr
-        # trapezoid on [t_grid[-1], ..., t_grid[0], t_max] with mu(t_max) = 0
+        cloud = _nested_measures(f, params, t_grid, samples, seed)
+        # value = c . mu: the trapezoid on [t_grid[-1], ..., t_grid[0], t_max]
+        # with mu(t_max) = 0, plus the tail mu(t_end) G(t_end)
         ts = np.concatenate([t_grid[::-1], [t_max]])
-        ys = np.concatenate([mu[::-1], [0.0]]) * G.derivative(ts)
-        value = float(np.trapezoid(ys, ts))
         w = np.zeros(len(ts))
         w[1:] += 0.5 * np.diff(ts)
         w[:-1] += 0.5 * np.diff(ts)
-        sig_full = np.concatenate([sig[::-1], [0.0]]) * G.derivative(ts)
-        stat = math.sqrt(float(np.sum((w * sig_full) ** 2)))
-        t_end = float(t_grid[-1])
-        tail = mu[-1] * float(G.value(np.array([t_end]))[0])
-        value += tail
-        err = stat + tail
+        c = (w * G.derivative(ts))[-2::-1]
+        G_end = float(G.value(t_grid[-1:])[0])
+        c[-1] += G_end
+        value = float(c @ cloud.mu)
+        tail = cloud.mu[-1] * G_end
+        err = math.sqrt(float(c @ cloud.cov @ c)) + tail
         mode = "mc"
 
     direct = convex_functional(f, params, G, method=method)

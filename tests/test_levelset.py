@@ -15,9 +15,12 @@ from focklab import (
     Monomial,
     Power,
     SumOfCoherent,
+    default_family_members,
     fock_norm,
 )
 from focklab.levelset import (
+    _level_rng,
+    _nested_measures,
     IsoperimetricVariant,
     LevelGrid,
     find_max,
@@ -117,6 +120,36 @@ def test_mc_measure_matches_exact():
     est = superlevel_measure(f, P2, t, samples=400_000, seed=12)
     assert est.stderr > 0
     assert abs(est.value - MONOMIAL_MU_AT_HALF_PEAK) <= 4.0 * est.stderr
+
+
+def test_mc_measure_states_error_without_hits():
+    # a ball of radius 1.32 around a sliver {u > t}: 1000 points miss it, yet mu > 0
+    f = next(g for g in default_family_members(2) if isinstance(g, SumOfCoherent))
+    params = FockParams(2, 2.0, 1.0)
+    t = 0.9999 * find_max(f, params).t_max
+    est = superlevel_measure(f, params, t, samples=1000, seed=0)
+    assert est.value == 0.0 and est.ball_radius > 1.0
+    assert est.stderr > 0
+
+
+def test_level_stream_differs_from_find_max_streams():
+    for s in range(5):
+        draws = _level_rng(s).random(4)
+        for j in range(4):
+            assert not np.array_equal(draws, np.random.default_rng(s + j).random(4))
+
+
+def test_nested_covariance_matches_replicates():
+    # annular superlevel sets: levels share the inner shells, so they correlate
+    f = Monomial(powers=(1,))
+    t_grid = math.exp(-1.0) * np.array([0.9, 0.6, 0.3])
+    clouds = [_nested_measures(f, P2, t_grid, 1000, seed) for seed in range(1000)]
+    empirical = np.cov(np.array([c.mu for c in clouds]).T)
+    stated = np.mean([c.cov for c in clouds], axis=0)
+    sd = np.sqrt(np.diag(stated))
+    scale = np.outer(sd, sd)
+    assert np.allclose(np.diag(empirical / scale), 1.0, atol=0.15)
+    assert np.allclose(empirical / scale, stated / scale, atol=0.12)
 
 
 def test_mc_measure_deterministic():
@@ -248,6 +281,28 @@ def test_g_diagnostic_flags_decreasing_profile():
     )
     assert len(prof.violations) > 0
     assert np.any(prof.violation_flags())
+
+
+def test_g_diagnostic_stderr_covers_exact_measure():
+    # z = (mc - exact) / stated stderr over 5 cases x 30 levels x 10 seeds
+    cases = [
+        (Coherent(center=(0.0,), alpha=1.0), FockParams(1, 2.0, 1.0)),
+        (Coherent(center=(0.0, 0.0), alpha=1.0), P2),
+        (Coherent(center=(0.0, 0.0, 0.0), alpha=1.0), FockParams(3, 2.0, 1.0)),
+        (Monomial(powers=(1,)), P2),
+        (Coherent(center=(0.7, -0.3), alpha=1.0), FockParams(2, 3.0, 1.0)),
+    ]
+    zs = []
+    for f, params in cases:
+        for seed in range(10):
+            prof = g_diagnostic(f, params, grid=LevelGrid(30, 0.85), samples=50_000, seed=seed)
+            exact = np.array([superlevel_measure_exact(f, params, t) for t in prof.t_grid])
+            assert np.all(prof.mu_stderr > 0)
+            assert np.all(np.diff(prof.mu) >= 0)  # nested sets, one cloud
+            zs.append((prof.mu - exact) / prof.mu_stderr)
+    z = np.abs(np.concatenate(zs))
+    assert np.mean(z > 3.0) <= 0.01
+    assert np.max(z) <= 5.0
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,22 @@ def test_monotone_check_passes_on_clean_profile():
     assert report.passed and report.margin == 0.0
 
 
+def test_monotone_check_reports_points():
+    def profile():
+        return g_diagnostic(
+            Coherent(center=(0.0, 0.0), alpha=1.0),
+            FockParams(2, 2.0, 1.0),
+            grid=LevelGrid(count=10, ratio=0.8),
+            samples=10_000,
+            seed=4,
+        )
+
+    prof = profile()
+    # shell 1 alone is a full `samples` cloud; a fresh cloud per level would cost count x samples
+    assert 10_000 <= prof.points < 10 * 10_000
+    assert check_monotone_g(prof).details["points"] == prof.points == profile().points
+
+
 def test_monotone_check_fails_on_literal_m3():
     prof = g_diagnostic(
         Coherent(center=(0.0, 0.0, 0.0), alpha=1.0),
