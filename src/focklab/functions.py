@@ -151,8 +151,8 @@ class TestFunction:
             out = out + self.log_scale
         return out
 
-    def _radial_bound_raw(self, r: float) -> float:
-        """Upper bound for log|f| (without log_scale) on the sphere |x| = r."""
+    def _radial_bound_raw(self, r) -> np.ndarray:
+        """Upper bound for log|f| (without log_scale) on the spheres |x| = r, elementwise."""
         raise NotImplementedError
 
     def radial_profile(self, params: FockParams) -> RadialProfile | None:
@@ -287,9 +287,8 @@ class Monomial(TestFunction):
         return out
 
     def _radial_bound_raw(self, r):
-        if r <= 0:
-            return -math.inf if self.degree > 0 else 0.0
-        return self.degree * math.log(r)
+        with np.errstate(divide="ignore"):
+            return self.degree * np.log(np.maximum(r, 0.0)) if self.degree else np.zeros(np.shape(r))
 
     def radial_profile(self, params):
         if len(self.powers) != 1:
@@ -368,21 +367,14 @@ class Polynomial(TestFunction):
 
     def _radial_bound_raw(self, r):
         # triangle inequality with |z_j| <= r: log sum_k |c_k| r^{|k|}
-        if r <= 0:
-            r = 0.0
-        logs = []
+        with np.errstate(divide="ignore"):
+            log_r = np.log(np.maximum(np.asarray(r, dtype=float), 0.0))
+        out = np.full(log_r.shape, -math.inf)
         for pw, coeff in self.terms:
-            if abs(coeff) == 0:
-                continue
-            deg = sum(pw)
-            lr = deg * math.log(r) if r > 0 else (0.0 if deg == 0 else -math.inf)
-            logs.append(math.log(abs(coeff)) + lr)
-        if not logs:
-            return -math.inf
-        mx = max(logs)
-        if mx == -math.inf:
-            return mx
-        return mx + math.log(sum(math.exp(v - mx) for v in logs))
+            if abs(coeff) > 0:
+                deg = sum(pw)  # r^0 = 1 even at r = 0
+                out = np.logaddexp(out, math.log(abs(coeff)) + (deg * log_r if deg else 0.0))
+        return out
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -466,16 +458,13 @@ class SumOfCoherent(TestFunction):
         return out
 
     def _radial_bound_raw(self, r):
-        vals = []
+        r = np.asarray(r, dtype=float)
+        out = np.full(r.shape, -math.inf)
         for w, a in self.atoms:
-            if w == 0:
-                continue
-            na = float(np.linalg.norm(np.asarray(a)))
-            vals.append(math.log(w) + self.alpha * (na * r - 0.5 * na * na))
-        if not vals:
-            return -math.inf
-        mx = max(vals)
-        return mx + math.log(sum(math.exp(v - mx) for v in vals))
+            if w > 0:
+                na = float(np.linalg.norm(np.asarray(a)))
+                out = np.logaddexp(out, math.log(w) + self.alpha * (na * r - 0.5 * na * na))
+        return out
 
     def max_hints(self, params):
         hints = [np.asarray(a) * (self.alpha / params.alpha) for _, a in self.atoms]
@@ -526,7 +515,7 @@ def _envelope_bisect(f: TestFunction, params: FockParams, log_t: float) -> float
     while phi(r_hi) > -1.0 and r_hi < 1e8:
         r_hi *= 2.0
     grid = np.geomspace(1e-9, r_hi, 512)
-    vals = np.array([phi(r) for r in grid])
+    vals = phi(grid)
     if not np.any(vals >= 0.0):
         return 0.0
     i_last = int(np.max(np.nonzero(vals >= 0.0)[0]))

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import gamma as gamma_fn
+from scipy.special import gamma as gamma_fn, gammaincc
 
 from .errors import InvalidInputError
 from .functions import (
@@ -465,6 +466,7 @@ class PowerPsi:
 
 
 _GL32 = np.polynomial.legendre.leggauss(32)
+_PANEL_WIDTH = 5.0
 
 
 def _profile_beta(profile) -> float:
@@ -482,35 +484,43 @@ def _lemma_s_max(phi, psi, beta: float) -> float:
 
 
 def _lemma_panels(profile, phi, log_scale, log_T, S):
-    """Panel edges in s = log(T/t), plus the clip point of log-phi if inside."""
+    """Panels (a, b, kink) in s = log(T/t); a kink of log-phi inside the window, or
+    within one panel width left of it, anchors a sqrt substitution on its panel."""
     edges = {0.0, S}
     if isinstance(profile, TabulatedProfile):
         for t in profile.t_points:
             s = log_T - math.log(t)
             if 0.0 < s < S:
                 edges.add(s)
-    clip = None
+    kink = None
     if isinstance(phi, LogPowerPhi):
         # solve log_scale + log_g(log t) - log t = 0; argument increases with s
         def arg(s):
             lt = log_T - s
             return log_scale + float(profile.log_g(np.array([lt]))[0]) - lt
 
-        arg_lo, arg_hi = arg(0.0), arg(S)
-        if arg_lo < 0.0 < arg_hi:
-            clip = brentq(arg, 0.0, S, xtol=1e-15, rtol=8.9e-16)
-            edges.add(clip)
-        elif arg_hi <= 0.0:
-            return [], clip  # integrand vanishes on the whole window
+        if arg(S) <= 0.0:
+            return []  # integrand vanishes on the whole window
+        arg_lo = arg(0.0)
+        if arg_lo < 0.0:
+            kink = brentq(arg, 0.0, S, xtol=1e-15, rtol=8.9e-16)
+            edges.add(kink)
+        else:
+            # arg is linear on the first panel; a zero of its extension within
+            # one panel width left of s = 0 still bends the integrand there
+            h = min(min(e for e in edges if e > 0.0), _PANEL_WIDTH)
+            slope = (arg(h) - arg_lo) / h
+            if 0.0 < slope and arg_lo < slope * _PANEL_WIDTH:
+                kink = -arg_lo / slope
     ordered = sorted(edges)
     panels = []
     for a, b in zip(ordered, ordered[1:]):
-        n_sub = max(1, int(math.ceil((b - a) / 5.0)))
+        n_sub = max(1, int(math.ceil((b - a) / _PANEL_WIDTH)))
         sub = np.linspace(a, b, n_sub + 1)
         for aa, bb in zip(sub[:-1], sub[1:]):
-            # the panel starting at the clip point gets the sqrt substitution
-            panels.append((aa, bb, clip is not None and abs(aa - clip) < 1e-12))
-    return panels, clip
+            anchored = kink is not None and abs(aa - max(kink, 0.0)) < 1e-12
+            panels.append((aa, bb, kink if anchored else None))
+    return panels
 
 
 def _lemma_integral(profile, phi, psi, log_scale: float, T: float, t_lo: float) -> float:
@@ -520,7 +530,7 @@ def _lemma_integral(profile, phi, psi, log_scale: float, T: float, t_lo: float) 
         S = log_T - math.log(t_lo)
     else:
         S = _lemma_s_max(phi, psi, _profile_beta(profile))
-    panels, _ = _lemma_panels(profile, phi, log_scale, log_T, S)
+    panels = _lemma_panels(profile, phi, log_scale, log_T, S)
     nodes, weights = _GL32
 
     def contrib(s):
@@ -534,13 +544,14 @@ def _lemma_integral(profile, phi, psi, log_scale: float, T: float, t_lo: float) 
         return np.maximum(la, 0.0) ** phi.power * np.exp(log_w)
 
     total = 0.0
-    for a, b, sqrt_left in panels:
-        if sqrt_left and isinstance(phi, LogPowerPhi):
-            # s = a + (b-a) tau^2 tames the half-power kink at the clip point
-            tau = 0.5 * (nodes + 1.0)
-            w = 0.5 * weights
-            s = a + (b - a) * tau**2
-            jac = 2.0 * (b - a) * tau
+    for a, b, kink in panels:
+        if kink is not None:
+            # s = kink + (b-kink) tau^2 tames the half-power kink of log-phi
+            tau0 = math.sqrt((a - kink) / (b - kink))
+            tau = tau0 + (1.0 - tau0) * 0.5 * (nodes + 1.0)
+            w = (1.0 - tau0) * 0.5 * weights
+            s = kink + (b - kink) * tau**2
+            jac = 2.0 * (b - kink) * tau
             total += float(np.sum(w * jac * contrib(s)))
         else:
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -549,11 +560,41 @@ def _lemma_integral(profile, phi, psi, log_scale: float, T: float, t_lo: float) 
     return total
 
 
-def _solve_constraint_scale(profile, phi, T: float, t_lo: float, target: float) -> float:
-    """log of the multiplier making the profile side match the g == 1 constraint."""
-    def C(ls):
-        return _lemma_integral(profile, phi, None, ls, T, t_lo)
+def _lemma_closed_form(beta: float, phi, psi, log_scale: float, T: float, t_lo: float) -> float:
+    """_lemma_integral for g(t) = t^(-beta), beta > -1, in closed form.
 
+    With b = 1 + beta the argument of Phi is e^log_scale t^(-b): power phi
+    integrates a power of t, log-phi an incomplete gamma in v = log_scale - b log t.
+    """
+    if t_lo == 0.0:
+        _lemma_s_max(phi, psi, beta)  # the integrability gate of the panel rule
+    r = psi.r if psi is not None else 1.0
+    b, log_T = 1.0 + beta, math.log(T)
+    if isinstance(phi, PowerPhi):
+        lam = r - phi.gamma * b
+        L = log_T - math.log(t_lo) if t_lo > 0.0 else math.inf
+        # (T^lam - t_lo^lam) / lam = T^lam * span
+        span = -math.expm1(-lam * L) / lam if lam != 0.0 else L
+        return r * math.exp(phi.gamma * log_scale + lam * log_T) * span
+    q, k = phi.power, r / b
+    v_a = max(0.0, log_scale - b * log_T)
+    v_b = max(v_a, log_scale - b * math.log(t_lo)) if t_lo > 0.0 else math.inf
+    tail = gammaincc(q + 1.0, k * v_a) - gammaincc(q + 1.0, k * v_b)
+    return float(math.exp(k * log_scale) * gamma_fn(q + 1.0) * k**-q * tail)
+
+
+def _solve_constraint_scale(integral, phi, T: float, t_lo: float, target: float) -> float:
+    """log of the multiplier making the profile side match the g == 1 constraint.
+
+    integral(phi, psi, log_scale, T, t_lo) is the profile side's rule.  Power phi
+    is homogeneous, C(ls) = e^(gamma ls) C(0), so its scale is explicit.
+    """
+    def C(ls):
+        return integral(phi, None, ls, T, t_lo)
+
+    c0 = C(0.0) if isinstance(phi, PowerPhi) else 0.0
+    if 0.0 < c0 < math.inf:
+        return math.log(target / c0) / phi.gamma
     lo, hi = -60.0, 60.0
     for _ in range(6):
         if C(lo) < target:
@@ -566,9 +607,6 @@ def _solve_constraint_scale(profile, phi, T: float, t_lo: float, target: float) 
     if not (C(lo) < target < C(hi)):
         raise InvalidInputError("constraint not satisfiable by rescaling this profile")
     return brentq(lambda ls: C(ls) - target, lo, hi, xtol=1e-14)
-
-
-_REFERENCE_PROFILE = PowerDecayProfile(beta=0.0)
 
 
 def check_rearrangement_lemma(
@@ -589,11 +627,17 @@ def check_rearrangement_lemma(
         raise InvalidInputError("t_max must be positive")
     if not (0 <= t_lo < t_max):
         raise InvalidInputError("need 0 <= t_lo < t_max")
-    target = _lemma_integral(_REFERENCE_PROFILE, phi, None, 0.0, t_max, t_lo)
-    log_scale = _solve_constraint_scale(profile, phi, t_max, t_lo, target)
+    # power profiles, the g == 1 reference among them, integrate in closed form
+    closed = isinstance(profile, PowerDecayProfile) and profile.beta > -1.0
+    integral = (
+        partial(_lemma_closed_form, profile.beta) if closed else partial(_lemma_integral, profile)
+    )
+    target = _lemma_closed_form(0.0, phi, None, 0.0, t_max, t_lo)
+    log_scale = _solve_constraint_scale(integral, phi, t_max, t_lo, target)
+    # the panel rule checks the scale independently of the rule that solved for it
     residual = _lemma_integral(profile, phi, None, log_scale, t_max, t_lo) - target
-    lhs = _lemma_integral(profile, phi, psi, log_scale, t_max, t_lo)
-    rhs = _lemma_integral(_REFERENCE_PROFILE, phi, psi, 0.0, t_max, t_lo)
+    lhs = integral(phi, psi, log_scale, t_max, t_lo)
+    rhs = _lemma_closed_form(0.0, phi, psi, 0.0, t_max, t_lo)
     margin = rhs - lhs
     hyp_ok = getattr(profile, "nonincreasing", True)
     return VerificationReport(
@@ -614,6 +658,7 @@ def check_rearrangement_lemma(
             "weighted_profile": lhs,
             "constraint_scale_log": log_scale,
             "constraint_residual": residual,
+            "lemma_rule": "closed_form" if closed else "panels",
             "profile_nonincreasing": hyp_ok,
         },
     )

@@ -186,6 +186,44 @@ def test_radial_profile_absent_for_other_families():
             assert f.radial_profile(P2) is None
 
 
+_BOUND_CASES = [
+    f
+    for m in (2, 4)
+    for f in default_family_members(m)
+    if f.family in ("monomial", "poly", "sumcoherent")
+] + [
+    Monomial(powers=(0, 0)),
+    Polynomial(terms={(0, 0): 0.0, (1, 3): 0.5, (2, 0): -1j, (0, 1): 2.0}),
+    SumOfCoherent(atoms=((0.0, (1.0, 0.0)), (2.0, (0.0, 3.0)), (0.5, (0.2, 0.1))), alpha=1.5),
+]
+
+
+def _radial_bound_reference(f, r):
+    """The radial bound written out on one radius with math, term by term."""
+    if isinstance(f, SumOfCoherent):
+        norms = [math.hypot(*a) for _, a in f.atoms]
+        total = sum(
+            w * math.exp(f.alpha * (na * r - 0.5 * na * na)) for (w, _), na in zip(f.atoms, norms)
+        )
+    else:
+        terms = f.terms if isinstance(f, Polynomial) else [((f.degree,), 1.0)]
+        total = sum(abs(c) * r ** sum(pw) for pw, c in terms)
+    return math.log(total) if total > 0 else -math.inf
+
+
+@pytest.mark.parametrize("f", _BOUND_CASES, ids=lambda f: f"{f.family}-m{f.m}")
+def test_radial_bound_array_matches_scalar(f):
+    # the envelope bisection evaluates its whole bracket grid in one call
+    r = np.concatenate([[0.0], np.geomspace(1e-3, 20.0, 64)])
+    bound = f._radial_bound_raw(r)
+    assert bound.shape == r.shape
+    scalar = [float(f._radial_bound_raw(float(x))) for x in r]
+    np.testing.assert_allclose(bound, scalar, rtol=1e-14)
+    # absolute in the log: the reference loses relative digits where the sum is near 1
+    reference = [_radial_bound_reference(f, x) for x in r]
+    np.testing.assert_allclose(bound, reference, rtol=1e-12, atol=1e-14)
+
+
 def test_envelope_radius_coherent_closed_form():
     f = Coherent(center=(1.0, 0.0), alpha=1.0)
     t = 0.1

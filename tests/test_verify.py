@@ -34,7 +34,7 @@ from focklab.verify import (
     random_rearrangement_case,
     richardson_limit,
 )
-from focklab.verify import _lemma_integral  # white-box quadrature cross-check
+from focklab.verify import _lemma_closed_form, _lemma_integral  # white-box cross-checks
 
 P2 = FockParams(2, 2.0, 1.0)
 
@@ -279,6 +279,77 @@ def test_rearrangement_tabulated_profile():
         t_max=tab.t_points[-1], t_lo=tab.t_points[0],
     )
     assert report.passed, report.details
+
+
+@pytest.mark.parametrize("t_lo", [0.0, 0.2])
+@pytest.mark.parametrize("psi", [None, PowerPsi(r=2.5)], ids=["constraint", "weighted"])
+@pytest.mark.parametrize(
+    "phi", [PowerPhi(gamma=0.4), LogPowerPhi(power=0.5), LogPowerPhi(power=1.5)], ids=repr
+)
+@pytest.mark.parametrize("log_scale", [-0.7, 0.8])
+def test_lemma_closed_form_against_quad(phi, psi, t_lo, log_scale):
+    beta, T = 0.6, 1.3
+    b = 1.0 + beta
+    r = psi.r if psi is not None else 1.0
+    kink = math.exp(log_scale / b)  # where e^log_scale t^-b crosses 1
+
+    def integrand(t):
+        log_a = log_scale - b * math.log(t)
+        if isinstance(phi, PowerPhi):
+            return math.exp(phi.gamma * log_a) * r * t ** (r - 1.0)
+        return max(log_a, 0.0) ** phi.power * r * t ** (r - 1.0)
+
+    points = [kink] if t_lo < kink < T else None
+    ref, _ = quad(integrand, t_lo, T, points=points, limit=200, epsabs=0.0, epsrel=1e-13)
+    ours = _lemma_closed_form(beta, phi, psi, log_scale, T, t_lo)
+    assert ours == pytest.approx(ref, rel=1e-10)
+
+
+def test_lemma_closed_form_matches_panels():
+    # seed 7 draws a log-phi kink just left of the window (draw 198): the panel
+    # rule agrees only if that kink anchors the sqrt substitution of its first panel
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        profile, phi, psi, t_max = random_rearrangement_case(rng)
+        report = check_rearrangement_lemma(profile, phi, psi, t_max)
+        assert report.details["lemma_rule"] == "closed_form"
+        ls = report.details["constraint_scale_log"]
+        t_lo = float(rng.uniform(0.0, 0.9)) * t_max
+        for weight in (psi, None):
+            for lo in (0.0, t_lo):
+                exact = _lemma_closed_form(profile.beta, phi, weight, ls, t_max, lo)
+                panels = _lemma_integral(profile, phi, weight, ls, t_max, lo)
+                case = (profile, phi, weight, lo)
+                assert panels == pytest.approx(exact, rel=1e-9, abs=1e-300), case
+
+
+def test_tabulated_power_profile_matches_closed_form():
+    # log-log interpolation of t^-beta is exact, so only the rule differs; this
+    # draw puts the log-phi kink at s = -4.6e-4, just left of the window
+    beta, T = 0.94446771545297, 0.5237282895852404
+    phi, psi = LogPowerPhi(power=0.5), PowerPsi(r=2.6365874442001926)
+    t = np.geomspace(T * math.exp(-145.0), T, 40)
+    tab = TabulatedProfile(t_points=tuple(t), g_values=tuple(t**-beta))
+    exact = check_rearrangement_lemma(PowerDecayProfile(beta=beta), phi, psi, T)
+    report = check_rearrangement_lemma(tab, phi, psi, T)
+    assert exact.details["lemma_rule"] == "closed_form"
+    assert report.details["lemma_rule"] == "panels"
+    assert report.margin == pytest.approx(exact.margin, abs=1e-12)
+    assert report.details["weighted_profile"] == pytest.approx(
+        exact.details["weighted_profile"], rel=1e-12
+    )
+
+
+def test_lemma_integrability_gate_still_raises():
+    # lambda = 1 - gamma (1 + beta) = 0.03 <= 0.04 for the constraint integral
+    phi = PowerPhi(gamma=0.97 / 1.5)
+    with pytest.raises(InvalidInputError):
+        check_rearrangement_lemma(PowerDecayProfile(beta=0.5), phi, PowerPsi(r=2.0), 1.0)
+    # a window bounded away from t = 0 is integrable whatever lambda is
+    report = check_rearrangement_lemma(
+        PowerDecayProfile(beta=0.5), phi, PowerPsi(r=2.0), 1.0, t_lo=0.1
+    )
+    assert abs(report.details["constraint_residual"]) <= 1e-12
 
 
 def test_tabulated_profile_validation():
