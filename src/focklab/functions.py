@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import lambertw
 
 from .errors import (
     DimensionMismatchError,
@@ -89,25 +90,26 @@ class RadialProfile:
     K: float
     B: float
 
-    def radii(self, log_t: float) -> tuple[float, float]:
-        """(r_in, r_out) with {u > t} = {r_in < r < r_out}; (0, 0) when it is empty."""
+    def radii(self, log_t) -> tuple[np.ndarray, np.ndarray]:
+        """Arrays (r_in, r_out) with {u > t} = {r_in < r < r_out}, (0, 0) where it is empty.
+
+        For positive K, c r^2 = -W(z) on the two real branches of Lambert W, with
+        c = 2B/K and log(-z) = log c + 2(log t - A)/K kept in log form.
+        """
+        log_t = np.asarray(log_t, dtype=float)
+        r_in, r_out = np.zeros(log_t.shape), np.zeros(log_t.shape)
         if self.K == 0.0:
-            rho2 = (self.A - log_t) / self.B
-            return 0.0, (math.sqrt(rho2) if rho2 > 0 else 0.0)
-
-        def psi(r):
-            return self.A + self.K * math.log(r) - self.B * r * r
-
-        r_peak = math.sqrt(self.K / (2.0 * self.B))
-        if psi(r_peak) <= log_t:
-            return 0.0, 0.0
-        # psi(r) < A + K log r, so psi < log_t below exp((log_t - A) / K) < r_peak
-        r_lo = 0.5 * math.exp((log_t - self.A) / self.K)
-        r_in = brentq(lambda r: psi(r) - log_t, r_lo, r_peak, xtol=1e-15, rtol=8.9e-16)
-        r_hi = 2.0 * r_peak
-        while psi(r_hi) >= log_t:
-            r_hi *= 2.0
-        r_out = brentq(lambda r: psi(r) - log_t, r_peak, r_hi, xtol=1e-15, rtol=8.9e-16)
+            return r_in, np.sqrt(np.maximum((self.A - log_t) / self.B, 0.0))
+        log_c = math.log(2.0 * self.B / self.K)
+        log_mz = log_c + 2.0 * (log_t - self.A) / self.K
+        inside = log_mz < -1.0  # -z < 1/e: t lies below the peak value
+        L = log_mz[inside]
+        # y = -W(z) solves y - log y = -L on both branches; |z| >= e^-700 keeps z normal
+        y_in, y_out = -lambertw(-np.exp(np.maximum(L, -700.0)), np.array([[0], [-1]])).real
+        for _ in range(6):  # below the clamp, y = -L + log y contracts by 1/y < 1/700
+            y_out = np.where(L < -700.0, np.log(y_out) - L, y_out)
+        r_in[inside] = np.exp(0.5 * (L + y_in - log_c))  # log y_in = L + y_in, y_in < e^-700 if clamped
+        r_out[inside] = np.exp(0.5 * (np.log(y_out) - log_c))
         return r_in, r_out
 
 
@@ -525,25 +527,34 @@ def _envelope_bisect(f: TestFunction, params: FockParams, log_t: float) -> float
     return float(brentq(phi, grid[i_last], r_hi, xtol=1e-13, rtol=1e-14))
 
 
-def envelope_radius(f: TestFunction, params: FockParams, t: float) -> float:
+def _thresholds(t) -> np.ndarray:
+    """t, a scalar or an array, as a float array whose entries are finite and positive."""
+    t_arr = np.asarray(t, dtype=float)
+    if not np.all((t_arr > 0) & np.isfinite(t_arr)):
+        raise InvalidInputError(f"threshold t must be finite and positive, got {t}")
+    return t_arr
+
+
+def envelope_radius(f: TestFunction, params: FockParams, t):
     """Radius R with u(x) < t whenever |x| > R.  Returns 0 when u < t everywhere.
 
-    Uses the exact radii of the radial profile where the family has one and
-    monotone bisection on a radial upper bound for the others.
+    t is a scalar, giving a float, or an array of thresholds.  Uses the
+    closed-form radii of the radial profile where the family has one and
+    monotone bisection on a radial upper bound, level by level, for the others.
     """
     _check_dims(f, params)
-    if not (t > 0) or not math.isfinite(t):
-        raise InvalidInputError(f"threshold t must be finite and positive, got {t}")
+    log_t = np.log(_thresholds(t))
     if not f.has_envelope(params):
         raise NoEnvelopeError(
             f"|f| grows like exp({getattr(f, 'c', '?')}|x|^2) >= exp(alpha/2 |x|^2); no envelope"
         )
-    log_t = math.log(t)
     profile = f.radial_profile(params)
     if profile is None:
-        return _envelope_bisect(f, params, log_t)
-    r_out = profile.radii(log_t)[1]
-    return math.hypot(*profile.centre) + r_out if r_out > 0 else 0.0
+        R = np.vectorize(lambda lt: _envelope_bisect(f, params, lt), otypes=[float])(log_t)
+    else:
+        r_out = profile.radii(log_t)[1]
+        R = np.where(r_out > 0, math.hypot(*profile.centre) + r_out, 0.0)
+    return float(R) if R.ndim == 0 else R
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from scipy.optimize import minimize
 from scipy.special import gamma as gamma_fn
 
 from .errors import InvalidInputError, OptimizationFailureError
-from .functions import FockParams, TestFunction, envelope_radius, log_density_batch
+from .functions import FockParams, TestFunction, _thresholds, envelope_radius, log_density_batch
 from .integrate import ConvexFunction, GaussHermite, convex_functional
 
 __all__ = [
@@ -126,12 +126,7 @@ class LevelProfile:
     points: int  # density evaluations made for mu, all levels together
 
     def violation_flags(self) -> np.ndarray:
-        flags = np.zeros(len(self.t_grid), dtype=bool)
-        lows = {t_lo for _, t_lo, _ in self.violations}
-        for i, t in enumerate(self.t_grid):
-            if t in lows:
-                flags[i] = True
-        return flags
+        return np.isin(self.t_grid, [t_lo for _, t_lo, _ in self.violations])
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +238,7 @@ def _nested_measures(
     if samples < 1000:
         raise InvalidInputError(f"need at least 1000 samples, got {samples}")
     m, count = params.m, len(t_grid)
-    radii = np.maximum.accumulate(
-        [1.05 * envelope_radius(f, params, float(t)) for t in t_grid]
-    )
+    radii = np.maximum.accumulate(1.05 * envelope_radius(f, params, t_grid))
     ball = unit_ball_volume(m) * radii**m
     shell = np.diff(ball, prepend=0.0)
     log_t_asc = np.log(t_grid[::-1])
@@ -280,8 +273,7 @@ def superlevel_measure(
 
     The one-level case of the nested-shell estimator behind `g_diagnostic`.
     """
-    if not (t > 0) or not math.isfinite(t):
-        raise InvalidInputError(f"threshold t must be finite and positive, got {t}")
+    _thresholds(t)
     cloud = _nested_measures(f, params, np.array([float(t)]), samples, seed)
     return MeasureEstimate(
         float(cloud.mu[0]), math.sqrt(cloud.cov[0, 0]), t, int(samples), seed, float(cloud.radii[0])
@@ -293,10 +285,12 @@ def has_exact_measure(f: TestFunction) -> bool:
     return f.radial_profile(FockParams(f.m, 1.0, 1.0)) is not None
 
 
-def superlevel_measure_exact(f: TestFunction, params: FockParams, t: float) -> float:
-    """mu(t) from the radii of the radial profile; only for radially representable densities."""
-    if not (t > 0) or not math.isfinite(t):
-        raise InvalidInputError(f"threshold t must be finite and positive, got {t}")
+def superlevel_measure_exact(f: TestFunction, params: FockParams, t):
+    """mu(t) from the closed-form radii of the radial profile, for radially representable densities.
+
+    t is a scalar, giving a float, or an array of thresholds, all solved at once.
+    """
+    log_t = np.log(_thresholds(t))
     if f.m != params.m:
         raise InvalidInputError(f"function lives on R^{f.m}, params say m={params.m}")
     profile = f.radial_profile(params)
@@ -304,26 +298,26 @@ def superlevel_measure_exact(f: TestFunction, params: FockParams, t: float) -> f
         raise InvalidInputError(f"no radial representation for family '{f.family}'")
     if profile.B <= 0:
         raise InvalidInputError("density is not decaying; measure is infinite")
-    r_in, r_out = profile.radii(math.log(t))
-    return unit_ball_volume(params.m) * (r_out**params.m - r_in**params.m)
+    r_in, r_out = profile.radii(log_t)
+    mu = unit_ball_volume(params.m) * (r_out**params.m - r_in**params.m)
+    return float(mu) if mu.ndim == 0 else mu
 
 
 # ---------------------------------------------------------------------------
 # monotone diagnostic
 
 
-def g_from_mu(
-    mu: float, t: float, params: FockParams, variant: IsoperimetricVariant
-) -> float:
-    """g(t) = t * exp(kappa(m) * alpha p * mu^(2/m))."""
-    if not (t > 0):
+def g_from_mu(mu, t, params: FockParams, variant: IsoperimetricVariant):
+    """g(t) = t * exp(kappa(m) * alpha p * mu^(2/m)), elementwise; scalars give a float."""
+    mu, t = np.asarray(mu, dtype=float), np.asarray(t, dtype=float)
+    if not np.all(t > 0):
         raise InvalidInputError("threshold t must be positive")
-    if mu < 0:
+    if np.any(mu < 0):
         raise InvalidInputError("measure must be nonnegative")
     expo = variant.kappa(params.m) * params.rate * mu ** (2.0 / params.m)
-    if expo > 700.0:  # exp would overflow; the diagnostic is +inf there
-        return math.inf
-    return t * math.exp(expo)
+    # exp would overflow past 700; the diagnostic is +inf there
+    g = np.where(expo > 700.0, math.inf, t * np.exp(np.minimum(expo, 700.0)))
+    return float(g) if g.ndim == 0 else g
 
 
 def mu_from_g(
@@ -364,21 +358,18 @@ def g_diagnostic(
     cloud = _nested_measures(f, params, t_grid, samples, seed)
     mu = cloud.mu
     mu_err = np.sqrt(np.diag(cloud.cov))
-    g = np.zeros(grid.count)
-    g_err = np.zeros(grid.count)
-    for k, t in enumerate(t_grid):
-        g[k] = g_from_mu(mu[k], float(t), params, variant)
-        up = g_from_mu(mu[k] + mu_err[k], float(t), params, variant)
-        dn = g_from_mu(max(mu[k] - mu_err[k], 0.0), float(t), params, variant)
-        g_err[k] = max(up - g[k], g[k] - dn)
+    g, up, dn = g_from_mu(
+        np.array([mu, mu + mu_err, np.maximum(mu - mu_err, 0.0)]), t_grid, params, variant
+    )
+    g_err = np.maximum(up - g, g - dn)
 
-    violations = []
-    for k in range(1, grid.count):
-        # correlated levels keep the rule valid: Var(a - b) <= (sigma_a + sigma_b)^2 always
-        drop = g[k - 1] - g[k]
-        thresh = 3.0 * (g_err[k - 1] + g_err[k])
-        if drop > thresh:
-            violations.append((float(t_grid[k - 1]), float(t_grid[k]), float(drop - thresh)))
+    # correlated levels keep the rule valid: Var(a - b) <= (sigma_a + sigma_b)^2 always
+    drop = g[:-1] - g[1:]
+    thresh = 3.0 * (g_err[:-1] + g_err[1:])
+    violations = [
+        (float(t_grid[k]), float(t_grid[k + 1]), float(drop[k] - thresh[k]))
+        for k in np.flatnonzero(drop > thresh)
+    ]
 
     return LevelProfile(
         params=params,
@@ -415,16 +406,13 @@ _GL8 = np.polynomial.legendre.leggauss(8)
 _GL16 = np.polynomial.legendre.leggauss(16)
 
 
-def _cells_quadrature(mu_fn, G: ConvexFunction, edges: np.ndarray, rule) -> float:
-    """Sum of per-cell Gauss-Legendre integrals of mu * G' over [edges[i+1], edges[i]]."""
+def _cells_quadrature(f: TestFunction, params: FockParams, G: ConvexFunction, edges, rule) -> float:
+    """Sum of per-cell Gauss-Legendre integrals of mu * G' over [edges[i+1], edges[i]], mu exact."""
     nodes, weights = rule
-    total = 0.0
-    for hi, lo in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        ts = mid + half * nodes
-        vals = np.array([mu_fn(float(t)) for t in ts]) * G.derivative(ts)
-        total += half * float(weights @ vals)
-    return total
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[:-1] - edges[1:])
+    ts = mid[:, None] + half[:, None] * nodes  # one row of nodes per cell
+    vals = superlevel_measure_exact(f, params, ts) * G.derivative(ts)
+    return float(half @ (vals @ weights))
 
 
 def layer_cake(
@@ -438,8 +426,9 @@ def layer_cake(
 ) -> LayerCakeResult:
     """Integral of G(u) two ways: layer cake over the threshold grid vs direct.
 
-    For radially representable densities mu(t) is computed exactly by
-    root-finding and the geometric grid is extended until the remaining tail is
+    For radially representable densities mu(t) is exact, from the
+    closed-form radii of the profile evaluated on every quadrature node at
+    once, and the geometric grid is extended until the remaining tail is
     negligible; otherwise mu comes from hit-count sampling on the given grid,
     all levels from one cloud, and the statistical error is propagated through
     the covariance of the levels.
@@ -454,13 +443,10 @@ def layer_cake(
         count = max(grid.count, int(math.ceil(math.log(1e-12) / math.log(ratio))))
         edges = t_max * ratio ** np.arange(0, count + 1)
 
-        def mu_fn(t):
-            return superlevel_measure_exact(f, params, t)
-
-        coarse = _cells_quadrature(mu_fn, G, edges, _GL8)
-        fine = _cells_quadrature(mu_fn, G, edges, _GL16)
+        coarse = _cells_quadrature(f, params, G, edges, _GL8)
+        fine = _cells_quadrature(f, params, G, edges, _GL16)
         t_end = float(edges[-1])
-        tail = mu_fn(t_end) * float(G.value(np.array([t_end]))[0])
+        tail = superlevel_measure_exact(f, params, t_end) * float(G.value(np.array([t_end]))[0])
         value = fine + tail
         err = abs(fine - coarse) + tail
         mode = "exact-radial"

@@ -636,6 +636,8 @@ def check_rearrangement_lemma(
     log_scale = _solve_constraint_scale(integral, phi, t_max, t_lo, target)
     # the panel rule checks the scale independently of the rule that solved for it
     residual = _lemma_integral(profile, phi, None, log_scale, t_max, t_lo) - target
+    if not abs(residual) <= 1e-9 * target:  # the rules agree to ~1e-14 where both apply
+        raise InvalidInputError(f"constraint residual {residual:.3g} exceeds 1e-9 * {target:.6g}")
     lhs = integral(phi, psi, log_scale, t_max, t_lo)
     rhs = _lemma_closed_form(0.0, phi, psi, 0.0, t_max, t_lo)
     margin = rhs - lhs

@@ -27,6 +27,7 @@ from focklab import (
     subharmonic_tolerance,
     subharmonicity_spot_check,
 )
+from focklab.functions import RadialProfile
 
 P2 = FockParams(2, 2.0, 1.0)
 
@@ -186,6 +187,29 @@ def test_radial_profile_absent_for_other_families():
             assert f.radial_profile(P2) is None
 
 
+@pytest.mark.parametrize("K", [0.5, 1.0, 2.0, 8.0])
+def test_radii_solve_the_profile(K):
+    A, B = 0.0, 0.25
+    prof = RadialProfile((0.0, 0.0), A, K, B)
+    peak = A + 0.5 * K * (math.log(K / (2.0 * B)) - 1.0)  # psi at r = sqrt(K / 2B)
+    log_t = peak - np.geomspace(1e-4, peak + 400.0, 120)  # down to log t = -400
+    r_in, r_out = prof.radii(log_t)
+    assert np.all(np.isfinite(r_in)) and np.all(np.isfinite(r_out))
+    assert np.all((0.0 <= r_in) & (r_in < r_out))
+
+    def psi(r):
+        return A + K * np.log(r) - B * r * r
+
+    tol = 1e-13 * np.maximum(np.abs(log_t), 1.0)  # psi's terms are O(1) where log t crosses 0
+    assert np.all(np.abs(psi(r_out) - log_t) <= tol)
+    # r_in ~ exp((log t - A) / K) leaves the normal range only below log r = -708
+    normal = r_in >= np.finfo(float).tiny
+    assert np.all((log_t[~normal] - A) / K < -700.0)
+    assert np.all(np.abs(psi(r_in[normal]) - log_t[normal]) <= tol[normal])
+    # above the peak the superlevel set is empty
+    assert [float(r) for r in prof.radii(peak + 1e-9)] == [0.0, 0.0]
+
+
 _BOUND_CASES = [
     f
     for m in (2, 4)
@@ -224,6 +248,17 @@ def test_radial_bound_array_matches_scalar(f):
     np.testing.assert_allclose(bound, reference, rtol=1e-12, atol=1e-14)
 
 
+@pytest.mark.parametrize("f", default_family_members(2), ids=lambda f: f.family)
+def test_envelope_radius_array_matches_scalar(f):
+    # profile families solve all levels at once, the others bisect level by level
+    ts = np.geomspace(2.0, 1e-9, 13).reshape(13, 1)
+    scalar = [envelope_radius(f, P2, float(t)) for t in ts.ravel()]
+    assert all(type(R) is float for R in scalar)
+    R = envelope_radius(f, P2, ts)
+    assert R.shape == ts.shape
+    assert R.ravel().tolist() == scalar
+
+
 def test_envelope_radius_coherent_closed_form():
     f = Coherent(center=(1.0, 0.0), alpha=1.0)
     t = 0.1
@@ -235,6 +270,13 @@ def test_envelope_radius_coherent_closed_form():
 def test_envelope_radius_rejects_bad_threshold():
     with pytest.raises(InvalidInputError):
         envelope_radius(Constant(value=1.0, dim=2), P2, 0.0)
+
+
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf, [0.5, 0.0]])
+def test_envelope_radius_rejects_any_bad_threshold(t):
+    for f in (Constant(value=1.0, dim=2), SumOfCoherent(atoms=((1.0, (0.5, 0.0)),), alpha=1.0)):
+        with pytest.raises(InvalidInputError):
+            envelope_radius(f, P2, t)
 
 
 def test_expquad_envelope_existence():

@@ -104,6 +104,26 @@ def test_exact_measure_constant_step():
     assert superlevel_measure_exact(f, P2, t) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "f", [Monomial(powers=(2,)), Coherent(center=(1.0, 0.0), alpha=1.0)], ids=lambda f: f.family
+)
+def test_exact_measure_array_matches_scalar(f):
+    # the t-grid spans empty sets above the peak down to far-tail levels
+    ts = np.geomspace(3.0, 1e-300, 40).reshape(8, 5)
+    scalar = [superlevel_measure_exact(f, P2, float(t)) for t in ts.ravel()]
+    assert all(type(mu) is float for mu in scalar)
+    mu = superlevel_measure_exact(f, P2, ts)
+    assert mu.shape == ts.shape
+    assert mu.ravel().tolist() == scalar
+
+
+def test_exact_measure_rejects_like_the_scalar_call():
+    mixture = SumOfCoherent(atoms=((0.5, (0.0, 0.0)), (0.5, (1.0, 0.0))), alpha=1.0)
+    for f, t in [(mixture, 0.5), (mixture, [0.5, 0.1]), (Monomial(powers=(1,)), [0.5, -0.1])]:
+        with pytest.raises(InvalidInputError):
+            superlevel_measure_exact(f, P2, t)
+
+
 def test_has_exact_measure_flags():
     assert has_exact_measure(Monomial(powers=(1,)))
     assert has_exact_measure(Coherent(center=(1.0, 0.0), alpha=1.0))
@@ -200,6 +220,19 @@ def test_g_from_mu_saturates_to_inf():
     # huge measures push the exponent past the double range; inf, not a raise
     g = g_from_mu(5000.0, 0.5, FockParams(1, 2.0, 1.0), IsoperimetricVariant.PAPER_LITERAL)
     assert g == math.inf
+
+
+def test_g_from_mu_array_matches_scalar():
+    params, variant = FockParams(1, 2.0, 1.0), IsoperimetricVariant.PAPER_LITERAL
+    mu = np.array([0.0, 1e-6, 0.3, 2.0, 40.0, 5000.0])  # the last one saturates
+    t = np.geomspace(0.9, 1e-12, mu.size)
+    scalar = [g_from_mu(float(a), float(b), params, variant) for a, b in zip(mu, t)]
+    assert all(type(g) is float for g in scalar) and scalar[-1] == math.inf
+    assert g_from_mu(mu, t, params, variant).tolist() == scalar
+    with pytest.raises(InvalidInputError):
+        g_from_mu(mu, -t, params, variant)
+    with pytest.raises(InvalidInputError):
+        g_from_mu(-mu - 1.0, t, params, variant)
 
 
 def test_mu_from_g_rejects_g_below_t():

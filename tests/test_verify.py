@@ -352,6 +352,14 @@ def test_lemma_integrability_gate_still_raises():
     assert abs(report.details["constraint_residual"]) <= 1e-12
 
 
+def test_lemma_residual_gate_rejects_a_missed_integrand():
+    # g = t^1.5 makes arg = log_scale + log g - log t fall as t -> 0, against the
+    # panel rule's assumption: it misses the integrand near t = 0 and the solved
+    # scale lands on a jump (residual -0.886 of the target 0.886)
+    with pytest.raises(InvalidInputError, match="residual"):
+        check_rearrangement_lemma(PowerDecayProfile(-1.5), LogPowerPhi(0.5), PowerPsi(2.0), 1.0)
+
+
 def test_tabulated_profile_validation():
     with pytest.raises(InvalidInputError):
         TabulatedProfile(t_points=(0.5, 0.4), g_values=(1.0, 1.0))
