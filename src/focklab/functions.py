@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import lambertw
 
 from .errors import (
@@ -20,6 +19,7 @@ from .errors import (
     EvaluationAtZeroError,
     InvalidInputError,
     NoEnvelopeError,
+    OptimizationFailureError,
 )
 
 __all__ = [
@@ -82,13 +82,32 @@ class RadialProfile:
     """Density of the form log u(x) = A + K log r - B r^2 with r = |x - centre|.
 
     K >= 0; B > 0 whenever u is integrable.  Zero K makes every superlevel set
-    a ball about the centre; positive K makes it an annulus.
+    a ball about the centre; positive K makes it an annulus.  `peak` gives the
+    maximum in closed form, `radii` the superlevel sets.
     """
 
     centre: tuple[float, ...]
     A: float
     K: float
     B: float
+
+    def peak(self) -> tuple[float, tuple[float, ...]]:
+        """(log t_max, a maximizer): A at the centre for K = 0; for K > 0 the
+        maximum A + (K/2)(log(K/(2B)) - 1) is taken on the whole sphere
+        r^2 = K/(2B), and the point returned is centre + r e_1.
+
+        Raises OptimizationFailureError when u vanishes identically (A = -inf)
+        or has no maximum (B < 0, or B = 0 with K > 0).
+        """
+        if self.A == -math.inf:
+            raise OptimizationFailureError("density vanishes identically; no maximum")
+        if self.B < 0 or (self.B == 0 and self.K > 0):
+            raise OptimizationFailureError("density grows without bound; no maximum")
+        if self.K == 0.0:
+            return self.A, self.centre
+        r2 = self.K / (2.0 * self.B)
+        point = (self.centre[0] + math.sqrt(r2),) + self.centre[1:]
+        return self.A + 0.5 * self.K * (math.log(r2) - 1.0), point
 
     def radii(self, log_t) -> tuple[np.ndarray, np.ndarray]:
         """Arrays (r_in, r_out) with {u > t} = {r_in < r < r_out}, (0, 0) where it is empty.
@@ -509,22 +528,38 @@ def eval_density(f: TestFunction, params: FockParams, x) -> DensityValue:
     return DensityValue(log_u=float(log_density_batch(f, params, x[None, :])[0]))
 
 
-def _envelope_bisect(f: TestFunction, params: FockParams, log_t: float) -> float:
+def _envelope_bisect(f: TestFunction, params: FockParams, log_t: np.ndarray) -> np.ndarray:
+    """Outer roots of the radial bound minus log t, every level of the 1-D array at once.
+
+    Each level keeps its own bracket: r_hi doubles until the bound is one unit
+    below log t, the last nonnegative point of a 512-point geometric grid on
+    (1e-9, r_hi) starts the bisection, which runs to adjacent doubles, so a
+    radius does not depend on the other levels of the call.
+    """
     def phi(r):
         return params.p * (f._radial_bound_raw(r) + f.log_scale) - 0.5 * params.rate * r * r - log_t
 
-    r_hi = 1.0
-    while phi(r_hi) > -1.0 and r_hi < 1e8:
-        r_hi *= 2.0
-    grid = np.geomspace(1e-9, r_hi, 512)
-    vals = phi(grid)
-    if not np.any(vals >= 0.0):
-        return 0.0
-    i_last = int(np.max(np.nonzero(vals >= 0.0)[0]))
-    if i_last == len(grid) - 1:
+    r_hi = np.ones(log_t.shape)
+    while np.any(grow := (phi(r_hi) > -1.0) & (r_hi < 1e8)):
+        r_hi = np.where(grow, 2.0 * r_hi, r_hi)
+    grid = np.geomspace(1e-9, r_hi, 512)  # one column per level
+    nonneg = phi(grid) >= 0.0
+    found = nonneg.any(axis=0)
+    i_last = 511 - np.argmax(nonneg[::-1], axis=0)
+    if np.any(found & (i_last == 511)):
         # positive all the way to r_hi despite phi(r_hi) <= -1: cannot happen
         raise InvalidInputError("envelope bracketing failed")
-    return float(brentq(phi, grid[i_last], r_hi, xtol=1e-13, rtol=1e-14))
+    cols = np.arange(log_t.size)
+    lo = grid[np.minimum(i_last, 510), cols]
+    hi = grid[np.minimum(i_last + 1, 511), cols]
+    while True:
+        mid = 0.5 * (lo + hi)
+        inside = (lo < mid) & (mid < hi)
+        if not inside.any():
+            break
+        up = phi(mid) >= 0.0
+        lo, hi = np.where(inside & up, mid, lo), np.where(inside & ~up, mid, hi)
+    return np.where(found, hi, 0.0)
 
 
 def _thresholds(t) -> np.ndarray:
@@ -540,7 +575,7 @@ def envelope_radius(f: TestFunction, params: FockParams, t):
 
     t is a scalar, giving a float, or an array of thresholds.  Uses the
     closed-form radii of the radial profile where the family has one and
-    monotone bisection on a radial upper bound, level by level, for the others.
+    bisection on a radial upper bound, all levels together, for the others.
     """
     _check_dims(f, params)
     log_t = np.log(_thresholds(t))
@@ -550,7 +585,7 @@ def envelope_radius(f: TestFunction, params: FockParams, t):
         )
     profile = f.radial_profile(params)
     if profile is None:
-        R = np.vectorize(lambda lt: _envelope_bisect(f, params, lt), otypes=[float])(log_t)
+        R = _envelope_bisect(f, params, log_t.ravel()).reshape(log_t.shape)
     else:
         r_out = profile.radii(log_t)[1]
         R = np.where(r_out > 0, math.hypot(*profile.centre) + r_out, 0.0)

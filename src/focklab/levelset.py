@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import gamma as gamma_fn
 
 from .errors import InvalidInputError, OptimizationFailureError
@@ -64,11 +63,19 @@ def unit_ball_volume(m: int) -> float:
 
 @dataclass(frozen=True)
 class MaxResult:
+    """Maximum of the density and how it was found.
+
+    rule is "simplex" for the multistart search, whose restarts_agreeing of
+    restarts_total reached the best value, or "closed_form" for a radial
+    profile's peak, which makes no restarts (0 of 0).
+    """
+
     t_max: float
     argmax: tuple[float, ...]
     restarts_agreeing: int
     restarts_total: int
     log_t_max: float
+    rule: str
 
 
 @dataclass(frozen=True)
@@ -133,69 +140,168 @@ class LevelProfile:
 # maximization
 
 
+_NM_STEP, _NM_ZERO_STEP = 0.05, 0.00025  # initial simplex: relative step, step for a zero coordinate
+_NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA = 1.0, 2.0, 0.5, 0.5  # reflection, expansion, contraction, shrink
+
+
+def _simplex_search(objective, starts, xatol, fatol, maxiter=4000, maxfev=8000):
+    """Nelder-Mead minimization from every row of `starts`, all simplices in lockstep.
+
+    objective maps an (n, N) array of points to n values.  Each simplex takes
+    the steps of scipy's non-adaptive Nelder-Mead with the same options: the
+    initial simplex moves one coordinate at a time by 5 percent (0.00025 if it
+    is zero), the coefficients are the standard (1, 2, 1/2, 1/2), and a simplex stops when
+    both its size and its value spread are within xatol and fatol, after
+    maxiter iterations or after maxfev evaluations.  An iteration makes one
+    objective call for the reflections of every running simplex, one for their
+    expansion or contraction points and one for the shrinks, if any.  A
+    simplex whose best value stops being finite is abandoned.  Returns (fun, x),
+    the best value and point of each start.
+    """
+    S, N = starts.shape
+    sim = np.repeat(starts[:, None, :], N + 1, axis=1)
+    k = np.arange(N)
+    stepped = sim[:, k + 1, k]
+    sim[:, k + 1, k] = np.where(stepped != 0, (1 + _NM_STEP) * stepped, _NM_ZERO_STEP)
+    fsim = objective(sim.reshape(-1, N)).reshape(S, N + 1)
+    order = np.argsort(fsim, axis=1)
+    sim, fsim = sim[np.arange(S)[:, None], order], fsim[np.arange(S)[:, None], order]
+    fcalls = np.full(S, N + 1)
+    iters = 1  # simplices run in lockstep, so the running ones share their iteration count
+    a = np.arange(S)  # the running simplices
+    while True:
+        s, fs = sim[a], fsim[a]
+        done = (fcalls[a] >= maxfev) | ~np.isfinite(fs[:, 0])
+        done |= (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= xatol) & (
+            np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= fatol
+        )
+        a, s, fs = a[~done], s[~done], fs[~done]
+        if a.size == 0 or iters >= maxiter:
+            break
+        iters += 1
+        xbar = s[:, 0]
+        for j in range(1, N):
+            xbar = xbar + s[:, j]
+        xbar = xbar / N
+        worst = s[:, -1]
+        xr = (1 + _NM_RHO) * xbar - _NM_RHO * worst
+        fxr = objective(xr)
+        fcalls[a] += 1
+
+        expand = fxr < fs[:, 0]
+        accept = ~expand & (fxr < fs[:, -2])
+        outside = ~expand & ~accept & (fxr < fs[:, -1])
+        trial = np.where(
+            expand[:, None],
+            (1 + _NM_RHO * _NM_CHI) * xbar - _NM_RHO * _NM_CHI * worst,
+            np.where(
+                outside[:, None],
+                (1 + _NM_PSI * _NM_RHO) * xbar - _NM_PSI * _NM_RHO * worst,
+                (1 - _NM_PSI) * xbar + _NM_PSI * worst,
+            ),
+        )
+        # a simplex out of evaluations stops before its second point, unchanged
+        second = ~accept & (fcalls[a] < maxfev)
+        ft = np.full(a.size, np.nan)
+        ft[second] = objective(trial[second])
+        fcalls[a[second]] += 1
+        take = second & np.where(expand, ft < fxr, np.where(outside, ft <= fxr, ft < fs[:, -1]))
+        replace = accept | take | (second & expand)
+        s[replace, -1] = np.where(take[:, None], trial, xr)[replace]
+        fs[replace, -1] = np.where(take, ft, fxr)[replace]
+
+        shrink = second & ~replace
+        if shrink.any():
+            ss, fss = s[shrink], fs[shrink]
+            moved = ss[:, :1] + _NM_SIGMA * (ss[:, 1:] - ss[:, :1])
+            # only the vertices within the evaluation budget move
+            evaluated = k < (maxfev - fcalls[a[shrink]])[:, None]
+            fss[:, 1:][evaluated] = objective(moved[evaluated])
+            fcalls[a[shrink]] += evaluated.sum(axis=1)
+            ss[:, 1:] = np.where(evaluated[:, :, None], moved, ss[:, 1:])
+            s[shrink], fs[shrink] = ss, fss
+        order = np.argsort(fs, axis=1)
+        rows = np.arange(a.size)[:, None]
+        sim[a], fsim[a] = s[rows, order], fs[rows, order]
+    return np.min(fsim, axis=1), sim[:, 0]
+
+
 def find_max(
     f: TestFunction, params: FockParams, restarts: int = 16, seed: int = 0
 ) -> MaxResult:
     """Multistart simplex ascent on log u; gradient-free on purpose.
 
-    Starts at Gaussian draws matched to the weight scale plus the family's own
-    candidate extremizers.  Agreement is counted at 1e-8 relative in the
-    maximum value.
+    Starts at the family's own candidate extremizers, then at `restarts`
+    Gaussian draws matched to the weight scale from default_rng(seed); a start
+    where u = 0 is jittered up to 20 times.  All starts run as one lockstep
+    Nelder-Mead (`_simplex_search`, xatol 1e-11, fatol 1e-13) and the best
+    point is polished by a tighter run (1e-12, 1e-14).  Agreement is counted
+    at 1e-8 relative in the maximum value.  This is always the numeric search,
+    also for families whose radial profile has the maximum in closed form.
     """
     if f.m != params.m:
         raise InvalidInputError(f"function lives on R^{f.m}, params say m={params.m}")
     rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(params.rate)
 
-    def neg_log_u(x):
-        return -float(log_density_batch(f, params, np.asarray(x, dtype=float)[None, :])[0])
+    def neg_log_u(X):
+        return -log_density_batch(f, params, X)
 
     starts = [np.asarray(h, dtype=float) for h in f.max_hints(params)]
-    starts.extend(rng.standard_normal((restarts, params.m)) * scale)
+    starts = np.vstack(starts + [rng.standard_normal((restarts, params.m)) * scale])
+    # a density without a maximum drives simplices to overflow; they end non-finite and are dropped
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(neg_log_u(starts))
+        for i in np.flatnonzero(~finite):
+            for _ in range(20):
+                x0 = starts[i] + rng.standard_normal(params.m) * (scale * 0.1)
+                if np.isfinite(neg_log_u(x0[None, :])[0]):
+                    starts[i], finite[i] = x0, True
+                    break
+        if not finite.any():
+            raise OptimizationFailureError("no starting point with nonzero density found")
 
-    usable = []
-    for s in starts:
-        x0 = s.copy()
-        tries = 0
-        while not math.isfinite(neg_log_u(x0)) and tries < 20:
-            x0 = s + rng.standard_normal(params.m) * (scale * 0.1)
-            tries += 1
-        if math.isfinite(neg_log_u(x0)):
-            usable.append(x0)
-    if not usable:
-        raise OptimizationFailureError("no starting point with nonzero density found")
-
-    results = []
-    for x0 in usable:
-        res = minimize(
-            neg_log_u,
-            x0,
-            method="Nelder-Mead",
-            options=dict(xatol=1e-11, fatol=1e-13, maxiter=4000, maxfev=8000),
-        )
-        if math.isfinite(res.fun):
-            results.append((float(res.fun), np.asarray(res.x)))
-    if not results:
-        raise OptimizationFailureError("all simplex restarts failed")
-
-    best_fun, best_x = min(results, key=lambda r: r[0])
-    polish = minimize(
-        neg_log_u,
-        best_x,
-        method="Nelder-Mead",
-        options=dict(xatol=1e-12, fatol=1e-14, maxiter=4000, maxfev=8000),
-    )
-    if math.isfinite(polish.fun) and polish.fun < best_fun:
-        best_fun, best_x = float(polish.fun), np.asarray(polish.x)
+        funs, xs = _simplex_search(neg_log_u, starts[finite], xatol=1e-11, fatol=1e-13)
+        ok = np.isfinite(funs)
+        if not ok.any():
+            raise OptimizationFailureError("all simplex restarts failed")
+        funs, xs = funs[ok], xs[ok]
+        best = int(np.argmin(funs))
+        best_fun, best_x = float(funs[best]), xs[best]
+        polish_fun, polish_x = _simplex_search(neg_log_u, best_x[None, :], xatol=1e-12, fatol=1e-14)
+    if math.isfinite(polish_fun[0]) and polish_fun[0] < best_fun:
+        best_fun, best_x = float(polish_fun[0]), polish_x[0]
+    try:
+        t_max = math.exp(-best_fun)
+    except OverflowError:
+        raise OptimizationFailureError(f"log u reached {-best_fun:.6g}; t_max overflows") from None
 
     tol = 1e-8 * max(1.0, abs(best_fun))
-    agreeing = sum(1 for fun, _ in results if fun - best_fun <= tol)
     return MaxResult(
-        t_max=math.exp(-best_fun),
+        t_max=t_max,
         argmax=tuple(float(c) for c in best_x),
-        restarts_agreeing=agreeing,
-        restarts_total=len(results),
+        restarts_agreeing=int(np.sum(funs - best_fun <= tol)),
+        restarts_total=len(funs),
         log_t_max=-best_fun,
+        rule="simplex",
+    )
+
+
+def _peak(f: TestFunction, params: FockParams, restarts: int = 16, seed: int = 0) -> MaxResult:
+    """The density maximum from the radial profile's closed form, or else from `find_max`."""
+    if f.m != params.m:
+        raise InvalidInputError(f"function lives on R^{f.m}, params say m={params.m}")
+    profile = f.radial_profile(params)
+    if profile is None:
+        return find_max(f, params, restarts=restarts, seed=seed)
+    log_t_max, point = profile.peak()
+    return MaxResult(
+        t_max=math.exp(log_t_max),
+        argmax=point,
+        restarts_agreeing=0,
+        restarts_total=0,
+        log_t_max=log_t_max,
+        rule="closed_form",
     )
 
 
@@ -352,7 +458,7 @@ def g_diagnostic(
     drop between adjacent levels exceeds 3x the summed propagated errors.
     """
     grid = grid or LevelGrid()
-    mx = find_max(f, params, restarts=restarts, seed=seed)
+    mx = _peak(f, params, restarts=restarts, seed=seed)
     t_grid = grid.levels(mx.t_max)
 
     cloud = _nested_measures(f, params, t_grid, samples, seed)
@@ -435,8 +541,7 @@ def layer_cake(
     """
     G.validate()
     grid = grid or LevelGrid()
-    mx = find_max(f, params, seed=seed)
-    t_max = mx.t_max
+    t_max = _peak(f, params, seed=seed).t_max
 
     if f.radial_profile(params) is not None:
         ratio = grid.ratio

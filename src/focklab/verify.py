@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gamma as gamma_fn, gammaincc
 
 from .errors import InvalidInputError
@@ -30,7 +29,7 @@ from .integrate import (
     convex_functional,
     fock_norm,
 )
-from .levelset import LevelProfile, find_max
+from .levelset import LevelProfile, MaxResult, _peak, find_max
 
 __all__ = [
     "VerificationReport",
@@ -194,6 +193,15 @@ def check_pointwise_bound(
     )
 
 
+def _max_details(mx: MaxResult) -> dict:
+    """How t_max was found: the rule and, for the search, how many restarts agreed."""
+    return {
+        "max_rule": mx.rule,
+        "restarts_agreeing": mx.restarts_agreeing,
+        "restarts_total": mx.restarts_total,
+    }
+
+
 # ---------------------------------------------------------------------------
 # decay along rays
 
@@ -208,11 +216,19 @@ def check_decay(
 ) -> VerificationReport:
     """|f(r w)| exp(-(alpha/2) r^2) dies along every ray, monotonically far out.
 
-    The exponent here is alpha/2, independent of p.
+    The exponent here is alpha/2, independent of p.  Where t_max comes in
+    closed form, the simplex search is run as well and its gap is reported.
     """
     alpha = params.alpha
     p1 = FockParams(f.m, 1.0, alpha)
-    mx = find_max(f, p1, seed=seed)
+    mx = _peak(f, p1, seed=seed)
+    reference = {}
+    if mx.rule == "closed_form":
+        search = find_max(f, p1, seed=seed)
+        reference = {
+            "log_t_max_search": search.log_t_max,
+            "log_t_max_gap": search.log_t_max - mx.log_t_max,
+        }
     r_max = 1.2 * max(1.0, envelope_radius(f, p1, max(mx.t_max * 1e-8, 1e-300))) + 1.0
 
     rng = np.random.default_rng(seed)
@@ -261,6 +277,8 @@ def check_decay(
             "worst_tail_fraction": worst_rel,
             "tail_monotone": tail_monotone,
             "worst_direction": worst_dir,
+            **_max_details(mx),
+            **reference,
         },
     )
 
@@ -299,7 +317,7 @@ def check_limit_norm(
     values = [n.value for n in norms]
     errors = [n.value_error for n in norms]
 
-    mx = find_max(f, FockParams(f.m, 1.0, alpha), seed=seed)
+    mx = _peak(f, FockParams(f.m, 1.0, alpha), seed=seed)
     sup_norm = mx.t_max
 
     # a flat (coherent) ladder differs by roundoff only, hence the relative floor
@@ -328,6 +346,7 @@ def check_limit_norm(
             "extrapolated": extrapolated,
             "extrapolation_gap": gap,
             "argmax": list(mx.argmax),
+            **_max_details(mx),
         },
     )
 
@@ -503,6 +522,8 @@ def _lemma_panels(profile, phi, log_scale, log_T, S):
             return []  # integrand vanishes on the whole window
         arg_lo = arg(0.0)
         if arg_lo < 0.0:
+            from scipy.optimize import brentq  # imported here to keep scipy.optimize off the import path
+
             kink = brentq(arg, 0.0, S, xtol=1e-15, rtol=8.9e-16)
             edges.add(kink)
         else:
@@ -606,6 +627,8 @@ def _solve_constraint_scale(integral, phi, T: float, t_lo: float, target: float)
         hi += 60.0
     if not (C(lo) < target < C(hi)):
         raise InvalidInputError("constraint not satisfiable by rescaling this profile")
+    from scipy.optimize import brentq  # imported here to keep scipy.optimize off the import path
+
     return brentq(lambda ls: C(ls) - target, lo, hi, xtol=1e-14)
 
 

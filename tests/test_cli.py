@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import focklab
 from focklab import Coherent, Constant, ExpQuadratic, Monomial, Polynomial, SumOfCoherent
 from focklab.cli import RunConfig, main, parse_function_spec
 from focklab.errors import FunctionSpecError
@@ -265,6 +269,15 @@ def test_norm_infers_dimension_from_spec(tmp_path, spec, m):
 
 # ---------------------------------------------------------------------------
 # failure modes
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # a fresh interpreter: this test process has scipy.optimize loaded already
+    src = os.path.dirname(os.path.dirname(os.path.abspath(focklab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, focklab, focklab.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_bad_function_spec_exits_2(capsys):

@@ -259,6 +259,26 @@ def test_envelope_radius_array_matches_scalar(f):
     assert R.ravel().tolist() == scalar
 
 
+_BISECTED = [
+    f for m in (2, 3) for f in default_family_members(m) if f.radial_profile(FockParams(m, 1.0, 1.0)) is None
+] + [Monomial(powers=(1, 1)), Monomial(powers=(2, 1)).scaled(3.0)]
+
+
+@pytest.mark.parametrize("f", _BISECTED, ids=lambda f: f"{f.family}-m{f.m}")
+def test_envelope_bisection_ends_on_adjacent_doubles(f):
+    # the radius is the first double past the outer crossing of the radial bound
+    params = FockParams(f.m, 2.0, 1.0)
+    ts = np.geomspace(0.5, 1e-250, 40)
+    R = envelope_radius(f, params, ts)
+
+    def excess(r):
+        return params.p * (f._radial_bound_raw(r) + f.log_scale) - 0.5 * params.rate * r * r - np.log(ts)
+
+    assert np.all(R > 0)
+    assert np.all(excess(R) < 0.0)
+    assert np.all(excess(np.nextafter(R, 0.0)) >= 0.0)
+
+
 def test_envelope_radius_coherent_closed_form():
     f = Coherent(center=(1.0, 0.0), alpha=1.0)
     t = 0.1

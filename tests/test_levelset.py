@@ -1,26 +1,34 @@
 """Superlevel measures, the monotone diagnostic, and layer-cake integration."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq, minimize
 
 from focklab import (
     Coherent,
     Constant,
+    ExpQuadratic,
     FockParams,
     InvalidInputError,
     Monomial,
+    OptimizationFailureError,
     Power,
     SumOfCoherent,
     default_family_members,
     fock_norm,
+    log_density_batch,
 )
 from focklab.levelset import (
     _level_rng,
     _nested_measures,
+    _peak,
+    _simplex_search,
     IsoperimetricVariant,
     LevelGrid,
     find_max,
@@ -65,6 +73,119 @@ def test_find_max_weight_mismatch_center():
     # density peak moves to (alpha_b/alpha) a when the weights differ
     mx = find_max(Coherent(center=(2.0, 0.0), alpha=0.5), FockParams(2, 2.0, 1.0))
     assert np.allclose(mx.argmax, [1.0, 0.0], atol=1e-6)
+
+
+_PROFILED = [
+    f for m in (2, 3) for f in default_family_members(m) if f.radial_profile(FockParams(m, 1.0, 1.0))
+]
+
+
+@pytest.mark.parametrize("f", _PROFILED, ids=lambda f: f"{f.family}-m{f.m}")
+def test_closed_form_peak_matches_search(f):
+    # the search sees only log_density_batch, never the profile
+    for p, alpha in itertools.product((0.5, 1.0, 2.0, 4.0), (0.5, 1.0)):
+        params = FockParams(f.m, p, alpha)
+        prof = f.radial_profile(params)
+        log_t, point = prof.peak()
+        mx = find_max(f, params)
+        assert mx.rule == "simplex"
+        assert abs(mx.log_t_max - log_t) <= 1e-10, (p, alpha)
+        r_peak = math.sqrt(prof.K / (2.0 * prof.B))
+        assert math.dist(mx.argmax, prof.centre) == pytest.approx(r_peak, abs=1e-5)
+        assert math.dist(point, prof.centre) == pytest.approx(r_peak, rel=1e-15, abs=1e-300)
+        assert log_density_batch(f, params, np.array([point]))[0] == pytest.approx(log_t, abs=1e-12)
+
+
+_SEARCHED = [f for m in (2, 3) for f in default_family_members(m) if f.family in ("poly", "sumcoherent")]
+
+
+@pytest.mark.parametrize("f", _SEARCHED, ids=lambda f: f"{f.family}-m{f.m}")
+def test_lockstep_search_matches_scipy(f):
+    params = FockParams(f.m, 2.0, 1.0)
+    starts = np.vstack(f.max_hints(params) + [np.random.default_rng(3).standard_normal((6, f.m))])
+
+    def neg_log_u(x):
+        return -float(log_density_batch(f, params, x[None, :])[0])
+
+    # full budgets, then budgets that run out mid-iteration, then an iteration cap
+    for maxiter, maxfev in [(4000, 8000)] + [(4000, n) for n in range(30, 40)] + [(12, 8000)]:
+        funs, xs = _simplex_search(
+            lambda X: -log_density_batch(f, params, X), starts, 1e-11, 1e-13, maxiter, maxfev
+        )
+        for x0, fun, x in zip(starts, funs, xs):
+            ref = minimize(
+                neg_log_u, x0, method="Nelder-Mead",
+                options=dict(xatol=1e-11, fatol=1e-13, maxiter=maxiter, maxfev=maxfev),
+            )
+            assert abs(fun - ref.fun) <= 1e-10, (x0, maxiter, maxfev)
+            np.testing.assert_allclose(x, ref.x, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("m,p", itertools.product((2, 3), (1.0, 2.0, 4.0)))
+def test_sumcoherent_max_matches_axis_root(m, p):
+    # both atoms lie on the x_1 axis, so by symmetry the maximum does too
+    f = next(g for g in default_family_members(m) if g.family == "sumcoherent")
+    alpha = 1.0
+    axis = [(w, a[0]) for w, a in f.atoms]
+
+    def atoms(s):
+        return [(w * math.exp(f.alpha * (c * s - 0.5 * c * c)), c) for w, c in axis]
+
+    def log_u(s):
+        return p * math.log(sum(t for t, _ in atoms(s))) - 0.5 * alpha * p * s * s
+
+    def slope(s):
+        terms = atoms(s)
+        return p * f.alpha * sum(t * c for t, c in terms) / sum(t for t, _ in terms) - alpha * p * s
+
+    grid = np.linspace(-4.0, 4.0, 801)
+    roots = [brentq(slope, lo, hi, xtol=1e-15) for lo, hi in zip(grid, grid[1:]) if slope(lo) * slope(hi) < 0]
+    s_star = max(roots, key=log_u)
+    mx = find_max(f, FockParams(m, p, alpha))
+    assert abs(mx.log_t_max - log_u(s_star)) <= 1e-10
+    assert np.allclose(mx.argmax, [s_star] + [0.0] * (m - 1), atol=1e-5)
+
+
+def test_max_result_states_its_rule():
+    coherent = Coherent(center=(1.0, 0.0), alpha=1.0)
+    closed = _peak(coherent, P2)
+    assert (closed.rule, closed.restarts_agreeing, closed.restarts_total) == ("closed_form", 0, 0)
+    assert closed.argmax == (1.0, 0.0) and closed.t_max == math.exp(closed.log_t_max)
+    assert find_max(coherent, P2).rule == "simplex"
+    mixture = next(g for g in default_family_members(2) if g.family == "sumcoherent")
+    searched = _peak(mixture, P2)
+    assert searched.rule == "simplex"
+    assert searched.restarts_total == 16 + len(mixture.max_hints(P2))
+    assert searched.restarts_agreeing >= 1
+
+
+def test_growing_profile_has_no_peak():
+    f, params = ExpQuadratic(c=0.6, dim=2), FockParams(2, 2.0, 1.0)
+    assert f.radial_profile(params).B < 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for find in (f.radial_profile(params).peak, lambda: _peak(f, params),
+                     lambda: g_diagnostic(f, params, samples=1000), lambda: find_max(f, params)):
+            with pytest.raises(OptimizationFailureError):
+                find()
+
+
+def test_flat_profile_peaks_at_its_level():
+    # c = alpha/2 leaves u = e^A everywhere: B = 0 and K = 0
+    f, params = ExpQuadratic(c=0.5, dim=2).scaled(2.0), FockParams(2, 2.0, 1.0)
+    prof = f.radial_profile(params)
+    assert (prof.B, prof.K) == (0.0, 0.0)
+    mx = _peak(f, params)
+    assert mx.rule == "closed_form" and mx.log_t_max == prof.A
+    assert mx.t_max == pytest.approx(4.0, rel=1e-15)
+    assert find_max(f, params).t_max == pytest.approx(4.0, rel=1e-14)
+
+
+def test_zero_function_has_no_peak():
+    f = Constant(value=0.0, dim=2)
+    for find in (lambda: _peak(f, P2), lambda: find_max(f, P2)):
+        with pytest.raises(OptimizationFailureError):
+            find()
 
 
 # ---------------------------------------------------------------------------

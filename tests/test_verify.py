@@ -160,6 +160,22 @@ def test_decay_along_rays():
         assert report.details["tail_monotone"]
 
 
+def test_decay_reports_how_t_max_was_found():
+    # radial families take t_max in closed form and state the search's value beside it;
+    # check_decay works at p = 1, where |z|^2 e^{-|z|^2/2} peaks at 2/e
+    cases = ((Coherent(center=(1.0, 0.0), alpha=1.0), 0.0), (Monomial(powers=(2,)), math.log(2.0) - 1.0))
+    for f, log_t_max in cases:
+        d = check_decay(f, P2).details
+        assert (d["max_rule"], d["restarts_agreeing"], d["restarts_total"]) == ("closed_form", 0, 0)
+        assert abs(d["log_t_max_gap"]) <= 1e-10
+        assert d["log_t_max_gap"] == pytest.approx(d["log_t_max_search"] - log_t_max, abs=1e-15)
+    mixture = SumOfCoherent(atoms=((0.7, (0.5, 0.0)), (0.3, (-1.0, 0.0))), alpha=1.0)
+    d = check_decay(mixture, P2).details
+    assert d["max_rule"] == "simplex" and d["restarts_total"] == 19
+    assert 1 <= d["restarts_agreeing"] <= 19
+    assert "log_t_max_search" not in d and "log_t_max_gap" not in d
+
+
 # ---------------------------------------------------------------------------
 # limit norm
 
@@ -171,6 +187,16 @@ def test_limit_norm_monomial():
     ladder = report.details["ladder"]
     assert all(b < a for a, b in zip(ladder, ladder[1:]))
     assert report.details["extrapolation_gap"] <= 1e-3
+
+
+def test_limit_norm_reports_how_t_max_was_found():
+    d = check_limit_norm(Monomial(powers=(1,)), 1.0).details
+    assert (d["max_rule"], d["restarts_agreeing"], d["restarts_total"]) == ("closed_form", 0, 0)
+    assert d["argmax"] == [1.0, 0.0]  # centre + r e_1 on the peak circle r = 1
+    assert d["sup_norm"] == math.exp(-0.5)
+    mixture = SumOfCoherent(atoms=((0.7, (0.5, 0.0)), (0.3, (-1.0, 0.0))), alpha=1.0)
+    d = check_limit_norm(mixture, 1.0).details
+    assert d["max_rule"] == "simplex" and d["restarts_total"] == 19
 
 
 def test_limit_norm_coherent_flat_ladder():
