@@ -524,7 +524,6 @@ def eval_density(f: TestFunction, params: FockParams, x) -> DensityValue:
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != params.m:
         raise DimensionMismatchError(f"point has dimension {x.size}, expected {params.m}")
-    _check_dims(f, params)
     return DensityValue(log_u=float(log_density_batch(f, params, x[None, :])[0]))
 
 

@@ -3,7 +3,8 @@
 All backends integrate the density u = |f|^p exp(-(alpha p/2)|x|^2) over R^m.
 The Gaussian factor is folded into the quadrature weights (Gauss-Hermite and
 generalized Gauss-Laguerre rules) or into the importance-sampling proposal, so
-the integrand handed to exp() stays moderate even at large p.
+the integrand handed to exp() stays moderate even at large p.  The two rules
+yield (X, logw) chunks to one log-sum-exp reducer and take a coarse/fine gap as error.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp, roots_genlaguerre, roots_hermite, roots_legendre
+from scipy.special import roots_genlaguerre, roots_hermite, roots_legendre
 
 from .errors import (
     InvalidInputError,
@@ -115,7 +116,36 @@ def norm_constant(params: FockParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Hermite tensor grid
+# deterministic rules: (X, logw) chunk generators, one reducer, one refinement pair
+
+
+def _log_sum_exp(a) -> float:
+    """log(sum(exp(a))) over a 1-D array, in the arithmetic of scipy.special.logsumexp.
+
+    With top = max(a) reached k times: log1p(s / k) + log(k) + top, s the sum of
+    exp(a - top) over the other entries.  A non-finite top (all -inf, a +inf or
+    a nan) takes log(sum(exp(a))) directly.
+    """
+    a = np.asarray(a, dtype=float)
+    top = a.max()
+    if not np.isfinite(top):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return float(np.log(np.sum(np.exp(a))))
+    at_top = a == top
+    e = np.exp(a - top)
+    e[at_top] = 0.0
+    k = np.count_nonzero(at_top)
+    return float(np.log1p(e.sum() / k) + np.log(k) + top)
+
+
+def _refine(log_u: Callable, coarse, fine) -> IntegralEstimate:
+    """Integral of exp(log_u) on the fine rule, |fine - coarse| its error; rules yield (X, logw)."""
+
+    def integral(rule):
+        return float(np.exp(_log_sum_exp([_log_sum_exp(logw + log_u(X)) for X, logw in rule])))
+
+    coarse_value, value = integral(coarse), integral(fine)
+    return IntegralEstimate(value=value, error_bound=abs(value - coarse_value))
 
 
 @lru_cache(maxsize=32)
@@ -125,50 +155,40 @@ def _gh_axis(n: int):
     return y, np.log(w) + y * y
 
 
-def _iter_gh_chunks(params: FockParams, n: int):
-    """Yield (X, logw) blocks of the tensor rule, weights carrying the exp(y^2)
-    correction and the change-of-variables Jacobian."""
+def _gh_rule(params: FockParams, n: int):
+    """Yield (X, logw) chunks of the n^m tensor rule, at most _CHUNK_POINTS nodes each.
+
+    The weights carry the exp(y^2) correction and the change-of-variables
+    Jacobian.  A chunk fixes the leading k (outer) coordinates and runs the
+    other m - k over their full grid.  X is a read-only view of one buffer
+    whose outer columns are rewritten per chunk, so the next chunk overwrites
+    the X yielded before it.
+    """
     m = params.m
     y, lw = _gh_axis(n)
     scale = math.sqrt(2.0 / params.rate)
     log_jac = 0.5 * m * math.log(2.0 / params.rate)
-
-    k = 0
+    k = 0  # outer dimensions
     while n ** (m - k) > _CHUNK_POINTS:
         k += 1
-    inner_dims = m - k
-    if inner_dims > 0:
-        mesh = np.meshgrid(*([y] * inner_dims), indexing="ij")
-        inner_y = np.stack([g.ravel() for g in mesh], axis=1)
-        mesh_w = np.meshgrid(*([lw] * inner_dims), indexing="ij")
-        inner_lw = sum(g.ravel() for g in mesh_w)
-    else:
-        inner_y = np.zeros((1, 0))
-        inner_lw = np.zeros(1)
-
-    B = inner_y.shape[0]
+    inner = np.indices((n,) * (m - k)).reshape(m - k, n ** (m - k))
+    X = np.empty((inner.shape[1], m))
+    X[:, k:] = (y[inner] * scale).T
+    inner_lw = lw[inner].sum(axis=0)
+    view = X.view()
+    view.flags.writeable = False
     for outer in itertools.product(range(n), repeat=k):
-        X = np.empty((B, m))
-        for d, idx in enumerate(outer):
-            X[:, d] = y[idx] * scale
-        if inner_dims > 0:
-            X[:, k:] = inner_y * scale
-        logw = inner_lw + sum(lw[idx] for idx in outer) + log_jac
-        yield X, logw
-
-
-def _gh_raw(log_u: Callable, params: FockParams, n: int) -> float:
-    parts = []
-    for X, logw in _iter_gh_chunks(params, n):
-        le = logw + log_u(X)
-        parts.append(logsumexp(le))
-    return float(np.exp(logsumexp(parts)))
+        X[:, :k] = y[list(outer)] * scale
+        yield view, inner_lw + sum(lw[i] for i in outer) + log_jac
 
 
 def gauss_hermite_integrate(
     log_u: Callable, params: FockParams, nodes_per_axis: int = 32
 ) -> IntegralEstimate:
-    """Integral of exp(log_u) over R^m; error from a node-count refinement pair."""
+    """Integral of exp(log_u) over R^m; error from a node-count refinement pair.
+
+    log_u gets read-only (N, m) point chunks that share one buffer; it must not keep them.
+    """
     n, m = int(nodes_per_axis), params.m
     if m > 6:
         raise MethodUnavailableError(f"tensor Gauss-Hermite supports m <= 6, got m={m}")
@@ -180,13 +200,7 @@ def gauss_hermite_integrate(
         )
     # refine by doubling while the finer grid fits the budget, else halve for the coarse one
     n_coarse, n_fine = (n, 2 * n) if (2 * n) ** m <= _DOUBLING_BUDGET else (max(8, n // 2), n)
-    coarse = _gh_raw(log_u, params, n_coarse)
-    fine = _gh_raw(log_u, params, n_fine)
-    return IntegralEstimate(value=fine, error_bound=abs(fine - coarse))
-
-
-# ---------------------------------------------------------------------------
-# radial-spherical grid (m <= 3)
+    return _refine(log_u, _gh_rule(params, n_coarse), _gh_rule(params, n_fine))
 
 
 @lru_cache(maxsize=32)
@@ -198,51 +212,44 @@ def _radial_axis(n: int, m: int):
 @lru_cache(maxsize=32)
 def _sphere_rule(m: int, n_ang: int):
     """Nodes and weights integrating the surface measure of S^(m-1) exactly-ish."""
+    theta = 2.0 * math.pi * np.arange(n_ang) / n_ang
     if m == 1:
         omega = np.array([[1.0], [-1.0]])
         aw = np.array([1.0, 1.0])
     elif m == 2:
-        theta = 2.0 * math.pi * np.arange(n_ang) / n_ang
         omega = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         aw = np.full(n_ang, 2.0 * math.pi / n_ang)
     elif m == 3:
         n_pol = max(4, n_ang // 2)
         u, wu = roots_legendre(n_pol)
-        theta = 2.0 * math.pi * np.arange(n_ang) / n_ang
         su = np.sqrt(1.0 - u * u)
-        nodes = []
-        weights = []
-        for ui, sui, wui in zip(u, su, wu):
-            for th in theta:
-                nodes.append([sui * math.cos(th), sui * math.sin(th), ui])
-                weights.append(wui * 2.0 * math.pi / n_ang)
-        omega = np.array(nodes)
-        aw = np.array(weights)
+        xy = [np.outer(su, np.cos(theta)).ravel(), np.outer(su, np.sin(theta)).ravel()]
+        omega = np.stack(xy + [np.repeat(u, n_ang)], axis=1)
+        aw = np.repeat(wu * 2.0 * math.pi / n_ang, n_ang)
     else:
         raise MethodUnavailableError(f"radial backend supports m <= 3, got m={m}")
     return omega, aw
 
 
-def _radial_raw(log_u: Callable, params: FockParams, nr: int, na: int) -> float:
+def _radial_rule(params: FockParams, nr: int, na: int):
+    """Yield the radial-spherical rule as one (X, logw) chunk (m <= 3)."""
     m = params.m
     s, lws = _radial_axis(nr, m)
     omega, aw = _sphere_rule(m, na)
     r = np.sqrt(2.0 * s / params.rate)
     log_jac = math.log(0.5) + 0.5 * m * math.log(2.0 / params.rate)
     X = (r[:, None, None] * omega[None, :, :]).reshape(-1, m)
-    logw = (lws[:, None] + np.log(aw)[None, :] + log_jac).reshape(-1)
-    return float(np.exp(logsumexp(logw + log_u(X))))
+    yield X, (lws[:, None] + np.log(aw)[None, :] + log_jac).reshape(-1)
 
 
 def radial_integrate(
     log_u: Callable, params: FockParams, radial_nodes: int = 48, angular_nodes: int = 64
 ) -> IntegralEstimate:
+    """Integral of exp(log_u) over R^m, m <= 3; error from doubling both node counts."""
     nr, na = int(radial_nodes), int(angular_nodes)
     if nr < 4 or na < 4:
         raise InvalidInputError("radial and angular node counts must be at least 4")
-    coarse = _radial_raw(log_u, params, nr, na)
-    fine = _radial_raw(log_u, params, 2 * nr, 2 * na)
-    return IntegralEstimate(value=fine, error_bound=abs(fine - coarse))
+    return _refine(log_u, _radial_rule(params, nr, na), _radial_rule(params, 2 * nr, 2 * na))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +275,7 @@ def mc_integrate(
         return IntegralEstimate(value=0.0, error_bound=0.0)
     w = np.exp(log_ratio - peak)
     mean_w = float(np.mean(w))
-    std_w = float(np.std(w, ddof=1)) if samples > 1 else 0.0
+    std_w = float(np.std(w, ddof=1))
     value = math.exp(peak) * mean_w
     stderr = math.exp(peak) * std_w / math.sqrt(samples)
     return IntegralEstimate(value=value, error_bound=stderr)

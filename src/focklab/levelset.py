@@ -142,6 +142,7 @@ class LevelProfile:
 
 _NM_STEP, _NM_ZERO_STEP = 0.05, 0.00025  # initial simplex: relative step, step for a zero coordinate
 _NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA = 1.0, 2.0, 0.5, 0.5  # reflection, expansion, contraction, shrink
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # exp overflows beyond; find_max stops there
 
 
 def _simplex_search(objective, starts, xatol, fatol, maxiter=4000, maxfev=8000):
@@ -238,6 +239,8 @@ def find_max(
     point is polished by a tighter run (1e-12, 1e-14).  Agreement is counted
     at 1e-8 relative in the maximum value.  This is always the numeric search,
     also for families whose radial profile has the maximum in closed form.
+    The first point evaluated with log u above log(float max) ends the search
+    with OptimizationFailureError, since t_max is at least exp of it.
     """
     if f.m != params.m:
         raise InvalidInputError(f"function lives on R^{f.m}, params say m={params.m}")
@@ -245,11 +248,15 @@ def find_max(
     scale = 1.0 / math.sqrt(params.rate)
 
     def neg_log_u(X):
-        return -log_density_batch(f, params, X)
+        log_u = log_density_batch(f, params, X)
+        over = log_u > _LOG_FLOAT_MAX
+        if over.any():
+            raise OptimizationFailureError(f"log u reached {log_u[over].max():.6g}; t_max overflows")
+        return -log_u
 
     starts = [np.asarray(h, dtype=float) for h in f.max_hints(params)]
     starts = np.vstack(starts + [rng.standard_normal((restarts, params.m)) * scale])
-    # a density without a maximum drives simplices to overflow; they end non-finite and are dropped
+    # the density may overflow on its way past the line, before neg_log_u raises
     with np.errstate(over="ignore", invalid="ignore"):
         finite = np.isfinite(neg_log_u(starts))
         for i in np.flatnonzero(~finite):
@@ -271,10 +278,7 @@ def find_max(
         polish_fun, polish_x = _simplex_search(neg_log_u, best_x[None, :], xatol=1e-12, fatol=1e-14)
     if math.isfinite(polish_fun[0]) and polish_fun[0] < best_fun:
         best_fun, best_x = float(polish_fun[0]), polish_x[0]
-    try:
-        t_max = math.exp(-best_fun)
-    except OverflowError:
-        raise OptimizationFailureError(f"log u reached {-best_fun:.6g}; t_max overflows") from None
+    t_max = math.exp(-best_fun)  # -best_fun <= _LOG_FLOAT_MAX, or neg_log_u raised
 
     tol = 1e-8 * max(1.0, abs(best_fun))
     return MaxResult(

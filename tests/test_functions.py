@@ -109,6 +109,8 @@ def test_density_batch_matches_pointwise():
     assert log_u[0] == pytest.approx(0.0, abs=1e-14)
     assert log_u[1] == pytest.approx(-1.0, abs=1e-14)
     assert eval_density(f, P2, [1.0, 0.0]).u == pytest.approx(1.0, abs=1e-14)
+    with pytest.raises(DimensionMismatchError):
+        eval_density(f, FockParams(3, 2.0, 1.0), [1.0, 0.0, 0.0])
 
 
 @given(st.floats(min_value=-3.0, max_value=3.0))

@@ -1,12 +1,13 @@
 """Quadrature and Monte Carlo tests for weighted norms and convex functionals."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp, roots_legendre
 
 from focklab import (
     Coherent,
@@ -27,10 +28,12 @@ from focklab import (
     convex_functional,
     fock_norm,
     gauss_hermite_integrate,
+    log_density_batch,
     mc_integrate,
     norm_constant,
     radial_integrate,
 )
+from focklab import integrate
 
 P2 = FockParams(2, 2.0, 1.0)
 
@@ -110,6 +113,95 @@ def test_norm_scales_with_log_shift(delta):
     base = fock_norm(f, P2).value
     shifted = fock_norm(f.log_shifted(delta), P2).value
     assert shifted == pytest.approx(base * math.exp(delta), rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# rules and the log-sum-exp reducer
+
+
+def _reducer_cases():
+    rng = np.random.default_rng(7)
+    for spread in (1e-3, 1.0, 30.0, 1e3):
+        for n in (2, 17, 1000):
+            yield rng.normal(rng.uniform(-500, 500), spread, n)
+    tied = rng.normal(0.0, 5.0, 200)
+    tied[[3, 50, 199]] = tied.max() + 1.0
+    yield tied
+    yield np.full(8, -2.5)
+    yield np.array([4.25])
+    yield np.array([-np.inf, -1.0, 3.0, -np.inf])
+
+
+def test_log_sum_exp_matches_scipy():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in _reducer_cases():
+            ref, got = float(logsumexp(a)), integrate._log_sum_exp(a)
+            assert abs(got - ref) <= 2.0 * math.ulp(ref)
+        assert integrate._log_sum_exp(np.full(5, -np.inf)) == -math.inf
+        assert integrate._log_sum_exp(np.array([0.0, np.inf, -1.0])) == math.inf
+        assert math.isnan(integrate._log_sum_exp(np.array([0.0, np.nan, 1.0])))
+
+
+def test_chunked_gh_matches_one_block(monkeypatch):
+    # m = 4, n = 8 over 64-point chunks: two outer dimensions rewritten per chunk
+    f = Coherent(center=(0.7, -0.4, 0.3, 0.9), alpha=1.0)
+    params = FockParams(4, 2.0, 1.0)
+    whole = fock_norm(f, params, method=GaussHermite(8))
+    calls = []
+
+    def log_u(X):
+        calls.append(len(X))
+        return log_density_batch(f, params, X)
+
+    monkeypatch.setattr(integrate, "_CHUNK_POINTS", 64)
+    est = gauss_hermite_integrate(log_u, params, nodes_per_axis=8)
+    assert calls[:64] == [64] * 64  # the n = 8 grid: 8^2 outer indices of 8^2 inner points
+    c = norm_constant(params)
+    assert c * est.value == pytest.approx(whole.raw_integral, rel=1e-14, abs=0.0)
+    assert c * est.error_bound == pytest.approx(whole.error_bound, abs=1e-14)
+
+
+def test_chunked_gh_runs_one_point_chunks_at_m1(monkeypatch):
+    # n above the chunk size at m = 1: every chunk is one outer node and no inner grid
+    f = Coherent(center=(0.3,), alpha=1.0)
+    params = FockParams(1, 2.0, 1.0)
+
+    def log_u(X):
+        return log_density_batch(f, params, X)
+
+    whole = gauss_hermite_integrate(log_u, params, nodes_per_axis=16)
+    monkeypatch.setattr(integrate, "_CHUNK_POINTS", 8)
+    sizes = []
+    est = gauss_hermite_integrate(lambda X: sizes.append(len(X)) or log_u(X), params, nodes_per_axis=16)
+    assert sizes == [1] * (16 + 32)
+    assert est.value == pytest.approx(whole.value, rel=1e-14, abs=0.0)
+    assert est.error_bound == pytest.approx(whole.error_bound, abs=1e-14)
+
+
+def test_gh_points_are_read_only():
+    def mutating(X):
+        X[:, 0] = 0.0
+        return np.zeros(len(X))
+
+    with pytest.raises(ValueError, match="read-only"):
+        gauss_hermite_integrate(mutating, P2, nodes_per_axis=8)
+
+
+@pytest.mark.parametrize("n_ang", [8, 64])
+def test_sphere_rule_m3_matches_double_loop(n_ang):
+    u, wu = roots_legendre(max(4, n_ang // 2))
+    theta = 2.0 * math.pi * np.arange(n_ang) / n_ang
+    nodes, weights = [], []
+    for ui, wui in zip(u, wu):
+        sui = math.sqrt(1.0 - ui * ui)
+        for th in theta:
+            nodes.append([sui * math.cos(th), sui * math.sin(th), ui])
+            weights.append(wui * 2.0 * math.pi / n_ang)
+    omega, aw = integrate._sphere_rule(3, n_ang)
+    assert np.array_equal(omega, np.array(nodes))
+    assert np.array_equal(aw, np.array(weights))
+    assert np.sum(aw * omega[:, 2] ** 2) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-14, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

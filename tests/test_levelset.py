@@ -24,6 +24,7 @@ from focklab import (
     fock_norm,
     log_density_batch,
 )
+from focklab import levelset
 from focklab.levelset import (
     _level_rng,
     _nested_measures,
@@ -168,6 +169,31 @@ def test_growing_profile_has_no_peak():
                      lambda: g_diagnostic(f, params, samples=1000), lambda: find_max(f, params)):
             with pytest.raises(OptimizationFailureError):
                 find()
+
+
+_TWO_PEAKS = SumOfCoherent(atoms=((1.0, (0.0, 0.0)), (1e100, (40.0, 0.0))), alpha=1.0)
+
+
+@pytest.mark.parametrize(
+    "f, p",
+    [(ExpQuadratic(c=0.6, dim=2), p) for p in (0.5, 1.0, 2.0)] + [(_TWO_PEAKS, 8.0)],
+    ids=["expquad-0.5", "expquad-1", "expquad-2", "two-peaks-8"],
+)
+def test_find_max_stops_where_the_density_overflows(monkeypatch, f, p):
+    # u = exp(0.1 p |x|^2) has no maximum; in the mixture the atom at (40, 0) peaks at
+    # log u ~ 1842 and the one at the origin near 0, so a start there must not settle
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return log_density_batch(*args, **kwargs)
+
+    monkeypatch.setattr(levelset, "log_density_batch", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OptimizationFailureError, match="t_max overflows"):
+            find_max(f, FockParams(2, p, 1.0))
+    assert 0 < len(calls) <= 2000
 
 
 def test_flat_profile_peaks_at_its_level():
