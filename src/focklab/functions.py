@@ -42,6 +42,20 @@ __all__ = [
     "subharmonic_tolerance",
 ]
 
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # exp of a larger log overflows a double
+
+
+def _sq_norm(X: np.ndarray) -> np.ndarray:
+    """|x|^2 of each row of an (N, m) array, one column at a time.
+
+    Gives the bits of np.sum(X * X, axis=1), which adds the columns left to right
+    for m <= 7, without the (N, m) temporary X * X or a strided row reduction.
+    """
+    s = X[:, 0] * X[:, 0]
+    for j in range(1, X.shape[1]):
+        s += X[:, j] * X[:, j]
+    return s
+
 
 @dataclass(frozen=True)
 class FockParams:
@@ -303,8 +317,11 @@ class Monomial(TestFunction):
             for j, k in enumerate(self.powers):
                 if k == 0:
                     continue
-                r2 = X[:, 2 * j] ** 2 + X[:, 2 * j + 1] ** 2
-                out = out + 0.5 * k * np.log(r2)
+                r2 = X[:, 2 * j] * X[:, 2 * j]
+                r2 += X[:, 2 * j + 1] * X[:, 2 * j + 1]
+                np.log(r2, out=r2)
+                r2 *= 0.5 * k
+                out += r2
         return out
 
     def _radial_bound_raw(self, r):
@@ -421,7 +438,7 @@ class ExpQuadratic(TestFunction):
         return "expquad"
 
     def _log_abs_raw(self, X):
-        return self.c * np.sum(X * X, axis=1)
+        return self.c * _sq_norm(X)
 
     def radial_profile(self, params):
         return RadialProfile(
@@ -516,7 +533,7 @@ def log_density_batch(f: TestFunction, params: FockParams, X: np.ndarray) -> np.
     """log u on an (N, m) batch, u = |f|^p exp(-(alpha p/2)|x|^2)."""
     _check_dims(f, params)
     X = np.asarray(X, dtype=float)
-    return params.p * f.log_abs(X) - 0.5 * params.rate * np.sum(X * X, axis=1)
+    return params.p * f.log_abs(X) - 0.5 * params.rate * _sq_norm(X)
 
 
 def eval_density(f: TestFunction, params: FockParams, x) -> DensityValue:

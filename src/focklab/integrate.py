@@ -24,7 +24,7 @@ from .errors import (
     NoEnvelopeError,
     UnsupportedFunctionalError,
 )
-from .functions import FockParams, TestFunction, log_density_batch
+from .functions import _LOG_FLOAT_MAX, FockParams, TestFunction, _sq_norm, log_density_batch
 
 __all__ = [
     "GaussHermite",
@@ -138,11 +138,23 @@ def _log_sum_exp(a) -> float:
     return float(np.log1p(e.sum() / k) + np.log(k) + top)
 
 
+def _check_fits(log_value: float) -> None:
+    if log_value > _LOG_FLOAT_MAX:
+        raise MethodUnavailableError(
+            f"log of the integral is {log_value:.6g}; the integral overflows a double"
+        )
+
+
 def _refine(log_u: Callable, coarse, fine) -> IntegralEstimate:
-    """Integral of exp(log_u) on the fine rule, |fine - coarse| its error; rules yield (X, logw)."""
+    """Integral of exp(log_u) on the fine rule, |fine - coarse| its error; rules yield (X, logw).
+
+    Raises MethodUnavailableError when either integral overflows a double.
+    """
 
     def integral(rule):
-        return float(np.exp(_log_sum_exp([_log_sum_exp(logw + log_u(X)) for X, logw in rule])))
+        log_value = _log_sum_exp([_log_sum_exp(logw + log_u(X)) for X, logw in rule])
+        _check_fits(log_value)
+        return float(np.exp(log_value))
 
     coarse_value, value = integral(coarse), integral(fine)
     return IntegralEstimate(value=value, error_bound=abs(value - coarse_value))
@@ -160,9 +172,10 @@ def _gh_rule(params: FockParams, n: int):
 
     The weights carry the exp(y^2) correction and the change-of-variables
     Jacobian.  A chunk fixes the leading k (outer) coordinates and runs the
-    other m - k over their full grid.  X is a read-only view of one buffer
-    whose outer columns are rewritten per chunk, so the next chunk overwrites
-    the X yielded before it.
+    other m - k over their full grid, the last coordinate fastest.  X is a
+    read-only, column-major (N, m) view of one buffer: each inner column is
+    filled once by a broadcast, the outer columns are rewritten per chunk, so
+    the next chunk overwrites the X yielded before it.
     """
     m = params.m
     y, lw = _gh_axis(n)
@@ -171,10 +184,14 @@ def _gh_rule(params: FockParams, n: int):
     k = 0  # outer dimensions
     while n ** (m - k) > _CHUNK_POINTS:
         k += 1
-    inner = np.indices((n,) * (m - k)).reshape(m - k, n ** (m - k))
-    X = np.empty((inner.shape[1], m))
-    X[:, k:] = (y[inner] * scale).T
-    inner_lw = lw[inner].sum(axis=0)
+    grid = (n,) * (m - k)
+    X = np.empty((n ** (m - k), m), order="F")
+    inner_lw = np.zeros(grid)
+    for j in range(m - k):
+        axis = tuple(n if i == j else 1 for i in range(m - k))
+        np.multiply(y.reshape(axis), scale, out=X[:, k + j].reshape(grid))
+        inner_lw = inner_lw + lw.reshape(axis)
+    inner_lw = inner_lw.reshape(-1)
     view = X.view()
     view.flags.writeable = False
     for outer in itertools.product(range(n), repeat=k):
@@ -187,7 +204,8 @@ def gauss_hermite_integrate(
 ) -> IntegralEstimate:
     """Integral of exp(log_u) over R^m; error from a node-count refinement pair.
 
-    log_u gets read-only (N, m) point chunks that share one buffer; it must not keep them.
+    log_u gets read-only, column-major (N, m) point chunks that share one
+    buffer; it must not keep them.
     """
     n, m = int(nodes_per_axis), params.m
     if m > 6:
@@ -262,13 +280,15 @@ def mc_integrate(
     """Importance sampling with the proposal matched to the Gaussian weight.
 
     Bit-identical for identical (seed, samples, params); the standard error is
-    reported as error_bound.
+    reported as error_bound.  Raises MethodUnavailableError when the integral
+    overflows a double.
     """
     samples = int(samples)
     if samples < 1000:
         raise InvalidInputError(f"need at least 1000 samples, got {samples}")
-    X = np.random.default_rng(seed).standard_normal((samples, params.m)) / math.sqrt(params.rate)
-    half_rate_sq = 0.5 * params.rate * np.sum(X * X, axis=1)
+    X = np.random.default_rng(seed).standard_normal((samples, params.m))
+    X /= math.sqrt(params.rate)
+    half_rate_sq = 0.5 * params.rate * _sq_norm(X)
     log_ratio = log_u(X) + half_rate_sq - math.log(norm_constant(params))
     peak = float(np.max(log_ratio))
     if peak == -math.inf:
@@ -276,8 +296,12 @@ def mc_integrate(
     w = np.exp(log_ratio - peak)
     mean_w = float(np.mean(w))
     std_w = float(np.std(w, ddof=1))
-    value = math.exp(peak) * mean_w
-    stderr = math.exp(peak) * std_w / math.sqrt(samples)
+    _check_fits(peak + math.log(mean_w))  # mean_w >= 1/samples: the peak weight is 1
+    # exp(peak) alone overflows a little before the integral does; carry the excess in the mean
+    excess = max(peak - _LOG_FLOAT_MAX, 0.0)
+    top, rest = math.exp(peak - excess), math.exp(excess)
+    value = top * (mean_w * rest)
+    stderr = top * (std_w * rest) / math.sqrt(samples)
     return IntegralEstimate(value=value, error_bound=stderr)
 
 
@@ -296,7 +320,10 @@ def _dispatch_raw(log_u: Callable, params: FockParams, method) -> IntegralEstima
 
 
 def fock_norm(f: TestFunction, params: FockParams, method=GaussHermite()) -> NormEstimate:
-    """Weighted p-norm of f: (normalized integral of |f|^p against the weight)^(1/p)."""
+    """Weighted p-norm of f: (normalized integral of |f|^p against the weight)^(1/p).
+
+    Raises MethodUnavailableError when that integral overflows a double.
+    """
     if not f.has_envelope(params):
         raise NoEnvelopeError(
             "the weighted p-th power integral diverges for this function at these params"
@@ -308,6 +335,8 @@ def fock_norm(f: TestFunction, params: FockParams, method=GaussHermite()) -> Nor
     est = _dispatch_raw(log_u, params, method)
     c = norm_constant(params)
     raw = c * est.value
+    if raw == math.inf:  # the normalizer c can exceed 1
+        raise MethodUnavailableError("the normalized p-th power integral overflows a double")
     err = c * est.error_bound
     value = raw ** (1.0 / params.p) if raw > 0 else 0.0
     return NormEstimate(value=value, raw_integral=raw, method=method, error_bound=err, p=params.p)

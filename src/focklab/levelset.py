@@ -22,7 +22,14 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 
 from .errors import InvalidInputError, OptimizationFailureError
-from .functions import FockParams, TestFunction, _thresholds, envelope_radius, log_density_batch
+from .functions import (
+    _LOG_FLOAT_MAX,
+    FockParams,
+    TestFunction,
+    _thresholds,
+    envelope_radius,
+    log_density_batch,
+)
 from .integrate import ConvexFunction, GaussHermite, convex_functional
 
 __all__ = [
@@ -142,7 +149,6 @@ class LevelProfile:
 
 _NM_STEP, _NM_ZERO_STEP = 0.05, 0.00025  # initial simplex: relative step, step for a zero coordinate
 _NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA = 1.0, 2.0, 0.5, 0.5  # reflection, expansion, contraction, shrink
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # exp overflows beyond; find_max stops there
 
 
 def _simplex_search(objective, starts, xatol, fatol, maxiter=4000, maxfev=8000):

@@ -1,6 +1,7 @@
 """Function-model tests: evaluation, scaling, envelopes, subharmonicity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from focklab import (
     subharmonic_tolerance,
     subharmonicity_spot_check,
 )
-from focklab.functions import RadialProfile
+from focklab.functions import RadialProfile, _sq_norm
 
 P2 = FockParams(2, 2.0, 1.0)
 
@@ -111,6 +112,52 @@ def test_density_batch_matches_pointwise():
     assert eval_density(f, P2, [1.0, 0.0]).u == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(DimensionMismatchError):
         eval_density(f, FockParams(3, 2.0, 1.0), [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_sq_norm_matches_row_sum(m, order):
+    rng = np.random.default_rng(m)
+    X = rng.standard_normal((4096, m)) * np.exp(rng.uniform(-30.0, 30.0, (4096, m)))
+    special = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 2.5e-310, 1e200, -1e200]
+    X[: len(special) * m].flat = np.resize(special, len(special) * m * m)
+    X = np.asarray(X, order=order)
+    before = X.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, ref = _sq_norm(X), np.sum(X * X, axis=1)
+    assert np.array_equal(got, ref, equal_nan=True)
+    assert np.array_equal(X, before, equal_nan=True)
+
+
+def test_monomial_log_abs_matches_out_of_place_reference():
+    X = np.random.default_rng(5).standard_normal((4096, 6))
+    X[:3, 2:4] = 0.0  # log 0 = -inf on the second factor
+    f = Monomial(powers=(3, 1, 0))
+    ref = np.zeros(len(X))
+    with np.errstate(divide="ignore"):
+        for j, k in enumerate(f.powers):
+            if k:
+                ref = ref + 0.5 * k * np.log(X[:, 2 * j] ** 2 + X[:, 2 * j + 1] ** 2)
+    assert np.array_equal(f.log_abs(X), ref)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [f for f in default_family_members(4) if f.family != "poly"],
+    ids=lambda f: f.family,
+)
+def test_log_density_batch_memory_budget(f):
+    # real-valued families need |x|^2 and log|f| but no (N, m) temporary: at most 3.5 N doubles
+    N = 1 << 18
+    X = np.random.default_rng(0).standard_normal((N, 4))
+    params = FockParams(4, 2.0, 1.0)
+    tracemalloc.start()
+    try:
+        log_density_batch(f, params, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * N * 8
 
 
 @given(st.floats(min_value=-3.0, max_value=3.0))
@@ -286,7 +333,7 @@ def test_envelope_radius_coherent_closed_form():
     t = 0.1
     # matched coherent density is exp(-(rate/2)|x-a|^2); radius |a| + sqrt((2/rate) log(1/t))
     expected = 1.0 + math.sqrt(math.log(1.0 / t))
-    assert envelope_radius(f, P2, t) == pytest.approx(expected, rel=1e-12)
+    assert envelope_radius(f, P2, t) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_envelope_radius_rejects_bad_threshold():

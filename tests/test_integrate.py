@@ -1,6 +1,8 @@
 """Quadrature and Monte Carlo tests for weighted norms and convex functionals."""
 
+import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -48,9 +50,9 @@ def monomial_norm_oracle(k: int, p: float, alpha: float) -> float:
 
 
 def test_norm_constant_value():
-    assert norm_constant(P2) == pytest.approx(1.0 / math.pi, rel=1e-14)
+    assert norm_constant(P2) == pytest.approx(1.0 / math.pi, rel=1e-14, abs=0.0)
     assert norm_constant(FockParams(1, 2.0, 1.0)) == pytest.approx(
-        math.sqrt(1.0 / math.pi), rel=1e-14
+        math.sqrt(1.0 / math.pi), rel=1e-14, abs=0.0
     )
 
 
@@ -78,7 +80,7 @@ def test_monomial_radial_oracle(p, expected):
 
 def test_norm_is_root_of_raw_integral():
     est = fock_norm(Monomial(powers=(2,)), FockParams(2, 4.0, 1.0))
-    assert est.value == pytest.approx(est.raw_integral ** (1.0 / 4.0), rel=1e-14)
+    assert est.value == pytest.approx(est.raw_integral ** (1.0 / 4.0), rel=1e-14, abs=0.0)
 
 
 def test_coherent_norm_all_backends():
@@ -179,6 +181,57 @@ def test_chunked_gh_runs_one_point_chunks_at_m1(monkeypatch):
     assert est.error_bound == pytest.approx(whole.error_bound, abs=1e-14)
 
 
+def _gh_index_reference(params, n):
+    """The chunks of _gh_rule built from np.indices, in the same arithmetic."""
+    m = params.m
+    y, lw = integrate._gh_axis(n)
+    scale = math.sqrt(2.0 / params.rate)
+    log_jac = 0.5 * m * math.log(2.0 / params.rate)
+    k = next(k for k in range(m + 1) if n ** (m - k) <= integrate._CHUNK_POINTS)
+    inner = np.indices((n,) * (m - k)).reshape(m - k, n ** (m - k))
+    for outer in itertools.product(range(n), repeat=k):
+        X = np.empty((inner.shape[1], m))
+        X[:, :k] = y[list(outer)] * scale
+        X[:, k:] = (y[inner] * scale).T
+        yield X, lw[inner].sum(axis=0) + sum(lw[i] for i in outer) + log_jac
+
+
+def _assert_gh_grid_matches_reference(params, n):
+    chunks = 0
+    for (X, logw), (X_ref, logw_ref) in itertools.zip_longest(
+        integrate._gh_rule(params, n), _gh_index_reference(params, n)
+    ):
+        assert X.flags.f_contiguous and not X.flags.writeable
+        assert np.array_equal(X, X_ref) and np.array_equal(logw, logw_ref)
+        chunks += 1
+    return chunks
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_gh_grid_matches_index_reference(m, n):
+    chunks = _assert_gh_grid_matches_reference(FockParams(m, 1.5, 0.8), n)
+    assert chunks == (16 if (m, n) == (6, 16) else 1)  # 16^6 is the one grid above _CHUNK_POINTS
+
+
+def test_chunked_gh_grid_matches_index_reference(monkeypatch):
+    monkeypatch.setattr(integrate, "_CHUNK_POINTS", 64)
+    assert _assert_gh_grid_matches_reference(FockParams(4, 2.0, 1.0), 8) == 64  # two outer dimensions
+    monkeypatch.setattr(integrate, "_CHUNK_POINTS", 8)
+    assert _assert_gh_grid_matches_reference(FockParams(1, 2.0, 1.0), 16) == 16  # one-point chunks
+
+
+def test_gh_norm_memory_budget():
+    # m = 4, n = 32 pairs the 32^4 grid in one chunk with 64^4 in 64^3-point chunks
+    tracemalloc.start()
+    try:
+        fock_norm(Constant(value=1.0, dim=4), FockParams(4, 2.0, 1.0), method=GaussHermite(32))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 90e6
+
+
 def test_gh_points_are_read_only():
     def mutating(X):
         X[:, 0] = 0.0
@@ -268,6 +321,37 @@ def test_radial_dimension_guard():
     params = FockParams(4, 2.0, 1.0)
     with pytest.raises(MethodUnavailableError):
         radial_integrate(lambda X: -np.sum(X**2, axis=1), params)
+
+
+@pytest.mark.parametrize("method", [GaussHermite(), Radial(), MonteCarlo(samples=10_000)], ids=repr)
+def test_overflowing_integral_raises(method):
+    # the p-th power integral of e^400 at p = 2 is e^800, past the largest double
+    f = Constant(value=1.0, dim=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MethodUnavailableError, match="overflows a double"):
+            fock_norm(f.log_shifted(400.0), P2, method=method)
+        # at p = 8 the unnormalized integral e^709.9 pi/4 fits, the normalized e^709.9 does not
+        with pytest.raises(MethodUnavailableError, match="overflows a double"):
+            fock_norm(f.log_shifted(709.9 / 8.0), FockParams(2, 8.0, 1.0), method=method)
+        est = fock_norm(f.log_shifted(300.0), P2, method=method)
+    assert est.raw_integral == pytest.approx(math.exp(600.0), rel=1e-12, abs=0.0)
+
+
+def test_mc_integral_fits_where_its_peak_weight_does_not():
+    # one sample carries the whole integral e^712 / samples = e^705.1; e^712 alone overflows
+    samples, top = 1000, 712.0
+
+    def log_u(X):
+        out = np.full(len(X), -np.inf)
+        out[0] = top - 0.5 * P2.rate * float(X[0] @ X[0]) + math.log(norm_constant(P2))
+        return out
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = mc_integrate(log_u, P2, samples=samples)
+    assert est.value == pytest.approx(math.exp(top - math.log(samples)), rel=1e-12, abs=0.0)
+    assert math.isfinite(est.error_bound)
 
 
 def test_high_p_stays_finite():

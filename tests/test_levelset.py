@@ -203,8 +203,8 @@ def test_flat_profile_peaks_at_its_level():
     assert (prof.B, prof.K) == (0.0, 0.0)
     mx = _peak(f, params)
     assert mx.rule == "closed_form" and mx.log_t_max == prof.A
-    assert mx.t_max == pytest.approx(4.0, rel=1e-15)
-    assert find_max(f, params).t_max == pytest.approx(4.0, rel=1e-14)
+    assert mx.t_max == pytest.approx(4.0, rel=1e-15, abs=0.0)
+    assert find_max(f, params).t_max == pytest.approx(4.0, rel=1e-14, abs=0.0)
 
 
 def test_zero_function_has_no_peak():
@@ -219,9 +219,9 @@ def test_zero_function_has_no_peak():
 
 
 def test_unit_ball_volume():
-    assert unit_ball_volume(1) == pytest.approx(2.0, rel=1e-14)
-    assert unit_ball_volume(2) == pytest.approx(math.pi, rel=1e-14)
-    assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-14)
+    assert unit_ball_volume(1) == pytest.approx(2.0, rel=1e-14, abs=0.0)
+    assert unit_ball_volume(2) == pytest.approx(math.pi, rel=1e-14, abs=0.0)
+    assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-14, abs=0.0)
 
 
 def test_exact_measure_monomial_annulus():
@@ -238,7 +238,7 @@ def test_exact_measure_coherent_disc():
     f = Coherent(center=(1.0, 0.0), alpha=1.0)
     for t in (0.9, 0.5, 0.01):
         assert superlevel_measure_exact(f, P2, t) == pytest.approx(
-            math.pi * math.log(1.0 / t), rel=1e-12
+            math.pi * math.log(1.0 / t), rel=1e-12, abs=0.0
         )
 
 
@@ -248,7 +248,7 @@ def test_exact_measure_constant_step():
     # below the max the superlevel set is a disc of radius given by the weight
     t = 0.5
     expected = math.pi * (2.0 / P2.rate) * math.log(1.0 / t)  # rho^2 = (2/rate) log(1/t)
-    assert superlevel_measure_exact(f, P2, t) == pytest.approx(expected, rel=1e-12)
+    assert superlevel_measure_exact(f, P2, t) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -397,14 +397,14 @@ def test_coherent_g_is_constant_with_exact_measure(m):
         t = frac * 1.0
         mu = superlevel_measure_exact(f, params, t)
         g = g_from_mu(mu, t, params, IsoperimetricVariant.SHARP_BALL)
-        assert g == pytest.approx(1.0, rel=1e-12)
+        assert g == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
 
 def test_variants_coincide_in_the_plane():
     a = IsoperimetricVariant.SHARP_BALL.kappa(2)
     b = IsoperimetricVariant.PAPER_LITERAL.kappa(2)
-    assert a == pytest.approx(b, rel=1e-14)
-    assert a == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-14)
+    assert a == pytest.approx(b, rel=1e-14, abs=0.0)
+    assert a == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-14, abs=0.0)
 
 
 def test_literal_variant_power_law_m3():
@@ -415,7 +415,7 @@ def test_literal_variant_power_law_m3():
     for t in (0.9, 0.5, 0.05):
         mu = superlevel_measure_exact(f, params, t)
         g = g_from_mu(mu, t, params, IsoperimetricVariant.PAPER_LITERAL)
-        assert g == pytest.approx(t**expo, rel=1e-12)
+        assert g == pytest.approx(t**expo, rel=1e-12, abs=0.0)
 
 
 def test_level_grid_contract():
