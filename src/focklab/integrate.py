@@ -1,10 +1,10 @@
 """Weighted-norm integration backends and convex functionals.
 
-All backends integrate the density u = |f|^p exp(-(alpha p/2)|x|^2) over R^m.
-The Gaussian factor is folded into the quadrature weights (Gauss-Hermite and
-generalized Gauss-Laguerre rules) or into the importance-sampling proposal, so
-the integrand handed to exp() stays moderate even at large p.  The two rules
-yield (X, logw) chunks to one log-sum-exp reducer and take a coarse/fine gap as error.
+All backends integrate exp(log_h) over R^m against the Gaussian weight
+exp(-(alpha p/2)|x|^2), the measure of the Gauss-Hermite and generalized
+Gauss-Laguerre rules and of the importance-sampling proposal, so fock_norm hands
+them log_h = p log|f| and never forms the weight.  The two rules yield (X, logw)
+chunks to one log-sum-exp reducer and take a coarse/fine gap as error.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from .errors import (
     NoEnvelopeError,
     UnsupportedFunctionalError,
 )
-from .functions import _LOG_FLOAT_MAX, FockParams, TestFunction, _sq_norm, log_density_batch
+from .functions import _LOG_FLOAT_MAX, FockParams, TestFunction, _check_dims, _sq_norm
+from .functions import log_density_batch
 
 __all__ = [
     "GaussHermite",
@@ -139,20 +140,22 @@ def _log_sum_exp(a) -> float:
 
 
 def _check_fits(log_value: float) -> None:
+    if math.isnan(log_value):
+        raise MethodUnavailableError("log of the integral is nan; the integrand overflowed to nan")
     if log_value > _LOG_FLOAT_MAX:
         raise MethodUnavailableError(
             f"log of the integral is {log_value:.6g}; the integral overflows a double"
         )
 
 
-def _refine(log_u: Callable, coarse, fine) -> IntegralEstimate:
-    """Integral of exp(log_u) on the fine rule, |fine - coarse| its error; rules yield (X, logw).
+def _refine(log_h: Callable, coarse, fine) -> IntegralEstimate:
+    """Integral of exp(log_h) on the fine rule, |fine - coarse| its error; rules yield (X, logw).
 
-    Raises MethodUnavailableError when either integral overflows a double.
+    Raises MethodUnavailableError when either integral overflows a double or is nan.
     """
 
     def integral(rule):
-        log_value = _log_sum_exp([_log_sum_exp(logw + log_u(X)) for X, logw in rule])
+        log_value = _log_sum_exp([_log_sum_exp(logw + log_h(X)) for X, logw in rule])
         _check_fits(log_value)
         return float(np.exp(log_value))
 
@@ -162,20 +165,20 @@ def _refine(log_u: Callable, coarse, fine) -> IntegralEstimate:
 
 @lru_cache(maxsize=32)
 def _gh_axis(n: int):
-    # physicists' rule for weight exp(-y^2); fold the weight back into log-space
+    # physicists' rule for the weight exp(-y^2)
     y, w = roots_hermite(n)
-    return y, np.log(w) + y * y
+    return y, np.log(w)
 
 
 def _gh_rule(params: FockParams, n: int):
     """Yield (X, logw) chunks of the n^m tensor rule, at most _CHUNK_POINTS nodes each.
 
-    The weights carry the exp(y^2) correction and the change-of-variables
-    Jacobian.  A chunk fixes the leading k (outer) coordinates and runs the
-    other m - k over their full grid, the last coordinate fastest.  X is a
-    read-only, column-major (N, m) view of one buffer: each inner column is
-    filled once by a broadcast, the outer columns are rewritten per chunk, so
-    the next chunk overwrites the X yielded before it.
+    The weights integrate against exp(-(alpha p/2)|x|^2), Jacobian included.
+    A chunk fixes the leading k (outer) coordinates and runs the other m - k
+    over their full grid, the last coordinate fastest.  X is a read-only,
+    column-major (N, m) view of one buffer: each inner column is filled once by
+    a broadcast, the outer columns are rewritten per chunk, so the next chunk
+    overwrites the X yielded before it.
     """
     m = params.m
     y, lw = _gh_axis(n)
@@ -200,11 +203,11 @@ def _gh_rule(params: FockParams, n: int):
 
 
 def gauss_hermite_integrate(
-    log_u: Callable, params: FockParams, nodes_per_axis: int = 32
+    log_h: Callable, params: FockParams, nodes_per_axis: int = 32
 ) -> IntegralEstimate:
-    """Integral of exp(log_u) over R^m; error from a node-count refinement pair.
+    """Integral of exp(log_h) against the weight over R^m; error from a node-count refinement pair.
 
-    log_u gets read-only, column-major (N, m) point chunks that share one
+    log_h gets read-only, column-major (N, m) point chunks that share one
     buffer; it must not keep them.
     """
     n, m = int(nodes_per_axis), params.m
@@ -218,13 +221,13 @@ def gauss_hermite_integrate(
         )
     # refine by doubling while the finer grid fits the budget, else halve for the coarse one
     n_coarse, n_fine = (n, 2 * n) if (2 * n) ** m <= _DOUBLING_BUDGET else (max(8, n // 2), n)
-    return _refine(log_u, _gh_rule(params, n_coarse), _gh_rule(params, n_fine))
+    return _refine(log_h, _gh_rule(params, n_coarse), _gh_rule(params, n_fine))
 
 
 @lru_cache(maxsize=32)
 def _radial_axis(n: int, m: int):
     s, w = roots_genlaguerre(n, m / 2.0 - 1.0)
-    return s, np.log(w) + s
+    return s, np.log(w)
 
 
 @lru_cache(maxsize=32)
@@ -261,13 +264,13 @@ def _radial_rule(params: FockParams, nr: int, na: int):
 
 
 def radial_integrate(
-    log_u: Callable, params: FockParams, radial_nodes: int = 48, angular_nodes: int = 64
+    log_h: Callable, params: FockParams, radial_nodes: int = 48, angular_nodes: int = 64
 ) -> IntegralEstimate:
-    """Integral of exp(log_u) over R^m, m <= 3; error from doubling both node counts."""
+    """Integral of exp(log_h) against the weight, m <= 3; error from doubling both node counts."""
     nr, na = int(radial_nodes), int(angular_nodes)
     if nr < 4 or na < 4:
         raise InvalidInputError("radial and angular node counts must be at least 4")
-    return _refine(log_u, _radial_rule(params, nr, na), _radial_rule(params, 2 * nr, 2 * na))
+    return _refine(log_h, _radial_rule(params, nr, na), _radial_rule(params, 2 * nr, 2 * na))
 
 
 # ---------------------------------------------------------------------------
@@ -275,24 +278,25 @@ def radial_integrate(
 
 
 def mc_integrate(
-    log_u: Callable, params: FockParams, samples: int = 100_000, seed: int = 0
+    log_h: Callable, params: FockParams, samples: int = 100_000, seed: int = 0
 ) -> IntegralEstimate:
-    """Importance sampling with the proposal matched to the Gaussian weight.
+    """Integral of exp(log_h) against the weight, by sampling the normalized weight.
 
     Bit-identical for identical (seed, samples, params); the standard error is
     reported as error_bound.  Raises MethodUnavailableError when the integral
-    overflows a double.
+    overflows a double or is nan.
     """
     samples = int(samples)
     if samples < 1000:
         raise InvalidInputError(f"need at least 1000 samples, got {samples}")
     X = np.random.default_rng(seed).standard_normal((samples, params.m))
     X /= math.sqrt(params.rate)
-    half_rate_sq = 0.5 * params.rate * _sq_norm(X)
-    log_ratio = log_u(X) + half_rate_sq - math.log(norm_constant(params))
+    log_ratio = log_h(X) - math.log(norm_constant(params))
     peak = float(np.max(log_ratio))
     if peak == -math.inf:
         return IntegralEstimate(value=0.0, error_bound=0.0)
+    if math.isnan(peak) or peak == math.inf:
+        _check_fits(peak)  # raises before inf - inf turns the weights into nan
     w = np.exp(log_ratio - peak)
     mean_w = float(np.mean(w))
     std_w = float(np.std(w, ddof=1))
@@ -309,30 +313,27 @@ def mc_integrate(
 # norm and convex functionals
 
 
-def _dispatch_raw(log_u: Callable, params: FockParams, method) -> IntegralEstimate:
+def _dispatch_raw(log_h: Callable, params: FockParams, method) -> IntegralEstimate:
     if isinstance(method, GaussHermite):
-        return gauss_hermite_integrate(log_u, params, method.nodes_per_axis)
+        return gauss_hermite_integrate(log_h, params, method.nodes_per_axis)
     if isinstance(method, Radial):
-        return radial_integrate(log_u, params, method.radial_nodes, method.angular_nodes)
+        return radial_integrate(log_h, params, method.radial_nodes, method.angular_nodes)
     if isinstance(method, MonteCarlo):
-        return mc_integrate(log_u, params, method.samples, method.seed)
+        return mc_integrate(log_h, params, method.samples, method.seed)
     raise InvalidInputError(f"unknown integration method {method!r}")
 
 
 def fock_norm(f: TestFunction, params: FockParams, method=GaussHermite()) -> NormEstimate:
     """Weighted p-norm of f: (normalized integral of |f|^p against the weight)^(1/p).
 
-    Raises MethodUnavailableError when that integral overflows a double.
+    Raises MethodUnavailableError when that integral overflows a double or is nan.
     """
     if not f.has_envelope(params):
         raise NoEnvelopeError(
             "the weighted p-th power integral diverges for this function at these params"
         )
-
-    def log_u(X):
-        return log_density_batch(f, params, X)
-
-    est = _dispatch_raw(log_u, params, method)
+    _check_dims(f, params)
+    est = _dispatch_raw(lambda X: params.p * f.log_abs(X), params, method)
     c = norm_constant(params)
     raw = c * est.value
     if raw == math.inf:  # the normalizer c can exceed 1
@@ -466,18 +467,19 @@ def convex_functional(
 ) -> FunctionalEstimate:
     """Integral of G(u) over R^m for convex nondecreasing G with G(0) = 0.
 
-    Runs through the norm backends with the integrand log G(u) in place of log u.
+    Runs through the norm backends with log_h = log G(u) + (alpha p/2)|x|^2.
     """
     G.validate()
     if not f.has_envelope(params):
         raise NoEnvelopeError("density is unbounded; the functional diverges")
 
     def log_G(X):
-        g = G.value(np.exp(log_density_batch(f, params, X)))
+        with np.errstate(over="ignore"):  # an overflowing u reaches the typed check as inf
+            g = G.value(np.exp(log_density_batch(f, params, X)))
         if np.any(g < 0):
             raise UnsupportedFunctionalError("G must be nonnegative")
         with np.errstate(divide="ignore"):
-            return np.log(g)
+            return np.log(g) + 0.5 * params.rate * _sq_norm(X)
 
     est = _dispatch_raw(log_G, params, method)
     return FunctionalEstimate(value=est.value, error_bound=est.error_bound, method=method)

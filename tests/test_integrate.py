@@ -23,11 +23,13 @@ from focklab import (
     MonteCarlo,
     NoEnvelopeError,
     PiecewiseLinear,
+    Polynomial,
     Power,
     Radial,
     SumOfCoherent,
     UnsupportedFunctionalError,
     convex_functional,
+    default_family_members,
     fock_norm,
     gauss_hermite_integrate,
     log_density_batch,
@@ -118,6 +120,62 @@ def test_norm_scales_with_log_shift(delta):
 
 
 # ---------------------------------------------------------------------------
+# the integration contract: exp(log_h) against the weight exp(-(alpha p/2)|x|^2)
+
+
+def _gaussian_closed_form(params, b):
+    """Integral of exp(<b, x>) against exp(-(alpha p/2)|x|^2) over R^m."""
+    rate = params.rate
+    return (2.0 * math.pi / rate) ** (params.m / 2.0) * math.exp(float(b @ b) / (2.0 * rate))
+
+
+def _contract_cases(m):
+    params = FockParams(m, 1.5, 0.8)
+    b = np.linspace(0.4, -0.6, m)
+    yield params, lambda X: np.zeros(len(X)), np.zeros(m)
+    yield params, lambda X: X @ b, b
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_gauss_hermite_integrates_against_the_weight(m):
+    for params, log_h, b in _contract_cases(m):
+        est = gauss_hermite_integrate(log_h, params, nodes_per_axis=16 if m < 5 else 8)
+        assert est.value == pytest.approx(_gaussian_closed_form(params, b), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_radial_integrates_against_the_weight(m):
+    for params, log_h, b in _contract_cases(m):
+        est = radial_integrate(log_h, params)
+        assert est.value == pytest.approx(_gaussian_closed_form(params, b), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_mc_integrates_against_the_weight(m):
+    (params, flat, zero), (_, linear, b) = _contract_cases(m)
+    est = mc_integrate(flat, params, samples=100_000, seed=6)
+    assert est.value == pytest.approx(_gaussian_closed_form(params, zero), rel=1e-15, abs=0.0)
+    assert est.error_bound == 0.0
+    est = mc_integrate(linear, params, samples=100_000, seed=6)
+    assert abs(est.value - _gaussian_closed_form(params, b)) <= 4.0 * est.error_bound
+
+
+def test_norm_never_forms_the_weight(monkeypatch):
+    # the backends carry exp(-(alpha p/2)|x|^2); fock_norm hands them p log|f| alone
+    methods = (GaussHermite(16), Radial(24, 32), MonteCarlo(samples=20_000, seed=5))
+    members = default_family_members(2)
+    expected = [fock_norm(f, P2, method=method) for f in members for method in methods]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("fock_norm evaluated |x|^2 or the weighted density")
+
+    monkeypatch.setattr(integrate, "log_density_batch", forbidden)
+    monkeypatch.setattr(integrate, "_sq_norm", forbidden)
+    got = [fock_norm(f, P2, method=method) for f in members for method in methods]
+    assert got == expected
+
+
+# ---------------------------------------------------------------------------
 # rules and the log-sum-exp reducer
 
 
@@ -154,7 +212,7 @@ def test_chunked_gh_matches_one_block(monkeypatch):
 
     def log_u(X):
         calls.append(len(X))
-        return log_density_batch(f, params, X)
+        return params.p * f.log_abs(X)
 
     monkeypatch.setattr(integrate, "_CHUNK_POINTS", 64)
     est = gauss_hermite_integrate(log_u, params, nodes_per_axis=8)
@@ -286,9 +344,7 @@ def test_mc_stderr_shrinks_like_sqrt_n():
 
 def _mono_log_u(X, params):
     with np.errstate(divide="ignore"):
-        return params.p * np.log(np.linalg.norm(X, axis=1)) - 0.5 * params.rate * np.sum(
-            X**2, axis=1
-        )
+        return params.p * np.log(np.linalg.norm(X, axis=1))
 
 
 def test_mc_requires_minimum_samples():
@@ -338,13 +394,29 @@ def test_overflowing_integral_raises(method):
     assert est.raw_integral == pytest.approx(math.exp(600.0), rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize(
+    "method", [GaussHermite(), Radial(), MonteCarlo(samples=100_000, seed=1)], ids=repr
+)
+def test_nan_integrand_raises(method):
+    # z^301 overflows complex arithmetic at the outer nodes, where log|f| turns nan
+    f = Polynomial(terms={(300,): 1.0, (301,): 1.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MethodUnavailableError):
+            fock_norm(f, P2, method=method)
+        with pytest.raises(MethodUnavailableError):
+            convex_functional(f, P2, Power(2.0), method=method)
+        with pytest.raises(MethodUnavailableError, match="nan"):
+            integrate._dispatch_raw(lambda X: np.full(len(X), np.nan), P2, method)
+
+
 def test_mc_integral_fits_where_its_peak_weight_does_not():
     # one sample carries the whole integral e^712 / samples = e^705.1; e^712 alone overflows
     samples, top = 1000, 712.0
 
     def log_u(X):
         out = np.full(len(X), -np.inf)
-        out[0] = top - 0.5 * P2.rate * float(X[0] @ X[0]) + math.log(norm_constant(P2))
+        out[0] = top + math.log(norm_constant(P2))
         return out
 
     with warnings.catch_warnings():
