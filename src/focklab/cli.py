@@ -3,6 +3,8 @@
 Artifacts are plain CSV or JSON with the full run configuration embedded in the
 header, so any output file can be reproduced from its own first lines. All
 randomness flows from a single seed (flag, config file, or FOCKLAB_SEED).
+Each command returns (JSON result, CSV columns, CSV rows, extra header lines,
+exit status or a failure message for stderr); `run` writes the artifact once.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -128,8 +130,9 @@ def parse_function_spec(
 
     Families: const, coherent, monomial, poly, expquad, sumcoherent. Payloads
     are `;`-separated key=value groups; vectors are comma-separated; complex
-    polynomial coefficients use `i` for the imaginary unit. When `dim` is given
-    it must match the parsed function (holomorphic families need it even).
+    polynomial coefficients use `i` for the imaginary unit. Polynomial variables
+    `z<i>` are indexed from 0, so `poly:1;0.5i*z0^2` lives on R^2. When `dim` is
+    given it must match the parsed function (holomorphic families need it even).
     """
     if not text or not text.strip():
         _spec_error("empty function spec", 0)
@@ -334,9 +337,9 @@ def _header_lines(config: RunConfig) -> list[str]:
     return lines
 
 
-def _csv_document(config: RunConfig, columns: list[str], rows, extra=None) -> str:
+def _csv_document(config: RunConfig, columns: list[str], rows, extra) -> str:
     lines = _header_lines(config)
-    for key, value in (extra or []):
+    for key, value in extra:
         lines.append(f"# {key}={value}")
     lines.append(",".join(columns))
     for row in rows:
@@ -369,80 +372,55 @@ def _write_artifact(path: str, content: str):
 # subcommand bodies
 
 
-def _cmd_norm(config: RunConfig, f: TestFunction) -> int:
-    params = FockParams(f.m, config.p, config.alpha)
-    est = fock_norm(f, params, method=config.backend())
-    if config.format == "json":
-        content = _json_document(config, {
-            "value": est.value,
-            "raw_integral": est.raw_integral,
-            "error_bound": est.error_bound,
-            "value_error": est.value_error,
-            "method": repr(est.method),
-        })
-    else:
-        content = _csv_document(
-            config,
-            ["value", "raw_integral", "error_bound", "value_error"],
-            [(est.value, est.raw_integral, est.error_bound, est.value_error)],
-        )
-    _write_artifact(config.output, content)
-    return 0
+def _cmd_norm(config: RunConfig, f: TestFunction):
+    est = fock_norm(f, FockParams(f.m, config.p, config.alpha), method=config.backend())
+    columns = ["value", "raw_integral", "error_bound", "value_error"]
+    result = {key: getattr(est, key) for key in columns}
+    return {**result, "method": repr(est.method)}, columns, [[result[c] for c in columns]], [], 0
 
 
-def _cmd_profile(config: RunConfig, f: TestFunction) -> int:
-    params = FockParams(f.m, config.p, config.alpha)
-    profile = g_diagnostic(
+def _level_profile(config: RunConfig, f: TestFunction):
+    return g_diagnostic(
         f,
-        params,
+        FockParams(f.m, config.p, config.alpha),
         grid=LevelGrid(count=config.levels, ratio=config.ratio),
         variant=IsoperimetricVariant(config.variant),
         samples=config.samples,
         seed=config.seed,
     )
+
+
+def _cmd_profile(config: RunConfig, f: TestFunction):
+    profile = _level_profile(config, f)
     flags = profile.violation_flags()
-    if config.format == "json":
-        content = _json_document(config, {
-            "t_max": profile.t_max,
-            "t": list(profile.t_grid),
-            "mu": list(profile.mu),
-            "mu_stderr": list(profile.mu_stderr),
-            "g": list(profile.g),
-            "g_err": list(profile.g_err),
-            "violation": [int(v) for v in flags],
-            "violations": [list(v) for v in profile.violations],
-        })
-    else:
-        rows = [
-            (t, mu, se, g, "%d" % int(v))
-            for t, mu, se, g, v in zip(
-                profile.t_grid, profile.mu, profile.mu_stderr, profile.g, flags
-            )
-        ]
-        content = _csv_document(
-            config,
-            ["t", "mu", "mu_stderr", "g", "violation"],
-            rows,
-            extra=[("t_max", _fmt(profile.t_max)),
-                   ("n_violations", str(len(profile.violations)))],
-        )
-    _write_artifact(config.output, content)
+    result = {
+        "t_max": profile.t_max,
+        "t": list(profile.t_grid),
+        "mu": list(profile.mu),
+        "mu_stderr": list(profile.mu_stderr),
+        "g": list(profile.g),
+        "g_err": list(profile.g_err),
+        "violation": [int(v) for v in flags],
+        "violations": [list(v) for v in profile.violations],
+    }
+    rows = zip(profile.t_grid, profile.mu, profile.mu_stderr, profile.g, flags)
+    extra = [("t_max", _fmt(profile.t_max)), ("n_violations", str(len(profile.violations)))]
+    status = 0
     if profile.violations:
         worst = max(v[2] for v in profile.violations)
-        print(
+        status = (
             f"monotonicity violated at {len(profile.violations)} level pair(s); "
-            f"largest excess {worst:.3e} (variant {config.variant})",
-            file=sys.stderr,
+            f"largest excess {worst:.3e} (variant {config.variant})"
         )
-        return 1
-    return 0
+    return result, ["t", "mu", "mu_stderr", "g", "violation"], rows, extra, status
 
 
 def _suite_reports(config: RunConfig, f: TestFunction) -> list:
-    params = FockParams(f.m, config.p, config.alpha)
+    suite = config.suite
+    # contraction alone ignores p, so a sweep never validates it
+    params = FockParams(f.m, config.p, config.alpha) if suite != "contraction" else None
     method = config.backend()
     reports = []
-    suite = config.suite
     if suite not in _SUITES:
         raise FocklabError(f"unknown suite {config.suite!r} (choose from {', '.join(_SUITES)})")
 
@@ -458,15 +436,7 @@ def _suite_reports(config: RunConfig, f: TestFunction) -> list:
     if suite in ("extremal", "all"):
         reports.append(check_extremal_convex(f, params, Power(2.0), method=method))
     if suite in ("monotone", "all"):
-        profile = g_diagnostic(
-            f,
-            params,
-            grid=LevelGrid(count=config.levels, ratio=config.ratio),
-            variant=IsoperimetricVariant(config.variant),
-            samples=config.samples,
-            seed=config.seed,
-        )
-        reports.append(check_monotone_g(profile))
+        reports.append(check_monotone_g(_level_profile(config, f)))
     if suite in ("rearrangement", "all"):
         rng = np.random.default_rng(config.seed)
         for _ in range(config.count):
@@ -477,88 +447,37 @@ def _suite_reports(config: RunConfig, f: TestFunction) -> list:
     return reports
 
 
-def _cmd_verify(config: RunConfig, f: TestFunction) -> int:
+def _cmd_verify(config: RunConfig, f: TestFunction):
     reports = _suite_reports(config, f)
     all_pass = all(r.passed for r in reports)
-    if config.format == "json":
-        content = _json_document(config, {
-            "all_pass": all_pass,
-            "reports": [r.to_dict() for r in reports],
-        })
-    else:
-        rows = [
-            (r.check_name, "%d" % int(r.passed), r.margin, r.tolerance)
-            for r in reports
-        ]
-        content = _csv_document(
-            config,
-            ["check_name", "pass", "margin", "tolerance"],
-            rows,
-            extra=[("all_pass", str(int(all_pass)))],
-        )
-    _write_artifact(config.output, content)
-    if not all_pass:
-        failed = [r.check_name for r in reports if not r.passed]
-        print(f"failed checks: {', '.join(sorted(set(failed)))}", file=sys.stderr)
-    return 0 if all_pass else 1
+    result = {"all_pass": all_pass, "reports": [r.to_dict() for r in reports]}
+    rows = [(r.check_name, r.passed, r.margin, r.tolerance) for r in reports]
+    failed = sorted({r.check_name for r in reports if not r.passed})
+    status = f"failed checks: {', '.join(failed)}" if failed else 0
+    columns = ["check_name", "pass", "margin", "tolerance"]
+    return result, columns, rows, [("all_pass", str(int(all_pass)))], status
 
 
-def _cmd_sweep(config: RunConfig, f: TestFunction) -> int:
-    method = config.backend()
-    rows = []
-    all_pass = True
-    for p, q in itertools.combinations(config.p_values(), 2):
-        report = check_contraction(f, p, q, config.alpha, method=method)
-        all_pass = all_pass and report.passed
-        rows.append((
-            config.alpha, p, q,
-            report.details["norm_p"], report.details["norm_q"],
-            report.margin, report.tolerance, "%d" % int(report.passed),
-        ))
-    if config.format == "json":
-        content = _json_document(config, {
-            "all_pass": all_pass,
-            "rows": [
-                {
-                    "alpha": r[0], "p": r[1], "q": r[2],
-                    "norm_p": r[3], "norm_q": r[4],
-                    "margin": r[5], "tolerance": r[6], "pass": bool(int(r[7])),
-                }
-                for r in rows
-            ],
-        })
-    else:
-        content = _csv_document(
-            config,
-            ["alpha", "p", "q", "norm_p", "norm_q", "margin", "tolerance", "pass"],
-            rows,
-            extra=[("all_pass", str(int(all_pass)))],
-        )
-    _write_artifact(config.output, content)
-    return 0 if all_pass else 1
+def _cmd_sweep(config: RunConfig, f: TestFunction):
+    reports = _suite_reports(replace(config, suite="contraction"), f)
+    all_pass = all(r.passed for r in reports)
+    columns = ["alpha", "p", "q", "norm_p", "norm_q", "margin", "tolerance", "pass"]
+    rows = [
+        (config.alpha, r.inputs["p"], r.inputs["q"], r.details["norm_p"], r.details["norm_q"],
+         r.margin, r.tolerance, r.passed)
+        for r in reports
+    ]
+    result = {"all_pass": all_pass, "rows": [dict(zip(columns, row)) for row in rows]}
+    return result, columns, rows, [("all_pass", str(int(all_pass)))], 0 if all_pass else 1
 
 
-def _cmd_limit(config: RunConfig, f: TestFunction) -> int:
+def _cmd_limit(config: RunConfig, f: TestFunction):
     report = check_limit_norm(f, config.alpha, method=config.backend(), seed=config.seed)
-    ladder = report.details["ladder"]
-    p_ladder = report.inputs["p_ladder"]
-    if config.format == "json":
-        content = _json_document(config, report.to_dict())
-    else:
-        rows = list(zip(p_ladder, ladder, report.details["ladder_errors"]))
-        content = _csv_document(
-            config,
-            ["p", "norm", "error"],
-            rows,
-            extra=[
-                ("sup_norm", _fmt(report.details["sup_norm"])),
-                ("extrapolated", _fmt(report.details["extrapolated"])),
-                ("extrapolation_gap", _fmt(report.details["extrapolation_gap"])),
-                ("pass", str(int(report.passed))),
-            ],
-        )
-    _write_artifact(config.output, content)
-    return 0 if report.passed else 1
+    details = report.details
+    rows = zip(report.inputs["p_ladder"], details["ladder"], details["ladder_errors"])
+    extra = [(key, _fmt(details[key])) for key in ("sup_norm", "extrapolated", "extrapolation_gap")]
+    extra.append(("pass", str(int(report.passed))))
+    return report.to_dict(), ["p", "norm", "error"], rows, extra, 0 if report.passed else 1
 
 
 _COMMANDS = {
@@ -577,7 +496,16 @@ def run(config: RunConfig) -> int:
     if config.format not in ("csv", "json"):
         raise FocklabError(f"unknown format {config.format!r} (use csv or json)")
     f = parse_function_spec(config.fn, dim=config.dim, default_alpha=config.alpha)
-    return _COMMANDS[config.command](config, f)
+    result, columns, rows, extra, status = _COMMANDS[config.command](config, f)
+    if config.format == "json":
+        content = _json_document(config, result)
+    else:
+        content = _csv_document(config, columns, rows, extra)
+    _write_artifact(config.output, content)
+    if isinstance(status, str):  # a failure message, printed after the artifact
+        print(status, file=sys.stderr)
+        return 1
+    return status
 
 
 # ---------------------------------------------------------------------------

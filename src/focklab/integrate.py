@@ -430,18 +430,35 @@ class PiecewiseLinear(ConvexFunction):
 
 @dataclass(frozen=True)
 class Custom(ConvexFunction):
-    """User-supplied G, screened for G(0) = 0, monotonicity and convexity on a grid."""
+    """User-supplied G, screened for G(0) = 0, monotonicity and convexity on a grid.
+
+    `fn` and `fn_prime` are vectorised: called once on an array of t, they
+    return an array of its shape.
+    """
 
     fn: Callable
     fn_prime: Callable | None = None
     check_upper: float = 4.0
 
+    @staticmethod
+    def _apply(fn, t):
+        t = np.asarray(t, dtype=float)
+        try:
+            out = np.asarray(fn(t), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise UnsupportedFunctionalError(
+                f"Custom needs a vectorised fn; on an array it raised: {exc}"
+            ) from exc
+        if out.shape != t.shape:
+            raise UnsupportedFunctionalError(
+                f"Custom fn returned shape {out.shape} for input shape {t.shape}"
+            )
+        return out
+
     def validate(self):
-        g0 = float(self.fn(0.0))
-        if abs(g0) > 1e-12:
-            raise UnsupportedFunctionalError(f"need G(0) = 0, got G(0) = {g0}")
-        ts = np.linspace(0.0, self.check_upper, 257)
-        vals = np.asarray([float(self.fn(t)) for t in ts])
+        vals = self.value(np.linspace(0.0, self.check_upper, 257))
+        if abs(vals[0]) > 1e-12:
+            raise UnsupportedFunctionalError(f"need G(0) = 0, got G(0) = {vals[0]}")
         d1 = np.diff(vals)
         if np.any(d1 < -1e-10):
             raise UnsupportedFunctionalError("G must be nondecreasing")
@@ -449,13 +466,12 @@ class Custom(ConvexFunction):
             raise UnsupportedFunctionalError("G failed the convexity screen")
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.asarray([float(self.fn(ti)) for ti in t.ravel()]).reshape(t.shape)
+        return self._apply(self.fn, t)
 
     def derivative(self, t):
-        t = np.asarray(t, dtype=float)
         if self.fn_prime is not None:
-            return np.asarray([float(self.fn_prime(ti)) for ti in t.ravel()]).reshape(t.shape)
+            return self._apply(self.fn_prime, t)
+        t = np.asarray(t, dtype=float)
         h = 1e-7
         up = self.value(t + h)
         dn = self.value(np.maximum(t - h, 0.0))

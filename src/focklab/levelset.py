@@ -26,6 +26,7 @@ from .functions import (
     _LOG_FLOAT_MAX,
     FockParams,
     TestFunction,
+    _check_dims,
     _thresholds,
     envelope_radius,
     log_density_batch,
@@ -248,8 +249,7 @@ def find_max(
     The first point evaluated with log u above log(float max) ends the search
     with OptimizationFailureError, since t_max is at least exp of it.
     """
-    if f.m != params.m:
-        raise InvalidInputError(f"function lives on R^{f.m}, params say m={params.m}")
+    _check_dims(f, params)
     rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(params.rate)
 
@@ -299,8 +299,7 @@ def find_max(
 
 def _peak(f: TestFunction, params: FockParams, restarts: int = 16, seed: int = 0) -> MaxResult:
     """The density maximum from the radial profile's closed form, or else from `find_max`."""
-    if f.m != params.m:
-        raise InvalidInputError(f"function lives on R^{f.m}, params say m={params.m}")
+    _check_dims(f, params)
     profile = f.radial_profile(params)
     if profile is None:
         return find_max(f, params, restarts=restarts, seed=seed)
@@ -407,8 +406,7 @@ def superlevel_measure_exact(f: TestFunction, params: FockParams, t):
     t is a scalar, giving a float, or an array of thresholds, all solved at once.
     """
     log_t = np.log(_thresholds(t))
-    if f.m != params.m:
-        raise InvalidInputError(f"function lives on R^{f.m}, params say m={params.m}")
+    _check_dims(f, params)
     profile = f.radial_profile(params)
     if profile is None:
         raise InvalidInputError(f"no radial representation for family '{f.family}'")

@@ -513,26 +513,21 @@ def _lemma_panels(profile, phi, log_scale, log_T, S):
                 edges.add(s)
     kink = None
     if isinstance(phi, LogPowerPhi):
-        # solve log_scale + log_g(log t) - log t = 0; argument increases with s
-        def arg(s):
-            lt = log_T - s
-            return log_scale + float(profile.log_g(np.array([lt]))[0]) - lt
-
-        if arg(S) <= 0.0:
+        # arg(s) = log_scale + log_g(log t) - log t, t = T e^-s, is linear between
+        # edges (power profiles are linear in log t, tabulated ones interpolate
+        # there), so its zero is the root of one segment's line; arg is assumed
+        # to increase with s
+        s = np.array(sorted(edges))
+        arg = log_scale + profile.log_g(log_T - s) - (log_T - s)
+        if arg[-1] <= 0.0:
             return []  # integrand vanishes on the whole window
-        arg_lo = arg(0.0)
-        if arg_lo < 0.0:
-            from scipy.optimize import brentq  # imported here to keep scipy.optimize off the import path
-
-            kink = brentq(arg, 0.0, S, xtol=1e-15, rtol=8.9e-16)
-            edges.add(kink)
-        else:
-            # arg is linear on the first panel; a zero of its extension within
-            # one panel width left of s = 0 still bends the integrand there
-            h = min(min(e for e in edges if e > 0.0), _PANEL_WIDTH)
-            slope = (arg(h) - arg_lo) / h
-            if 0.0 < slope and arg_lo < slope * _PANEL_WIDTH:
-                kink = -arg_lo / slope
+        j = max(int(np.argmax(arg >= 0.0)) - 1, 0)  # the segment where arg turns nonnegative
+        slope = (arg[j + 1] - arg[j]) / (s[j + 1] - s[j])
+        # a zero left of s = 0, within one panel width, still bends the first panel
+        if arg[0] < 0.0 or 0.0 < slope and arg[0] < slope * _PANEL_WIDTH:
+            kink = float(s[j] - (s[j + 1] - s[j]) * arg[j] / (arg[j + 1] - arg[j]))
+            if arg[0] < 0.0:
+                edges.add(kink)
     ordered = sorted(edges)
     panels = []
     for a, b in zip(ordered, ordered[1:]):

@@ -11,7 +11,7 @@ import pytest
 
 import focklab
 from focklab import Coherent, Constant, ExpQuadratic, Monomial, Polynomial, SumOfCoherent
-from focklab.cli import RunConfig, main, parse_function_spec
+from focklab.cli import RunConfig, _fmt, main, parse_function_spec
 from focklab.errors import FunctionSpecError
 
 
@@ -228,6 +228,36 @@ def test_limit_artifact(tmp_path):
     rows = [l for l in text.splitlines() if not l.startswith("#")]
     assert rows[0] == "p,norm,error"
     assert len(rows) == 7
+
+
+_JSON_ROWS = {  # the JSON result's cells in CSV column order; a sweep row's extra keys trail
+    "profile": lambda r, cols: zip(r["t"], r["mu"], r["mu_stderr"], r["g"], r["violation"]),
+    "sweep": lambda r, cols: [[row.pop(c) for c in cols] + list(row) for row in r["rows"]],
+    "limit": lambda r, cols: zip(r["inputs"]["p_ladder"], r["details"]["ladder"],
+                                 r["details"]["ladder_errors"]),
+    "verify": lambda r, cols: [(x["check_name"], x["pass"], x["margin"], x["tolerance"])
+                               for x in r["reports"]],
+}
+
+
+@pytest.mark.parametrize("args", [
+    ["profile", "--fn", "coherent:a=1,0", "--levels", "8", "--samples", "20000"],
+    ["sweep", "--fn", "monomial:k=1", "--p-grid", "1,2,4"],
+    ["limit", "--fn", "monomial:k=1"],
+    ["verify", "--suite", "contraction", "--fn", "coherent:a=1,0"],
+], ids=lambda args: args[0])
+def test_csv_cells_match_json_values(tmp_path, args):
+    csv_out, json_out = tmp_path / "a.csv", tmp_path / "a.json"
+    assert main(args + ["--output", str(csv_out)]) == main(
+        args + ["--format", "json", "--output", str(json_out)]
+    )
+    lines = [l for l in csv_out.read_text().splitlines() if not l.startswith("#")]
+    columns, csv_rows = lines[0].split(","), [l.split(",") for l in lines[1:]]
+    result = json.loads(json_out.read_text())["result"]
+    json_rows = [list(row) for row in _JSON_ROWS[args[0]](result, columns)]
+    assert len(json_rows) == len(csv_rows) > 0
+    for csv_row, json_row in zip(csv_rows, json_rows):
+        assert csv_row == [v if isinstance(v, str) else _fmt(v) for v in json_row]
 
 
 def test_rerun_is_byte_identical(tmp_path):

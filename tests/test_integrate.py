@@ -479,7 +479,7 @@ def test_piecewise_linear_validation_and_value():
 
 def test_piecewise_linear_matches_custom():
     G1 = PiecewiseLinear(knots=(0.5,), slopes=(0.0, 2.0))
-    G2 = Custom(fn=lambda t: max(0.0, 2.0 * (t - 0.5)))
+    G2 = Custom(fn=lambda t: np.maximum(0.0, 2.0 * (t - 0.5)))
     f = Coherent(center=(0.0, 0.0), alpha=1.0)
     a = convex_functional(f, P2, G1)
     b = convex_functional(f, P2, G2)
@@ -489,7 +489,7 @@ def test_piecewise_linear_matches_custom():
 @pytest.mark.parametrize("method", [GaussHermite(), Radial()], ids=repr)
 def test_negative_G_is_rejected(method):
     # passes the grid screen on [0, 4] but dips below 0 for tiny u in the tails
-    G = Custom(fn=lambda t: t * t - 1e-18 if t > 0 else 0.0)
+    G = Custom(fn=lambda t: np.where(t > 0, t * t - 1e-18, 0.0))
     with pytest.raises(UnsupportedFunctionalError, match="nonnegative"):
         convex_functional(Coherent(center=(0.0, 0.0), alpha=1.0), P2, G, method=method)
 
@@ -499,9 +499,16 @@ def test_custom_screening():
         Custom(fn=lambda t: t + 1.0).validate()  # G(0) != 0
     with pytest.raises(UnsupportedFunctionalError):
         Custom(fn=lambda t: -t).validate()  # decreasing
-    with pytest.raises(UnsupportedFunctionalError):
-        Custom(fn=lambda t: math.sqrt(t)).validate()  # concave
+    with pytest.raises(UnsupportedFunctionalError, match="convexity"):
+        Custom(fn=lambda t: np.sqrt(t)).validate()  # concave
     Custom(fn=lambda t: t * t).validate()
+
+
+def test_custom_needs_vectorised_fn():
+    with pytest.raises(UnsupportedFunctionalError, match="vectorised"):
+        Custom(fn=lambda t: t * t if t > 0 else 0.0).validate()  # scalar-only
+    with pytest.raises(UnsupportedFunctionalError, match="shape"):
+        Custom(fn=lambda t: 0.0).value(np.ones(3))
 
 
 def test_error_bound_is_nonnegative():

@@ -13,6 +13,7 @@ from scipy.optimize import brentq, minimize
 from focklab import (
     Coherent,
     Constant,
+    DimensionMismatchError,
     ExpQuadratic,
     FockParams,
     InvalidInputError,
@@ -385,6 +386,15 @@ def test_g_from_mu_array_matches_scalar():
 def test_mu_from_g_rejects_g_below_t():
     with pytest.raises(InvalidInputError):
         mu_from_g(0.5, 0.6, P2, IsoperimetricVariant.SHARP_BALL)
+
+
+@pytest.mark.parametrize("call", [find_max, _peak, superlevel_measure_exact], ids=lambda c: c.__name__)
+def test_dimension_mismatch_is_typed(call):
+    # the coherent state has a closed-form peak, so _peak checks before it could reach find_max
+    f, params = Coherent(center=(0.0, 0.0), alpha=1.0), FockParams(3, 2.0, 1.0)
+    args = (0.5,) if call is superlevel_measure_exact else ()
+    with pytest.raises(DimensionMismatchError):
+        call(f, params, *args)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
