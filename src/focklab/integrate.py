@@ -4,7 +4,8 @@ All backends integrate exp(log_h) over R^m against the Gaussian weight
 exp(-(alpha p/2)|x|^2), the measure of the Gauss-Hermite and generalized
 Gauss-Laguerre rules and of the importance-sampling proposal, so fock_norm hands
 them log_h = p log|f| and never forms the weight.  The two rules yield (X, logw)
-chunks to one log-sum-exp reducer and take a coarse/fine gap as error.
+chunks to one log-sum-exp reducer and take a coarse/fine gap as error.  Every
+backend states at least its roundoff, and integrals outside the normal double range raise.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ _MAX_TENSOR_POINTS = 1 << 27
 # grids at most this large are evaluated in one chunk / error-estimated by doubling
 _CHUNK_POINTS = 1 << 21
 _DOUBLING_BUDGET = 1 << 24
+_LOG_FLOAT_TINY = math.log(np.finfo(float).tiny)  # exp of a smaller log is not a normal double
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,7 @@ class NormEstimate:
         """error_bound propagated through the p-th root."""
         if self.raw_integral <= 0 or not math.isfinite(self.raw_integral):
             return 0.0
-        return self.value * self.error_bound / (self.p * self.raw_integral)
+        return self.error_bound / self.raw_integral * self.value / self.p  # ratio first: no underflow
 
 
 @dataclass(frozen=True)
@@ -142,25 +144,32 @@ def _log_sum_exp(a) -> float:
 def _check_fits(log_value: float) -> None:
     if math.isnan(log_value):
         raise MethodUnavailableError("log of the integral is nan; the integrand overflowed to nan")
-    if log_value > _LOG_FLOAT_MAX:
+    if log_value > _LOG_FLOAT_MAX or -math.inf < log_value < _LOG_FLOAT_TINY:
+        way = "overflows" if log_value > 0 else "underflows"
         raise MethodUnavailableError(
-            f"log of the integral is {log_value:.6g}; the integral overflows a double"
+            f"log of the integral is {log_value:.6g}; the integral {way} a double"
         )
 
 
-def _refine(log_h: Callable, coarse, fine) -> IntegralEstimate:
-    """Integral of exp(log_h) on the fine rule, |fine - coarse| its error; rules yield (X, logw).
+def _roundoff(value: float, n: int) -> float:
+    """2^-53 I (|log I| + log2 n + 16): exp(log I), pairwise sum of n terms (Higham 4.2)."""
+    return value * 2.0**-53 * (abs(math.log(value)) + math.log2(n) + 16.0) if value else 0.0
 
-    Raises MethodUnavailableError when either integral overflows a double or is nan.
+
+def _refine(log_h: Callable, coarse, fine) -> IntegralEstimate:
+    """Integral of exp(log_h) on the fine rule, max(|fine - coarse|, roundoff) its error.
+
+    Rules yield (X, logw).  Raises MethodUnavailableError unless both are 0 or normal doubles.
     """
 
     def integral(rule):
-        log_value = _log_sum_exp([_log_sum_exp(logw + log_h(X)) for X, logw in rule])
+        parts = [(_log_sum_exp(logw + log_h(X)), len(logw)) for X, logw in rule]
+        log_value = _log_sum_exp([s for s, _ in parts])
         _check_fits(log_value)
-        return float(np.exp(log_value))
+        return float(np.exp(log_value)), sum(n for _, n in parts)
 
-    coarse_value, value = integral(coarse), integral(fine)
-    return IntegralEstimate(value=value, error_bound=abs(value - coarse_value))
+    (coarse_value, _), (value, n) = integral(coarse), integral(fine)
+    return IntegralEstimate(value, max(abs(value - coarse_value), _roundoff(value, n)))
 
 
 @lru_cache(maxsize=32)
@@ -282,9 +291,9 @@ def mc_integrate(
 ) -> IntegralEstimate:
     """Integral of exp(log_h) against the weight, by sampling the normalized weight.
 
-    Bit-identical for identical (seed, samples, params); the standard error is
-    reported as error_bound.  Raises MethodUnavailableError when the integral
-    overflows a double or is nan.
+    Bit-identical for identical (seed, samples, params); error_bound is the
+    standard error or the roundoff, whichever is larger.  Raises
+    MethodUnavailableError when the integral leaves the normal double range or is nan.
     """
     samples = int(samples)
     if samples < 1000:
@@ -306,7 +315,7 @@ def mc_integrate(
     top, rest = math.exp(peak - excess), math.exp(excess)
     value = top * (mean_w * rest)
     stderr = top * (std_w * rest) / math.sqrt(samples)
-    return IntegralEstimate(value=value, error_bound=stderr)
+    return IntegralEstimate(value=value, error_bound=max(stderr, _roundoff(value, samples)))
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +335,7 @@ def _dispatch_raw(log_h: Callable, params: FockParams, method) -> IntegralEstima
 def fock_norm(f: TestFunction, params: FockParams, method=GaussHermite()) -> NormEstimate:
     """Weighted p-norm of f: (normalized integral of |f|^p against the weight)^(1/p).
 
-    Raises MethodUnavailableError when that integral overflows a double or is nan.
+    Raises MethodUnavailableError when that integral leaves the normal double range or is nan.
     """
     if not f.has_envelope(params):
         raise NoEnvelopeError(
@@ -336,8 +345,9 @@ def fock_norm(f: TestFunction, params: FockParams, method=GaussHermite()) -> Nor
     est = _dispatch_raw(lambda X: params.p * f.log_abs(X), params, method)
     c = norm_constant(params)
     raw = c * est.value
-    if raw == math.inf:  # the normalizer c can exceed 1
-        raise MethodUnavailableError("the normalized p-th power integral overflows a double")
+    if raw == math.inf or raw < np.finfo(float).tiny <= est.value:  # c can be far from 1
+        way = "overflows" if raw == math.inf else "underflows"
+        raise MethodUnavailableError(f"the normalized p-th power integral {way} a double")
     err = c * est.error_bound
     value = raw ** (1.0 / params.p) if raw > 0 else 0.0
     return NormEstimate(value=value, raw_integral=raw, method=method, error_bound=err, p=params.p)

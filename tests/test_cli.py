@@ -192,6 +192,18 @@ def test_verify_suite_artifact(tmp_path):
     assert any(r["details"]["equality_detected"] for r in reports)
 
 
+def test_verify_contraction_of_a_large_constant(tmp_path):
+    # every p-norm of 10000 is 10000: the margins are roundoff at that scale, and equality
+    out = tmp_path / "verify.json"
+    code = main([
+        "verify", "--suite", "contraction", "--dim", "2", "--fn", "const:10000",
+        "--format", "json", "--output", str(out),
+    ])
+    assert code == 0
+    reports = json.loads(out.read_text())["result"]["reports"]
+    assert all(r["pass"] and r["details"]["equality_detected"] for r in reports)
+
+
 def test_verify_isoperimetric_csv(tmp_path):
     out = tmp_path / "iso.csv"
     code = main([

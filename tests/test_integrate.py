@@ -155,7 +155,7 @@ def test_mc_integrates_against_the_weight(m):
     (params, flat, zero), (_, linear, b) = _contract_cases(m)
     est = mc_integrate(flat, params, samples=100_000, seed=6)
     assert est.value == pytest.approx(_gaussian_closed_form(params, zero), rel=1e-15, abs=0.0)
-    assert est.error_bound == 0.0
+    assert 0 < est.error_bound <= 1e-14 * est.value  # no variance: roundoff alone
     est = mc_integrate(linear, params, samples=100_000, seed=6)
     assert abs(est.value - _gaussian_closed_form(params, b)) <= 4.0 * est.error_bound
 
@@ -331,7 +331,7 @@ def test_mc_deterministic_under_seed():
 def test_mc_constant_has_zero_variance():
     est = fock_norm(Constant(value=1.0, dim=2), P2, method=MonteCarlo(samples=2_000, seed=0))
     assert est.value == 1.0
-    assert est.error_bound == 0.0
+    assert 0 < est.error_bound <= 1e-14 * est.value
 
 
 def test_mc_stderr_shrinks_like_sqrt_n():
@@ -424,6 +424,29 @@ def test_mc_integral_fits_where_its_peak_weight_does_not():
         est = mc_integrate(log_u, P2, samples=samples)
     assert est.value == pytest.approx(math.exp(top - math.log(samples)), rel=1e-12, abs=0.0)
     assert math.isfinite(est.error_bound)
+
+
+@pytest.mark.parametrize("method", [GaussHermite(48), Radial(), MonteCarlo(samples=10_000)], ids=repr)
+def test_underflowing_integral_raises(method):
+    # the p-th power integral of e^-12 at p = 64 is e^-768 times pi/32, below the least normal double
+    f = Constant(value=1.0, dim=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MethodUnavailableError, match="underflows"):
+            fock_norm(f.log_shifted(-12.0), FockParams(2, 64.0, 1.0), method=method)
+        # at alpha p = 0.2 the unnormalized integral e^-709 10 pi is normal, the normalized e^-709 is not
+        with pytest.raises(MethodUnavailableError, match="underflows"):
+            fock_norm(f.log_shifted(-709.0 / 2.0), FockParams(2, 2.0, 0.1), method=method)
+        # an identically zero integrand is a true 0, not an underflow
+        est = fock_norm(Constant(value=0.0, dim=2), P2, method=method)
+    assert est.raw_integral == 0.0 and est.error_bound == 0.0
+
+
+def test_refinement_pair_states_its_roundoff():
+    # the (32, 64) pair agrees to the last bit, while its value is 2.2e-16 off the exact 1
+    est = fock_norm(Monomial(powers=(1, 1)), FockParams(4, 2.0, 1.0), method=GaussHermite(32))
+    assert est.error_bound >= abs(est.raw_integral - 1.0)
+    assert est.error_bound <= 1e-14
 
 
 def test_high_p_stays_finite():

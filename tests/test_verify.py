@@ -2,20 +2,29 @@
 
 import json
 import math
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaln
 
 from focklab import (
     Coherent,
+    Constant,
     FockParams,
+    GaussHermite,
     InvalidInputError,
+    MethodUnavailableError,
     Monomial,
     Power,
     SumOfCoherent,
+    default_family_members,
 )
+from focklab.functions import TestFunction as _TestFunction
 from focklab.levelset import IsoperimetricVariant, LevelGrid, g_diagnostic
 from focklab.verify import (
     LogPowerPhi,
@@ -37,6 +46,7 @@ from focklab.verify import (
 from focklab.verify import _lemma_closed_form, _lemma_integral  # white-box cross-checks
 
 P2 = FockParams(2, 2.0, 1.0)
+GH16 = GaussHermite(16)
 
 # closed-form contraction margin for |z| norms between p=2 and p=4 at alpha=1
 MONOMIAL_MARGIN_2_TO_4 = 0.1591035847462855
@@ -79,6 +89,16 @@ def test_contraction_coherent_equality():
     assert report.passed
     assert abs(report.margin) <= 1e-6
     assert report.details["equality_detected"]
+
+
+def test_contraction_equality_at_any_scale():
+    # e^40 times a coherent state: norms near 2.4e17, whose roundoff dwarfs any fixed floor
+    report = check_contraction(Coherent(center=(1.0, 0.0), alpha=1.0).log_shifted(40.0), 2.0, 4.0, 1.0,
+                               method=GH16)
+    assert report.passed and report.details["equality_detected"]
+    # a constant is a multiple of the coherent state at 0: an equality case as well
+    report = check_contraction(Constant(value=1.0, dim=2), 2.0, 4.0, 1.0, method=GH16)
+    assert report.passed and report.details["equality_detected"]
 
 
 def test_contraction_requires_ordered_exponents():
@@ -141,6 +161,30 @@ def test_pointwise_bound_coherent_equality():
     report = check_pointwise_bound(Coherent(center=(1.0, 0.0), alpha=1.0), P2)
     assert report.passed
     assert abs(report.details["equality_gap_at_center"]) <= 1e-9
+
+
+@dataclass(frozen=True, kw_only=True)
+class _Bump(_TestFunction):
+    """|f| = exp(-5|x|^2) on R^2: log|f| is superharmonic, so the paper's bound need not hold."""
+
+    @property
+    def m(self):
+        return 2
+
+    @property
+    def family(self):
+        return "bump"
+
+    def _log_abs_raw(self, X):
+        return -5.0 * np.sum(X * X, axis=1)
+
+
+@pytest.mark.parametrize("delta", [0.0, -5.0, -10.0, -12.0, -20.0])
+def test_pointwise_bound_fails_a_bump_at_every_scale(delta):
+    # the p-th power of the norm is 1/11 of the density's peak, whatever the scale
+    report = check_pointwise_bound(_Bump().log_shifted(delta), P2, n_points=1_000, method=GH16)
+    assert not report.passed
+    assert report.margin < -10.0 * report.tolerance
 
 
 def test_pointwise_bound_monomial():
@@ -391,6 +435,62 @@ def test_tabulated_profile_validation():
         TabulatedProfile(t_points=(0.5, 0.4), g_values=(1.0, 1.0))
     with pytest.raises(InvalidInputError):
         TabulatedProfile(t_points=(0.4, 0.5), g_values=(1.0, -1.0))
+
+
+def test_tabulated_monotonicity_is_scale_free():
+    # g doubles on a table of tiny values; a falling table stays falling when scaled by e^30
+    rising = TabulatedProfile(t_points=(1.0, 2.0), g_values=(1e-13, 2e-13))
+    assert not rising.nonincreasing
+    report = check_rearrangement_lemma(rising, PowerPhi(gamma=0.5), PowerPsi(r=2.0), t_max=2.0, t_lo=1.0)
+    assert report.details["profile_nonincreasing"] is False
+    falling = (2.0, 1.0, 1.0)
+    for scale in (1.0, math.exp(30.0)):
+        table = TabulatedProfile(t_points=(1.0, 2.0, 3.0), g_values=tuple(scale * g for g in falling))
+        assert table.nonincreasing
+
+
+# ---------------------------------------------------------------------------
+# scale invariance: every inequality is homogeneous in f
+
+
+_SCALE_CHECKS = {
+    "contraction": lambda f: check_contraction(f, 1.0, 2.0, 1.0, method=GH16),
+    "pointwise_bound": lambda f: check_pointwise_bound(f, P2, n_points=1_000, method=GH16),
+    "extremal_convex": lambda f: check_extremal_convex(f, P2, Power(2.0), method=GH16),
+    "decay": lambda f: check_decay(f, P2, n_directions=2, n_radii=24),
+    "monotone_g": lambda f: check_monotone_g(
+        g_diagnostic(f, P2, grid=LevelGrid(count=4, ratio=0.7), samples=1_000, seed=0)
+    ),
+    "limit_norm": lambda f: check_limit_norm(f, 1.0, method=GH16),
+}
+
+
+def _verdicts(f):
+    """passed per check, or None where an integral leaves the normal double range."""
+    out = {}
+    for name, check in _SCALE_CHECKS.items():
+        try:
+            out[name] = check(f).passed
+        except MethodUnavailableError:
+            out[name] = None
+    return out
+
+
+_base_verdicts = lru_cache(maxsize=None)(_verdicts)
+
+
+@pytest.mark.parametrize("f", default_family_members(2), ids=lambda f: f.family)
+@given(delta=st.floats(min_value=-40.0, max_value=40.0).filter(lambda d: d != 0.0))
+@settings(derandomize=True, deadline=None, max_examples=3)
+def test_verdicts_are_invariant_under_scaling(f, delta):
+    base, scaled = _base_verdicts(f), _verdicts(f.log_shifted(delta))
+    assert None not in base.values()
+    for name, passed in scaled.items():
+        # only the limit ladder, up to p = 64, can leave the double range for |delta| <= 40
+        if passed is None:
+            assert name == "limit_norm" and abs(delta) > 10.0
+        else:
+            assert passed == base[name], (name, delta)
 
 
 def test_random_rearrangement_cases_all_pass():
