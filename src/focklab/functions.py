@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import lambertw
 
 from .errors import (
     DimensionMismatchError,
@@ -91,6 +90,32 @@ class DensityValue:
         return math.exp(self.log_u) if self.log_u != -math.inf else 0.0
 
 
+def _neg_lambertw(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(-W_0(z), -W_-1(z)) for z = -e^L, -700 <= L < -1: the roots y < 1 < y' of y - log y = -L.
+
+    Halley's iteration on that equation (Corless et al. 1996, Adv. Comput.
+    Math. 5), elementwise, from the branch-point series in p = sqrt(2(ez + 1))
+    where ez + 1 < 1/2 and from the asymptotic series of each branch elsewhere.
+    ez + 1 = -expm1(L + 1) and the residual (y - 1) - log1p(y - 1) + (L + 1) near
+    y = 1 are formed without cancellation, so the roots keep full accuracy up to
+    the branch point.  Three steps reach roundoff from these starts; four are taken.
+    """
+    q = -np.expm1(L + 1.0)
+    near = q < 0.5
+    p = np.sqrt(2.0 * q)
+    c2, c3 = p * p / 3.0, 11.0 / 72.0 * p**3
+    e, log_mL = np.exp(L), np.log(-L)
+    y_in = np.where(near, 1.0 - p + c2 - c3, e * (1.0 + e))
+    y_out = np.where(near, 1.0 + p + c2 + c3, log_mL - L - log_mL / L)
+    for _ in range(4):
+        for y in (y_in, y_out):
+            t = y - 1.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                g = np.where(np.abs(t) < 0.5, (t - np.log1p(t)) + (L + 1.0), (y - np.log(y)) + L)
+            y -= 2.0 * g * y * t / (2.0 * t * t - g)
+    return y_in, y_out
+
+
 @dataclass(frozen=True)
 class RadialProfile:
     """Density of the form log u(x) = A + K log r - B r^2 with r = |x - centre|.
@@ -137,8 +162,8 @@ class RadialProfile:
         log_mz = log_c + 2.0 * (log_t - self.A) / self.K
         inside = log_mz < -1.0  # -z < 1/e: t lies below the peak value
         L = log_mz[inside]
-        # y = -W(z) solves y - log y = -L on both branches; |z| >= e^-700 keeps z normal
-        y_in, y_out = -lambertw(-np.exp(np.maximum(L, -700.0)), np.array([[0], [-1]])).real
+        # y = -W(z) solves y - log y = -L on both branches; the clamp keeps -W_0(z) ~ e^L normal
+        y_in, y_out = _neg_lambertw(np.maximum(L, -700.0))
         for _ in range(6):  # below the clamp, y = -L + log y contracts by 1/y < 1/700
             y_out = np.where(L < -700.0, np.log(y_out) - L, y_out)
         r_in[inside] = np.exp(0.5 * (L + y_in - log_c))  # log y_in = L + y_in, y_in < e^-700 if clamped
@@ -391,17 +416,29 @@ class Polynomial(TestFunction):
         return max(sum(k) for k, _ in self.terms)
 
     def _log_abs_raw(self, X):
-        Z = X[:, 0::2] + 1j * X[:, 1::2]
-        total = np.zeros(X.shape[0], dtype=complex)
+        # Z in one complex array, a term's coefficient times its first power in
+        # the power's own temporary, and the first term as the running total
+        N = X.shape[0]
+        Z = np.empty((N, self.n_complex), dtype=complex)
+        Z.real, Z.imag = X[:, 0::2], X[:, 1::2]
+        total = None
         with np.errstate(over="ignore", invalid="ignore"):
             for pw, coeff in self.terms:
-                term = np.full(X.shape[0], coeff, dtype=complex)
+                term = None
                 for j, k in enumerate(pw):
                     if k:
-                        term = term * Z[:, j] ** k
-                total = total + term
-            with np.errstate(divide="ignore"):
-                return np.log(np.abs(total))
+                        term = (coeff if term is None else term) * Z[:, j] ** k
+                if term is None:
+                    term = np.full(N, coeff, dtype=complex)
+                if total is None:
+                    total = term
+                else:
+                    total += term
+        del Z, term
+        out = np.abs(total)
+        del total
+        with np.errstate(divide="ignore"):
+            return np.log(out, out=out)
 
     def _radial_bound_raw(self, r):
         # triangle inequality with |z_j| <= r: log sum_k |c_k| r^{|k|}

@@ -17,7 +17,8 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_genlaguerre, roots_hermite, roots_legendre
+from numpy.polynomial.hermite import hermgauss
+from numpy.polynomial.legendre import leggauss
 
 from .errors import (
     InvalidInputError,
@@ -52,6 +53,8 @@ _MAX_TENSOR_POINTS = 1 << 27
 # grids at most this large are evaluated in one chunk / error-estimated by doubling
 _CHUNK_POINTS = 1 << 21
 _DOUBLING_BUDGET = 1 << 24
+# numpy's hermgauss keeps every weight a normal double up to about 370 nodes
+_MAX_GH_NODES = 256
 _LOG_FLOAT_TINY = math.log(np.finfo(float).tiny)  # exp of a smaller log is not a normal double
 
 
@@ -175,7 +178,7 @@ def _refine(log_h: Callable, coarse, fine) -> IntegralEstimate:
 @lru_cache(maxsize=32)
 def _gh_axis(n: int):
     # physicists' rule for the weight exp(-y^2)
-    y, w = roots_hermite(n)
+    y, w = hermgauss(n)
     return y, np.log(w)
 
 
@@ -224,19 +227,58 @@ def gauss_hermite_integrate(
         raise MethodUnavailableError(f"tensor Gauss-Hermite supports m <= 6, got m={m}")
     if n < 8:
         raise InvalidInputError(f"need at least 8 nodes per axis, got {n}")
+    if n > _MAX_GH_NODES:
+        raise MethodUnavailableError(
+            f"Gauss-Hermite rules go up to {_MAX_GH_NODES} nodes per axis, got {n}"
+        )
     if n**m > _MAX_TENSOR_POINTS:
         raise MethodUnavailableError(
             f"tensor grid {n}^{m} exceeds the supported budget of {_MAX_TENSOR_POINTS} points"
         )
-    # refine by doubling while the finer grid fits the budget, else halve for the coarse one
-    n_coarse, n_fine = (n, 2 * n) if (2 * n) ** m <= _DOUBLING_BUDGET else (max(8, n // 2), n)
+    # refine by doubling while the finer rule fits both budgets, else halve for the coarse one
+    double = 2 * n <= _MAX_GH_NODES and (2 * n) ** m <= _DOUBLING_BUDGET
+    n_coarse, n_fine = (n, 2 * n) if double else (max(8, n // 2), n)
     return _refine(log_h, _gh_rule(params, n_coarse), _gh_rule(params, n_fine))
+
+
+def _laguerre_pair(s: np.ndarray, n: int, a: float):
+    """(L_(n-1), L_n, log_scale): generalized Laguerre L^(a) at s, both scaled by exp(-log_scale).
+
+    Runs the three-term recurrence in difference form, d_k = L_k - L_(k-1),
+    (k + 1) d_(k+1) = (k + a) d_k - s L_k, which never subtracts s from a large
+    constant and so keeps small nodes to full relative accuracy; the values are
+    rescaled at every step, since L_n grows like exp(s/2).
+    """
+    prev, cur, d = np.zeros_like(s), np.ones_like(s), np.ones_like(s)
+    log_scale = np.zeros_like(s)
+    for k in range(n):
+        d = ((k + a) * d - s * cur) / (k + 1.0)
+        prev, cur = cur, cur + d
+        scale = np.abs(prev) + np.abs(cur)
+        prev, cur, d = prev / scale, cur / scale, d / scale
+        log_scale += np.log(scale)
+    return prev, cur, log_scale
 
 
 @lru_cache(maxsize=32)
 def _radial_axis(n: int, m: int):
-    s, w = roots_genlaguerre(n, m / 2.0 - 1.0)
-    return s, np.log(w)
+    """Nodes s and log-weights of the n-point rule for the weight s^a e^-s, a = m/2 - 1.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix, polished
+    by one Newton step.  The weights, proportional to s / L_(n-1)(s)^2, are
+    formed in log form from the recurrence, so they keep full relative accuracy
+    where they fall far below the least normal double, and are scaled to sum to
+    Gamma(a + 1), so the rule integrates constants to roundoff.
+    """
+    a = m / 2.0 - 1.0
+    k = np.arange(n)
+    off = np.sqrt(k[1:] * (k[1:] + a))
+    s = np.linalg.eigvalsh(np.diag(2.0 * k + a + 1.0) + np.diag(off, 1) + np.diag(off, -1))
+    prev, cur, _ = _laguerre_pair(s, n, a)
+    s = s - s * cur / (n * cur - (n + a) * prev)  # s L_n' = n L_n - (n+a) L_(n-1)
+    prev, _, log_scale = _laguerre_pair(s, n, a)
+    log_w = np.log(s) - 2.0 * (np.log(np.abs(prev)) + log_scale)
+    return s, log_w + (math.lgamma(a + 1.0) - _log_sum_exp(log_w))
 
 
 @lru_cache(maxsize=32)
@@ -251,7 +293,7 @@ def _sphere_rule(m: int, n_ang: int):
         aw = np.full(n_ang, 2.0 * math.pi / n_ang)
     elif m == 3:
         n_pol = max(4, n_ang // 2)
-        u, wu = roots_legendre(n_pol)
+        u, wu = leggauss(n_pol)
         su = np.sqrt(1.0 - u * u)
         xy = [np.outer(su, np.cos(theta)).ravel(), np.outer(su, np.sin(theta)).ravel()]
         omega = np.stack(xy + [np.repeat(u, n_ang)], axis=1)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .errors import InvalidInputError, OptimizationFailureError
 from .functions import (
@@ -61,12 +60,12 @@ class IsoperimetricVariant(Enum):
     def kappa(self, m: int) -> float:
         """Coefficient of alpha*p*mu^(2/m) in log(g/t)."""
         if self is IsoperimetricVariant.SHARP_BALL:
-            return gamma_fn(1.0 + m / 2.0) ** (2.0 / m) / (2.0 * math.pi)
-        return gamma_fn(m / 2.0) ** (2.0 / m) / (2.0 * math.pi)
+            return math.gamma(1.0 + m / 2.0) ** (2.0 / m) / (2.0 * math.pi)
+        return math.gamma(m / 2.0) ** (2.0 / m) / (2.0 * math.pi)
 
 
 def unit_ball_volume(m: int) -> float:
-    return math.pi ** (m / 2.0) / gamma_fn(1.0 + m / 2.0)
+    return math.pi ** (m / 2.0) / math.gamma(1.0 + m / 2.0)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.special import gamma as gamma_fn, gammaincc
 
 from .errors import InvalidInputError
 from .functions import (
@@ -596,8 +595,10 @@ def _lemma_closed_form(beta: float, phi, psi, log_scale: float, T: float, t_lo: 
     q, k = phi.power, r / b
     v_a = max(0.0, log_scale - b * log_T)
     v_b = max(v_a, log_scale - b * math.log(t_lo)) if t_lo > 0.0 else math.inf
+    from scipy.special import gammaincc  # imported here to keep scipy off the import path
+
     tail = gammaincc(q + 1.0, k * v_a) - gammaincc(q + 1.0, k * v_b)
-    return float(math.exp(k * log_scale) * gamma_fn(q + 1.0) * k**-q * tail)
+    return float(math.exp(k * log_scale) * math.gamma(q + 1.0) * k**-q * tail)
 
 
 def _solve_constraint_scale(integral, phi, T: float, t_lo: float, target: float) -> float:
@@ -623,7 +624,7 @@ def _solve_constraint_scale(integral, phi, T: float, t_lo: float, target: float)
         hi += 60.0
     if not (C(lo) < target < C(hi)):
         raise InvalidInputError("constraint not satisfiable by rescaling this profile")
-    from scipy.optimize import brentq  # imported here to keep scipy.optimize off the import path
+    from scipy.optimize import brentq  # imported here to keep scipy off the import path
 
     return brentq(lambda ls: C(ls) - target, lo, hi, xtol=1e-14)
 
@@ -714,17 +715,17 @@ def check_isoperimetric_variant(
     """
     if m < 1:
         raise InvalidInputError("dimension must be at least 1")
-    omega = math.pi ** (m / 2.0) / gamma_fn(1.0 + m / 2.0)
+    omega = math.pi ** (m / 2.0) / math.gamma(1.0 + m / 2.0)
     worst_eq = 0.0
     for r in radii:
         vol = omega * r**m
         surf = m * omega * r ** (m - 1)
         per2 = surf * surf
-        sharp = m * m * math.pi * gamma_fn(1.0 + m / 2.0) ** (-2.0 / m) * vol ** (
+        sharp = m * m * math.pi * math.gamma(1.0 + m / 2.0) ** (-2.0 / m) * vol ** (
             2.0 * (m - 1) / m
         )
         worst_eq = max(worst_eq, abs(per2 - sharp) / per2)
-    ratio = (gamma_fn(1.0 + m / 2.0) / gamma_fn(m / 2.0)) ** (2.0 / m)
+    ratio = (math.gamma(1.0 + m / 2.0) / math.gamma(m / 2.0)) ** (2.0 / m)
     ratio_expected = (m / 2.0) ** (2.0 / m)
     ratio_err = abs(ratio - ratio_expected) / ratio_expected
     margin = -max(worst_eq, ratio_err)

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
+from scipy.special import lambertw
 
 from focklab import (
     Coherent,
@@ -28,7 +30,7 @@ from focklab import (
     subharmonic_tolerance,
     subharmonicity_spot_check,
 )
-from focklab.functions import RadialProfile, _sq_norm
+from focklab.functions import RadialProfile, _neg_lambertw, _sq_norm
 
 P2 = FockParams(2, 2.0, 1.0)
 
@@ -141,13 +143,30 @@ def test_monomial_log_abs_matches_out_of_place_reference():
     assert np.array_equal(f.log_abs(X), ref)
 
 
-@pytest.mark.parametrize(
-    "f",
-    [f for f in default_family_members(4) if f.family != "poly"],
-    ids=lambda f: f.family,
-)
+@pytest.mark.parametrize("N", [1, 7, 4096, 1 << 16])
+def test_polynomial_log_abs_matches_out_of_place_reference(N):
+    rng = np.random.default_rng(N)
+    polys = [f for f in default_family_members(4) if f.family == "poly"] + [
+        Polynomial(terms={(0, 0): 2j, (1, 2): 1 + 2j, (2, 1): 0.25 - 1j, (3, 0): -0.5, (0, 4): 1.5}),
+    ]
+    X = rng.standard_normal((N, 4)) * 3.0
+    for f in polys:
+        Z = X[:, 0::2] + 1j * X[:, 1::2]
+        total = np.zeros(N, dtype=complex)
+        for pw, coeff in f.terms:
+            term = np.full(N, coeff, dtype=complex)
+            for j, k in enumerate(pw):
+                if k:
+                    term = term * Z[:, j] ** k
+            total = total + term
+        assert np.array_equal(f.log_abs(X), np.log(np.abs(total)))
+
+
+@pytest.mark.parametrize("f", default_family_members(4), ids=lambda f: f.family)
 def test_log_density_batch_memory_budget(f):
-    # real-valued families need |x|^2 and log|f| but no (N, m) temporary: at most 3.5 N doubles
+    # real-valued families need |x|^2 and log|f| but no (N, m) temporary: at most 3.5 N doubles;
+    # the polynomial also holds complex Z (m N), its running total and one power (2 N each)
+    budget = 8.5 if f.family == "poly" else 3.5
     N = 1 << 18
     X = np.random.default_rng(0).standard_normal((N, 4))
     params = FockParams(4, 2.0, 1.0)
@@ -157,7 +176,7 @@ def test_log_density_batch_memory_budget(f):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * N * 8
+    assert peak <= budget * N * 8
 
 
 @given(st.floats(min_value=-3.0, max_value=3.0))
@@ -257,6 +276,54 @@ def test_radii_solve_the_profile(K):
     assert np.all(np.abs(psi(r_in[normal]) - log_t[normal]) <= tol[normal])
     # above the peak the superlevel set is empty
     assert [float(r) for r in prof.radii(peak + 1e-9)] == [0.0, 0.0]
+
+
+# Lambert W: y = -W_k(z), z = -e^L, is a root of y - log y = -L.  An ulp of L
+# moves y by about y/|y - 1| ulps of L, and forming the residual costs |L| ulps
+EPS = np.finfo(float).eps
+
+
+def _w_tolerance(L, y):
+    return 8.0 * EPS * (1.0 + np.abs(L)) * y / np.abs(y - 1.0)
+
+
+def _w_by_brentq(L, branch):
+    lo, hi = (0.5, 1.0) if branch == 0 else (1.0, 2.0 * (1.0 - L) + 10.0)
+    return brentq(lambda y: y - math.log(y) + L, lo, hi, xtol=1e-300, rtol=4.0 * EPS)
+
+
+@pytest.mark.parametrize("branch", [0, -1])
+def test_neg_lambertw_matches_scipy(branch):
+    L = -np.geomspace(1.02, 700.0, 200)
+    y = _neg_lambertw(L)[-branch]
+    y_ref = -lambertw(-np.exp(L), branch).real
+    assert np.all(np.abs(y - y_ref) <= _w_tolerance(L, y_ref))
+
+
+@pytest.mark.parametrize("branch", [0, -1])
+def test_neg_lambertw_near_the_branch_point(branch):
+    # scipy's lambertw stops near the branch-point value here (at L = -1 - 1e-12
+    # its W_-1 is off by 1.4e-6, and nan at tol=1e-15), so brentq on the
+    # residual is the reference: it is as accurate as the conditioning allows
+    L = -1.0 - np.geomspace(2.0**-52, 1e-2, 60)
+    y = _neg_lambertw(L)[-branch]
+    y_ref = np.array([_w_by_brentq(v, branch) for v in L])
+    assert np.all(np.abs(y - y_ref) <= _w_tolerance(L, y_ref))
+    assert np.all(y < 1.0) if branch == 0 else np.all(y > 1.0)
+
+
+def test_radii_below_the_lambertw_clamp():
+    # A = 0, K = 2, B = 1 gives c = 1 and log(-z) = log t: r_in^2 = -W_0, r_out^2 = -W_-1
+    prof = RadialProfile((0.0, 0.0), 0.0, 2.0, 1.0)
+    L = np.concatenate([-np.geomspace(700.25, 708.0, 8), -np.geomspace(708.5, 1e4, 40)])
+    r_in, r_out = prof.radii(L)
+    y_ref = np.array([_w_by_brentq(v, -1) for v in L])
+    assert np.all(np.abs(r_out**2 - y_ref) <= 16.0 * EPS * y_ref)
+    scipy_range = L >= -708.0  # z = -e^L is still a normal double
+    y_scipy = -lambertw(-np.exp(L[scipy_range]), -1).real
+    assert np.all(np.abs(r_out[scipy_range] ** 2 - y_scipy) <= 16.0 * EPS * y_scipy)
+    # -W_0(z) = e^L to double precision, so r_in = e^(L/2) however far below the clamp
+    assert np.array_equal(r_in, np.exp(0.5 * L))
 
 
 _BOUND_CASES = [

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln, logsumexp, roots_legendre
+from numpy.polynomial.legendre import leggauss
+from scipy.special import gammaln, logsumexp, roots_genlaguerre, roots_hermite, roots_legendre
 
 from focklab import (
     Coherent,
@@ -299,9 +300,59 @@ def test_gh_points_are_read_only():
         gauss_hermite_integrate(mutating, P2, nodes_per_axis=8)
 
 
+# the rules against scipy's, which focklab no longer imports: the two agree to
+# a few ulps in the nodes and to about 1e-12 (Hermite, Laguerre) or 4e-11
+# (Legendre) in log w, the spread of two independent double-precision rules
+
+
+def test_hermite_rule_matches_scipy():
+    for n in range(1, 129):
+        y, log_w = integrate._gh_axis(n)
+        y_ref, w_ref = roots_hermite(n)
+        assert np.all(np.abs(y - y_ref) <= 1e-14 * (1.0 + np.abs(y_ref)))
+        assert np.max(np.abs(log_w - np.log(w_ref))) <= 1e-11
+
+
+def test_legendre_rule_matches_scipy():
+    for n in range(1, 129):
+        u, w = leggauss(n)
+        u_ref, w_ref = roots_legendre(n)
+        assert np.max(np.abs(u - u_ref)) <= 1e-15
+        assert np.max(np.abs(np.log(w) - np.log(w_ref))) <= 1e-10
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])  # a = m/2 - 1 = -1/2, 0, 1/2
+def test_laguerre_rule_matches_scipy(m):
+    for n in range(1, 129):
+        s, log_w = integrate._radial_axis(n, m)
+        s_ref, w_ref = roots_genlaguerre(n, m / 2.0 - 1.0)
+        assert np.all(np.abs(s - s_ref) <= 1e-14 * s_ref)
+        assert np.max(np.abs(log_w - np.log(w_ref))) <= 5e-12
+
+
+def test_laguerre_rule_keeps_weights_below_the_least_normal_double():
+    # 256 nodes: the weights fall to about e^-1000, which scipy's rule flushes to 0
+    s, log_w = integrate._radial_axis(256, 2)
+    assert np.all(np.isfinite(log_w)) and log_w.min() < -900.0
+    assert np.all(np.diff(s) > 0) and s[0] > 0
+    # the rule is exact for s^k, k < 2n: mean and variance of e^-s are 1
+    w = np.exp(log_w)
+    assert np.sum(w) == pytest.approx(1.0, rel=1e-14, abs=0.0)
+    assert np.sum(w * s) == pytest.approx(1.0, rel=1e-13, abs=0.0)
+    assert np.sum(w * s * s) == pytest.approx(2.0, rel=1e-13, abs=0.0)
+
+
+def test_gauss_hermite_node_cap():
+    with pytest.raises(MethodUnavailableError, match="256 nodes"):
+        gauss_hermite_integrate(lambda X: np.zeros(len(X)), FockParams(1, 2.0, 1.0), 257)
+    # at the cap the refinement pair halves instead of doubling past it
+    est = gauss_hermite_integrate(lambda X: np.zeros(len(X)), FockParams(1, 2.0, 1.0), 256)
+    assert est.value == pytest.approx(math.sqrt(math.pi), rel=1e-14, abs=0.0)
+
+
 @pytest.mark.parametrize("n_ang", [8, 64])
 def test_sphere_rule_m3_matches_double_loop(n_ang):
-    u, wu = roots_legendre(max(4, n_ang // 2))
+    u, wu = leggauss(max(4, n_ang // 2))  # the rule's source; test_legendre_rule_matches_scipy checks it
     theta = 2.0 * math.pi * np.arange(n_ang) / n_ang
     nodes, weights = [], []
     for ui, wui in zip(u, wu):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize
+from scipy.special import gamma as scipy_gamma
 
 from focklab import (
     Coherent,
@@ -223,6 +224,17 @@ def test_unit_ball_volume():
     assert unit_ball_volume(1) == pytest.approx(2.0, rel=1e-14, abs=0.0)
     assert unit_ball_volume(2) == pytest.approx(math.pi, rel=1e-14, abs=0.0)
     assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-14, abs=0.0)
+
+
+def test_gamma_constants_match_scipy():
+    # math.gamma and scipy's gamma differ by at most an ulp or two at half-integers
+    for m in range(1, 41):
+        ball = math.pi ** (m / 2.0) / scipy_gamma(1.0 + m / 2.0)
+        assert unit_ball_volume(m) == pytest.approx(ball, rel=1e-15, abs=0.0)
+        for variant, arg in ((IsoperimetricVariant.SHARP_BALL, 1.0 + m / 2.0),
+                             (IsoperimetricVariant.PAPER_LITERAL, m / 2.0)):
+            kappa = scipy_gamma(arg) ** (2.0 / m) / (2.0 * math.pi)
+            assert variant.kappa(m) == pytest.approx(kappa, rel=1e-15, abs=0.0)
 
 
 def test_exact_measure_monomial_annulus():
