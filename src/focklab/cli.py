@@ -270,6 +270,13 @@ class RunConfig:
     format: str = "csv"
     output: str = ""
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise FocklabError(f"seed must be nonnegative, got {self.seed}")
+        variants = [v.value for v in IsoperimetricVariant]
+        if self.variant not in variants:
+            raise FocklabError(f"unknown variant {self.variant!r} (use {' or '.join(variants)})")
+
     def to_mapping(self) -> dict:
         return asdict(self)
 
@@ -280,13 +287,11 @@ class RunConfig:
         for key, value in mapping.items():
             if key not in known:
                 raise FocklabError(f"unknown config key {key!r}")
-            target = known[key]
-            if target in ("int", int):
-                kwargs[key] = int(value)
-            elif target in ("float", float):
-                kwargs[key] = float(value)
-            else:
-                kwargs[key] = str(value)
+            convert = {"int": int, "float": float}.get(known[key], str)
+            try:
+                kwargs[key] = convert(value)
+            except ValueError as exc:
+                raise FocklabError(f"bad {key} value {value!r}: {exc}") from exc
         return cls(**kwargs)
 
     def backend(self):

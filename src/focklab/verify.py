@@ -249,27 +249,17 @@ def check_decay(
     extra = rng.standard_normal((n_directions, f.m))
     dirs.extend(extra / np.linalg.norm(extra, axis=1, keepdims=True))
 
+    dirs = np.array(dirs)
     radii = np.linspace(r_max / n_radii, r_max, n_radii)
-    tail_from = 0.6 * r_max
-    worst_rel = -math.inf
-    tail_monotone = True
-    worst_dir = None
-    for w in dirs:
-        pts = radii[:, None] * np.asarray(w)[None, :]
-        vals = np.exp(f.log_abs(pts) - 0.5 * alpha * radii**2)
-        vmax = float(np.max(vals))
-        if vmax == 0.0:
-            continue  # f vanishes identically on this ray; decayed trivially
-        rel_last = float(vals[-1]) / vmax
-        if rel_last > worst_rel:
-            worst_rel = rel_last
-            worst_dir = np.asarray(w).tolist()
-        tail = vals[radii >= tail_from]
-        if np.any(np.diff(tail) > 1e-12 * vmax):
-            tail_monotone = False
-            worst_dir = np.asarray(w).tolist()
-    if worst_rel == -math.inf:
-        worst_rel = 0.0
+    pts = (dirs[:, None, :] * radii[:, None]).reshape(-1, f.m)  # one row of radii per ray
+    vals = np.exp(f.log_abs(pts).reshape(len(dirs), n_radii) - 0.5 * alpha * radii**2)
+    vmax = vals.max(axis=1)
+    # a ray where f vanishes identically decayed trivially: it takes no part
+    rel = np.divide(vals[:, -1], vmax, out=np.full(len(dirs), -math.inf), where=vmax > 0.0)
+    rising = np.any(np.diff(vals[:, radii >= 0.6 * r_max], axis=1) > 1e-12 * vmax[:, None], axis=1)
+    worst = np.flatnonzero(rising)[-1] if rising.any() else int(np.argmax(rel))
+    worst_rel = max(float(rel.max()), 0.0)
+    tail_monotone = not rising.any()
     margin = float(decay_fraction - worst_rel)
     return VerificationReport(
         check_name="decay",
@@ -281,7 +271,7 @@ def check_decay(
             "r_max": r_max,
             "worst_tail_fraction": worst_rel,
             "tail_monotone": tail_monotone,
-            "worst_direction": worst_dir,
+            "worst_direction": dirs[worst].tolist() if vmax[worst] > 0.0 else None,
             **_max_details(mx),
             **reference,
         },
@@ -484,6 +474,7 @@ class PowerPsi:
             raise InvalidInputError("psi exponent must be at least 1")
 
 
+_UNWEIGHTED = PowerPsi(1.0)  # Psi == 1, the side of the Phi-constraint
 _GL32 = np.polynomial.legendre.leggauss(32)
 _PANEL_WIDTH = 5.0
 
@@ -493,18 +484,21 @@ def _profile_beta(profile) -> float:
 
 
 def _lemma_s_max(phi, psi, beta: float) -> float:
-    r = psi.r if psi is not None else 1.0
     if isinstance(phi, PowerPhi):
-        lam = r - phi.gamma * (1.0 + max(beta, 0.0))
+        lam = psi.r - phi.gamma * (1.0 + max(beta, 0.0))
         if lam <= 0.04:
             raise InvalidInputError("phi grows too fast for this profile; not integrable")
         return max(60.0, 45.0 / lam + 45.0)
     return 140.0
 
 
-def _lemma_panels(profile, phi, log_scale, log_T, S):
-    """Panels (a, b, kink) in s = log(T/t); a kink of log-phi inside the window, or
-    within one panel width left of it, anchors a sqrt substitution on its panel."""
+def _lemma_rule(profile, phi, log_scale, log_T, S):
+    """Flat nodes s and weights w of the panel rule on [0, S] in s = log(T/t).
+
+    Gauss-Legendre panels at most _PANEL_WIDTH wide end at the table's knots; a
+    kink of log-phi inside the window, or within one panel width left of it,
+    anchors a sqrt substitution on its panel.
+    """
     edges = {0.0, S}
     if isinstance(profile, TabulatedProfile):
         for t in profile.t_points:
@@ -520,7 +514,7 @@ def _lemma_panels(profile, phi, log_scale, log_T, S):
         s = np.array(sorted(edges))
         arg = log_scale + profile.log_g(log_T - s) - (log_T - s)
         if arg[-1] <= 0.0:
-            return []  # integrand vanishes on the whole window
+            return np.empty(0), np.empty(0)  # integrand vanishes on the whole window
         j = max(int(np.argmax(arg >= 0.0)) - 1, 0)  # the segment where arg turns nonnegative
         slope = (arg[j + 1] - arg[j]) / (s[j + 1] - s[j])
         # a zero left of s = 0, within one panel width, still bends the first panel
@@ -529,51 +523,37 @@ def _lemma_panels(profile, phi, log_scale, log_T, S):
             if arg[0] < 0.0:
                 edges.add(kink)
     ordered = sorted(edges)
-    panels = []
-    for a, b in zip(ordered, ordered[1:]):
-        n_sub = max(1, int(math.ceil((b - a) / _PANEL_WIDTH)))
-        sub = np.linspace(a, b, n_sub + 1)
-        for aa, bb in zip(sub[:-1], sub[1:]):
-            anchored = kink is not None and abs(aa - max(kink, 0.0)) < 1e-12
-            panels.append((aa, bb, kink if anchored else None))
-    return panels
+    cuts = [np.linspace(a, b, max(1, math.ceil((b - a) / _PANEL_WIDTH)) + 1)
+            for a, b in zip(ordered, ordered[1:])]
+    a = np.concatenate([c[:-1] for c in cuts])[:, None]  # one row of nodes per panel
+    b = np.concatenate([c[1:] for c in cuts])[:, None]
+    nodes, weights = _GL32
+    s = 0.5 * (a + b) + 0.5 * (b - a) * nodes
+    w = 0.5 * (b - a) * weights
+    if kink is not None:
+        # s = kink + (b - kink) tau^2 tames the half-power kink of log-phi
+        k = np.abs(a[:, 0] - max(kink, 0.0)) < 1e-12
+        tau0 = np.sqrt((a[k] - kink) / (b[k] - kink))
+        tau = tau0 + (1.0 - tau0) * 0.5 * (nodes + 1.0)
+        s[k] = kink + (b[k] - kink) * tau**2
+        w[k] = (1.0 - tau0) * 0.5 * weights * (2.0 * (b[k] - kink) * tau)
+    return s.ravel(), w.ravel()
 
 
 def _lemma_integral(profile, phi, psi, log_scale: float, T: float, t_lo: float) -> float:
-    """integral over (t_lo, T] of Phi(scale * g(t)/t) * [Psi(t)] dt, via s = log(T/t)."""
+    """integral over (t_lo, T] of Phi(scale * g(t)/t) * Psi(t) dt, via s = log(T/t)."""
     log_T = math.log(T)
     if t_lo > 0.0:
         S = log_T - math.log(t_lo)
     else:
         S = _lemma_s_max(phi, psi, _profile_beta(profile))
-    panels = _lemma_panels(profile, phi, log_scale, log_T, S)
-    nodes, weights = _GL32
-
-    def contrib(s):
-        lt = log_T - s
-        la = log_scale + profile.log_g(lt) - lt
-        log_w = lt.copy()  # jacobian dt = t ds
-        if psi is not None:
-            log_w = log_w + math.log(psi.r) + (psi.r - 1.0) * lt
-        if isinstance(phi, PowerPhi):
-            return np.exp(phi.gamma * la + log_w)
-        return np.maximum(la, 0.0) ** phi.power * np.exp(log_w)
-
-    total = 0.0
-    for a, b, kink in panels:
-        if kink is not None:
-            # s = kink + (b-kink) tau^2 tames the half-power kink of log-phi
-            tau0 = math.sqrt((a - kink) / (b - kink))
-            tau = tau0 + (1.0 - tau0) * 0.5 * (nodes + 1.0)
-            w = (1.0 - tau0) * 0.5 * weights
-            s = kink + (b - kink) * tau**2
-            jac = 2.0 * (b - kink) * tau
-            total += float(np.sum(w * jac * contrib(s)))
-        else:
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            s = mid + half * nodes
-            total += half * float(np.sum(weights * contrib(s)))
-    return total
+    s, w = _lemma_rule(profile, phi, log_scale, log_T, S)
+    lt = log_T - s
+    la = log_scale + profile.log_g(lt) - lt
+    log_w = lt + math.log(psi.r) + (psi.r - 1.0) * lt  # Psi(t) times the jacobian dt = t ds
+    if isinstance(phi, PowerPhi):
+        return float(w @ np.exp(phi.gamma * la + log_w))
+    return float(w @ (np.maximum(la, 0.0) ** phi.power * np.exp(log_w)))
 
 
 def _lemma_closed_form(beta: float, phi, psi, log_scale: float, T: float, t_lo: float) -> float:
@@ -584,7 +564,7 @@ def _lemma_closed_form(beta: float, phi, psi, log_scale: float, T: float, t_lo: 
     """
     if t_lo == 0.0:
         _lemma_s_max(phi, psi, beta)  # the integrability gate of the panel rule
-    r = psi.r if psi is not None else 1.0
+    r = psi.r
     b, log_T = 1.0 + beta, math.log(T)
     if isinstance(phi, PowerPhi):
         lam = r - phi.gamma * b
@@ -608,7 +588,7 @@ def _solve_constraint_scale(integral, phi, T: float, t_lo: float, target: float)
     is homogeneous, C(ls) = e^(gamma ls) C(0), so its scale is explicit.
     """
     def C(ls):
-        return integral(phi, None, ls, T, t_lo)
+        return integral(phi, _UNWEIGHTED, ls, T, t_lo)
 
     c0 = C(0.0) if isinstance(phi, PowerPhi) else 0.0
     if 0.0 < c0 < math.inf:
@@ -652,10 +632,10 @@ def check_rearrangement_lemma(
     integral = (
         partial(_lemma_closed_form, profile.beta) if closed else partial(_lemma_integral, profile)
     )
-    target = _lemma_closed_form(0.0, phi, None, 0.0, t_max, t_lo)
+    target = _lemma_closed_form(0.0, phi, _UNWEIGHTED, 0.0, t_max, t_lo)
     log_scale = _solve_constraint_scale(integral, phi, t_max, t_lo, target)
     # the panel rule checks the scale independently of the rule that solved for it
-    residual = _lemma_integral(profile, phi, None, log_scale, t_max, t_lo) - target
+    residual = _lemma_integral(profile, phi, _UNWEIGHTED, log_scale, t_max, t_lo) - target
     if not abs(residual) <= 1e-9 * target:  # the rules agree to ~1e-14 where both apply
         raise InvalidInputError(f"constraint residual {residual:.3g} exceeds 1e-9 * {target:.6g}")
     lhs = integral(phi, psi, log_scale, t_max, t_lo)
@@ -715,17 +695,18 @@ def check_isoperimetric_variant(
     """
     if m < 1:
         raise InvalidInputError("dimension must be at least 1")
-    omega = math.pi ** (m / 2.0) / math.gamma(1.0 + m / 2.0)
+    # in logs: Gamma(1 + m/2) overflows a double from m = 342 on
+    log_gamma = math.lgamma(1.0 + m / 2.0)
+    log_omega = 0.5 * m * math.log(math.pi) - log_gamma
     worst_eq = 0.0
     for r in radii:
-        vol = omega * r**m
-        surf = m * omega * r ** (m - 1)
-        per2 = surf * surf
-        sharp = m * m * math.pi * math.gamma(1.0 + m / 2.0) ** (-2.0 / m) * vol ** (
-            2.0 * (m - 1) / m
+        log_vol = log_omega + m * math.log(r)
+        log_per2 = 2.0 * (math.log(m) + log_omega + (m - 1) * math.log(r))
+        log_sharp = (
+            2.0 * math.log(m) + math.log(math.pi) - 2.0 / m * log_gamma + 2.0 * (m - 1) / m * log_vol
         )
-        worst_eq = max(worst_eq, abs(per2 - sharp) / per2)
-    ratio = (math.gamma(1.0 + m / 2.0) / math.gamma(m / 2.0)) ** (2.0 / m)
+        worst_eq = max(worst_eq, abs(math.expm1(log_sharp - log_per2)))
+    ratio = math.exp(2.0 / m * (log_gamma - math.lgamma(m / 2.0)))
     ratio_expected = (m / 2.0) ** (2.0 / m)
     ratio_err = abs(ratio - ratio_expected) / ratio_expected
     margin = -max(worst_eq, ratio_err)

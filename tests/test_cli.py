@@ -365,5 +365,24 @@ def test_diverging_weight_exits_2(capsys):
     assert "focklab: error" in err
 
 
+def test_bad_variant_in_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("variant=bogus\n")
+    argv = ["profile", "--config", str(cfg), "--fn", "const:1", "--levels", "3", "--samples", "100"]
+    assert main(argv) == 2
+    assert "focklab: error: unknown variant 'bogus'" in capsys.readouterr().err
+
+
+def test_bad_seed_in_environment_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("FOCKLAB_SEED", "abc")
+    assert main(["norm", "--fn", "const:1"]) == 2
+    assert "focklab: error: bad seed value 'abc'" in capsys.readouterr().err
+
+
+def test_negative_seed_flag_exits_2(capsys):
+    assert main(["norm", "--fn", "const:1", "--method", "mc", "--samples", "1000", "--seed", "-1"]) == 2
+    assert "focklab: error: seed must be nonnegative" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_2(capsys):
     assert main(["norm", "--config", "/nonexistent/run.cfg", "--fn", "const:1"]) == 2

@@ -10,16 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize
 from scipy.special import gamma as scipy_gamma
+from scipy.special import gammaln
 
 from focklab import (
     Coherent,
     Constant,
+    Custom,
     DimensionMismatchError,
     ExpQuadratic,
     FockParams,
     InvalidInputError,
     Monomial,
     OptimizationFailureError,
+    PiecewiseLinear,
     Power,
     SumOfCoherent,
     default_family_members,
@@ -235,6 +238,17 @@ def test_gamma_constants_match_scipy():
                              (IsoperimetricVariant.PAPER_LITERAL, m / 2.0)):
             kappa = scipy_gamma(arg) ** (2.0 / m) / (2.0 * math.pi)
             assert variant.kappa(m) == pytest.approx(kappa, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("m", [342, 1000])
+def test_gamma_constants_past_gamma_overflow(m):
+    # Gamma(1 + m/2) overflows a double from m = 342; V(342) ~ 8e-225 is normal, V(1000) underflows
+    ball = math.exp(0.5 * m * math.log(math.pi) - gammaln(1.0 + m / 2.0))
+    assert unit_ball_volume(m) == pytest.approx(ball, rel=1e-12, abs=0.0)
+    for variant, arg in ((IsoperimetricVariant.SHARP_BALL, 1.0 + m / 2.0),
+                         (IsoperimetricVariant.PAPER_LITERAL, m / 2.0)):
+        kappa = math.exp(2.0 / m * gammaln(arg)) / (2.0 * math.pi)
+        assert variant.kappa(m) == pytest.approx(kappa, rel=1e-14, abs=0.0)
 
 
 def test_exact_measure_monomial_annulus():
@@ -523,6 +537,24 @@ def test_layer_cake_matches_direct_quadrature():
     assert res.discrepancy <= 3.0 * (res.error_bound + res.direct_error) + 1e-12
     # closed form: int u^2 dA = pi/4
     assert res.value == pytest.approx(math.pi / 4.0, abs=1e-5)
+
+
+@pytest.mark.parametrize(
+    "G",
+    [
+        PiecewiseLinear(knots=(0.1,), slopes=(1.0, 3.0)),
+        Custom(fn=lambda t: t * t),
+        Custom(fn=lambda t: t * t, fn_prime=lambda t: 2.0 * t),
+    ],
+    ids=["piecewise-linear", "custom-finite-difference", "custom-fn-prime"],
+)
+def test_layer_cake_through_each_derivative(G):
+    # the exact-radial layer cake integrates mu * G', so each derivative rule is exercised
+    res = layer_cake(Monomial(powers=(1,)), P2, G)
+    assert res.mu_mode == "exact-radial"
+    assert res.discrepancy <= 3.0 * (res.error_bound + res.direct_error) + 1e-12
+    if isinstance(G, Custom):  # G = t^2: int u^2 dA = pi/4
+        assert res.value == pytest.approx(math.pi / 4.0, abs=1e-5)
 
 
 def test_layer_cake_mc_fallback():

@@ -352,7 +352,7 @@ def test_rearrangement_tabulated_profile():
 
 
 @pytest.mark.parametrize("t_lo", [0.0, 0.2])
-@pytest.mark.parametrize("psi", [None, PowerPsi(r=2.5)], ids=["constraint", "weighted"])
+@pytest.mark.parametrize("psi", [PowerPsi(r=1.0), PowerPsi(r=2.5)], ids=["constraint", "weighted"])
 @pytest.mark.parametrize(
     "phi", [PowerPhi(gamma=0.4), LogPowerPhi(power=0.5), LogPowerPhi(power=1.5)], ids=repr
 )
@@ -360,7 +360,7 @@ def test_rearrangement_tabulated_profile():
 def test_lemma_closed_form_against_quad(phi, psi, t_lo, log_scale):
     beta, T = 0.6, 1.3
     b = 1.0 + beta
-    r = psi.r if psi is not None else 1.0
+    r = psi.r
     kink = math.exp(log_scale / b)  # where e^log_scale t^-b crosses 1
 
     def integrand(t):
@@ -385,12 +385,23 @@ def test_lemma_closed_form_matches_panels():
         assert report.details["lemma_rule"] == "closed_form"
         ls = report.details["constraint_scale_log"]
         t_lo = float(rng.uniform(0.0, 0.9)) * t_max
-        for weight in (psi, None):
+        for weight in (psi, PowerPsi(r=1.0)):
             for lo in (0.0, t_lo):
                 exact = _lemma_closed_form(profile.beta, phi, weight, ls, t_max, lo)
                 panels = _lemma_integral(profile, phi, weight, ls, t_max, lo)
                 case = (profile, phi, weight, lo)
                 assert panels == pytest.approx(exact, rel=1e-9, abs=1e-300), case
+
+
+@pytest.mark.parametrize("phi", [PowerPhi(gamma=0.4), LogPowerPhi(power=1.0)], ids=repr)
+def test_lemma_integral_is_one_array_pass(monkeypatch, phi):
+    # the window (0, 1] spans 16 to 28 panels, yet one log_g call may locate the
+    # log-phi kink and one more evaluates every node
+    calls = []
+    log_g = PowerDecayProfile.log_g
+    monkeypatch.setattr(PowerDecayProfile, "log_g", lambda self, lt: calls.append(1) or log_g(self, lt))
+    _lemma_integral(PowerDecayProfile(beta=0.3), phi, PowerPsi(r=2.0), 0.5, 1.0, 0.0)
+    assert 1 <= len(calls) <= 2
 
 
 def test_tabulated_power_profile_matches_closed_form():
@@ -505,10 +516,15 @@ def test_random_rearrangement_cases_all_pass():
 # isoperimetric constants
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 342, 1000])
 def test_isoperimetric_sharp_ball_equality(m):
+    # past m = 341 Gamma(1 + m/2) overflows and at m = 1000 the ball's volume
+    # underflows; the check works in logs
     report = check_isoperimetric_variant(m)
+    assert report.passed
     assert report.details["sharp_ball_relative_gap"] <= 1e-12
+    ratio = math.exp(2.0 / m * (gammaln(1.0 + m / 2.0) - gammaln(m / 2.0)))
+    assert report.details["literal_over_sharp_ratio"] == pytest.approx(ratio, rel=1e-14, abs=0.0)
 
 
 def test_isoperimetric_m3_excess_factor():
