@@ -17,7 +17,7 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -151,7 +151,7 @@ def parse_function_spec(
     if family == "const":
         if not colon or not payload.strip():
             _spec_error("const needs a value, e.g. const:1", base)
-        return Constant(value=_parse_float(payload.strip(), base), dim=dim or 2)
+        return Constant(value=_parse_float(payload.strip(), base), dim=2 if dim is None else dim)
 
     if family == "coherent":
         a = None
@@ -214,7 +214,7 @@ def parse_function_spec(
                 _spec_error(f"unknown expquad key {key!r}", pos)
         if c is None:
             _spec_error("expquad needs a curvature, e.g. expquad:c=0.1", base)
-        return ExpQuadratic(c=c, dim=dim or 2)
+        return ExpQuadratic(c=c, dim=2 if dim is None else dim)
 
     if family == "sumcoherent":
         weights: list[float] = []
@@ -240,91 +240,6 @@ def parse_function_spec(
         )
 
     _spec_error(f"unknown family {family!r}", 0)
-
-
-# ---------------------------------------------------------------------------
-# run configuration
-
-
-@dataclass
-class RunConfig:
-    """Flat record of one CLI run; serializing and re-parsing is the identity."""
-
-    command: str = "norm"
-    fn: str = "const:1"
-    dim: int = 2
-    p: float = 2.0
-    alpha: float = 1.0
-    method: str = "gh"
-    nodes: int = 32
-    radial_nodes: int = 48
-    angular_nodes: int = 64
-    samples: int = 200_000
-    seed: int = 0
-    levels: int = 60
-    ratio: float = 0.9
-    variant: str = "sharp-ball"
-    p_grid: str = "0.5,1,2,4"
-    suite: str = "all"
-    count: int = 50
-    format: str = "csv"
-    output: str = ""
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise FocklabError(f"seed must be nonnegative, got {self.seed}")
-        variants = [v.value for v in IsoperimetricVariant]
-        if self.variant not in variants:
-            raise FocklabError(f"unknown variant {self.variant!r} (use {' or '.join(variants)})")
-
-    def to_mapping(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_mapping(cls, mapping: dict) -> "RunConfig":
-        kwargs = {}
-        known = {f.name: f.type for f in fields(cls)}
-        for key, value in mapping.items():
-            if key not in known:
-                raise FocklabError(f"unknown config key {key!r}")
-            convert = {"int": int, "float": float}.get(known[key], str)
-            try:
-                kwargs[key] = convert(value)
-            except ValueError as exc:
-                raise FocklabError(f"bad {key} value {value!r}: {exc}") from exc
-        return cls(**kwargs)
-
-    def backend(self):
-        if self.method == "gh":
-            return GaussHermite(nodes_per_axis=self.nodes)
-        if self.method == "radial":
-            return Radial(radial_nodes=self.radial_nodes, angular_nodes=self.angular_nodes)
-        if self.method == "mc":
-            return MonteCarlo(samples=self.samples, seed=self.seed)
-        raise FocklabError(f"unknown method {self.method!r} (use gh, radial, or mc)")
-
-    def p_values(self) -> list[float]:
-        try:
-            vals = sorted({float(s) for s in self.p_grid.split(",") if s.strip()})
-        except ValueError as exc:
-            raise FocklabError(f"bad p grid {self.p_grid!r}: {exc}") from exc
-        if not vals or any(v <= 0 for v in vals):
-            raise FocklabError(f"p grid must be positive, got {self.p_grid!r}")
-        return vals
-
-
-def _read_config_file(path: str) -> dict:
-    mapping = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, eq, value = line.partition("=")
-            if not eq:
-                raise FocklabError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            mapping[key.strip()] = value.strip()
-    return mapping
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +293,7 @@ def _write_artifact(path: str, content: str):
 
 
 def _cmd_norm(config: RunConfig, f: TestFunction):
+    """Compute one weighted p-norm."""
     est = fock_norm(f, FockParams(f.m, config.p, config.alpha), method=config.backend())
     columns = ["value", "raw_integral", "error_bound", "value_error"]
     result = {key: getattr(est, key) for key in columns}
@@ -396,6 +312,7 @@ def _level_profile(config: RunConfig, f: TestFunction):
 
 
 def _cmd_profile(config: RunConfig, f: TestFunction):
+    """Superlevel measures and the monotone diagnostic."""
     profile = _level_profile(config, f)
     flags = profile.violation_flags()
     result = {
@@ -426,9 +343,6 @@ def _suite_reports(config: RunConfig, f: TestFunction) -> list:
     params = FockParams(f.m, config.p, config.alpha) if suite != "contraction" else None
     method = config.backend()
     reports = []
-    if suite not in _SUITES:
-        raise FocklabError(f"unknown suite {config.suite!r} (choose from {', '.join(_SUITES)})")
-
     if suite in ("contraction", "all"):
         for p, q in itertools.combinations(config.p_values(), 2):
             reports.append(check_contraction(f, p, q, config.alpha, method=method))
@@ -453,6 +367,7 @@ def _suite_reports(config: RunConfig, f: TestFunction) -> list:
 
 
 def _cmd_verify(config: RunConfig, f: TestFunction):
+    """Run a named check suite."""
     reports = _suite_reports(config, f)
     all_pass = all(r.passed for r in reports)
     result = {"all_pass": all_pass, "reports": [r.to_dict() for r in reports]}
@@ -464,6 +379,7 @@ def _cmd_verify(config: RunConfig, f: TestFunction):
 
 
 def _cmd_sweep(config: RunConfig, f: TestFunction):
+    """Contraction table over the p grid."""
     reports = _suite_reports(replace(config, suite="contraction"), f)
     all_pass = all(r.passed for r in reports)
     columns = ["alpha", "p", "q", "norm_p", "norm_q", "margin", "tolerance", "pass"]
@@ -477,6 +393,7 @@ def _cmd_sweep(config: RunConfig, f: TestFunction):
 
 
 def _cmd_limit(config: RunConfig, f: TestFunction):
+    """The p-ladder and its extrapolated limit vs the sup norm."""
     report = check_limit_norm(f, config.alpha, method=config.backend(), seed=config.seed)
     details = report.details
     rows = zip(report.inputs["p_ladder"], details["ladder"], details["ladder_errors"])
@@ -494,12 +411,114 @@ _COMMANDS = {
 }
 
 
+# ---------------------------------------------------------------------------
+# run configuration
+
+
+_TYPES = {"int": int, "float": float, "str": str}  # a RunConfig field's annotation -> its type
+
+_BACKENDS = {  # --method: the integration backend a run's settings build
+    "gh": lambda c: GaussHermite(nodes_per_axis=c.nodes),
+    "radial": lambda c: Radial(radial_nodes=c.radial_nodes, angular_nodes=c.angular_nodes),
+    "mc": lambda c: MonteCarlo(samples=c.samples, seed=c.seed),
+}
+
+
+def _setting(default, help: str, commands=(), choices=None, minimum=None):
+    """A RunConfig field and its `--flag`: the help text, the subcommands that
+    take the flag (all when none are named), the allowed values, a lower bound."""
+    metadata = {"help": help, "commands": commands, "choices": choices, "minimum": minimum}
+    return field(default=default, metadata=metadata)
+
+
+@dataclass
+class RunConfig:
+    """Flat record of one CLI run; serializing and re-parsing is the identity.
+
+    Every value is checked when the record is built, whichever source it came
+    from (flag, `--config` file, FOCKLAB_SEED). Ranges that the library owns,
+    such as those of p, alpha, nodes, samples, levels and ratio, are left to it.
+    """
+
+    command: str = _setting("norm", "the subcommand", choices=_COMMANDS)
+    fn: str = _setting("const:1", "function spec, e.g. coherent:a=1,0;alpha=1")
+    dim: int = _setting(2, "ambient dimension m", minimum=1)
+    p: float = _setting(2.0, "norm exponent p")
+    alpha: float = _setting(1.0, "Gaussian weight parameter")
+    method: str = _setting("gh", "integration backend", choices=tuple(_BACKENDS))
+    nodes: int = _setting(32, "Gauss-Hermite nodes per axis")
+    radial_nodes: int = _setting(48, "Gauss-Laguerre nodes in the radius (--method radial)")
+    angular_nodes: int = _setting(64, "nodes of the rule on the sphere (--method radial)")
+    samples: int = _setting(200_000, "MC points per level ball, or per integral with --method mc")
+    seed: int = _setting(0, "RNG seed (default FOCKLAB_SEED or 0)", minimum=0)
+    levels: int = _setting(60, "number of grid levels", ("profile", "verify"))
+    ratio: float = _setting(0.9, "geometric level ratio in (0,1)", ("profile", "verify"))
+    variant: str = _setting("sharp-ball", "isoperimetric constant variant", ("profile", "verify"),
+                            choices=tuple(v.value for v in IsoperimetricVariant))
+    p_grid: str = _setting("0.5,1,2,4", "comma-separated p values", ("verify", "sweep"))
+    suite: str = _setting("all", "which checks to run", ("verify",), choices=_SUITES)
+    count: int = _setting(50, "randomized rearrangement draws", ("verify",), minimum=1)
+    format: str = _setting("csv", "artifact format", choices=("csv", "json"))
+    output: str = _setting("", "artifact path (default: stdout)")
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            choices = f.metadata["choices"]
+            if choices is not None and value not in choices:
+                *head, last = choices
+                raise FocklabError(f"unknown {f.name} {value!r} (use {', '.join(head)} or {last})")
+            low = f.metadata["minimum"]
+            if low is not None and value < low:
+                rule = "nonnegative" if low == 0 else f"at least {low}"
+                raise FocklabError(f"{f.name} must be {rule}, got {value}")
+        self.p_values()
+
+    def to_mapping(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_mapping(cls, mapping: dict) -> "RunConfig":
+        kwargs = {}
+        known = {f.name: f.type for f in fields(cls)}
+        for key, value in mapping.items():
+            if key not in known:
+                raise FocklabError(f"unknown config key {key!r}")
+            try:
+                kwargs[key] = _TYPES[known[key]](value)
+            except ValueError as exc:
+                raise FocklabError(f"bad {key} value {value!r}: {exc}") from exc
+        return cls(**kwargs)
+
+    def backend(self):
+        return _BACKENDS[self.method](self)
+
+    def p_values(self) -> list[float]:
+        try:
+            vals = sorted({float(s) for s in self.p_grid.split(",") if s.strip()})
+        except ValueError as exc:
+            raise FocklabError(f"bad p grid {self.p_grid!r}: {exc}") from exc
+        if not vals or any(v <= 0 for v in vals):
+            raise FocklabError(f"p grid must be positive, got {self.p_grid!r}")
+        return vals
+
+
+def _read_config_file(path: str) -> dict:
+    mapping = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, eq, value = line.partition("=")
+            if not eq:
+                raise FocklabError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            mapping[key.strip()] = value.strip()
+    return mapping
+
+
 def run(config: RunConfig) -> int:
     """Execute one configured run; returns the process exit status."""
-    if config.command not in _COMMANDS:
-        raise FocklabError(f"unknown command {config.command!r}")
-    if config.format not in ("csv", "json"):
-        raise FocklabError(f"unknown format {config.format!r} (use csv or json)")
     f = parse_function_spec(config.fn, dim=config.dim, default_alpha=config.alpha)
     result, columns, rows, extra, status = _COMMANDS[config.command](config, f)
     if config.format == "json":
@@ -524,61 +543,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"focklab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
+    for command, body in _COMMANDS.items():
+        sp = sub.add_parser(command, help=body.__doc__)
         sp.add_argument("--config", help="key=value config file; flags override it")
-        sp.add_argument("--fn", help="function spec, e.g. coherent:a=1,0;alpha=1")
-        sp.add_argument("--dim", type=int, help="ambient dimension m")
-        sp.add_argument("--p", type=float, help="norm exponent p")
-        sp.add_argument("--alpha", type=float, help="Gaussian weight parameter")
-        sp.add_argument("--method", choices=("gh", "radial", "mc"), help="integration backend")
-        sp.add_argument("--nodes", type=int, help="Gauss-Hermite nodes per axis")
-        sp.add_argument("--radial-nodes", type=int, dest="radial_nodes")
-        sp.add_argument("--angular-nodes", type=int, dest="angular_nodes")
-        sp.add_argument(
-            "--samples", type=int,
-            help="Monte Carlo points per level ball (per integral with --method mc)",
-        )
-        sp.add_argument("--seed", type=int, help="RNG seed (default FOCKLAB_SEED or 0)")
-        sp.add_argument("--format", choices=("csv", "json"), help="artifact format")
-        sp.add_argument("--output", help="artifact path (default: stdout)")
-
-    add_common(sub.add_parser("norm", help="compute one weighted p-norm"))
-
-    sp = sub.add_parser("profile", help="superlevel measures and the monotone diagnostic")
-    add_common(sp)
-    sp.add_argument("--levels", type=int, help="number of grid levels")
-    sp.add_argument("--ratio", type=float, help="geometric level ratio in (0,1)")
-    sp.add_argument("--variant", choices=("sharp-ball", "paper-literal"),
-                    help="isoperimetric constant variant")
-
-    sp = sub.add_parser("verify", help="run a named check suite")
-    add_common(sp)
-    sp.add_argument("--suite", choices=_SUITES, help="which checks to run")
-    sp.add_argument("--p-grid", dest="p_grid", help="comma-separated p values")
-    sp.add_argument("--count", type=int, help="randomized rearrangement draws")
-    sp.add_argument("--levels", type=int)
-    sp.add_argument("--ratio", type=float)
-    sp.add_argument("--variant", choices=("sharp-ball", "paper-literal"))
-
-    sp = sub.add_parser("sweep", help="contraction table over the p grid")
-    add_common(sp)
-    sp.add_argument("--p-grid", dest="p_grid", help="comma-separated p values")
-
-    add_common(sub.add_parser("limit", help="p-ladder and extrapolated limit vs sup norm"))
-
+        for f in fields(RunConfig)[1:]:  # every setting but the subcommand itself
+            if f.metadata["commands"] and command not in f.metadata["commands"]:
+                continue
+            sp.add_argument(
+                "--" + f.name.replace("_", "-"), dest=f.name, type=_TYPES[f.type],
+                choices=f.metadata["choices"], help=f.metadata["help"],
+            )
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     mapping = RunConfig().to_mapping()
     mapping["command"] = args.command
-    file_mapping = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        file_mapping = _read_config_file(config_path)
-        file_mapping.pop("command", None)
-        mapping.update(file_mapping)
+    file_mapping = _read_config_file(args.config) if args.config else {}
+    file_mapping.pop("command", None)
+    mapping.update(file_mapping)
     seed_env = os.environ.get("FOCKLAB_SEED")
     if seed_env is not None and "seed" not in file_mapping:
         mapping["seed"] = seed_env
@@ -587,7 +570,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if key != "command" and flag_value is not None:
             mapping[key] = flag_value
     config = RunConfig.from_mapping(mapping)
-    if getattr(args, "dim", None) is None and "dim" not in file_mapping:
+    if args.dim is None and "dim" not in file_mapping:
         # no dimension requested: take it from the spec, so the header records the m used
         config.dim = parse_function_spec(config.fn, default_alpha=config.alpha).m
     return config

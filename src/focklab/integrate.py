@@ -480,6 +480,9 @@ class PiecewiseLinear(ConvexFunction):
         return np.asarray(self.slopes)[idx]
 
 
+_CUSTOM_SCREEN_UPPER = 4.0  # Custom.validate screens G on [0, 4]
+
+
 @dataclass(frozen=True)
 class Custom(ConvexFunction):
     """User-supplied G, screened for G(0) = 0, monotonicity and convexity on a grid.
@@ -490,7 +493,6 @@ class Custom(ConvexFunction):
 
     fn: Callable
     fn_prime: Callable | None = None
-    check_upper: float = 4.0
 
     @staticmethod
     def _apply(fn, t):
@@ -508,7 +510,7 @@ class Custom(ConvexFunction):
         return out
 
     def validate(self):
-        vals = self.value(np.linspace(0.0, self.check_upper, 257))
+        vals = self.value(np.linspace(0.0, _CUSTOM_SCREEN_UPPER, 257))
         if abs(vals[0]) > 1e-12:
             raise UnsupportedFunctionalError(f"need G(0) = 0, got G(0) = {vals[0]}")
         d1 = np.diff(vals)

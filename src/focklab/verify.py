@@ -210,6 +210,8 @@ def _max_details(mx: MaxResult) -> dict:
 # ---------------------------------------------------------------------------
 # decay along rays
 
+_DECAY_FRACTION = 1e-6  # the largest share of a ray's peak its far end may keep
+
 
 def check_decay(
     f: TestFunction,
@@ -217,7 +219,6 @@ def check_decay(
     n_directions: int = 8,
     seed: int = 0,
     n_radii: int = 72,
-    decay_fraction: float = 1e-6,
 ) -> VerificationReport:
     """|f(r w)| exp(-(alpha/2) r^2) dies along every ray, monotonically far out.
 
@@ -260,7 +261,7 @@ def check_decay(
     worst = np.flatnonzero(rising)[-1] if rising.any() else int(np.argmax(rel))
     worst_rel = max(float(rel.max()), 0.0)
     tail_monotone = not rising.any()
-    margin = float(decay_fraction - worst_rel)
+    margin = float(_DECAY_FRACTION - worst_rel)
     return VerificationReport(
         check_name="decay",
         inputs={"fn": _fn_label(f), "alpha": alpha, "n_directions": len(dirs), "seed": seed},
@@ -296,12 +297,14 @@ def richardson_limit(values) -> float:
     return R[0]
 
 
+_EXTRAPOLATION_TOL = 1e-3  # relative to the sup norm
+
+
 def check_limit_norm(
     f: TestFunction,
     alpha: float,
     p_ladder=(2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
     method=GaussHermite(48),
-    extrapolation_tol: float = 1e-3,
     seed: int = 0,
 ) -> VerificationReport:
     """p-norm ladder decreases to the weighted sup norm; extrapolation hits it to relative tol."""
@@ -322,7 +325,7 @@ def check_limit_norm(
     above_margin = min(v - sup_norm + 3.0 * e for v, e in zip(values, errors))
     extrapolated = richardson_limit(values)
     gap = abs(extrapolated - sup_norm)
-    extrap_margin = extrapolation_tol * sup_norm - gap
+    extrap_margin = _EXTRAPOLATION_TOL * sup_norm - gap
 
     margin = min(mono_margin, above_margin, extrap_margin)
     return VerificationReport(
@@ -477,6 +480,7 @@ class PowerPsi:
 _UNWEIGHTED = PowerPsi(1.0)  # Psi == 1, the side of the Phi-constraint
 _GL32 = np.polynomial.legendre.leggauss(32)
 _PANEL_WIDTH = 5.0
+_LEMMA_TOLERANCE = 1e-8  # absolute, on the margin rhs - lhs
 
 
 def _profile_beta(profile) -> float:
@@ -615,7 +619,6 @@ def check_rearrangement_lemma(
     psi: PowerPsi,
     t_max: float,
     t_lo: float = 0.0,
-    tolerance: float = 1e-8,
 ) -> VerificationReport:
     """With the Phi-constraint matched, the g == 1 side dominates the Psi-weighted side.
 
@@ -652,9 +655,9 @@ def check_rearrangement_lemma(
             "t_max": t_max,
             "t_lo": t_lo,
         },
-        passed=bool(margin >= -tolerance),
+        passed=bool(margin >= -_LEMMA_TOLERANCE),
         margin=float(margin),
-        tolerance=float(tolerance),
+        tolerance=_LEMMA_TOLERANCE,
         details={
             "weighted_reference": rhs,
             "weighted_profile": lhs,
@@ -683,10 +686,11 @@ def random_rearrangement_case(rng: np.random.Generator):
 # ---------------------------------------------------------------------------
 # isoperimetric constant discriminator
 
+_ISOPERIMETRIC_RADII = (0.5, 1.0, 2.0)
+_ISOPERIMETRIC_TOLERANCE = 1e-10
 
-def check_isoperimetric_variant(
-    m: int, radii=(0.5, 1.0, 2.0), tolerance: float = 1e-10
-) -> VerificationReport:
+
+def check_isoperimetric_variant(m: int) -> VerificationReport:
     """Balls: squared surface area vs the two candidate constants.
 
     The sharp-ball constant gives equality in every dimension; the literal
@@ -699,7 +703,7 @@ def check_isoperimetric_variant(
     log_gamma = math.lgamma(1.0 + m / 2.0)
     log_omega = 0.5 * m * math.log(math.pi) - log_gamma
     worst_eq = 0.0
-    for r in radii:
+    for r in _ISOPERIMETRIC_RADII:
         log_vol = log_omega + m * math.log(r)
         log_per2 = 2.0 * (math.log(m) + log_omega + (m - 1) * math.log(r))
         log_sharp = (
@@ -712,10 +716,10 @@ def check_isoperimetric_variant(
     margin = -max(worst_eq, ratio_err)
     return VerificationReport(
         check_name="isoperimetric_variant",
-        inputs={"m": m, "radii": list(radii)},
-        passed=bool(margin >= -tolerance),
+        inputs={"m": m, "radii": list(_ISOPERIMETRIC_RADII)},
+        passed=bool(margin >= -_ISOPERIMETRIC_TOLERANCE),
         margin=float(margin),
-        tolerance=float(tolerance),
+        tolerance=_ISOPERIMETRIC_TOLERANCE,
         details={
             "sharp_ball_relative_gap": worst_eq,
             "literal_over_sharp_ratio": ratio,

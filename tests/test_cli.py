@@ -1,5 +1,7 @@
 """CLI tests: spec grammar, config plumbing, artifacts, reproducibility."""
 
+import argparse
+import dataclasses
 import json
 import math
 import os
@@ -11,8 +13,8 @@ import pytest
 
 import focklab
 from focklab import Coherent, Constant, ExpQuadratic, Monomial, Polynomial, SumOfCoherent
-from focklab.cli import RunConfig, _fmt, main, parse_function_spec
-from focklab.errors import FunctionSpecError
+from focklab.cli import RunConfig, _build_parser, _fmt, main, parse_function_spec
+from focklab.errors import FunctionSpecError, InvalidInputError
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +88,13 @@ def test_parse_rejects_malformed(bad):
         parse_function_spec(bad, dim=2)
 
 
+@pytest.mark.parametrize("spec", ["const:1", "expquad:c=0.1"])
+def test_parse_zero_dimension_rejected(spec):
+    # dim=0 is a requested dimension, not "unset": the family rejects it
+    with pytest.raises(InvalidInputError, match="dimension must be a positive integer"):
+        parse_function_spec(spec, dim=0)
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(FunctionSpecError, match=r"at position \d+"):
         parse_function_spec("coherent:a=1,0;bogus=3", dim=2)
@@ -128,6 +137,30 @@ def test_seed_from_environment(tmp_path, monkeypatch):
     out = tmp_path / "norm.json"
     assert main(["norm", "--fn", "const:1", "--format", "json", "--output", str(out)]) == 0
     assert json.loads(out.read_text())["config"]["seed"] == 77
+
+
+_COMMON_FLAGS = {
+    "--config", "--fn", "--dim", "--p", "--alpha", "--method", "--nodes", "--radial-nodes",
+    "--angular-nodes", "--samples", "--seed", "--format", "--output",
+}
+_LEVEL_FLAGS = {"--levels", "--ratio", "--variant"}
+
+
+def test_each_subcommand_takes_its_flags():
+    subparsers = next(
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    flags = {
+        name: {s for action in sp._actions for s in action.option_strings} - {"-h", "--help"}
+        for name, sp in subparsers.choices.items()
+    }
+    assert flags == {
+        "norm": _COMMON_FLAGS,
+        "profile": _COMMON_FLAGS | _LEVEL_FLAGS,
+        "verify": _COMMON_FLAGS | _LEVEL_FLAGS | {"--suite", "--p-grid", "--count"},
+        "sweep": _COMMON_FLAGS | {"--p-grid"},
+        "limit": _COMMON_FLAGS,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +331,34 @@ def test_mc_norm_byte_identical(tmp_path):
     assert out.read_bytes() == first
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("args", [
+    ["norm", "--fn", "monomial:k=1", "--method", "mc", "--samples", "20000", "--seed", "3"],
+    ["profile", "--fn", "coherent:a=1,0", "--levels", "6", "--samples", "20000", "--ratio", "0.8"],
+    ["verify", "--suite", "rearrangement", "--count", "3", "--seed", "11"],
+    ["sweep", "--fn", "monomial:k=1", "--p-grid", "1,3", "--alpha", "0.5"],
+    ["limit", "--fn", "coherent:a=1,0", "--dim", "2"],
+], ids=lambda args: args[0])
+def test_artifact_header_reproduces_the_artifact(tmp_path, args, fmt):
+    # an artifact's configuration, fed back as --config, reruns it byte for byte
+    out = tmp_path / f"run.{fmt}"
+    code = main(args + ["--format", fmt, "--output", str(out)])
+    first = out.read_bytes()
+    text = first.decode()
+    keys = {f.name for f in dataclasses.fields(RunConfig)}
+    if fmt == "json":
+        mapping = json.loads(text)["config"]
+    else:
+        header = [line[2:].partition("=") for line in text.splitlines() if line.startswith("# ")]
+        mapping = {key: value for key, _, value in header}
+    assert keys <= set(mapping)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key}={mapping[key]}\n" for key in sorted(keys)))
+    out.unlink()
+    assert main([args[0], "--config", str(cfg)]) == code
+    assert out.read_bytes() == first
+
+
 @pytest.mark.parametrize("spec,m", [("monomial:k=1,1", 4), ("coherent:a=1,0,0", 3)])
 def test_norm_infers_dimension_from_spec(tmp_path, spec, m):
     out = tmp_path / "norm.csv"
@@ -386,3 +447,37 @@ def test_negative_seed_flag_exits_2(capsys):
 
 def test_missing_config_file_exits_2(capsys):
     assert main(["norm", "--config", "/nonexistent/run.cfg", "--fn", "const:1"]) == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["norm", "--fn", "const:1", "--dim", "0"], "dim must be at least 1, got 0"),
+    (["verify", "--suite", "rearrangement", "--count", "-1"], "count must be at least 1, got -1"),
+    (["verify", "--suite", "rearrangement", "--count", "0"], "count must be at least 1, got 0"),
+], ids=["dim=0", "count=-1", "count=0"])
+def test_value_below_its_bound_exits_2(capsys, argv, message):
+    assert main(argv) == 2
+    assert f"focklab: error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["method=bogus", "suite=nope", "count=-3", "dim=0", "p_grid=1,x"])
+def test_unused_bad_value_in_config_file_exits_2(tmp_path, capsys, line):
+    # each value is checked where it enters, whether or not profile uses it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "prof.csv"
+    argv = ["profile", "--config", str(cfg), "--fn", "const:1", "--levels", "3",
+            "--samples", "2000", "--output", str(out)]
+    assert main(argv) == 2
+    assert "focklab: error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line,message", [
+    ("p_grid=1,x", "bad p grid '1,x'"),
+    ("format=xml", "unknown format 'xml'"),
+])
+def test_bad_value_in_config_file_exits_2_for_norm(tmp_path, capsys, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["norm", "--config", str(cfg), "--fn", "const:1"]) == 2
+    assert f"focklab: error: {message}" in capsys.readouterr().err
