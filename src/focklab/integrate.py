@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedFunctionalError,
 )
 from .functions import _LOG_FLOAT_MAX, FockParams, TestFunction, _check_dims, _sq_norm
-from .functions import log_density_batch
+from .functions import envelope_radius, log_density_batch
 
 __all__ = [
     "GaussHermite",
@@ -159,20 +159,28 @@ def _roundoff(value: float, n: int) -> float:
     return value * 2.0**-53 * (abs(math.log(value)) + math.log2(n) + 16.0) if value else 0.0
 
 
-def _refine(log_h: Callable, coarse, fine) -> IntegralEstimate:
+def _integral(log_h: Callable, rule) -> tuple[float, int]:
+    """(integral of exp(log_h) on the (X, logw) rule, nodes evaluated); raises unless 0 or normal."""
+    parts = [(_log_sum_exp(logw + log_h(X)), len(logw)) for X, logw in rule]
+    log_value = _log_sum_exp([s for s, _ in parts])
+    _check_fits(log_value)
+    return float(np.exp(log_value)), sum(n for _, n in parts)
+
+
+def _refine(log_h: Callable, coarse, fine, pruned=None) -> IntegralEstimate:
     """Integral of exp(log_h) on the fine rule, max(|fine - coarse|, roundoff) its error.
 
-    Rules yield (X, logw).  Raises MethodUnavailableError unless both are 0 or normal doubles.
+    Rules yield (X, logw).  `pruned`, if given, maps the coarse value to None
+    or to (rule, tail): a rule that skips some fine nodes, run in place of
+    `fine`, and a bound on what the skipped nodes add, added to the error.
+    Raises MethodUnavailableError unless both integrals are 0 or normal doubles.
     """
-
-    def integral(rule):
-        parts = [(_log_sum_exp(logw + log_h(X)), len(logw)) for X, logw in rule]
-        log_value = _log_sum_exp([s for s, _ in parts])
-        _check_fits(log_value)
-        return float(np.exp(log_value)), sum(n for _, n in parts)
-
-    (coarse_value, _), (value, n) = integral(coarse), integral(fine)
-    return IntegralEstimate(value, max(abs(value - coarse_value), _roundoff(value, n)))
+    coarse_value, _ = _integral(log_h, coarse)
+    tail = 0.0
+    if pruned is not None and (rule_tail := pruned(coarse_value)) is not None:
+        fine, tail = rule_tail
+    value, n = _integral(log_h, fine)
+    return IntegralEstimate(value, max(abs(value - coarse_value), _roundoff(value, n)) + tail)
 
 
 @lru_cache(maxsize=32)
@@ -182,45 +190,126 @@ def _gh_axis(n: int):
     return y, np.log(w)
 
 
-def _gh_rule(params: FockParams, n: int):
+def _gh_frame(params: FockParams) -> tuple[float, float]:
+    """(s, log s^m): the rule's nodes are x = s y, s = sqrt(2/(alpha p)), with Jacobian s^m."""
+    return math.sqrt(2.0 / params.rate), 0.5 * params.m * math.log(2.0 / params.rate)
+
+
+def _gh_cuts(n: int, k: int, radius_y: float):
+    """Yield (outer, lo, hi) for each chunk of the n^m rule that keeps a node.
+
+    The chunk fixes its leading k coordinates at y[outer]; each inner axis
+    keeps y[lo:hi], the nodes with |y| <= sqrt(radius_y^2 - |y[outer]|^2), so
+    every node it drops lies outside the ball |y| <= radius_y.
+    """
+    y, _ = _gh_axis(n)
+    for outer in itertools.product(range(n), repeat=k):
+        rho2 = radius_y * radius_y - sum(y[i] * y[i] for i in outer)  # inf keeps every node
+        if rho2 >= 0.0:
+            rho = math.sqrt(rho2)
+            lo, hi = int(np.searchsorted(y, -rho, "left")), int(np.searchsorted(y, rho, "right"))
+            if lo < hi:
+                yield outer, lo, hi
+
+
+def _gh_outer_dims(m: int, n: int) -> int:
+    """Outer dimensions k of the n^m rule's chunks: the least with n^(m-k) <= _CHUNK_POINTS."""
+    k = 0
+    while n ** (m - k) > _CHUNK_POINTS:
+        k += 1
+    return k
+
+
+def _gh_rule(params: FockParams, n: int, radius: float = math.inf):
     """Yield (X, logw) chunks of the n^m tensor rule, at most _CHUNK_POINTS nodes each.
 
     The weights integrate against exp(-(alpha p/2)|x|^2), Jacobian included.
     A chunk fixes the leading k (outer) coordinates and runs the other m - k
-    over their full grid, the last coordinate fastest.  X is a read-only,
-    column-major (N, m) view of one buffer: each inner column is filled once by
-    a broadcast, the outer columns are rewritten per chunk, so the next chunk
-    overwrites the X yielded before it.
+    over a tensor grid, the last coordinate fastest: the full grid at radius
+    inf, else the sub-grid of _gh_cuts, which skips only nodes with
+    |x| > radius, and no chunk that keeps none.  X is a read-only,
+    column-major (N, m) view of one buffer: each inner column is filled by a
+    broadcast whenever the sub-grid changes, the outer columns are rewritten
+    per chunk, so the next chunk overwrites the X yielded before it.
     """
     m = params.m
     y, lw = _gh_axis(n)
-    scale = math.sqrt(2.0 / params.rate)
-    log_jac = 0.5 * m * math.log(2.0 / params.rate)
-    k = 0  # outer dimensions
-    while n ** (m - k) > _CHUNK_POINTS:
-        k += 1
-    grid = (n,) * (m - k)
-    X = np.empty((n ** (m - k), m), order="F")
-    inner_lw = np.zeros(grid)
-    for j in range(m - k):
-        axis = tuple(n if i == j else 1 for i in range(m - k))
-        np.multiply(y.reshape(axis), scale, out=X[:, k + j].reshape(grid))
-        inner_lw = inner_lw + lw.reshape(axis)
-    inner_lw = inner_lw.reshape(-1)
-    view = X.view()
-    view.flags.writeable = False
-    for outer in itertools.product(range(n), repeat=k):
+    scale, log_jac = _gh_frame(params)
+    k = _gh_outer_dims(m, n)
+    buf = np.empty(n ** (m - k) * m)
+    cut = None
+    for outer, lo, hi in _gh_cuts(n, k, radius / scale):
+        if (lo, hi) != cut:
+            cut, grid = (lo, hi), (hi - lo,) * (m - k)
+            X = buf[: (hi - lo) ** (m - k) * m].reshape((-1, m), order="F")
+            inner_lw = np.zeros(grid)
+            for j in range(m - k):
+                axis = tuple(hi - lo if i == j else 1 for i in range(m - k))
+                np.multiply(y[lo:hi].reshape(axis), scale, out=X[:, k + j].reshape(grid))
+                inner_lw = inner_lw + lw[lo:hi].reshape(axis)
+            inner_lw = inner_lw.reshape(-1)
+            view = X.view()
+            view.flags.writeable = False
         X[:, :k] = y[list(outer)] * scale
         yield view, inner_lw + sum(lw[i] for i in outer) + log_jac
 
 
+def _gh_skipped_mass(params: FockParams, n: int, radius: float) -> float:
+    """Sum of w e^{|y|^2} (Jacobian included) over the nodes _gh_rule(params, n, radius) skips.
+
+    A node x = s y of weight w adds [w e^{|y|^2}] u(x) to the integral of
+    exp(log_h), u = exp(log_h - (alpha p/2)|x|^2), so t times this sum bounds
+    what the skipped nodes add wherever u < t outside the ball.  It is the
+    closed form (sum_j w_j e^{y_j^2})^m less the kept sub-grids, exact to a
+    few ulps of the whole sum.
+    """
+    m = params.m
+    y, lw = _gh_axis(n)
+    scale, log_jac = _gh_frame(params)
+    a = np.exp(lw + y * y)
+    k = _gh_outer_dims(m, n)
+    kept = sum(
+        math.prod(a[i] for i in outer) * a[lo:hi].sum() ** (m - k)
+        for outer, lo, hi in _gh_cuts(n, k, radius / scale)
+    )
+    return max(a.sum() ** m - kept, 0.0) * math.exp(log_jac)
+
+
+def _gh_pruned(params: FockParams, n: int, envelope: Callable, coarse_value: float):
+    """(the n^m rule without its nodes outside the envelope ball, a bound on what they add), or None.
+
+    Takes t = 2^-53 coarse_value / S, S the sum of w e^{|y|^2} over all nodes,
+    formed in log form, so the skipped nodes add at most t S <= 2^-53 coarse_value.
+    None, for the full rule, when t is not a normal double (say, a zero or
+    tiny integral) or the ball holds no node.
+    """
+    if not coarse_value > 0.0:
+        return None
+    y, lw = _gh_axis(n)
+    scale, log_jac = _gh_frame(params)
+    log_sum = params.m * _log_sum_exp(lw + y * y) + log_jac
+    log_t = math.log(coarse_value) - 53.0 * math.log(2.0) - log_sum
+    if not _LOG_FLOAT_TINY <= log_t <= _LOG_FLOAT_MAX:
+        return None
+    t = math.exp(log_t)
+    radius = envelope(t) * (1.0 + 1e-12)  # the margin covers the rounding of the radius and of |y|^2
+    if not params.m * float(np.min(y * y)) <= (radius / scale) ** 2:
+        return None
+    return _gh_rule(params, n, radius), t * _gh_skipped_mass(params, n, radius)
+
+
 def gauss_hermite_integrate(
-    log_h: Callable, params: FockParams, nodes_per_axis: int = 32
+    log_h: Callable, params: FockParams, nodes_per_axis: int = 32, envelope: Callable | None = None
 ) -> IntegralEstimate:
     """Integral of exp(log_h) against the weight over R^m; error from a node-count refinement pair.
 
     log_h gets read-only, column-major (N, m) point chunks that share one
-    buffer; it must not keep them.
+    buffer; it must not keep them.  envelope, if given, maps a threshold
+    t > 0 to a radius R with u(x) = exp(log_h(x) - (alpha p/2)|x|^2) < t
+    wherever |x| > R.  Then a fine grid of more than _CHUNK_POINTS nodes skips
+    the nodes outside that ball at t = 2^-53 coarse / sum(w e^{|y|^2}), and
+    error_bound gains t times the skipped sum of w e^{|y|^2}: at most 2^-53
+    of the coarse value.
     """
     n, m = int(nodes_per_axis), params.m
     if m > 6:
@@ -238,7 +327,10 @@ def gauss_hermite_integrate(
     # refine by doubling while the finer rule fits both budgets, else halve for the coarse one
     double = 2 * n <= _MAX_GH_NODES and (2 * n) ** m <= _DOUBLING_BUDGET
     n_coarse, n_fine = (n, 2 * n) if double else (max(8, n // 2), n)
-    return _refine(log_h, _gh_rule(params, n_coarse), _gh_rule(params, n_fine))
+    pruned = None
+    if envelope is not None and n_fine**m > _CHUNK_POINTS:  # below one chunk the envelope costs more
+        pruned = partial(_gh_pruned, params, n_fine, envelope)
+    return _refine(log_h, _gh_rule(params, n_coarse), _gh_rule(params, n_fine), pruned)
 
 
 def _laguerre_pair(s: np.ndarray, n: int, a: float):
@@ -364,9 +456,9 @@ def mc_integrate(
 # norm and convex functionals
 
 
-def _dispatch_raw(log_h: Callable, params: FockParams, method) -> IntegralEstimate:
+def _dispatch_raw(log_h: Callable, params: FockParams, method, envelope=None) -> IntegralEstimate:
     if isinstance(method, GaussHermite):
-        return gauss_hermite_integrate(log_h, params, method.nodes_per_axis)
+        return gauss_hermite_integrate(log_h, params, method.nodes_per_axis, envelope)
     if isinstance(method, Radial):
         return radial_integrate(log_h, params, method.radial_nodes, method.angular_nodes)
     if isinstance(method, MonteCarlo):
@@ -384,7 +476,9 @@ def fock_norm(f: TestFunction, params: FockParams, method=GaussHermite()) -> Nor
             "the weighted p-th power integral diverges for this function at these params"
         )
     _check_dims(f, params)
-    est = _dispatch_raw(lambda X: params.p * f.log_abs(X), params, method)
+    est = _dispatch_raw(
+        lambda X: params.p * f.log_abs(X), params, method, lambda t: envelope_radius(f, params, t)
+    )
     c = norm_constant(params)
     raw = c * est.value
     if raw == math.inf or raw < np.finfo(float).tiny <= est.value:  # c can be far from 1

@@ -31,6 +31,7 @@ from focklab import (
     UnsupportedFunctionalError,
     convex_functional,
     default_family_members,
+    envelope_radius,
     fock_norm,
     gauss_hermite_integrate,
     log_density_batch,
@@ -298,6 +299,236 @@ def test_gh_points_are_read_only():
 
     with pytest.raises(ValueError, match="read-only"):
         gauss_hermite_integrate(mutating, P2, nodes_per_axis=8)
+
+
+# ---------------------------------------------------------------------------
+# the fine rule without its nodes outside the envelope ball
+
+
+def _pruned_index_reference(params, n, radius):
+    """The chunks of _gh_rule(params, n, radius) from the index reference, filtered node by node.
+
+    Returns them with the sum of w e^{|y|^2} (Jacobian included) over every node left out.
+    """
+    m = params.m
+    y, _ = integrate._gh_axis(n)
+    radius_y = radius / math.sqrt(2.0 / params.rate)
+    k = next(k for k in range(m + 1) if n ** (m - k) <= integrate._CHUNK_POINTS)
+    inner = y[np.indices((n,) * (m - k)).reshape(m - k, n ** (m - k))]
+    chunks, dropped = [], 0.0
+    for outer, (X, logw) in zip(itertools.product(range(n), repeat=k), _gh_index_reference(params, n)):
+        rho2 = radius_y * radius_y - sum(y[i] * y[i] for i in outer)
+        keep = np.all(np.abs(inner) <= math.sqrt(max(rho2, 0.0)), axis=0) & (rho2 >= 0.0)
+        sq = sum(y[i] * y[i] for i in outer) + np.sum(inner * inner, axis=0)
+        dropped += float(np.sum(np.exp(logw[~keep] + sq[~keep])))
+        if keep.any():
+            chunks.append((X[keep], logw[keep]))
+    return chunks, dropped
+
+
+@pytest.mark.parametrize(
+    "m, n, chunk_points", [(4, 8, 64), (3, 8, 8), (2, 8, integrate._CHUNK_POINTS)], ids=["k2", "k2-1d", "k0"]
+)
+@pytest.mark.parametrize("radius_y", [0.5, 0.9, 2.0, 3.2, 10.0])
+def test_pruned_gh_grid_matches_filtered_index_reference(monkeypatch, m, n, chunk_points, radius_y):
+    monkeypatch.setattr(integrate, "_CHUNK_POINTS", chunk_points)
+    params = FockParams(m, 2.0, 1.0)
+    radius = radius_y * math.sqrt(2.0 / params.rate)
+    ref, dropped = _pruned_index_reference(params, n, radius)
+    chunks = 0
+    for (X, logw), (X_ref, logw_ref) in itertools.zip_longest(integrate._gh_rule(params, n, radius), ref):
+        assert X.flags.f_contiguous and not X.flags.writeable
+        assert np.array_equal(X, X_ref) and np.array_equal(logw, logw_ref)
+        chunks += 1
+    y, lw = integrate._gh_axis(n)
+    total = float(np.sum(np.exp(lw + y * y))) ** m * (2.0 / params.rate) ** (m / 2.0)
+    skipped = integrate._gh_skipped_mass(params, n, radius)
+    assert skipped == pytest.approx(dropped, rel=1e-12, abs=1e-14 * total)
+    if radius_y == 0.5 and m > 2:  # below the least |y|, and no outer node leaves room for an inner one
+        assert chunks == 0 and skipped == pytest.approx(total, rel=1e-14, abs=0.0)
+    if radius_y == 10.0:  # past the largest |y| times sqrt(m): the full grid
+        assert dropped == 0.0 and skipped <= 1e-14 * total
+
+
+def _log_p_abs(f, params):
+    return lambda X: params.p * f.log_abs(X)
+
+
+def _full_pair(f, params, n_coarse, n_fine):
+    """The refinement pair over the whole fine rule, as the unpruned backend computes it."""
+    return integrate._refine(
+        _log_p_abs(f, params), integrate._gh_rule(params, n_coarse), integrate._gh_rule(params, n_fine)
+    )
+
+
+def _spy_envelope(monkeypatch):
+    calls = []
+
+    def spy(f, params, t):
+        assert t > 0.0
+        calls.append(t)
+        return envelope_radius(f, params, t)
+
+    def nonempty_log_sum_exp(a):
+        assert np.size(a) > 0
+        return log_sum_exp(a)
+
+    log_sum_exp = integrate._log_sum_exp
+    monkeypatch.setattr(integrate, "envelope_radius", spy)
+    monkeypatch.setattr(integrate, "_log_sum_exp", nonempty_log_sum_exp)
+    return calls
+
+
+_PRUNED_CASES = {
+    "coherent a=(3,0,0,0) p=4": (Coherent(center=(3.0, 0.0, 0.0, 0.0), alpha=1.0), 4.0),
+    "expquad c=0.45": (ExpQuadratic(c=0.45, dim=4), 2.0),
+    "far two-atom sumcoherent": (
+        SumOfCoherent(atoms=((0.6, (3.0, 0.0, 0.0, 0.0)), (0.4, (-2.0, 1.0, 0.0, 0.0))), alpha=1.0),
+        2.0,
+    ),
+    "polynomial in two variables": (
+        Polynomial(terms={(1, 2): 1 + 2j, (3, 0): -0.5, (0, 0): 2j, (2, 1): 0.25 - 1j}),
+        2.0,
+    ),
+    "monomial (3,1)": (Monomial(powers=(3, 1)), 2.0),
+    "coherent shifted by e^30": (Coherent(center=(0.3, -0.2, 0.1, 0.4), alpha=1.0).log_shifted(30.0), 2.0),
+    "coherent shifted by e^-30": (Coherent(center=(0.3, -0.2, 0.1, 0.4), alpha=1.0).log_shifted(-30.0), 2.0),
+}
+
+
+@pytest.mark.parametrize("case", list(_PRUNED_CASES))
+def test_pruned_gh_covers_the_nodes_it_skips(case):
+    # m = 4, GH(32): the 64^4 fine rule runs in 64 chunks of 64^3 nodes, so the envelope prunes it
+    f, p = _PRUNED_CASES[case]
+    params = FockParams(4, p, 1.0)
+    log_h = _log_p_abs(f, params)
+
+    def envelope(t):
+        return envelope_radius(f, params, t)
+
+    coarse, _ = integrate._integral(log_h, integrate._gh_rule(params, 32))
+    full, _ = integrate._integral(log_h, integrate._gh_rule(params, 64))
+    rule, tail = integrate._gh_pruned(params, 64, envelope, coarse)
+    kept = sum(len(logw) for _, logw in rule)
+    assert 0 < kept <= 64**4 and 0.0 <= tail <= 2.0**-53 * coarse
+    est = gauss_hermite_integrate(log_h, params, 32, envelope)
+    assert est.error_bound == max(abs(est.value - coarse), integrate._roundoff(est.value, kept)) + tail
+    assert abs(full - est.value) <= tail + integrate._roundoff(full, 64**4)
+    # the new value lies within its own bound of the value of the whole fine rule
+    assert abs(est.value - full) <= est.error_bound
+
+
+def test_fock_norm_prunes_a_fine_rule_of_many_chunks(monkeypatch):
+    f, params = Constant(value=1.0, dim=4), FockParams(4, 2.0, 1.0)
+    est = gauss_hermite_integrate(_log_p_abs(f, params), params, 32, lambda t: envelope_radius(f, params, t))
+    calls = _spy_envelope(monkeypatch)
+    norm = fock_norm(f, params, method=GaussHermite(32))
+    c = norm_constant(params)
+    assert len(calls) == 1
+    assert norm.raw_integral == c * est.value and norm.error_bound == c * est.error_bound
+    assert abs(norm.raw_integral - 1.0) <= norm.error_bound
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        Coherent(center=(0.3, -0.2, 0.1, 0.4), alpha=1.0),
+        Monomial(powers=(1, 1)),
+        Polynomial(terms={(1, 2): 1 + 2j, (3, 0): -0.5, (0, 0): 2j, (2, 1): 0.25 - 1j}),
+    ],
+    ids=["coherent", "monomial", "polynomial"],
+)
+def test_pruned_gh_keeps_the_same_nodes_at_every_scale(f):
+    # f -> e^delta f scales the coarse value, t and u alike, so the ball keeps the same nodes
+    params = FockParams(4, 2.0, 1.0)
+
+    def kept(delta):
+        g = f.log_shifted(delta)
+        coarse, _ = integrate._integral(_log_p_abs(g, params), integrate._gh_rule(params, 32))
+        rule, tail = integrate._gh_pruned(params, 64, lambda t: envelope_radius(g, params, t), coarse)
+        return sum(len(logw) for _, logw in rule), tail / coarse
+
+    counts = {delta: kept(delta) for delta in (-30.0, -7.5, 0.0, 12.0, 30.0)}
+    assert len({n for n, _ in counts.values()}) == 1, counts
+    assert counts[0.0][0] < 64**4
+    rel_tails = [r for _, r in counts.values()]
+    assert max(rel_tails) <= min(rel_tails) * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize(
+    "m, n, n_fine",
+    [(2, 32, 64), (2, 48, 96), (3, 32, 64), (4, 16, 32)],
+    ids=["m2-gh32", "m2-gh48", "m3-gh32", "m4-gh16"],
+)
+def test_fine_rule_of_one_chunk_is_never_pruned(monkeypatch, m, n, n_fine):
+    assert n_fine**m <= integrate._CHUNK_POINTS  # 32^4 is exactly one chunk
+    f = Coherent(center=(0.4,) + (-0.3,) * (m - 1), alpha=1.0)
+    params = FockParams(m, 2.5, 1.0)
+    ref = _full_pair(f, params, n, n_fine)
+    calls = _spy_envelope(monkeypatch)
+    est = fock_norm(f, params, method=GaussHermite(n))
+    c = norm_constant(params)
+    assert calls == []
+    assert est.raw_integral == c * ref.value and est.error_bound == c * ref.error_bound
+
+
+def test_convex_functional_is_never_pruned(monkeypatch):
+    # 64-point chunks: the 64^2 fine grid spans 64 of them, which fock_norm would prune
+    monkeypatch.setattr(integrate, "_CHUNK_POINTS", 64)
+    f = Coherent(center=(0.4, -0.3), alpha=1.0)
+    params = FockParams(2, 2.0, 1.0)
+    G = Power(2.0)
+
+    def log_G(X):
+        g = G.value(np.exp(log_density_batch(f, params, X)))
+        with np.errstate(divide="ignore"):
+            return np.log(g) + 0.5 * params.rate * np.sum(X * X, axis=1)
+
+    ref = integrate._refine(log_G, integrate._gh_rule(params, 32), integrate._gh_rule(params, 64))
+    calls = _spy_envelope(monkeypatch)
+    est = convex_functional(f, params, G, method=GaussHermite(32))
+    assert calls == []
+    assert est.value == ref.value and est.error_bound == ref.error_bound
+    fock_norm(f, params, method=GaussHermite(32))
+    assert len(calls) == 1
+
+
+def test_pruning_skips_a_zero_integrand(monkeypatch):
+    calls = _spy_envelope(monkeypatch)
+    est = fock_norm(Constant(value=0.0, dim=4), FockParams(4, 2.0, 1.0), method=GaussHermite(32))
+    assert calls == []
+    assert est.raw_integral == 0.0 and est.error_bound == 0.0
+
+
+@pytest.mark.parametrize("delta", [-10.9, -10.5])
+def test_pruning_falls_back_when_t_is_not_a_normal_double(monkeypatch, delta):
+    # at p = 64 the integral is near the least normal double and t = 2^-53 I / S
+    # underflows (-10.9: to 0, -10.5: to a subnormal), so the full fine rule runs
+    f = Constant(value=1.0, dim=4).log_shifted(delta)
+    params = FockParams(4, 64.0, 1.0)
+    ref = _full_pair(f, params, 32, 64)
+    calls = _spy_envelope(monkeypatch)
+    est = fock_norm(f, params, method=GaussHermite(32))
+    c = norm_constant(params)
+    assert calls == []
+    assert est.raw_integral == c * ref.value and est.error_bound == c * ref.error_bound
+    # a little lower the integral itself underflows, as before
+    with pytest.raises(MethodUnavailableError, match="underflows"):
+        fock_norm(Constant(value=1.0, dim=4).log_shifted(-11.0), params, method=GaussHermite(32))
+    assert calls == []
+
+
+@pytest.mark.parametrize("radius", [0.0, 1e-3, 0.1])
+def test_pruning_falls_back_when_the_ball_holds_no_node(monkeypatch, radius):
+    f = Coherent(center=(0.4, -0.3, 0.2, 0.1), alpha=1.0)
+    params = FockParams(4, 2.0, 1.0)
+    ref = _full_pair(f, params, 32, 64)
+    calls = _spy_envelope(monkeypatch)
+    monkeypatch.setattr(integrate, "envelope_radius", lambda f, params, t: calls.append(t) or radius)
+    est = fock_norm(f, params, method=GaussHermite(32))
+    c = norm_constant(params)
+    assert len(calls) == 1  # at rate 2 the least |x| of the 64^4 rule is 2 x 0.139, above 0.1
+    assert est.raw_integral == c * ref.value and est.error_bound == c * ref.error_bound
 
 
 # the rules against scipy's, which focklab no longer imports: the two agree to
