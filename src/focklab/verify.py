@@ -309,6 +309,8 @@ def check_limit_norm(
 ) -> VerificationReport:
     """p-norm ladder decreases to the weighted sup norm; extrapolation hits it to relative tol."""
     p_ladder = [float(p) for p in p_ladder]
+    if len(p_ladder) < 2:
+        raise InvalidInputError(f"p ladder needs at least two rungs, got {len(p_ladder)}")
     if any(b <= a for a, b in zip(p_ladder, p_ladder[1:])):
         raise InvalidInputError("p ladder must be strictly increasing")
     norms = [fock_norm(f, FockParams(f.m, p, alpha), method=method) for p in p_ladder]
@@ -451,19 +453,23 @@ class PowerPhi:
     gamma: float
 
     def __post_init__(self):
-        if not (self.gamma > 0):
-            raise InvalidInputError("phi power must be positive")
+        if not (0 < self.gamma < math.inf):
+            raise InvalidInputError(f"phi power must be positive and finite, got {self.gamma}")
 
 
 @dataclass(frozen=True)
 class LogPowerPhi:
-    """Phi(s) = max(log s, 0)^power; power = m/2 matches the measure inversion."""
+    """Phi(s) = max(log s, 0)^power; power = m/2 matches the measure inversion.
+
+    Only positive multiples of 1/2 are accepted: there the lemma's incomplete
+    gamma has a closed form.
+    """
 
     power: float
 
     def __post_init__(self):
-        if not (self.power > 0):
-            raise InvalidInputError("log-phi power must be positive")
+        if not (0 < self.power < math.inf and (2.0 * self.power).is_integer()):
+            raise InvalidInputError(f"log-phi power must be a positive multiple of 1/2, got {self.power}")
 
 
 @dataclass(frozen=True)
@@ -473,8 +479,8 @@ class PowerPsi:
     r: float
 
     def __post_init__(self):
-        if not (self.r >= 1):
-            raise InvalidInputError("psi exponent must be at least 1")
+        if not (1 <= self.r < math.inf):
+            raise InvalidInputError(f"psi exponent must be finite and at least 1, got {self.r}")
 
 
 _UNWEIGHTED = PowerPsi(1.0)  # Psi == 1, the side of the Phi-constraint
@@ -560,11 +566,32 @@ def _lemma_integral(profile, phi, psi, log_scale: float, T: float, t_lo: float) 
     return float(w @ (np.maximum(la, 0.0) ** phi.power * np.exp(log_w)))
 
 
+def _gamma_q(a: float, x: float) -> float:
+    """Regularized upper incomplete gamma Q(a, x) for a a positive multiple of 1/2.
+
+    Q(1/2, x) = erfc(sqrt x), Q(1, x) = e^-x and Q(a+1, x) = Q(a, x) +
+    x^a e^-x / Gamma(a+1) (DLMF 8.4.6, 8.4.10, 8.8.2); each added term is
+    formed in logs, so it underflows only where it is below the least double.
+    """
+    if x == 0.0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    n = math.ceil(a) - 1  # a = a0 + n with a0 in {1/2, 1}
+    a0 = a - n
+    q = math.erfc(math.sqrt(x)) if a0 == 0.5 else math.exp(-x)
+    log_x = math.log(x)
+    for j in range(n):
+        q += math.exp((a0 + j) * log_x - x - math.lgamma(a0 + j + 1.0))
+    return q
+
+
 def _lemma_closed_form(beta: float, phi, psi, log_scale: float, T: float, t_lo: float) -> float:
     """_lemma_integral for g(t) = t^(-beta), beta > -1, in closed form.
 
     With b = 1 + beta the argument of Phi is e^log_scale t^(-b): power phi
-    integrates a power of t, log-phi an incomplete gamma in v = log_scale - b log t.
+    integrates a power of t, log-phi an incomplete gamma in v = log_scale - b log t
+    with first argument power + 1, a multiple of 1/2.
     """
     if t_lo == 0.0:
         _lemma_s_max(phi, psi, beta)  # the integrability gate of the panel rule
@@ -579,10 +606,9 @@ def _lemma_closed_form(beta: float, phi, psi, log_scale: float, T: float, t_lo: 
     q, k = phi.power, r / b
     v_a = max(0.0, log_scale - b * log_T)
     v_b = max(v_a, log_scale - b * math.log(t_lo)) if t_lo > 0.0 else math.inf
-    from scipy.special import gammaincc  # imported here to keep scipy off the import path
-
-    tail = gammaincc(q + 1.0, k * v_a) - gammaincc(q + 1.0, k * v_b)
-    return float(math.exp(k * log_scale) * math.gamma(q + 1.0) * k**-q * tail)
+    # Gamma(q + 1) overflows from q = 171 on, before _gamma_q's q-term sum would run
+    front = math.exp(k * log_scale) * math.gamma(q + 1.0) * k**-q
+    return front * (_gamma_q(q + 1.0, k * v_a) - _gamma_q(q + 1.0, k * v_b))
 
 
 def _solve_constraint_scale(integral, phi, T: float, t_lo: float, target: float) -> float:
@@ -598,19 +624,24 @@ def _solve_constraint_scale(integral, phi, T: float, t_lo: float, target: float)
     if 0.0 < c0 < math.inf:
         return math.log(target / c0) / phi.gamma
     lo, hi = -60.0, 60.0
-    for _ in range(6):
-        if C(lo) < target:
-            break
+    c_lo, c_hi = C(lo), C(hi)
+    while not c_lo < target and lo > -420.0:
         lo -= 60.0
-    for _ in range(6):
-        if C(hi) > target:
-            break
+        c_lo = C(lo)
+    while not c_hi > target and hi < 420.0:
         hi += 60.0
-    if not (C(lo) < target < C(hi)):
+        c_hi = C(hi)
+    if not (c_lo < target < c_hi):
         raise InvalidInputError("constraint not satisfiable by rescaling this profile")
-    from scipy.optimize import brentq  # imported here to keep scipy off the import path
-
-    return brentq(lambda ls: C(ls) - target, lo, hi, xtol=1e-14)
+    # C increases in ls: bisect to xtol 1e-14 or to adjacent doubles
+    mid = 0.5 * (lo + hi)
+    while hi - lo > 1e-14 and lo < mid < hi:
+        if C(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def check_rearrangement_lemma(

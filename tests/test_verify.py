@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.special import gammaincc, gammaln
 
 from focklab import (
     Coherent,
@@ -44,7 +44,7 @@ from focklab.verify import (
     random_rearrangement_case,
     richardson_limit,
 )
-from focklab.verify import _lemma_closed_form, _lemma_integral  # white-box cross-checks
+from focklab.verify import _gamma_q, _lemma_closed_form, _lemma_integral  # white-box cross-checks
 
 P2 = FockParams(2, 2.0, 1.0)
 GH16 = GaussHermite(16)
@@ -276,6 +276,13 @@ def test_limit_norm_rejects_unordered_ladder():
         check_limit_norm(Monomial(powers=(1,)), 1.0, p_ladder=(4.0, 2.0))
 
 
+@pytest.mark.parametrize("p_ladder", [(2.0,), ()], ids=["one_rung", "empty"])
+def test_limit_norm_rejects_ladder_without_a_pair(p_ladder):
+    # the monotonicity margin compares adjacent rungs, so it needs at least one pair
+    with pytest.raises(InvalidInputError, match="at least two rungs"):
+        check_limit_norm(Monomial(powers=(1,)), 1.0, p_ladder=p_ladder)
+
+
 # ---------------------------------------------------------------------------
 # extremality of coherent states
 
@@ -434,6 +441,37 @@ def test_tabulated_power_profile_matches_closed_form():
     assert report.details["weighted_profile"] == pytest.approx(
         exact.details["weighted_profile"], rel=1e-12
     )
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-300, 1e-8, 0.5, 1.0, 30.0, 700.0, math.inf])
+@pytest.mark.parametrize("a", [0.5 * n for n in range(1, 21)])
+def test_gamma_q_matches_scipy(a, x):
+    ref = gammaincc(a, x)
+    if x == 1e-300:
+        # the terms x^a e^-x / Gamma(a+1) underflow: Q is 1 to far below an ulp
+        assert _gamma_q(a, x) == pytest.approx(ref, rel=0.0, abs=1e-300)
+    else:
+        # at x = 700 both round exponents near -700, so they part by up to ~700 ulps
+        assert _gamma_q(a, x) == pytest.approx(ref, rel=2e-13, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "cls,value",
+    [
+        (PowerPhi, math.inf), (PowerPhi, math.nan),
+        (LogPowerPhi, math.inf), (LogPowerPhi, 0.7), (LogPowerPhi, 0.0),
+        (PowerPsi, math.inf), (PowerPsi, math.nan), (PowerPsi, 0.5),
+    ],
+)
+def test_lemma_parameters_reject_bad_values(cls, value):
+    with pytest.raises(InvalidInputError):
+        cls(value)
+
+
+def test_lemma_parameters_accept_half_integer_powers():
+    for power in (0.5, 1, 1.5, 2.0, 12.5):
+        assert LogPowerPhi(power=power).power == power
+    assert LogPowerPhi(power=np.float64(1.5)).power == 1.5
 
 
 def test_lemma_integrability_gate_still_raises():
