@@ -374,6 +374,40 @@ def test_norm_infers_dimension_from_spec(tmp_path, spec, m):
 # failure modes
 
 
+def _run_fresh(code: str) -> str:
+    # a fresh interpreter: this test process has scipy loaded already
+    src = os.path.dirname(os.path.dirname(os.path.abspath(focklab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    code = "import sys, focklab, focklab.cli; print('scipy.optimize' in sys.modules)"
+    assert _run_fresh(code) == "False"
+
+
+def test_import_and_norm_and_profile_load_no_scipy(tmp_path):
+    # with scipy importable, import, norm and profile still load none of it
+    runs = [
+        ["norm", "--fn", "coherent:a=1,0;alpha=1", "--method", "gh"],
+        ["norm", "--fn", "monomial:k=1", "--method", "radial"],
+        ["norm", "--fn", "coherent:a=1,0;alpha=1", "--method", "mc", "--samples", "20000"],
+        ["profile", "--fn", "monomial:k=1", "--samples", "20000", "--levels", "8"],
+    ]
+    runs = [argv + ["--output", str(tmp_path / f"run{i}.json")] for i, argv in enumerate(runs)]
+    code = (
+        "import json, sys, focklab, focklab.cli\n"
+        "def scipy_modules(): return [m for m in sys.modules if m.startswith('scipy')]\n"
+        "after_import = scipy_modules()\n"
+        f"codes = [focklab.cli.main(argv) for argv in {runs!r}]\n"
+        "print(json.dumps([after_import, codes, scipy_modules()]))"
+    )
+    after_import, codes, after_runs = json.loads(_run_fresh(code).splitlines()[-1])
+    assert after_import == [] and after_runs == []
+    assert codes == [0, 0, 0, 0]
+
+
 def test_runs_without_scipy(tmp_path):
     # a fresh interpreter (this test process has scipy loaded already) in which
     # any scipy import raises: the three backends' rules, the Lambert W level
