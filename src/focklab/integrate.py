@@ -3,9 +3,13 @@
 All backends integrate exp(log_h) over R^m against the Gaussian weight
 exp(-(alpha p/2)|x|^2), the measure of the Gauss-Hermite and generalized
 Gauss-Laguerre rules and of the importance-sampling proposal, so fock_norm hands
-them log_h = p log|f| and never forms the weight.  The two rules yield (X, logw)
-chunks to one log-sum-exp reducer and take a coarse/fine gap as error.  Every
-backend states at least its roundoff, and integrals outside the normal double range raise.
+them log_h = p log|f| and never forms the weight.  The two rules yield chunks
+(X, logw_table, offset): the chunk's log-weights are the table plus one scalar.
+One reducer adds log_h(X) to the table in a fresh array, which it owns, runs
+log-sum-exp on it in place and adds the offset to the chunk's log-sum; the
+rules take a coarse/fine gap as error.  No backend writes into the array
+log_h returns.  Every backend states at least its roundoff, and integrals
+outside the normal double range raise.
 """
 
 from __future__ import annotations
@@ -122,26 +126,26 @@ def norm_constant(params: FockParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# deterministic rules: (X, logw) chunk generators, one reducer, one refinement pair
+# deterministic rules: (X, logw_table, offset) chunk generators, one reducer, one refinement pair
 
 
-def _log_sum_exp(a) -> float:
-    """log(sum(exp(a))) over a 1-D array, in the arithmetic of scipy.special.logsumexp.
+def _log_sum_exp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) over a 1-D float array that the caller owns; a is overwritten.
 
-    With top = max(a) reached k times: log1p(s / k) + log(k) + top, s the sum of
-    exp(a - top) over the other entries.  A non-finite top (all -inf, a +inf or
-    a nan) takes log(sum(exp(a))) directly.
+    With top = a[argmax(a)]: log1p(s) + top, s the sum of exp(a - top) over
+    every other entry, in four passes over a (argmax, subtract, exp, sum) and
+    no temporary.  A non-finite top (all -inf, a +inf or a nan) takes
+    log(sum(exp(a))) directly.
     """
-    a = np.asarray(a, dtype=float)
-    top = a.max()
-    if not np.isfinite(top):
+    i = int(np.argmax(a))
+    top = float(a[i])
+    if not math.isfinite(top):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return float(np.log(np.sum(np.exp(a))))
-    at_top = a == top
-    e = np.exp(a - top)
-    e[at_top] = 0.0
-    k = np.count_nonzero(at_top)
-    return float(np.log1p(e.sum() / k) + np.log(k) + top)
+            return float(np.log(np.sum(np.exp(a, out=a))))
+    np.subtract(a, top, out=a)
+    np.exp(a, out=a)
+    a[i] = 0.0
+    return float(np.log1p(a.sum())) + top
 
 
 def _check_fits(log_value: float) -> None:
@@ -160,19 +164,26 @@ def _roundoff(value: float, n: int) -> float:
 
 
 def _integral(log_h: Callable, rule) -> tuple[float, int]:
-    """(integral of exp(log_h) on the (X, logw) rule, nodes evaluated); raises unless 0 or normal."""
-    parts = [(_log_sum_exp(logw + log_h(X)), len(logw)) for X, logw in rule]
-    log_value = _log_sum_exp([s for s, _ in parts])
+    """(integral of exp(log_h) on the rule, nodes evaluated); raises unless 0 or normal.
+
+    The rule yields (X, logw_table, offset).  Each chunk's one fresh array is
+    log_h(X) + logw_table, reduced in place; the offset is added to its log-sum.
+    """
+    sums, n = [], 0
+    for X, table, offset in rule:
+        sums.append(_log_sum_exp(np.add(log_h(X), table)) + offset)
+        n += len(table)
+    log_value = _log_sum_exp(np.array(sums))
     _check_fits(log_value)
-    return float(np.exp(log_value)), sum(n for _, n in parts)
+    return float(np.exp(log_value)), n
 
 
 def _refine(log_h: Callable, coarse, fine, pruned=None) -> IntegralEstimate:
     """Integral of exp(log_h) on the fine rule, max(|fine - coarse|, roundoff) its error.
 
-    Rules yield (X, logw).  `pruned`, if given, maps the coarse value to None
-    or to (rule, tail): a rule that skips some fine nodes, run in place of
-    `fine`, and a bound on what the skipped nodes add, added to the error.
+    Rules yield (X, logw_table, offset).  `pruned`, if given, maps the coarse
+    value to None or to (rule, tail): a rule that skips some fine nodes, run in
+    place of `fine`, and a bound on what the skipped nodes add, added to the error.
     Raises MethodUnavailableError unless both integrals are 0 or normal doubles.
     """
     coarse_value, _ = _integral(log_h, coarse)
@@ -221,37 +232,55 @@ def _gh_outer_dims(m: int, n: int) -> int:
 
 
 def _gh_rule(params: FockParams, n: int, radius: float = math.inf):
-    """Yield (X, logw) chunks of the n^m tensor rule, at most _CHUNK_POINTS nodes each.
+    """Yield (X, logw_table, offset) chunks of the n^m tensor rule, at most _CHUNK_POINTS nodes each.
 
-    The weights integrate against exp(-(alpha p/2)|x|^2), Jacobian included.
-    A chunk fixes the leading k (outer) coordinates and runs the other m - k
-    over a tensor grid, the last coordinate fastest: the full grid at radius
-    inf, else the sub-grid of _gh_cuts, which skips only nodes with
-    |x| > radius, and no chunk that keeps none.  X is a read-only,
-    column-major (N, m) view of one buffer: each inner column is filled by a
-    broadcast whenever the sub-grid changes, the outer columns are rewritten
-    per chunk, so the next chunk overwrites the X yielded before it.
+    The weights integrate against exp(-(alpha p/2)|x|^2), Jacobian included:
+    node i of a chunk has log-weight logw_table[i] + offset.  A chunk fixes
+    the leading k (outer) coordinates and runs the other m - k over a tensor
+    grid, the last coordinate fastest: the full grid at radius inf, else the
+    sub-grid of _gh_cuts, which skips only nodes with |x| > radius, and no
+    chunk that keeps none.  X is a read-only, column-major (N, m) view of one
+    buffer and logw_table a read-only view of another: each inner column and
+    the table (the inner axes' log-weights added in axis order) are filled by
+    broadcasts whenever the sub-grid changes, the outer columns are rewritten
+    per chunk, so the next chunk overwrites the X yielded before it.  The
+    offset is the outer log-weights' sum plus the log-Jacobian.
     """
     m = params.m
     y, lw = _gh_axis(n)
     scale, log_jac = _gh_frame(params)
+    x = y * scale
     k = _gh_outer_dims(m, n)
-    buf = np.empty(n ** (m - k) * m)
+    buf, table_buf = np.empty(n ** (m - k) * m), np.empty(n ** (m - k))
     cut = None
     for outer, lo, hi in _gh_cuts(n, k, radius / scale):
         if (lo, hi) != cut:
             cut, grid = (lo, hi), (hi - lo,) * (m - k)
             X = buf[: (hi - lo) ** (m - k) * m].reshape((-1, m), order="F")
-            inner_lw = np.zeros(grid)
+            table = table_buf[: (hi - lo) ** (m - k)]
             for j in range(m - k):
                 axis = tuple(hi - lo if i == j else 1 for i in range(m - k))
-                np.multiply(y[lo:hi].reshape(axis), scale, out=X[:, k + j].reshape(grid))
-                inner_lw = inner_lw + lw[lo:hi].reshape(axis)
-            inner_lw = inner_lw.reshape(-1)
-            view = X.view()
-            view.flags.writeable = False
-        X[:, :k] = y[list(outer)] * scale
-        yield view, inner_lw + sum(lw[i] for i in outer) + log_jac
+                np.copyto(X[:, k + j].reshape(grid), x[lo:hi].reshape(axis))
+            _outer_sum(lw[lo:hi], m - k, table)
+            view, table_view = X.view(), table.view()
+            view.flags.writeable = table_view.flags.writeable = False
+        X[:, :k] = x[list(outer)]
+        yield view, table_view, sum(lw[i] for i in outer) + log_jac
+
+
+def _outer_sum(v: np.ndarray, d: int, out: np.ndarray) -> None:
+    """Fill out (length len(v)^d) with v[i_1] + ... + v[i_d], added left to right, i_d fastest.
+
+    The partial sums over the first d - 1 axes are a temporary 1/len(v) the
+    size of out; out is written once.  At d = 0 it holds the empty sum, 0.
+    """
+    part = np.zeros(1)
+    for _ in range(d - 1):
+        part = np.add.outer(part, v).reshape(-1)
+    if d:
+        np.add.outer(part, v, out=out.reshape(-1, len(v)))
+    else:
+        out[0] = 0.0
 
 
 def _gh_skipped_mass(params: FockParams, n: int, radius: float) -> float:
@@ -370,7 +399,7 @@ def _radial_axis(n: int, m: int):
     s = s - s * cur / (n * cur - (n + a) * prev)  # s L_n' = n L_n - (n+a) L_(n-1)
     prev, _, log_scale = _laguerre_pair(s, n, a)
     log_w = np.log(s) - 2.0 * (np.log(np.abs(prev)) + log_scale)
-    return s, log_w + (math.lgamma(a + 1.0) - _log_sum_exp(log_w))
+    return s, log_w + (math.lgamma(a + 1.0) - _log_sum_exp(log_w.copy()))
 
 
 @lru_cache(maxsize=32)
@@ -396,14 +425,14 @@ def _sphere_rule(m: int, n_ang: int):
 
 
 def _radial_rule(params: FockParams, nr: int, na: int):
-    """Yield the radial-spherical rule as one (X, logw) chunk (m <= 3)."""
+    """Yield the radial-spherical rule as one (X, logw_table, offset) chunk (m <= 3)."""
     m = params.m
     s, lws = _radial_axis(nr, m)
     omega, aw = _sphere_rule(m, na)
     r = np.sqrt(2.0 * s / params.rate)
     log_jac = math.log(0.5) + 0.5 * m * math.log(2.0 / params.rate)
     X = (r[:, None, None] * omega[None, :, :]).reshape(-1, m)
-    yield X, (lws[:, None] + np.log(aw)[None, :] + log_jac).reshape(-1)
+    yield X, (lws[:, None] + np.log(aw)[None, :]).reshape(-1), log_jac
 
 
 def radial_integrate(
@@ -434,13 +463,13 @@ def mc_integrate(
         raise InvalidInputError(f"need at least 1000 samples, got {samples}")
     X = np.random.default_rng(seed).standard_normal((samples, params.m))
     X /= math.sqrt(params.rate)
-    log_ratio = log_h(X) - math.log(norm_constant(params))
-    peak = float(np.max(log_ratio))
+    w = log_h(X) - math.log(norm_constant(params))  # log-ratios in an array of our own
+    peak = float(np.max(w))
     if peak == -math.inf:
         return IntegralEstimate(value=0.0, error_bound=0.0)
     if math.isnan(peak) or peak == math.inf:
         _check_fits(peak)  # raises before inf - inf turns the weights into nan
-    w = np.exp(log_ratio - peak)
+    np.exp(np.subtract(w, peak, out=w), out=w)
     mean_w = float(np.mean(w))
     std_w = float(np.std(w, ddof=1))
     _check_fits(peak + math.log(mean_w))  # mean_w >= 1/samples: the peak weight is 1
@@ -501,6 +530,15 @@ class ConvexFunction:
     def validate(self):
         raise NotImplementedError
 
+    def log_value(self, log_t: np.ndarray) -> np.ndarray:
+        """log G(exp(log_t)) in a fresh array; raises UnsupportedFunctionalError where G < 0."""
+        with np.errstate(over="ignore"):  # an overflowing t reaches the typed check as inf
+            g = self.value(np.exp(log_t))
+        if np.any(g < 0):
+            raise UnsupportedFunctionalError("G must be nonnegative")
+        with np.errstate(divide="ignore"):
+            return np.log(g)
+
 
 @dataclass(frozen=True)
 class Power(ConvexFunction):
@@ -516,6 +554,9 @@ class Power(ConvexFunction):
 
     def value(self, t):
         return np.asarray(t, dtype=float) ** self.exponent
+
+    def log_value(self, log_t):
+        return self.exponent * np.asarray(log_t, dtype=float)
 
     def derivative(self, t):
         t = np.asarray(t, dtype=float)
@@ -631,19 +672,18 @@ def convex_functional(
 ) -> FunctionalEstimate:
     """Integral of G(u) over R^m for convex nondecreasing G with G(0) = 0.
 
-    Runs through the norm backends with log_h = log G(u) + (alpha p/2)|x|^2.
+    Runs through the norm backends with log_h = log G(u) + (alpha p/2)|x|^2,
+    log G(u) from G.log_value(log u).
     """
     G.validate()
     if not f.has_envelope(params):
         raise NoEnvelopeError("density is unbounded; the functional diverges")
 
     def log_G(X):
-        with np.errstate(over="ignore"):  # an overflowing u reaches the typed check as inf
-            g = G.value(np.exp(log_density_batch(f, params, X)))
-        if np.any(g < 0):
-            raise UnsupportedFunctionalError("G must be nonnegative")
-        with np.errstate(divide="ignore"):
-            return np.log(g) + 0.5 * params.rate * _sq_norm(X)
+        log_h = _sq_norm(X)
+        log_h *= 0.5 * params.rate
+        log_h += G.log_value(log_density_batch(f, params, X))
+        return log_h
 
     est = _dispatch_raw(log_G, params, method)
     return FunctionalEstimate(value=est.value, error_bound=est.error_bound, method=method)

@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, MethodUnavailableError
 from .functions import (
     Coherent,
     FockParams,
@@ -561,9 +561,11 @@ def _lemma_integral(profile, phi, psi, log_scale: float, T: float, t_lo: float) 
     lt = log_T - s
     la = log_scale + profile.log_g(lt) - lt
     log_w = lt + math.log(psi.r) + (psi.r - 1.0) * lt  # Psi(t) times the jacobian dt = t ds
-    if isinstance(phi, PowerPhi):
-        return float(w @ np.exp(phi.gamma * la + log_w))
-    return float(w @ (np.maximum(la, 0.0) ** phi.power * np.exp(log_w)))
+    # the integrand in log form, 0 where la <= 0 for log-phi; inf where it passes the largest double
+    with np.errstate(divide="ignore", over="ignore"):
+        if isinstance(phi, PowerPhi):
+            return float(w @ np.exp(phi.gamma * la + log_w))
+        return float(w @ np.exp(phi.power * np.log(np.maximum(la, 0.0)) + log_w))
 
 
 def _gamma_q(a: float, x: float) -> float:
@@ -582,8 +584,34 @@ def _gamma_q(a: float, x: float) -> float:
     q = math.erfc(math.sqrt(x)) if a0 == 0.5 else math.exp(-x)
     log_x = math.log(x)
     for j in range(n):
-        q += math.exp((a0 + j) * log_x - x - math.lgamma(a0 + j + 1.0))
+        term = math.exp((a0 + j) * log_x - x - math.lgamma(a0 + j + 1.0))
+        if q + term == q and a0 + j + 1.0 >= 2.0 * x:
+            break  # each later term is at most half the one before, so none changes q
+        q += term
     return q
+
+
+def _log_gamma_lower(a: float, x: float) -> float:
+    """log of the lower incomplete gamma function gamma(a, x) for 0 < x <= a.
+
+    gamma(a, x) = x^a e^-x sum_j x^j / (a (a+1) ... (a+j)) (DLMF 8.7.1); with
+    x <= a every term is at most the one before, so the sum stops at the
+    first term that no longer changes it.
+    """
+    term = total = 1.0 / a
+    j = 1
+    while total + (term := term * x / (a + j)) != total:
+        total += term
+        j += 1
+    return a * math.log(x) - x + math.log(total)
+
+
+def _exp(log_value: float) -> float:
+    """math.exp, with inf in place of OverflowError past the largest double."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
 
 
 def _lemma_closed_form(beta: float, phi, psi, log_scale: float, T: float, t_lo: float) -> float:
@@ -591,7 +619,8 @@ def _lemma_closed_form(beta: float, phi, psi, log_scale: float, T: float, t_lo: 
 
     With b = 1 + beta the argument of Phi is e^log_scale t^(-b): power phi
     integrates a power of t, log-phi an incomplete gamma in v = log_scale - b log t
-    with first argument power + 1, a multiple of 1/2.
+    with first argument power + 1, a multiple of 1/2.  Both are formed in logs
+    and return inf where the integral passes the largest double.
     """
     if t_lo == 0.0:
         _lemma_s_max(phi, psi, beta)  # the integrability gate of the panel rule
@@ -602,13 +631,24 @@ def _lemma_closed_form(beta: float, phi, psi, log_scale: float, T: float, t_lo: 
         L = log_T - math.log(t_lo) if t_lo > 0.0 else math.inf
         # (T^lam - t_lo^lam) / lam = T^lam * span
         span = -math.expm1(-lam * L) / lam if lam != 0.0 else L
-        return r * math.exp(phi.gamma * log_scale + lam * log_T) * span
+        return r * _exp(phi.gamma * log_scale + lam * log_T) * span
     q, k = phi.power, r / b
     v_a = max(0.0, log_scale - b * log_T)
     v_b = max(v_a, log_scale - b * math.log(t_lo)) if t_lo > 0.0 else math.inf
-    # Gamma(q + 1) overflows from q = 171 on, before _gamma_q's q-term sum would run
-    front = math.exp(k * log_scale) * math.gamma(q + 1.0) * k**-q
-    return front * (_gamma_q(q + 1.0, k * v_a) - _gamma_q(q + 1.0, k * v_b))
+    # e^(k log_scale) k^-q (Gamma(q+1, k v_a) - Gamma(q+1, k v_b)), in logs: Gamma(q + 1)
+    # alone overflows from q = 171 on
+    a, x_a, x_b = q + 1.0, k * v_a, k * v_b
+    if x_b <= a:  # both Q near 1: take the gap as gamma(a, x_b) - gamma(a, x_a), which keeps its digits
+        lo, hi = (_log_gamma_lower(a, x) if x > 0.0 else -math.inf for x in (x_a, x_b))
+        if not lo < hi:
+            return 0.0
+        log_gap = hi + math.log1p(-math.exp(lo - hi))
+    else:
+        gap = _gamma_q(a, x_a) - _gamma_q(a, x_b)
+        if not gap > 0.0:
+            return 0.0
+        log_gap = math.lgamma(a) + math.log(gap)
+    return _exp(k * log_scale - q * math.log(k) + log_gap)
 
 
 def _solve_constraint_scale(integral, phi, T: float, t_lo: float, target: float) -> float:
@@ -667,6 +707,8 @@ def check_rearrangement_lemma(
         partial(_lemma_closed_form, profile.beta) if closed else partial(_lemma_integral, profile)
     )
     target = _lemma_closed_form(0.0, phi, _UNWEIGHTED, 0.0, t_max, t_lo)
+    if target == math.inf:
+        raise MethodUnavailableError(f"the lemma's constraint integral overflows a double for {phi!r}")
     log_scale = _solve_constraint_scale(integral, phi, t_max, t_lo, target)
     # the panel rule checks the scale independently of the rule that solved for it
     residual = _lemma_integral(profile, phi, _UNWEIGHTED, log_scale, t_max, t_lo) - target
@@ -674,6 +716,8 @@ def check_rearrangement_lemma(
         raise InvalidInputError(f"constraint residual {residual:.3g} exceeds 1e-9 * {target:.6g}")
     lhs = integral(phi, psi, log_scale, t_max, t_lo)
     rhs = _lemma_closed_form(0.0, phi, psi, 0.0, t_max, t_lo)
+    if math.inf in (lhs, rhs):
+        raise MethodUnavailableError(f"the lemma's weighted integrals overflow a double for {phi!r}")
     margin = rhs - lhs
     hyp_ok = getattr(profile, "nonincreasing", True)
     return VerificationReport(

@@ -4,6 +4,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -242,7 +243,7 @@ def test_chunked_gh_runs_one_point_chunks_at_m1(monkeypatch):
 
 
 def _gh_index_reference(params, n):
-    """The chunks of _gh_rule built from np.indices, in the same arithmetic."""
+    """The (X, logw_table, offset) chunks of _gh_rule built from np.indices, in the same arithmetic."""
     m = params.m
     y, lw = integrate._gh_axis(n)
     scale = math.sqrt(2.0 / params.rate)
@@ -253,16 +254,16 @@ def _gh_index_reference(params, n):
         X = np.empty((inner.shape[1], m))
         X[:, :k] = y[list(outer)] * scale
         X[:, k:] = (y[inner] * scale).T
-        yield X, lw[inner].sum(axis=0) + sum(lw[i] for i in outer) + log_jac
+        yield X, lw[inner].sum(axis=0), sum(lw[i] for i in outer) + log_jac
 
 
 def _assert_gh_grid_matches_reference(params, n):
     chunks = 0
-    for (X, logw), (X_ref, logw_ref) in itertools.zip_longest(
+    for (X, table, offset), (X_ref, table_ref, offset_ref) in itertools.zip_longest(
         integrate._gh_rule(params, n), _gh_index_reference(params, n)
     ):
-        assert X.flags.f_contiguous and not X.flags.writeable
-        assert np.array_equal(X, X_ref) and np.array_equal(logw, logw_ref)
+        assert X.flags.f_contiguous and not X.flags.writeable and not table.flags.writeable
+        assert np.array_equal(X, X_ref) and np.array_equal(table, table_ref) and offset == offset_ref
         chunks += 1
     return chunks
 
@@ -281,15 +282,95 @@ def test_chunked_gh_grid_matches_index_reference(monkeypatch):
     assert _assert_gh_grid_matches_reference(FockParams(1, 2.0, 1.0), 16) == 16  # one-point chunks
 
 
-def test_gh_norm_memory_budget():
-    # m = 4, n = 32 pairs the 32^4 grid in one chunk with 64^4 in 64^3-point chunks
+def _traced_peak(fn):
     tracemalloc.start()
     try:
-        fock_norm(Constant(value=1.0, dim=4), FockParams(4, 2.0, 1.0), method=GaussHermite(32))
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 90e6
+
+
+def test_gh_norm_memory_budget():
+    # m = 4, n = 32 pairs the 32^4 grid in one chunk with 64^4 in 64^3-point chunks;
+    # measured 58.7 MB (the 32^4 chunk: X, its log-weight table, log_h and their sum)
+    peak = _traced_peak(
+        lambda: fock_norm(Constant(value=1.0, dim=4), FockParams(4, 2.0, 1.0), method=GaussHermite(32))
+    )
+    assert peak <= 64e6
+
+
+def test_mc_norm_memory_budget():
+    # 10^6 samples at m = 4: the points, log_h and the weights; measured 48.0 MB
+    peak = _traced_peak(
+        lambda: fock_norm(
+            Constant(value=1.0, dim=4), FockParams(4, 2.0, 1.0), method=MonteCarlo(samples=1_000_000, seed=0)
+        )
+    )
+    assert peak <= 52e6
+
+
+def test_gh_functional_memory_budget():
+    # the 32^4 fine grid of GH(16) in one chunk; measured 75.5 MB
+    f = Coherent(center=(0.3, -0.2, 0.1, 0.4), alpha=1.0)
+    peak = _traced_peak(
+        lambda: convex_functional(f, FockParams(4, 2.0, 1.0), Power(2.0), method=GaussHermite(16))
+    )
+    assert peak <= 82e6
+
+
+def _read_only(log_h):
+    def wrapped(X):
+        out = log_h(X)
+        out.flags.writeable = False
+        return out
+
+    return wrapped
+
+
+def _cached(value):
+    """log_h of a constant: one read-only array per chunk length, the same on every call."""
+    cache = {}
+
+    def log_h(X):
+        if len(X) not in cache:
+            cache[len(X)] = np.full(len(X), value)
+            cache[len(X)].flags.writeable = False
+        return cache[len(X)]
+
+    return log_h, cache
+
+
+def _backends(monkeypatch, params):
+    """(name, run) for GH unpruned and pruned, radial and MC; run(log_h, f) integrates log_h = p log|f|."""
+
+    def pruned(log_h, f):
+        sizes = []
+        with monkeypatch.context() as patch:
+            patch.setattr(integrate, "_CHUNK_POINTS", 64)  # the 32^2 fine grid spans 16 chunks
+            est = gauss_hermite_integrate(
+                lambda X: sizes.append(len(X)) or log_h(X), params, 16, partial(envelope_radius, f, params)
+            )
+        assert sum(sizes) < 16**2 + 32**2  # the fine rule skipped nodes
+        return est
+
+    yield "gh", lambda log_h, f: gauss_hermite_integrate(log_h, params, 16)
+    yield "gh pruned", pruned
+    yield "radial", lambda log_h, f: radial_integrate(log_h, params, 24, 32)
+    yield "mc", lambda log_h, f: mc_integrate(log_h, params, samples=20_000, seed=3)
+
+
+def test_reducers_never_write_into_log_h_output(monkeypatch):
+    # a read-only or a cached log_h gives bit for bit the estimate of a fresh array, and stays unchanged
+    params = FockParams(2, 2.5, 1.0)
+    f, const = Coherent(center=(0.4, -0.3), alpha=1.0), Constant(value=1.5, dim=2)
+    log_c = params.p * math.log(1.5)
+    for name, run in _backends(monkeypatch, params):
+        fresh = run(_log_p_abs(f, params), f)
+        assert run(_read_only(_log_p_abs(f, params)), f) == fresh, name
+        log_h, cache = _cached(log_c)
+        assert run(log_h, const) == run(lambda X: np.full(len(X), log_c), const), name
+        assert cache and all(np.all(a == log_c) for a in cache.values()), name
 
 
 def test_gh_points_are_read_only():
@@ -306,7 +387,8 @@ def test_gh_points_are_read_only():
 
 
 def _pruned_index_reference(params, n, radius):
-    """The chunks of _gh_rule(params, n, radius) from the index reference, filtered node by node.
+    """The (X, logw_table, offset) chunks of _gh_rule(params, n, radius) from the index reference,
+    filtered node by node.
 
     Returns them with the sum of w e^{|y|^2} (Jacobian included) over every node left out.
     """
@@ -316,13 +398,13 @@ def _pruned_index_reference(params, n, radius):
     k = next(k for k in range(m + 1) if n ** (m - k) <= integrate._CHUNK_POINTS)
     inner = y[np.indices((n,) * (m - k)).reshape(m - k, n ** (m - k))]
     chunks, dropped = [], 0.0
-    for outer, (X, logw) in zip(itertools.product(range(n), repeat=k), _gh_index_reference(params, n)):
+    for outer, (X, table, offset) in zip(itertools.product(range(n), repeat=k), _gh_index_reference(params, n)):
         rho2 = radius_y * radius_y - sum(y[i] * y[i] for i in outer)
         keep = np.all(np.abs(inner) <= math.sqrt(max(rho2, 0.0)), axis=0) & (rho2 >= 0.0)
         sq = sum(y[i] * y[i] for i in outer) + np.sum(inner * inner, axis=0)
-        dropped += float(np.sum(np.exp(logw[~keep] + sq[~keep])))
+        dropped += float(np.sum(np.exp(table[~keep] + offset + sq[~keep])))
         if keep.any():
-            chunks.append((X[keep], logw[keep]))
+            chunks.append((X[keep], table[keep], offset))
     return chunks, dropped
 
 
@@ -336,9 +418,11 @@ def test_pruned_gh_grid_matches_filtered_index_reference(monkeypatch, m, n, chun
     radius = radius_y * math.sqrt(2.0 / params.rate)
     ref, dropped = _pruned_index_reference(params, n, radius)
     chunks = 0
-    for (X, logw), (X_ref, logw_ref) in itertools.zip_longest(integrate._gh_rule(params, n, radius), ref):
-        assert X.flags.f_contiguous and not X.flags.writeable
-        assert np.array_equal(X, X_ref) and np.array_equal(logw, logw_ref)
+    for (X, table, offset), (X_ref, table_ref, offset_ref) in itertools.zip_longest(
+        integrate._gh_rule(params, n, radius), ref
+    ):
+        assert X.flags.f_contiguous and not X.flags.writeable and not table.flags.writeable
+        assert np.array_equal(X, X_ref) and np.array_equal(table, table_ref) and offset == offset_ref
         chunks += 1
     y, lw = integrate._gh_axis(n)
     total = float(np.sum(np.exp(lw + y * y))) ** m * (2.0 / params.rate) ** (m / 2.0)
@@ -409,7 +493,7 @@ def test_pruned_gh_covers_the_nodes_it_skips(case):
     coarse, _ = integrate._integral(log_h, integrate._gh_rule(params, 32))
     full, _ = integrate._integral(log_h, integrate._gh_rule(params, 64))
     rule, tail = integrate._gh_pruned(params, 64, envelope, coarse)
-    kept = sum(len(logw) for _, logw in rule)
+    kept = sum(len(table) for _, table, _ in rule)
     assert 0 < kept <= 64**4 and 0.0 <= tail <= 2.0**-53 * coarse
     est = gauss_hermite_integrate(log_h, params, 32, envelope)
     assert est.error_bound == max(abs(est.value - coarse), integrate._roundoff(est.value, kept)) + tail
@@ -446,7 +530,7 @@ def test_pruned_gh_keeps_the_same_nodes_at_every_scale(f):
         g = f.log_shifted(delta)
         coarse, _ = integrate._integral(_log_p_abs(g, params), integrate._gh_rule(params, 32))
         rule, tail = integrate._gh_pruned(params, 64, lambda t: envelope_radius(g, params, t), coarse)
-        return sum(len(logw) for _, logw in rule), tail / coarse
+        return sum(len(table) for _, table, _ in rule), tail / coarse
 
     counts = {delta: kept(delta) for delta in (-30.0, -7.5, 0.0, 12.0, 30.0)}
     assert len({n for n, _ in counts.values()}) == 1, counts
@@ -764,6 +848,29 @@ def test_functional_backend_agreement():
     mc = convex_functional(f, P2, Power(2.0), method=MonteCarlo(samples=200_000, seed=3))
     assert rad.value == pytest.approx(gh.value, abs=1e-8)
     assert abs(mc.value - gh.value) <= 4.0 * (mc.error_bound + gh.error_bound)
+
+
+@pytest.mark.parametrize(
+    "method", [GaussHermite(32), Radial(), MonteCarlo(samples=200_000, seed=3)], ids=repr
+)
+def test_power_log_value_matches_the_generic_path(method):
+    # Power takes log G(u) = r log u; Custom goes through exp, G and log
+    f = Coherent(center=(1.0, 0.0), alpha=1.0)
+    power = convex_functional(f, P2, Power(2.0), method=method)
+    generic = convex_functional(f, P2, Custom(fn=lambda t: t**2), method=method)
+    assert abs(power.value - generic.value) <= power.error_bound + generic.error_bound
+
+
+def test_power_log_value_is_log_of_value():
+    log_t = np.linspace(-90.0, 90.0, 7201)  # r log t stays inside the normal double range
+    for r in (1.0, 2.0, 3.5, 7.25):
+        G = Power(r)
+        got = G.log_value(log_t)
+        ref = np.log(G.value(np.exp(log_t)))
+        # the generic path rounds exp, the power and the log: (r + 2) 2^-53 plus 2 ulps of the result
+        assert np.all(np.abs(got - ref) <= (r + 2.0) * 2.0**-53 + 2.0 * np.spacing(np.abs(ref)))
+        with np.errstate(divide="ignore"):
+            assert G.log_value(np.array([-np.inf]))[0] == np.log(G.value(np.exp([-np.inf])))[0] == -np.inf
 
 
 def test_power_validation():

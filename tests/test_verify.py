@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import gammaincc, gammaln
+from scipy.special import gammainc, gammaincc, gammaln
 
 from focklab import (
     Coherent,
     Constant,
     FockParams,
+    FocklabError,
     GaussHermite,
     InvalidInputError,
     MethodUnavailableError,
@@ -44,7 +45,12 @@ from focklab.verify import (
     random_rearrangement_case,
     richardson_limit,
 )
-from focklab.verify import _gamma_q, _lemma_closed_form, _lemma_integral  # white-box cross-checks
+from focklab.verify import (  # white-box cross-checks
+    _gamma_q,
+    _lemma_closed_form,
+    _lemma_integral,
+    _log_gamma_lower,
+)
 
 P2 = FockParams(2, 2.0, 1.0)
 GH16 = GaussHermite(16)
@@ -455,6 +461,30 @@ def test_gamma_q_matches_scipy(a, x):
         assert _gamma_q(a, x) == pytest.approx(ref, rel=2e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("frac", [1e-300, 1e-8, 0.1, 0.5, 1.0])
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.5, 7.5, 172.5])
+def test_log_gamma_lower_matches_scipy(a, frac):
+    x = frac * a  # the series' domain 0 < x <= a
+    p = gammainc(a, x)
+    # where scipy's P underflows, x is tiny and the series' first two terms are the whole sum
+    ref = math.log(p) + gammaln(a) if p > 0.0 else a * math.log(x) - x - math.log(a) + math.log1p(x / (a + 1.0))
+    assert _log_gamma_lower(a, x) == pytest.approx(ref, rel=1e-14, abs=1e-14)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-6])
+@pytest.mark.parametrize("power", [0.5, 1.5, 3.5])
+def test_lemma_closed_form_keeps_a_narrow_window_near_the_kink(power, eps):
+    # on [T(1 - eps), T], with the kink at T, both Q(power + 1, .) are 1 - O(eps^power);
+    # their difference lost every digit (0.0 at power 3.5, eps 1e-6), the lower gamma keeps them
+    beta, T, psi = 0.6, 1.3, PowerPsi(r=2.5)
+    b = 1.0 + beta
+    k, log_scale, t_lo = psi.r / b, b * math.log(T), T * (1.0 - eps)
+    x_b = k * (log_scale - b * math.log(t_lo))
+    ref = math.exp(k * log_scale - power * math.log(k) + gammaln(power + 1.0)) * gammainc(power + 1.0, x_b)
+    ours = _lemma_closed_form(beta, LogPowerPhi(power=power), psi, log_scale, T, t_lo)
+    assert ours == pytest.approx(ref, rel=1e-12)
+
+
 @pytest.mark.parametrize(
     "cls,value",
     [
@@ -492,6 +522,27 @@ def test_lemma_residual_gate_rejects_a_missed_integrand():
     # scale lands on a jump (residual -0.886 of the target 0.886)
     with pytest.raises(InvalidInputError, match="residual"):
         check_rearrangement_lemma(PowerDecayProfile(-1.5), LogPowerPhi(0.5), PowerPsi(2.0), 1.0)
+
+
+def test_lemma_log_phi_near_the_largest_double():
+    # power 170.5: Gamma(171.5) = 9.5e307 fits a double, though the panel integrand
+    # max(la, 0)^power once overflowed; on (1e-100, 1] both rules cover the integrand
+    phi, psi = LogPowerPhi(power=170.5), PowerPsi(r=2.0)
+    report = check_rearrangement_lemma(PowerDecayProfile(beta=0.3), phi, psi, 1.0, t_lo=1e-100)
+    assert report.passed and math.isfinite(report.margin)
+    assert report.details["weighted_reference"] == _lemma_closed_form(0.0, phi, psi, 0.0, 1.0, 1e-100)
+    # on (0, 1] the panel window ends before the integrand does, and the residual gate says so
+    with pytest.raises(FocklabError):
+        check_rearrangement_lemma(PowerDecayProfile(beta=0.3), phi, psi, 1.0)
+
+
+@pytest.mark.parametrize("power", [171.5, 1e300])
+@pytest.mark.parametrize("t_lo", [0.0, 1e-100])
+def test_lemma_log_phi_past_the_largest_double_raises(power, t_lo):
+    # the constraint integral Gamma(power + 1, .) leaves the double range: a typed error
+    with pytest.raises(MethodUnavailableError, match="overflows a double"):
+        check_rearrangement_lemma(PowerDecayProfile(beta=0.3), LogPowerPhi(power), PowerPsi(2.0), 1.0, t_lo)
+    assert _lemma_closed_form(0.0, LogPowerPhi(power), PowerPsi(1.0), 0.0, 1.0, t_lo) == math.inf
 
 
 def test_tabulated_profile_validation():
