@@ -566,11 +566,24 @@ def eval_log_abs(f: TestFunction, x) -> float:
     return float(f.log_abs(x[None, :])[0])
 
 
-def log_density_batch(f: TestFunction, params: FockParams, X: np.ndarray) -> np.ndarray:
-    """log u on an (N, m) batch, u = |f|^p exp(-(alpha p/2)|x|^2)."""
+def _log_density_and_weight(f: TestFunction, params: FockParams, X: np.ndarray):
+    """(log u, (alpha p/2)|x|^2) on an (N, m) batch, u = |f|^p exp(-(alpha p/2)|x|^2).
+
+    The second array is the minus log-weight that log u subtracts, fresh, for
+    callers that add it back.
+    """
     _check_dims(f, params)
     X = np.asarray(X, dtype=float)
-    return params.p * f.log_abs(X) - 0.5 * params.rate * _sq_norm(X)
+    log_u = params.p * f.log_abs(X)
+    quad = _sq_norm(X)
+    quad *= 0.5 * params.rate
+    log_u -= quad
+    return log_u, quad
+
+
+def log_density_batch(f: TestFunction, params: FockParams, X: np.ndarray) -> np.ndarray:
+    """log u on an (N, m) batch, u = |f|^p exp(-(alpha p/2)|x|^2)."""
+    return _log_density_and_weight(f, params, X)[0]
 
 
 def eval_density(f: TestFunction, params: FockParams, x) -> DensityValue:

@@ -3,13 +3,21 @@
 All backends integrate exp(log_h) over R^m against the Gaussian weight
 exp(-(alpha p/2)|x|^2), the measure of the Gauss-Hermite and generalized
 Gauss-Laguerre rules and of the importance-sampling proposal, so fock_norm hands
-them log_h = p log|f| and never forms the weight.  The two rules yield chunks
-(X, logw_table, offset): the chunk's log-weights are the table plus one scalar.
+them log_h = p log|f| and never forms the weight.
+
+One chunk budget, _CHUNK_POINTS = 2^18 nodes, bounds the live working set of
+every backend: log_h gets its points as read-only (N, m) views, N at most
+_CHUNK_POINTS, of one buffer that the next chunk overwrites, so it must not
+keep them.  The two rules yield chunks (X, logw_table, offset), whose
+log-weights are the table plus one scalar: Gauss-Hermite fixes the leading
+coordinates of its tensor grid per chunk, the radial rule takes whole radii.
 One reducer adds log_h(X) to the table in a fresh array, which it owns, runs
 log-sum-exp on it in place and adds the offset to the chunk's log-sum; the
-rules take a coarse/fine gap as error.  No backend writes into the array
-log_h returns.  Every backend states at least its roundoff, and integrals
-outside the normal double range raise.
+rules take a coarse/fine gap as error.  Monte Carlo draws its points block by
+block, in the order of one draw of all of them, and merges the blocks' means
+and variances.  No backend writes into the array log_h returns.  Every backend
+states at least its roundoff, and integrals outside the normal double range
+raise.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from typing import Callable
 
 import numpy as np
@@ -30,8 +38,8 @@ from .errors import (
     NoEnvelopeError,
     UnsupportedFunctionalError,
 )
-from .functions import _LOG_FLOAT_MAX, FockParams, TestFunction, _check_dims, _sq_norm
-from .functions import envelope_radius, log_density_batch
+from .functions import _LOG_FLOAT_MAX, FockParams, TestFunction, _check_dims, _log_density_and_weight
+from .functions import envelope_radius
 
 __all__ = [
     "GaussHermite",
@@ -54,8 +62,9 @@ __all__ = [
 
 # hard cap on tensor-grid size; beyond this the backend refuses
 _MAX_TENSOR_POINTS = 1 << 27
-# grids at most this large are evaluated in one chunk / error-estimated by doubling
-_CHUNK_POINTS = 1 << 21
+# the most points one chunk hands log_h, on every backend; grids up to _DOUBLING_BUDGET
+# are error-estimated by doubling
+_CHUNK_POINTS = 1 << 18
 _DOUBLING_BUDGET = 1 << 24
 # numpy's hermgauss keeps every weight a normal double up to about 370 nodes
 _MAX_GH_NODES = 256
@@ -332,8 +341,10 @@ def gauss_hermite_integrate(
 ) -> IntegralEstimate:
     """Integral of exp(log_h) against the weight over R^m; error from a node-count refinement pair.
 
-    log_h gets read-only, column-major (N, m) point chunks that share one
-    buffer; it must not keep them.  envelope, if given, maps a threshold
+    log_h gets read-only, column-major (N, m) chunks of at most
+    _CHUNK_POINTS = 2^18 nodes that share one buffer; it must not keep them.
+    A chunk fixes the leading coordinates, so 32^4 runs as 32 chunks of 32^3
+    nodes.  envelope, if given, maps a threshold
     t > 0 to a radius R with u(x) = exp(log_h(x) - (alpha p/2)|x|^2) < t
     wherever |x| > R.  Then a fine grid of more than _CHUNK_POINTS nodes skips
     the nodes outside that ball at t = 2^-53 coarse / sum(w e^{|y|^2}), and
@@ -425,14 +436,30 @@ def _sphere_rule(m: int, n_ang: int):
 
 
 def _radial_rule(params: FockParams, nr: int, na: int):
-    """Yield the radial-spherical rule as one (X, logw_table, offset) chunk (m <= 3)."""
+    """Yield the radial-spherical rule (m <= 3) as (X, logw_table, offset) chunks of whole radii.
+
+    A chunk runs every node of the sphere rule at each of its radii, as many
+    radii as fit in _CHUNK_POINTS nodes (at least one), the angle fastest; a
+    rule of at most _CHUNK_POINTS nodes, as every default rule at m <= 2, is
+    one chunk.  X (row-major) and logw_table are
+    read-only views of two buffers that the next chunk overwrites; the offset
+    is the log-Jacobian, the same for every chunk.
+    """
     m = params.m
     s, lws = _radial_axis(nr, m)
     omega, aw = _sphere_rule(m, na)
     r = np.sqrt(2.0 * s / params.rate)
     log_jac = math.log(0.5) + 0.5 * m * math.log(2.0 / params.rate)
-    X = (r[:, None, None] * omega[None, :, :]).reshape(-1, m)
-    yield X, (lws[:, None] + np.log(aw)[None, :]).reshape(-1), log_jac
+    log_aw = np.log(aw)
+    per = max(1, _CHUNK_POINTS // len(aw))  # radii per chunk
+    buf, table_buf = np.empty((min(per, nr), len(aw), m)), np.empty((min(per, nr), len(aw)))
+    for lo in range(0, nr, per):
+        hi = min(lo + per, nr)
+        np.multiply(r[lo:hi, None, None], omega[None, :, :], out=buf[: hi - lo])
+        np.add(lws[lo:hi, None], log_aw[None, :], out=table_buf[: hi - lo])
+        X, table = buf[: hi - lo].reshape(-1, m), table_buf[: hi - lo].reshape(-1)
+        X.flags.writeable = table.flags.writeable = False
+        yield X, table, log_jac
 
 
 def radial_integrate(
@@ -449,29 +476,66 @@ def radial_integrate(
 # Monte Carlo
 
 
+def _merge_moments(a, b):
+    """Pairwise update of (n, mean, M2) summaries, M2 the sum of squared deviations.
+
+    Chan, Golub & LeVeque (1979): the summary of the union of the two samples.
+    """
+    n_a, mean_a, m2_a = a
+    n_b, mean_b, m2_b = b
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    return n, mean_a + delta * (n_b / n), m2_a + m2_b + delta * delta * (n_a * n_b / n)
+
+
 def mc_integrate(
     log_h: Callable, params: FockParams, samples: int = 100_000, seed: int = 0
 ) -> IntegralEstimate:
     """Integral of exp(log_h) against the weight, by sampling the normalized weight.
 
-    Bit-identical for identical (seed, samples, params); error_bound is the
-    standard error or the roundoff, whichever is larger.  Raises
+    The points are drawn in blocks of at most _CHUNK_POINTS rows into one
+    reused buffer, in the order of a single draw, so they are bit for bit
+    default_rng(seed).standard_normal((samples, m)) / sqrt(alpha p).  Each block
+    keeps its peak log-ratio w, the mean of e^(w - peak) and the sum of squared
+    deviations about that mean (two passes); the blocks are rescaled to the
+    global peak and merged by the pairwise update of Chan, Golub & LeVeque.
+    error_bound is the standard error or the roundoff, whichever is larger.
+    Bit-identical for identical (seed, samples, params).  Raises
     MethodUnavailableError when the integral leaves the normal double range or is nan.
     """
     samples = int(samples)
     if samples < 1000:
         raise InvalidInputError(f"need at least 1000 samples, got {samples}")
-    X = np.random.default_rng(seed).standard_normal((samples, params.m))
-    X /= math.sqrt(params.rate)
-    w = log_h(X) - math.log(norm_constant(params))  # log-ratios in an array of our own
-    peak = float(np.max(w))
+    rng = np.random.default_rng(seed)
+    root_rate, log_c = math.sqrt(params.rate), math.log(norm_constant(params))
+    buf = np.empty((min(_CHUNK_POINTS, samples), params.m))
+    blocks = []  # (peak, (n, mean of e^(w - peak), M2 about that mean))
+    for lo in range(0, samples, len(buf)):
+        X = buf[: min(len(buf), samples - lo)]
+        rng.standard_normal(out=X)
+        X /= root_rate
+        points = X.view()
+        points.flags.writeable = False
+        w = log_h(points) - log_c  # log-ratios in an array of our own
+        peak = float(np.max(w))
+        if math.isnan(peak) or peak == math.inf:
+            _check_fits(peak)  # raises before inf - inf turns the weights into nan
+        if peak == -math.inf:
+            blocks.append((peak, (len(w), 0.0, 0.0)))
+            continue
+        np.exp(np.subtract(w, peak, out=w), out=w)
+        mean = float(np.mean(w))
+        np.square(np.subtract(w, mean, out=w), out=w)
+        blocks.append((peak, (len(w), mean, float(np.sum(w)))))
+    peak = max(block_peak for block_peak, _ in blocks)
     if peak == -math.inf:
         return IntegralEstimate(value=0.0, error_bound=0.0)
-    if math.isnan(peak) or peak == math.inf:
-        _check_fits(peak)  # raises before inf - inf turns the weights into nan
-    np.exp(np.subtract(w, peak, out=w), out=w)
-    mean_w = float(np.mean(w))
-    std_w = float(np.std(w, ddof=1))
+    rescaled = []
+    for block_peak, (n, mean, m2) in blocks:
+        shrink = math.exp(block_peak - peak)
+        rescaled.append((n, mean * shrink, m2 * shrink * shrink))
+    _, mean_w, m2 = reduce(_merge_moments, rescaled)
+    std_w = math.sqrt(m2 / (samples - 1))
     _check_fits(peak + math.log(mean_w))  # mean_w >= 1/samples: the peak weight is 1
     # exp(peak) alone overflows a little before the integral does; carry the excess in the mean
     excess = max(peak - _LOG_FLOAT_MAX, 0.0)
@@ -680,9 +744,8 @@ def convex_functional(
         raise NoEnvelopeError("density is unbounded; the functional diverges")
 
     def log_G(X):
-        log_h = _sq_norm(X)
-        log_h *= 0.5 * params.rate
-        log_h += G.log_value(log_density_batch(f, params, X))
+        log_u, log_h = _log_density_and_weight(f, params, X)  # log_h = (alpha p/2)|x|^2
+        log_h += G.log_value(log_u)
         return log_h
 
     est = _dispatch_raw(log_G, params, method)

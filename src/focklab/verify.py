@@ -493,13 +493,37 @@ def _profile_beta(profile) -> float:
     return profile.beta if isinstance(profile, PowerDecayProfile) else 0.0
 
 
-def _lemma_s_max(phi, psi, beta: float) -> float:
+def _lemma_s_max(phi, psi, beta: float, onset: float = 0.0) -> float:
+    """Length S of the window [0, S] in s = log(T/t) that the panel rule integrates when t_lo = 0.
+
+    For log-phi the integrand is (b (s - onset))^q e^(-r s) past the onset
+    of _log_phi_onset, q = phi.power, r = psi.r: a Gamma(q + 1) density in
+    x = r (s - onset), which peaks near x = q.  The window runs to
+    x = a + 42 + sqrt(84 a), a = q + 1, where the Chernoff bound
+    (x/a)^a e^(a - x) on its tail falls below e^-42, and at least to 140,
+    which it is for q <= 3/2, r >= 1 and an onset below 81.
+    """
     if isinstance(phi, PowerPhi):
         lam = psi.r - phi.gamma * (1.0 + max(beta, 0.0))
         if lam <= 0.04:
             raise InvalidInputError("phi grows too fast for this profile; not integrable")
         return max(60.0, 45.0 / lam + 45.0)
-    return 140.0
+    a = phi.power + 1.0
+    return max(140.0, onset + (a + 42.0 + math.sqrt(84.0 * a)) / psi.r)
+
+
+def _log_phi_onset(profile, log_scale: float, log_T: float) -> float:
+    """An s >= 0 past which arg(s) = log_scale + log g(T e^-s) - log(T e^-s) is linear in s and positive.
+
+    A power profile gives arg slope 1 + beta everywhere; a table holds g at
+    its first value below its least t, which gives slope 1 there.  Where arg
+    falls with s (beta <= -1) the integrand sits near s = 0, and the onset is 0.
+    """
+    if isinstance(profile, TabulatedProfile):
+        s_lin = max(0.0, log_T - math.log(profile.t_points[0]))
+        return max(s_lin, log_T - log_scale - math.log(profile.g_values[0]))
+    b = 1.0 + profile.beta
+    return max(0.0, log_T - log_scale / b) if b > 0.0 else 0.0
 
 
 def _lemma_rule(profile, phi, log_scale, log_T, S):
@@ -556,7 +580,8 @@ def _lemma_integral(profile, phi, psi, log_scale: float, T: float, t_lo: float) 
     if t_lo > 0.0:
         S = log_T - math.log(t_lo)
     else:
-        S = _lemma_s_max(phi, psi, _profile_beta(profile))
+        onset = _log_phi_onset(profile, log_scale, log_T) if isinstance(phi, LogPowerPhi) else 0.0
+        S = _lemma_s_max(phi, psi, _profile_beta(profile), onset)
     s, w = _lemma_rule(profile, phi, log_scale, log_T, S)
     lt = log_T - s
     la = log_scale + profile.log_g(lt) - lt

@@ -172,8 +172,7 @@ def test_norm_never_forms_the_weight(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("fock_norm evaluated |x|^2 or the weighted density")
 
-    monkeypatch.setattr(integrate, "log_density_batch", forbidden)
-    monkeypatch.setattr(integrate, "_sq_norm", forbidden)
+    monkeypatch.setattr(integrate, "_log_density_and_weight", forbidden)  # integrate's one path to |x|^2
     got = [fock_norm(f, P2, method=method) for f in members for method in methods]
     assert got == expected
 
@@ -272,7 +271,8 @@ def _assert_gh_grid_matches_reference(params, n):
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_gh_grid_matches_index_reference(m, n):
     chunks = _assert_gh_grid_matches_reference(FockParams(m, 1.5, 0.8), n)
-    assert chunks == (16 if (m, n) == (6, 16) else 1)  # 16^6 is the one grid above _CHUNK_POINTS
+    k = next(k for k in range(m + 1) if n ** (m - k) <= integrate._CHUNK_POINTS)
+    assert chunks == n**k
 
 
 def test_chunked_gh_grid_matches_index_reference(monkeypatch):
@@ -292,31 +292,38 @@ def _traced_peak(fn):
 
 
 def test_gh_norm_memory_budget():
-    # m = 4, n = 32 pairs the 32^4 grid in one chunk with 64^4 in 64^3-point chunks;
-    # measured 58.7 MB (the 32^4 chunk: X, its log-weight table, log_h and their sum)
+    # m = 4, n = 32: 32^4 in 32 chunks of 32^3 nodes, the pruned 64^4 in chunks of at most 64^3;
+    # measured 12.1 MB (the 64^3-node X buffer, 8.4 MB, its table, log_h and their sum), budget +10%
     peak = _traced_peak(
         lambda: fock_norm(Constant(value=1.0, dim=4), FockParams(4, 2.0, 1.0), method=GaussHermite(32))
     )
-    assert peak <= 64e6
+    assert peak <= 13.3e6
 
 
 def test_mc_norm_memory_budget():
-    # 10^6 samples at m = 4: the points, log_h and the weights; measured 48.0 MB
+    # 10^6 samples at m = 4 in blocks of 2^18: the block buffer (8.4 MB), log_h and the weights;
+    # measured 13.3 MB, budget +10%
     peak = _traced_peak(
         lambda: fock_norm(
             Constant(value=1.0, dim=4), FockParams(4, 2.0, 1.0), method=MonteCarlo(samples=1_000_000, seed=0)
         )
     )
-    assert peak <= 52e6
+    assert peak <= 14.7e6
 
 
 def test_gh_functional_memory_budget():
-    # the 32^4 fine grid of GH(16) in one chunk; measured 75.5 MB
+    # the 16^4 coarse grid in one chunk, the 32^4 fine grid in 32 chunks; measured 4.2 MB, budget +12%
     f = Coherent(center=(0.3, -0.2, 0.1, 0.4), alpha=1.0)
     peak = _traced_peak(
         lambda: convex_functional(f, FockParams(4, 2.0, 1.0), Power(2.0), method=GaussHermite(16))
     )
-    assert peak <= 82e6
+    assert peak <= 4.7e6
+
+
+def test_radial_norm_memory_budget():
+    # m = 3: the fine 96 x 8192 rule in 3 chunks of 32 radii; measured 13.0 MB, budget +10%
+    peak = _traced_peak(lambda: fock_norm(Constant(value=1.0, dim=3), FockParams(3, 2.0, 1.0), method=Radial()))
+    assert peak <= 14.3e6
 
 
 def _read_only(log_h):
@@ -373,13 +380,24 @@ def test_reducers_never_write_into_log_h_output(monkeypatch):
         assert cache and all(np.all(a == log_c) for a in cache.values()), name
 
 
-def test_gh_points_are_read_only():
-    def mutating(X):
-        X[:, 0] = 0.0
-        return np.zeros(len(X))
+def _mutating(X):
+    X[:, 0] = 0.0
+    return np.zeros(len(X))
 
+
+def test_gh_points_are_read_only():
     with pytest.raises(ValueError, match="read-only"):
-        gauss_hermite_integrate(mutating, P2, nodes_per_axis=8)
+        gauss_hermite_integrate(_mutating, P2, nodes_per_axis=8)
+
+
+def test_radial_points_are_read_only():
+    with pytest.raises(ValueError, match="read-only"):
+        radial_integrate(_mutating, FockParams(3, 2.0, 1.0))
+
+
+def test_mc_points_are_read_only():
+    with pytest.raises(ValueError, match="read-only"):
+        mc_integrate(_mutating, P2, samples=1000)
 
 
 # ---------------------------------------------------------------------------
@@ -463,41 +481,53 @@ def _spy_envelope(monkeypatch):
     return calls
 
 
-_PRUNED_CASES = {
-    "coherent a=(3,0,0,0) p=4": (Coherent(center=(3.0, 0.0, 0.0, 0.0), alpha=1.0), 4.0),
-    "expquad c=0.45": (ExpQuadratic(c=0.45, dim=4), 2.0),
+_PRUNED_CASES = {  # (f, p, GH nodes per axis)
+    "coherent a=(3,0,0,0) p=4": (Coherent(center=(3.0, 0.0, 0.0, 0.0), alpha=1.0), 4.0, 32),
+    "expquad c=0.45": (ExpQuadratic(c=0.45, dim=4), 2.0, 32),
     "far two-atom sumcoherent": (
         SumOfCoherent(atoms=((0.6, (3.0, 0.0, 0.0, 0.0)), (0.4, (-2.0, 1.0, 0.0, 0.0))), alpha=1.0),
         2.0,
+        32,
     ),
     "polynomial in two variables": (
         Polynomial(terms={(1, 2): 1 + 2j, (3, 0): -0.5, (0, 0): 2j, (2, 1): 0.25 - 1j}),
         2.0,
+        32,
     ),
-    "monomial (3,1)": (Monomial(powers=(3, 1)), 2.0),
-    "coherent shifted by e^30": (Coherent(center=(0.3, -0.2, 0.1, 0.4), alpha=1.0).log_shifted(30.0), 2.0),
-    "coherent shifted by e^-30": (Coherent(center=(0.3, -0.2, 0.1, 0.4), alpha=1.0).log_shifted(-30.0), 2.0),
+    "monomial (3,1)": (Monomial(powers=(3, 1)), 2.0, 32),
+    "coherent shifted by e^30": (
+        Coherent(center=(0.3, -0.2, 0.1, 0.4), alpha=1.0).log_shifted(30.0),
+        2.0,
+        32,
+    ),
+    "coherent shifted by e^-30": (
+        Coherent(center=(0.3, -0.2, 0.1, 0.4), alpha=1.0).log_shifted(-30.0),
+        2.0,
+        32,
+    ),
+    "coherent GH(16) p=2.5": (Coherent(center=(0.4, -0.3, -0.3, -0.3), alpha=1.0), 2.5, 16),
 }
 
 
 @pytest.mark.parametrize("case", list(_PRUNED_CASES))
 def test_pruned_gh_covers_the_nodes_it_skips(case):
-    # m = 4, GH(32): the 64^4 fine rule runs in 64 chunks of 64^3 nodes, so the envelope prunes it
-    f, p = _PRUNED_CASES[case]
+    # m = 4, GH(n): the (2n)^4 fine rule runs in 2n chunks of (2n)^3 nodes, so the envelope prunes it
+    f, p, n = _PRUNED_CASES[case]
     params = FockParams(4, p, 1.0)
     log_h = _log_p_abs(f, params)
+    assert integrate._gh_outer_dims(4, 2 * n) == 1
 
     def envelope(t):
         return envelope_radius(f, params, t)
 
-    coarse, _ = integrate._integral(log_h, integrate._gh_rule(params, 32))
-    full, _ = integrate._integral(log_h, integrate._gh_rule(params, 64))
-    rule, tail = integrate._gh_pruned(params, 64, envelope, coarse)
+    coarse, _ = integrate._integral(log_h, integrate._gh_rule(params, n))
+    full, _ = integrate._integral(log_h, integrate._gh_rule(params, 2 * n))
+    rule, tail = integrate._gh_pruned(params, 2 * n, envelope, coarse)
     kept = sum(len(table) for _, table, _ in rule)
-    assert 0 < kept <= 64**4 and 0.0 <= tail <= 2.0**-53 * coarse
-    est = gauss_hermite_integrate(log_h, params, 32, envelope)
+    assert 0 < kept <= (2 * n) ** 4 and 0.0 <= tail <= 2.0**-53 * coarse
+    est = gauss_hermite_integrate(log_h, params, n, envelope)
     assert est.error_bound == max(abs(est.value - coarse), integrate._roundoff(est.value, kept)) + tail
-    assert abs(full - est.value) <= tail + integrate._roundoff(full, 64**4)
+    assert abs(full - est.value) <= tail + integrate._roundoff(full, (2 * n) ** 4)
     # the new value lies within its own bound of the value of the whole fine rule
     assert abs(est.value - full) <= est.error_bound
 
@@ -541,11 +571,11 @@ def test_pruned_gh_keeps_the_same_nodes_at_every_scale(f):
 
 @pytest.mark.parametrize(
     "m, n, n_fine",
-    [(2, 32, 64), (2, 48, 96), (3, 32, 64), (4, 16, 32)],
-    ids=["m2-gh32", "m2-gh48", "m3-gh32", "m4-gh16"],
+    [(2, 32, 64), (2, 48, 96), (3, 32, 64), (4, 8, 16)],
+    ids=["m2-gh32", "m2-gh48", "m3-gh32", "m4-gh8"],
 )
 def test_fine_rule_of_one_chunk_is_never_pruned(monkeypatch, m, n, n_fine):
-    assert n_fine**m <= integrate._CHUNK_POINTS  # 32^4 is exactly one chunk
+    assert n_fine**m <= integrate._CHUNK_POINTS  # 64^3 is exactly one chunk
     f = Coherent(center=(0.4,) + (-0.3,) * (m - 1), alpha=1.0)
     params = FockParams(m, 2.5, 1.0)
     ref = _full_pair(f, params, n, n_fine)
@@ -681,6 +711,25 @@ def test_sphere_rule_m3_matches_double_loop(n_ang):
     assert np.sum(aw * omega[:, 2] ** 2) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-14, abs=0.0)
 
 
+def test_chunked_radial_rule_matches_one_chunk_reference():
+    # m = 3: the fine 96-radius rule runs 8192 sphere nodes per radius, 32 radii per chunk
+    params = FockParams(3, 1.5, 0.8)
+    nr, na = 96, 128
+    s, lws = integrate._radial_axis(nr, 3)
+    omega, aw = integrate._sphere_rule(3, na)
+    r = np.sqrt(2.0 * s / params.rate)
+    X_ref = (r[:, None, None] * omega[None, :, :]).reshape(-1, 3)
+    table_ref = (lws[:, None] + np.log(aw)[None, :]).reshape(-1)
+    log_jac = math.log(0.5) + 1.5 * math.log(2.0 / params.rate)
+    chunks = [(X.copy(), table.copy(), offset) for X, table, offset in integrate._radial_rule(params, nr, na)]
+    assert [len(table) for _, table, _ in chunks] == [32 * len(aw)] * 3
+    assert all(offset == log_jac for _, _, offset in chunks)
+    assert np.array_equal(np.concatenate([X for X, _, _ in chunks]), X_ref)
+    assert np.array_equal(np.concatenate([table for _, table, _ in chunks]), table_ref)
+    (X, table, _), = integrate._radial_rule(FockParams(2, 1.5, 0.8), nr, na)  # m <= 2: one chunk
+    assert len(table) == nr * na and not X.flags.writeable and not table.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo semantics
 
@@ -698,6 +747,70 @@ def test_mc_constant_has_zero_variance():
     est = fock_norm(Constant(value=1.0, dim=2), P2, method=MonteCarlo(samples=2_000, seed=0))
     assert est.value == 1.0
     assert 0 < est.error_bound <= 1e-14 * est.value
+
+
+def test_mc_points_are_one_draw(monkeypatch):
+    # blocks of 1000 rows, the last one ragged: together one draw of all the points, bit for bit
+    params = FockParams(3, 1.5, 0.8)
+    blocks = []
+    monkeypatch.setattr(integrate, "_CHUNK_POINTS", 1000)
+    mc_integrate(lambda X: blocks.append(X.copy()) or np.zeros(len(X)), params, samples=2500, seed=11)
+    assert [len(X) for X in blocks] == [1000, 1000, 500]
+    ref = np.random.default_rng(11).standard_normal((2500, 3)) / math.sqrt(params.rate)
+    assert np.array_equal(np.concatenate(blocks), ref)
+
+
+def _mc_one_shot(log_h, params, samples, seed):
+    """(value, standard error) from the whole draw in one array, with np.mean and np.std."""
+    X = np.random.default_rng(seed).standard_normal((samples, params.m)) / math.sqrt(params.rate)
+    w = log_h(X) - math.log(norm_constant(params))
+    peak = float(np.max(w))
+    e = np.exp(w - peak)
+    return math.exp(peak) * float(np.mean(e)), math.exp(peak) * float(np.std(e, ddof=1)) / math.sqrt(samples)
+
+
+def _first_rows_vanish(log_h, n):
+    """log_h that is -inf on the first n rows handed to it, counted over all its calls."""
+    seen = 0
+
+    def wrapped(X):
+        nonlocal seen
+        out = log_h(X)
+        out[: max(n - seen, 0)] = -np.inf
+        seen += len(X)
+        return out
+
+    return wrapped
+
+
+@pytest.mark.parametrize("case", ["ragged", "vanishing block", "constant"])
+def test_mc_blocks_merge_to_the_one_shot_estimate(monkeypatch, case):
+    # 2500 samples in blocks of 1000, 1000 and 500
+    params, samples, seed = FockParams(2, 2.0, 1.0), 2500, 4
+    f = Coherent(center=(0.6, -0.2), alpha=1.0)
+
+    def log_h():
+        if case == "constant":
+            return lambda X: np.full(len(X), 0.75)
+        log_p_abs = _log_p_abs(f, params)
+        return _first_rows_vanish(log_p_abs, 1000) if case == "vanishing block" else log_p_abs
+
+    value, stderr = _mc_one_shot(log_h(), params, samples, seed)
+    monkeypatch.setattr(integrate, "_CHUNK_POINTS", 1000)
+    est = mc_integrate(log_h(), params, samples=samples, seed=seed)
+    roundoff = integrate._roundoff(value, samples)
+    assert abs(est.value - value) <= roundoff
+    if case == "constant":
+        assert stderr == 0.0 and est.value == value and est.error_bound == integrate._roundoff(est.value, samples)
+    else:
+        assert stderr > roundoff
+        assert est.error_bound == pytest.approx(stderr, rel=1e-12, abs=0.0)
+
+
+def test_mc_blocks_of_a_vanishing_integrand_give_zero(monkeypatch):
+    monkeypatch.setattr(integrate, "_CHUNK_POINTS", 1000)
+    est = mc_integrate(lambda X: np.full(len(X), -np.inf), P2, samples=2500, seed=0)
+    assert est.value == 0.0 and est.error_bound == 0.0
 
 
 def test_mc_stderr_shrinks_like_sqrt_n():

@@ -16,7 +16,6 @@ from focklab import (
     Coherent,
     Constant,
     FockParams,
-    FocklabError,
     GaussHermite,
     InvalidInputError,
     MethodUnavailableError,
@@ -49,6 +48,7 @@ from focklab.verify import (  # white-box cross-checks
     _gamma_q,
     _lemma_closed_form,
     _lemma_integral,
+    _lemma_s_max,
     _log_gamma_lower,
 )
 
@@ -531,9 +531,29 @@ def test_lemma_log_phi_near_the_largest_double():
     report = check_rearrangement_lemma(PowerDecayProfile(beta=0.3), phi, psi, 1.0, t_lo=1e-100)
     assert report.passed and math.isfinite(report.margin)
     assert report.details["weighted_reference"] == _lemma_closed_form(0.0, phi, psi, 0.0, 1.0, 1e-100)
-    # on (0, 1] the panel window ends before the integrand does, and the residual gate says so
-    with pytest.raises(FocklabError):
-        check_rearrangement_lemma(PowerDecayProfile(beta=0.3), phi, psi, 1.0)
+    # on (0, 1] the panel window grows with the power and covers the integrand too
+    report = check_rearrangement_lemma(PowerDecayProfile(beta=0.3), phi, psi, 1.0)
+    assert report.passed and math.isfinite(report.margin)
+
+
+@pytest.mark.parametrize("power", [60.5, 100.5])
+@pytest.mark.parametrize("t_max", [0.01, 1.0, 50.0])
+@pytest.mark.parametrize("r", [1.0, 2.0, 5.0])
+@pytest.mark.parametrize("beta", [0.3, 1.5])
+def test_lemma_log_phi_window_covers_high_powers(beta, r, t_max, power):
+    # the integrand (b (s - onset))^q e^(-s) of the constraint peaks near s = onset + q, with the
+    # onset log T + q log(1 + beta) past s = 0, beyond a fixed window of 140 for most of these
+    phi = LogPowerPhi(power)
+    report = check_rearrangement_lemma(PowerDecayProfile(beta), phi, PowerPsi(r), t_max)
+    target = _lemma_closed_form(0.0, phi, PowerPsi(1.0), 0.0, t_max, 0.0)
+    assert report.passed
+    assert abs(report.details["constraint_residual"]) <= 1e-12 * target
+
+
+@pytest.mark.parametrize("power", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("r", [1.0, 1.7, 4.0])
+def test_lemma_log_phi_window_stays_140_for_the_cli_powers(power, r):
+    assert _lemma_s_max(LogPowerPhi(power), PowerPsi(r), 0.4) == 140.0
 
 
 @pytest.mark.parametrize("power", [171.5, 1e300])
