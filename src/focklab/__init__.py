@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     DimensionMismatchError,
-    EvaluationAtZeroError,
     FocklabError,
     FunctionSpecError,
     InvalidInputError,
@@ -22,21 +21,15 @@ from .errors import (
 from .functions import (
     Coherent,
     Constant,
-    DensityValue,
     ExpQuadratic,
     FockParams,
     Monomial,
     Polynomial,
-    SpotCheck,
     SumOfCoherent,
     TestFunction,
     default_family_members,
     envelope_radius,
-    eval_density,
-    eval_log_abs,
     log_density_batch,
-    subharmonic_tolerance,
-    subharmonicity_spot_check,
 )
 from .integrate import (
     ConvexFunction,
@@ -67,7 +60,6 @@ from .levelset import (
     g_diagnostic,
     g_from_mu,
     layer_cake,
-    mu_from_g,
     superlevel_measure,
     superlevel_measure_exact,
 )

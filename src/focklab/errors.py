@@ -29,9 +29,5 @@ class OptimizationFailureError(FocklabError):
     """Multistart maximization did not produce a usable result."""
 
 
-class EvaluationAtZeroError(FocklabError):
-    """log|f| is -inf at a stencil point; the spot check has no finite value there."""
-
-
 class FunctionSpecError(InvalidInputError):
     """Function-spec string failed to parse; message carries the offending position."""

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    EvaluationAtZeroError,
     InvalidInputError,
     NoEnvelopeError,
     OptimizationFailureError,
@@ -23,7 +22,6 @@ from .errors import (
 
 __all__ = [
     "FockParams",
-    "DensityValue",
     "TestFunction",
     "RadialProfile",
     "Constant",
@@ -32,13 +30,8 @@ __all__ = [
     "Polynomial",
     "ExpQuadratic",
     "SumOfCoherent",
-    "SpotCheck",
-    "eval_log_abs",
-    "eval_density",
     "log_density_batch",
     "envelope_radius",
-    "subharmonicity_spot_check",
-    "subharmonic_tolerance",
 ]
 
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # exp of a larger log overflows a double
@@ -77,17 +70,6 @@ class FockParams:
     def rate(self) -> float:
         """Gaussian decay rate alpha*p of the weighted density."""
         return self.alpha * self.p
-
-
-@dataclass(frozen=True)
-class DensityValue:
-    """Weighted density at a point, carried in log-space."""
-
-    log_u: float
-
-    @property
-    def u(self) -> float:
-        return math.exp(self.log_u) if self.log_u != -math.inf else 0.0
 
 
 def _neg_lambertw(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -182,6 +164,10 @@ def _as_tuple(v) -> tuple[float, ...]:
 class TestFunction:
     """Base class: a nonnegative |f| on R^m with log-subharmonic log|f|.
 
+    Every family is log-subharmonic by construction: log|f| is harmonic off
+    the zeros of a holomorphic f, affine for a coherent state, a log-sum-exp
+    of affine terms for a mixture, and c|x|^2 with c >= 0 for ExpQuadratic.
+
     log_scale is an additive offset on log|f|, used for exact scalar
     multiplication (normalization) without leaving log-space.
     """
@@ -222,12 +208,6 @@ class TestFunction:
     def max_hints(self, params: FockParams) -> list[np.ndarray]:
         """Candidate maximizers of the density, used to seed multistart search."""
         return [np.zeros(self.m)]
-
-    def scaled(self, c: float) -> "TestFunction":
-        """The function c*f, realized as an exact log-space shift."""
-        if not (c > 0):
-            raise InvalidInputError("scale factor must be positive")
-        return replace(self, log_scale=self.log_scale + math.log(c))
 
     def log_shifted(self, delta: float) -> "TestFunction":
         return replace(self, log_scale=self.log_scale + delta)
@@ -558,14 +538,6 @@ def _check_dims(f: TestFunction, params: FockParams):
         )
 
 
-def eval_log_abs(f: TestFunction, x) -> float:
-    """log|f(x)| at a single point; -inf exactly at zeros of f."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != f.m:
-        raise DimensionMismatchError(f"point has dimension {x.size}, expected {f.m}")
-    return float(f.log_abs(x[None, :])[0])
-
-
 def _log_density_and_weight(f: TestFunction, params: FockParams, X: np.ndarray):
     """(log u, (alpha p/2)|x|^2) on an (N, m) batch, u = |f|^p exp(-(alpha p/2)|x|^2).
 
@@ -584,14 +556,6 @@ def _log_density_and_weight(f: TestFunction, params: FockParams, X: np.ndarray):
 def log_density_batch(f: TestFunction, params: FockParams, X: np.ndarray) -> np.ndarray:
     """log u on an (N, m) batch, u = |f|^p exp(-(alpha p/2)|x|^2)."""
     return _log_density_and_weight(f, params, X)[0]
-
-
-def eval_density(f: TestFunction, params: FockParams, x) -> DensityValue:
-    """The weighted density u at one point, returned in log-space."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != params.m:
-        raise DimensionMismatchError(f"point has dimension {x.size}, expected {params.m}")
-    return DensityValue(log_u=float(log_density_batch(f, params, x[None, :])[0]))
 
 
 def _envelope_bisect(f: TestFunction, params: FockParams, log_t: np.ndarray) -> np.ndarray:
@@ -645,59 +609,15 @@ def envelope_radius(f: TestFunction, params: FockParams, t):
     """
     _check_dims(f, params)
     log_t = np.log(_thresholds(t))
-    if not f.has_envelope(params):
-        raise NoEnvelopeError(
-            f"|f| grows like exp({getattr(f, 'c', '?')}|x|^2) >= exp(alpha/2 |x|^2); no envelope"
-        )
     profile = f.radial_profile(params)
+    if not f.has_envelope(params):
+        raise NoEnvelopeError(f"log u = A + K log r - B r^2 has B = {profile.B:g} <= 0; no envelope")
     if profile is None:
         R = _envelope_bisect(f, params, log_t.ravel()).reshape(log_t.shape)
     else:
         r_out = profile.radii(log_t)[1]
         R = np.where(r_out > 0, math.hypot(*profile.centre) + r_out, 0.0)
     return float(R) if R.ndim == 0 else R
-
-
-@dataclass(frozen=True)
-class SpotCheck:
-    """Finite-difference Laplacian of log|f| at one point, with its flag."""
-
-    value: float
-    violation: bool
-    tol: float
-
-
-def subharmonic_tolerance(h: float) -> float:
-    """Discretization allowance for the finite-difference Laplacian check."""
-    return 10.0 * h * h + 1e-9
-
-
-def subharmonicity_spot_check(f: TestFunction, x, h: float = 1e-3) -> SpotCheck:
-    """Centered second-difference Laplacian of log|f| at x.
-
-    Raises EvaluationAtZeroError when any stencil point lands on a zero of f;
-    the caller should skip such points rather than read a sign off -inf.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != f.m:
-        raise DimensionMismatchError(f"point has dimension {x.size}, expected {f.m}")
-    if not (h > 0):
-        raise InvalidInputError("step h must be positive")
-    pts = [x]
-    for d in range(f.m):
-        for s in (+1.0, -1.0):
-            xp = x.copy()
-            xp[d] += s * h
-            pts.append(xp)
-    vals = f.log_abs(np.array(pts))
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationAtZeroError("stencil touches the zero set of f")
-    center = vals[0]
-    lap = 0.0
-    for d in range(f.m):
-        lap += (vals[1 + 2 * d] + vals[2 + 2 * d] - 2.0 * center) / (h * h)
-    tol = subharmonic_tolerance(h)
-    return SpotCheck(value=float(lap), violation=bool(lap < -tol), tol=tol)
 
 
 def default_family_members(m: int = 2) -> tuple[TestFunction, ...]:

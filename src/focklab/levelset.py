@@ -43,9 +43,7 @@ __all__ = [
     "find_max",
     "superlevel_measure",
     "superlevel_measure_exact",
-    "has_exact_measure",
     "g_from_mu",
-    "mu_from_g",
     "g_diagnostic",
     "layer_cake",
 ]
@@ -402,11 +400,6 @@ def superlevel_measure(
     )
 
 
-def has_exact_measure(f: TestFunction) -> bool:
-    """True when u is a radial profile about some center; that does not depend on p or alpha."""
-    return f.radial_profile(FockParams(f.m, 1.0, 1.0)) is not None
-
-
 def superlevel_measure_exact(f: TestFunction, params: FockParams, t):
     """mu(t) from the closed-form radii of the radial profile, for radially representable densities.
 
@@ -439,19 +432,6 @@ def g_from_mu(mu, t, params: FockParams, variant: IsoperimetricVariant):
     # exp would overflow past 700; the diagnostic is +inf there
     g = np.where(expo > 700.0, math.inf, t * np.exp(np.minimum(expo, 700.0)))
     return float(g) if g.ndim == 0 else g
-
-
-def mu_from_g(
-    g_value: float, t: float, params: FockParams, variant: IsoperimetricVariant
-) -> float:
-    """Inverse of g_from_mu at fixed t; needs g >= t."""
-    if not (t > 0):
-        raise InvalidInputError("threshold t must be positive")
-    ratio = g_value / t
-    if ratio < 1.0 - 1e-12:
-        raise InvalidInputError(f"g = {g_value} below t = {t}; no nonnegative measure")
-    log_ratio = max(math.log(max(ratio, 1.0)), 0.0)
-    return (log_ratio / (variant.kappa(params.m) * params.rate)) ** (params.m / 2.0)
 
 
 def g_diagnostic(

@@ -27,7 +27,6 @@ from .functions import (
 from .integrate import (
     ConvexFunction,
     GaussHermite,
-    Power,
     convex_functional,
     fock_norm,
 )
@@ -290,8 +289,6 @@ def richardson_limit(values) -> float:
     applied at every level rather than the classical 2^k schedule.
     """
     R = [float(v) for v in values]
-    if len(R) < 2:
-        return R[0]
     while len(R) > 1:
         R = [2.0 * R[i + 1] - R[i] for i in range(len(R) - 1)]
     return R[0]
@@ -358,18 +355,30 @@ def check_extremal_convex(
     G: ConvexFunction,
     method=GaussHermite(32),
 ) -> VerificationReport:
-    """Among unit-norm functions, the centered coherent state maximizes int G(u)."""
+    """Among unit-norm functions, the centered coherent state maximizes int G(u).
+
+    f is normalized by its estimated norm v, which holds to within e.  Under
+    f -> e^s f, J(s) = int G(e^(ps) u) is nondecreasing and convex in s, and
+    -log(1 - e/v) >= log(1 + e/v), so J(f/(v - e)) - J(f/v) bounds the change
+    of J on both sides of the norm's error.  One more convex_functional pass
+    gives J(f/(v - e)); its error bound is added to the norm term.  Raises
+    MethodUnavailableError when e >= v, where f/(v - e) does not exist.
+    """
     est = fock_norm(f, params, method=method)
     if not (est.value > 0):
         raise InvalidInputError("cannot normalize a function with zero norm")
-    f_unit = f.log_shifted(-math.log(est.value))
-    J_f = convex_functional(f_unit, params, G, method=method)
+    if est.value_error >= est.value:
+        raise MethodUnavailableError(
+            f"the norm's error {est.value_error:.3g} reaches its value {est.value:.3g}; no bracket for J"
+        )
+    J_f = convex_functional(f.log_shifted(-math.log(est.value)), params, G, method=method)
+    f_hi = f.log_shifted(-math.log(est.value - est.value_error))
+    J_hi = convex_functional(f_hi, params, G, method=method)
     ref = Coherent(center=tuple([0.0] * params.m), alpha=params.alpha)
     J_ref = convex_functional(ref, params, G, method=method)
     margin = J_ref.value - J_f.value
 
-    r_eff = G.exponent if isinstance(G, Power) else 2.0
-    norm_term = abs(J_f.value) * params.p * r_eff * (est.value_error / est.value)
+    norm_term = J_hi.value - J_f.value + J_hi.error_bound
     combined = J_ref.error_bound + J_f.error_bound + norm_term
     tolerance = 3.0 * combined
     return VerificationReport(
@@ -382,6 +391,7 @@ def check_extremal_convex(
             "functional_at_coherent": J_ref.value,
             "functional_at_f": J_f.value,
             "norm_of_f": est.value,
+            "norm_error_term": norm_term,
             "equality_detected": _equality_case(f, params) and abs(margin) <= tolerance,
         },
     )
@@ -744,7 +754,7 @@ def check_rearrangement_lemma(
     if math.inf in (lhs, rhs):
         raise MethodUnavailableError(f"the lemma's weighted integrals overflow a double for {phi!r}")
     margin = rhs - lhs
-    hyp_ok = getattr(profile, "nonincreasing", True)
+    hyp_ok = profile.nonincreasing
     return VerificationReport(
         check_name="rearrangement_lemma",
         inputs={

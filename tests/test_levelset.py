@@ -40,9 +40,7 @@ from focklab.levelset import (
     find_max,
     g_diagnostic,
     g_from_mu,
-    has_exact_measure,
     layer_cake,
-    mu_from_g,
     superlevel_measure,
     superlevel_measure_exact,
     unit_ball_volume,
@@ -203,7 +201,7 @@ def test_find_max_stops_where_the_density_overflows(monkeypatch, f, p):
 
 def test_flat_profile_peaks_at_its_level():
     # c = alpha/2 leaves u = e^A everywhere: B = 0 and K = 0
-    f, params = ExpQuadratic(c=0.5, dim=2).scaled(2.0), FockParams(2, 2.0, 1.0)
+    f, params = ExpQuadratic(c=0.5, dim=2).log_shifted(math.log(2.0)), FockParams(2, 2.0, 1.0)
     prof = f.radial_profile(params)
     assert (prof.B, prof.K) == (0.0, 0.0)
     mx = _peak(f, params)
@@ -299,13 +297,14 @@ def test_exact_measure_rejects_like_the_scalar_call():
 
 
 def test_has_exact_measure_flags():
-    assert has_exact_measure(Monomial(powers=(1,)))
-    assert has_exact_measure(Coherent(center=(1.0, 0.0), alpha=1.0))
-    assert has_exact_measure(Constant(value=1.0, dim=3))
-    assert not has_exact_measure(Monomial(powers=(1, 2)))
-    assert not has_exact_measure(
-        SumOfCoherent(atoms=((0.5, (0.0, 0.0)), (0.5, (1.0, 0.0))), alpha=1.0)
-    )
+    # the radial profile, which carries the exact measure, exists at every p and alpha or at none
+    for p, alpha in [(1.0, 1.0), (2.0, 1.0), (0.5, 3.0)]:
+        assert Monomial(powers=(1,)).radial_profile(FockParams(2, p, alpha)) is not None
+        assert Coherent(center=(1.0, 0.0), alpha=1.0).radial_profile(FockParams(2, p, alpha)) is not None
+        assert Constant(value=1.0, dim=3).radial_profile(FockParams(3, p, alpha)) is not None
+        assert Monomial(powers=(1, 2)).radial_profile(FockParams(4, p, alpha)) is None
+        mixture = SumOfCoherent(atoms=((0.5, (0.0, 0.0)), (0.5, (1.0, 0.0))), alpha=1.0)
+        assert mixture.radial_profile(FockParams(2, p, alpha)) is None
 
 
 def test_mc_measure_matches_exact():
@@ -384,10 +383,14 @@ def test_chebyshev_bound():
 )
 @settings(max_examples=60, deadline=None)
 def test_g_mu_round_trip(mu, t, m, variant):
+    # kappa(m) = Gamma(1 + m/2)^(2/m) / (2 pi) for the sharp ball, Gamma(m/2)^(2/m) / (2 pi) literally
+    # Gamma(3/2) = sqrt(pi)/2, Gamma(2) = 1, Gamma(5/2) = 3 sqrt(pi)/4
+    sharp = {1: math.pi / 4.0, 2: 1.0, 3: (0.75 * math.sqrt(math.pi)) ** (2.0 / 3.0)}
+    literal = {1: math.pi, 2: 1.0, 3: (0.5 * math.sqrt(math.pi)) ** (2.0 / 3.0)}
+    kappa = (sharp if variant is IsoperimetricVariant.SHARP_BALL else literal)[m] / (2.0 * math.pi)
     params = FockParams(m, 2.0, 1.0)
     g = g_from_mu(mu, t, params, variant)
-    back = mu_from_g(g, t, params, variant)
-    assert back == pytest.approx(mu, rel=1e-12, abs=1e-12)
+    assert g == pytest.approx(t * math.exp(kappa * params.rate * mu ** (2.0 / m)), rel=1e-12, abs=0.0)
 
 
 def test_g_from_mu_saturates_to_inf():
@@ -407,11 +410,6 @@ def test_g_from_mu_array_matches_scalar():
         g_from_mu(mu, -t, params, variant)
     with pytest.raises(InvalidInputError):
         g_from_mu(-mu - 1.0, t, params, variant)
-
-
-def test_mu_from_g_rejects_g_below_t():
-    with pytest.raises(InvalidInputError):
-        mu_from_g(0.5, 0.6, P2, IsoperimetricVariant.SHARP_BALL)
 
 
 @pytest.mark.parametrize("call", [find_max, _peak, superlevel_measure_exact], ids=lambda c: c.__name__)

@@ -20,11 +20,17 @@ from focklab import (
     InvalidInputError,
     MethodUnavailableError,
     Monomial,
+    MonteCarlo,
+    NormEstimate,
+    PiecewiseLinear,
     Polynomial,
     Power,
     SumOfCoherent,
+    convex_functional,
     default_family_members,
+    fock_norm,
 )
+from focklab import verify
 from focklab.functions import TestFunction as _TestFunction
 from focklab.levelset import IsoperimetricVariant, LevelGrid, g_diagnostic
 from focklab.verify import (
@@ -306,6 +312,54 @@ def test_extremal_coherent_is_equality():
     assert report.passed
     assert abs(report.margin) <= 1e-9
     assert report.details["equality_detected"]
+
+
+_MC200K = MonteCarlo(samples=200_000)
+
+
+@pytest.mark.parametrize("kappa", [0.9, 0.97])
+def test_extremal_norm_term_covers_the_first_order_change(kappa):
+    # G = (t - k)_+ with its knot near the peak e^-1 of |z|^2 e^-|z|^2: the elasticity
+    # E = int u G'(u) / int G(u) is far above 2, and an error d of the norm moves J(f/|f|)
+    # by about p d E J to first order
+    f, G = Monomial(powers=(1,)), PiecewiseLinear(knots=(kappa * math.exp(-1.0),), slopes=(0.0, 1.0))
+    report = check_extremal_convex(f, P2, G, method=_MC200K)
+    est = fock_norm(f, P2, method=_MC200K)
+    f_unit, h = f.log_shifted(-math.log(est.value)), 1e-3
+
+    def J(s):
+        return convex_functional(f_unit.log_shifted(s), P2, G, method=GaussHermite(128)).value
+
+    E = (J(h) - J(-h)) / (2.0 * h * P2.p * J(0.0))
+    assert E > 10.0
+    first_order = P2.p * (est.value_error / est.value) * E * report.details["functional_at_f"]
+    assert report.details["norm_error_term"] >= first_order
+
+
+@pytest.mark.parametrize("method", [GH16, _MC200K], ids=["gh16", "mc"])
+@pytest.mark.parametrize("r", [1.0, 2.0, 3.5])
+def test_extremal_norm_term_of_a_power(method, r):
+    # J(c f) = c^(pr) J(f) for G = t^r, so the bracket is J_f ((1 - d)^(-pr) - 1), d the
+    # norm's relative error, plus the error bound of J at f/(v - e), which is (1 - d)^(-pr)
+    # times the bound at f/v: the same rule runs on a scaled integrand
+    f = SumOfCoherent(atoms=((0.7, (0.5, 0.0)), (0.3, (-1.0, 0.0))), alpha=1.0)
+    report = check_extremal_convex(f, P2, Power(r), method=method)
+    est = fock_norm(f, P2, method=method)
+    J_f = convex_functional(f.log_shifted(-math.log(est.value)), P2, Power(r), method=method)
+    grow = (1.0 - est.value_error / est.value) ** (-P2.p * r)
+    term = report.details["norm_error_term"]
+    expected = J_f.value * (grow - 1.0) + grow * J_f.error_bound
+    assert term == pytest.approx(expected, rel=1e-9, abs=1e-13 * J_f.value)
+
+
+def test_extremal_raises_when_the_norm_error_reaches_the_norm(monkeypatch):
+    # v - e <= 0 leaves no f/(v - e) to bracket J(f/|f|) with
+    def loose_norm(f, params, method):
+        return NormEstimate(value=1.0, raw_integral=1.0, method=method, error_bound=2.0 * params.p, p=params.p)
+
+    monkeypatch.setattr(verify, "fock_norm", loose_norm)
+    with pytest.raises(MethodUnavailableError, match="no bracket"):
+        check_extremal_convex(Monomial(powers=(1,)), P2, Power(2.0))
 
 
 # ---------------------------------------------------------------------------
