@@ -333,40 +333,41 @@ def _level_rng(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class _NestedCloud:
-    mu: np.ndarray  # mu(t_k), one per level
-    cov: np.ndarray  # covariance matrix of mu
+    mu: np.ndarray  # mu at each threshold
+    var: np.ndarray  # Var(mu), one per threshold
+    weighted_var: float  # Var(weights . mu), 0 without weights
     radii: np.ndarray  # padded ball radii R_k, nondecreasing
     points: int  # density evaluations, all shells together
 
 
-def _nested_measures(
-    f: TestFunction, params: FockParams, t_grid: np.ndarray, samples: int, seed: int
-) -> _NestedCloud:
-    """Hit-count estimates of mu(t_k) on a decreasing grid from one stratified cloud.
+def _nested_measures(f, params, t_grid, samples, seed, thresholds=None, weights=None) -> _NestedCloud:
+    """Hit-count estimates of mu at decreasing thresholds from one stratified cloud.
 
-    Level k samples the ball B_k of radius R_k = 1.05 * envelope radius of t_k
-    (made nondecreasing), so the balls are nested.  Shell j = B_j minus B_{j-1}
-    gets ceil(samples |S_j| / |B_j|) uniform points: every level sees at least
-    the point density of `samples` points in its own ball.  log u is evaluated
-    once per point, and each shell's hits at every level come from one
-    searchsorted against the ascending log-t grid.  Hits at two nested levels
-    are correlated, Cov(I_k, I_l) = h_k (1 - h_l) for t_k >= t_l; the
-    covariance uses h = (hits + 1) / (n + 2), so that a shell with no hits or
-    all hits still states a positive variance.
+    The shells sit on the decreasing grid: B_k is the ball of radius R_k =
+    1.05 * envelope radius of t_grid[k] (made nondecreasing), so the balls are
+    nested.  Shell j = B_j minus B_{j-1} gets ceil(samples |S_j| / |B_j|)
+    uniform points: every level sees at least the point density of `samples`
+    points in its own ball.  log u is evaluated once per point, and one
+    searchsorted per shell counts its hits at every threshold (t_grid itself
+    unless given, say the layer cake's nodes); shell j can hit only those below
+    t_grid[j-1].  Hits at t_k >= t_l are correlated, Cov(I_k, I_l) = h_k (1 - h_l),
+    where h = (hits + 1) / (n + 2) stays positive when no point or every point
+    hits, so Var(mu_k) and Var(weights . mu) take O(thresholds) per shell.
     """
     samples = int(samples)
     if samples < 1000:
         raise InvalidInputError(f"need at least 1000 samples, got {samples}")
-    m, count = params.m, len(t_grid)
+    thresholds = t_grid if thresholds is None else thresholds
+    m, count = params.m, len(thresholds)
     radii = np.maximum.accumulate(1.05 * envelope_radius(f, params, t_grid))
     ball = unit_ball_volume(m) * radii**m
     shell = np.diff(ball, prepend=0.0)
-    log_t_asc = np.log(t_grid[::-1])
+    log_t_asc = np.log(thresholds[::-1])
+    # first threshold below t_grid[j-1], the top of shell j
+    first = count - np.searchsorted(thresholds[::-1], np.concatenate([[math.inf], t_grid[:-1]]))
     rng = _level_rng(seed)
-    mu = np.zeros(count)
-    cov = np.zeros((count, count))
-    points = 0
-    for j in range(count):
+    mu, var, weighted_var, points = np.zeros(count), np.zeros(count), 0.0, 0
+    for j in range(len(t_grid)):
         if shell[j] <= 0.0:
             continue
         n = math.ceil(samples * shell[j] / ball[j])
@@ -374,16 +375,20 @@ def _nested_measures(
         inner = radii[j - 1] ** m if j > 0 else 0.0
         r = (inner + rng.random(n) * (radii[j] ** m - inner)) ** (1.0 / m)
         pts *= (r / np.sqrt(np.einsum("ij,ij->i", pts, pts)))[:, None]
-        # thresholds below log u, counted on the ascending grid
+        # thresholds below log u, counted on the ascending thresholds
         below = np.searchsorted(log_t_asc, log_density_batch(f, params, pts))
         at_least = np.cumsum(np.bincount(below, minlength=count + 1)[::-1])[::-1]
-        hits = at_least[count - j : 0 : -1]  # levels j..count-1; B_j misses the smaller sets
-        mu[j:] += shell[j] * hits / n
+        k = first[j]
+        hits = at_least[count - k : 0 : -1]  # thresholds k..count-1
+        mu[k:] += shell[j] * hits / n
         h = (hits + 1.0) / (n + 2.0)
-        upper = np.triu(np.outer(h, 1.0 - h))
-        cov[j:, j:] += shell[j] ** 2 / n * (upper + np.triu(upper, 1).T)
+        s2n = shell[j] ** 2 / n
+        var[k:] += s2n * (h * (1.0 - h))
+        if weights is not None:  # c.Cov.c = sum_l c_l (1 - h_l) (2 sum_{i<=l} c_i h_i - c_l h_l)
+            ch = weights[k:] * h
+            weighted_var += s2n * float(weights[k:] * (1.0 - h) @ (2.0 * np.cumsum(ch) - ch))
         points += n
-    return _NestedCloud(mu, cov, radii, points)
+    return _NestedCloud(mu, var, weighted_var, radii, points)
 
 
 def superlevel_measure(
@@ -392,11 +397,13 @@ def superlevel_measure(
     """Uniform hit-counting inside the envelope ball, radius padded by 5 percent.
 
     The one-level case of the nested-shell estimator behind `g_diagnostic`.
+    t is one threshold; `superlevel_measure_exact` takes an array.
     """
-    _thresholds(t)
+    if _thresholds(t).ndim:
+        raise InvalidInputError(f"expected one threshold t, got shape {np.shape(t)}")
     cloud = _nested_measures(f, params, np.array([float(t)]), samples, seed)
     return MeasureEstimate(
-        float(cloud.mu[0]), math.sqrt(cloud.cov[0, 0]), t, int(samples), seed, float(cloud.radii[0])
+        float(cloud.mu[0]), math.sqrt(cloud.var[0]), t, int(samples), seed, float(cloud.radii[0])
     )
 
 
@@ -457,8 +464,7 @@ def g_diagnostic(
     t_grid = grid.levels(mx.t_max)
 
     cloud = _nested_measures(f, params, t_grid, samples, seed)
-    mu = cloud.mu
-    mu_err = np.sqrt(np.diag(cloud.cov))
+    mu, mu_err = cloud.mu, np.sqrt(cloud.var)
     g, up, dn = g_from_mu(
         np.array([mu, mu + mu_err, np.maximum(mu - mu_err, 0.0)]), t_grid, params, variant
     )
@@ -494,6 +500,14 @@ def g_diagnostic(
 
 @dataclass(frozen=True)
 class LayerCakeResult:
+    """The layer-cake value of the integral of G(u) beside the direct quadrature.
+
+    error_bound is |GL16 - GL8| over the geometric cells, plus the sd of the
+    GL16 sum when mu is sampled, plus the tail mu(t_end) G(t_end) below the last
+    cell.  direct_error is the direct quadrature's own bound, and mu_mode says
+    where mu came from: "exact-radial" (closed form) or "mc" (the level cloud).
+    """
+
     value: float
     error_bound: float
     direct_value: float
@@ -507,15 +521,6 @@ _GL8 = np.polynomial.legendre.leggauss(8)
 _GL16 = np.polynomial.legendre.leggauss(16)
 
 
-def _cells_quadrature(f: TestFunction, params: FockParams, G: ConvexFunction, edges, rule) -> float:
-    """Sum of per-cell Gauss-Legendre integrals of mu * G' over [edges[i+1], edges[i]], mu exact."""
-    nodes, weights = rule
-    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[:-1] - edges[1:])
-    ts = mid[:, None] + half[:, None] * nodes  # one row of nodes per cell
-    vals = superlevel_measure_exact(f, params, ts) * G.derivative(ts)
-    return float(half @ (vals @ weights))
-
-
 def layer_cake(
     f: TestFunction,
     params: FockParams,
@@ -525,55 +530,47 @@ def layer_cake(
     samples: int = 200_000,
     seed: int = 0,
 ) -> LayerCakeResult:
-    """Integral of G(u) two ways: layer cake over the threshold grid vs direct.
+    """Integral of G(u) two ways: the layer cake, integral of G'(t) mu(t) dt, vs direct.
 
-    For radially representable densities mu(t) is exact, from the
-    closed-form radii of the profile evaluated on every quadrature node at
-    once, and the geometric grid is extended until the remaining tail is
-    negligible; otherwise mu comes from hit-count sampling on the given grid,
-    all levels from one cloud, and the statistical error is propagated through
-    the covariance of the levels.
+    One cell rule serves both sources of mu: GL8 and GL16 on every cell of the
+    geometric grid, plus the tail mu(t_end) G(t_end) below the last cell.  For
+    radially representable densities mu is exact, from the profile's closed-form
+    radii at every node at once, and only then is the grid extended down to
+    t_end <= 1e-12 t_max.  Otherwise one level cloud on the grid's shells counts
+    hits at both rules' nodes, so |GL16 - GL8| measures the t-rule, not noise.
     """
     G.validate()
     grid = grid or LevelGrid()
     t_max = _peak(f, params, seed=seed).t_max
+    exact = f.radial_profile(params) is not None
 
-    if f.radial_profile(params) is not None:
-        ratio = grid.ratio
-        count = max(grid.count, int(math.ceil(math.log(1e-12) / math.log(ratio))))
-        edges = t_max * ratio ** np.arange(0, count + 1)
-
-        coarse = _cells_quadrature(f, params, G, edges, _GL8)
-        fine = _cells_quadrature(f, params, G, edges, _GL16)
-        t_end = float(edges[-1])
-        tail = superlevel_measure_exact(f, params, t_end) * float(G.value(np.array([t_end]))[0])
-        value = fine + tail
-        err = abs(fine - coarse) + tail
-        mode = "exact-radial"
+    count = grid.count
+    if exact:
+        count = max(count, math.ceil(math.log(1e-12) / math.log(grid.ratio)))
+    edges = t_max * grid.ratio ** np.arange(0, count + 1)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[:-1] - edges[1:])
+    ts8, ts16 = (mid[:, None] + half[:, None] * nodes for nodes, _ in (_GL8, _GL16))  # a row per cell
+    t_end = float(edges[-1])
+    G_end = float(G.value(np.array([t_end]))[0])
+    if exact:
+        mu8, mu16 = superlevel_measure_exact(f, params, ts8), superlevel_measure_exact(f, params, ts16)
+        mu_end, sd = superlevel_measure_exact(f, params, t_end), 0.0
     else:
-        t_grid = grid.levels(t_max)
-        cloud = _nested_measures(f, params, t_grid, samples, seed)
-        # value = c . mu: the trapezoid on [t_grid[-1], ..., t_grid[0], t_max]
-        # with mu(t_max) = 0, plus the tail mu(t_end) G(t_end)
-        ts = np.concatenate([t_grid[::-1], [t_max]])
-        w = np.zeros(len(ts))
-        w[1:] += 0.5 * np.diff(ts)
-        w[:-1] += 0.5 * np.diff(ts)
-        c = (w * G.derivative(ts))[-2::-1]
-        G_end = float(G.value(t_grid[-1:])[0])
-        c[-1] += G_end
-        value = float(c @ cloud.mu)
-        tail = cloud.mu[-1] * G_end
-        err = math.sqrt(float(c @ cloud.cov @ c)) + tail
-        mode = "mc"
-
+        # one cloud counts hits at both rules' nodes and t_end; weights . mu is the GL16 sum plus tail
+        ts = np.concatenate([ts8.ravel(), ts16.ravel(), [t_end]])
+        weights = np.zeros(ts.size)
+        weights[ts8.size :] = np.append(half[:, None] * _GL16[1] * G.derivative(ts16), G_end)
+        order = np.argsort(-ts)
+        cloud = _nested_measures(f, params, edges[1:], samples, seed, ts[order], weights[order])
+        mu = cloud.mu[np.argsort(order)]
+        mu8, mu16 = mu[: ts8.size].reshape(ts8.shape), mu[ts8.size : -1].reshape(ts16.shape)
+        mu_end, sd = float(mu[-1]), math.sqrt(cloud.weighted_var)
+    coarse = float(half @ ((mu8 * G.derivative(ts8)) @ _GL8[1]))
+    fine = float(half @ ((mu16 * G.derivative(ts16)) @ _GL16[1]))
+    tail = mu_end * G_end
+    value, err = fine + tail, abs(fine - coarse) + sd + tail
     direct = convex_functional(f, params, G, method=method)
+    mode = "exact-radial" if exact else "mc"
     return LayerCakeResult(
-        value=value,
-        error_bound=err,
-        direct_value=direct.value,
-        direct_error=direct.error_bound,
-        discrepancy=abs(value - direct.value),
-        t_max=t_max,
-        mu_mode=mode,
+        value, err, direct.value, direct.error_bound, abs(value - direct.value), t_max, mode
     )

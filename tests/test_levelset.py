@@ -23,6 +23,7 @@ from focklab import (
     Monomial,
     OptimizationFailureError,
     PiecewiseLinear,
+    Polynomial,
     Power,
     SumOfCoherent,
     default_family_members,
@@ -333,16 +334,58 @@ def test_level_stream_differs_from_find_max_streams():
 
 
 def test_nested_covariance_matches_replicates():
-    # annular superlevel sets: levels share the inner shells, so they correlate
+    # annular superlevel sets: levels share the inner shells, so they correlate;
+    # the stated Var(e_k) and Var(e_k + e_l) together give every covariance entry
     f = Monomial(powers=(1,))
     t_grid = math.exp(-1.0) * np.array([0.9, 0.6, 0.3])
-    clouds = [_nested_measures(f, P2, t_grid, 1000, seed) for seed in range(1000)]
-    empirical = np.cov(np.array([c.mu for c in clouds]).T)
-    stated = np.mean([c.cov for c in clouds], axis=0)
+    pairs = list(itertools.combinations(range(3), 2))
+    pair_weights = [np.eye(3)[k] + np.eye(3)[l] for k, l in pairs]
+    clouds = [
+        [_nested_measures(f, P2, t_grid, 1000, seed, weights=w) for w in pair_weights]
+        for seed in range(1000)
+    ]
+    empirical = np.cov(np.array([c[0].mu for c in clouds]).T)
+    stated = np.diag(np.mean([c[0].var for c in clouds], axis=0))
+    for i, (k, l) in enumerate(pairs):
+        pair_var = np.mean([c[i].weighted_var for c in clouds])
+        stated[k, l] = stated[l, k] = 0.5 * (pair_var - stated[k, k] - stated[l, l])
     sd = np.sqrt(np.diag(stated))
     scale = np.outer(sd, sd)
     assert np.allclose(np.diag(empirical / scale), 1.0, atol=0.15)
     assert np.allclose(empirical / scale, stated / scale, atol=0.12)
+
+
+def test_nested_weighted_variance_of_a_layer_cake_matches_replicates():
+    # the GL16 sum plus tail of a layer cake of G = t^2 over three cells, as weights . mu
+    f = Monomial(powers=(1,))
+    edges = math.exp(-1.0) * 0.6 ** np.arange(4)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[:-1] - edges[1:])
+    nodes, w = np.polynomial.legendre.leggauss(16)
+    ts = np.append(mid[:, None] + half[:, None] * nodes, edges[-1])
+    weights = np.append(half[:, None] * w * 2.0 * (mid[:, None] + half[:, None] * nodes), edges[-1] ** 2)
+    order = np.argsort(-ts)
+    clouds = [
+        _nested_measures(f, P2, edges[1:], 1000, seed, ts[order], weights[order]) for seed in range(1000)
+    ]
+    empirical = np.var([weights[order] @ c.mu for c in clouds], ddof=1)
+    stated = np.mean([c.weighted_var for c in clouds])
+    assert abs(empirical / stated - 1.0) <= 0.15
+
+
+def test_nested_shell_hits_only_thresholds_below_its_top():
+    # levels below the top add shells outside B_0, which stay out of the top level's estimate
+    f = Monomial(powers=(1,))
+    t_grid = math.exp(-1.0) * np.array([0.9, 0.6, 0.3])
+    top, nested = _nested_measures(f, P2, t_grid[:1], 1000, 3), _nested_measures(f, P2, t_grid, 1000, 3)
+    assert (nested.mu[0], nested.var[0]) == (top.mu[0], top.var[0])
+
+
+def test_mc_measure_takes_one_threshold():
+    f = Coherent(center=(1.0, 0.0), alpha=1.0)
+    for t in (np.array([0.1, 0.2]), np.array([0.1]), [0.1, 0.2]):
+        with pytest.raises(InvalidInputError):
+            superlevel_measure(f, P2, t, samples=1000)
+    assert superlevel_measure(f, P2, np.float64(0.1), samples=1000).value > 0
 
 
 def test_mc_measure_deterministic():
@@ -555,6 +598,13 @@ def test_layer_cake_through_each_derivative(G):
         assert res.value == pytest.approx(math.pi / 4.0, abs=1e-5)
 
 
+def test_layer_cake_rule_gap_covers_a_coarse_grid():
+    # ratio 0.1 leaves GL16 a visible error on the top cell, where mu has a square-root edge
+    res = layer_cake(Monomial(powers=(1,)), P2, Power(2.0), grid=LevelGrid(count=2, ratio=0.1))
+    assert res.mu_mode == "exact-radial"
+    assert 1e-6 < abs(res.value - math.pi / 4.0) <= res.error_bound
+
+
 def test_layer_cake_mc_fallback():
     f = SumOfCoherent(atoms=((0.7, (0.5, 0.0)), (0.3, (-1.0, 0.0))), alpha=1.0)
     res = layer_cake(
@@ -562,3 +612,19 @@ def test_layer_cake_mc_fallback():
     )
     assert res.mu_mode == "mc"
     assert res.discrepancy <= 3.0 * (res.error_bound + res.direct_error) + 1e-12
+
+
+@pytest.mark.parametrize(
+    "family, r",
+    [(Polynomial, 2.0), (Polynomial, 4.0), (SumOfCoherent, 4.0)],
+    ids=["poly-t2", "poly-t4", "sumcoherent-t4"],
+)
+def test_layer_cake_mc_covers_direct_on_the_default_grid(family, r):
+    # the 60-level, 0.9 grid: the t-rule's own error has to be in the bound
+    f = next(g for g in default_family_members(2) if isinstance(g, family))
+    for seed in range(3):
+        res = layer_cake(f, P2, Power(r), grid=LevelGrid(), samples=200_000, seed=seed)
+        assert res.mu_mode == "mc"
+        assert res.discrepancy <= 3.0 * (res.error_bound + res.direct_error)
+        fields = (res.value, res.error_bound, res.direct_value, res.direct_error, res.discrepancy, res.t_max)
+        assert all(type(v) is float for v in fields)
