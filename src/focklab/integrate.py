@@ -16,8 +16,7 @@ log-sum-exp on it in place and adds the offset to the chunk's log-sum; the
 rules take a coarse/fine gap as error.  Monte Carlo draws its points block by
 block, in the order of one draw of all of them, and merges the blocks' means
 and variances.  No backend writes into the array log_h returns.  Every backend
-states at least its roundoff, and integrals outside the normal double range
-raise.
+returns log I with a relative error of at least its roundoff; a nan or +inf log I raises.
 """
 
 from __future__ import annotations
@@ -71,6 +70,11 @@ _MAX_GH_NODES = 256
 _LOG_FLOAT_TINY = math.log(np.finfo(float).tiny)  # exp of a smaller log is not a normal double
 
 
+def _exp(log_value: float) -> float:
+    """exp(log_value), inf past the largest double."""
+    return math.exp(log_value) if log_value <= _LOG_FLOAT_MAX else math.inf
+
+
 @dataclass(frozen=True)
 class GaussHermite:
     """Tensor Gauss-Hermite rule with a fixed node count per axis."""
@@ -96,36 +100,38 @@ class MonteCarlo:
 
 @dataclass(frozen=True)
 class IntegralEstimate:
-    value: float
-    error_bound: float
+    """An integral I >= 0 as log I (-inf for I = 0) and a bound on its relative error.
+
+    value and error_bound are derived; they read inf past the largest double.
+    """
+
+    log_value: float
+    relative_error: float
+    value = property(lambda self: _exp(self.log_value))
+    error_bound = property(lambda self: self.relative_error * self.value)
 
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """Norm value with the raw p-th power integral it was taken from.
+    """Norm of f from the normalized p-th power integral I, held as log I and its relative error.
 
-    raw_integral includes the normalizing constant, so value == raw_integral**(1/p)
-    and error_bound is on the raw_integral scale.
+    raw_integral = I includes the normalizing constant, value = I^(1/p), and
+    error_bound is on the raw_integral scale; all three read inf past the
+    largest double, and value_error is error_bound propagated through the p-th root.
     """
 
-    value: float
-    raw_integral: float
+    log_value: float
+    relative_error: float
     method: object
-    error_bound: float
     p: float
-
-    @property
-    def value_error(self) -> float:
-        """error_bound propagated through the p-th root."""
-        if self.raw_integral <= 0 or not math.isfinite(self.raw_integral):
-            return 0.0
-        return self.error_bound / self.raw_integral * self.value / self.p  # ratio first: no underflow
+    value = property(lambda self: _exp(self.log_value / self.p))
+    raw_integral = property(lambda self: _exp(self.log_value))
+    error_bound = property(lambda self: self.relative_error * self.raw_integral)
+    value_error = property(lambda self: self.relative_error * self.value / self.p)
 
 
 @dataclass(frozen=True)
-class FunctionalEstimate:
-    value: float
-    error_bound: float
+class FunctionalEstimate(IntegralEstimate):
     method: object
 
 
@@ -158,22 +164,21 @@ def _log_sum_exp(a: np.ndarray) -> float:
 
 
 def _check_fits(log_value: float) -> None:
-    if math.isnan(log_value):
-        raise MethodUnavailableError("log of the integral is nan; the integrand overflowed to nan")
-    if log_value > _LOG_FLOAT_MAX or -math.inf < log_value < _LOG_FLOAT_TINY:
-        way = "overflows" if log_value > 0 else "underflows"
-        raise MethodUnavailableError(
-            f"log of the integral is {log_value:.6g}; the integral {way} a double"
-        )
+    if math.isnan(log_value) or log_value == math.inf:
+        raise MethodUnavailableError(f"log of the integral is {log_value}; the integrand overflowed")
 
 
-def _roundoff(value: float, n: int) -> float:
-    """2^-53 I (|log I| + log2 n + 16): exp(log I), pairwise sum of n terms (Higham 4.2)."""
-    return value * 2.0**-53 * (abs(math.log(value)) + math.log2(n) + 16.0) if value else 0.0
+def _roundoff(log_value: float, n: int) -> float:
+    """Relative roundoff 2^-53 (8 |log I| + log2 n + 16), 0 for I = 0.
+
+    Up to eight roundings of numbers the size of log I on the way to it, and
+    the pairwise sum of n terms (Higham 4.2).
+    """
+    return 2.0**-53 * (8.0 * abs(log_value) + math.log2(n) + 16.0) if log_value > -math.inf else 0.0
 
 
 def _integral(log_h: Callable, rule) -> tuple[float, int]:
-    """(integral of exp(log_h) on the rule, nodes evaluated); raises unless 0 or normal.
+    """(log of the integral of exp(log_h) on the rule, nodes evaluated); raises on nan or +inf.
 
     The rule yields (X, logw_table, offset).  Each chunk's one fresh array is
     log_h(X) + logw_table, reduced in place; the offset is added to its log-sum.
@@ -184,23 +189,27 @@ def _integral(log_h: Callable, rule) -> tuple[float, int]:
         n += len(table)
     log_value = _log_sum_exp(np.array(sums))
     _check_fits(log_value)
-    return float(np.exp(log_value)), n
+    return log_value, n
 
 
 def _refine(log_h: Callable, coarse, fine, pruned=None) -> IntegralEstimate:
-    """Integral of exp(log_h) on the fine rule, max(|fine - coarse|, roundoff) its error.
+    """Integral of exp(log_h) on the fine rule; relative error max(|coarse/fine - 1|, roundoff).
 
-    Rules yield (X, logw_table, offset).  `pruned`, if given, maps the coarse
-    value to None or to (rule, tail): a rule that skips some fine nodes, run in
-    place of `fine`, and a bound on what the skipped nodes add, added to the error.
-    Raises MethodUnavailableError unless both integrals are 0 or normal doubles.
+    Rules yield (X, logw_table, offset).  `pruned`, if given, maps log coarse to
+    None or to (rule, log tail): a rule that skips some fine nodes, run in place
+    of `fine`, and the log of a bound on what they add, added to the error.
+    Raises MethodUnavailableError when either log-integral is nan or +inf.
     """
-    coarse_value, _ = _integral(log_h, coarse)
-    tail = 0.0
-    if pruned is not None and (rule_tail := pruned(coarse_value)) is not None:
-        fine, tail = rule_tail
-    value, n = _integral(log_h, fine)
-    return IntegralEstimate(value, max(abs(value - coarse_value), _roundoff(value, n)) + tail)
+    log_coarse, _ = _integral(log_h, coarse)
+    log_tail = -math.inf
+    if pruned is not None and (rule_tail := pruned(log_coarse)) is not None:
+        fine, log_tail = rule_tail
+    log_value, n = _integral(log_h, fine)
+    if log_value == -math.inf:  # a zero fine value: the coarse one, its own size as error
+        return IntegralEstimate(log_coarse, 1.0 if log_coarse > -math.inf else 0.0)
+    log_ratio = log_coarse - log_value
+    gap = abs(math.expm1(log_ratio)) if log_ratio <= _LOG_FLOAT_MAX else math.inf
+    return IntegralEstimate(log_value, max(gap, _roundoff(log_value, n)) + _exp(log_tail - log_value))
 
 
 @lru_cache(maxsize=32)
@@ -313,27 +322,24 @@ def _gh_skipped_mass(params: FockParams, n: int, radius: float) -> float:
     return max(a.sum() ** m - kept, 0.0) * math.exp(log_jac)
 
 
-def _gh_pruned(params: FockParams, n: int, envelope: Callable, coarse_value: float):
-    """(the n^m rule without its nodes outside the envelope ball, a bound on what they add), or None.
+def _gh_pruned(params: FockParams, n: int, envelope: Callable, log_coarse: float):
+    """(the n^m rule without its nodes outside the envelope ball, log of a bound on what they add), or None.
 
-    Takes t = 2^-53 coarse_value / S, S the sum of w e^{|y|^2} over all nodes,
-    formed in log form, so the skipped nodes add at most t S <= 2^-53 coarse_value.
-    None, for the full rule, when t is not a normal double (say, a zero or
-    tiny integral) or the ball holds no node.
+    Takes log t = log coarse - 53 log 2 - log S, S the sum of w e^{|y|^2} over
+    all nodes, so the skipped nodes add at most t S <= 2^-53 coarse.  None,
+    for the full rule, when t is not a normal double (a zero coarse value
+    among them) or the ball holds no node.
     """
-    if not coarse_value > 0.0:
-        return None
     y, lw = _gh_axis(n)
     scale, log_jac = _gh_frame(params)
-    log_sum = params.m * _log_sum_exp(lw + y * y) + log_jac
-    log_t = math.log(coarse_value) - 53.0 * math.log(2.0) - log_sum
+    log_t = log_coarse - 53.0 * math.log(2.0) - params.m * _log_sum_exp(lw + y * y) - log_jac
     if not _LOG_FLOAT_TINY <= log_t <= _LOG_FLOAT_MAX:
         return None
-    t = math.exp(log_t)
-    radius = envelope(t) * (1.0 + 1e-12)  # the margin covers the rounding of the radius and of |y|^2
+    radius = envelope(math.exp(log_t)) * (1.0 + 1e-12)  # covers the rounding of the radius and of |y|^2
     if not params.m * float(np.min(y * y)) <= (radius / scale) ** 2:
         return None
-    return _gh_rule(params, n, radius), t * _gh_skipped_mass(params, n, radius)
+    with np.errstate(divide="ignore"):  # nothing skipped: a tail of 0
+        return _gh_rule(params, n, radius), log_t + float(np.log(_gh_skipped_mass(params, n, radius)))
 
 
 def gauss_hermite_integrate(
@@ -348,8 +354,8 @@ def gauss_hermite_integrate(
     t > 0 to a radius R with u(x) = exp(log_h(x) - (alpha p/2)|x|^2) < t
     wherever |x| > R.  Then a fine grid of more than _CHUNK_POINTS nodes skips
     the nodes outside that ball at t = 2^-53 coarse / sum(w e^{|y|^2}), and
-    error_bound gains t times the skipped sum of w e^{|y|^2}: at most 2^-53
-    of the coarse value.
+    relative_error gains t times the skipped sum of w e^{|y|^2} (at most 2^-53
+    coarse) over the fine value.  Where t is not a normal double, all of it runs.
     """
     n, m = int(nodes_per_axis), params.m
     if m > 6:
@@ -499,9 +505,9 @@ def mc_integrate(
     keeps its peak log-ratio w, the mean of e^(w - peak) and the sum of squared
     deviations about that mean (two passes); the blocks are rescaled to the
     global peak and merged by the pairwise update of Chan, Golub & LeVeque.
-    error_bound is the standard error or the roundoff, whichever is larger.
-    Bit-identical for identical (seed, samples, params).  Raises
-    MethodUnavailableError when the integral leaves the normal double range or is nan.
+    log I is peak + log(mean), its relative error the standard error over the
+    mean or the roundoff, whichever is larger.  Bit-identical for identical
+    (seed, samples, params).  Raises MethodUnavailableError on a nan or +inf log-ratio.
     """
     samples = int(samples)
     if samples < 1000:
@@ -518,8 +524,7 @@ def mc_integrate(
         points.flags.writeable = False
         w = log_h(points) - log_c  # log-ratios in an array of our own
         peak = float(np.max(w))
-        if math.isnan(peak) or peak == math.inf:
-            _check_fits(peak)  # raises before inf - inf turns the weights into nan
+        _check_fits(peak)  # raises before inf - inf turns the weights into nan
         if peak == -math.inf:
             blocks.append((peak, (len(w), 0.0, 0.0)))
             continue
@@ -529,20 +534,15 @@ def mc_integrate(
         blocks.append((peak, (len(w), mean, float(np.sum(w)))))
     peak = max(block_peak for block_peak, _ in blocks)
     if peak == -math.inf:
-        return IntegralEstimate(value=0.0, error_bound=0.0)
+        return IntegralEstimate(-math.inf, 0.0)
     rescaled = []
     for block_peak, (n, mean, m2) in blocks:
         shrink = math.exp(block_peak - peak)
         rescaled.append((n, mean * shrink, m2 * shrink * shrink))
     _, mean_w, m2 = reduce(_merge_moments, rescaled)
-    std_w = math.sqrt(m2 / (samples - 1))
-    _check_fits(peak + math.log(mean_w))  # mean_w >= 1/samples: the peak weight is 1
-    # exp(peak) alone overflows a little before the integral does; carry the excess in the mean
-    excess = max(peak - _LOG_FLOAT_MAX, 0.0)
-    top, rest = math.exp(peak - excess), math.exp(excess)
-    value = top * (mean_w * rest)
-    stderr = top * (std_w * rest) / math.sqrt(samples)
-    return IntegralEstimate(value=value, error_bound=max(stderr, _roundoff(value, samples)))
+    log_value = peak + math.log(mean_w)  # mean_w >= 1/samples: the peak weight is 1
+    stderr = math.sqrt(m2 / (samples - 1)) / math.sqrt(samples) / mean_w
+    return IntegralEstimate(log_value, max(stderr, _roundoff(log_value, samples)))
 
 
 # ---------------------------------------------------------------------------
@@ -560,9 +560,9 @@ def _dispatch_raw(log_h: Callable, params: FockParams, method, envelope=None) ->
 
 
 def fock_norm(f: TestFunction, params: FockParams, method=GaussHermite()) -> NormEstimate:
-    """Weighted p-norm of f: (normalized integral of |f|^p against the weight)^(1/p).
+    """Weighted p-norm of f: (normalized integral of |f|^p against the weight)^(1/p), in logs.
 
-    Raises MethodUnavailableError when that integral leaves the normal double range or is nan.
+    Raises MethodUnavailableError when the norm passes the largest double or the integral is nan.
     """
     if not f.has_envelope(params):
         raise NoEnvelopeError(
@@ -572,14 +572,10 @@ def fock_norm(f: TestFunction, params: FockParams, method=GaussHermite()) -> Nor
     est = _dispatch_raw(
         lambda X: params.p * f.log_abs(X), params, method, lambda t: envelope_radius(f, params, t)
     )
-    c = norm_constant(params)
-    raw = c * est.value
-    if raw == math.inf or raw < np.finfo(float).tiny <= est.value:  # c can be far from 1
-        way = "overflows" if raw == math.inf else "underflows"
-        raise MethodUnavailableError(f"the normalized p-th power integral {way} a double")
-    err = c * est.error_bound
-    value = raw ** (1.0 / params.p) if raw > 0 else 0.0
-    return NormEstimate(value=value, raw_integral=raw, method=method, error_bound=err, p=params.p)
+    norm = NormEstimate(math.log(norm_constant(params)) + est.log_value, est.relative_error, method, params.p)
+    if norm.value == math.inf:
+        raise MethodUnavailableError(f"the norm, exp({norm.log_value / params.p:.6g}), overflows a double")
+    return norm
 
 
 class ConvexFunction:
@@ -749,4 +745,6 @@ def convex_functional(
         return log_h
 
     est = _dispatch_raw(log_G, params, method)
-    return FunctionalEstimate(value=est.value, error_bound=est.error_bound, method=method)
+    if est.value == math.inf:
+        raise MethodUnavailableError(f"the functional, exp({est.log_value:.6g}), overflows a double")
+    return FunctionalEstimate(est.log_value, est.relative_error, method)

@@ -309,6 +309,8 @@ def _peak(f: TestFunction, params: FockParams, restarts: int = 16, seed: int = 0
     if profile is None:
         return find_max(f, params, restarts=restarts, seed=seed)
     log_t_max, point = profile.peak()
+    if log_t_max > _LOG_FLOAT_MAX:
+        raise OptimizationFailureError(f"log u peaks at {log_t_max:.6g}; t_max overflows")
     return MaxResult(
         t_max=math.exp(log_t_max),
         argmax=point,

@@ -27,6 +27,7 @@ from .functions import (
 from .integrate import (
     ConvexFunction,
     GaussHermite,
+    _exp,
     convex_functional,
     fock_norm,
 )
@@ -171,22 +172,21 @@ def check_pointwise_bound(
     seed: int = 0,
     method=GaussHermite(32),
 ) -> VerificationReport:
-    """Density never exceeds the p-th power of the norm; coherent states touch it."""
+    """Density never exceeds the p-th power of the norm, in logs: margin 1 - max u / ||f||^p."""
     est = fock_norm(f, params, method=method)
-    bound = est.raw_integral
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((int(n_points), params.m)) / math.sqrt(params.rate)
-    u = np.exp(log_density_batch(f, params, X))
-    worst = int(np.argmax(u))
-    margin = float(bound - u[worst])
-    tolerance = 3.0 * est.error_bound
+    log_u = log_density_batch(f, params, X)
+    worst = int(np.argmax(log_u))
+    margin = -math.expm1(float(log_u[worst]) - est.log_value)  # 1 - max u / ||f||^p
+    tolerance = 3.0 * est.relative_error
     details = {
-        "norm_p_power": bound,
-        "max_u_sampled": float(u[worst]),
+        "norm_p_power": est.raw_integral,
+        "max_u_sampled": _exp(float(log_u[worst])),
         "worst_point": X[worst].tolist(),
     }
     if _equality_case(f, params):
-        details["equality_gap_at_center"] = bound - _peak(f, params).t_max
+        details["equality_gap_at_center"] = -math.expm1(_peak(f, params).log_t_max - est.log_value)
     return VerificationReport(
         check_name="pointwise_bound",
         inputs={"fn": _fn_label(f), "p": params.p, "alpha": params.alpha, "n_points": n_points, "seed": seed},
@@ -357,22 +357,24 @@ def check_extremal_convex(
 ) -> VerificationReport:
     """Among unit-norm functions, the centered coherent state maximizes int G(u).
 
-    f is normalized by its estimated norm v, which holds to within e.  Under
-    f -> e^s f, J(s) = int G(e^(ps) u) is nondecreasing and convex in s, and
+    f is normalized by its estimated norm v, which holds to within e, in logs
+    (log v = log I / p, e/v = relative_error / p).  Under f -> e^s f,
+    J(s) = int G(e^(ps) u) is nondecreasing and convex in s, and
     -log(1 - e/v) >= log(1 + e/v), so J(f/(v - e)) - J(f/v) bounds the change
     of J on both sides of the norm's error.  One more convex_functional pass
     gives J(f/(v - e)); its error bound is added to the norm term.  Raises
     MethodUnavailableError when e >= v, where f/(v - e) does not exist.
     """
     est = fock_norm(f, params, method=method)
-    if not (est.value > 0):
+    if est.log_value == -math.inf:
         raise InvalidInputError("cannot normalize a function with zero norm")
-    if est.value_error >= est.value:
+    if est.relative_error >= params.p:  # e/v = relative_error / p
         raise MethodUnavailableError(
             f"the norm's error {est.value_error:.3g} reaches its value {est.value:.3g}; no bracket for J"
         )
-    J_f = convex_functional(f.log_shifted(-math.log(est.value)), params, G, method=method)
-    f_hi = f.log_shifted(-math.log(est.value - est.value_error))
+    log_v = est.log_value / params.p
+    J_f = convex_functional(f.log_shifted(-log_v), params, G, method=method)
+    f_hi = f.log_shifted(-log_v - math.log1p(-est.relative_error / params.p))
     J_hi = convex_functional(f_hi, params, G, method=method)
     ref = Coherent(center=tuple([0.0] * params.m), alpha=params.alpha)
     J_ref = convex_functional(ref, params, G, method=method)

@@ -455,6 +455,20 @@ def test_diverging_weight_exits_2(capsys):
     assert "focklab: error" in err
 
 
+def test_profile_past_the_largest_double_exits_2(capsys):
+    # u = 1e400 e^{-|x|^2}: its closed-form peak overflows a double
+    assert main(["profile", "--fn", "const:1e200", "--levels", "4", "--samples", "1000"]) == 2
+    assert "focklab: error: log u peaks at 921.034; t_max overflows" in capsys.readouterr().err
+
+
+def test_norm_whose_integral_passes_the_largest_double(capsys):
+    # ||1e10||_64 = 1e10 from the integral 1e640; the raw integral and its bound read inf
+    assert main(["norm", "--fn", "const:1e10", "--p", "64", "--format", "json"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert abs(result["value"] - 1e10) <= result["value_error"] <= 1e-3
+    assert result["raw_integral"] == math.inf and result["error_bound"] == math.inf
+
+
 def test_bad_variant_in_config_file_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("variant=bogus\n")

@@ -520,16 +520,19 @@ def test_pruned_gh_covers_the_nodes_it_skips(case):
     def envelope(t):
         return envelope_radius(f, params, t)
 
-    coarse, _ = integrate._integral(log_h, integrate._gh_rule(params, n))
-    full, _ = integrate._integral(log_h, integrate._gh_rule(params, 2 * n))
-    rule, tail = integrate._gh_pruned(params, 2 * n, envelope, coarse)
+    log_coarse, _ = integrate._integral(log_h, integrate._gh_rule(params, n))
+    log_full, _ = integrate._integral(log_h, integrate._gh_rule(params, 2 * n))
+    rule, log_tail = integrate._gh_pruned(params, 2 * n, envelope, log_coarse)
     kept = sum(len(table) for _, table, _ in rule)
-    assert 0 < kept <= (2 * n) ** 4 and 0.0 <= tail <= 2.0**-53 * coarse
+    assert 0 < kept <= (2 * n) ** 4 and log_tail <= log_coarse - 53.0 * math.log(2.0)
     est = gauss_hermite_integrate(log_h, params, n, envelope)
-    assert est.error_bound == max(abs(est.value - coarse), integrate._roundoff(est.value, kept)) + tail
-    assert abs(full - est.value) <= tail + integrate._roundoff(full, (2 * n) ** 4)
+    tail = math.exp(log_tail - est.log_value)  # relative to the fine value
+    gap = abs(math.expm1(log_coarse - est.log_value))
+    assert est.relative_error == max(gap, integrate._roundoff(est.log_value, kept)) + tail
+    full_gap = abs(math.expm1(log_full - est.log_value))
+    assert full_gap <= tail + integrate._roundoff(log_full, (2 * n) ** 4) * math.exp(log_full - est.log_value)
     # the new value lies within its own bound of the value of the whole fine rule
-    assert abs(est.value - full) <= est.error_bound
+    assert full_gap <= est.relative_error
 
 
 def test_fock_norm_prunes_a_fine_rule_of_many_chunks(monkeypatch):
@@ -539,7 +542,7 @@ def test_fock_norm_prunes_a_fine_rule_of_many_chunks(monkeypatch):
     norm = fock_norm(f, params, method=GaussHermite(32))
     c = norm_constant(params)
     assert len(calls) == 1
-    assert norm.raw_integral == c * est.value and norm.error_bound == c * est.error_bound
+    assert norm.log_value == math.log(c) + est.log_value and norm.relative_error == est.relative_error
     assert abs(norm.raw_integral - 1.0) <= norm.error_bound
 
 
@@ -558,15 +561,15 @@ def test_pruned_gh_keeps_the_same_nodes_at_every_scale(f):
 
     def kept(delta):
         g = f.log_shifted(delta)
-        coarse, _ = integrate._integral(_log_p_abs(g, params), integrate._gh_rule(params, 32))
-        rule, tail = integrate._gh_pruned(params, 64, lambda t: envelope_radius(g, params, t), coarse)
-        return sum(len(table) for _, table, _ in rule), tail / coarse
+        log_coarse, _ = integrate._integral(_log_p_abs(g, params), integrate._gh_rule(params, 32))
+        rule, log_tail = integrate._gh_pruned(params, 64, lambda t: envelope_radius(g, params, t), log_coarse)
+        return sum(len(table) for _, table, _ in rule), log_tail - log_coarse
 
     counts = {delta: kept(delta) for delta in (-30.0, -7.5, 0.0, 12.0, 30.0)}
     assert len({n for n, _ in counts.values()}) == 1, counts
     assert counts[0.0][0] < 64**4
-    rel_tails = [r for _, r in counts.values()]
-    assert max(rel_tails) <= min(rel_tails) * (1.0 + 1e-9)
+    log_rel_tails = [r for _, r in counts.values()]
+    assert max(log_rel_tails) - min(log_rel_tails) <= 1e-9
 
 
 @pytest.mark.parametrize(
@@ -583,7 +586,7 @@ def test_fine_rule_of_one_chunk_is_never_pruned(monkeypatch, m, n, n_fine):
     est = fock_norm(f, params, method=GaussHermite(n))
     c = norm_constant(params)
     assert calls == []
-    assert est.raw_integral == c * ref.value and est.error_bound == c * ref.error_bound
+    assert est.log_value == math.log(c) + ref.log_value and est.relative_error == ref.relative_error
 
 
 def test_convex_functional_is_never_pruned(monkeypatch):
@@ -602,7 +605,7 @@ def test_convex_functional_is_never_pruned(monkeypatch):
     calls = _spy_envelope(monkeypatch)
     est = convex_functional(f, params, G, method=GaussHermite(32))
     assert calls == []
-    assert est.value == ref.value and est.error_bound == ref.error_bound
+    assert est.log_value == ref.log_value and est.relative_error == ref.relative_error
     fock_norm(f, params, method=GaussHermite(32))
     assert len(calls) == 1
 
@@ -611,13 +614,13 @@ def test_pruning_skips_a_zero_integrand(monkeypatch):
     calls = _spy_envelope(monkeypatch)
     est = fock_norm(Constant(value=0.0, dim=4), FockParams(4, 2.0, 1.0), method=GaussHermite(32))
     assert calls == []
-    assert est.raw_integral == 0.0 and est.error_bound == 0.0
+    assert est.log_value == -math.inf and est.raw_integral == 0.0 and est.error_bound == 0.0
 
 
-@pytest.mark.parametrize("delta", [-10.9, -10.5])
+@pytest.mark.parametrize("delta", [-10.9, -10.5, -11.0, -30.0, 12.0, 30.0])
 def test_pruning_falls_back_when_t_is_not_a_normal_double(monkeypatch, delta):
-    # at p = 64 the integral is near the least normal double and t = 2^-53 I / S
-    # underflows (-10.9: to 0, -10.5: to a subnormal), so the full fine rule runs
+    # at p = 64, t = 2^-53 I / S underflows (-10.9: to 0, -10.5: to a subnormal, and below)
+    # or overflows (12, 30), so the full fine rule runs; the integral keeps its digits
     f = Constant(value=1.0, dim=4).log_shifted(delta)
     params = FockParams(4, 64.0, 1.0)
     ref = _full_pair(f, params, 32, 64)
@@ -625,11 +628,8 @@ def test_pruning_falls_back_when_t_is_not_a_normal_double(monkeypatch, delta):
     est = fock_norm(f, params, method=GaussHermite(32))
     c = norm_constant(params)
     assert calls == []
-    assert est.raw_integral == c * ref.value and est.error_bound == c * ref.error_bound
-    # a little lower the integral itself underflows, as before
-    with pytest.raises(MethodUnavailableError, match="underflows"):
-        fock_norm(Constant(value=1.0, dim=4).log_shifted(-11.0), params, method=GaussHermite(32))
-    assert calls == []
+    assert est.log_value == math.log(c) + ref.log_value and est.relative_error == ref.relative_error
+    assert abs(math.expm1(est.log_value - 64.0 * delta)) <= est.relative_error
 
 
 @pytest.mark.parametrize("radius", [0.0, 1e-3, 0.1])
@@ -642,7 +642,7 @@ def test_pruning_falls_back_when_the_ball_holds_no_node(monkeypatch, radius):
     est = fock_norm(f, params, method=GaussHermite(32))
     c = norm_constant(params)
     assert len(calls) == 1  # at rate 2 the least |x| of the 64^4 rule is 2 x 0.139, above 0.1
-    assert est.raw_integral == c * ref.value and est.error_bound == c * ref.error_bound
+    assert est.log_value == math.log(c) + ref.log_value and est.relative_error == ref.relative_error
 
 
 # the rules against scipy's, which focklab no longer imports: the two agree to
@@ -798,10 +798,11 @@ def test_mc_blocks_merge_to_the_one_shot_estimate(monkeypatch, case):
     value, stderr = _mc_one_shot(log_h(), params, samples, seed)
     monkeypatch.setattr(integrate, "_CHUNK_POINTS", 1000)
     est = mc_integrate(log_h(), params, samples=samples, seed=seed)
-    roundoff = integrate._roundoff(value, samples)
+    roundoff = integrate._roundoff(math.log(value), samples) * value
     assert abs(est.value - value) <= roundoff
     if case == "constant":
-        assert stderr == 0.0 and est.value == value and est.error_bound == integrate._roundoff(est.value, samples)
+        assert stderr == 0.0 and est.value == value
+        assert est.relative_error == integrate._roundoff(est.log_value, samples)
     else:
         assert stderr > roundoff
         assert est.error_bound == pytest.approx(stderr, rel=1e-12, abs=0.0)
@@ -858,19 +859,45 @@ def test_radial_dimension_guard():
         radial_integrate(lambda X: -np.sum(X**2, axis=1), params)
 
 
+@pytest.mark.parametrize("method", [GaussHermite(16), Radial(), MonteCarlo(samples=10_000, seed=3)], ids=repr)
+@given(
+    f=st.sampled_from(default_family_members(2)),
+    delta=st.floats(min_value=-300.0, max_value=300.0),
+    p=st.sampled_from([0.5, 2.0, 64.0]),
+)
+@settings(derandomize=True, deadline=None, max_examples=25)
+def test_norm_integral_is_homogeneous_at_every_scale(method, f, delta, p):
+    # ||e^delta f||_p^p = e^(p delta) ||f||_p^p, far past the double range at p = 64
+    params = FockParams(2, p, 1.0)
+    base, scaled = fock_norm(f, params, method), fock_norm(f.log_shifted(delta), params, method)
+    gap = math.expm1(scaled.log_value - p * delta - base.log_value)
+    assert abs(gap) <= scaled.relative_error + base.relative_error, (f, delta, p)
+
+
 @pytest.mark.parametrize("method", [GaussHermite(), Radial(), MonteCarlo(samples=10_000)], ids=repr)
 def test_overflowing_integral_raises(method):
-    # the p-th power integral of e^400 at p = 2 is e^800, past the largest double
+    # a norm or a functional past the largest double raises; a p-th power integral there does not
     f = Constant(value=1.0, dim=2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(MethodUnavailableError, match="overflows a double"):
-            fock_norm(f.log_shifted(400.0), P2, method=method)
-        # at p = 8 the unnormalized integral e^709.9 pi/4 fits, the normalized e^709.9 does not
+            fock_norm(f.log_shifted(710.0), P2, method=method)
+        # int u = e^800 pi, u = e^800 e^{-|x|^2}
         with pytest.raises(MethodUnavailableError, match="overflows a double"):
-            fock_norm(f.log_shifted(709.9 / 8.0), FockParams(2, 8.0, 1.0), method=method)
-        est = fock_norm(f.log_shifted(300.0), P2, method=method)
-    assert est.raw_integral == pytest.approx(math.exp(600.0), rel=1e-12, abs=0.0)
+            convex_functional(f.log_shifted(400.0), P2, Power(1.0), method=method)
+        # the p-th power integral of e^400 at p = 2 is e^800, and at p = 8 of e^(709.9/8) it is
+        # e^709.9, whose unnormalized e^709.9 pi/4 fits: both past the largest double
+        est = fock_norm(f.log_shifted(400.0), P2, method=method)
+        est8 = fock_norm(f.log_shifted(709.9 / 8.0), FockParams(2, 8.0, 1.0), method=method)
+        # ||1e10||_64 = 1e10 from the integral 1e640
+        est64 = fock_norm(Constant(value=1e10, dim=2), FockParams(2, 64.0, 1.0), method=method)
+    assert abs(math.expm1(est.log_value - 800.0)) <= est.relative_error
+    assert est.raw_integral == math.inf and est.error_bound == math.inf
+    assert abs(est.value - math.exp(400.0)) <= est.value_error
+    assert abs(math.expm1(est8.log_value - 709.9)) <= est8.relative_error
+    assert abs(est8.value - math.exp(709.9 / 8.0)) <= est8.value_error
+    assert abs(math.expm1(est64.log_value - 64.0 * math.log(1e10))) <= est64.relative_error
+    assert abs(est64.value - 1e10) <= est64.value_error
 
 
 @pytest.mark.parametrize(
@@ -881,8 +908,9 @@ def test_nan_integrand_raises(method):
     f = Polynomial(terms={(300,): 1.0, (301,): 1.0})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(MethodUnavailableError):
-            fock_norm(f, P2, method=method)
+        if not isinstance(method, MonteCarlo):  # the samples stay where log|f| is finite
+            with pytest.raises(MethodUnavailableError, match="nan"):
+                fock_norm(f, P2, method=method)
         with pytest.raises(MethodUnavailableError):
             convex_functional(f, P2, Power(2.0), method=method)
         with pytest.raises(MethodUnavailableError, match="nan"):
@@ -906,19 +934,53 @@ def test_mc_integral_fits_where_its_peak_weight_does_not():
 
 
 @pytest.mark.parametrize("method", [GaussHermite(48), Radial(), MonteCarlo(samples=10_000)], ids=repr)
-def test_underflowing_integral_raises(method):
-    # the p-th power integral of e^-12 at p = 64 is e^-768 times pi/32, below the least normal double
+def test_integral_below_the_least_double_keeps_its_digits(method):
+    # the p-th power integral of e^-12 at p = 64 is e^-768 (times pi/32 unnormalized), below every
+    # double; at alpha p = 0.2 the unnormalized e^-709 10 pi is normal, the normalized e^-709 is not
     f = Constant(value=1.0, dim=2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(MethodUnavailableError, match="underflows"):
-            fock_norm(f.log_shifted(-12.0), FockParams(2, 64.0, 1.0), method=method)
-        # at alpha p = 0.2 the unnormalized integral e^-709 10 pi is normal, the normalized e^-709 is not
-        with pytest.raises(MethodUnavailableError, match="underflows"):
-            fock_norm(f.log_shifted(-709.0 / 2.0), FockParams(2, 2.0, 0.1), method=method)
-        # an identically zero integrand is a true 0, not an underflow
-        est = fock_norm(Constant(value=0.0, dim=2), P2, method=method)
-    assert est.raw_integral == 0.0 and est.error_bound == 0.0
+        est = fock_norm(f.log_shifted(-12.0), FockParams(2, 64.0, 1.0), method=method)
+        low = fock_norm(f.log_shifted(-709.0 / 2.0), FockParams(2, 2.0, 0.1), method=method)
+        # ||1e-10||_64 = 1e-10 from the integral 1e-640
+        est64 = fock_norm(Constant(value=1e-10, dim=2), FockParams(2, 64.0, 1.0), method=method)
+        # an identically zero integrand is a true 0
+        zero = fock_norm(Constant(value=0.0, dim=2), P2, method=method)
+    assert abs(math.expm1(est.log_value + 768.0)) <= est.relative_error and est.raw_integral == 0.0
+    assert abs(est.value - math.exp(-12.0)) <= est.value_error
+    assert abs(math.expm1(low.log_value + 709.0)) <= low.relative_error
+    assert abs(low.value - math.exp(-709.0 / 2.0)) <= low.value_error
+    assert abs(math.expm1(est64.log_value - 64.0 * math.log(1e-10))) <= est64.relative_error
+    assert abs(est64.value - 1e-10) <= est64.value_error
+    assert zero.log_value == -math.inf and zero.raw_integral == 0.0 and zero.error_bound == 0.0
+    assert zero.value == 0.0 and zero.value_error == 0.0
+
+
+def test_value_error_keeps_its_digits_where_error_bound_is_subnormal():
+    # the raw integral e^-704 is normal, its error bound 1.1e-318 is subnormal
+    params = FockParams(2, 64.0, 1.0)
+    est = fock_norm(Constant(value=1.0, dim=2).log_shifted(-11.0), params, method=GaussHermite(16))
+    assert est.raw_integral >= np.finfo(float).tiny > est.error_bound > 0.0
+    expected = est.relative_error * math.exp(-11.0) / params.p
+    assert est.value_error == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("coarse, fine", [(0.0, -np.inf), (-np.inf, 0.0), (-np.inf, -np.inf)])
+def test_refinement_pair_with_a_zero_side(coarse, fine):
+    # a zero on one side of the pair leaves a relative gap of 1, and the estimate is the
+    # other side: a zero fine value hands back the coarse one with its own size as error
+    sides = iter([coarse, fine])  # each rule is one chunk: one call apiece
+
+    def log_h(X):
+        return np.full(len(X), next(sides))
+
+    est = integrate._refine(log_h, integrate._gh_rule(P2, 8), integrate._gh_rule(P2, 16))
+    total = math.log(math.pi)  # int e^0 against e^{-|x|^2} over R^2
+    if coarse == fine:
+        assert est.log_value == -math.inf and est.relative_error == 0.0 and est.error_bound == 0.0
+    else:
+        assert est.log_value == pytest.approx(total, rel=1e-14, abs=0.0) and est.relative_error == 1.0
+        assert est.error_bound == est.value
 
 
 def test_refinement_pair_states_its_roundoff():

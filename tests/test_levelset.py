@@ -175,6 +175,23 @@ def test_growing_profile_has_no_peak():
                 find()
 
 
+@pytest.mark.parametrize(
+    "f",
+    [Constant(value=1e200, dim=2), Coherent(center=(1.0, 0.0), alpha=1.0).log_shifted(400.0)],
+    ids=["const", "coherent"],
+)
+def test_closed_form_peak_past_the_largest_double_raises(f):
+    # at p = 2, u peaks at e^921 (const) and e^800 (coherent): t_max is no double
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (lambda: _peak(f, P2), lambda: g_diagnostic(f, P2, samples=1000),
+                    lambda: layer_cake(f, P2, Power(1.0), samples=1000)):
+            with pytest.raises(OptimizationFailureError, match="t_max overflows"):
+                run()
+    # just below the line the closed form is still a number
+    assert _peak(Constant(value=1.0, dim=2).log_shifted(354.0), P2).t_max == math.exp(708.0)
+
+
 _TWO_PEAKS = SumOfCoherent(atoms=((1.0, (0.0, 0.0)), (1e100, (40.0, 0.0))), alpha=1.0)
 
 
