@@ -934,7 +934,9 @@ def test_mc_integral_fits_where_its_peak_weight_does_not():
 
 
 @pytest.mark.parametrize("method", [GaussHermite(48), Radial(), MonteCarlo(samples=10_000)], ids=repr)
-def test_integral_below_the_least_double_keeps_its_digits(method):
+def test_underflowing_integral_raises(method):
+    # named for the raise that integrals below the least normal double once met; held in logs,
+    # they now raise nothing and keep their digits, which is what this checks
     # the p-th power integral of e^-12 at p = 64 is e^-768 (times pi/32 unnormalized), below every
     # double; at alpha p = 0.2 the unnormalized e^-709 10 pi is normal, the normalized e^-709 is not
     f = Constant(value=1.0, dim=2)
