@@ -316,6 +316,7 @@ def _cmd_profile(config: RunConfig, f: TestFunction):
     flags = profile.violation_flags()
     result = {
         "t_max": profile.t_max,
+        "log_t_max": profile.log_t_max,
         "t": list(profile.t_grid),
         "mu": list(profile.mu),
         "mu_stderr": list(profile.mu_stderr),
@@ -325,7 +326,8 @@ def _cmd_profile(config: RunConfig, f: TestFunction):
         "violations": [list(v) for v in profile.violations],
     }
     rows = zip(profile.t_grid, profile.mu, profile.mu_stderr, profile.g, flags)
-    extra = [("t_max", _fmt(profile.t_max)), ("n_violations", str(len(profile.violations)))]
+    extra = [("t_max", _fmt(profile.t_max)), ("log_t_max", _fmt(profile.log_t_max))]
+    extra.append(("n_violations", str(len(profile.violations))))
     status = 0
     if profile.violations:
         worst = max(v[2] for v in profile.violations)

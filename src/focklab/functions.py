@@ -34,9 +34,6 @@ __all__ = [
     "envelope_radius",
 ]
 
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # exp of a larger log overflows a double
-
-
 def _sq_norm(X: np.ndarray) -> np.ndarray:
     """|x|^2 of each row of an (N, m) array, one column at a time.
 
@@ -600,15 +597,18 @@ def _thresholds(t) -> np.ndarray:
     return t_arr
 
 
-def envelope_radius(f: TestFunction, params: FockParams, t):
-    """Radius R with u(x) < t whenever |x| > R.  Returns 0 when u < t everywhere.
+def envelope_radius(f: TestFunction, params: FockParams, log_t):
+    """Radius R with log u(x) < log_t whenever |x| > R.  Returns 0 when u < t everywhere.
 
-    t is a scalar, giving a float, or an array of thresholds.  Uses the
-    closed-form radii of the radial profile where the family has one and
-    bisection on a radial upper bound, all levels together, for the others.
+    log_t is a finite scalar, giving a float, or an array of log thresholds, so
+    t itself need not be a double.  Uses the closed-form radii of the radial
+    profile where the family has one and bisection on a radial upper bound,
+    all levels together, for the others.
     """
     _check_dims(f, params)
-    log_t = np.log(_thresholds(t))
+    log_t = np.asarray(log_t, dtype=float)
+    if not np.all(np.isfinite(log_t)):
+        raise InvalidInputError(f"log threshold must be finite, got {log_t}")
     profile = f.radial_profile(params)
     if not f.has_envelope(params):
         raise NoEnvelopeError(f"log u = A + K log r - B r^2 has B = {profile.B:g} <= 0; no envelope")

@@ -37,8 +37,7 @@ from .errors import (
     NoEnvelopeError,
     UnsupportedFunctionalError,
 )
-from .functions import _LOG_FLOAT_MAX, FockParams, TestFunction, _check_dims, _log_density_and_weight
-from .functions import envelope_radius
+from .functions import FockParams, TestFunction, _check_dims, _log_density_and_weight, envelope_radius
 
 __all__ = [
     "GaussHermite",
@@ -67,12 +66,12 @@ _CHUNK_POINTS = 1 << 18
 _DOUBLING_BUDGET = 1 << 24
 # numpy's hermgauss keeps every weight a normal double up to about 370 nodes
 _MAX_GH_NODES = 256
-_LOG_FLOAT_TINY = math.log(np.finfo(float).tiny)  # exp of a smaller log is not a normal double
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # exp of a larger log overflows a double
 
 
 def _exp(log_value: float) -> float:
-    """exp(log_value), inf past the largest double."""
-    return math.exp(log_value) if log_value <= _LOG_FLOAT_MAX else math.inf
+    """math.exp, with inf in place of OverflowError past the largest double."""
+    return math.inf if log_value > _LOG_FLOAT_MAX else math.exp(log_value)
 
 
 @dataclass(frozen=True)
@@ -326,16 +325,16 @@ def _gh_pruned(params: FockParams, n: int, envelope: Callable, log_coarse: float
     """(the n^m rule without its nodes outside the envelope ball, log of a bound on what they add), or None.
 
     Takes log t = log coarse - 53 log 2 - log S, S the sum of w e^{|y|^2} over
-    all nodes, so the skipped nodes add at most t S <= 2^-53 coarse.  None,
-    for the full rule, when t is not a normal double (a zero coarse value
-    among them) or the ball holds no node.
+    all nodes, so the skipped nodes add at most t S <= 2^-53 coarse; t need
+    not be a double.  None, for the full rule, when coarse is zero or the ball
+    holds no node.
     """
+    if log_coarse == -math.inf:
+        return None
     y, lw = _gh_axis(n)
     scale, log_jac = _gh_frame(params)
     log_t = log_coarse - 53.0 * math.log(2.0) - params.m * _log_sum_exp(lw + y * y) - log_jac
-    if not _LOG_FLOAT_TINY <= log_t <= _LOG_FLOAT_MAX:
-        return None
-    radius = envelope(math.exp(log_t)) * (1.0 + 1e-12)  # covers the rounding of the radius and of |y|^2
+    radius = envelope(log_t) * (1.0 + 1e-12)  # covers the rounding of the radius and of |y|^2
     if not params.m * float(np.min(y * y)) <= (radius / scale) ** 2:
         return None
     with np.errstate(divide="ignore"):  # nothing skipped: a tail of 0
@@ -350,12 +349,12 @@ def gauss_hermite_integrate(
     log_h gets read-only, column-major (N, m) chunks of at most
     _CHUNK_POINTS = 2^18 nodes that share one buffer; it must not keep them.
     A chunk fixes the leading coordinates, so 32^4 runs as 32 chunks of 32^3
-    nodes.  envelope, if given, maps a threshold
-    t > 0 to a radius R with u(x) = exp(log_h(x) - (alpha p/2)|x|^2) < t
-    wherever |x| > R.  Then a fine grid of more than _CHUNK_POINTS nodes skips
-    the nodes outside that ball at t = 2^-53 coarse / sum(w e^{|y|^2}), and
-    relative_error gains t times the skipped sum of w e^{|y|^2} (at most 2^-53
-    coarse) over the fine value.  Where t is not a normal double, all of it runs.
+    nodes.  envelope, if given, maps log t to a radius R with
+    log u(x) = log_h(x) - (alpha p/2)|x|^2 < log t wherever |x| > R.  Then a
+    fine grid of more than _CHUNK_POINTS nodes skips the nodes outside that
+    ball at t = 2^-53 coarse / sum(w e^{|y|^2}), taken in logs at every scale,
+    and relative_error gains t times the skipped sum of w e^{|y|^2} (at most
+    2^-53 coarse) over the fine value.
     """
     n, m = int(nodes_per_axis), params.m
     if m > 6:
@@ -570,7 +569,7 @@ def fock_norm(f: TestFunction, params: FockParams, method=GaussHermite()) -> Nor
         )
     _check_dims(f, params)
     est = _dispatch_raw(
-        lambda X: params.p * f.log_abs(X), params, method, lambda t: envelope_radius(f, params, t)
+        lambda X: params.p * f.log_abs(X), params, method, partial(envelope_radius, f, params)
     )
     norm = NormEstimate(math.log(norm_constant(params)) + est.log_value, est.relative_error, method, params.p)
     if norm.value == math.inf:

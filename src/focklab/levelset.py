@@ -20,17 +20,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidInputError, OptimizationFailureError
-from .functions import (
-    _LOG_FLOAT_MAX,
-    FockParams,
-    TestFunction,
-    _check_dims,
-    _thresholds,
-    envelope_radius,
-    log_density_batch,
-)
-from .integrate import ConvexFunction, GaussHermite, convex_functional
+from .errors import InvalidInputError, MethodUnavailableError, OptimizationFailureError
+from .functions import FockParams, TestFunction, _check_dims, _thresholds, envelope_radius, log_density_batch
+from .integrate import ConvexFunction, GaussHermite, _exp, convex_functional
 
 __all__ = [
     "IsoperimetricVariant",
@@ -80,7 +72,8 @@ class MaxResult:
 
     rule is "simplex" for the multistart search, whose restarts_agreeing of
     restarts_total reached the best value, or "closed_form" for a radial
-    profile's peak, which makes no restarts (0 of 0).
+    profile's peak, which makes no restarts (0 of 0).  t_max is exp(log_t_max):
+    inf or 0 outside the double range.
     """
 
     t_max: float
@@ -109,7 +102,7 @@ class MeasureEstimate:
 
 @dataclass(frozen=True)
 class LevelGrid:
-    """Geometric threshold grid t_k = t_max * ratio^k, k = 1..count."""
+    """Geometric threshold grid t_k = t_max * ratio^k, k = 1..count, held as log(t_k / t_max)."""
 
     count: int = 60
     ratio: float = 0.9
@@ -120,8 +113,9 @@ class LevelGrid:
         if not (0 < self.ratio < 1):
             raise InvalidInputError("grid ratio must lie in (0, 1)")
 
-    def levels(self, t_max: float) -> np.ndarray:
-        return t_max * self.ratio ** np.arange(1, self.count + 1)
+    def log_levels(self, count: int | None = None) -> np.ndarray:
+        """log(t_k / t_max) = k log ratio, k = 0..count (self.count unless given): the peak, then the grid."""
+        return np.arange((self.count if count is None else count) + 1) * math.log(self.ratio)
 
 
 @dataclass
@@ -129,11 +123,14 @@ class LevelProfile:
     """mu and g sampled on a decreasing threshold grid, with violation records.
 
     violations holds triples (t_hi, t_lo, excess): adjacent grid levels where g
-    dropped while t decreased, by more than 3x the propagated sampling error.
+    dropped while t decreased, by more than 3x the propagated sampling error;
+    violation_levels holds the index of each t_lo.  t_max, t_grid and g read
+    inf or 0 outside the double range; mu and the flags do not depend on it.
     """
 
     params: FockParams
     variant: IsoperimetricVariant
+    log_t_max: float
     t_max: float
     t_grid: np.ndarray
     mu: np.ndarray
@@ -141,12 +138,13 @@ class LevelProfile:
     g: np.ndarray
     g_err: np.ndarray
     violations: tuple[tuple[float, float, float], ...]
+    violation_levels: tuple[int, ...]
     samples: int
     seed: int
     points: int  # density evaluations made for mu, all levels together
 
     def violation_flags(self) -> np.ndarray:
-        return np.isin(self.t_grid, [t_lo for _, t_lo, _ in self.violations])
+        return np.isin(np.arange(len(self.t_grid)), self.violation_levels)
 
 
 # ---------------------------------------------------------------------------
@@ -250,50 +248,44 @@ def find_max(
     Nelder-Mead (`_simplex_search`, xatol 1e-11, fatol 1e-13) and the best
     point is polished by a tighter run (1e-12, 1e-14).  Agreement is counted
     at 1e-8 relative in the maximum value.  This is always the numeric search,
-    also for families whose radial profile has the maximum in closed form.
-    The first point evaluated with log u above log(float max) ends the search
-    with OptimizationFailureError, since t_max is at least exp of it.
+    also for families whose radial profile has the maximum in closed form,
+    whose `peak` first raises OptimizationFailureError where u vanishes or
+    grows without bound.  Working on log u, it finds log t_max at any scale.
     """
     _check_dims(f, params)
+    if (profile := f.radial_profile(params)) is not None:
+        profile.peak()
     rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(params.rate)
 
     def neg_log_u(X):
-        log_u = log_density_batch(f, params, X)
-        over = log_u > _LOG_FLOAT_MAX
-        if over.any():
-            raise OptimizationFailureError(f"log u reached {log_u[over].max():.6g}; t_max overflows")
-        return -log_u
+        return -log_density_batch(f, params, X)
 
     starts = [np.asarray(h, dtype=float) for h in f.max_hints(params)]
     starts = np.vstack(starts + [rng.standard_normal((restarts, params.m)) * scale])
-    # the density may overflow on its way past the line, before neg_log_u raises
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite(neg_log_u(starts))
-        for i in np.flatnonzero(~finite):
-            for _ in range(20):
-                x0 = starts[i] + rng.standard_normal(params.m) * (scale * 0.1)
-                if np.isfinite(neg_log_u(x0[None, :])[0]):
-                    starts[i], finite[i] = x0, True
-                    break
-        if not finite.any():
-            raise OptimizationFailureError("no starting point with nonzero density found")
+    finite = np.isfinite(neg_log_u(starts))
+    for i in np.flatnonzero(~finite):
+        for _ in range(20):
+            x0 = starts[i] + rng.standard_normal(params.m) * (scale * 0.1)
+            if np.isfinite(neg_log_u(x0[None, :])[0]):
+                starts[i], finite[i] = x0, True
+                break
+    if not finite.any():
+        raise OptimizationFailureError("no starting point with nonzero density found")
 
-        funs, xs = _simplex_search(neg_log_u, starts[finite], xatol=1e-11, fatol=1e-13)
-        ok = np.isfinite(funs)
-        if not ok.any():
-            raise OptimizationFailureError("all simplex restarts failed")
-        funs, xs = funs[ok], xs[ok]
-        best = int(np.argmin(funs))
-        best_fun, best_x = float(funs[best]), xs[best]
-        polish_fun, polish_x = _simplex_search(neg_log_u, best_x[None, :], xatol=1e-12, fatol=1e-14)
+    funs, xs = _simplex_search(neg_log_u, starts[finite], xatol=1e-11, fatol=1e-13)
+    ok = np.isfinite(funs)
+    if not ok.any():
+        raise OptimizationFailureError("all simplex restarts failed")
+    funs, xs = funs[ok], xs[ok]
+    best = int(np.argmin(funs))
+    best_fun, best_x = float(funs[best]), xs[best]
+    polish_fun, polish_x = _simplex_search(neg_log_u, best_x[None, :], xatol=1e-12, fatol=1e-14)
     if math.isfinite(polish_fun[0]) and polish_fun[0] < best_fun:
         best_fun, best_x = float(polish_fun[0]), polish_x[0]
-    t_max = math.exp(-best_fun)  # -best_fun <= _LOG_FLOAT_MAX, or neg_log_u raised
-
     tol = 1e-8 * max(1.0, abs(best_fun))
     return MaxResult(
-        t_max=t_max,
+        t_max=_exp(-best_fun),
         argmax=tuple(float(c) for c in best_x),
         restarts_agreeing=int(np.sum(funs - best_fun <= tol)),
         restarts_total=len(funs),
@@ -309,10 +301,8 @@ def _peak(f: TestFunction, params: FockParams, restarts: int = 16, seed: int = 0
     if profile is None:
         return find_max(f, params, restarts=restarts, seed=seed)
     log_t_max, point = profile.peak()
-    if log_t_max > _LOG_FLOAT_MAX:
-        raise OptimizationFailureError(f"log u peaks at {log_t_max:.6g}; t_max overflows")
     return MaxResult(
-        t_max=math.exp(log_t_max),
+        t_max=_exp(log_t_max),
         argmax=point,
         restarts_agreeing=0,
         restarts_total=0,
@@ -342,37 +332,40 @@ class _NestedCloud:
     points: int  # density evaluations, all shells together
 
 
-def _nested_measures(f, params, t_grid, samples, seed, thresholds=None, weights=None) -> _NestedCloud:
+def _nested_measures(f, params, log_grid, samples, seed, log_thresholds=None, weights=None) -> _NestedCloud:
     """Hit-count estimates of mu at decreasing thresholds from one stratified cloud.
 
-    The shells sit on the decreasing grid: B_k is the ball of radius R_k =
-    1.05 * envelope radius of t_grid[k] (made nondecreasing), so the balls are
-    nested.  Shell j = B_j minus B_{j-1} gets ceil(samples |S_j| / |B_j|)
-    uniform points: every level sees at least the point density of `samples`
-    points in its own ball.  log u is evaluated once per point, and one
-    searchsorted per shell counts its hits at every threshold (t_grid itself
-    unless given, say the layer cake's nodes); shell j can hit only those below
-    t_grid[j-1].  Hits at t_k >= t_l are correlated, Cov(I_k, I_l) = h_k (1 - h_l),
-    where h = (hits + 1) / (n + 2) stays positive when no point or every point
-    hits, so Var(mu_k) and Var(weights . mu) take O(thresholds) per shell.
+    Thresholds come as log t.  The shells sit on the decreasing grid: B_k is
+    the ball of radius R_k = 1.05 * envelope radius of log_grid[k] (made
+    nondecreasing), so the balls are nested.  Shell j = B_j minus B_{j-1} gets
+    ceil(samples |S_j| / |B_j|) uniform points, the ratio taken 1e-9 low lest
+    rounding in the radii, which moves with the scale of f, add a point where it
+    is an integer (samples / (j + 1) for a Gaussian in the plane): every level
+    sees the point density of `samples` points in its own ball, to 1e-9.  log u
+    is evaluated once per point, and one searchsorted per shell counts its hits
+    at every threshold (log_grid itself unless given, say the layer cake's
+    nodes); shell j can hit only those below log_grid[j-1].  Hits at t_k >= t_l
+    are correlated, Cov(I_k, I_l) = h_k (1 - h_l), where h = (hits + 1) / (n + 2)
+    stays positive when no point or every point hits, so Var(mu_k) and
+    Var(weights . mu) take O(thresholds) per shell.
     """
     samples = int(samples)
     if samples < 1000:
         raise InvalidInputError(f"need at least 1000 samples, got {samples}")
-    thresholds = t_grid if thresholds is None else thresholds
-    m, count = params.m, len(thresholds)
-    radii = np.maximum.accumulate(1.05 * envelope_radius(f, params, t_grid))
+    log_thresholds = log_grid if log_thresholds is None else log_thresholds
+    m, count = params.m, len(log_thresholds)
+    radii = np.maximum.accumulate(1.05 * envelope_radius(f, params, log_grid))
     ball = unit_ball_volume(m) * radii**m
     shell = np.diff(ball, prepend=0.0)
-    log_t_asc = np.log(thresholds[::-1])
-    # first threshold below t_grid[j-1], the top of shell j
-    first = count - np.searchsorted(thresholds[::-1], np.concatenate([[math.inf], t_grid[:-1]]))
+    log_t_asc = log_thresholds[::-1]
+    # first threshold below log_grid[j-1], the top of shell j
+    first = count - np.searchsorted(log_t_asc, np.concatenate([[math.inf], log_grid[:-1]]))
     rng = _level_rng(seed)
     mu, var, weighted_var, points = np.zeros(count), np.zeros(count), 0.0, 0
-    for j in range(len(t_grid)):
+    for j in range(len(log_grid)):
         if shell[j] <= 0.0:
             continue
-        n = math.ceil(samples * shell[j] / ball[j])
+        n = math.ceil(samples * shell[j] / ball[j] * (1.0 - 1e-9))
         pts = rng.standard_normal((n, m))
         inner = radii[j - 1] ** m if j > 0 else 0.0
         r = (inner + rng.random(n) * (radii[j] ** m - inner)) ** (1.0 / m)
@@ -403,7 +396,7 @@ def superlevel_measure(
     """
     if _thresholds(t).ndim:
         raise InvalidInputError(f"expected one threshold t, got shape {np.shape(t)}")
-    cloud = _nested_measures(f, params, np.array([float(t)]), samples, seed)
+    cloud = _nested_measures(f, params, np.log([float(t)]), samples, seed)
     return MeasureEstimate(
         float(cloud.mu[0]), math.sqrt(cloud.var[0]), t, int(samples), seed, float(cloud.radii[0])
     )
@@ -431,15 +424,15 @@ def superlevel_measure_exact(f: TestFunction, params: FockParams, t):
 
 
 def g_from_mu(mu, t, params: FockParams, variant: IsoperimetricVariant):
-    """g(t) = t * exp(kappa(m) * alpha p * mu^(2/m)), elementwise; scalars give a float."""
+    """g(t) = t * exp(kappa(m) * alpha p * mu^(2/m)), as exp(log t + exponent); scalars give a float."""
     mu, t = np.asarray(mu, dtype=float), np.asarray(t, dtype=float)
     if not np.all(t > 0):
         raise InvalidInputError("threshold t must be positive")
     if np.any(mu < 0):
         raise InvalidInputError("measure must be nonnegative")
     expo = variant.kappa(params.m) * params.rate * mu ** (2.0 / params.m)
-    # exp would overflow past 700; the diagnostic is +inf there
-    g = np.where(expo > 700.0, math.inf, t * np.exp(np.minimum(expo, 700.0)))
+    with np.errstate(over="ignore"):
+        g = np.exp(np.log(t) + expo)
     return float(g) if g.ndim == 0 else g
 
 
@@ -460,29 +453,33 @@ def g_diagnostic(
     `find_max` one, so reruns are bit-identical.  Levels share points and are
     therefore correlated.  A monotonicity violation is recorded only when the
     drop between adjacent levels exceeds 3x the summed propagated errors.
+    The rule runs on g / t_max, which the scale of f leaves unchanged.
     """
     grid = grid or LevelGrid()
     mx = _peak(f, params, restarts=restarts, seed=seed)
-    t_grid = grid.levels(mx.t_max)
+    log_rel = grid.log_levels()[1:]  # log(t / t_max)
+    log_grid, rel = mx.log_t_max + log_rel, np.exp(log_rel)
 
-    cloud = _nested_measures(f, params, t_grid, samples, seed)
+    cloud = _nested_measures(f, params, log_grid, samples, seed)
     mu, mu_err = cloud.mu, np.sqrt(cloud.var)
     g, up, dn = g_from_mu(
-        np.array([mu, mu + mu_err, np.maximum(mu - mu_err, 0.0)]), t_grid, params, variant
+        np.array([mu, mu + mu_err, np.maximum(mu - mu_err, 0.0)]), rel, params, variant
     )
     g_err = np.maximum(up - g, g - dn)
 
     # correlated levels keep the rule valid: Var(a - b) <= (sigma_a + sigma_b)^2 always
     drop = g[:-1] - g[1:]
     thresh = 3.0 * (g_err[:-1] + g_err[1:])
+    levels = np.flatnonzero(drop > thresh)
+    t_grid, g, g_err = mx.t_max * rel, mx.t_max * g, mx.t_max * g_err
     violations = [
-        (float(t_grid[k]), float(t_grid[k + 1]), float(drop[k] - thresh[k]))
-        for k in np.flatnonzero(drop > thresh)
+        (float(t_grid[k]), float(t_grid[k + 1]), mx.t_max * float(drop[k] - thresh[k])) for k in levels
     ]
 
     return LevelProfile(
         params=params,
         variant=variant,
+        log_t_max=mx.log_t_max,
         t_max=mx.t_max,
         t_grid=t_grid,
         mu=mu,
@@ -490,6 +487,7 @@ def g_diagnostic(
         g=g,
         g_err=g_err,
         violations=tuple(violations),
+        violation_levels=tuple(int(k) + 1 for k in levels),
         samples=samples,
         seed=seed,
         points=cloud.points,
@@ -540,16 +538,23 @@ def layer_cake(
     radii at every node at once, and only then is the grid extended down to
     t_end <= 1e-12 t_max.  Otherwise one level cloud on the grid's shells counts
     hits at both rules' nodes, so |GL16 - GL8| measures the t-rule, not noise.
+    G takes t, so this raises MethodUnavailableError where a cell edge is not
+    a normal double.
     """
     G.validate()
     grid = grid or LevelGrid()
-    t_max = _peak(f, params, seed=seed).t_max
+    log_t_max = _peak(f, params, seed=seed).log_t_max
     exact = f.radial_profile(params) is not None
 
     count = grid.count
     if exact:
         count = max(count, math.ceil(math.log(1e-12) / math.log(grid.ratio)))
-    edges = t_max * grid.ratio ** np.arange(0, count + 1)
+    log_rel = grid.log_levels(count)  # log(t / t_max) at the cell edges
+    log_edges, edges = log_t_max + log_rel, _exp(log_t_max) * np.exp(log_rel)
+    if not (edges[0] < math.inf and edges[-1] >= np.finfo(float).tiny):
+        raise MethodUnavailableError(
+            f"cell edges at log t {log_edges[-1]:.6g}..{log_t_max:.6g} are not normal doubles"
+        )
     mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[:-1] - edges[1:])
     ts8, ts16 = (mid[:, None] + half[:, None] * nodes for nodes, _ in (_GL8, _GL16))  # a row per cell
     t_end = float(edges[-1])
@@ -563,7 +568,7 @@ def layer_cake(
         weights = np.zeros(ts.size)
         weights[ts8.size :] = np.append(half[:, None] * _GL16[1] * G.derivative(ts16), G_end)
         order = np.argsort(-ts)
-        cloud = _nested_measures(f, params, edges[1:], samples, seed, ts[order], weights[order])
+        cloud = _nested_measures(f, params, log_edges[1:], samples, seed, np.log(ts[order]), weights[order])
         mu = cloud.mu[np.argsort(order)]
         mu8, mu16 = mu[: ts8.size].reshape(ts8.shape), mu[ts8.size : -1].reshape(ts16.shape)
         mu_end, sd = float(mu[-1]), math.sqrt(cloud.weighted_var)
@@ -574,5 +579,5 @@ def layer_cake(
     direct = convex_functional(f, params, G, method=method)
     mode = "exact-radial" if exact else "mc"
     return LayerCakeResult(
-        value, err, direct.value, direct.error_bound, abs(value - direct.value), t_max, mode
+        value, err, direct.value, direct.error_bound, abs(value - direct.value), float(edges[0]), mode
     )

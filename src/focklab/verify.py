@@ -234,7 +234,7 @@ def check_decay(
             "log_t_max_search": search.log_t_max,
             "log_t_max_gap": search.log_t_max - mx.log_t_max,
         }
-    r_max = 1.2 * max(1.0, envelope_radius(f, p1, max(mx.t_max * 1e-8, 1e-300))) + 1.0
+    r_max = 1.2 * max(1.0, envelope_radius(f, p1, mx.log_t_max + math.log(1e-8))) + 1.0
 
     rng = np.random.default_rng(seed)
     dirs = []
@@ -252,11 +252,12 @@ def check_decay(
     dirs = np.array(dirs)
     radii = np.linspace(r_max / n_radii, r_max, n_radii)
     pts = (dirs[:, None, :] * radii[:, None]).reshape(-1, f.m)  # one row of radii per ray
-    vals = np.exp(f.log_abs(pts).reshape(len(dirs), n_radii) - 0.5 * alpha * radii**2)
-    vmax = vals.max(axis=1)
-    # a ray where f vanishes identically decayed trivially: it takes no part
-    rel = np.divide(vals[:, -1], vmax, out=np.full(len(dirs), -math.inf), where=vmax > 0.0)
-    rising = np.any(np.diff(vals[:, radii >= 0.6 * r_max], axis=1) > 1e-12 * vmax[:, None], axis=1)
+    log_v = f.log_abs(pts).reshape(len(dirs), n_radii) - 0.5 * alpha * radii**2
+    log_vmax = log_v.max(axis=1)
+    with np.errstate(invalid="ignore"):  # nan on a ray where f vanishes identically: it takes no part
+        ratio = np.exp(log_v - log_vmax[:, None])  # each ray over its own peak
+    rel = np.nan_to_num(ratio[:, -1], nan=-math.inf)
+    rising = np.any(np.diff(ratio[:, radii >= 0.6 * r_max], axis=1) > 1e-12, axis=1)
     worst = np.flatnonzero(rising)[-1] if rising.any() else int(np.argmax(rel))
     worst_rel = max(float(rel.max()), 0.0)
     tail_monotone = not rising.any()
@@ -271,7 +272,7 @@ def check_decay(
             "r_max": r_max,
             "worst_tail_fraction": worst_rel,
             "tail_monotone": tail_monotone,
-            "worst_direction": dirs[worst].tolist() if vmax[worst] > 0.0 else None,
+            "worst_direction": dirs[worst].tolist() if log_vmax[worst] > -math.inf else None,
             **_max_details(mx),
             **reference,
         },
@@ -641,14 +642,6 @@ def _log_gamma_lower(a: float, x: float) -> float:
         total += term
         j += 1
     return a * math.log(x) - x + math.log(total)
-
-
-def _exp(log_value: float) -> float:
-    """math.exp, with inf in place of OverflowError past the largest double."""
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        return math.inf
 
 
 def _lemma_closed_form(beta: float, phi, psi, log_scale: float, T: float, t_lo: float) -> float:

@@ -456,9 +456,18 @@ def test_diverging_weight_exits_2(capsys):
 
 
 def test_profile_past_the_largest_double_exits_2(capsys):
-    # u = 1e400 e^{-|x|^2}: its closed-form peak overflows a double
-    assert main(["profile", "--fn", "const:1e200", "--levels", "4", "--samples", "1000"]) == 2
-    assert "focklab: error: log u peaks at 921.034; t_max overflows" in capsys.readouterr().err
+    # u = 1e400 e^{-|x|^2}: its closed-form peak e^921 is no double, so the artifact states
+    # log t_max beside t_max = inf, and the measures are those of const:1 (the name is historical)
+    def profile(spec):
+        argv = ["profile", "--fn", spec, "--levels", "4", "--samples", "1000", "--format", "json"]
+        assert main(argv) == 0
+        return json.loads(capsys.readouterr().out)["result"]
+
+    big, unit = profile("const:1e200"), profile("const:1")
+    assert big["t_max"] == math.inf and big["log_t_max"] == pytest.approx(400.0 * math.log(10.0), rel=1e-15)
+    assert unit["log_t_max"] == 0.0
+    np.testing.assert_allclose(big["mu"], unit["mu"], rtol=1e-9, atol=0.0)
+    assert big["violation"] == unit["violation"] == [0, 0, 0, 0]
 
 
 def test_norm_whose_integral_passes_the_largest_double(capsys):

@@ -204,7 +204,7 @@ def test_envelope_radius_is_sound(f, t_frac):
     # all density values on the sphere of radius 1.01 R must sit below t
     params = P2
     t = t_frac  # density max is O(1) for every default member
-    R = envelope_radius(f, params, t)
+    R = envelope_radius(f, params, math.log(t))
     rng = np.random.default_rng(11)
     w = rng.standard_normal((1000, 2))
     w /= np.linalg.norm(w, axis=1, keepdims=True)
@@ -363,11 +363,11 @@ def test_radial_bound_array_matches_scalar(f):
 @pytest.mark.parametrize("f", default_family_members(2), ids=lambda f: f.family)
 def test_envelope_radius_array_matches_scalar(f):
     # profile families solve all levels at once, the others bisect level by level
-    ts = np.geomspace(2.0, 1e-9, 13).reshape(13, 1)
-    scalar = [envelope_radius(f, P2, float(t)) for t in ts.ravel()]
+    log_ts = np.log(np.geomspace(2.0, 1e-9, 13)).reshape(13, 1)
+    scalar = [envelope_radius(f, P2, float(log_t)) for log_t in log_ts.ravel()]
     assert all(type(R) is float for R in scalar)
-    R = envelope_radius(f, P2, ts)
-    assert R.shape == ts.shape
+    R = envelope_radius(f, P2, log_ts)
+    assert R.shape == log_ts.shape
     assert R.ravel().tolist() == scalar
 
 
@@ -380,11 +380,11 @@ _BISECTED = [
 def test_envelope_bisection_ends_on_adjacent_doubles(f):
     # the radius is the first double past the outer crossing of the radial bound
     params = FockParams(f.m, 2.0, 1.0)
-    ts = np.geomspace(0.5, 1e-250, 40)
-    R = envelope_radius(f, params, ts)
+    log_ts = np.log(np.geomspace(0.5, 1e-250, 40))
+    R = envelope_radius(f, params, log_ts)
 
     def excess(r):
-        return params.p * (f._radial_bound_raw(r) + f.log_scale) - 0.5 * params.rate * r * r - np.log(ts)
+        return params.p * (f._radial_bound_raw(r) + f.log_scale) - 0.5 * params.rate * r * r - log_ts
 
     assert np.all(R > 0)
     assert np.all(excess(R) < 0.0)
@@ -396,19 +396,23 @@ def test_envelope_radius_coherent_closed_form():
     t = 0.1
     # matched coherent density is exp(-(rate/2)|x-a|^2); radius |a| + sqrt((2/rate) log(1/t))
     expected = 1.0 + math.sqrt(math.log(1.0 / t))
-    assert envelope_radius(f, P2, t) == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert envelope_radius(f, P2, math.log(t)) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_envelope_radius_rejects_bad_threshold():
+    # t = 0: no finite radius keeps u below it
     with pytest.raises(InvalidInputError):
-        envelope_radius(Constant(value=1.0, dim=2), P2, 0.0)
+        envelope_radius(Constant(value=1.0, dim=2), P2, -math.inf)
 
 
 @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf, [0.5, 0.0]])
 def test_envelope_radius_rejects_any_bad_threshold(t):
+    # a threshold that is not finite and positive has no finite log, which is refused
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_t = np.log(t)
     for f in (Constant(value=1.0, dim=2), SumOfCoherent(atoms=((1.0, (0.5, 0.0)),), alpha=1.0)):
         with pytest.raises(InvalidInputError):
-            envelope_radius(f, P2, t)
+            envelope_radius(f, P2, log_t)
 
 
 def test_expquad_envelope_existence():
@@ -416,13 +420,13 @@ def test_expquad_envelope_existence():
     assert ExpQuadratic(c=0.4, dim=2).has_envelope(params)
     assert not ExpQuadratic(c=0.6, dim=2).has_envelope(params)
     with pytest.raises(NoEnvelopeError):
-        envelope_radius(ExpQuadratic(c=0.6, dim=2), params, 0.5)
+        envelope_radius(ExpQuadratic(c=0.6, dim=2), params, math.log(0.5))
 
 
 def test_envelope_radius_above_max_is_zero_or_tight():
     # at t above the global max the superlevel set is empty; radius may be 0
     f = Coherent(center=(0.0, 0.0), alpha=1.0)
-    R = envelope_radius(f, P2, 2.0)
+    R = envelope_radius(f, P2, math.log(2.0))
     rng = np.random.default_rng(3)
     w = rng.standard_normal((100, 2))
     w /= np.linalg.norm(w, axis=1, keepdims=True)

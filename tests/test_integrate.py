@@ -466,10 +466,10 @@ def _full_pair(f, params, n_coarse, n_fine):
 def _spy_envelope(monkeypatch):
     calls = []
 
-    def spy(f, params, t):
-        assert t > 0.0
-        calls.append(t)
-        return envelope_radius(f, params, t)
+    def spy(f, params, log_t):
+        assert math.isfinite(log_t)
+        calls.append(log_t)
+        return envelope_radius(f, params, log_t)
 
     def nonempty_log_sum_exp(a):
         assert np.size(a) > 0
@@ -517,8 +517,8 @@ def test_pruned_gh_covers_the_nodes_it_skips(case):
     log_h = _log_p_abs(f, params)
     assert integrate._gh_outer_dims(4, 2 * n) == 1
 
-    def envelope(t):
-        return envelope_radius(f, params, t)
+    def envelope(log_t):
+        return envelope_radius(f, params, log_t)
 
     log_coarse, _ = integrate._integral(log_h, integrate._gh_rule(params, n))
     log_full, _ = integrate._integral(log_h, integrate._gh_rule(params, 2 * n))
@@ -537,7 +537,7 @@ def test_pruned_gh_covers_the_nodes_it_skips(case):
 
 def test_fock_norm_prunes_a_fine_rule_of_many_chunks(monkeypatch):
     f, params = Constant(value=1.0, dim=4), FockParams(4, 2.0, 1.0)
-    est = gauss_hermite_integrate(_log_p_abs(f, params), params, 32, lambda t: envelope_radius(f, params, t))
+    est = gauss_hermite_integrate(_log_p_abs(f, params), params, 32, partial(envelope_radius, f, params))
     calls = _spy_envelope(monkeypatch)
     norm = fock_norm(f, params, method=GaussHermite(32))
     c = norm_constant(params)
@@ -547,22 +547,24 @@ def test_fock_norm_prunes_a_fine_rule_of_many_chunks(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "f",
+    "f, p",
     [
-        Coherent(center=(0.3, -0.2, 0.1, 0.4), alpha=1.0),
-        Monomial(powers=(1, 1)),
-        Polynomial(terms={(1, 2): 1 + 2j, (3, 0): -0.5, (0, 0): 2j, (2, 1): 0.25 - 1j}),
+        (Coherent(center=(0.3, -0.2, 0.1, 0.4), alpha=1.0), 2.0),
+        (Monomial(powers=(1, 1)), 2.0),
+        (Polynomial(terms={(1, 2): 1 + 2j, (3, 0): -0.5, (0, 0): 2j, (2, 1): 0.25 - 1j}), 2.0),
+        (Constant(value=1e10, dim=4), 64.0),
     ],
-    ids=["coherent", "monomial", "polynomial"],
+    ids=["coherent", "monomial", "polynomial", "constant-1e10-p64"],
 )
-def test_pruned_gh_keeps_the_same_nodes_at_every_scale(f):
-    # f -> e^delta f scales the coarse value, t and u alike, so the ball keeps the same nodes
-    params = FockParams(4, 2.0, 1.0)
+def test_pruned_gh_keeps_the_same_nodes_at_every_scale(f, p):
+    # f -> e^delta f scales the coarse value, t and u alike, so the ball keeps the same nodes,
+    # also where t = 2^-53 coarse / S is no double (the 1e10 constant at p = 64: t ~ e^1440)
+    params = FockParams(4, p, 1.0)
 
     def kept(delta):
         g = f.log_shifted(delta)
         log_coarse, _ = integrate._integral(_log_p_abs(g, params), integrate._gh_rule(params, 32))
-        rule, log_tail = integrate._gh_pruned(params, 64, lambda t: envelope_radius(g, params, t), log_coarse)
+        rule, log_tail = integrate._gh_pruned(params, 64, partial(envelope_radius, g, params), log_coarse)
         return sum(len(table) for _, table, _ in rule), log_tail - log_coarse
 
     counts = {delta: kept(delta) for delta in (-30.0, -7.5, 0.0, 12.0, 30.0)}
@@ -620,15 +622,15 @@ def test_pruning_skips_a_zero_integrand(monkeypatch):
 @pytest.mark.parametrize("delta", [-10.9, -10.5, -11.0, -30.0, 12.0, 30.0])
 def test_pruning_falls_back_when_t_is_not_a_normal_double(monkeypatch, delta):
     # at p = 64, t = 2^-53 I / S underflows (-10.9: to 0, -10.5: to a subnormal, and below)
-    # or overflows (12, 30), so the full fine rule runs; the integral keeps its digits
-    f = Constant(value=1.0, dim=4).log_shifted(delta)
-    params = FockParams(4, 64.0, 1.0)
-    ref = _full_pair(f, params, 32, 64)
+    # or overflows (12, 30); taken in logs it falls back no more: the one envelope call gets
+    # the threshold of delta = 0 plus 64 delta, and the pruned value stays within its bound
+    f, params = Constant(value=1.0, dim=4), FockParams(4, 64.0, 1.0)
     calls = _spy_envelope(monkeypatch)
-    est = fock_norm(f, params, method=GaussHermite(32))
-    c = norm_constant(params)
-    assert calls == []
-    assert est.log_value == math.log(c) + ref.log_value and est.relative_error == ref.relative_error
+    fock_norm(f, params, method=GaussHermite(32))
+    ref = _full_pair(f.log_shifted(delta), params, 32, 64)
+    est = fock_norm(f.log_shifted(delta), params, method=GaussHermite(32))
+    assert len(calls) == 2 and calls[1] == pytest.approx(calls[0] + 64.0 * delta, rel=0.0, abs=1e-12)
+    assert abs(math.expm1(est.log_value - math.log(norm_constant(params)) - ref.log_value)) <= est.relative_error
     assert abs(math.expm1(est.log_value - 64.0 * delta)) <= est.relative_error
 
 

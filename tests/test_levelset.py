@@ -20,6 +20,7 @@ from focklab import (
     ExpQuadratic,
     FockParams,
     InvalidInputError,
+    MethodUnavailableError,
     Monomial,
     OptimizationFailureError,
     PiecewiseLinear,
@@ -181,13 +182,20 @@ def test_growing_profile_has_no_peak():
     ids=["const", "coherent"],
 )
 def test_closed_form_peak_past_the_largest_double_raises(f):
-    # at p = 2, u peaks at e^921 (const) and e^800 (coherent): t_max is no double
+    # at p = 2, u peaks at e^921 (const) and e^800 (coherent): t_max is no double, but log t_max
+    # is, and the level profile keeps its measures; only the layer cake, whose G takes t, raises
+    unit = Constant(value=1.0, dim=2) if f.family == "const" else f.log_shifted(-400.0)
+    shift = 2.0 * (math.log(1e200) if f.family == "const" else 400.0)
+    grid = LevelGrid(count=4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for run in (lambda: _peak(f, P2), lambda: g_diagnostic(f, P2, samples=1000),
-                    lambda: layer_cake(f, P2, Power(1.0), samples=1000)):
-            with pytest.raises(OptimizationFailureError, match="t_max overflows"):
-                run()
+        mx = _peak(f, P2)
+        assert mx.t_max == math.inf and mx.log_t_max == pytest.approx(_peak(unit, P2).log_t_max + shift)
+        prof, base = g_diagnostic(f, P2, grid, samples=1000), g_diagnostic(unit, P2, grid, samples=1000)
+        assert prof.log_t_max == mx.log_t_max and np.all(prof.t_grid == math.inf)
+        np.testing.assert_allclose(prof.mu, base.mu, rtol=1e-9, atol=0.0)
+        with pytest.raises(MethodUnavailableError, match="not normal doubles"):
+            layer_cake(f, P2, Power(1.0), samples=1000)
     # just below the line the closed form is still a number
     assert _peak(Constant(value=1.0, dim=2).log_shifted(354.0), P2).t_max == math.exp(708.0)
 
@@ -201,8 +209,9 @@ _TWO_PEAKS = SumOfCoherent(atoms=((1.0, (0.0, 0.0)), (1e100, (40.0, 0.0))), alph
     ids=["expquad-0.5", "expquad-1", "expquad-2", "two-peaks-8"],
 )
 def test_find_max_stops_where_the_density_overflows(monkeypatch, f, p):
-    # u = exp(0.1 p |x|^2) has no maximum; in the mixture the atom at (40, 0) peaks at
-    # log u ~ 1842 and the one at the origin near 0, so a start there must not settle
+    # u = exp(0.1 p |x|^2) has no maximum, which its radial profile says before any search;
+    # in the mixture the atom at (40, 0) peaks at log u = 8 (log 1e100 + 800) - 6400 ~ 1842,
+    # past the largest double, and the one at the origin near 0: the search finds the first
     calls = []
 
     def counted(*args, **kwargs):
@@ -212,9 +221,14 @@ def test_find_max_stops_where_the_density_overflows(monkeypatch, f, p):
     monkeypatch.setattr(levelset, "log_density_batch", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(OptimizationFailureError, match="t_max overflows"):
-            find_max(f, FockParams(2, p, 1.0))
-    assert 0 < len(calls) <= 2000
+        if f is not _TWO_PEAKS:
+            with pytest.raises(OptimizationFailureError, match="grows without bound"):
+                find_max(f, FockParams(2, p, 1.0))
+        else:
+            mx = find_max(f, FockParams(2, p, 1.0))
+            assert mx.log_t_max == pytest.approx(8.0 * (100.0 * math.log(10.0) + 800.0) - 6400.0, rel=1e-13)
+            assert mx.t_max == math.inf and math.dist(mx.argmax, (40.0, 0.0)) <= 1e-5
+    assert len(calls) <= 2000
 
 
 def test_flat_profile_peaks_at_its_level():
@@ -354,11 +368,11 @@ def test_nested_covariance_matches_replicates():
     # annular superlevel sets: levels share the inner shells, so they correlate;
     # the stated Var(e_k) and Var(e_k + e_l) together give every covariance entry
     f = Monomial(powers=(1,))
-    t_grid = math.exp(-1.0) * np.array([0.9, 0.6, 0.3])
+    log_grid = np.log(math.exp(-1.0) * np.array([0.9, 0.6, 0.3]))
     pairs = list(itertools.combinations(range(3), 2))
     pair_weights = [np.eye(3)[k] + np.eye(3)[l] for k, l in pairs]
     clouds = [
-        [_nested_measures(f, P2, t_grid, 1000, seed, weights=w) for w in pair_weights]
+        [_nested_measures(f, P2, log_grid, 1000, seed, weights=w) for w in pair_weights]
         for seed in range(1000)
     ]
     empirical = np.cov(np.array([c[0].mu for c in clouds]).T)
@@ -382,7 +396,8 @@ def test_nested_weighted_variance_of_a_layer_cake_matches_replicates():
     weights = np.append(half[:, None] * w * 2.0 * (mid[:, None] + half[:, None] * nodes), edges[-1] ** 2)
     order = np.argsort(-ts)
     clouds = [
-        _nested_measures(f, P2, edges[1:], 1000, seed, ts[order], weights[order]) for seed in range(1000)
+        _nested_measures(f, P2, np.log(edges[1:]), 1000, seed, np.log(ts[order]), weights[order])
+        for seed in range(1000)
     ]
     empirical = np.var([weights[order] @ c.mu for c in clouds], ddof=1)
     stated = np.mean([c.weighted_var for c in clouds])
@@ -392,8 +407,8 @@ def test_nested_weighted_variance_of_a_layer_cake_matches_replicates():
 def test_nested_shell_hits_only_thresholds_below_its_top():
     # levels below the top add shells outside B_0, which stay out of the top level's estimate
     f = Monomial(powers=(1,))
-    t_grid = math.exp(-1.0) * np.array([0.9, 0.6, 0.3])
-    top, nested = _nested_measures(f, P2, t_grid[:1], 1000, 3), _nested_measures(f, P2, t_grid, 1000, 3)
+    log_grid = np.log(math.exp(-1.0) * np.array([0.9, 0.6, 0.3]))
+    top, nested = _nested_measures(f, P2, log_grid[:1], 1000, 3), _nested_measures(f, P2, log_grid, 1000, 3)
     assert (nested.mu[0], nested.var[0]) == (top.mu[0], top.var[0])
 
 
@@ -459,6 +474,12 @@ def test_g_from_mu_saturates_to_inf():
     assert g == math.inf
 
 
+def test_g_from_mu_is_finite_where_g_is():
+    # m = 2, p = 2: the exponent is mu / pi = 701, past exp's range, yet g = 1e-300 e^701 ~ 2.76e4
+    g = g_from_mu(701.0 * math.pi, 1e-300, P2, IsoperimetricVariant.SHARP_BALL)
+    assert g == pytest.approx(1e-300 * math.exp(1.0) * math.exp(700.0), rel=1e-12, abs=0.0)
+
+
 def test_g_from_mu_array_matches_scalar():
     params, variant = FockParams(1, 2.0, 1.0), IsoperimetricVariant.PAPER_LITERAL
     mu = np.array([0.0, 1e-6, 0.3, 2.0, 40.0, 5000.0])  # the last one saturates
@@ -514,10 +535,11 @@ def test_literal_variant_power_law_m3():
 
 def test_level_grid_contract():
     grid = LevelGrid(count=10, ratio=0.8)
-    levels = grid.levels(2.0)
-    assert len(levels) == 10
-    assert levels[0] == pytest.approx(1.6)
+    levels = grid.log_levels()  # log(t_k / t_max), the peak first
+    assert len(levels) == 11 and levels[0] == 0.0
+    assert math.exp(levels[1]) == pytest.approx(0.8)
     assert np.all(np.diff(levels) < 0)
+    assert len(grid.log_levels(count=3)) == 4
     with pytest.raises(InvalidInputError):
         LevelGrid(count=0, ratio=0.9)
     with pytest.raises(InvalidInputError):
@@ -555,6 +577,35 @@ def test_g_diagnostic_flags_decreasing_profile():
     )
     assert len(prof.violations) > 0
     assert np.any(prof.violation_flags())
+
+
+def test_violation_flags_follow_the_levels_at_every_scale():
+    # at delta = -400 the grid underflows to 0, so flags matched on t would mark every level
+    f = Coherent(center=(0.0, 0.0, 0.0), alpha=1.0)
+    params = FockParams(3, 2.0, 1.0)
+
+    def flags(g):
+        return g_diagnostic(
+            g, params, LevelGrid(count=15, ratio=0.85), IsoperimetricVariant.PAPER_LITERAL, 20_000
+        ).violation_flags()
+
+    base, low = flags(f), flags(f.log_shifted(-400.0))
+    assert 0 < base.sum() < base.size
+    assert np.array_equal(low, base)
+
+
+@pytest.mark.parametrize("f", default_family_members(2), ids=lambda f: f.family)
+def test_level_profile_is_invariant_under_scaling(f):
+    # u -> e^(p delta) u leaves every relative level, and so mu and the flags, where they are;
+    # at delta = +-400 and p = 2, t_max = e^(+-800) is no double
+    grid = LevelGrid(count=12, ratio=0.8)
+    base = g_diagnostic(f, P2, grid, samples=20_000, seed=4)
+    for delta in (-400.0, 400.0):
+        prof = g_diagnostic(f.log_shifted(delta), P2, grid, samples=20_000, seed=4)
+        np.testing.assert_allclose(prof.mu, base.mu, rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(prof.mu_stderr, base.mu_stderr, rtol=1e-9, atol=0.0)
+        assert np.array_equal(prof.violation_flags(), base.violation_flags())
+        assert prof.log_t_max == pytest.approx(base.log_t_max + 2.0 * delta, rel=0.0, abs=1e-12)
 
 
 def test_g_diagnostic_stderr_covers_exact_measure():
