@@ -68,20 +68,20 @@ def unit_ball_volume(m: int) -> float:
 
 @dataclass(frozen=True)
 class MaxResult:
-    """Maximum of the density and how it was found.
+    """Maximum of the density and how `find_max` found it.
 
-    rule is "simplex" for the multistart search, whose restarts_agreeing of
-    restarts_total reached the best value, or "closed_form" for a radial
-    profile's peak, which makes no restarts (0 of 0).  t_max is exp(log_t_max):
-    inf or 0 outside the double range.
+    rule is "closed_form" for a radial profile's peak, which makes no restarts
+    (0 of 0), or "simplex" for the one multistart search, whose
+    restarts_agreeing of restarts_total ended within 1e-8 of the best log u.
+    t_max is derived, exp(log_t_max): inf or 0 outside the double range.
     """
 
-    t_max: float
     argmax: tuple[float, ...]
     restarts_agreeing: int
     restarts_total: int
     log_t_max: float
     rule: str
+    t_max = property(lambda self: _exp(self.log_t_max))
 
 
 @dataclass(frozen=True)
@@ -240,21 +240,32 @@ def _simplex_search(objective, starts, xatol, fatol, maxiter=4000, maxfev=8000):
 def find_max(
     f: TestFunction, params: FockParams, restarts: int = 16, seed: int = 0
 ) -> MaxResult:
+    """The density maximum: the radial profile's closed form, or else one search.
+
+    Where f has a radial profile, its `peak` answers (rule "closed_form", 0 of
+    0 restarts) and raises OptimizationFailureError where u vanishes or grows
+    without bound.  Otherwise `_search_max` runs the multistart simplex search.
+    """
+    _check_dims(f, params)
+    profile = f.radial_profile(params)
+    if profile is None:
+        return _search_max(f, params, restarts, seed)
+    log_t_max, point = profile.peak()
+    return MaxResult(
+        argmax=point, restarts_agreeing=0, restarts_total=0, log_t_max=log_t_max, rule="closed_form"
+    )
+
+
+def _search_max(f: TestFunction, params: FockParams, restarts: int = 16, seed: int = 0) -> MaxResult:
     """Multistart simplex ascent on log u; gradient-free on purpose.
 
     Starts at the family's own candidate extremizers, then at `restarts`
     Gaussian draws matched to the weight scale from default_rng(seed); a start
     where u = 0 is jittered up to 20 times.  All starts run as one lockstep
-    Nelder-Mead (`_simplex_search`, xatol 1e-11, fatol 1e-13) and the best
-    point is polished by a tighter run (1e-12, 1e-14).  Agreement is counted
-    at 1e-8 relative in the maximum value.  This is always the numeric search,
-    also for families whose radial profile has the maximum in closed form,
-    whose `peak` first raises OptimizationFailureError where u vanishes or
-    grows without bound.  Working on log u, it finds log t_max at any scale.
+    Nelder-Mead (`_simplex_search`, xatol 1e-12, fatol 1e-14).  A restart
+    agrees when it ends within 1e-8 of the best log u, which a scale factor
+    on f leaves unchanged.  Working on log u, it finds log t_max at any scale.
     """
-    _check_dims(f, params)
-    if (profile := f.radial_profile(params)) is not None:
-        profile.peak()
     rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(params.rate)
 
@@ -273,41 +284,18 @@ def find_max(
     if not finite.any():
         raise OptimizationFailureError("no starting point with nonzero density found")
 
-    funs, xs = _simplex_search(neg_log_u, starts[finite], xatol=1e-11, fatol=1e-13)
+    funs, xs = _simplex_search(neg_log_u, starts[finite], xatol=1e-12, fatol=1e-14)
     ok = np.isfinite(funs)
     if not ok.any():
         raise OptimizationFailureError("all simplex restarts failed")
     funs, xs = funs[ok], xs[ok]
     best = int(np.argmin(funs))
-    best_fun, best_x = float(funs[best]), xs[best]
-    polish_fun, polish_x = _simplex_search(neg_log_u, best_x[None, :], xatol=1e-12, fatol=1e-14)
-    if math.isfinite(polish_fun[0]) and polish_fun[0] < best_fun:
-        best_fun, best_x = float(polish_fun[0]), polish_x[0]
-    tol = 1e-8 * max(1.0, abs(best_fun))
     return MaxResult(
-        t_max=_exp(-best_fun),
-        argmax=tuple(float(c) for c in best_x),
-        restarts_agreeing=int(np.sum(funs - best_fun <= tol)),
+        argmax=tuple(float(c) for c in xs[best]),
+        restarts_agreeing=int(np.sum(funs - funs[best] <= 1e-8)),
         restarts_total=len(funs),
-        log_t_max=-best_fun,
+        log_t_max=-float(funs[best]),
         rule="simplex",
-    )
-
-
-def _peak(f: TestFunction, params: FockParams, restarts: int = 16, seed: int = 0) -> MaxResult:
-    """The density maximum from the radial profile's closed form, or else from `find_max`."""
-    _check_dims(f, params)
-    profile = f.radial_profile(params)
-    if profile is None:
-        return find_max(f, params, restarts=restarts, seed=seed)
-    log_t_max, point = profile.peak()
-    return MaxResult(
-        t_max=_exp(log_t_max),
-        argmax=point,
-        restarts_agreeing=0,
-        restarts_total=0,
-        log_t_max=log_t_max,
-        rule="closed_form",
     )
 
 
@@ -456,7 +444,7 @@ def g_diagnostic(
     The rule runs on g / t_max, which the scale of f leaves unchanged.
     """
     grid = grid or LevelGrid()
-    mx = _peak(f, params, restarts=restarts, seed=seed)
+    mx = find_max(f, params, restarts=restarts, seed=seed)
     log_rel = grid.log_levels()[1:]  # log(t / t_max)
     log_grid, rel = mx.log_t_max + log_rel, np.exp(log_rel)
 
@@ -543,7 +531,7 @@ def layer_cake(
     """
     G.validate()
     grid = grid or LevelGrid()
-    log_t_max = _peak(f, params, seed=seed).log_t_max
+    log_t_max = find_max(f, params, seed=seed).log_t_max
     exact = f.radial_profile(params) is not None
 
     count = grid.count

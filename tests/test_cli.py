@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import focklab
+from focklab import levelset
 from focklab import Coherent, Constant, ExpQuadratic, Monomial, Polynomial, SumOfCoherent
 from focklab.cli import RunConfig, _build_parser, _fmt, main, parse_function_spec
 from focklab.errors import FunctionSpecError, InvalidInputError
@@ -223,6 +224,26 @@ def test_verify_suite_artifact(tmp_path):
     assert len(reports) == 6  # pairs from the default p grid 0.5,1,2,4
     assert all(r["pass"] for r in reports)
     assert any(r["details"]["equality_detected"] for r in reports)
+
+
+@pytest.mark.parametrize(
+    "spec, searches",
+    [("coherent:a=1,0;alpha=1", 0), ("monomial:k=1", 0), ("sumcoherent:w=0.7;a=0.5,0;w=0.3;a=-1,0", 3)],
+    ids=["coherent", "monomial", "sumcoherent"],
+)
+def test_verify_searches_only_for_a_peak_without_closed_form(monkeypatch, tmp_path, spec, searches):
+    # find_max takes a radial profile's peak and otherwise runs one search; the suite
+    # needs t_max in the monotone, decay and limit checks
+    calls = []
+    search = levelset._simplex_search
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(levelset, "_simplex_search", counted)
+    assert main(["verify", "--suite", "all", "--fn", spec, "--output", str(tmp_path / "v.csv")]) == 0
+    assert len(calls) == searches
 
 
 def test_verify_contraction_of_a_large_constant(tmp_path):

@@ -35,7 +35,7 @@ from focklab import levelset
 from focklab.levelset import (
     _level_rng,
     _nested_measures,
-    _peak,
+    _search_max,
     _simplex_search,
     IsoperimetricVariant,
     LevelGrid,
@@ -62,7 +62,7 @@ MONOMIAL_ROOT_HI = 2.6783469900166605
 
 
 def test_find_max_coherent():
-    mx = find_max(Coherent(center=(1.0, 0.0), alpha=1.0), P2)
+    mx = _search_max(Coherent(center=(1.0, 0.0), alpha=1.0), P2)
     assert mx.t_max == pytest.approx(1.0, abs=1e-10)
     assert np.allclose(mx.argmax, [1.0, 0.0], atol=1e-6)
     assert mx.restarts_agreeing >= 2
@@ -93,7 +93,7 @@ def test_closed_form_peak_matches_search(f):
         params = FockParams(f.m, p, alpha)
         prof = f.radial_profile(params)
         log_t, point = prof.peak()
-        mx = find_max(f, params)
+        mx = _search_max(f, params)
         assert mx.rule == "simplex"
         assert abs(mx.log_t_max - log_t) <= 1e-10, (p, alpha)
         r_peak = math.sqrt(prof.K / (2.0 * prof.B))
@@ -154,12 +154,12 @@ def test_sumcoherent_max_matches_axis_root(m, p):
 
 def test_max_result_states_its_rule():
     coherent = Coherent(center=(1.0, 0.0), alpha=1.0)
-    closed = _peak(coherent, P2)
+    closed = find_max(coherent, P2)
     assert (closed.rule, closed.restarts_agreeing, closed.restarts_total) == ("closed_form", 0, 0)
     assert closed.argmax == (1.0, 0.0) and closed.t_max == math.exp(closed.log_t_max)
-    assert find_max(coherent, P2).rule == "simplex"
+    assert _search_max(coherent, P2).rule == "simplex"
     mixture = next(g for g in default_family_members(2) if g.family == "sumcoherent")
-    searched = _peak(mixture, P2)
+    searched = find_max(mixture, P2)
     assert searched.rule == "simplex"
     assert searched.restarts_total == 16 + len(mixture.max_hints(P2))
     assert searched.restarts_agreeing >= 1
@@ -170,8 +170,8 @@ def test_growing_profile_has_no_peak():
     assert f.radial_profile(params).B < 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for find in (f.radial_profile(params).peak, lambda: _peak(f, params),
-                     lambda: g_diagnostic(f, params, samples=1000), lambda: find_max(f, params)):
+        for find in (f.radial_profile(params).peak, lambda: g_diagnostic(f, params, samples=1000),
+                     lambda: find_max(f, params)):
             with pytest.raises(OptimizationFailureError):
                 find()
 
@@ -189,15 +189,15 @@ def test_closed_form_peak_past_the_largest_double_raises(f):
     grid = LevelGrid(count=4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mx = _peak(f, P2)
-        assert mx.t_max == math.inf and mx.log_t_max == pytest.approx(_peak(unit, P2).log_t_max + shift)
+        mx = find_max(f, P2)
+        assert mx.t_max == math.inf and mx.log_t_max == pytest.approx(find_max(unit, P2).log_t_max + shift)
         prof, base = g_diagnostic(f, P2, grid, samples=1000), g_diagnostic(unit, P2, grid, samples=1000)
         assert prof.log_t_max == mx.log_t_max and np.all(prof.t_grid == math.inf)
         np.testing.assert_allclose(prof.mu, base.mu, rtol=1e-9, atol=0.0)
         with pytest.raises(MethodUnavailableError, match="not normal doubles"):
             layer_cake(f, P2, Power(1.0), samples=1000)
     # just below the line the closed form is still a number
-    assert _peak(Constant(value=1.0, dim=2).log_shifted(354.0), P2).t_max == math.exp(708.0)
+    assert find_max(Constant(value=1.0, dim=2).log_shifted(354.0), P2).t_max == math.exp(708.0)
 
 
 _TWO_PEAKS = SumOfCoherent(atoms=((1.0, (0.0, 0.0)), (1e100, (40.0, 0.0))), alpha=1.0)
@@ -236,17 +236,45 @@ def test_flat_profile_peaks_at_its_level():
     f, params = ExpQuadratic(c=0.5, dim=2).log_shifted(math.log(2.0)), FockParams(2, 2.0, 1.0)
     prof = f.radial_profile(params)
     assert (prof.B, prof.K) == (0.0, 0.0)
-    mx = _peak(f, params)
+    mx = find_max(f, params)
     assert mx.rule == "closed_form" and mx.log_t_max == prof.A
     assert mx.t_max == pytest.approx(4.0, rel=1e-15, abs=0.0)
-    assert find_max(f, params).t_max == pytest.approx(4.0, rel=1e-14, abs=0.0)
+    assert _search_max(f, params).t_max == pytest.approx(4.0, rel=1e-14, abs=0.0)
 
 
 def test_zero_function_has_no_peak():
+    # the constant's profile says so before any search; the search finds no start to jitter to
     f = Constant(value=0.0, dim=2)
-    for find in (lambda: _peak(f, P2), lambda: find_max(f, P2)):
-        with pytest.raises(OptimizationFailureError):
+    with pytest.raises(OptimizationFailureError, match="vanishes identically"):
+        find_max(f, P2)
+    for find in (lambda: _search_max(f, P2), lambda: find_max(Polynomial(terms={(1,): 0}), P2)):
+        with pytest.raises(OptimizationFailureError, match="no starting point with nonzero density found"):
             find()
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+def test_search_jitters_off_a_zero_of_f(alpha):
+    # f = z0 has its only hint at its zero, the origin; u = |z|^2 e^{-alpha |z|^2}
+    # peaks at log t_max = -(p/2)(1 + log alpha) on the circle |z| = alpha^(-1/2)
+    f, params = Polynomial(terms={(1,): 1}), FockParams(2, 2.0, alpha)
+    hints = f.max_hints(params)
+    assert len(hints) == 1 and log_density_batch(f, params, np.array(hints))[0] == -math.inf
+    mx = find_max(f, params)
+    assert mx.rule == "simplex" and mx.restarts_total == 17  # the jittered hint and 16 draws
+    assert mx.log_t_max == pytest.approx(-(1.0 + math.log(alpha)), rel=0.0, abs=1e-12)
+    assert math.hypot(*mx.argmax) == pytest.approx(alpha**-0.5, rel=0.0, abs=1e-6)
+
+
+def test_agreeing_restarts_ignore_the_scale_of_f():
+    # at p = 2 the two atoms' peaks differ by 2 log(1 + 2e-7) ~ 4e-7 in log u: only the
+    # restarts that reach the higher one agree, whatever constant factor e^delta multiplies f
+    f = SumOfCoherent(atoms=((0.5, (2.0, 0.0)), (0.5 * (1 + 2e-7), (-2.0, 0.0))), alpha=1.0)
+    params = FockParams(2, 2.0, 1.0)
+    base = find_max(f, params)
+    assert 1 <= base.restarts_agreeing < base.restarts_total
+    for delta in (-100.0, 100.0):
+        mx = find_max(f.log_shifted(delta), params)
+        assert (mx.restarts_agreeing, mx.restarts_total) == (base.restarts_agreeing, base.restarts_total)
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +521,9 @@ def test_g_from_mu_array_matches_scalar():
         g_from_mu(-mu - 1.0, t, params, variant)
 
 
-@pytest.mark.parametrize("call", [find_max, _peak, superlevel_measure_exact], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("call", [find_max, superlevel_measure_exact], ids=lambda c: c.__name__)
 def test_dimension_mismatch_is_typed(call):
-    # the coherent state has a closed-form peak, so _peak checks before it could reach find_max
+    # the coherent state has a closed-form peak, so find_max checks before it reads the profile
     f, params = Coherent(center=(0.0, 0.0), alpha=1.0), FockParams(3, 2.0, 1.0)
     args = (0.5,) if call is superlevel_measure_exact else ()
     with pytest.raises(DimensionMismatchError):
