@@ -13,9 +13,14 @@ log-weights are the table plus one scalar: Gauss-Hermite fixes the leading
 coordinates of its tensor grid per chunk, the radial rule takes whole radii.
 One reducer adds log_h(X) to the table in a fresh array, which it owns, runs
 log-sum-exp on it in place and adds the offset to the chunk's log-sum; the
-rules take a coarse/fine gap as error.  Monte Carlo draws its points block by
-block, in the order of one draw of all of them, and merges the blocks' means
-and variances.  No backend writes into the array log_h returns.  Every backend
+rules take a coarse/fine gap as error.  Monte Carlo draws block i of
+_CHUNK_POINTS // 4 rows from child i of SeedSequence(seed, spawn_key=(1,)),
+runs the blocks in up to 4 lanes (one on the calling thread, the others on
+threads it joins), each lane reusing one buffer, so the lanes together stay
+within _CHUNK_POINTS rows; it merges the blocks' means and variances in block
+order.  So log_h may be called from up to 4 threads at once: it must be pure
+and must call no function that perfbench wraps, whose span stack is not
+thread-safe.  No backend writes into the array log_h returns.  Every backend
 returns log I with a relative error of at least its roundoff; a nan or +inf log I raises.
 """
 
@@ -23,6 +28,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from typing import Callable
@@ -64,6 +71,8 @@ _MAX_TENSOR_POINTS = 1 << 27
 # are error-estimated by doubling
 _CHUNK_POINTS = 1 << 18
 _DOUBLING_BUDGET = 1 << 24
+# Monte Carlo runs at most this many lanes at once, in blocks of _CHUNK_POINTS // _MAX_LANES rows
+_MAX_LANES = 4
 # numpy's hermgauss keeps every weight a normal double up to about 370 nodes
 _MAX_GH_NODES = 256
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # exp of a larger log overflows a double
@@ -493,31 +502,64 @@ def _merge_moments(a, b):
     return n, mean_a + delta * (n_b / n), m2_a + m2_b + delta * delta * (n_a * n_b / n)
 
 
+def _lane_count() -> int:
+    """Lanes Monte Carlo may run at once: the cores this process may use, at most _MAX_LANES."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cores, _MAX_LANES)
+
+
+def _mc_lane(block: Callable, jobs, buf: np.ndarray, results: list) -> None:
+    """results[i] = block(buf[:rows], stream) for each (i, stream, rows) of jobs, in order.
+
+    The first exception is stored in place of its block's summary and stops
+    the lane, so the caller can raise it again.
+    """
+    try:
+        for i, stream, rows in jobs:
+            results[i] = block(buf[:rows], stream)
+    except BaseException as exc:  # raised again on the calling thread
+        results[i] = exc
+
+
 def mc_integrate(
     log_h: Callable, params: FockParams, samples: int = 100_000, seed: int = 0
 ) -> IntegralEstimate:
     """Integral of exp(log_h) against the weight, by sampling the normalized weight.
 
-    The points are drawn in blocks of at most _CHUNK_POINTS rows into one
-    reused buffer, in the order of a single draw, so they are bit for bit
-    default_rng(seed).standard_normal((samples, m)) / sqrt(alpha p).  Each block
-    keeps its peak log-ratio w, the mean of e^(w - peak) and the sum of squared
-    deviations about that mean (two passes); the blocks are rescaled to the
-    global peak and merged by the pairwise update of Chan, Golub & LeVeque.
-    log I is peak + log(mean), its relative error the standard error over the
-    mean or the roundoff, whichever is larger.  Bit-identical for identical
-    (seed, samples, params).  Raises MethodUnavailableError on a nan or +inf log-ratio.
+    The points come in blocks of _CHUNK_POINTS // 4 = 2^16 rows, the last one
+    ragged.  Block i is default_rng(child i of SeedSequence(seed, spawn_key=(1,)))
+    .standard_normal((rows, m)) / sqrt(alpha p), so its stream depends on seed
+    and i alone, not on samples or the machine.  It shares no draw with the
+    level-set stream (spawn key (0,)) or with default_rng(seed), the find_max stream.
+
+    The blocks run in lanes, one per core this process may use and at most 4:
+    one lane on the calling thread, the others on threads joined before the
+    call returns.  Lane k draws blocks k, k + lanes, ... into its own reused
+    buffer, so the lanes together hold at most _CHUNK_POINTS rows.  log_h may
+    thus be called from up to 4 threads at once, on read-only views of those
+    buffers, under numpy's default error state: it must be pure, must not keep
+    X, and must call no function that perfbench wraps (log_density_batch,
+    envelope_radius, ...), since perfbench/spans.py keeps one span stack that
+    is not thread-safe.  fock_norm's and convex_functional's integrands meet this.
+
+    Each block keeps its peak log-ratio w, the mean of e^(w - peak) and the
+    sum of squared deviations about that mean (two passes); the caller
+    rescales the blocks to the global peak and merges them in block order by
+    the pairwise update of Chan, Golub & LeVeque.  log I is peak + log(mean),
+    its relative error the standard error over the mean or the roundoff,
+    whichever is larger.  Bit-identical for identical (seed, samples, params),
+    whatever the lane count and the thread schedule.  Raises
+    MethodUnavailableError on a nan or +inf log-ratio; an exception in a lane
+    is raised again on the caller, that of the first failing block in block order.
     """
     samples = int(samples)
     if samples < 1000:
         raise InvalidInputError(f"need at least 1000 samples, got {samples}")
-    rng = np.random.default_rng(seed)
     root_rate, log_c = math.sqrt(params.rate), math.log(norm_constant(params))
-    buf = np.empty((min(_CHUNK_POINTS, samples), params.m))
-    blocks = []  # (peak, (n, mean of e^(w - peak), M2 about that mean))
-    for lo in range(0, samples, len(buf)):
-        X = buf[: min(len(buf), samples - lo)]
-        rng.standard_normal(out=X)
+
+    def block(X, stream):
+        """(peak, (n, mean of e^(w - peak), M2 about that mean)) of one block drawn into X."""
+        np.random.default_rng(stream).standard_normal(out=X)
         X /= root_rate
         points = X.view()
         points.flags.writeable = False
@@ -525,17 +567,40 @@ def mc_integrate(
         peak = float(np.max(w))
         _check_fits(peak)  # raises before inf - inf turns the weights into nan
         if peak == -math.inf:
-            blocks.append((peak, (len(w), 0.0, 0.0)))
-            continue
+            return peak, (len(w), 0.0, 0.0)
         np.exp(np.subtract(w, peak, out=w), out=w)
         mean = float(np.mean(w))
         np.square(np.subtract(w, mean, out=w), out=w)
-        blocks.append((peak, (len(w), mean, float(np.sum(w)))))
-    peak = max(block_peak for block_peak, _ in blocks)
+        return peak, (len(w), mean, float(np.sum(w)))
+
+    rows = _CHUNK_POINTS // _MAX_LANES
+    sizes = [min(rows, samples - lo) for lo in range(0, samples, rows)]
+    streams = np.random.SeedSequence(seed, spawn_key=(1,)).spawn(len(sizes))
+    jobs = list(zip(range(len(sizes)), streams, sizes))
+    lanes = min(_lane_count(), len(jobs))
+    bufs = np.empty((lanes, min(rows, samples), params.m))
+    results = [None] * len(jobs)
+    workers = [
+        threading.Thread(target=_mc_lane, args=(block, jobs[k::lanes], bufs[k], results), daemon=True)
+        for k in range(1, lanes)
+    ]
+    started = []
+    try:
+        for worker in workers:
+            worker.start()
+            started.append(worker)
+        _mc_lane(block, jobs[::lanes], bufs[0], results)
+    finally:
+        for worker in started:
+            worker.join()
+    for result in results:  # a lane's unfilled blocks follow the exception that stopped it
+        if isinstance(result, BaseException):
+            raise result
+    peak = max(block_peak for block_peak, _ in results)
     if peak == -math.inf:
         return IntegralEstimate(-math.inf, 0.0)
     rescaled = []
-    for block_peak, (n, mean, m2) in blocks:
+    for block_peak, (n, mean, m2) in results:
         shrink = math.exp(block_peak - peak)
         rescaled.append((n, mean * shrink, m2 * shrink * shrink))
     _, mean_w, m2 = reduce(_merge_moments, rescaled)

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 from functools import partial
@@ -40,7 +42,7 @@ from focklab import (
     norm_constant,
     radial_integrate,
 )
-from focklab import integrate
+from focklab import integrate, levelset
 
 P2 = FockParams(2, 2.0, 1.0)
 
@@ -300,15 +302,16 @@ def test_gh_norm_memory_budget():
     assert peak <= 13.3e6
 
 
-def test_mc_norm_memory_budget():
-    # 10^6 samples at m = 4 in blocks of 2^18: the block buffer (8.4 MB), log_h and the weights;
-    # measured 13.3 MB, budget +10%
+def test_mc_norm_memory_budget(monkeypatch):
+    # 10^6 samples at m = 4 in blocks of 2^16 rows on 4 lanes, the most: their buffers (8.4 MB together),
+    # and each lane's log_h and weights; measured 9.5 MB, budget +10%
+    monkeypatch.setattr(integrate, "_lane_count", lambda: 4)
     peak = _traced_peak(
         lambda: fock_norm(
             Constant(value=1.0, dim=4), FockParams(4, 2.0, 1.0), method=MonteCarlo(samples=1_000_000, seed=0)
         )
     )
-    assert peak <= 14.7e6
+    assert peak <= 10.4e6
 
 
 def test_gh_functional_memory_budget():
@@ -751,35 +754,43 @@ def test_mc_constant_has_zero_variance():
     assert 0 < est.error_bound <= 1e-14 * est.value
 
 
+def _mc_reference_blocks(params, samples, seed, rows):
+    """Block i of mc_integrate, drawn on its own: child i of SeedSequence(seed).spawn(2)[1], rows by m normals,
+    over sqrt(alpha p); the last block is ragged."""
+    starts = range(0, samples, rows)
+    children = np.random.SeedSequence(seed).spawn(2)[1].spawn(len(starts))
+    return [
+        np.random.default_rng(child).standard_normal((min(rows, samples - lo), params.m)) / math.sqrt(params.rate)
+        for child, lo in zip(children, starts)
+    ]
+
+
 def test_mc_points_are_one_draw(monkeypatch):
-    # blocks of 1000 rows, the last one ragged: together one draw of all the points, bit for bit
+    # blocks of 1000 rows, the last one ragged: each is its spawned child's draw, bit for bit
     params = FockParams(3, 1.5, 0.8)
     blocks = []
-    monkeypatch.setattr(integrate, "_CHUNK_POINTS", 1000)
+    monkeypatch.setattr(integrate, "_CHUNK_POINTS", 4000)
     mc_integrate(lambda X: blocks.append(X.copy()) or np.zeros(len(X)), params, samples=2500, seed=11)
-    assert [len(X) for X in blocks] == [1000, 1000, 500]
-    ref = np.random.default_rng(11).standard_normal((2500, 3)) / math.sqrt(params.rate)
-    assert np.array_equal(np.concatenate(blocks), ref)
+    ref = _mc_reference_blocks(params, 2500, 11, 1000)
+    assert [len(X) for X in ref] == [1000, 1000, 500]
+    assert sorted([i for i, R in enumerate(ref) if np.array_equal(X, R)] for X in blocks) == [[0], [1], [2]]
 
 
-def _mc_one_shot(log_h, params, samples, seed):
-    """(value, standard error) from the whole draw in one array, with np.mean and np.std."""
-    X = np.random.default_rng(seed).standard_normal((samples, params.m)) / math.sqrt(params.rate)
+def _mc_one_shot(log_h, params, samples, seed, rows):
+    """(value, standard error) from the blocks' concatenation in one array, with np.mean and np.std."""
+    X = np.concatenate(_mc_reference_blocks(params, samples, seed, rows))
     w = log_h(X) - math.log(norm_constant(params))
     peak = float(np.max(w))
     e = np.exp(w - peak)
     return math.exp(peak) * float(np.mean(e)), math.exp(peak) * float(np.std(e, ddof=1)) / math.sqrt(samples)
 
 
-def _first_rows_vanish(log_h, n):
-    """log_h that is -inf on the first n rows handed to it, counted over all its calls."""
-    seen = 0
+def _block_vanishes(log_h, block):
+    """log_h that is -inf on the rows of `block`, found by their first coordinate in whatever call holds them."""
 
     def wrapped(X):
-        nonlocal seen
         out = log_h(X)
-        out[: max(n - seen, 0)] = -np.inf
-        seen += len(X)
+        out[np.isin(X[:, 0], block[:, 0])] = -np.inf
         return out
 
     return wrapped
@@ -795,10 +806,11 @@ def test_mc_blocks_merge_to_the_one_shot_estimate(monkeypatch, case):
         if case == "constant":
             return lambda X: np.full(len(X), 0.75)
         log_p_abs = _log_p_abs(f, params)
-        return _first_rows_vanish(log_p_abs, 1000) if case == "vanishing block" else log_p_abs
+        first = _mc_reference_blocks(params, samples, seed, 1000)[0]
+        return _block_vanishes(log_p_abs, first) if case == "vanishing block" else log_p_abs
 
-    value, stderr = _mc_one_shot(log_h(), params, samples, seed)
-    monkeypatch.setattr(integrate, "_CHUNK_POINTS", 1000)
+    value, stderr = _mc_one_shot(log_h(), params, samples, seed, 1000)
+    monkeypatch.setattr(integrate, "_CHUNK_POINTS", 4000)
     est = mc_integrate(log_h(), params, samples=samples, seed=seed)
     roundoff = integrate._roundoff(math.log(value), samples) * value
     assert abs(est.value - value) <= roundoff
@@ -808,6 +820,81 @@ def test_mc_blocks_merge_to_the_one_shot_estimate(monkeypatch, case):
     else:
         assert stderr > roundoff
         assert est.error_bound == pytest.approx(stderr, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("chunk, samples", [(4000, 5500), (1 << 18, 200_000)], ids=["6 small blocks", "4 blocks"])
+def test_mc_estimate_does_not_depend_on_the_lane_count(monkeypatch, chunk, samples):
+    # lane k takes blocks k, k + lanes, ...; the blocks merge in block order whichever lane ran them
+    # 4 lanes on fewer cores, switching threads every 10 us, to shake out a lost or misplaced block
+    params, f = FockParams(2, 2.5, 1.0), Coherent(center=(0.4, -0.3), alpha=1.0)
+    monkeypatch.setattr(integrate, "_CHUNK_POINTS", chunk)
+    estimates, interval = [], sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        for lanes in (1, 2, 4):
+            monkeypatch.setattr(integrate, "_lane_count", lambda lanes=lanes: lanes)
+            threads = threading.active_count()
+            estimates.append(mc_integrate(_log_p_abs(f, params), params, samples=samples, seed=5))
+            assert threading.active_count() == threads
+    finally:
+        sys.setswitchinterval(interval)
+    assert estimates[0].relative_error > 0 and estimates[1:] == estimates[:1] * 2
+
+
+class _LaneFailure(Exception):
+    pass
+
+
+def _on_worker():
+    return threading.current_thread() is not threading.main_thread()
+
+
+@pytest.mark.parametrize("case", ["+inf on a worker", "raises on a worker", "raises on every lane"])
+def test_mc_lane_failure_is_raised_on_the_caller(monkeypatch, case):
+    # two lanes: block 0 on the calling thread, block 1 on a worker; every worker is joined either way
+    monkeypatch.setattr(integrate, "_CHUNK_POINTS", 4000)
+    monkeypatch.setattr(integrate, "_lane_count", lambda: 2)
+    callers = []  # per log_h call: did a worker make it?
+
+    def log_h(X):
+        out = np.zeros(len(X))
+        callers.append(_on_worker())
+        if case == "+inf on a worker" and _on_worker():
+            out[0] = np.inf
+        elif case == "raises on every lane" or _on_worker():
+            raise _LaneFailure(threading.current_thread().name)
+        return out
+
+    threads = threading.active_count()
+    if case == "+inf on a worker":
+        with pytest.raises(MethodUnavailableError, match="inf"):
+            mc_integrate(log_h, P2, samples=2000, seed=0)
+    else:
+        with pytest.raises(_LaneFailure) as info:
+            mc_integrate(log_h, P2, samples=2000, seed=0)
+        # the first block in block order, block 0, failed on the calling thread
+        assert (str(info.value) == threading.main_thread().name) == (case == "raises on every lane")
+    assert sorted(callers) == [False, True] and threading.active_count() == threads
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_mc_stream_shares_no_draw_with_other_streams(monkeypatch, seed):
+    # alpha p = 1, so the points are the raw normals; three blocks of 1000 rows
+    params = FockParams(2, 2.0, 0.5)
+    monkeypatch.setattr(integrate, "_CHUNK_POINTS", 4000)
+
+    def draws(seed):
+        blocks = []
+        mc_integrate(lambda X: blocks.append(X.copy()) or np.zeros(len(X)), params, samples=3000, seed=seed)
+        return np.concatenate(blocks).ravel()
+
+    mc, n = draws(seed), 6000
+    for other in (
+        levelset._level_rng(seed).standard_normal(n),
+        np.random.default_rng(seed).standard_normal(n),
+        draws(seed + 1),
+    ):
+        assert np.intersect1d(mc, other).size == 0
 
 
 def test_mc_blocks_of_a_vanishing_integrand_give_zero(monkeypatch):
