@@ -14,14 +14,19 @@ coordinates of its tensor grid per chunk, the radial rule takes whole radii.
 One reducer adds log_h(X) to the table in a fresh array, which it owns, runs
 log-sum-exp on it in place and adds the offset to the chunk's log-sum; the
 rules take a coarse/fine gap as error.  Monte Carlo draws block i of
-_CHUNK_POINTS // 4 rows from child i of SeedSequence(seed, spawn_key=(1,)),
-runs the blocks in up to 4 lanes (one on the calling thread, the others on
-threads it joins), each lane reusing one buffer, so the lanes together stay
-within _CHUNK_POINTS rows; it merges the blocks' means and variances in block
-order.  So log_h may be called from up to 4 threads at once: it must be pure
-and must call no function that perfbench wraps, whose span stack is not
-thread-safe.  No backend writes into the array log_h returns.  Every backend
-returns log I with a relative error of at least its roundoff; a nan or +inf log I raises.
+_CHUNK_POINTS // 4 rows from child i of SeedSequence(seed, spawn_key=(1,))
+and merges the blocks' means and variances in block order.
+
+One lane runner, _in_lanes, runs numbered blocks in up to 4 lanes (one on the
+calling thread, the others on threads it joins), each lane reusing one buffer
+of at most _CHUNK_POINTS // 4 rows, and returns their results in block order.
+Monte Carlo and the level cloud of levelset._nested_measures both run on it.
+So log_h, and the cloud's density, may be called from up to 4 threads at
+once: they must be pure and must call no function that perfbench wraps
+(log_density_batch, envelope_radius, ...), whose span stack is not
+thread-safe; the private functions._log_density_and_weight is not wrapped.
+No backend writes into the array log_h returns.  Every backend returns log I
+with a relative error of at least its roundoff; a nan or +inf log I raises.
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ _MAX_TENSOR_POINTS = 1 << 27
 # are error-estimated by doubling
 _CHUNK_POINTS = 1 << 18
 _DOUBLING_BUDGET = 1 << 24
-# Monte Carlo runs at most this many lanes at once, in blocks of _CHUNK_POINTS // _MAX_LANES rows
+# _in_lanes runs at most this many lanes at once, in blocks of _CHUNK_POINTS // _MAX_LANES rows
 _MAX_LANES = 4
 # numpy's hermgauss keeps every weight a normal double up to about 370 nodes
 _MAX_GH_NODES = 256
@@ -503,22 +508,66 @@ def _merge_moments(a, b):
 
 
 def _lane_count() -> int:
-    """Lanes Monte Carlo may run at once: the cores this process may use, at most _MAX_LANES."""
+    """Lanes _in_lanes may run at once: the cores this process may use, at most _MAX_LANES."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return min(cores, _MAX_LANES)
 
 
-def _mc_lane(block: Callable, jobs, buf: np.ndarray, results: list) -> None:
-    """results[i] = block(buf[:rows], stream) for each (i, stream, rows) of jobs, in order.
+def _block_sizes(n: int) -> list[int]:
+    """Rows of each block of n points: _CHUNK_POINTS // _MAX_LANES = 2^16 each, the last one ragged."""
+    rows = _CHUNK_POINTS // _MAX_LANES
+    return [min(rows, n - lo) for lo in range(0, n, rows)]
 
-    The first exception is stored in place of its block's summary and stops
+
+def _lane(block: Callable, jobs, buf: np.ndarray, results: list) -> None:
+    """results[i] = block(buf[:rows], arg) for each (i, rows, arg) of jobs, in order.
+
+    The first exception is stored in place of its block's result and stops
     the lane, so the caller can raise it again.
     """
     try:
-        for i, stream, rows in jobs:
-            results[i] = block(buf[:rows], stream)
+        for i, rows, arg in jobs:
+            results[i] = block(buf[:rows], arg)
     except BaseException as exc:  # raised again on the calling thread
         results[i] = exc
+
+
+def _in_lanes(block: Callable, sizes: list[int], args: list, width: int) -> list:
+    """[block(buf[:sizes[i]], args[i]) for each block i], in block order, run in lanes.
+
+    There are min(_lane_count(), blocks, ceil(total rows / 2^16)) lanes: one
+    on the calling thread, the others on threads joined before the call
+    returns.  Lane k runs blocks k, k + lanes, ... and hands each the leading
+    rows of its own (max(sizes), width) buffer, which the lane's next block
+    overwrites.  So block may run on up to _MAX_LANES threads at once: it must
+    write only to its buffer and its result, and must call no function that
+    perfbench wraps (log_density_batch, envelope_radius, ...), whose span
+    stack is not thread-safe.  An exception in a lane is raised again on the
+    caller, that of the first failing block in block order.
+    """
+    if not sizes:
+        return []
+    jobs = list(zip(range(len(sizes)), sizes, args))
+    lanes = min(_lane_count(), len(jobs), -(-sum(sizes) // (_CHUNK_POINTS // _MAX_LANES)))
+    bufs = np.empty((lanes, max(sizes), width))
+    results = [None] * len(jobs)
+    workers = [
+        threading.Thread(target=_lane, args=(block, jobs[k::lanes], bufs[k], results), daemon=True)
+        for k in range(1, lanes)
+    ]
+    started = []
+    try:
+        for worker in workers:
+            worker.start()
+            started.append(worker)
+        _lane(block, jobs[::lanes], bufs[0], results)
+    finally:
+        for worker in started:
+            worker.join()
+    for result in results:  # a lane's unfilled blocks follow the exception that stopped it
+        if isinstance(result, BaseException):
+            raise result
+    return results
 
 
 def mc_integrate(
@@ -530,15 +579,15 @@ def mc_integrate(
     ragged.  Block i is default_rng(child i of SeedSequence(seed, spawn_key=(1,)))
     .standard_normal((rows, m)) / sqrt(alpha p), so its stream depends on seed
     and i alone, not on samples or the machine.  It shares no draw with the
-    level-set stream (spawn key (0,)) or with default_rng(seed), the find_max stream.
+    level cloud's block streams (children of spawn key (0,)) or with
+    default_rng(seed), the find_max stream.
 
-    The blocks run in lanes, one per core this process may use and at most 4:
-    one lane on the calling thread, the others on threads joined before the
-    call returns.  Lane k draws blocks k, k + lanes, ... into its own reused
-    buffer, so the lanes together hold at most _CHUNK_POINTS rows.  log_h may
-    thus be called from up to 4 threads at once, on read-only views of those
-    buffers, under numpy's default error state: it must be pure, must not keep
-    X, and must call no function that perfbench wraps (log_density_batch,
+    The blocks run in the lanes of _in_lanes, one per core this process may
+    use and at most 4, each drawing into its own reused buffer, so the lanes
+    together hold at most _CHUNK_POINTS rows.  log_h may thus be called from
+    up to 4 threads at once, on read-only views of those buffers, under
+    numpy's default error state: it must be pure, must not keep X, and must
+    call no function that perfbench wraps (log_density_batch,
     envelope_radius, ...), since perfbench/spans.py keeps one span stack that
     is not thread-safe.  fock_norm's and convex_functional's integrands meet this.
 
@@ -573,29 +622,9 @@ def mc_integrate(
         np.square(np.subtract(w, mean, out=w), out=w)
         return peak, (len(w), mean, float(np.sum(w)))
 
-    rows = _CHUNK_POINTS // _MAX_LANES
-    sizes = [min(rows, samples - lo) for lo in range(0, samples, rows)]
+    sizes = _block_sizes(samples)
     streams = np.random.SeedSequence(seed, spawn_key=(1,)).spawn(len(sizes))
-    jobs = list(zip(range(len(sizes)), streams, sizes))
-    lanes = min(_lane_count(), len(jobs))
-    bufs = np.empty((lanes, min(rows, samples), params.m))
-    results = [None] * len(jobs)
-    workers = [
-        threading.Thread(target=_mc_lane, args=(block, jobs[k::lanes], bufs[k], results), daemon=True)
-        for k in range(1, lanes)
-    ]
-    started = []
-    try:
-        for worker in workers:
-            worker.start()
-            started.append(worker)
-        _mc_lane(block, jobs[::lanes], bufs[0], results)
-    finally:
-        for worker in started:
-            worker.join()
-    for result in results:  # a lane's unfilled blocks follow the exception that stopped it
-        if isinstance(result, BaseException):
-            raise result
+    results = _in_lanes(block, sizes, streams, params.m)
     peak = max(block_peak for block_peak, _ in results)
     if peak == -math.inf:
         return IntegralEstimate(-math.inf, 0.0)

@@ -21,8 +21,16 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidInputError, MethodUnavailableError, OptimizationFailureError
-from .functions import FockParams, TestFunction, _check_dims, _thresholds, envelope_radius, log_density_batch
-from .integrate import ConvexFunction, GaussHermite, _exp, convex_functional
+from .functions import (
+    FockParams,
+    TestFunction,
+    _check_dims,
+    _log_density_and_weight,
+    _thresholds,
+    envelope_radius,
+    log_density_batch,
+)
+from .integrate import ConvexFunction, GaussHermite, _block_sizes, _exp, _in_lanes, convex_functional
 
 __all__ = [
     "IsoperimetricVariant",
@@ -303,14 +311,6 @@ def _search_max(f: TestFunction, params: FockParams, restarts: int = 16, seed: i
 # superlevel measure
 
 
-def _level_rng(seed: int) -> np.random.Generator:
-    """The level-set stream of `seed`: a spawned child of SeedSequence(seed).
-
-    It never equals default_rng(s'), the `find_max` stream of any seed s'.
-    """
-    return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-
-
 @dataclass(frozen=True)
 class _NestedCloud:
     mu: np.ndarray  # mu at each threshold
@@ -330,12 +330,23 @@ def _nested_measures(f, params, log_grid, samples, seed, log_thresholds=None, we
     rounding in the radii, which moves with the scale of f, add a point where it
     is an integer (samples / (j + 1) for a Gaussian in the plane): every level
     sees the point density of `samples` points in its own ball, to 1e-9.  log u
-    is evaluated once per point, and one searchsorted per shell counts its hits
-    at every threshold (log_grid itself unless given, say the layer cake's
+    is evaluated once per point, and one searchsorted per block counts its
+    hits at every threshold (log_grid itself unless given, say the layer cake's
     nodes); shell j can hit only those below log_grid[j-1].  Hits at t_k >= t_l
     are correlated, Cov(I_k, I_l) = h_k (1 - h_l), where h = (hits + 1) / (n + 2)
     stays positive when no point or every point hits, so Var(mu_k) and
     Var(weights . mu) take O(thresholds) per shell.
+
+    Each shell comes in blocks of at most 2^16 rows, numbered in shell order:
+    block i draws its normals (the directions), then its uniforms (r^m over
+    the shell) from default_rng(child i of SeedSequence(seed, spawn_key=(0,))),
+    which shares no draw with Monte Carlo (spawn key (1,)) or default_rng(seed).
+    The blocks run in the lanes of integrate._in_lanes and return only their
+    counts of thresholds below log u; the caller adds up each shell's counts
+    and accumulates shell by shell, so every result is bit-identical for any
+    lane count.  A block may run on a worker thread, so it reaches the density
+    through functions._log_density_and_weight, never through the wrapped
+    log_density_batch, whose perfbench span stack is not thread-safe.
     """
     samples = int(samples)
     if samples < 1000:
@@ -348,30 +359,48 @@ def _nested_measures(f, params, log_grid, samples, seed, log_thresholds=None, we
     log_t_asc = log_thresholds[::-1]
     # first threshold below log_grid[j-1], the top of shell j
     first = count - np.searchsorted(log_t_asc, np.concatenate([[math.inf], log_grid[:-1]]))
-    rng = _level_rng(seed)
-    mu, var, weighted_var, points = np.zeros(count), np.zeros(count), 0.0, 0
-    for j in range(len(log_grid)):
-        if shell[j] <= 0.0:
-            continue
-        n = math.ceil(samples * shell[j] / ball[j] * (1.0 - 1e-9))
-        pts = rng.standard_normal((n, m))
+    # the shells that hold points, their point counts, and their blocks in shell order
+    shells = [j for j in range(len(log_grid)) if shell[j] > 0.0]
+    n = [math.ceil(samples * shell[j] / ball[j] * (1.0 - 1e-9)) for j in shells]
+    blocks = [_block_sizes(n_j) for n_j in n]
+    sizes = [rows for shell_blocks in blocks for rows in shell_blocks]
+    of_shell = [j for j, shell_blocks in zip(shells, blocks) for _ in shell_blocks]
+    streams = np.random.SeedSequence(seed, spawn_key=(0,)).spawn(len(sizes))
+
+    def block(buf, job):
+        """Counts of the block's points by the number of thresholds below their log u."""
+        stream, j = job
+        rows = len(buf)
+        flat = buf.reshape(-1)  # rows x m normals, then rows uniforms for r^m
+        X, r = flat[: rows * m].reshape(rows, m), flat[rows * m :]
+        rng = np.random.default_rng(stream)
+        rng.standard_normal(out=X)
+        rng.random(out=r)
         inner = radii[j - 1] ** m if j > 0 else 0.0
-        r = (inner + rng.random(n) * (radii[j] ** m - inner)) ** (1.0 / m)
-        pts *= (r / np.sqrt(np.einsum("ij,ij->i", pts, pts)))[:, None]
+        r *= radii[j] ** m - inner
+        r += inner
+        r **= 1.0 / m
+        r /= np.sqrt(np.einsum("ij,ij->i", X, X))
+        X *= r[:, None]
         # thresholds below log u, counted on the ascending thresholds
-        below = np.searchsorted(log_t_asc, log_density_batch(f, params, pts))
-        at_least = np.cumsum(np.bincount(below, minlength=count + 1)[::-1])[::-1]
+        below = np.searchsorted(log_t_asc, _log_density_and_weight(f, params, X)[0])
+        return np.bincount(below, minlength=count + 1)
+
+    counts = iter(_in_lanes(block, sizes, list(zip(streams, of_shell)), m + 1))
+    mu, var, weighted_var = np.zeros(count), np.zeros(count), 0.0
+    for j, n_j, shell_blocks in zip(shells, n, blocks):
+        shell_counts = sum(next(counts) for _ in shell_blocks)  # the shell's blocks, in block order
+        at_least = np.cumsum(shell_counts[::-1])[::-1]
         k = first[j]
         hits = at_least[count - k : 0 : -1]  # thresholds k..count-1
-        mu[k:] += shell[j] * hits / n
-        h = (hits + 1.0) / (n + 2.0)
-        s2n = shell[j] ** 2 / n
+        mu[k:] += shell[j] * hits / n_j
+        h = (hits + 1.0) / (n_j + 2.0)
+        s2n = shell[j] ** 2 / n_j
         var[k:] += s2n * (h * (1.0 - h))
         if weights is not None:  # c.Cov.c = sum_l c_l (1 - h_l) (2 sum_{i<=l} c_i h_i - c_l h_l)
             ch = weights[k:] * h
             weighted_var += s2n * float(weights[k:] * (1.0 - h) @ (2.0 * np.cumsum(ch) - ch))
-        points += n
-    return _NestedCloud(mu, var, weighted_var, radii, points)
+    return _NestedCloud(mu, var, weighted_var, radii, sum(n))
 
 
 def superlevel_measure(
@@ -437,10 +466,14 @@ def g_diagnostic(
 
     All levels are answered from one stratified cloud over nested shells, in
     which each level sees at least the density of `samples` points in its own
-    ball.  The cloud is drawn from a stream of `seed` separate from the
-    `find_max` one, so reruns are bit-identical.  Levels share points and are
-    therefore correlated.  A monotonicity violation is recorded only when the
-    drop between adjacent levels exceeds 3x the summed propagated errors.
+    ball (`_nested_measures`).  The cloud is drawn in blocks of 2^16 rows,
+    block i from child i of SeedSequence(seed, spawn_key=(0,)), separate from
+    the `find_max` stream default_rng(seed), and its blocks run in the Monte
+    Carlo lanes, so reruns are bit-identical on any number of cores.  Its
+    density calls bypass log_density_batch, so `points` is the one count of
+    them.  Levels share points and are therefore correlated.  A monotonicity
+    violation is recorded only when the drop between adjacent levels exceeds
+    3x the summed propagated errors.
     The rule runs on g / t_max, which the scale of f leaves unchanged.
     """
     grid = grid or LevelGrid()

@@ -42,7 +42,7 @@ from focklab import (
     norm_constant,
     radial_integrate,
 )
-from focklab import integrate, levelset
+from focklab import integrate
 
 P2 = FockParams(2, 2.0, 1.0)
 
@@ -889,8 +889,11 @@ def test_mc_stream_shares_no_draw_with_other_streams(monkeypatch, seed):
         return np.concatenate(blocks).ravel()
 
     mc, n = draws(seed), 6000
+    # the level cloud's first three block streams, children of SeedSequence(seed, spawn_key=(0,))
+    # (test_levelset.py::test_nested_cloud_points_are_its_block_streams pins that the cloud draws from them)
+    cloud = np.random.SeedSequence(seed, spawn_key=(0,)).spawn(3)
     for other in (
-        levelset._level_rng(seed).standard_normal(n),
+        *(np.random.default_rng(child).standard_normal(n) for child in cloud),
         np.random.default_rng(seed).standard_normal(n),
         draws(seed + 1),
     ):

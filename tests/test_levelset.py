@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import sys
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -31,9 +34,8 @@ from focklab import (
     fock_norm,
     log_density_batch,
 )
-from focklab import levelset
+from focklab import integrate, levelset
 from focklab.levelset import (
-    _level_rng,
     _nested_measures,
     _search_max,
     _simplex_search,
@@ -385,11 +387,52 @@ def test_mc_measure_states_error_without_hits():
     assert est.stderr > 0
 
 
+def _cloud_reference_blocks(params, log_grid, samples, seed, rows):
+    """The points of _nested_measures drawn on their own: block i of rows (the last of each shell
+    ragged) from child i of SeedSequence(seed, spawn_key=(0,)), normals along each ray, r^m uniform
+    over the block's shell."""
+    radii = np.maximum.accumulate(1.05 * levelset.envelope_radius(Monomial(powers=(1,)), params, log_grid))
+    ball = unit_ball_volume(params.m) * radii**params.m
+    shell = np.diff(ball, prepend=0.0)
+    sizes = [math.ceil(samples * shell[j] / ball[j] * (1.0 - 1e-9)) for j in range(len(log_grid))]
+    jobs = [(j, min(rows, n - lo)) for j, n in enumerate(sizes) for lo in range(0, n, rows)]
+    children = np.random.SeedSequence(seed, spawn_key=(0,)).spawn(len(jobs))
+    blocks = []
+    for child, (j, n) in zip(children, jobs):
+        rng = np.random.default_rng(child)
+        X = rng.standard_normal((n, params.m))
+        inner = radii[j - 1] ** params.m if j else 0.0
+        r = (inner + rng.random(n) * (radii[j] ** params.m - inner)) ** (1.0 / params.m)
+        blocks.append(X * (r / np.linalg.norm(X, axis=1))[:, None])
+    return blocks
+
+
+def test_nested_cloud_points_are_its_block_streams(monkeypatch):
+    # blocks of 1000 rows on one lane: shell 0 holds 2500 points in three blocks, shells 1 and 2
+    # one ragged block each
+    log_grid = np.log(math.exp(-1.0) * np.array([0.9, 0.6, 0.3]))
+    monkeypatch.setattr(integrate, "_CHUNK_POINTS", 4000)
+    monkeypatch.setattr(integrate, "_lane_count", lambda: 1)
+    blocks, density = [], levelset._log_density_and_weight
+    monkeypatch.setattr(
+        levelset, "_log_density_and_weight", lambda f, p, X: blocks.append(X.copy()) or density(f, p, X)
+    )
+    _nested_measures(Monomial(powers=(1,)), P2, log_grid, 2500, 11)
+    ref = _cloud_reference_blocks(P2, log_grid, 2500, 11, 1000)
+    assert [len(X) for X in ref][:3] == [1000, 1000, 500] and len(ref) == 5
+    assert [len(X) for X in blocks] == [len(X) for X in ref]
+    for X, R in zip(blocks, ref):
+        np.testing.assert_allclose(X, R, rtol=1e-13, atol=0.0)
+
+
 def test_level_stream_differs_from_find_max_streams():
+    # the cloud's blocks come from children of SeedSequence(seed, spawn_key=(0,)), none of which is
+    # default_rng(s'), the find_max stream of any seed
     for s in range(5):
-        draws = _level_rng(s).random(4)
-        for j in range(4):
-            assert not np.array_equal(draws, np.random.default_rng(s + j).random(4))
+        for child in np.random.SeedSequence(s, spawn_key=(0,)).spawn(3):
+            draws = np.random.default_rng(child).random(4)
+            for j in range(4):
+                assert not np.array_equal(draws, np.random.default_rng(s + j).random(4))
 
 
 def test_nested_covariance_matches_replicates():
@@ -401,7 +444,7 @@ def test_nested_covariance_matches_replicates():
     pair_weights = [np.eye(3)[k] + np.eye(3)[l] for k, l in pairs]
     clouds = [
         [_nested_measures(f, P2, log_grid, 1000, seed, weights=w) for w in pair_weights]
-        for seed in range(1000)
+        for seed in range(2000)
     ]
     empirical = np.cov(np.array([c[0].mu for c in clouds]).T)
     stated = np.diag(np.mean([c[0].var for c in clouds], axis=0))
@@ -438,6 +481,88 @@ def test_nested_shell_hits_only_thresholds_below_its_top():
     log_grid = np.log(math.exp(-1.0) * np.array([0.9, 0.6, 0.3]))
     top, nested = _nested_measures(f, P2, log_grid[:1], 1000, 3), _nested_measures(f, P2, log_grid, 1000, 3)
     assert (nested.mu[0], nested.var[0]) == (top.mu[0], top.var[0])
+
+
+@pytest.mark.parametrize("chunk, samples", [(4000, 5500), (1 << 18, 200_000)], ids=["small blocks", "2^16-row blocks"])
+def test_nested_measures_do_not_depend_on_the_lane_count(monkeypatch, chunk, samples):
+    # lane k takes blocks k, k + lanes, ...; each shell adds up its blocks' counts whichever lane ran them
+    # 4 lanes on fewer cores, switching threads every 10 us, to shake out a lost or misplaced block
+    f, params = Coherent(center=(0.4, -0.3), alpha=1.0), FockParams(2, 2.5, 1.0)
+    log_grid = find_max(f, params).log_t_max + LevelGrid(count=8, ratio=0.7).log_levels()[1:]
+    weights = np.linspace(1.0, 2.0, len(log_grid))
+    monkeypatch.setattr(integrate, "_CHUNK_POINTS", chunk)
+    clouds, interval = [], sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        for lanes in (1, 2, 4):
+            monkeypatch.setattr(integrate, "_lane_count", lambda lanes=lanes: lanes)
+            threads = threading.active_count()
+            clouds.append(_nested_measures(f, params, log_grid, samples, 5, weights=weights))
+            assert threading.active_count() == threads
+    finally:
+        sys.setswitchinterval(interval)
+    assert clouds[0].weighted_var > 0 and clouds[0].points > samples
+    for cloud in clouds[1:]:
+        assert np.array_equal(cloud.mu, clouds[0].mu) and np.array_equal(cloud.var, clouds[0].var)
+        assert (cloud.weighted_var, cloud.points) == (clouds[0].weighted_var, clouds[0].points)
+
+
+class _LaneFailure(Exception):
+    pass
+
+
+def test_nested_cloud_lane_failure_is_raised_on_the_caller(monkeypatch):
+    # two lanes over five blocks of at most 1000 rows: the worker's first block raises, the caller's run
+    monkeypatch.setattr(integrate, "_CHUNK_POINTS", 4000)
+    monkeypatch.setattr(integrate, "_lane_count", lambda: 2)
+    density, callers = levelset._log_density_and_weight, []
+
+    def failing(f, params, X):
+        on_worker = threading.current_thread() is not threading.main_thread()
+        callers.append(on_worker)
+        if on_worker:
+            raise _LaneFailure(threading.current_thread().name)
+        return density(f, params, X)
+
+    monkeypatch.setattr(levelset, "_log_density_and_weight", failing)
+    log_grid = np.log(math.exp(-1.0) * np.array([0.9, 0.6, 0.3]))
+    threads = threading.active_count()
+    with pytest.raises(_LaneFailure) as info:
+        _nested_measures(Monomial(powers=(1,)), P2, log_grid, 2500, 0)
+    assert str(info.value) != threading.main_thread().name
+    assert sorted(callers) == [False, False, False, True] and threading.active_count() == threads
+
+
+def test_small_nested_cloud_starts_no_thread(monkeypatch):
+    # fewer than 2^16 points in all run in one lane, on the calling thread, whatever the lane count
+    monkeypatch.setattr(integrate, "_lane_count", lambda: 4)
+    lane, lanes = integrate._lane, []
+    monkeypatch.setattr(integrate, "_lane", lambda *args: lanes.append(threading.current_thread()) or lane(*args))
+    log_grid = np.log(math.exp(-1.0) * 0.9 ** np.arange(1, 31))
+    cloud = _nested_measures(Monomial(powers=(1,)), P2, log_grid, 1000, 0)
+    assert lanes == [threading.main_thread()] and 1000 < cloud.points < 1 << 16
+
+
+def test_nested_measure_above_the_peak_draws_nothing():
+    # every ball has radius 0, so no shell holds a point and no block runs
+    f = Coherent(center=(0.0, 0.0), alpha=1.0)
+    cloud = _nested_measures(f, P2, np.log([2.0, 1.5]), 1000, 0)
+    assert cloud.points == 0 and not cloud.mu.any() and not cloud.var.any()
+
+
+def test_g_diagnostic_memory_budget(monkeypatch):
+    # 10^6 samples at m = 3, 6.3 M points in blocks of 2^16 rows on 4 lanes, the most: their buffers
+    # of m + 1 columns (8.4 MB together) and each lane's temporaries; measured 12.9-14.8 MB over 14 runs,
+    # as the lanes' peaks happen to overlap, budget +10% of the highest
+    monkeypatch.setattr(integrate, "_lane_count", lambda: 4)
+    f, params = Coherent(center=(0.0, 0.0, 0.0), alpha=1.0), FockParams(3, 2.0, 1.0)
+    tracemalloc.start()
+    try:
+        g_diagnostic(f, params, samples=1_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16.3e6
 
 
 def test_mc_measure_takes_one_threshold():
