@@ -552,8 +552,9 @@ def test_nested_measure_above_the_peak_draws_nothing():
 
 def test_g_diagnostic_memory_budget(monkeypatch):
     # 10^6 samples at m = 3, 6.3 M points in blocks of 2^16 rows on 4 lanes, the most: their buffers
-    # of m + 1 columns (8.4 MB together) and each lane's temporaries; measured 12.9-14.8 MB over 14 runs,
-    # as the lanes' peaks happen to overlap, budget +10% of the highest
+    # of m + 1 columns (8.4 MB together) and each lane's temporaries (1.7 MB at most, measured at one
+    # lane); measured 12.6-14.8 MB over 54 runs, as the lanes' peaks happen to overlap, against a worst
+    # case of 8.4 + 4 x 1.7 = 15.1 MB; budget +10% of the highest measured
     monkeypatch.setattr(integrate, "_lane_count", lambda: 4)
     f, params = Coherent(center=(0.0, 0.0, 0.0), alpha=1.0), FockParams(3, 2.0, 1.0)
     tracemalloc.start()
