@@ -33,7 +33,6 @@ from .functions import (
 )
 from .integrate import (
     ConvexFunction,
-    Custom,
     FunctionalEstimate,
     GaussHermite,
     IntegralEstimate,

@@ -61,7 +61,6 @@ __all__ = [
     "ConvexFunction",
     "Power",
     "PiecewiseLinear",
-    "Custom",
     "norm_constant",
     "gauss_hermite_integrate",
     "radial_integrate",
@@ -672,15 +671,18 @@ def fock_norm(f: TestFunction, params: FockParams, method=GaussHermite()) -> Nor
 
 
 class ConvexFunction:
-    """Convex nondecreasing G on [0, inf) with G(0) = 0."""
+    """Convex nondecreasing G on [0, inf) with G(0) = 0; value and derivative take arrays of t.
+
+    Power and PiecewiseLinear check themselves when they are built and raise
+    UnsupportedFunctionalError there.  They cover the class: every such G is a
+    monotone limit of PiecewiseLinear ones.  Other subclasses are not checked,
+    except that the generic log_value raises where G < 0.
+    """
 
     def value(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def derivative(self, t: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def validate(self):
         raise NotImplementedError
 
     def log_value(self, log_t: np.ndarray) -> np.ndarray:
@@ -699,7 +701,7 @@ class Power(ConvexFunction):
 
     exponent: float
 
-    def validate(self):
+    def __post_init__(self):
         if not (self.exponent >= 1.0) or not math.isfinite(self.exponent):
             raise UnsupportedFunctionalError(
                 f"power exponent must be >= 1, got {self.exponent}"
@@ -712,12 +714,8 @@ class Power(ConvexFunction):
         return self.exponent * np.asarray(log_t, dtype=float)
 
     def derivative(self, t):
-        t = np.asarray(t, dtype=float)
         r = self.exponent
-        if r == 1.0:
-            return np.ones_like(t)
-        with np.errstate(divide="ignore"):
-            return r * t ** (r - 1.0)
+        return r * np.asarray(t, dtype=float) ** (r - 1.0)
 
 
 @dataclass(frozen=True)
@@ -735,8 +733,6 @@ class PiecewiseLinear(ConvexFunction):
     def __post_init__(self):
         object.__setattr__(self, "knots", tuple(float(k) for k in self.knots))
         object.__setattr__(self, "slopes", tuple(float(s) for s in self.slopes))
-
-    def validate(self):
         if len(self.slopes) != len(self.knots) + 1:
             raise UnsupportedFunctionalError("need len(slopes) == len(knots) + 1")
         if any(k <= 0 for k in self.knots) or any(
@@ -768,58 +764,6 @@ class PiecewiseLinear(ConvexFunction):
         return np.asarray(self.slopes)[idx]
 
 
-_CUSTOM_SCREEN_UPPER = 4.0  # Custom.validate screens G on [0, 4]
-
-
-@dataclass(frozen=True)
-class Custom(ConvexFunction):
-    """User-supplied G, screened for G(0) = 0, monotonicity and convexity on a grid.
-
-    `fn` and `fn_prime` are vectorised: called once on an array of t, they
-    return an array of its shape.
-    """
-
-    fn: Callable
-    fn_prime: Callable | None = None
-
-    @staticmethod
-    def _apply(fn, t):
-        t = np.asarray(t, dtype=float)
-        try:
-            out = np.asarray(fn(t), dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise UnsupportedFunctionalError(
-                f"Custom needs a vectorised fn; on an array it raised: {exc}"
-            ) from exc
-        if out.shape != t.shape:
-            raise UnsupportedFunctionalError(
-                f"Custom fn returned shape {out.shape} for input shape {t.shape}"
-            )
-        return out
-
-    def validate(self):
-        vals = self.value(np.linspace(0.0, _CUSTOM_SCREEN_UPPER, 257))
-        if abs(vals[0]) > 1e-12:
-            raise UnsupportedFunctionalError(f"need G(0) = 0, got G(0) = {vals[0]}")
-        d1 = np.diff(vals)
-        if np.any(d1 < -1e-10):
-            raise UnsupportedFunctionalError("G must be nondecreasing")
-        if np.any(np.diff(d1) < -1e-9):
-            raise UnsupportedFunctionalError("G failed the convexity screen")
-
-    def value(self, t):
-        return self._apply(self.fn, t)
-
-    def derivative(self, t):
-        if self.fn_prime is not None:
-            return self._apply(self.fn_prime, t)
-        t = np.asarray(t, dtype=float)
-        h = 1e-7
-        up = self.value(t + h)
-        dn = self.value(np.maximum(t - h, 0.0))
-        return (up - dn) / (np.minimum(t, h) + h)
-
-
 def convex_functional(
     f: TestFunction, params: FockParams, G: ConvexFunction, method=GaussHermite()
 ) -> FunctionalEstimate:
@@ -828,7 +772,6 @@ def convex_functional(
     Runs through the norm backends with log_h = log G(u) + (alpha p/2)|x|^2,
     log G(u) from G.log_value(log u).
     """
-    G.validate()
     if not f.has_envelope(params):
         raise NoEnvelopeError("density is unbounded; the functional diverges")
 

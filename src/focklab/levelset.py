@@ -562,7 +562,6 @@ def layer_cake(
     G takes t, so this raises MethodUnavailableError where a cell edge is not
     a normal double.
     """
-    G.validate()
     grid = grid or LevelGrid()
     log_t_max = find_max(f, params, seed=seed).log_t_max
     exact = f.radial_profile(params) is not None
@@ -580,19 +579,18 @@ def layer_cake(
     ts8, ts16 = (mid[:, None] + half[:, None] * nodes for nodes, _ in (_GL8, _GL16))  # a row per cell
     t_end = float(edges[-1])
     G_end = float(G.value(np.array([t_end]))[0])
+    ts = np.concatenate([ts8.ravel(), ts16.ravel(), [t_end]])  # both rules' nodes and t_end
     if exact:
-        mu8, mu16 = superlevel_measure_exact(f, params, ts8), superlevel_measure_exact(f, params, ts16)
-        mu_end, sd = superlevel_measure_exact(f, params, t_end), 0.0
+        mu, sd = superlevel_measure_exact(f, params, ts), 0.0
     else:
-        # one cloud counts hits at both rules' nodes and t_end; weights . mu is the GL16 sum plus tail
-        ts = np.concatenate([ts8.ravel(), ts16.ravel(), [t_end]])
+        # one cloud counts hits at every node; weights . mu is the GL16 sum plus tail
         weights = np.zeros(ts.size)
         weights[ts8.size :] = np.append(half[:, None] * _GL16[1] * G.derivative(ts16), G_end)
         order = np.argsort(-ts)
         cloud = _nested_measures(f, params, log_edges[1:], samples, seed, np.log(ts[order]), weights[order])
-        mu = cloud.mu[np.argsort(order)]
-        mu8, mu16 = mu[: ts8.size].reshape(ts8.shape), mu[ts8.size : -1].reshape(ts16.shape)
-        mu_end, sd = float(mu[-1]), math.sqrt(cloud.weighted_var)
+        mu, sd = cloud.mu[np.argsort(order)], math.sqrt(cloud.weighted_var)
+    mu8, mu16 = mu[: ts8.size].reshape(ts8.shape), mu[ts8.size : -1].reshape(ts16.shape)
+    mu_end = float(mu[-1])
     coarse = float(half @ ((mu8 * G.derivative(ts8)) @ _GL8[1]))
     fine = float(half @ ((mu16 * G.derivative(ts16)) @ _GL16[1]))
     tail = mu_end * G_end

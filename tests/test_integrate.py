@@ -18,7 +18,7 @@ from scipy.special import gammaln, logsumexp, roots_genlaguerre, roots_hermite, 
 from focklab import (
     Coherent,
     Constant,
-    Custom,
+    ConvexFunction,
     ExpQuadratic,
     FockParams,
     GaussHermite,
@@ -37,6 +37,7 @@ from focklab import (
     envelope_radius,
     fock_norm,
     gauss_hermite_integrate,
+    layer_cake,
     log_density_batch,
     mc_integrate,
     norm_constant,
@@ -303,15 +304,18 @@ def test_gh_norm_memory_budget():
 
 
 def test_mc_norm_memory_budget(monkeypatch):
-    # 10^6 samples at m = 4 in blocks of 2^16 rows on 4 lanes, the most: their buffers (8.4 MB together),
-    # and each lane's log_h and weights; measured 9.5 MB, budget +10%
+    # 10^6 samples at m = 4 in blocks of 2^16 rows on 4 lanes, the most. The most the lanes can hold at
+    # once: their buffers, 4 x 2^16 x 4 doubles = 8.39 MB, plus in each lane the array log_h returns and
+    # the block's log-ratios w, 2 x 2^16 doubles = 1.05 MB, so 12.58 MB, and 0.1 MB for the streams and
+    # results. Measured 8.93-10.51 MB over 90 runs, as the lanes' temporaries overlap (numpy reuses
+    # log_h's array for w here: one lane alone peaks at its buffer plus 0.53 MB).
     monkeypatch.setattr(integrate, "_lane_count", lambda: 4)
     peak = _traced_peak(
         lambda: fock_norm(
             Constant(value=1.0, dim=4), FockParams(4, 2.0, 1.0), method=MonteCarlo(samples=1_000_000, seed=0)
         )
     )
-    assert peak <= 10.4e6
+    assert peak <= 12.7e6
 
 
 def test_gh_functional_memory_budget():
@@ -1119,14 +1123,21 @@ def test_functional_backend_agreement():
     assert abs(mc.value - gh.value) <= 4.0 * (mc.error_bound + gh.error_bound)
 
 
+class _Square(ConvexFunction):
+    """G(t) = t^2 through the generic ConvexFunction.log_value: exp, value, log."""
+
+    def value(self, t):
+        return np.asarray(t, dtype=float) ** 2
+
+
 @pytest.mark.parametrize(
     "method", [GaussHermite(32), Radial(), MonteCarlo(samples=200_000, seed=3)], ids=repr
 )
 def test_power_log_value_matches_the_generic_path(method):
-    # Power takes log G(u) = r log u; Custom goes through exp, G and log
+    # Power takes log G(u) = r log u; the subclass goes through exp, G and log
     f = Coherent(center=(1.0, 0.0), alpha=1.0)
     power = convex_functional(f, P2, Power(2.0), method=method)
-    generic = convex_functional(f, P2, Custom(fn=lambda t: t**2), method=method)
+    generic = convex_functional(f, P2, _Square(), method=method)
     assert abs(power.value - generic.value) <= power.error_bound + generic.error_bound
 
 
@@ -1143,53 +1154,63 @@ def test_power_log_value_is_log_of_value():
 
 
 def test_power_validation():
-    with pytest.raises(UnsupportedFunctionalError):
-        convex_functional(Constant(value=1.0, dim=2), P2, Power(0.5))
+    # a G is checked where it is built
+    for exponent in (0.5, 0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(UnsupportedFunctionalError, match="exponent"):
+            Power(exponent)
 
 
 def test_piecewise_linear_validation_and_value():
     G = PiecewiseLinear(knots=(0.5,), slopes=(0.0, 2.0))
-    G.validate()
     assert G.value(np.array([0.25]))[0] == pytest.approx(0.0)
     assert G.value(np.array([1.5]))[0] == pytest.approx(2.0)
-    with pytest.raises(UnsupportedFunctionalError):
-        PiecewiseLinear(knots=(0.5,), slopes=(2.0, 1.0)).validate()  # concave
-    with pytest.raises(UnsupportedFunctionalError):
-        PiecewiseLinear(knots=(0.5, 0.4), slopes=(0.0, 1.0, 2.0)).validate()
+    with pytest.raises(UnsupportedFunctionalError, match="convexity"):
+        PiecewiseLinear(knots=(0.5,), slopes=(2.0, 1.0))  # concave
+    with pytest.raises(UnsupportedFunctionalError, match="increasing"):
+        PiecewiseLinear(knots=(0.5, 0.4), slopes=(0.0, 1.0, 2.0))
+    with pytest.raises(UnsupportedFunctionalError, match="len"):
+        PiecewiseLinear(knots=(0.5,), slopes=(1.0,))
+    with pytest.raises(UnsupportedFunctionalError, match="nonnegative"):
+        PiecewiseLinear(knots=(0.5,), slopes=(-1.0, 1.0))
 
 
-def test_piecewise_linear_matches_custom():
-    G1 = PiecewiseLinear(knots=(0.5,), slopes=(0.0, 2.0))
-    G2 = Custom(fn=lambda t: np.maximum(0.0, 2.0 * (t - 0.5)))
+# G(u) = 2 max(0, u - 1/2) of u = e^(-r^2): 2 pi times the integral of e^(-s) - 1/2 over s in [0, ln 2]
+_KINKED_G = PiecewiseLinear(knots=(0.5,), slopes=(0.0, 2.0))
+_KINKED_EXACT = math.pi * (1.0 - math.log(2.0))
+
+
+def test_piecewise_linear_closed_form():
     f = Coherent(center=(0.0, 0.0), alpha=1.0)
-    a = convex_functional(f, P2, G1)
-    b = convex_functional(f, P2, G2)
-    assert a.value == pytest.approx(b.value, rel=1e-10)
+    for method in (GaussHermite(64), Radial()):
+        est = convex_functional(f, P2, _KINKED_G, method=method)
+        assert abs(est.value - _KINKED_EXACT) <= est.error_bound, method
+    res = layer_cake(f, P2, _KINKED_G)
+    assert res.mu_mode == "exact-radial"
+    assert abs(res.value - _KINKED_EXACT) <= res.error_bound
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect (ROADMAP item 11): the GH(32)/GH(16) gap does not resolve the kink of G "
+    "at u = 1/2, so GH(32) returns 0.968786, 4.8e-3 off, 1.58x its stated bound 3.03e-3",
+)
+def test_piecewise_linear_closed_form_at_gh32():
+    est = convex_functional(Coherent(center=(0.0, 0.0), alpha=1.0), P2, _KINKED_G, method=GaussHermite(32))
+    assert abs(est.value - _KINKED_EXACT) <= est.error_bound
+
+
+class _DipsBelowZero(ConvexFunction):
+    """t^2 - 1e-18 for t > 0: negative for tiny u in the tails."""
+
+    def value(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t > 0, t * t - 1e-18, 0.0)
 
 
 @pytest.mark.parametrize("method", [GaussHermite(), Radial()], ids=repr)
 def test_negative_G_is_rejected(method):
-    # passes the grid screen on [0, 4] but dips below 0 for tiny u in the tails
-    G = Custom(fn=lambda t: np.where(t > 0, t * t - 1e-18, 0.0))
     with pytest.raises(UnsupportedFunctionalError, match="nonnegative"):
-        convex_functional(Coherent(center=(0.0, 0.0), alpha=1.0), P2, G, method=method)
-
-
-def test_custom_screening():
-    with pytest.raises(UnsupportedFunctionalError):
-        Custom(fn=lambda t: t + 1.0).validate()  # G(0) != 0
-    with pytest.raises(UnsupportedFunctionalError):
-        Custom(fn=lambda t: -t).validate()  # decreasing
-    with pytest.raises(UnsupportedFunctionalError, match="convexity"):
-        Custom(fn=lambda t: np.sqrt(t)).validate()  # concave
-    Custom(fn=lambda t: t * t).validate()
-
-
-def test_custom_needs_vectorised_fn():
-    with pytest.raises(UnsupportedFunctionalError, match="vectorised"):
-        Custom(fn=lambda t: t * t if t > 0 else 0.0).validate()  # scalar-only
-    with pytest.raises(UnsupportedFunctionalError, match="shape"):
-        Custom(fn=lambda t: 0.0).value(np.ones(3))
+        convex_functional(Coherent(center=(0.0, 0.0), alpha=1.0), P2, _DipsBelowZero(), method=method)
 
 
 def test_error_bound_is_nonnegative():

@@ -18,7 +18,6 @@ from scipy.special import gammaln
 from focklab import (
     Coherent,
     Constant,
-    Custom,
     DimensionMismatchError,
     ExpQuadratic,
     FockParams,
@@ -803,21 +802,20 @@ def test_layer_cake_matches_direct_quadrature():
 
 
 @pytest.mark.parametrize(
-    "G",
+    "G, exact",
     [
-        PiecewiseLinear(knots=(0.1,), slopes=(1.0, 3.0)),
-        Custom(fn=lambda t: t * t),
-        Custom(fn=lambda t: t * t, fn_prime=lambda t: 2.0 * t),
+        (PiecewiseLinear(knots=(0.1,), slopes=(1.0, 3.0)), None),
+        (Power(2.0), math.pi / 4.0),  # int u^2 dA = pi/4
     ],
-    ids=["piecewise-linear", "custom-finite-difference", "custom-fn-prime"],
+    ids=["piecewise-linear", "power"],
 )
-def test_layer_cake_through_each_derivative(G):
+def test_layer_cake_through_each_derivative(G, exact):
     # the exact-radial layer cake integrates mu * G', so each derivative rule is exercised
     res = layer_cake(Monomial(powers=(1,)), P2, G)
     assert res.mu_mode == "exact-radial"
     assert res.discrepancy <= 3.0 * (res.error_bound + res.direct_error) + 1e-12
-    if isinstance(G, Custom):  # G = t^2: int u^2 dA = pi/4
-        assert res.value == pytest.approx(math.pi / 4.0, abs=1e-5)
+    if exact is not None:
+        assert res.value == pytest.approx(exact, abs=1e-5)
 
 
 def test_layer_cake_rule_gap_covers_a_coarse_grid():

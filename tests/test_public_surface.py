@@ -1,8 +1,12 @@
-"""The public names: every exported name resolves, and so does every name the benchmark uses."""
+"""The public names: every exported name resolves, and so does every name the benchmark uses.
+
+The README's Library example runs and shows what its comments claim.
+"""
 
 import ast
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -10,7 +14,8 @@ import pytest
 import focklab
 import focklab.cli
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.mark.parametrize("name", ["functions", "integrate", "levelset", "verify", "cli"])
@@ -56,3 +61,20 @@ def test_benchmark_reads_only_names_that_exist(script):
         and node.value.id in modules and not hasattr(modules[node.value.id], node.attr)
     )
     assert not missing, f"perfbench/{script} reads names focklab does not define: {missing}"
+
+
+def test_readme_library_example():
+    # the first python block of README.md, run statement by statement, keeping each bare expression's value
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, shown = {}, []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            shown.append(eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([stmt], type_ignores=[]), "README.md", "exec"), namespace)
+    value, report, violations = shown
+    est, p = namespace["est"], namespace["params"].p  # p = 4
+    assert abs(value - (2.0 / p) ** 0.5 * math.gamma(1.0 + p / 2.0) ** (1.0 / p)) <= est.value_error
+    assert report.passed and report.details["equality_detected"] is True
+    assert violations == ()
