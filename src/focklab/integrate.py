@@ -208,20 +208,20 @@ def _refine(log_h: Callable, coarse, fine, pruned=None) -> IntegralEstimate:
     """Integral of exp(log_h) on the fine rule; relative error max(|coarse/fine - 1|, roundoff).
 
     Rules yield (X, logw_table, offset).  `pruned`, if given, maps log coarse to
-    None or to (rule, log tail): a rule that skips some fine nodes, run in place
-    of `fine`, and the log of a bound on what they add, added to the error.
+    None or to a rule that skips fine nodes adding at most 2^-53 coarse in all;
+    it runs in place of `fine`, and that cap over the fine value is added to the error.
     Raises MethodUnavailableError when either log-integral is nan or +inf.
     """
     log_coarse, _ = _integral(log_h, coarse)
-    log_tail = -math.inf
-    if pruned is not None and (rule_tail := pruned(log_coarse)) is not None:
-        fine, log_tail = rule_tail
+    log_cap = -math.inf
+    if pruned is not None and (rule := pruned(log_coarse)) is not None:
+        fine, log_cap = rule, log_coarse - 53.0 * math.log(2.0)
     log_value, n = _integral(log_h, fine)
     if log_value == -math.inf:  # a zero fine value: the coarse one, its own size as error
         return IntegralEstimate(log_coarse, 1.0 if log_coarse > -math.inf else 0.0)
     log_ratio = log_coarse - log_value
     gap = abs(math.expm1(log_ratio)) if log_ratio <= _LOG_FLOAT_MAX else math.inf
-    return IntegralEstimate(log_value, max(gap, _roundoff(log_value, n)) + _exp(log_tail - log_value))
+    return IntegralEstimate(log_value, max(gap, _roundoff(log_value, n)) + _exp(log_cap - log_value))
 
 
 @lru_cache(maxsize=32)
@@ -313,34 +313,14 @@ def _outer_sum(v: np.ndarray, d: int, out: np.ndarray) -> None:
         out[0] = 0.0
 
 
-def _gh_skipped_mass(params: FockParams, n: int, radius: float) -> float:
-    """Sum of w e^{|y|^2} (Jacobian included) over the nodes _gh_rule(params, n, radius) skips.
-
-    A node x = s y of weight w adds [w e^{|y|^2}] u(x) to the integral of
-    exp(log_h), u = exp(log_h - (alpha p/2)|x|^2), so t times this sum bounds
-    what the skipped nodes add wherever u < t outside the ball.  It is the
-    closed form (sum_j w_j e^{y_j^2})^m less the kept sub-grids, exact to a
-    few ulps of the whole sum.
-    """
-    m = params.m
-    y, lw = _gh_axis(n)
-    scale, log_jac = _gh_frame(params)
-    a = np.exp(lw + y * y)
-    k = _gh_outer_dims(m, n)
-    kept = sum(
-        math.prod(a[i] for i in outer) * a[lo:hi].sum() ** (m - k)
-        for outer, lo, hi in _gh_cuts(n, k, radius / scale)
-    )
-    return max(a.sum() ** m - kept, 0.0) * math.exp(log_jac)
-
-
 def _gh_pruned(params: FockParams, n: int, envelope: Callable, log_coarse: float):
-    """(the n^m rule without its nodes outside the envelope ball, log of a bound on what they add), or None.
+    """The n^m rule without its nodes outside the envelope ball, or None for the full rule.
 
-    Takes log t = log coarse - 53 log 2 - log S, S the sum of w e^{|y|^2} over
-    all nodes, so the skipped nodes add at most t S <= 2^-53 coarse; t need
-    not be a double.  None, for the full rule, when coarse is zero or the ball
-    holds no node.
+    A node x = s y of weight w (Jacobian included) adds w e^{|y|^2} u(x) to the
+    integral of exp(log_h), u = exp(log_h - (alpha p/2)|x|^2).  So the ball at
+    log t = log coarse - 53 log 2 - log S, S the sum of w e^{|y|^2} over all
+    nodes, leaves out nodes that add at most t S = 2^-53 coarse; t need not be
+    a double.  None when coarse is zero or the ball holds no node.
     """
     if log_coarse == -math.inf:
         return None
@@ -350,8 +330,7 @@ def _gh_pruned(params: FockParams, n: int, envelope: Callable, log_coarse: float
     radius = envelope(log_t) * (1.0 + 1e-12)  # covers the rounding of the radius and of |y|^2
     if not params.m * float(np.min(y * y)) <= (radius / scale) ** 2:
         return None
-    with np.errstate(divide="ignore"):  # nothing skipped: a tail of 0
-        return _gh_rule(params, n, radius), log_t + float(np.log(_gh_skipped_mass(params, n, radius)))
+    return _gh_rule(params, n, radius)
 
 
 def gauss_hermite_integrate(
@@ -366,8 +345,8 @@ def gauss_hermite_integrate(
     log u(x) = log_h(x) - (alpha p/2)|x|^2 < log t wherever |x| > R.  Then a
     fine grid of more than _CHUNK_POINTS nodes skips the nodes outside that
     ball at t = 2^-53 coarse / sum(w e^{|y|^2}), taken in logs at every scale,
-    and relative_error gains t times the skipped sum of w e^{|y|^2} (at most
-    2^-53 coarse) over the fine value.
+    so the skipped nodes add at most 2^-53 coarse, and relative_error gains
+    that cap over the fine value.
     """
     n, m = int(nodes_per_axis), params.m
     if m > 6:

@@ -116,8 +116,9 @@ class LevelGrid:
     ratio: float = 0.9
 
     def __post_init__(self):
-        if self.count < 2:
-            raise InvalidInputError("grid needs at least 2 levels")
+        if not float(self.count).is_integer() or self.count < 2:
+            raise InvalidInputError(f"grid needs an integer count of at least 2 levels, got {self.count}")
+        object.__setattr__(self, "count", int(self.count))
         if not (0 < self.ratio < 1):
             raise InvalidInputError("grid ratio must lie in (0, 1)")
 
@@ -132,14 +133,14 @@ class LevelProfile:
 
     violations holds triples (t_hi, t_lo, excess): adjacent grid levels where g
     dropped while t decreased, by more than 3x the propagated sampling error;
-    violation_levels holds the index of each t_lo.  t_max, t_grid and g read
-    inf or 0 outside the double range; mu and the flags do not depend on it.
+    violation_levels holds the index of each t_lo.  t_max is derived,
+    exp(log_t_max); it, t_grid and g read inf or 0 outside the double range;
+    mu and the flags do not depend on it.
     """
 
     params: FockParams
     variant: IsoperimetricVariant
     log_t_max: float
-    t_max: float
     t_grid: np.ndarray
     mu: np.ndarray
     mu_stderr: np.ndarray
@@ -150,6 +151,7 @@ class LevelProfile:
     samples: int
     seed: int
     points: int  # density evaluations made for mu, all levels together
+    t_max = property(lambda self: _exp(self.log_t_max))
 
     def violation_flags(self) -> np.ndarray:
         return np.isin(np.arange(len(self.t_grid)), self.violation_levels)
@@ -442,11 +444,9 @@ def superlevel_measure_exact(f: TestFunction, params: FockParams, t):
 
 def g_from_mu(mu, t, params: FockParams, variant: IsoperimetricVariant):
     """g(t) = t * exp(kappa(m) * alpha p * mu^(2/m)), as exp(log t + exponent); scalars give a float."""
-    mu, t = np.asarray(mu, dtype=float), np.asarray(t, dtype=float)
-    if not np.all(t > 0):
-        raise InvalidInputError("threshold t must be positive")
-    if np.any(mu < 0):
-        raise InvalidInputError("measure must be nonnegative")
+    mu, t = np.asarray(mu, dtype=float), _thresholds(t)
+    if not np.all(mu >= 0):
+        raise InvalidInputError(f"measure must be nonnegative, got {mu}")
     expo = variant.kappa(params.m) * params.rate * mu ** (2.0 / params.m)
     with np.errstate(over="ignore"):
         g = np.exp(np.log(t) + expo)
@@ -501,7 +501,6 @@ def g_diagnostic(
         params=params,
         variant=variant,
         log_t_max=mx.log_t_max,
-        t_max=mx.t_max,
         t_grid=t_grid,
         mu=mu,
         mu_stderr=mu_err,
@@ -527,15 +526,16 @@ class LayerCakeResult:
     GL16 sum when mu is sampled, plus the tail mu(t_end) G(t_end) below the last
     cell.  direct_error is the direct quadrature's own bound, and mu_mode says
     where mu came from: "exact-radial" (closed form) or "mc" (the level cloud).
+    discrepancy is derived, |value - direct_value|.
     """
 
     value: float
     error_bound: float
     direct_value: float
     direct_error: float
-    discrepancy: float
     t_max: float
     mu_mode: str
+    discrepancy = property(lambda self: abs(self.value - self.direct_value))
 
 
 _GL8 = np.polynomial.legendre.leggauss(8)
@@ -597,6 +597,4 @@ def layer_cake(
     value, err = fine + tail, abs(fine - coarse) + sd + tail
     direct = convex_functional(f, params, G, method=method)
     mode = "exact-radial" if exact else "mc"
-    return LayerCakeResult(
-        value, err, direct.value, direct.error_bound, abs(value - direct.value), float(edges[0]), mode
-    )
+    return LayerCakeResult(value, err, direct.value, direct.error_bound, float(edges[0]), mode)

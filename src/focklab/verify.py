@@ -222,7 +222,10 @@ def check_decay(
     """|f(r w)| exp(-(alpha/2) r^2) dies along every ray, monotonically far out.
 
     The exponent here is alpha/2, independent of p.  t_max at p = 1, which
-    sets the ray length, comes from `find_max`; the details say how.
+    sets the ray length, comes from `find_max`; the details say how.  Each ray
+    is taken over its own peak.  Where a ray rises by more than 1e-12 in
+    [0.6 r_max, r_max], the margin is 1e-12 less the largest such step;
+    otherwise it is 1e-6 less the largest share a ray's far end keeps.
     """
     alpha = params.alpha
     p1 = FockParams(f.m, 1.0, alpha)
@@ -250,15 +253,16 @@ def check_decay(
     with np.errstate(invalid="ignore"):  # nan on a ray where f vanishes identically: it takes no part
         ratio = np.exp(log_v - log_vmax[:, None])  # each ray over its own peak
     rel = np.nan_to_num(ratio[:, -1], nan=-math.inf)
-    rising = np.any(np.diff(ratio[:, radii >= 0.6 * r_max], axis=1) > 1e-12, axis=1)
+    steps = np.diff(ratio[:, radii >= 0.6 * r_max], axis=1)
+    rising = np.any(steps > 1e-12, axis=1)
     worst = np.flatnonzero(rising)[-1] if rising.any() else int(np.argmax(rel))
     worst_rel = max(float(rel.max()), 0.0)
     tail_monotone = not rising.any()
-    margin = float(_DECAY_FRACTION - worst_rel)
+    margin = float(_DECAY_FRACTION - worst_rel) if tail_monotone else float(1e-12 - steps[rising].max())
     return VerificationReport(
         check_name="decay",
         inputs={"fn": _fn_label(f), "alpha": alpha, "n_directions": len(dirs), "seed": seed},
-        passed=bool(margin >= 0.0 and tail_monotone),
+        passed=bool(margin >= 0.0),
         margin=margin,
         tolerance=0.0,
         details={

@@ -413,24 +413,19 @@ def test_mc_points_are_read_only():
 
 def _pruned_index_reference(params, n, radius):
     """The (X, logw_table, offset) chunks of _gh_rule(params, n, radius) from the index reference,
-    filtered node by node.
-
-    Returns them with the sum of w e^{|y|^2} (Jacobian included) over every node left out.
-    """
+    filtered node by node."""
     m = params.m
     y, _ = integrate._gh_axis(n)
     radius_y = radius / math.sqrt(2.0 / params.rate)
     k = next(k for k in range(m + 1) if n ** (m - k) <= integrate._CHUNK_POINTS)
     inner = y[np.indices((n,) * (m - k)).reshape(m - k, n ** (m - k))]
-    chunks, dropped = [], 0.0
+    chunks = []
     for outer, (X, table, offset) in zip(itertools.product(range(n), repeat=k), _gh_index_reference(params, n)):
         rho2 = radius_y * radius_y - sum(y[i] * y[i] for i in outer)
         keep = np.all(np.abs(inner) <= math.sqrt(max(rho2, 0.0)), axis=0) & (rho2 >= 0.0)
-        sq = sum(y[i] * y[i] for i in outer) + np.sum(inner * inner, axis=0)
-        dropped += float(np.sum(np.exp(table[~keep] + offset + sq[~keep])))
         if keep.any():
             chunks.append((X[keep], table[keep], offset))
-    return chunks, dropped
+    return chunks
 
 
 @pytest.mark.parametrize(
@@ -441,22 +436,17 @@ def test_pruned_gh_grid_matches_filtered_index_reference(monkeypatch, m, n, chun
     monkeypatch.setattr(integrate, "_CHUNK_POINTS", chunk_points)
     params = FockParams(m, 2.0, 1.0)
     radius = radius_y * math.sqrt(2.0 / params.rate)
-    ref, dropped = _pruned_index_reference(params, n, radius)
-    chunks = 0
+    chunks, kept = 0, 0
     for (X, table, offset), (X_ref, table_ref, offset_ref) in itertools.zip_longest(
-        integrate._gh_rule(params, n, radius), ref
+        integrate._gh_rule(params, n, radius), _pruned_index_reference(params, n, radius)
     ):
         assert X.flags.f_contiguous and not X.flags.writeable and not table.flags.writeable
         assert np.array_equal(X, X_ref) and np.array_equal(table, table_ref) and offset == offset_ref
-        chunks += 1
-    y, lw = integrate._gh_axis(n)
-    total = float(np.sum(np.exp(lw + y * y))) ** m * (2.0 / params.rate) ** (m / 2.0)
-    skipped = integrate._gh_skipped_mass(params, n, radius)
-    assert skipped == pytest.approx(dropped, rel=1e-12, abs=1e-14 * total)
+        chunks, kept = chunks + 1, kept + len(table)
     if radius_y == 0.5 and m > 2:  # below the least |y|, and no outer node leaves room for an inner one
-        assert chunks == 0 and skipped == pytest.approx(total, rel=1e-14, abs=0.0)
+        assert chunks == 0
     if radius_y == 10.0:  # past the largest |y| times sqrt(m): the full grid
-        assert dropped == 0.0 and skipped <= 1e-14 * total
+        assert kept == n**m
 
 
 def _log_p_abs(f, params):
@@ -529,17 +519,37 @@ def test_pruned_gh_covers_the_nodes_it_skips(case):
 
     log_coarse, _ = integrate._integral(log_h, integrate._gh_rule(params, n))
     log_full, _ = integrate._integral(log_h, integrate._gh_rule(params, 2 * n))
-    rule, log_tail = integrate._gh_pruned(params, 2 * n, envelope, log_coarse)
-    kept = sum(len(table) for _, table, _ in rule)
-    assert 0 < kept <= (2 * n) ** 4 and log_tail <= log_coarse - 53.0 * math.log(2.0)
+    rule = integrate._gh_pruned(params, 2 * n, envelope, log_coarse)
+    sizes = []
+    log_pruned, _ = integrate._integral(lambda X: sizes.append(len(X)) or log_h(X), rule)
+    kept = sum(sizes)
+    assert 0 < kept <= (2 * n) ** 4
     est = gauss_hermite_integrate(log_h, params, n, envelope)
-    tail = math.exp(log_tail - est.log_value)  # relative to the fine value
+    assert est.log_value == log_pruned
+    cap = math.exp(log_coarse - 53.0 * math.log(2.0) - est.log_value)  # 2^-53 coarse over the fine value
     gap = abs(math.expm1(log_coarse - est.log_value))
-    assert est.relative_error == max(gap, integrate._roundoff(est.log_value, kept)) + tail
+    assert est.relative_error == max(gap, integrate._roundoff(est.log_value, kept)) + cap
     full_gap = abs(math.expm1(log_full - est.log_value))
-    assert full_gap <= tail + integrate._roundoff(log_full, (2 * n) ** 4) * math.exp(log_full - est.log_value)
+    assert full_gap <= cap + integrate._roundoff(log_full, (2 * n) ** 4) * math.exp(log_full - est.log_value)
     # the new value lies within its own bound of the value of the whole fine rule
     assert full_gap <= est.relative_error
+
+
+@pytest.mark.parametrize("delta", [-30.0, 0.0, 30.0])
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 4.0])
+@pytest.mark.parametrize("f", default_family_members(4), ids=lambda f: type(f).__name__.lower())
+def test_pruned_gh12_lies_within_the_cap_of_the_full_rule(f, p, delta):
+    # GH(12) at m = 4: the 24^4 fine rule spans 24 chunks of 24^3 nodes, so the envelope prunes it,
+    # and the nodes it skips add at most the cap 2^-53 coarse to the value of the full rule
+    params = FockParams(4, p, 1.0)
+    g = f.log_shifted(delta)
+    log_h = _log_p_abs(g, params)
+    assert integrate._gh_outer_dims(4, 24) == 1
+    est = gauss_hermite_integrate(log_h, params, 12, partial(envelope_radius, g, params))
+    log_coarse, _ = integrate._integral(log_h, integrate._gh_rule(params, 12))
+    log_full, n_full = integrate._integral(log_h, integrate._gh_rule(params, 24))
+    cap = math.exp(log_coarse - 53.0 * math.log(2.0) - log_full)
+    assert abs(math.expm1(est.log_value - log_full)) <= cap + integrate._roundoff(log_full, n_full)
 
 
 def test_fock_norm_prunes_a_fine_rule_of_many_chunks(monkeypatch):
@@ -571,14 +581,12 @@ def test_pruned_gh_keeps_the_same_nodes_at_every_scale(f, p):
     def kept(delta):
         g = f.log_shifted(delta)
         log_coarse, _ = integrate._integral(_log_p_abs(g, params), integrate._gh_rule(params, 32))
-        rule, log_tail = integrate._gh_pruned(params, 64, partial(envelope_radius, g, params), log_coarse)
-        return sum(len(table) for _, table, _ in rule), log_tail - log_coarse
+        rule = integrate._gh_pruned(params, 64, partial(envelope_radius, g, params), log_coarse)
+        return sum(len(table) for _, table, _ in rule)
 
     counts = {delta: kept(delta) for delta in (-30.0, -7.5, 0.0, 12.0, 30.0)}
-    assert len({n for n, _ in counts.values()}) == 1, counts
-    assert counts[0.0][0] < 64**4
-    log_rel_tails = [r for _, r in counts.values()]
-    assert max(log_rel_tails) - min(log_rel_tails) <= 1e-9
+    assert len(set(counts.values())) == 1, counts
+    assert counts[0.0] < 64**4
 
 
 @pytest.mark.parametrize(

@@ -644,6 +644,11 @@ def test_g_from_mu_array_matches_scalar():
         g_from_mu(mu, -t, params, variant)
     with pytest.raises(InvalidInputError):
         g_from_mu(-mu - 1.0, t, params, variant)
+    # the thresholds pass the check of envelope_radius and superlevel_measure: an infinite t is no threshold
+    with pytest.raises(InvalidInputError):
+        g_from_mu(1.0, math.inf, params, variant)
+    with pytest.raises(InvalidInputError):
+        g_from_mu(math.nan, 0.5, params, variant)
 
 
 @pytest.mark.parametrize("call", [find_max, superlevel_measure_exact], ids=lambda c: c.__name__)
@@ -697,6 +702,9 @@ def test_level_grid_contract():
         LevelGrid(count=0, ratio=0.9)
     with pytest.raises(InvalidInputError):
         LevelGrid(count=10, ratio=1.1)
+    with pytest.raises(InvalidInputError):  # as FockParams does for m
+        LevelGrid(count=2.5, ratio=0.9)
+    assert type(LevelGrid(count=3.0).count) is int
 
 
 def test_g_diagnostic_coherent_no_violations():

@@ -217,6 +217,17 @@ def test_decay_along_rays():
         assert report.details["tail_monotone"]
 
 
+def test_decay_margin_follows_the_verdict():
+    # z0 - 6 bounces off its zero at |z| = 6, inside the far window [0.6 r_max, r_max] = [5.05, 8.42]:
+    # the rising tail fails the check on a margin of 1e-12 less its largest far-out step
+    report = check_decay(Polynomial(terms={(0,): -6.0, (1,): 1.0}), P2)
+    assert not report.passed and not report.details["tail_monotone"]
+    assert report.tolerance == 0.0 and report.margin < 0.0
+    for f in default_family_members(2):
+        report = check_decay(f, P2)
+        assert report.passed == (report.margin >= -report.tolerance), f.family
+
+
 def test_decay_reports_how_t_max_was_found():
     # radial families take t_max in closed form and run no search beside it
     for f in (Coherent(center=(1.0, 0.0), alpha=1.0), Monomial(powers=(2,))):
