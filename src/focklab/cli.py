@@ -317,6 +317,7 @@ def _cmd_profile(config: RunConfig, f: TestFunction):
     result = {
         "t_max": profile.t_max,
         "log_t_max": profile.log_t_max,
+        "rule": profile.rule,
         "t": list(profile.t_grid),
         "mu": list(profile.mu),
         "mu_stderr": list(profile.mu_stderr),
@@ -326,7 +327,7 @@ def _cmd_profile(config: RunConfig, f: TestFunction):
         "violations": [list(v) for v in profile.violations],
     }
     rows = zip(profile.t_grid, profile.mu, profile.mu_stderr, profile.g, flags)
-    extra = [("t_max", _fmt(profile.t_max)), ("log_t_max", _fmt(profile.log_t_max))]
+    extra = [("t_max", _fmt(profile.t_max)), ("log_t_max", _fmt(profile.log_t_max)), ("rule", profile.rule)]
     extra.append(("n_violations", str(len(profile.violations))))
     status = 0
     if profile.violations:
@@ -450,7 +451,9 @@ class RunConfig:
     nodes: int = _setting(32, "Gauss-Hermite nodes per axis")
     radial_nodes: int = _setting(48, "Gauss-Laguerre nodes in the radius (--method radial)")
     angular_nodes: int = _setting(64, "nodes of the rule on the sphere (--method radial)")
-    samples: int = _setting(200_000, "MC points per level ball, or per integral with --method mc")
+    samples: int = _setting(
+        200_000, "nodes of the finer ray grid for m <= 3, else MC points per level ball; per integral with --method mc"
+    )
     seed: int = _setting(0, "RNG seed (default FOCKLAB_SEED or 0)", minimum=0)
     levels: int = _setting(60, "number of grid levels", ("profile", "verify"))
     ratio: float = _setting(0.9, "geometric level ratio in (0,1)", ("profile", "verify"))

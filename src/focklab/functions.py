@@ -555,38 +555,120 @@ def log_density_batch(f: TestFunction, params: FockParams, X: np.ndarray) -> np.
     return _log_density_and_weight(f, params, X)[0]
 
 
+def _illinois(phi, lo: np.ndarray, hi: np.ndarray, phi_lo: np.ndarray, phi_hi: np.ndarray, *args: np.ndarray):
+    """Refine brackets lo < hi down to adjacent doubles, all of them in lockstep.
+
+    The ends of bracket i lie on opposite sides: exactly one of phi_lo[i] > 0
+    and phi_hi[i] > 0 holds.  phi(x, *args) gives phi at the points x of the
+    running brackets, each arg cut down to their entries.  Each bracket keeps
+    an end a and its last point b; a step evaluates the false-position point
+    c of a and b, and c replaces a where it lies on the other side than b,
+    else a's value is halved (Illinois); then c becomes b.  Where c is not
+    strictly inside, as once an end is the root to the last bit, the next
+    double inside from the end it fell on or past is taken; where c or the
+    value at an end is not finite, the midpoint.  Every third step, a bracket
+    that has not halved since the last such step, counting the halving of a
+    midpoint taken there, takes the midpoint too, so it shrinks at least as
+    fast as every third bisection would.  A bracket stops when no double lies
+    strictly between its ends.  No input is written to.  Returns (lo, hi,
+    evaluations), the final ends in the callers' order.
+    """
+    a, b, fa, fb = (np.asarray(v, dtype=float) for v in (lo, hi, phi_lo, phi_hi))
+    args = list(args)
+    b_pos = fb > 0.0
+    i = np.arange(a.size)
+    out_lo, out_hi = np.empty(a.size), np.empty(a.size)
+    ref = np.full(a.size, math.inf)  # the width at the last check, halved where it bisected
+    evaluations = steps = 0
+    while i.size:
+        d = b - a
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):  # an infinite phi gives nan
+            c = fb - fa
+            np.divide(d, c, out=c)
+            np.multiply(c, fb, out=c)
+            np.subtract(b, c, out=c)
+        steps += 1
+        check = steps % 3 == 0
+        if check:
+            width = np.abs(d, out=d)
+            slow = width > 0.5 * ref
+            ref = np.where(slow, 0.5 * width, width)  # a slow bracket bisects now
+        outside = (c - a) * (c - b) < 0.0
+        np.logical_not(outside, out=outside)
+        if check:
+            outside |= slow
+        fix = np.flatnonzero(outside)
+        if fix.size:
+            af, bf, cf = a.take(fix), b.take(fix), c.take(fix)
+            l, r = np.minimum(af, bf), np.maximum(af, bf)
+            past = cf >= r
+            # a false position off an infinite end (a zero of f) is no estimate: bisect there too
+            mid = ~np.isfinite(cf + fa.take(fix) + fb.take(fix))
+            if check:
+                mid |= slow.take(fix)
+            cf = np.where(mid, 0.5 * (l + r), np.nextafter(np.where(past, r, l), np.where(past, l, r)))
+            c[fix] = cf
+            stop = np.flatnonzero(~((l < cf) & (cf < r)))
+            if stop.size:
+                done = fix.take(stop)
+                out_lo[i.take(done)], out_hi[i.take(done)] = l.take(stop), r.take(stop)
+                keep = np.ones(i.size, dtype=bool)
+                keep[done] = False
+                keep = np.flatnonzero(keep)  # one array at a time, so one extra copy is alive at once
+                a = a.take(keep)
+                b = b.take(keep)
+                fa = fa.take(keep)
+                fb = fb.take(keep)
+                b_pos = b_pos.take(keep)
+                i = i.take(keep)
+                c = c.take(keep)
+                ref = ref.take(keep)
+                for n in range(len(args)):
+                    args[n] = args[n].take(keep)
+                if not i.size:
+                    break
+        fc = phi(c, *args)
+        evaluations += i.size
+        c_pos = fc > 0.0
+        flip = c_pos != b_pos  # b and c bracket the root: b becomes the kept end
+        a, fa = np.where(flip, b, a), np.where(flip, fb, 0.5 * fa)
+        b, fb, b_pos = c, fc, c_pos
+    return out_lo, out_hi, evaluations
+
+
 def _envelope_bisect(f: TestFunction, params: FockParams, log_t: np.ndarray) -> np.ndarray:
     """Outer roots of the radial bound minus log t, every level of the 1-D array at once.
 
     Each level keeps its own bracket: r_hi doubles until the bound is one unit
-    below log t, the last nonnegative point of a 512-point geometric grid on
-    (1e-9, r_hi) starts the bisection, which runs to adjacent doubles, so a
-    radius does not depend on the other levels of the call.
+    below log t, and the last nonnegative point of a 512-point geometric grid
+    on [1e-9, r_hi] and the grid point after it bracket the root, which
+    `_illinois` refines to adjacent doubles.  The radius is the outer end, at
+    which the bound lies below log t, and it does not depend on the other
+    levels of the call.
     """
-    def phi(r):
+    def phi(r, log_t):
         return params.p * (f._radial_bound_raw(r) + f.log_scale) - 0.5 * params.rate * r * r - log_t
 
     r_hi = np.ones(log_t.shape)
-    while np.any(grow := (phi(r_hi) > -1.0) & (r_hi < 1e8)):
+    while np.any(grow := (phi(r_hi, log_t) > -1.0) & (r_hi < 1e8)):
         r_hi = np.where(grow, 2.0 * r_hi, r_hi)
-    grid = np.geomspace(1e-9, r_hi, 512)  # one column per level
-    nonneg = phi(grid) >= 0.0
+    grid = np.exp(np.linspace(math.log(1e-9), np.log(r_hi), 512))  # geometric, one column per level
+    values = phi(grid, log_t)
+    nonneg = values >= 0.0
     found = nonneg.any(axis=0)
     i_last = 511 - np.argmax(nonneg[::-1], axis=0)
     if np.any(found & (i_last == 511)):
         # positive all the way to r_hi despite phi(r_hi) <= -1: cannot happen
         raise InvalidInputError("envelope bracketing failed")
-    cols = np.arange(log_t.size)
-    lo = grid[np.minimum(i_last, 510), cols]
-    hi = grid[np.minimum(i_last + 1, 511), cols]
-    while True:
-        mid = 0.5 * (lo + hi)
-        inside = (lo < mid) & (mid < hi)
-        if not inside.any():
-            break
-        up = phi(mid) >= 0.0
-        lo, hi = np.where(inside & up, mid, lo), np.where(inside & ~up, mid, hi)
-    return np.where(found, hi, 0.0)
+    cols = np.flatnonzero(found)
+    lo, hi = i_last[cols], i_last[cols] + 1
+    R = np.zeros(log_t.shape)
+    # the refiner's sign classes are "phi > 0" or not, so it refines -phi: lo has phi >= 0, hi phi < 0
+    _, R[cols], _ = _illinois(
+        lambda r, log_t: -phi(r, log_t),
+        grid[lo, cols], grid[hi, cols], -values[lo, cols], -values[hi, cols], log_t[cols],
+    )
+    return R
 
 
 def _thresholds(t) -> np.ndarray:

@@ -320,7 +320,9 @@ def _gh_pruned(params: FockParams, n: int, envelope: Callable, log_coarse: float
     integral of exp(log_h), u = exp(log_h - (alpha p/2)|x|^2).  So the ball at
     log t = log coarse - 53 log 2 - log S, S the sum of w e^{|y|^2} over all
     nodes, leaves out nodes that add at most t S = 2^-53 coarse; t need not be
-    a double.  None when coarse is zero or the ball holds no node.
+    a double.  None when coarse is zero, when the ball holds no node, and when
+    the cuts of `_gh_cuts` keep every node, so the full rule runs as it is and
+    adds no cap.
     """
     if log_coarse == -math.inf:
         return None
@@ -329,6 +331,9 @@ def _gh_pruned(params: FockParams, n: int, envelope: Callable, log_coarse: float
     log_t = log_coarse - 53.0 * math.log(2.0) - params.m * _log_sum_exp(lw + y * y) - log_jac
     radius = envelope(log_t) * (1.0 + 1e-12)  # covers the rounding of the radius and of |y|^2
     if not params.m * float(np.min(y * y)) <= (radius / scale) ** 2:
+        return None
+    k = _gh_outer_dims(params.m, n)
+    if sum(hi - lo == n for _, lo, hi in _gh_cuts(n, k, radius / scale)) == n**k:
         return None
     return _gh_rule(params, n, radius)
 

@@ -25,12 +25,21 @@ from .functions import (
     FockParams,
     TestFunction,
     _check_dims,
+    _illinois,
     _log_density_and_weight,
     _thresholds,
     envelope_radius,
     log_density_batch,
 )
-from .integrate import ConvexFunction, GaussHermite, _block_sizes, _exp, _in_lanes, convex_functional
+from .integrate import (
+    ConvexFunction,
+    GaussHermite,
+    _block_sizes,
+    _exp,
+    _in_lanes,
+    _sphere_rule,
+    convex_functional,
+)
 
 __all__ = [
     "IsoperimetricVariant",
@@ -131,8 +140,11 @@ class LevelGrid:
 class LevelProfile:
     """mu and g sampled on a decreasing threshold grid, with violation records.
 
+    rule says where mu came from: "rays" (m <= 3, ray crossings; mu_stderr is
+    a stated error bound, ray_grid the finer grid's directions and radii) or
+    "cloud" (m >= 4, hit counts; mu_stderr is their sd, ray_grid None).
     violations holds triples (t_hi, t_lo, excess): adjacent grid levels where g
-    dropped while t decreased, by more than 3x the propagated sampling error;
+    dropped while t decreased, by more than 3x the propagated error of mu;
     violation_levels holds the index of each t_lo.  t_max is derived,
     exp(log_t_max); it, t_grid and g read inf or 0 outside the double range;
     mu and the flags do not depend on it.
@@ -151,6 +163,8 @@ class LevelProfile:
     samples: int
     seed: int
     points: int  # density evaluations made for mu, all levels together
+    rule: str  # "rays" (m <= 3) or "cloud" (m >= 4)
+    ray_grid: tuple[int, int] | None  # (directions, radii) of the finer ray grid; None for the cloud
     t_max = property(lambda self: _exp(self.log_t_max))
 
     def violation_flags(self) -> np.ndarray:
@@ -317,7 +331,7 @@ def _search_max(f: TestFunction, params: FockParams, restarts: int = 16, seed: i
 class _NestedCloud:
     mu: np.ndarray  # mu at each threshold
     var: np.ndarray  # Var(mu), one per threshold
-    weighted_var: float  # Var(weights . mu), 0 without weights
+    weighted_var: float | np.ndarray  # Var(weights . mu): 0 without weights, one per row of 2-D weights
     radii: np.ndarray  # padded ball radii R_k, nondecreasing
     points: int  # density evaluations, all shells together
 
@@ -337,7 +351,9 @@ def _nested_measures(f, params, log_grid, samples, seed, log_thresholds=None, we
     nodes); shell j can hit only those below log_grid[j-1].  Hits at t_k >= t_l
     are correlated, Cov(I_k, I_l) = h_k (1 - h_l), where h = (hits + 1) / (n + 2)
     stays positive when no point or every point hits, so Var(mu_k) and
-    Var(weights . mu) take O(thresholds) per shell.
+    Var(weights . mu) take O(thresholds) per shell.  weights is one vector or
+    a 2-D array of them, one weighted_var per row, each row with the bits of
+    its own 1-D call.
 
     Each shell comes in blocks of at most 2^16 rows, numbered in shell order:
     block i draws its normals (the directions), then its uniforms (r^m over
@@ -389,7 +405,9 @@ def _nested_measures(f, params, log_grid, samples, seed, log_thresholds=None, we
         return np.bincount(below, minlength=count + 1)
 
     counts = iter(_in_lanes(block, sizes, list(zip(streams, of_shell)), m + 1))
-    mu, var, weighted_var = np.zeros(count), np.zeros(count), 0.0
+    mu, var = np.zeros(count), np.zeros(count)
+    rows = () if weights is None else np.atleast_2d(weights)
+    weighted_var = [0.0] * len(rows)
     for j, n_j, shell_blocks in zip(shells, n, blocks):
         shell_counts = sum(next(counts) for _ in shell_blocks)  # the shell's blocks, in block order
         at_least = np.cumsum(shell_counts[::-1])[::-1]
@@ -399,9 +417,13 @@ def _nested_measures(f, params, log_grid, samples, seed, log_thresholds=None, we
         h = (hits + 1.0) / (n_j + 2.0)
         s2n = shell[j] ** 2 / n_j
         var[k:] += s2n * (h * (1.0 - h))
-        if weights is not None:  # c.Cov.c = sum_l c_l (1 - h_l) (2 sum_{i<=l} c_i h_i - c_l h_l)
-            ch = weights[k:] * h
-            weighted_var += s2n * float(weights[k:] * (1.0 - h) @ (2.0 * np.cumsum(ch) - ch))
+        for row, c in enumerate(rows):  # c.Cov.c = sum_l c_l (1 - h_l) (2 sum_{i<=l} c_i h_i - c_l h_l)
+            ch = c[k:] * h
+            weighted_var[row] += s2n * float(c[k:] * (1.0 - h) @ (2.0 * np.cumsum(ch) - ch))
+    if weights is None or np.ndim(weights) == 1:
+        weighted_var = weighted_var[0] if weighted_var else 0.0
+    else:
+        weighted_var = np.array(weighted_var)
     return _NestedCloud(mu, var, weighted_var, radii, sum(n))
 
 
@@ -438,6 +460,189 @@ def superlevel_measure_exact(f: TestFunction, params: FockParams, t):
     return float(mu) if mu.ndim == 0 else mu
 
 
+_BLOCK_CROSSINGS = 1 << 13  # crossings of a ray block, at one per level and ray
+_REFINE_CHUNK = 1 << 14  # brackets a ray block refines at once: rays through an annulus cross each level twice
+
+
+@dataclass(frozen=True)
+class _RayMeasures:
+    mu: np.ndarray  # mu at each threshold, from the finer grid
+    error: np.ndarray  # the doubling gap plus the roundoff of the roots and of the sums
+    grid: tuple[int, int]  # (directions, radii) of the finer grid
+    points: int  # density evaluations: both grids and every refinement step
+
+
+def _ray_grid(m: int, samples: int) -> tuple[int, int]:
+    """(angular nodes of integrate._sphere_rule, radial cells) of the finer ray grid for m <= 3.
+
+    From 8 and 8, doubles the angular nodes while the rule has fewer than 4
+    directions per cell, else the cells, until directions x cells reaches
+    `samples`: 1024 x 256 at m = 2 and 2048 x 512 at m = 3 for 200,000 and
+    10^6 samples.  At m = 1 the two rays take at most 2^15 cells each.
+    """
+    n_ang, cells = 8, 8
+
+    def directions(n):
+        return (2, n, n * (n // 2))[m - 1]
+
+    while directions(n_ang) * cells < samples:
+        if m > 1 and directions(n_ang) < 4 * cells:
+            n_ang *= 2
+        elif cells < 1 << 15:
+            cells *= 2
+        else:
+            break
+    return n_ang, cells
+
+
+def _ray_measures(f, params, log_grid, samples, centre) -> _RayMeasures:
+    """mu at decreasing thresholds, m <= 3, from the crossings of log u = log t along rays.
+
+    In polar coordinates about the centre, mu(t) = (1/m) sum over directions
+    w of sum_i s_i r_i^m, over the crossings r_i of the ray with the boundary
+    of {u > t}, s_i = +1 where the ray leaves the set and -1 where it enters
+    it; this holds for any set whose crossings are bracketed, annuli and sets
+    with holes among them.  The directions and weights w come from
+    integrate._sphere_rule.  Each ray is sampled at the ends of equal radial
+    cells from the centre out to |centre| + 1.05 R, R the envelope radius of
+    the lowest level, beyond which u < t; one searchsorted counts the levels
+    below log u at every grid point, so a cell whose two counts differ
+    brackets one crossing of each level in between.  `_illinois` refines all
+    brackets together, down to adjacent doubles, and either end is the root.
+
+    The finer grid has the directions and cells of `_ray_grid(m, samples)`,
+    the coarser one half the angular nodes and half the cells, and mu comes
+    from the finer.  At m <= 2 the coarser grid is every other direction (all
+    of them at m = 1) and every other radius of the finer one, so its mu
+    takes the finer roots its doubled cells still bracket, at its own
+    weights, and costs no evaluation; at m = 3 its rule is evaluated on its
+    own.  The error is |fine - coarse| plus the finer grid's roundoff: per
+    root, the width of its last bracket, and the error of log u - log t,
+    taken as 2^-50 (|log t| + (alpha p/2)|x|^2 + 1), over the slope of that
+    difference across the root's cell; per sum of n terms over b blocks,
+    2^-53 (n + b + 8) times the sum of their sizes.  It rests on the
+    assumption that no cell holds two crossings of one level, which cancel
+    and go unseen: the doubling gap shows such a pair only where one grid
+    resolves it.
+
+    Blocks of whole rays, at most 2^16 grid points and _BLOCK_CROSSINGS
+    crossings at one per level, run in the lanes of integrate._in_lanes; a
+    block refines at most _REFINE_CHUNK brackets at once.  Each block returns its sums per
+    level, and the caller adds them up in block order, so the result is
+    bit-identical for any lane count.  A block reaches the density through _log_density_and_weight, not
+    the wrapped log_density_batch.  Nothing is random.
+    """
+    samples = int(samples)
+    if samples < 1000:
+        raise InvalidInputError(f"need at least 1000 samples, got {samples}")
+    m, count = params.m, len(log_grid)
+    log_t = np.asarray(log_grid, dtype=float)[::-1]  # ascending
+    centre = np.asarray(centre, dtype=float)
+    reach = math.hypot(*centre) + 1.05 * envelope_radius(f, params, log_t[0])
+    n_ang, cells = _ray_grid(m, samples)
+    stride = (1, 2, 0)[m - 1]  # the finer grid's directions per coarser one; 0 where they are not nested
+    rules, jobs, sizes = [], [], []
+    for k, (n, c) in enumerate([(n_ang, cells)] + [(n_ang // 2, cells // 2)] * (stride == 0)):
+        omega, weights = _sphere_rule(m, n)
+        rules.append((omega, weights / m, np.linspace(0.0, reach, c + 1)))
+        # the fewest blocks of whole rays, of near-equal size, with at most 2^16 grid points and, at one
+        # crossing per level, 2^13 crossings each: a lane holds one block's crossings and their refinement
+        rays = len(weights)
+        most = max(1, min(_block_sizes(rays * (c + 1))[0] // (c + 1), _BLOCK_CROSSINGS // count))
+        count_blocks = -(-rays // most)
+        bounds = (rays * np.arange(count_blocks + 1) // count_blocks).tolist()
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            jobs.append((k, lo, hi))
+            sizes.append((hi - lo) * (c + 1))
+
+    def block(buf, job):
+        """Sums per level of w s r^m, root errors, sizes, terms, and the coarser grid's w s r^m; evaluations."""
+        k, lo, hi = job
+        omega, weights, radii = rules[k]
+        omega, weights, n_rad = omega[lo:hi], weights[lo:hi], len(radii)
+        rows = (hi - lo) * n_rad
+        X = buf.reshape(-1)[: rows * m].reshape(m, rows).T  # column-major: a ray's points run down each column
+        for c in range(m):
+            np.multiply.outer(omega[:, c], radii, out=X[:, c].reshape(hi - lo, n_rad))
+            X[:, c] += centre[c]
+        log_u = _log_density_and_weight(f, params, X)[0]
+        below = np.searchsorted(log_t, log_u)  # the levels below log u, whose sets hold the point
+        ends_of = below.reshape(hi - lo, n_rad)
+        cell = np.flatnonzero(ends_of[:, 1:] != ends_of[:, :-1])  # the cells whose counts differ, per ray
+        cell += cell // (n_rad - 1)  # as the grid index of the cell's inner end
+        step = below[cell + 1] - below[cell]
+        n = np.abs(step)  # one crossing per level between the two counts
+        at = np.repeat(np.arange(cell.size), n)
+        level = np.minimum(below[cell], below[cell + 1])[at] + np.arange(at.size) - np.repeat(np.cumsum(n) - n, n)
+        cell = cell[at]
+        ray, j = np.divmod(cell, n_rad)
+        # w s: the ray's weight, + where the count falls (the ray leaves the set), - where it rises
+        w = np.where(step[at] < 0, weights[ray], -weights[ray])
+        coarse = None
+        if stride and k == 0:
+            # the coarser grid's cell doubles this one; it brackets the level where its ends' counts straddle it
+            inner = cell - j % 2
+            ends = below[inner], below[inner + 2]
+            coarse = ((lo + ray) % stride == 0) & (level >= np.minimum(*ends)) & (level < np.maximum(*ends))
+            del inner, ends
+        lt = log_t[level]
+        phi_lo, phi_hi = log_u[cell] - lt, log_u[cell + 1] - lt
+        columns = [omega[:, c][ray] for c in range(m)]
+        del X, log_u, below, ends_of, step, cell, at, n, ray
+
+        def phi(x, lt, *columns):
+            X = np.empty((m, x.size)).T
+            for c, column in enumerate(columns):
+                np.multiply(column, x, out=X[:, c])
+                X[:, c] += centre[c]
+            return _log_density_and_weight(f, params, X)[0] - lt
+
+        # the brackets are refined _REFINE_CHUNK at a time, which bounds a lane's working set
+        h, r, root_error, evaluations = radii[1] - radii[0], np.empty(lt.size), np.empty(lt.size), 0
+        for lo_c in range(0, lt.size, _REFINE_CHUNK):
+            part = slice(lo_c, lo_c + _REFINE_CHUNK)
+            cols, jp, lt_p = [column[part] for column in columns], j[part], lt[part]
+            r_lo, r_hi, e = _illinois(phi, radii[jp], radii[jp + 1], phi_lo[part], phi_hi[part], lt_p, *cols)
+            evaluations += e
+            r_p = r[part] = 0.5 * (r_lo + r_hi)
+            quad = sum((column * r_p + centre[c]) ** 2 for c, column in enumerate(cols))
+            noise = 2.0**-50 * (np.abs(lt_p) + 0.5 * params.rate * quad + 1.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                slope = np.abs(phi_hi[part] - phi_lo[part]) / h
+                # an infinite phi at a cell end (a zero of f) gives no slope: then the whole cell
+                shift = np.fmin(noise / np.where(np.isfinite(slope), slope, 0.0), h)
+            root_error[part] = (r_hi - r_lo) + shift
+        r_m1 = r if m == 2 else r * r if m == 3 else np.ones_like(r)
+        root_error *= m * r_m1  # d(r^m) = m r^(m-1) dr
+        terms = w * r_m1 * r
+        size = np.abs(terms)
+        sums = [
+            np.bincount(level, terms, count),
+            np.bincount(level, np.abs(w) * root_error, count),
+            np.bincount(level, size, count),
+            np.bincount(level, minlength=count),
+        ]
+        if k:  # a block of the coarser rule adds to its mu alone
+            return None, sums[0], evaluations
+        if coarse is not None:
+            coarse = np.bincount(level, np.where(coarse, stride * terms, 0.0), count)
+        return sums, coarse, evaluations
+
+    fine, coarse = [np.zeros(count) for _ in range(4)], np.zeros(count)
+    blocks, points = 0, sum(sizes)
+    for sums, sub, evaluations in _in_lanes(block, sizes, jobs, m):
+        if sums is not None:
+            for total, part in zip(fine, sums):
+                total += part
+            blocks += 1
+        if sub is not None:
+            coarse += sub
+        points += evaluations
+    mu, root_error, size, terms = fine
+    error = np.abs(mu - coarse) + root_error + 2.0**-53 * (terms + blocks + 8.0) * size
+    return _RayMeasures(mu[::-1], error[::-1], (len(rules[0][1]), cells + 1), points)
+
+
 # ---------------------------------------------------------------------------
 # monotone diagnostic
 
@@ -464,25 +669,40 @@ def g_diagnostic(
 ) -> LevelProfile:
     """Profile of the diagnostic g on a geometric grid below the density max.
 
-    All levels are answered from one stratified cloud over nested shells, in
-    which each level sees at least the density of `samples` points in its own
-    ball (`_nested_measures`).  The cloud is drawn in blocks of 2^16 rows,
-    block i from child i of SeedSequence(seed, spawn_key=(0,)), separate from
-    the `find_max` stream default_rng(seed), and its blocks run in the Monte
-    Carlo lanes, so reruns are bit-identical on any number of cores.  Its
-    density calls bypass log_density_batch, so `points` is the one count of
-    them.  Levels share points and are therefore correlated.  A monotonicity
-    violation is recorded only when the drop between adjacent levels exceeds
-    3x the summed propagated errors.
-    The rule runs on g / t_max, which the scale of f leaves unchanged.
+    For m <= 3, mu comes from ray crossings (`_ray_measures`, rule "rays"):
+    the rays start at the radial profile's centre where f has one and at the
+    `find_max` argmax otherwise, `samples` sets the node budget of the finer
+    ray grid, and mu_stderr is the stated error bound.  The rule runs on f
+    with log_scale 0 and on thresholds relative to that function's own peak,
+    so mu and its error are bit-identical under f -> e^delta f; seed only
+    feeds `find_max`.  For m >= 4 all levels are answered from one
+    stratified cloud over nested shells (`_nested_measures`, rule "cloud"),
+    in which each level sees at least the density of `samples` points in its
+    own ball; it is drawn in blocks of 2^16 rows, block i from child i of
+    SeedSequence(seed, spawn_key=(0,)), separate from the `find_max` stream
+    default_rng(seed), and mu_stderr is its sd.  Both rules run their blocks
+    in the Monte Carlo lanes, so reruns are bit-identical on any number of
+    cores, and both bypass log_density_batch, so `points` is the one count of
+    their density evaluations.  Levels share points and are therefore
+    correlated.  A monotonicity violation is recorded only when the drop
+    between adjacent levels exceeds 3x the summed propagated errors.  The
+    rule runs on g / t_max, which the scale of f leaves unchanged.
     """
     grid = grid or LevelGrid()
-    mx = find_max(f, params, restarts=restarts, seed=seed)
     log_rel = grid.log_levels()[1:]  # log(t / t_max)
-    log_grid, rel = mx.log_t_max + log_rel, np.exp(log_rel)
-
-    cloud = _nested_measures(f, params, log_grid, samples, seed)
-    mu, mu_err = cloud.mu, np.sqrt(cloud.var)
+    rel = np.exp(log_rel)
+    if params.m <= 3:
+        unscaled = f.log_shifted(-f.log_scale)
+        mx = find_max(unscaled, params, restarts=restarts, seed=seed)
+        profile = unscaled.radial_profile(params)
+        centre = mx.argmax if profile is None else profile.centre
+        rays = _ray_measures(unscaled, params, mx.log_t_max + log_rel, samples, centre)
+        log_t_max = mx.log_t_max + params.p * f.log_scale
+        mu, mu_err, points, rule, ray_grid = rays.mu, rays.error, rays.points, "rays", rays.grid
+    else:
+        log_t_max = find_max(f, params, restarts=restarts, seed=seed).log_t_max
+        cloud = _nested_measures(f, params, log_t_max + log_rel, samples, seed)
+        mu, mu_err, points, rule, ray_grid = cloud.mu, np.sqrt(cloud.var), cloud.points, "cloud", None
     g, up, dn = g_from_mu(
         np.array([mu, mu + mu_err, np.maximum(mu - mu_err, 0.0)]), rel, params, variant
     )
@@ -492,15 +712,16 @@ def g_diagnostic(
     drop = g[:-1] - g[1:]
     thresh = 3.0 * (g_err[:-1] + g_err[1:])
     levels = np.flatnonzero(drop > thresh)
-    t_grid, g, g_err = mx.t_max * rel, mx.t_max * g, mx.t_max * g_err
+    t_max = _exp(log_t_max)
+    t_grid, g, g_err = t_max * rel, t_max * g, t_max * g_err
     violations = [
-        (float(t_grid[k]), float(t_grid[k + 1]), mx.t_max * float(drop[k] - thresh[k])) for k in levels
+        (float(t_grid[k]), float(t_grid[k + 1]), t_max * float(drop[k] - thresh[k])) for k in levels
     ]
 
     return LevelProfile(
         params=params,
         variant=variant,
-        log_t_max=mx.log_t_max,
+        log_t_max=log_t_max,
         t_grid=t_grid,
         mu=mu,
         mu_stderr=mu_err,
@@ -510,7 +731,9 @@ def g_diagnostic(
         violation_levels=tuple(int(k) + 1 for k in levels),
         samples=samples,
         seed=seed,
-        points=cloud.points,
+        points=points,
+        rule=rule,
+        ray_grid=ray_grid,
     )
 
 

@@ -156,6 +156,7 @@ def check_monotone_g(profile: LevelProfile) -> VerificationReport:
             "n_violations": len(profile.violations),
             "violations": list(profile.violations[:10]),
             "t_max": profile.t_max,
+            "rule": profile.rule,
             "points": profile.points,
         },
     )

@@ -25,7 +25,7 @@ from focklab import (
     envelope_radius,
     log_density_batch,
 )
-from focklab.functions import RadialProfile, _neg_lambertw, _sq_norm
+from focklab.functions import RadialProfile, _illinois, _neg_lambertw, _sq_norm
 
 P2 = FockParams(2, 2.0, 1.0)
 
@@ -502,3 +502,33 @@ def test_default_family_members_dimensions():
         for f in default_family_members(m):
             assert f.m == m
     assert len(default_family_members(2)) > len(default_family_members(3))
+
+
+# ---------------------------------------------------------------------------
+# the bracketed root refiner
+
+
+def _log_or_minus_inf(x):
+    with np.errstate(divide="ignore"):
+        return np.log(x)
+
+
+_REFINER_CASES = {  # phi(x, i) for bracket i, and its bracket: exactly one end has phi > 0
+    "simple root": (lambda x, i: 1.0 + i - x * x, 0.0, 60.0),
+    "monomial ray": (lambda x, i: 2.0 * np.log(x) - x * x + 1.0 + 0.05 * (1.0 + i), 1.0, 60.0),
+    "double root": (lambda x, i: np.where(x < 1.0 + i, 1.0, -1.0) * (x - 1.0 - i) ** 2, 0.0, 60.0),
+    "zero of f at an end": (lambda x, i: _log_or_minus_inf(x) - math.log(0.01) - np.log1p(i), 0.0, 60.0),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFINER_CASES))
+def test_illinois_ends_every_bracket_on_adjacent_doubles(case):
+    # 50 brackets in lockstep, each with its own root; the ends keep their sides
+    phi, lo, hi = _REFINER_CASES[case]
+    i = np.arange(50)
+    lo, hi = np.full(50, lo), np.full(50, hi)
+    a, b, evaluations = _illinois(phi, lo, hi, phi(lo, i), phi(hi, i), i)
+    assert np.all(np.nextafter(a, math.inf) == b)
+    assert np.all((phi(a, i) > 0) != (phi(b, i) > 0))
+    # at least as fast as a bisection every third step: 3 x 64 steps span any bracket of doubles
+    assert evaluations <= 50 * 3 * 64

@@ -520,6 +520,15 @@ def test_pruned_gh_covers_the_nodes_it_skips(case):
     log_coarse, _ = integrate._integral(log_h, integrate._gh_rule(params, n))
     log_full, _ = integrate._integral(log_h, integrate._gh_rule(params, 2 * n))
     rule = integrate._gh_pruned(params, 2 * n, envelope, log_coarse)
+    # the ball of expquad c=0.45 keeps every fine node: no pruned rule, so the full one runs bit for bit,
+    # without the per-chunk cuts and without the 2^-53 cap
+    assert (rule is None) == (case == "expquad c=0.45")
+    if rule is None:
+        est = gauss_hermite_integrate(log_h, params, n, envelope)
+        gap = abs(math.expm1(log_coarse - log_full))
+        assert est.log_value == log_full
+        assert est.relative_error == max(gap, integrate._roundoff(log_full, (2 * n) ** 4))
+        return
     sizes = []
     log_pruned, _ = integrate._integral(lambda X: sizes.append(len(X)) or log_h(X), rule)
     kept = sum(sizes)

@@ -48,6 +48,7 @@ from focklab.levelset import (
     superlevel_measure_exact,
     unit_ball_volume,
 )
+from focklab.verify import check_monotone_g
 
 P2 = FockParams(2, 2.0, 1.0)
 
@@ -440,15 +441,12 @@ def test_nested_covariance_matches_replicates():
     f = Monomial(powers=(1,))
     log_grid = np.log(math.exp(-1.0) * np.array([0.9, 0.6, 0.3]))
     pairs = list(itertools.combinations(range(3), 2))
-    pair_weights = [np.eye(3)[k] + np.eye(3)[l] for k, l in pairs]
-    clouds = [
-        [_nested_measures(f, P2, log_grid, 1000, seed, weights=w) for w in pair_weights]
-        for seed in range(2000)
-    ]
-    empirical = np.cov(np.array([c[0].mu for c in clouds]).T)
-    stated = np.diag(np.mean([c[0].var for c in clouds], axis=0))
+    pair_weights = np.array([np.eye(3)[k] + np.eye(3)[l] for k, l in pairs])
+    clouds = [_nested_measures(f, P2, log_grid, 1000, seed, weights=pair_weights) for seed in range(2000)]
+    empirical = np.cov(np.array([c.mu for c in clouds]).T)
+    stated = np.diag(np.mean([c.var for c in clouds], axis=0))
     for i, (k, l) in enumerate(pairs):
-        pair_var = np.mean([c[i].weighted_var for c in clouds])
+        pair_var = np.mean([c.weighted_var[i] for c in clouds])
         stated[k, l] = stated[l, k] = 0.5 * (pair_var - stated[k, k] - stated[l, l])
     sd = np.sqrt(np.diag(stated))
     scale = np.outer(sd, sd)
@@ -550,10 +548,11 @@ def test_nested_measure_above_the_peak_draws_nothing():
 
 
 def test_g_diagnostic_memory_budget(monkeypatch):
-    # 10^6 samples at m = 3, 6.3 M points in blocks of 2^16 rows on 4 lanes, the most: their buffers
-    # of m + 1 columns (8.4 MB together) and each lane's temporaries (1.7 MB at most, measured at one
-    # lane); measured 12.6-14.8 MB over 54 runs, as the lanes' peaks happen to overlap, against a worst
-    # case of 8.4 + 4 x 1.7 = 15.1 MB; budget +10% of the highest measured
+    # 10^6 samples at m = 3 run as rays: a 2048 x 513 grid in 17 blocks and the coarser 512 x 257 one in
+    # 4, each block at most 2^16 points and 8192 crossings, on 4 lanes, the most: their buffers of m
+    # columns (6.3 MB together) and each lane's grid and refinement temporaries (3.6 MB at one lane,
+    # buffer included); measured 12.4-13.7 MB over 16 runs, as the lanes' peaks happen to overlap.  The
+    # budget is the one set for the level cloud this call used to draw (12.6-14.8 MB over 54 runs).
     monkeypatch.setattr(integrate, "_lane_count", lambda: 4)
     f, params = Coherent(center=(0.0, 0.0, 0.0), alpha=1.0), FockParams(3, 2.0, 1.0)
     tracemalloc.start()
@@ -789,6 +788,132 @@ def test_g_diagnostic_stderr_covers_exact_measure():
     z = np.abs(np.concatenate(zs))
     assert np.mean(z > 3.0) <= 0.01
     assert np.max(z) <= 5.0
+
+
+# ---------------------------------------------------------------------------
+# superlevel measures from ray crossings (m <= 3)
+
+
+def _radial_params(f):
+    return FockParams(f.m, 2.0, 1.0)
+
+
+_RAY_RADIAL = [
+    (f, _radial_params(f))
+    for m in (1, 2, 3)
+    for f in default_family_members(m)
+    if f.radial_profile(_radial_params(f)) is not None
+] + [
+    (Coherent(center=(0.8,), alpha=1.0), FockParams(1, 2.0, 1.0)),
+    (Coherent(center=(1.5, -0.5), alpha=1.0), FockParams(2, 2.0, 1.0)),
+    (Coherent(center=(0.7, -0.3), alpha=1.0), FockParams(2, 3.0, 1.0)),
+    (Coherent(center=(-1.0, 0.5, 0.25), alpha=1.0), FockParams(3, 2.0, 1.0)),
+]
+
+
+def _ray_case_id(case):
+    f, params = case
+    return f"{f.family}{getattr(f, 'powers', '')}-m{f.m}-{getattr(f, 'center', '')}-p{params.p:g}"
+
+
+@pytest.mark.parametrize("grid", [LevelGrid(), LevelGrid(30, 0.85)], ids=["60x0.9", "30x0.85"])
+@pytest.mark.parametrize("case", _RAY_RADIAL, ids=_ray_case_id)
+def test_ray_measure_lies_within_its_error_of_the_closed_form(case, grid):
+    # every level, no slack: a bound that under-covers the root or sum errors fails here
+    f, params = case
+    prof = g_diagnostic(f, params, grid)
+    exact = superlevel_measure_exact(f, params, prof.t_grid)
+    assert prof.rule == "rays" and prof.ray_grid is not None
+    assert np.all(prof.mu_stderr > 0)
+    assert np.all(np.abs(prof.mu - exact) <= prof.mu_stderr)
+
+
+_RAY_NON_RADIAL = [
+    (next(g for g in default_family_members(2) if isinstance(g, Polynomial)), P2),
+    (next(g for g in default_family_members(3) if isinstance(g, SumOfCoherent)), FockParams(3, 2.0, 1.0)),
+    (Monomial(powers=(1,)), P2),
+]
+
+
+@pytest.mark.parametrize("chunk", [4000, 1 << 18], ids=["small blocks", "2^16-point blocks"])
+@pytest.mark.parametrize("case", _RAY_NON_RADIAL, ids=_ray_case_id)
+def test_ray_measures_do_not_depend_on_the_lane_count(monkeypatch, case, chunk):
+    # blocks of whole rays, merged in block order whichever lane ran them; threads switch every 10 us
+    f, params = case
+    monkeypatch.setattr(integrate, "_CHUNK_POINTS", chunk)
+    profiles, interval = [], sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        for lanes in (1, 2, 4):
+            monkeypatch.setattr(integrate, "_lane_count", lambda lanes=lanes: lanes)
+            threads = threading.active_count()
+            profiles.append(g_diagnostic(f, params, LevelGrid(20, 0.8), samples=50_000))
+            assert threading.active_count() == threads
+    finally:
+        sys.setswitchinterval(interval)
+    for prof in profiles[1:]:
+        assert np.array_equal(prof.mu, profiles[0].mu) and np.array_equal(prof.mu_stderr, profiles[0].mu_stderr)
+        assert prof.points == profiles[0].points
+
+
+def _verify_cli_specs():
+    from focklab.cli import parse_function_spec
+
+    specs = ("coherent:a=1,0;alpha=1", "monomial:k=1", "sumcoherent:w=0.7;a=0.5,0;w=0.3;a=-1,0")
+    return [(parse_function_spec(spec), P2) for spec in specs]
+
+
+_NO_TRADE = [(f, _radial_params(f)) for m in (2, 3) for f in default_family_members(m)] + _verify_cli_specs()
+
+
+@pytest.mark.parametrize("case", _NO_TRADE, ids=_ray_case_id)
+def test_ray_error_is_within_the_cloud_sd(case):
+    # at the same samples and grid the rays state no larger error than the cloud's sd, at every level
+    f, params = case
+    prof = g_diagnostic(f, params, samples=200_000, seed=0)
+    cloud = _nested_measures(f, params, prof.log_t_max + LevelGrid().log_levels()[1:], 200_000, 0)
+    assert np.all(prof.mu_stderr <= np.sqrt(cloud.var))
+
+
+@pytest.mark.parametrize("f", default_family_members(2) + default_family_members(3), ids=lambda f: f"{f.family}-m{f.m}")
+def test_ray_measures_are_bit_identical_under_scaling(f):
+    # the rule runs on f with log_scale 0 and on thresholds relative to that function's own peak
+    params, grid = _radial_params(f), LevelGrid(12, 0.8)
+    base = g_diagnostic(f, params, grid, samples=20_000, seed=4)
+    for delta in (-400.0, -1.5, 30.0):
+        prof = g_diagnostic(f.log_shifted(delta), params, grid, samples=20_000, seed=4)
+        assert np.array_equal(prof.mu, base.mu) and np.array_equal(prof.mu_stderr, base.mu_stderr)
+
+
+def test_ray_points_count_every_density_evaluation(monkeypatch):
+    # the grid and every refinement step go through the private density call, and nothing else does
+    f = next(g for g in default_family_members(2) if isinstance(g, Polynomial))
+    density, calls = levelset._log_density_and_weight, []
+    monkeypatch.setattr(integrate, "_lane_count", lambda: 1)
+    monkeypatch.setattr(levelset, "_log_density_and_weight", lambda f, p, X: calls.append(len(X)) or density(f, p, X))
+    prof = g_diagnostic(f, P2, LevelGrid(10, 0.8), samples=20_000)
+    directions, radii = prof.ray_grid
+    assert prof.points == sum(calls) > directions * radii
+    assert check_monotone_g(prof).details["rule"] == "rays"
+
+
+def test_g_diagnostic_keeps_the_cloud_from_m4():
+    # m >= 4 takes mu and its sd from _nested_measures, bit for bit
+    f, params, grid = Monomial(powers=(1, 1)), FockParams(4, 2.0, 1.0), LevelGrid(10, 0.8)
+    prof = g_diagnostic(f, params, grid, samples=20_000, seed=3)
+    cloud = _nested_measures(f, params, prof.log_t_max + grid.log_levels()[1:], 20_000, 3)
+    assert prof.rule == "cloud" and prof.ray_grid is None
+    assert np.array_equal(prof.mu, cloud.mu) and np.array_equal(prof.mu_stderr, np.sqrt(cloud.var))
+    assert prof.points == cloud.points
+
+
+def test_nested_weight_rows_match_one_dimensional_calls():
+    # a 2-D weights array gives one weighted_var per row, each with the bits of its own 1-D call
+    log_grid = np.log(math.exp(-1.0) * np.array([0.9, 0.6, 0.3]))
+    rows = np.array([[1.0, 0.0, 2.0], [0.5, 1.5, -1.0]])
+    both = _nested_measures(Monomial(powers=(1,)), P2, log_grid, 5000, 7, weights=rows)
+    for row, w in zip(both.weighted_var, rows):
+        assert row == _nested_measures(Monomial(powers=(1,)), P2, log_grid, 5000, 7, weights=w).weighted_var
 
 
 # ---------------------------------------------------------------------------
