@@ -523,8 +523,9 @@ def _ray_measures(f, params, log_grid, samples, centre) -> _RayMeasures:
     2^-53 (n + b + 8) times the sum of their sizes.  It rests on the
     assumption that no cell holds two crossings of one level, which cancel
     and go unseen: the doubling gap shows such a pair only where one grid
-    resolves it.  Rays from a point on a ring of maxima graze the top level
-    sets and break it, so the centre should lie well inside the top set.
+    resolves it.  Where rays cross a small hole of a level set off the
+    centre, the angular sum has square-root edges and the gap can fall short
+    of the finer grid's error.
 
     Blocks of whole rays, at most 2^16 grid points and _BLOCK_CROSSINGS
     crossings at one per level, run in the lanes of integrate._in_lanes; a
