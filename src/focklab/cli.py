@@ -318,6 +318,8 @@ def _cmd_profile(config: RunConfig, f: TestFunction):
         "t_max": profile.t_max,
         "log_t_max": profile.log_t_max,
         "rule": profile.rule,
+        "ray_grid": None if profile.ray_grid is None else list(profile.ray_grid),
+        "points": profile.points,
         "t": list(profile.t_grid),
         "mu": list(profile.mu),
         "mu_stderr": list(profile.mu_stderr),
@@ -328,6 +330,8 @@ def _cmd_profile(config: RunConfig, f: TestFunction):
     }
     rows = zip(profile.t_grid, profile.mu, profile.mu_stderr, profile.g, flags)
     extra = [("t_max", _fmt(profile.t_max)), ("log_t_max", _fmt(profile.log_t_max)), ("rule", profile.rule)]
+    extra.append(("ray_grid", "none" if profile.ray_grid is None else "x".join(map(str, profile.ray_grid))))
+    extra.append(("points", str(profile.points)))
     extra.append(("n_violations", str(len(profile.violations))))
     status = 0
     if profile.violations:
@@ -452,7 +456,9 @@ class RunConfig:
     radial_nodes: int = _setting(48, "Gauss-Laguerre nodes in the radius (--method radial)")
     angular_nodes: int = _setting(64, "nodes of the rule on the sphere (--method radial)")
     samples: int = _setting(
-        200_000, "nodes of the finer ray grid for m <= 3, else MC points per level ball; per integral with --method mc"
+        200_000,
+        "cap on the ray grid's nodes for m <= 3, which stops earlier at the roundoff floor; else MC points per"
+        " level ball; per integral with --method mc",
     )
     seed: int = _setting(0, "RNG seed (default FOCKLAB_SEED or 0)", minimum=0)
     levels: int = _setting(60, "number of grid levels", ("profile", "verify"))

@@ -141,8 +141,11 @@ class LevelProfile:
     """mu and g sampled on a decreasing threshold grid, with violation records.
 
     rule says where mu came from: "rays" (m <= 3, ray crossings; mu_stderr is
-    a stated error bound, ray_grid the finer grid's directions and radii) or
-    "cloud" (m >= 4, hit counts; mu_stderr is their sd, ray_grid None).
+    a stated error bound, ray_grid the directions and radii of the grid that
+    produced mu, at most the grid `samples` caps) or "cloud" (m >= 4, hit
+    counts; mu_stderr is their sd, ray_grid None).  points counts every
+    density evaluation made for mu: every grid the ray ladder tried, or the
+    cloud.
     violations holds triples (t_hi, t_lo, excess): adjacent grid levels where g
     dropped while t decreased, by more than 3x the propagated error of mu;
     violation_levels holds the index of each t_lo.  t_max is derived,
@@ -164,7 +167,7 @@ class LevelProfile:
     seed: int
     points: int  # density evaluations made for mu, all levels together
     rule: str  # "rays" (m <= 3) or "cloud" (m >= 4)
-    ray_grid: tuple[int, int] | None  # (directions, radii) of the finer ray grid; None for the cloud
+    ray_grid: tuple[int, int] | None  # (directions, radii) of the ray grid that produced mu; None for the cloud
     t_max = property(lambda self: _exp(self.log_t_max))
 
     def violation_flags(self) -> np.ndarray:
@@ -465,20 +468,31 @@ _REFINE_CHUNK = 1 << 14  # brackets a ray block refines at once: rays through an
 
 
 @dataclass(frozen=True)
-class _RayMeasures:
-    mu: np.ndarray  # mu at each threshold, from the finer grid
-    error: np.ndarray  # the doubling gap plus the roundoff of the roots and of the sums
-    grid: tuple[int, int]  # (directions, radii) of the finer grid
-    points: int  # density evaluations: both grids and every refinement step
+class _RayGrid:
+    """One grid of the ray ladder: mu and its error, its distance from the floor, and what the next grid reuses."""
+
+    grid: tuple[int, int]  # (angular nodes, cells)
+    mu: np.ndarray  # per level, ascending
+    error: np.ndarray
+    settled: bool  # the gap plus the whole-cell roots lie within the floating-point terms at every level
+    radial: float  # the gap to half the cells plus the whole-cell roots, all levels together
+    angular: float  # the gap to half the angular nodes, all levels together
+    evaluations: int
+    log_u: np.ndarray | None  # (rays, cells + 1), kept for the next grid
+    keys: np.ndarray | None  # (ray * cells + cell) * levels + level of each crossing, ascending
+    lo: np.ndarray | None  # the last bracket of each crossing's root
+    hi: np.ndarray | None
 
 
 def _ray_grid(m: int, samples: int) -> tuple[int, int]:
-    """(angular nodes of integrate._sphere_rule, radial cells) of the finer ray grid for m <= 3.
+    """(angular nodes of integrate._sphere_rule, radial cells) of the largest ray grid for m <= 3.
 
     From 8 and 8, doubles the angular nodes while the rule has fewer than 4
     directions per cell, else the cells, until directions x cells reaches
     `samples`: 1024 x 256 at m = 2 and 2048 x 512 at m = 3 for 200,000 and
     10^6 samples.  At m = 1 the two rays take at most 2^15 cells each.
+    `samples` is a cap: `_ray_measures` starts from the grid of 1000 samples
+    (64 x 16 at m = 2, 128 x 16 at m = 3) and never passes this one.
     """
     n_ang, cells = 8, 8
 
@@ -495,54 +509,117 @@ def _ray_grid(m: int, samples: int) -> tuple[int, int]:
     return n_ang, cells
 
 
-def _ray_measures(f, params, log_grid, samples, centre) -> _RayMeasures:
+def _ray_measures(f, params, log_grid, samples, centre):
     """mu at decreasing thresholds, m <= 3, from the crossings of log u = log t along rays.
 
-    In polar coordinates about the centre, mu(t) = (1/m) sum over directions
-    w of sum_i s_i r_i^m, over the crossings r_i of the ray with the boundary
-    of {u > t}, s_i = +1 where the ray leaves the set and -1 where it enters
-    it; this holds for any set whose crossings are bracketed, annuli and sets
-    with holes among them.  The directions and weights w come from
-    integrate._sphere_rule.  Each ray is sampled at the ends of equal radial
-    cells from the centre out to |centre| + 1.05 R, R the envelope radius of
-    the lowest level, beyond which u < t; one searchsorted counts the levels
-    below log u at every grid point, so a cell whose two counts differ
-    brackets one crossing of each level in between.  `_illinois` refines all
-    brackets together, down to adjacent doubles, and either end is the root.
+    Returns mu, its error, the (directions, radii) of the grid that gave them
+    and the density evaluations of every grid tried.  `_ray_pass` measures
+    one grid; the grid is sized by its own error.  A ladder starts at
+    `_ray_grid(m, 1000)` and stops at the first grid whose discretisation
+    error, the doubling gap plus the roots known only to a whole cell, lies
+    within its floating-point terms at every level: the trapezoid in the
+    angle converges geometrically on a level set seen whole from the centre
+    (Trefethen & Weideman 2014), and stopping only at the roundoff floor is
+    the safeguard of Aurentz & Trefethen 2017.  Otherwise it doubles the
+    cells or the angular nodes, whichever has the larger gap (the cells' with
+    the whole-cell roots), within `_ray_grid(m, samples)`.  It goes straight
+    to that cap grid, which then runs alone and gives its own bits, where an
+    angular doubling cut its gap less than fourfold (algebraic convergence,
+    as over a small hole off the centre, whose chords have square-root edges
+    in the angle); where the next grid would take the ladder's evaluations
+    past a quarter of the cap's, estimated at its points plus half the first
+    grid's refinements per direction (narrower cells take fewer steps); and,
+    at m >= 2, where the first grid has more than an eighth of the cap's
+    directions.  A grid with twice the cells, or at m = 2 twice the angular
+    nodes, reuses the density values and roots of the last one; the
+    Gauss-Legendre polar rule of m = 3 does not nest.
 
-    The finer grid has the directions and cells of `_ray_grid(m, samples)`,
-    the coarser one half the angular nodes and half the cells, and mu comes
-    from the finer.  At m <= 2 the coarser grid is every other direction (all
-    of them at m = 1) and every other radius of the finer one, so its mu
-    takes the finer roots its doubled cells still bracket, at its own
-    weights, and costs no evaluation; at m = 3 its rule is evaluated on its
-    own.  The error is |fine - coarse| plus the finer grid's roundoff: per
-    root, the width of its last bracket, and the error of log u - log t,
-    taken as 2^-50 (|log t| + (alpha p/2)|x|^2 + 1), over the slope of that
-    difference across the root's cell; per sum of n terms over b blocks,
-    2^-53 (n + b + 8) times the sum of their sizes.  It rests on the
-    assumption that no cell holds two crossings of one level, which cancel
-    and go unseen: the doubling gap shows such a pair only where one grid
-    resolves it.  Where rays cross a small hole of a level set off the
-    centre, the angular sum has square-root edges and the gap can fall short
-    of the finer grid's error.
-
-    Blocks of whole rays, at most 2^16 grid points and _BLOCK_CROSSINGS
-    crossings at one per level, run in the lanes of integrate._in_lanes; a
-    block refines at most _REFINE_CHUNK brackets at once.  Each block returns its sums per
-    level, and the caller adds them up in block order, so the result is
-    bit-identical for any lane count.  A block reaches the density through _log_density_and_weight, not
-    the wrapped log_density_batch.  Nothing is random.
+    The error rests on the assumption that no cell holds two crossings of
+    one level, which cancel and go unseen: the gap shows such a pair only
+    where one grid resolves it.  Where rays cross a small hole of a level set
+    off the centre, the gap can fall short of the cap grid's error.
     """
     samples = int(samples)
     if samples < 1000:
         raise InvalidInputError(f"need at least 1000 samples, got {samples}")
-    m, count = params.m, len(log_grid)
+    m = params.m
     log_t = np.asarray(log_grid, dtype=float)[::-1]  # ascending
     centre = np.asarray(centre, dtype=float)
     reach = math.hypot(*centre) + 1.05 * envelope_radius(f, params, log_t[0])
-    n_ang, cells = _ray_grid(m, samples)
-    stride = (1, 2, 0)[m - 1]  # the finer grid's directions per coarser one; 0 where they are not nested
+    cap, grid = _ray_grid(m, samples), _ray_grid(m, 1000)
+
+    def evaluated(grid):  # the (directions, radii) a grid evaluates: at m = 3, its coarser grid's too
+        grids = [grid, (grid[0] // 2, grid[1] // 2)][: 1 + (m == 3)]
+        return [(len(_sphere_rule(m, n)[1]), c + 1) for n, c in grids]
+
+    def rays(grid):
+        return sum(d for d, _ in evaluated(grid))
+
+    if m > 1 and 8 * rays(grid) > rays(cap):
+        grid = cap
+    ray, before, points, budget = None, None, 0, math.inf  # before: the last grid's angular nodes and gap
+    while True:
+        if grid == cap:
+            ray = None  # the cap runs alone
+        ray = _ray_pass(f, params, log_t, centre, reach, grid, ray, grid != cap)
+        points += ray.evaluations
+        if grid == cap or ray.settled:
+            break
+        if before is None:
+            refined = ray.evaluations - sum(d * r for d, r in evaluated(grid))
+            budget = 0.25 * (sum(d * r for d, r in evaluated(cap)) + 0.5 * refined * rays(cap) / rays(grid))
+        if grid[1] < cap[1] and (ray.radial >= ray.angular or grid[0] == cap[0]):
+            step = (grid[0], 2 * grid[1])
+        else:
+            step = (2 * grid[0], grid[1])
+        slow = before is not None and before[0] < grid[0] and ray.angular > 0.25 * before[1]
+        if slow or points + ray.evaluations * rays(step) / rays(grid) > budget:
+            step = cap
+        before, grid = (grid[0], ray.angular), step
+    return ray.mu[::-1], ray.error[::-1], evaluated(grid)[0], points
+
+
+def _ray_pass(f, params, log_t, centre, reach, grid, prev, keep) -> _RayGrid:
+    """mu and its error on one ray grid (angular nodes, cells), with the terms that choose the ladder's step.
+
+    In polar coordinates about the centre, mu(t) = (1/m) sum over directions
+    w of sum_i s_i r_i^m, over the crossings r_i of the ray with the boundary
+    of {u > t}, s_i = +1 where the ray leaves the set and -1 where it enters
+    it, for any set whose crossings are bracketed, annuli and sets with holes
+    among them.  The directions and weights w
+    come from integrate._sphere_rule; each ray is sampled at the ends of
+    equal cells out to `reach`, beyond which u < t at every level.  One
+    searchsorted counts the levels below log u at every grid point, so a
+    cell whose two counts differ brackets one crossing of each level in
+    between; `_illinois` refines the brackets together to adjacent doubles.
+    The error is the gap to the grid of half the angular nodes and half the
+    cells, plus per root the width of its last bracket and the shift of a
+    2^-50 (|log t| + (alpha p/2)|x|^2 + 1) error in log u - log t over its
+    slope across the cell (the whole cell where an end is a zero of f), times
+    m r^(m-1) w, plus per sum of n terms over b blocks 2^-53 (n + b + 8)
+    times the sum of their sizes.  At m <= 2 the grids of half the cells,
+    half the angular nodes and both are sub-grids, whose doubled cells
+    bracket a level where the counts at their ends straddle it, so their mu
+    costs no evaluation; at m = 3 the grid of both halved is evaluated on its
+    own, and the angular gap is taken against it at half the cells.
+
+    Where `prev` is the grid of half the cells, or at m = 2 of half the
+    angular nodes, only the new points are evaluated, and a root `prev` found
+    in the cell holding a crossing is kept where its last bracket lies in the
+    crossing's cell; with `keep` the grid hands its own values and roots on.
+    Without `prev` every point and root is its own.  Blocks of whole rays, at
+    most 2^16 grid points and _BLOCK_CROSSINGS crossings at one per level,
+    run in the lanes of integrate._in_lanes, refining at most _REFINE_CHUNK
+    brackets at once, and their sums are added in block order, so the result
+    is bit-identical for any lane count.  A block reaches the density through
+    _log_density_and_weight, not the wrapped log_density_batch.
+    """
+    m, count = params.m, len(log_t)
+    n_ang, cells = grid
+    # prev has every other radius of this grid, or at m = 2 every other direction
+    halved_cells = prev is not None and prev.grid == (n_ang, cells // 2)
+    halved_angles = prev is not None and m == 2 and prev.grid == (n_ang // 2, cells)
+    stride = (1, 2, 0)[m - 1]  # the grid's directions per direction of half the angular nodes; 0: not nested
     rules, jobs, sizes = [], [], []
     for k, (n, c) in enumerate([(n_ang, cells)] + [(n_ang // 2, cells // 2)] * (stride == 0)):
         omega, weights = _sphere_rule(m, n)
@@ -555,19 +632,38 @@ def _ray_measures(f, params, log_grid, samples, centre) -> _RayMeasures:
         bounds = (rays * np.arange(count_blocks + 1) // count_blocks).tolist()
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             jobs.append((k, lo, hi))
-            sizes.append((hi - lo) * (c + 1))
+            # the new points: the odd directions where prev has every other one, the odd radii where every other
+            new = hi // 2 - lo // 2 if k == 0 and halved_angles else hi - lo
+            sizes.append(max(new * (c // 2 if k == 0 and halved_cells else c + 1), 1))
 
     def block(buf, job):
-        """Sums per level of w s r^m, root errors, sizes, terms, and the coarser grid's w s r^m; evaluations."""
+        """Sums per level (see above) and this block's state, or the coarser grid's w s r^m; evaluations."""
         k, lo, hi = job
         omega, weights, radii = rules[k]
         omega, weights, n_rad = omega[lo:hi], weights[lo:hi], len(radii)
-        rows = (hi - lo) * n_rad
-        X = buf.reshape(-1)[: rows * m].reshape(m, rows).T  # column-major: a ray's points run down each column
+        nested = k == 0 and (halved_cells or halved_angles)
+        new_rays, new_cells = slice(None), slice(None)  # the new points
+        if nested:
+            log_u = np.empty((hi - lo, n_rad))
+            if halved_cells:
+                log_u[:, ::2], new_cells = prev.log_u[lo:hi], slice(1, None, 2)
+            else:  # the even directions are prev's
+                log_u[lo % 2 :: 2] = prev.log_u[(lo + 1) // 2 : (hi + 1) // 2]
+                new_rays = slice(1 - lo % 2, None, 2)
+        new_omega, new_radii = omega[new_rays], radii[new_cells]
+        shape = len(new_omega), len(new_radii)
+        evaluations = shape[0] * shape[1]
+        # column-major: a ray's points run down each column
+        X = buf.reshape(-1)[: evaluations * m].reshape(m, evaluations).T
         for c in range(m):
-            np.multiply.outer(omega[:, c], radii, out=X[:, c].reshape(hi - lo, n_rad))
+            np.multiply.outer(new_omega[:, c], new_radii, out=X[:, c].reshape(shape))
             X[:, c] += centre[c]
-        log_u = _log_density_and_weight(f, params, X)[0]
+        if nested:
+            log_u[new_rays, new_cells] = _log_density_and_weight(f, params, X)[0].reshape(shape)
+        else:
+            log_u = _log_density_and_weight(f, params, X)[0]
+        del X, new_omega
+        log_u = log_u.reshape(-1)
         below = np.searchsorted(log_t, log_u)  # the levels below log u, whose sets hold the point
         ends_of = below.reshape(hi - lo, n_rad)
         cell = np.flatnonzero(ends_of[:, 1:] != ends_of[:, :-1])  # the cells whose counts differ, per ray
@@ -580,17 +676,34 @@ def _ray_measures(f, params, log_grid, samples, centre) -> _RayMeasures:
         ray, j = np.divmod(cell, n_rad)
         # w s: the ray's weight, + where the count falls (the ray leaves the set), - where it rises
         w = np.where(step[at] < 0, weights[ray], -weights[ray])
-        coarse = None
-        if stride and k == 0:
-            # the coarser grid's cell doubles this one; it brackets the level where its ends' counts straddle it
+        half_cells = coarse = half_angles = None
+        if k == 0:
+            # the doubled cell holding this one brackets the level where the counts at its ends straddle it
             inner = cell - j % 2
             ends = below[inner], below[inner + 2]
-            coarse = ((lo + ray) % stride == 0) & (level >= np.minimum(*ends)) & (level < np.maximum(*ends))
+            half_cells = (level >= np.minimum(*ends)) & (level < np.maximum(*ends))
+            if stride:
+                even = (lo + ray) % stride == 0
+                coarse, half_angles = half_cells & even, even
             del inner, ends
         lt = log_t[level]
         phi_lo, phi_hi = log_u[cell] - lt, log_u[cell + 1] - lt
         columns = [omega[:, c][ray] for c in range(m)]
-        del X, log_u, below, ends_of, step, cell, at, n, ray
+        keys = ((lo + ray) * (n_rad - 1) + j) * count + level if keep else None
+        r_lo, r_hi, fresh = radii[j], radii[j + 1], None
+        if nested and prev.keys.size:
+            # prev's key of each crossing: its ray, where prev has it, and prev's cell holding this one
+            if halved_cells:
+                kept, old = True, ((lo + ray) * (n_rad // 2) + j // 2) * count + level
+            else:
+                kept, old = (lo + ray) % 2 == 0, ((lo + ray) // 2 * (n_rad - 1) + j) * count + level
+            near = np.minimum(np.searchsorted(prev.keys, old), prev.keys.size - 1)
+            lo_old, hi_old = prev.lo[near], prev.hi[near]
+            fresh = ~(kept & (prev.keys[near] == old) & (r_lo <= lo_old) & (hi_old <= r_hi))
+            r_lo, r_hi = np.where(fresh, r_lo, lo_old), np.where(fresh, r_hi, hi_old)
+            del near, old, kept, lo_old, hi_old
+        grid_u = log_u.reshape(hi - lo, n_rad) if keep else None
+        del log_u, below, ends_of, step, cell, n, at, ray
 
         def phi(x, lt, *columns):
             X = np.empty((m, x.size)).T
@@ -599,50 +712,71 @@ def _ray_measures(f, params, log_grid, samples, centre) -> _RayMeasures:
                 X[:, c] += centre[c]
             return _log_density_and_weight(f, params, X)[0] - lt
 
-        # the brackets are refined _REFINE_CHUNK at a time, which bounds a lane's working set
-        h, r, root_error, evaluations = radii[1] - radii[0], np.empty(lt.size), np.empty(lt.size), 0
-        for lo_c in range(0, lt.size, _REFINE_CHUNK):
-            part = slice(lo_c, lo_c + _REFINE_CHUNK)
-            cols, jp, lt_p = [column[part] for column in columns], j[part], lt[part]
-            r_lo, r_hi, e = _illinois(phi, radii[jp], radii[jp + 1], phi_lo[part], phi_hi[part], lt_p, *cols)
+        # the new brackets are refined _REFINE_CHUNK at a time, which bounds a lane's working set
+        todo = None if fresh is None else np.flatnonzero(fresh)
+        for lo_c in range(0, level.size if todo is None else todo.size, _REFINE_CHUNK):
+            part = slice(lo_c, lo_c + _REFINE_CHUNK) if todo is None else todo[lo_c : lo_c + _REFINE_CHUNK]
+            cols = [column[part] for column in columns]
+            r_lo[part], r_hi[part], e = _illinois(
+                phi, r_lo[part], r_hi[part], phi_lo[part], phi_hi[part], lt[part], *cols
+            )
             evaluations += e
-            r_p = r[part] = 0.5 * (r_lo + r_hi)
-            quad = sum((column * r_p + centre[c]) ** 2 for c, column in enumerate(cols))
-            noise = 2.0**-50 * (np.abs(lt_p) + 0.5 * params.rate * quad + 1.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                slope = np.abs(phi_hi[part] - phi_lo[part]) / h
-                # an infinite phi at a cell end (a zero of f) gives no slope: then the whole cell
-                shift = np.fmin(noise / np.where(np.isfinite(slope), slope, 0.0), h)
-            root_error[part] = (r_hi - r_lo) + shift
+        h, r = radii[1] - radii[0], 0.5 * (r_lo + r_hi)
+        quad = sum((column * r + centre[c]) ** 2 for c, column in enumerate(columns))
+        noise = 2.0**-50 * (np.abs(lt) + 0.5 * params.rate * quad + 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.abs(phi_hi - phi_lo) / h
+            # an infinite phi at a cell end (a zero of f) gives no slope: then the whole cell
+            whole = ~np.isfinite(slope)
+            root_error = (r_hi - r_lo) + np.fmin(noise / np.where(whole, 0.0, slope), h)
         r_m1 = r if m == 2 else r * r if m == 3 else np.ones_like(r)
         root_error *= m * r_m1  # d(r^m) = m r^(m-1) dr
         terms = w * r_m1 * r
-        size = np.abs(terms)
+        if k:  # a block of the coarser rule adds to its mu alone
+            return None, np.bincount(level, terms, count), evaluations
+        size, root_error = np.abs(terms), np.abs(w) * root_error
         sums = [
             np.bincount(level, terms, count),
-            np.bincount(level, np.abs(w) * root_error, count),
+            np.bincount(level, root_error, count),
             np.bincount(level, size, count),
             np.bincount(level, minlength=count),
+            np.bincount(level, np.where(whole, root_error, 0.0), count),
+            np.bincount(level, np.where(half_cells, terms, 0.0), count),
         ]
-        if k:  # a block of the coarser rule adds to its mu alone
-            return None, sums[0], evaluations
-        if coarse is not None:
-            coarse = np.bincount(level, np.where(coarse, stride * terms, 0.0), count)
-        return sums, coarse, evaluations
+        if stride:
+            sums += [np.bincount(level, np.where(x, stride * terms, 0.0), count) for x in (half_angles, coarse)]
+        return sums, (grid_u, keys, r_lo, r_hi) if keep else None, evaluations
 
-    fine, coarse = [np.zeros(count) for _ in range(4)], np.zeros(count)
-    blocks, points = 0, sum(sizes)
-    for sums, sub, evaluations in _in_lanes(block, sizes, jobs, m):
-        if sums is not None:
-            for total, part in zip(fine, sums):
-                total += part
-            blocks += 1
-        if sub is not None:
-            coarse += sub
-        points += evaluations
-    mu, root_error, size, terms = fine
-    error = np.abs(mu - coarse) + root_error + 2.0**-53 * (terms + blocks + 8.0) * size
-    return _RayMeasures(mu[::-1], error[::-1], (len(rules[0][1]), cells + 1), points)
+    totals = [np.zeros(count) for _ in range(8 if stride else 6)]
+    coarse, blocks, evaluations, parts = np.zeros(count), 0, 0, []
+    for sums, part, e in _in_lanes(block, sizes, jobs, m):
+        evaluations += e
+        if sums is None:  # a block of the coarser rule at m = 3
+            coarse += part
+            continue
+        for total, s in zip(totals, sums):
+            total += s
+        blocks += 1
+        parts.append(part)
+    mu, root_error, size, terms, whole, half_cells = totals[:6]
+    if stride:
+        half_angles, coarse = totals[6:]
+        angular_gap = np.sum(np.abs(mu - half_angles))
+    else:  # at m = 3 the gap to half the angular nodes is taken at half the cells
+        angular_gap = np.sum(np.abs(half_cells - coarse))
+    gap = np.abs(mu - coarse)
+    roundoff = 2.0**-53 * (terms + blocks + 8.0) * size
+    state = [np.concatenate(column) for column in zip(*parts)] if keep else [None] * 4
+    return _RayGrid(
+        grid,
+        mu,
+        gap + root_error + roundoff,
+        bool(np.all(gap + whole <= root_error - whole + roundoff)),
+        float(np.sum(np.abs(mu - half_cells) + whole)),
+        float(angular_gap),
+        evaluations,
+        *state,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -673,8 +807,9 @@ def g_diagnostic(
 
     For m <= 3, mu comes from ray crossings (`_ray_measures`, rule "rays"):
     the rays start at the radial profile's centre where f has one and at the
-    `find_max` argmax otherwise, `samples` sets the node budget of the finer
-    ray grid, and mu_stderr is the stated error bound.  The rule runs on f
+    `find_max` argmax otherwise, the ray grid doubles from a small one until
+    its error reaches the roundoff floor, `samples` caps it (`_ray_grid`),
+    and mu_stderr is the stated error bound.  The rule runs on f
     with log_scale 0 and on thresholds relative to that function's own peak,
     so mu and its error are bit-identical under f -> e^delta f; seed only
     feeds `find_max`.  For m >= 4 all levels are answered from one
@@ -698,9 +833,8 @@ def g_diagnostic(
         mx = find_max(unscaled, params, restarts=restarts, seed=seed)
         profile = unscaled.radial_profile(params)
         centre = mx.argmax if profile is None else profile.centre
-        rays = _ray_measures(unscaled, params, mx.log_t_max + log_rel, samples, centre)
-        log_t_max = mx.log_t_max + params.p * f.log_scale
-        mu, mu_err, points, rule, ray_grid = rays.mu, rays.error, rays.points, "rays", rays.grid
+        mu, mu_err, ray_grid, points = _ray_measures(unscaled, params, mx.log_t_max + log_rel, samples, centre)
+        log_t_max, rule = mx.log_t_max + params.p * f.log_scale, "rays"
     else:
         log_t_max = find_max(f, params, restarts=restarts, seed=seed).log_t_max
         cloud = _nested_measures(f, params, log_t_max + log_rel, samples, seed)

@@ -200,6 +200,19 @@ def test_profile_csv_columns_and_exit(tmp_path):
     assert len(first) == 5 and first[4] in ("0", "1")
 
 
+def test_profile_artifact_reports_the_ray_grid(tmp_path):
+    # the grid that produced mu and every density evaluation, in the JSON result and in the CSV header
+    args = ["profile", "--fn", "coherent:a=1,0;alpha=1", "--levels", "10", "--seed", "4"]
+    f, params = Coherent(center=(1.0, 0.0), alpha=1.0), focklab.FockParams(2, 2.0, 1.0)
+    prof = levelset.g_diagnostic(f, params, levelset.LevelGrid(10), seed=4)
+    assert main(args + ["--format", "json", "--output", str(tmp_path / "prof.json")]) == 0
+    result = json.loads((tmp_path / "prof.json").read_text())["result"]
+    assert (result["rule"], result["ray_grid"], result["points"]) == ("rays", list(prof.ray_grid), prof.points)
+    assert main(args + ["--output", str(tmp_path / "prof.csv")]) == 0
+    lines = (tmp_path / "prof.csv").read_text().splitlines()
+    assert f"# ray_grid={prof.ray_grid[0]}x{prof.ray_grid[1]}" in lines and f"# points={prof.points}" in lines
+
+
 def test_profile_literal_variant_fails(tmp_path, capsys):
     out = tmp_path / "prof.csv"
     code = main([

@@ -146,9 +146,13 @@ def test_monotone_check_reports_points():
         )
 
     prof = profile()
-    # shell 1 alone is a full `samples` cloud; a fresh cloud per level would cost count x samples
+    # 10,000 samples cap the ray grid at 256 directions x 65 radii, which the first grid of the ladder, 64 x 17,
+    # would not save: the cap runs alone, its grid and its refinements; a fresh cloud per level would cost
+    # count x samples
     assert 10_000 <= prof.points < 10 * 10_000
-    assert check_monotone_g(prof).details["points"] == prof.points == profile().points
+    details = check_monotone_g(prof).details
+    assert details["points"] == prof.points == profile().points
+    assert details["ray_grid"] == prof.ray_grid == (256, 65)
 
 
 def test_monotone_check_fails_on_literal_m3():
@@ -214,18 +218,31 @@ def test_decay_along_rays():
     ):
         report = check_decay(f, P2)
         assert report.passed, (f.family, report.details)
-        assert report.details["tail_monotone"]
+        d = report.details
+        assert 0.0 <= d["worst_tail_fraction"] < 1e-6 and d["r_envelope"] < d["r_max"]
 
 
 def test_decay_margin_follows_the_verdict():
-    # z0 - 6 bounces off its zero at |z| = 6, inside the far window [0.6 r_max, r_max] = [5.05, 8.42]:
-    # the rising tail fails the check on a margin of 1e-12 less its largest far-out step
-    report = check_decay(Polynomial(terms={(0,): -6.0, (1,): 1.0}), P2)
-    assert not report.passed and not report.details["tail_monotone"]
-    assert report.tolerance == 0.0 and report.margin < 0.0
     for f in default_family_members(2):
         report = check_decay(f, P2)
         assert report.passed == (report.margin >= -report.tolerance), f.family
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_decay_passes_through_a_zero_of_f_far_out(alpha):
+    # z0 - 6 vanishes at |z| = 6, far out on the ray along +z0, where the density rises again off its zero; it
+    # still dies, so the check passes at every alpha, wherever the zero falls among the sampled radii
+    report = check_decay(Polynomial(terms={(0,): -6.0, (1,): 1.0}), FockParams(2, 2.0, alpha))
+    assert report.passed and report.tolerance == 0.0 and report.margin >= 0.0
+
+
+def test_decay_fails_where_the_envelope_is_too_small(monkeypatch):
+    # the sampled density is checked against the closed-form envelope, not against itself: an envelope 10% short
+    # leaves sampled values above the fraction it stands for
+    envelope = verify.envelope_radius
+    monkeypatch.setattr(verify, "envelope_radius", lambda f, params, log_t: 0.9 * envelope(f, params, log_t))
+    report = check_decay(Coherent(center=(1.0, 0.0), alpha=1.0), P2)
+    assert not report.passed and report.margin < 0.0 and report.details["worst_tail_fraction"] > 1e-6
 
 
 def test_decay_reports_how_t_max_was_found():
