@@ -261,8 +261,8 @@ def check_decay(
     beyond = np.exp(log_v[:, radii >= r_env] - mx.log_t_max).max(axis=1, initial=0.0)  # over t_max
     share = np.maximum(far_end, beyond)
     worst = int(np.argmax(share))
-    worst_share = max(float(share[worst]), 0.0)
-    margin = float(_DECAY_FRACTION - worst_share)
+    worst_share = float(share[worst])
+    margin = _DECAY_FRACTION - worst_share
     return VerificationReport(
         check_name="decay",
         inputs={"fn": _fn_label(f), "alpha": alpha, "n_directions": len(dirs), "seed": seed},
