@@ -477,6 +477,7 @@ class _RayGrid:
     settled: bool  # the gap plus the whole-cell roots lie within the floating-point terms at every level
     radial: float  # the gap to half the cells plus the whole-cell roots, all levels together
     angular: float  # the gap to half the angular nodes, all levels together
+    slow: bool  # at m = 2 that gap is more than a quarter of the one between a half and a quarter of them
     evaluations: int
     log_u: np.ndarray | None  # (rays, cells + 1), kept for the next grid
     keys: np.ndarray | None  # (ray * cells + cell) * levels + level of each crossing, ascending
@@ -523,10 +524,12 @@ def _ray_measures(f, params, log_grid, samples, centre):
     the safeguard of Aurentz & Trefethen 2017.  Otherwise it doubles the
     cells or the angular nodes, whichever has the larger gap (the cells' with
     the whole-cell roots), within `_ray_grid(m, samples)`.  It goes straight
-    to that cap grid, which then runs alone and gives its own bits, where an
-    angular doubling cut its gap less than fourfold (algebraic convergence,
-    as over a small hole off the centre, whose chords have square-root edges
-    in the angle); where the next grid would take the ladder's evaluations
+    to that cap grid, which then runs alone and gives its own bits, where it
+    would double the angular nodes of an m = 2 grid whose gap to half of them
+    is more than a quarter of the gap between a half and a quarter of them
+    (algebraic convergence, as over a small hole off the centre, whose chords
+    have square-root edges in the angle); where the next grid would take the
+    ladder's evaluations
     past a quarter of the cap's, estimated at its points plus half the first
     grid's refinements per direction (narrower cells take fewer steps); and,
     at m >= 2, where the first grid has more than an eighth of the cap's
@@ -557,7 +560,7 @@ def _ray_measures(f, params, log_grid, samples, centre):
 
     if m > 1 and 8 * rays(grid) > rays(cap):
         grid = cap
-    ray, before, points, budget = None, None, 0, math.inf  # before: the last grid's angular nodes and gap
+    ray, points, budget = None, 0, None
     while True:
         if grid == cap:
             ray = None  # the cap runs alone
@@ -565,17 +568,16 @@ def _ray_measures(f, params, log_grid, samples, centre):
         points += ray.evaluations
         if grid == cap or ray.settled:
             break
-        if before is None:
+        if budget is None:
             refined = ray.evaluations - sum(d * r for d, r in evaluated(grid))
             budget = 0.25 * (sum(d * r for d, r in evaluated(cap)) + 0.5 * refined * rays(cap) / rays(grid))
         if grid[1] < cap[1] and (ray.radial >= ray.angular or grid[0] == cap[0]):
             step = (grid[0], 2 * grid[1])
         else:
             step = (2 * grid[0], grid[1])
-        slow = before is not None and before[0] < grid[0] and ray.angular > 0.25 * before[1]
-        if slow or points + ray.evaluations * rays(step) / rays(grid) > budget:
+        if (step[0] > grid[0] and ray.slow) or points + ray.evaluations * rays(step) / rays(grid) > budget:
             step = cap
-        before, grid = (grid[0], ray.angular), step
+        grid = step
     return ray.mu[::-1], ray.error[::-1], evaluated(grid)[0], points
 
 
@@ -598,10 +600,11 @@ def _ray_pass(f, params, log_t, centre, reach, grid, prev, keep) -> _RayGrid:
     slope across the cell (the whole cell where an end is a zero of f), times
     m r^(m-1) w, plus per sum of n terms over b blocks 2^-53 (n + b + 8)
     times the sum of their sizes.  At m <= 2 the grids of half the cells,
-    half the angular nodes and both are sub-grids, whose doubled cells
-    bracket a level where the counts at their ends straddle it, so their mu
-    costs no evaluation; at m = 3 the grid of both halved is evaluated on its
-    own, and the angular gap is taken against it at half the cells.
+    half the angular nodes and both, and at m = 2 of a quarter of the
+    angular nodes, are sub-grids, whose doubled cells bracket a level where
+    the counts at their ends straddle it, so their mu costs no evaluation; at
+    m = 3 the grid of both halved is evaluated on its own, and the angular
+    gap is taken against it at half the cells.
 
     Where `prev` is the grid of half the cells, or at m = 2 of half the
     angular nodes, only the new points are evaluated, and a root `prev` found
@@ -685,6 +688,7 @@ def _ray_pass(f, params, log_t, centre, reach, grid, prev, keep) -> _RayGrid:
             if stride:
                 even = (lo + ray) % stride == 0
                 coarse, half_angles = half_cells & even, even
+                quarter = (lo + ray) % (2 * stride) == 0
             del inner, ends
         lt = log_t[level]
         phi_lo, phi_hi = log_u[cell] - lt, log_u[cell + 1] - lt
@@ -745,9 +749,10 @@ def _ray_pass(f, params, log_t, centre, reach, grid, prev, keep) -> _RayGrid:
         ]
         if stride:
             sums += [np.bincount(level, np.where(x, stride * terms, 0.0), count) for x in (half_angles, coarse)]
+            sums.append(np.bincount(level, np.where(quarter, 2 * stride * terms, 0.0), count))
         return sums, (grid_u, keys, r_lo, r_hi) if keep else None, evaluations
 
-    totals = [np.zeros(count) for _ in range(8 if stride else 6)]
+    totals = [np.zeros(count) for _ in range(9 if stride else 6)]
     coarse, blocks, evaluations, parts = np.zeros(count), 0, 0, []
     for sums, part, e in _in_lanes(block, sizes, jobs, m):
         evaluations += e
@@ -759,9 +764,11 @@ def _ray_pass(f, params, log_t, centre, reach, grid, prev, keep) -> _RayGrid:
         blocks += 1
         parts.append(part)
     mu, root_error, size, terms, whole, half_cells = totals[:6]
+    slow = False
     if stride:
-        half_angles, coarse = totals[6:]
+        half_angles, coarse, quarter = totals[6:]
         angular_gap = np.sum(np.abs(mu - half_angles))
+        slow = m == 2 and angular_gap > 0.25 * np.sum(np.abs(half_angles - quarter))
     else:  # at m = 3 the gap to half the angular nodes is taken at half the cells
         angular_gap = np.sum(np.abs(half_cells - coarse))
     gap = np.abs(mu - coarse)
@@ -774,6 +781,7 @@ def _ray_pass(f, params, log_t, centre, reach, grid, prev, keep) -> _RayGrid:
         bool(np.all(gap + whole <= root_error - whole + roundoff)),
         float(np.sum(np.abs(mu - half_cells) + whole)),
         float(angular_gap),
+        bool(slow),
         evaluations,
         *state,
     )
