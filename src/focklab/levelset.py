@@ -274,6 +274,8 @@ def find_max(
     without bound.  Otherwise `_search_max` runs the multistart simplex search.
     """
     _check_dims(f, params)
+    if restarts < 0:
+        raise InvalidInputError(f"restarts must be at least 0, got {restarts}")
     profile = f.radial_profile(params)
     if profile is None:
         return _search_max(f, params, restarts, seed)
@@ -435,7 +437,7 @@ def superlevel_measure(
 ) -> MeasureEstimate:
     """Uniform hit-counting inside the envelope ball, radius padded by 5 percent.
 
-    The one-level case of the nested-shell estimator behind `g_diagnostic`.
+    The one-level case of the level cloud, `_nested_measures`.
     t is one threshold; `superlevel_measure_exact` takes an array.
     """
     if _thresholds(t).ndim:
@@ -463,8 +465,8 @@ def superlevel_measure_exact(f: TestFunction, params: FockParams, t):
     return float(mu) if mu.ndim == 0 else mu
 
 
-_BLOCK_CROSSINGS = 1 << 13  # crossings of a ray block, at one per level and ray
-_REFINE_CHUNK = 1 << 14  # brackets a ray block refines at once: rays through an annulus cross each level twice
+_BLOCK_CROSSINGS = 1 << 13  # memory bound: crossings of a ray block, at one per level and ray
+_REFINE_CHUNK = 1 << 14  # memory bound: brackets refined at once, as rays through an annulus cross each level twice
 
 
 @dataclass(frozen=True)
@@ -515,27 +517,29 @@ def _ray_measures(f, params, log_grid, samples, centre):
 
     Returns mu, its error, the (directions, radii) of the grid that gave them
     and the density evaluations of every grid tried.  `_ray_pass` measures
-    one grid; the grid is sized by its own error.  A ladder starts at
-    `_ray_grid(m, 1000)` and stops at the first grid whose discretisation
-    error, the doubling gap plus the roots known only to a whole cell, lies
-    within its floating-point terms at every level: the trapezoid in the
-    angle converges geometrically on a level set seen whole from the centre
-    (Trefethen & Weideman 2014), and stopping only at the roundoff floor is
-    the safeguard of Aurentz & Trefethen 2017.  Otherwise it doubles the
-    cells or the angular nodes, whichever has the larger gap (the cells' with
-    the whole-cell roots), within `_ray_grid(m, samples)`.  It goes straight
-    to that cap grid, which then runs alone and gives its own bits, where it
-    would double the angular nodes of an m = 2 grid whose gap to half of them
-    is more than a quarter of the gap between a half and a quarter of them
-    (algebraic convergence, as over a small hole off the centre, whose chords
-    have square-root edges in the angle); where the next grid would take the
-    ladder's evaluations
-    past a quarter of the cap's, estimated at its points plus half the first
-    grid's refinements per direction (narrower cells take fewer steps); and,
-    at m >= 2, where the first grid has more than an eighth of the cap's
-    directions.  A grid with twice the cells, or at m = 2 twice the angular
-    nodes, reuses the density values and roots of the last one; the
-    Gauss-Legendre polar rule of m = 3 does not nest.
+    one grid.  The ladder starts at `_ray_grid(m, 1000)` and stops at the
+    first grid whose discretisation error, the doubling gap plus the roots
+    known only to a whole cell, lies within its floating-point terms at every
+    level: the trapezoid in the angle converges geometrically on a level set
+    seen whole from the centre (Trefethen & Weideman 2014), and stopping only
+    at the roundoff floor is the safeguard of Aurentz & Trefethen 2017.
+    Otherwise it doubles the cells or the angular nodes, whichever has the
+    larger gap (the cells' with the whole-cell roots), and it stops on the
+    cap `_ray_grid(m, samples)` whatever the error.  It jumps to the cap
+    where it would double the angular nodes of an m = 2 grid whose gap to
+    half of them is more than a quarter of the gap between a half and a
+    quarter of them (algebraic convergence, as over a small hole off the
+    centre, whose chords have square-root edges in the angle), and where the
+    next grid would take the ladder past a quarter of the cap's evaluations,
+    estimated at its points plus half the first grid's refinements per
+    direction.  At m >= 2 it starts on the cap where the first grid has more
+    than an eighth of its directions, a trade: at 10,000 samples the centred
+    coherent state would stop on the first grid at a quarter of the cap's
+    points, but a ladder that climbs to the cap costs about a quarter more
+    than the cap alone.  Every grid, the cap too, reuses the density values
+    and roots of a last grid with half its cells or, at m = 2, half its
+    angular nodes; the Gauss-Legendre polar rule of m = 3 does not nest in
+    the angle.
 
     The error rests on the assumption that no cell holds two crossings of
     one level, which cancel and go unseen: the gap shows such a pair only
@@ -562,8 +566,6 @@ def _ray_measures(f, params, log_grid, samples, centre):
         grid = cap
     ray, points, budget = None, 0, None
     while True:
-        if grid == cap:
-            ray = None  # the cap runs alone
         ray = _ray_pass(f, params, log_t, centre, reach, grid, ray, grid != cap)
         points += ray.evaluations
         if grid == cap or ray.settled:
@@ -612,9 +614,8 @@ def _ray_pass(f, params, log_t, centre, reach, grid, prev, keep) -> _RayGrid:
     crossing's cell; with `keep` the grid hands its own values and roots on.
     Without `prev` every point and root is its own.  Blocks of whole rays, at
     most 2^16 grid points and _BLOCK_CROSSINGS crossings at one per level,
-    run in the lanes of integrate._in_lanes, refining at most _REFINE_CHUNK
-    brackets at once, and their sums are added in block order, so the result
-    is bit-identical for any lane count.  A block reaches the density through
+    run in turn on the calling thread, each refining at most _REFINE_CHUNK
+    brackets at once, and their sums are added in block order.  A block calls
     _log_density_and_weight, not the wrapped log_density_batch.
     """
     m, count = params.m, len(log_t)
@@ -623,25 +624,20 @@ def _ray_pass(f, params, log_t, centre, reach, grid, prev, keep) -> _RayGrid:
     halved_cells = prev is not None and prev.grid == (n_ang, cells // 2)
     halved_angles = prev is not None and m == 2 and prev.grid == (n_ang // 2, cells)
     stride = (1, 2, 0)[m - 1]  # the grid's directions per direction of half the angular nodes; 0: not nested
-    rules, jobs, sizes = [], [], []
+    rules, jobs = [], []
     for k, (n, c) in enumerate([(n_ang, cells)] + [(n_ang // 2, cells // 2)] * (stride == 0)):
         omega, weights = _sphere_rule(m, n)
         rules.append((omega, weights / m, np.linspace(0.0, reach, c + 1)))
         # the fewest blocks of whole rays, of near-equal size, with at most 2^16 grid points and, at one
-        # crossing per level, 2^13 crossings each: a lane holds one block's crossings and their refinement
+        # crossing per level, _BLOCK_CROSSINGS crossings each
         rays = len(weights)
         most = max(1, min(_block_sizes(rays * (c + 1))[0] // (c + 1), _BLOCK_CROSSINGS // count))
         count_blocks = -(-rays // most)
         bounds = (rays * np.arange(count_blocks + 1) // count_blocks).tolist()
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            jobs.append((k, lo, hi))
-            # the new points: the odd directions where prev has every other one, the odd radii where every other
-            new = hi // 2 - lo // 2 if k == 0 and halved_angles else hi - lo
-            sizes.append(max(new * (c // 2 if k == 0 and halved_cells else c + 1), 1))
+        jobs += [(k, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
-    def block(buf, job):
+    def block(k, lo, hi):
         """Sums per level (see above) and this block's state, or the coarser grid's w s r^m; evaluations."""
-        k, lo, hi = job
         omega, weights, radii = rules[k]
         omega, weights, n_rad = omega[lo:hi], weights[lo:hi], len(radii)
         nested = k == 0 and (halved_cells or halved_angles)
@@ -657,7 +653,7 @@ def _ray_pass(f, params, log_t, centre, reach, grid, prev, keep) -> _RayGrid:
         shape = len(new_omega), len(new_radii)
         evaluations = shape[0] * shape[1]
         # column-major: a ray's points run down each column
-        X = buf.reshape(-1)[: evaluations * m].reshape(m, evaluations).T
+        X = np.empty((m, evaluations)).T
         for c in range(m):
             np.multiply.outer(new_omega[:, c], new_radii, out=X[:, c].reshape(shape))
             X[:, c] += centre[c]
@@ -716,7 +712,7 @@ def _ray_pass(f, params, log_t, centre, reach, grid, prev, keep) -> _RayGrid:
                 X[:, c] += centre[c]
             return _log_density_and_weight(f, params, X)[0] - lt
 
-        # the new brackets are refined _REFINE_CHUNK at a time, which bounds a lane's working set
+        # the new brackets are refined _REFINE_CHUNK at a time, which bounds the block's working set
         todo = None if fresh is None else np.flatnonzero(fresh)
         for lo_c in range(0, level.size if todo is None else todo.size, _REFINE_CHUNK):
             part = slice(lo_c, lo_c + _REFINE_CHUNK) if todo is None else todo[lo_c : lo_c + _REFINE_CHUNK]
@@ -754,7 +750,7 @@ def _ray_pass(f, params, log_t, centre, reach, grid, prev, keep) -> _RayGrid:
 
     totals = [np.zeros(count) for _ in range(9 if stride else 6)]
     coarse, blocks, evaluations, parts = np.zeros(count), 0, 0, []
-    for sums, part, e in _in_lanes(block, sizes, jobs, m):
+    for sums, part, e in (block(*job) for job in jobs):
         evaluations += e
         if sums is None:  # a block of the coarser rule at m = 3
             coarse += part
@@ -813,40 +809,39 @@ def g_diagnostic(
 ) -> LevelProfile:
     """Profile of the diagnostic g on a geometric grid below the density max.
 
-    For m <= 3, mu comes from ray crossings (`_ray_measures`, rule "rays"):
-    the rays start at the radial profile's centre where f has one and at the
-    `find_max` argmax otherwise, the ray grid doubles from a small one until
-    its error reaches the roundoff floor, `samples` caps it (`_ray_grid`),
-    and mu_stderr is the stated error bound.  The rule runs on f
-    with log_scale 0 and on thresholds relative to that function's own peak,
-    so mu and its error are bit-identical under f -> e^delta f; seed only
-    feeds `find_max`.  For m >= 4 all levels are answered from one
-    stratified cloud over nested shells (`_nested_measures`, rule "cloud"),
-    in which each level sees at least the density of `samples` points in its
-    own ball; it is drawn in blocks of 2^16 rows, block i from child i of
-    SeedSequence(seed, spawn_key=(0,)), separate from the `find_max` stream
-    default_rng(seed), and mu_stderr is its sd.  Both rules run their blocks
-    in the Monte Carlo lanes, so reruns are bit-identical on any number of
-    cores, and both bypass log_density_batch, so `points` is the one count of
-    their density evaluations.  Levels share points and are therefore
-    correlated.  A monotonicity violation is recorded only when the drop
-    between adjacent levels exceeds 3x the summed propagated errors.  The
-    rule runs on g / t_max, which the scale of f leaves unchanged.
+    One `find_max` on f with log_scale 0 gives the peak; both rules measure
+    that function on thresholds relative to its peak, and p log_scale is
+    added to log_t_max once, so mu and its error are bit-identical under
+    f -> e^delta f.  For m <= 3, mu comes from ray crossings (`_ray_measures`,
+    rule "rays") about the radial profile's centre, or else the argmax, on a
+    grid that doubles until its error reaches the roundoff floor, with
+    `samples` as the cap; mu_stderr is the stated error bound and seed only
+    feeds `find_max`.  For m >= 4 one stratified cloud over nested shells
+    (`_nested_measures`, rule "cloud") answers all levels, each at the
+    density of `samples` points in its own ball, drawn in 2^16-row blocks,
+    block i from child i of SeedSequence(seed, spawn_key=(0,)), apart from
+    the `find_max` stream default_rng(seed), so reruns are bit-identical on
+    any number of cores; mu_stderr is its sd.  Both rules bypass
+    log_density_batch, so `points` counts their density evaluations.  Levels
+    share points and are therefore correlated.  A monotonicity violation is
+    recorded only when the drop between adjacent levels exceeds 3x the
+    summed propagated errors; that rule runs on g / t_max, which the scale
+    of f leaves unchanged.
     """
     grid = grid or LevelGrid()
     log_rel = grid.log_levels()[1:]  # log(t / t_max)
     rel = np.exp(log_rel)
+    unscaled = f.log_shifted(-f.log_scale)
+    mx = find_max(unscaled, params, restarts=restarts, seed=seed)
     if params.m <= 3:
-        unscaled = f.log_shifted(-f.log_scale)
-        mx = find_max(unscaled, params, restarts=restarts, seed=seed)
         profile = unscaled.radial_profile(params)
         centre = mx.argmax if profile is None else profile.centre
         mu, mu_err, ray_grid, points = _ray_measures(unscaled, params, mx.log_t_max + log_rel, samples, centre)
-        log_t_max, rule = mx.log_t_max + params.p * f.log_scale, "rays"
+        rule = "rays"
     else:
-        log_t_max = find_max(f, params, restarts=restarts, seed=seed).log_t_max
-        cloud = _nested_measures(f, params, log_t_max + log_rel, samples, seed)
+        cloud = _nested_measures(unscaled, params, mx.log_t_max + log_rel, samples, seed)
         mu, mu_err, points, rule, ray_grid = cloud.mu, np.sqrt(cloud.var), cloud.points, "cloud", None
+    log_t_max = mx.log_t_max + params.p * f.log_scale
     g, up, dn = g_from_mu(
         np.array([mu, mu + mu_err, np.maximum(mu - mu_err, 0.0)]), rel, params, variant
     )

@@ -175,6 +175,8 @@ def check_pointwise_bound(
     method=GaussHermite(32),
 ) -> VerificationReport:
     """Density never exceeds the p-th power of the norm, in logs: margin 1 - max u / ||f||^p."""
+    if n_points < 1:
+        raise InvalidInputError(f"n_points must be at least 1, got {n_points}")
     est = fock_norm(f, params, method=method)
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((int(n_points), params.m)) / math.sqrt(params.rate)
@@ -232,6 +234,8 @@ def check_decay(
     than _DECAY_FRACTION of the ray's own peak.  The margin is
     _DECAY_FRACTION less the larger of the two shares.
     """
+    if n_radii < 1 or n_directions < 0:
+        raise InvalidInputError(f"need n_radii >= 1 and n_directions >= 0, got {n_radii} and {n_directions}")
     alpha = params.alpha
     p1 = FockParams(f.m, 1.0, alpha)
     mx = find_max(f, p1, seed=seed)

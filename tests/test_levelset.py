@@ -841,7 +841,7 @@ _RAY_NON_RADIAL = [
 @pytest.mark.parametrize("chunk", [4000, 1 << 18], ids=["small blocks", "2^16-point blocks"])
 @pytest.mark.parametrize("case", _RAY_NON_RADIAL, ids=_ray_case_id)
 def test_ray_measures_do_not_depend_on_the_lane_count(monkeypatch, case, chunk):
-    # blocks of whole rays, merged in block order whichever lane ran them; threads switch every 10 us
+    # the ray blocks run in turn on the calling thread, so no lane count moves a bit or starts a thread
     f, params = case
     monkeypatch.setattr(integrate, "_CHUNK_POINTS", chunk)
     profiles, interval = [], sys.getswitchinterval()
@@ -878,9 +878,12 @@ def test_ray_error_is_within_the_cloud_sd(case):
     assert np.all(prof.mu_stderr <= np.sqrt(cloud.var))
 
 
-@pytest.mark.parametrize("f", default_family_members(2) + default_family_members(3), ids=lambda f: f"{f.family}-m{f.m}")
+@pytest.mark.parametrize(
+    "f", [f for m in (2, 3, 4) for f in default_family_members(m)], ids=lambda f: f"{f.family}-m{f.m}"
+)
 def test_ray_measures_are_bit_identical_under_scaling(f):
-    # the rule runs on f with log_scale 0 and on thresholds relative to that function's own peak
+    # both rules, the rays (m <= 3) and the cloud (m = 4), run on f with log_scale 0 and on thresholds relative
+    # to that function's own peak
     params, grid = _radial_params(f), LevelGrid(12, 0.8)
     base = g_diagnostic(f, params, grid, samples=20_000, seed=4)
     for delta in (-400.0, -1.5, 30.0):

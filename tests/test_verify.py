@@ -32,7 +32,7 @@ from focklab import (
 )
 from focklab import verify
 from focklab.functions import TestFunction as _TestFunction
-from focklab.levelset import IsoperimetricVariant, LevelGrid, g_diagnostic
+from focklab.levelset import IsoperimetricVariant, LevelGrid, find_max, g_diagnostic
 from focklab.verify import (
     LogPowerPhi,
     PowerDecayProfile,
@@ -135,6 +135,23 @@ def test_monotone_check_passes_on_clean_profile():
     assert report.passed and report.margin == 0.0
 
 
+@pytest.mark.parametrize(
+    "check,count",
+    [
+        (find_max, {"restarts": -1}),
+        (check_decay, {"n_radii": 0}),
+        (check_decay, {"n_directions": -1}),
+        (check_pointwise_bound, {"n_points": 0}),
+    ],
+    ids=["restarts", "n_radii", "n_directions", "n_points"],
+)
+def test_bad_counts_raise_typed_errors(check, count):
+    # the polynomial has no radial profile, so find_max would run its search
+    f = next(g for g in default_family_members(2) if isinstance(g, Polynomial))
+    with pytest.raises(InvalidInputError):
+        check(f, FockParams(2, 2.0, 1.0), **count)
+
+
 def test_monotone_check_reports_points():
     def profile():
         return g_diagnostic(
@@ -146,9 +163,10 @@ def test_monotone_check_reports_points():
         )
 
     prof = profile()
-    # 10,000 samples cap the ray grid at 256 directions x 65 radii, which the first grid of the ladder, 64 x 17,
-    # would not save: the cap runs alone, its grid and its refinements; a fresh cloud per level would cost
-    # count x samples
+    # 10,000 samples cap the ray grid at 256 directions x 65 radii, and the ladder starts on the cap because its
+    # first grid, 64 x 17, has more than an eighth of the cap's directions.  That shortcut is a trade: this state
+    # would stop on the first grid (5,770 points against 31,960 here), but a ladder that climbs to the cap costs
+    # about a quarter more than the cap alone.  A fresh cloud per level would cost count x samples
     assert 10_000 <= prof.points < 10 * 10_000
     details = check_monotone_g(prof).details
     assert details["points"] == prof.points == profile().points
