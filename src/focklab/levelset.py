@@ -525,21 +525,15 @@ def _ray_measures(f, params, log_grid, samples, centre):
     at the roundoff floor is the safeguard of Aurentz & Trefethen 2017.
     Otherwise it doubles the cells or the angular nodes, whichever has the
     larger gap (the cells' with the whole-cell roots), and it stops on the
-    cap `_ray_grid(m, samples)` whatever the error.  It jumps to the cap
-    where it would double the angular nodes of an m = 2 grid whose gap to
-    half of them is more than a quarter of the gap between a half and a
-    quarter of them (algebraic convergence, as over a small hole off the
-    centre, whose chords have square-root edges in the angle), and where the
-    next grid would take the ladder past a quarter of the cap's evaluations,
-    estimated at its points plus half the first grid's refinements per
-    direction.  At m >= 2 it starts on the cap where the first grid has more
-    than an eighth of its directions, a trade: at 10,000 samples the centred
-    coherent state would stop on the first grid at a quarter of the cap's
-    points, but a ladder that climbs to the cap costs about a quarter more
-    than the cap alone.  Every grid, the cap too, reuses the density values
-    and roots of a last grid with half its cells or, at m = 2, half its
-    angular nodes; the Gauss-Legendre polar rule of m = 3 does not nest in
-    the angle.
+    cap `_ray_grid(m, samples)` whatever the error, so the grid it stops on
+    depends on `samples` only where the cap binds.  It leaves for the cap in
+    place of an angular step at m = 3, whose Gauss-Legendre polar rule does
+    not nest in the angle, so the step would reuse nothing, and at m = 2
+    where the gap to half the angular nodes is more than a quarter of the gap
+    between a half and a quarter of them (algebraic convergence, as over a
+    small hole off the centre, whose chords have square-root edges in the
+    angle).  Every grid, the cap too, reuses the density values and roots of
+    a last grid with half its cells or, at m = 2, half its angular nodes.
 
     The error rests on the assumption that no cell holds two crossings of
     one level, which cancel and go unseen: the gap shows such a pair only
@@ -554,33 +548,19 @@ def _ray_measures(f, params, log_grid, samples, centre):
     centre = np.asarray(centre, dtype=float)
     reach = math.hypot(*centre) + 1.05 * envelope_radius(f, params, log_t[0])
     cap, grid = _ray_grid(m, samples), _ray_grid(m, 1000)
-
-    def evaluated(grid):  # the (directions, radii) a grid evaluates: at m = 3, its coarser grid's too
-        grids = [grid, (grid[0] // 2, grid[1] // 2)][: 1 + (m == 3)]
-        return [(len(_sphere_rule(m, n)[1]), c + 1) for n, c in grids]
-
-    def rays(grid):
-        return sum(d for d, _ in evaluated(grid))
-
-    if m > 1 and 8 * rays(grid) > rays(cap):
-        grid = cap
-    ray, points, budget = None, 0, None
+    ray, points = None, 0
     while True:
         ray = _ray_pass(f, params, log_t, centre, reach, grid, ray, grid != cap)
         points += ray.evaluations
         if grid == cap or ray.settled:
             break
-        if budget is None:
-            refined = ray.evaluations - sum(d * r for d, r in evaluated(grid))
-            budget = 0.25 * (sum(d * r for d, r in evaluated(cap)) + 0.5 * refined * rays(cap) / rays(grid))
         if grid[1] < cap[1] and (ray.radial >= ray.angular or grid[0] == cap[0]):
-            step = (grid[0], 2 * grid[1])
+            grid = (grid[0], 2 * grid[1])
+        elif m == 3 or ray.slow:
+            grid = cap
         else:
-            step = (2 * grid[0], grid[1])
-        if (step[0] > grid[0] and ray.slow) or points + ray.evaluations * rays(step) / rays(grid) > budget:
-            step = cap
-        grid = step
-    return ray.mu[::-1], ray.error[::-1], evaluated(grid)[0], points
+            grid = (2 * grid[0], grid[1])
+    return ray.mu[::-1], ray.error[::-1], (len(_sphere_rule(m, grid[0])[1]), grid[1] + 1), points
 
 
 def _ray_pass(f, params, log_t, centre, reach, grid, prev, keep) -> _RayGrid:

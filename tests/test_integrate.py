@@ -48,6 +48,11 @@ from focklab import integrate
 P2 = FockParams(2, 2.0, 1.0)
 
 
+def _lanes(method):
+    """A method case marked `lanes`: Monte Carlo runs its blocks in integrate._in_lanes."""
+    return pytest.param(method, marks=pytest.mark.lanes)
+
+
 def monomial_norm_oracle(k: int, p: float, alpha: float) -> float:
     """Closed-form |z|^k norm from the radial integral, via log-gamma."""
     return (2.0 / (alpha * p)) ** (k / 2.0) * math.exp(gammaln(1.0 + k * p / 2.0) / p)
@@ -91,6 +96,7 @@ def test_norm_is_root_of_raw_integral():
     assert est.value == pytest.approx(est.raw_integral ** (1.0 / 4.0), rel=1e-14, abs=0.0)
 
 
+@pytest.mark.lanes
 def test_coherent_norm_all_backends():
     f = Coherent(center=(1.0, 0.0), alpha=1.0)
     gh = fock_norm(f, P2, method=GaussHermite(32))
@@ -101,6 +107,7 @@ def test_coherent_norm_all_backends():
     assert abs(mc.value - 1.0) <= 4.0 * mc.value_error + 1e-12
 
 
+@pytest.mark.lanes
 def test_backend_agreement_within_combined_error():
     f = SumOfCoherent(atoms=((0.7, (0.5, 0.0)), (0.3, (-1.0, 0.0))), alpha=1.0)
     gh = fock_norm(f, P2, method=GaussHermite(32))
@@ -156,6 +163,7 @@ def test_radial_integrates_against_the_weight(m):
         assert est.value == pytest.approx(_gaussian_closed_form(params, b), rel=1e-13, abs=0.0)
 
 
+@pytest.mark.lanes
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_mc_integrates_against_the_weight(m):
     (params, flat, zero), (_, linear, b) = _contract_cases(m)
@@ -166,6 +174,7 @@ def test_mc_integrates_against_the_weight(m):
     assert abs(est.value - _gaussian_closed_form(params, b)) <= 4.0 * est.error_bound
 
 
+@pytest.mark.lanes
 def test_norm_never_forms_the_weight(monkeypatch):
     # the backends carry exp(-(alpha p/2)|x|^2); fock_norm hands them p log|f| alone
     methods = (GaussHermite(16), Radial(24, 32), MonteCarlo(samples=20_000, seed=5))
@@ -303,6 +312,7 @@ def test_gh_norm_memory_budget():
     assert peak <= 13.3e6
 
 
+@pytest.mark.lanes
 def test_mc_norm_memory_budget(monkeypatch):
     # 10^6 samples at m = 4 in blocks of 2^16 rows on 4 lanes, the most. The most the lanes can hold at
     # once: their buffers, 4 x 2^16 x 4 doubles = 8.39 MB, plus in each lane the array log_h returns and
@@ -374,6 +384,7 @@ def _backends(monkeypatch, params):
     yield "mc", lambda log_h, f: mc_integrate(log_h, params, samples=20_000, seed=3)
 
 
+@pytest.mark.lanes
 def test_reducers_never_write_into_log_h_output(monkeypatch):
     # a read-only or a cached log_h gives bit for bit the estimate of a fresh array, and stays unchanged
     params = FockParams(2, 2.5, 1.0)
@@ -402,6 +413,7 @@ def test_radial_points_are_read_only():
         radial_integrate(_mutating, FockParams(3, 2.0, 1.0))
 
 
+@pytest.mark.lanes
 def test_mc_points_are_read_only():
     with pytest.raises(ValueError, match="read-only"):
         mc_integrate(_mutating, P2, samples=1000)
@@ -760,6 +772,7 @@ def test_chunked_radial_rule_matches_one_chunk_reference():
 # Monte Carlo semantics
 
 
+@pytest.mark.lanes
 def test_mc_deterministic_under_seed():
     f = Monomial(powers=(1,))
     a = fock_norm(f, P2, method=MonteCarlo(samples=50_000, seed=9))
@@ -769,6 +782,7 @@ def test_mc_deterministic_under_seed():
     assert a.value != c.value
 
 
+@pytest.mark.lanes
 def test_mc_constant_has_zero_variance():
     est = fock_norm(Constant(value=1.0, dim=2), P2, method=MonteCarlo(samples=2_000, seed=0))
     assert est.value == 1.0
@@ -786,6 +800,7 @@ def _mc_reference_blocks(params, samples, seed, rows):
     ]
 
 
+@pytest.mark.lanes
 def test_mc_points_are_one_draw(monkeypatch):
     # blocks of 1000 rows, the last one ragged: each is its spawned child's draw, bit for bit
     params = FockParams(3, 1.5, 0.8)
@@ -817,6 +832,7 @@ def _block_vanishes(log_h, block):
     return wrapped
 
 
+@pytest.mark.lanes
 @pytest.mark.parametrize("case", ["ragged", "vanishing block", "constant"])
 def test_mc_blocks_merge_to_the_one_shot_estimate(monkeypatch, case):
     # 2500 samples in blocks of 1000, 1000 and 500
@@ -843,6 +859,7 @@ def test_mc_blocks_merge_to_the_one_shot_estimate(monkeypatch, case):
         assert est.error_bound == pytest.approx(stderr, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.lanes
 @pytest.mark.parametrize("chunk, samples", [(4000, 5500), (1 << 18, 200_000)], ids=["6 small blocks", "4 blocks"])
 def test_mc_estimate_does_not_depend_on_the_lane_count(monkeypatch, chunk, samples):
     # lane k takes blocks k, k + lanes, ...; the blocks merge in block order whichever lane ran them
@@ -870,6 +887,7 @@ def _on_worker():
     return threading.current_thread() is not threading.main_thread()
 
 
+@pytest.mark.lanes
 @pytest.mark.parametrize("case", ["+inf on a worker", "raises on a worker", "raises on every lane"])
 def test_mc_lane_failure_is_raised_on_the_caller(monkeypatch, case):
     # two lanes: block 0 on the calling thread, block 1 on a worker; every worker is joined either way
@@ -898,6 +916,7 @@ def test_mc_lane_failure_is_raised_on_the_caller(monkeypatch, case):
     assert sorted(callers) == [False, True] and threading.active_count() == threads
 
 
+@pytest.mark.lanes
 @pytest.mark.parametrize("seed", [0, 7])
 def test_mc_stream_shares_no_draw_with_other_streams(monkeypatch, seed):
     # alpha p = 1, so the points are the raw normals; three blocks of 1000 rows
@@ -921,12 +940,14 @@ def test_mc_stream_shares_no_draw_with_other_streams(monkeypatch, seed):
         assert np.intersect1d(mc, other).size == 0
 
 
+@pytest.mark.lanes
 def test_mc_blocks_of_a_vanishing_integrand_give_zero(monkeypatch):
     monkeypatch.setattr(integrate, "_CHUNK_POINTS", 1000)
     est = mc_integrate(lambda X: np.full(len(X), -np.inf), P2, samples=2500, seed=0)
     assert est.value == 0.0 and est.error_bound == 0.0
 
 
+@pytest.mark.lanes
 def test_mc_stderr_shrinks_like_sqrt_n():
     params = P2
     small = mc_integrate(lambda X: _mono_log_u(X, params), params, samples=20_000, seed=4)
@@ -972,7 +993,7 @@ def test_radial_dimension_guard():
         radial_integrate(lambda X: -np.sum(X**2, axis=1), params)
 
 
-@pytest.mark.parametrize("method", [GaussHermite(16), Radial(), MonteCarlo(samples=10_000, seed=3)], ids=repr)
+@pytest.mark.parametrize("method", [GaussHermite(16), Radial(), _lanes(MonteCarlo(samples=10_000, seed=3))], ids=repr)
 @given(
     f=st.sampled_from(default_family_members(2)),
     delta=st.floats(min_value=-300.0, max_value=300.0),
@@ -987,7 +1008,7 @@ def test_norm_integral_is_homogeneous_at_every_scale(method, f, delta, p):
     assert abs(gap) <= scaled.relative_error + base.relative_error, (f, delta, p)
 
 
-@pytest.mark.parametrize("method", [GaussHermite(), Radial(), MonteCarlo(samples=10_000)], ids=repr)
+@pytest.mark.parametrize("method", [GaussHermite(), Radial(), _lanes(MonteCarlo(samples=10_000))], ids=repr)
 def test_overflowing_integral_raises(method):
     # a norm or a functional past the largest double raises; a p-th power integral there does not
     f = Constant(value=1.0, dim=2)
@@ -1014,7 +1035,7 @@ def test_overflowing_integral_raises(method):
 
 
 @pytest.mark.parametrize(
-    "method", [GaussHermite(), Radial(), MonteCarlo(samples=100_000, seed=1)], ids=repr
+    "method", [GaussHermite(), Radial(), _lanes(MonteCarlo(samples=100_000, seed=1))], ids=repr
 )
 def test_nan_integrand_raises(method):
     # z^301 overflows complex arithmetic at the outer nodes, where log|f| turns nan
@@ -1030,6 +1051,7 @@ def test_nan_integrand_raises(method):
             integrate._dispatch_raw(lambda X: np.full(len(X), np.nan), P2, method)
 
 
+@pytest.mark.lanes
 def test_mc_integral_fits_where_its_peak_weight_does_not():
     # one sample carries the whole integral e^712 / samples = e^705.1; e^712 alone overflows
     samples, top = 1000, 712.0
@@ -1046,7 +1068,7 @@ def test_mc_integral_fits_where_its_peak_weight_does_not():
     assert math.isfinite(est.error_bound)
 
 
-@pytest.mark.parametrize("method", [GaussHermite(48), Radial(), MonteCarlo(samples=10_000)], ids=repr)
+@pytest.mark.parametrize("method", [GaussHermite(48), Radial(), _lanes(MonteCarlo(samples=10_000))], ids=repr)
 def test_underflowing_integral_raises(method):
     # named for the raise that integrals below the least normal double once met; held in logs,
     # they now raise nothing and keep their digits, which is what this checks
@@ -1131,6 +1153,7 @@ def test_power_functional_monomial_closed_form():
     assert est.value == pytest.approx(math.pi / 4.0, abs=1e-10)
 
 
+@pytest.mark.lanes
 def test_functional_backend_agreement():
     f = Coherent(center=(1.0, 0.0), alpha=1.0)
     gh = convex_functional(f, P2, Power(2.0), method=GaussHermite(32))
@@ -1148,7 +1171,7 @@ class _Square(ConvexFunction):
 
 
 @pytest.mark.parametrize(
-    "method", [GaussHermite(32), Radial(), MonteCarlo(samples=200_000, seed=3)], ids=repr
+    "method", [GaussHermite(32), Radial(), _lanes(MonteCarlo(samples=200_000, seed=3))], ids=repr
 )
 def test_power_log_value_matches_the_generic_path(method):
     # Power takes log G(u) = r log u; the subclass goes through exp, G and log
@@ -1230,6 +1253,7 @@ def test_negative_G_is_rejected(method):
         convex_functional(Coherent(center=(0.0, 0.0), alpha=1.0), P2, _DipsBelowZero(), method=method)
 
 
+@pytest.mark.lanes
 def test_error_bound_is_nonnegative():
     for method in (GaussHermite(16), Radial(radial_nodes=24, angular_nodes=32),
                    MonteCarlo(samples=20_000, seed=5)):

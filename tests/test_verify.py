@@ -163,14 +163,13 @@ def test_monotone_check_reports_points():
         )
 
     prof = profile()
-    # 10,000 samples cap the ray grid at 256 directions x 65 radii, and the ladder starts on the cap because its
-    # first grid, 64 x 17, has more than an eighth of the cap's directions.  That shortcut is a trade: this state
-    # would stop on the first grid (5,770 points against 31,960 here), but a ladder that climbs to the cap costs
-    # about a quarter more than the cap alone.  A fresh cloud per level would cost count x samples
-    assert 10_000 <= prof.points < 10 * 10_000
+    # 10,000 samples cap the ray grid at 256 directions x 65 radii, but the centred coherent state reaches the
+    # roundoff floor on the ladder's first grid, 64 x 17: 5,770 points, grid and refinements together.  A fresh
+    # cloud per level would cost count x samples
+    assert prof.points == 5_770 < 10 * 10_000
     details = check_monotone_g(prof).details
     assert details["points"] == prof.points == profile().points
-    assert details["ray_grid"] == prof.ray_grid == (256, 65)
+    assert details["ray_grid"] == prof.ray_grid == (64, 17)
 
 
 def test_monotone_check_fails_on_literal_m3():
