@@ -8,6 +8,7 @@ at the last moment, if at all.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -55,9 +56,7 @@ class FockParams:
     alpha: float
 
     def __post_init__(self):
-        if int(self.m) != self.m or self.m < 1:
-            raise InvalidInputError(f"dimension m must be a positive integer, got {self.m}")
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", _integer(self.m, 1, "dimension m must be a positive integer"))
         if not (self.p > 0) or not math.isfinite(self.p):
             raise InvalidInputError(f"exponent p must be finite and positive, got {self.p}")
         if not (self.alpha > 0) or not math.isfinite(self.alpha):
@@ -150,10 +149,23 @@ class RadialProfile:
         return r_in, r_out
 
 
+def _integer(value, least: int, message: str) -> int:
+    """value as an int where it is an integer, as a float too, of at least `least`; else InvalidInputError."""
+    try:
+        whole = float(value).is_integer() and value >= least
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise InvalidInputError(f"{message}, got {value}")
+    return int(value)
+
+
 def _as_tuple(v) -> tuple[float, ...]:
     arr = np.atleast_1d(np.asarray(v, dtype=float))
     if arr.ndim != 1:
         raise InvalidInputError("expected a flat coordinate vector")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError(f"coordinates must be finite, got {tuple(arr.tolist())}")
     return tuple(float(c) for c in arr)
 
 
@@ -222,11 +234,9 @@ class Constant(TestFunction):
     dim: int
 
     def __post_init__(self):
-        if self.value < 0:
-            raise InvalidInputError("constant value must be nonnegative")
-        if int(self.dim) != self.dim or self.dim < 1:
-            raise InvalidInputError("dimension must be a positive integer")
-        object.__setattr__(self, "dim", int(self.dim))
+        if not (0 <= self.value < math.inf):
+            raise InvalidInputError(f"constant value must be finite and nonnegative, got {self.value}")
+        object.__setattr__(self, "dim", _integer(self.dim, 1, "dimension must be a positive integer"))
 
     @property
     def m(self) -> int:
@@ -258,8 +268,8 @@ class Coherent(TestFunction):
 
     def __post_init__(self):
         object.__setattr__(self, "center", _as_tuple(self.center))
-        if not (self.alpha > 0):
-            raise InvalidInputError("coherent rate alpha must be positive")
+        if not (0 < self.alpha < math.inf):
+            raise InvalidInputError(f"coherent rate alpha must be finite and positive, got {self.alpha}")
 
     @property
     def m(self) -> int:
@@ -296,9 +306,9 @@ class Monomial(TestFunction):
     powers: tuple[int, ...]
 
     def __post_init__(self):
-        pw = tuple(int(k) for k in np.atleast_1d(np.asarray(self.powers)))
-        if len(pw) < 1 or any(k < 0 for k in pw):
-            raise InvalidInputError("monomial powers must be nonnegative integers")
+        pw = tuple(_integer(k, 0, "monomial powers must be nonnegative integers") for k in np.atleast_1d(self.powers))
+        if not pw:
+            raise InvalidInputError("monomial needs at least one power")
         object.__setattr__(self, "powers", pw)
 
     @property
@@ -345,10 +355,7 @@ class Monomial(TestFunction):
 
 
 def _validate_multi_index(key) -> tuple[int, ...]:
-    pw = tuple(int(k) for k in np.atleast_1d(np.asarray(key)))
-    if any(k < 0 for k in pw):
-        raise InvalidInputError("polynomial multi-indices must be nonnegative")
-    return pw
+    return tuple(_integer(k, 0, "polynomial multi-indices must be nonnegative integers") for k in np.atleast_1d(key))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -370,7 +377,10 @@ class Polynomial(TestFunction):
                 n = len(pw)
             elif len(pw) != n:
                 raise InvalidInputError("all multi-indices must have the same length")
-            norm.append((pw, complex(coeff)))
+            c = complex(coeff)
+            if not cmath.isfinite(c):
+                raise InvalidInputError(f"polynomial coefficients must be finite, got {coeff}")
+            norm.append((pw, c))
         if not norm:
             raise InvalidInputError("polynomial needs at least one term")
         norm.sort(key=lambda kc: kc[0])
@@ -437,11 +447,9 @@ class ExpQuadratic(TestFunction):
     dim: int
 
     def __post_init__(self):
-        if self.c < 0:
-            raise InvalidInputError("quadratic rate c must be nonnegative")
-        if int(self.dim) != self.dim or self.dim < 1:
-            raise InvalidInputError("dimension must be a positive integer")
-        object.__setattr__(self, "dim", int(self.dim))
+        if not (0 <= self.c < math.inf):
+            raise InvalidInputError(f"quadratic rate c must be finite and nonnegative, got {self.c}")
+        object.__setattr__(self, "dim", _integer(self.dim, 1, "dimension must be a positive integer"))
 
     @property
     def m(self) -> int:
@@ -468,13 +476,13 @@ class SumOfCoherent(TestFunction):
     alpha: float
 
     def __post_init__(self):
-        if not (self.alpha > 0):
-            raise InvalidInputError("rate alpha must be positive")
+        if not (0 < self.alpha < math.inf):
+            raise InvalidInputError(f"rate alpha must be finite and positive, got {self.alpha}")
         norm = []
         dim = None
         for w, a in self.atoms:
-            if w < 0:
-                raise InvalidInputError("atom weights must be nonnegative")
+            if not (0 <= w < math.inf):
+                raise InvalidInputError(f"atom weights must be finite and nonnegative, got {w}")
             at = _as_tuple(a)
             if dim is None:
                 dim = len(at)
@@ -708,8 +716,7 @@ def default_family_members(m: int = 2) -> tuple[TestFunction, ...]:
     Holomorphic families (monomial, polynomial) only exist for even m and are
     omitted otherwise.
     """
-    if m < 1:
-        raise InvalidInputError("dimension must be at least 1")
+    m = _integer(m, 1, "dimension must be a positive integer")
     e1 = (1.0,) + (0.0,) * (m - 1)
     members: list[TestFunction] = [
         Constant(value=1.0, dim=m),

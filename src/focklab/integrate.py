@@ -49,7 +49,7 @@ from .errors import (
     NoEnvelopeError,
     UnsupportedFunctionalError,
 )
-from .functions import FockParams, TestFunction, _check_dims, _log_density_and_weight, envelope_radius
+from .functions import FockParams, TestFunction, _check_dims, _integer, _log_density_and_weight, envelope_radius
 
 __all__ = [
     "GaussHermite",
@@ -353,11 +353,10 @@ def gauss_hermite_integrate(
     so the skipped nodes add at most 2^-53 coarse, and relative_error gains
     that cap over the fine value.
     """
-    n, m = int(nodes_per_axis), params.m
+    m = params.m
     if m > 6:
         raise MethodUnavailableError(f"tensor Gauss-Hermite supports m <= 6, got m={m}")
-    if n < 8:
-        raise InvalidInputError(f"need at least 8 nodes per axis, got {n}")
+    n = _integer(nodes_per_axis, 8, "need an integer count of at least 8 nodes per axis")
     if n > _MAX_GH_NODES:
         raise MethodUnavailableError(
             f"Gauss-Hermite rules go up to {_MAX_GH_NODES} nodes per axis, got {n}"
@@ -468,9 +467,8 @@ def radial_integrate(
     log_h: Callable, params: FockParams, radial_nodes: int = 48, angular_nodes: int = 64
 ) -> IntegralEstimate:
     """Integral of exp(log_h) against the weight, m <= 3; error from doubling both node counts."""
-    nr, na = int(radial_nodes), int(angular_nodes)
-    if nr < 4 or na < 4:
-        raise InvalidInputError("radial and angular node counts must be at least 4")
+    message = "radial and angular node counts must be integers of at least 4"
+    nr, na = _integer(radial_nodes, 4, message), _integer(angular_nodes, 4, message)
     return _refine(log_h, _radial_rule(params, nr, na), _radial_rule(params, 2 * nr, 2 * na))
 
 
@@ -584,9 +582,7 @@ def mc_integrate(
     MethodUnavailableError on a nan or +inf log-ratio; an exception in a lane
     is raised again on the caller, that of the first failing block in block order.
     """
-    samples = int(samples)
-    if samples < 1000:
-        raise InvalidInputError(f"need at least 1000 samples, got {samples}")
+    samples = _integer(samples, 1000, "need an integer count of at least 1000 samples")
     root_rate, log_c = math.sqrt(params.rate), math.log(norm_constant(params))
 
     def block(X, stream):
@@ -719,6 +715,8 @@ class PiecewiseLinear(ConvexFunction):
         object.__setattr__(self, "slopes", tuple(float(s) for s in self.slopes))
         if len(self.slopes) != len(self.knots) + 1:
             raise UnsupportedFunctionalError("need len(slopes) == len(knots) + 1")
+        if not all(map(math.isfinite, self.knots + self.slopes)):
+            raise UnsupportedFunctionalError("knots and slopes must be finite")
         if any(k <= 0 for k in self.knots) or any(
             b <= a for a, b in zip(self.knots, self.knots[1:])
         ):

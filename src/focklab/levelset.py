@@ -26,6 +26,7 @@ from .functions import (
     TestFunction,
     _check_dims,
     _illinois,
+    _integer,
     _log_density_and_weight,
     _thresholds,
     envelope_radius,
@@ -125,9 +126,7 @@ class LevelGrid:
     ratio: float = 0.9
 
     def __post_init__(self):
-        if not float(self.count).is_integer() or self.count < 2:
-            raise InvalidInputError(f"grid needs an integer count of at least 2 levels, got {self.count}")
-        object.__setattr__(self, "count", int(self.count))
+        object.__setattr__(self, "count", _integer(self.count, 2, "grid needs an integer count of at least 2 levels"))
         if not (0 < self.ratio < 1):
             raise InvalidInputError("grid ratio must lie in (0, 1)")
 
@@ -274,8 +273,7 @@ def find_max(
     without bound.  Otherwise `_search_max` runs the multistart simplex search.
     """
     _check_dims(f, params)
-    if restarts < 0:
-        raise InvalidInputError(f"restarts must be at least 0, got {restarts}")
+    restarts = _integer(restarts, 0, "restarts must be an integer of at least 0")
     profile = f.radial_profile(params)
     if profile is None:
         return _search_max(f, params, restarts, seed)
@@ -371,9 +369,7 @@ def _nested_measures(f, params, log_grid, samples, seed, log_thresholds=None, we
     through functions._log_density_and_weight, never through the wrapped
     log_density_batch, whose perfbench span stack is not thread-safe.
     """
-    samples = int(samples)
-    if samples < 1000:
-        raise InvalidInputError(f"need at least 1000 samples, got {samples}")
+    samples = _integer(samples, 1000, "need an integer count of at least 1000 samples")
     log_thresholds = log_grid if log_thresholds is None else log_thresholds
     m, count = params.m, len(log_thresholds)
     radii = np.maximum.accumulate(1.05 * envelope_radius(f, params, log_grid))
@@ -471,15 +467,14 @@ _REFINE_CHUNK = 1 << 14  # memory bound: brackets refined at once, as rays throu
 
 @dataclass(frozen=True)
 class _RayGrid:
-    """One grid of the ray ladder: mu and its error, its distance from the floor, and what the next grid reuses."""
+    """One grid of the ray ladder: its sums per level, its evaluations and what the next grid reuses."""
 
     grid: tuple[int, int]  # (angular nodes, cells)
-    mu: np.ndarray  # per level, ascending
-    error: np.ndarray
-    settled: bool  # the gap plus the whole-cell roots lie within the floating-point terms at every level
-    radial: float  # the gap to half the cells plus the whole-cell roots, all levels together
-    angular: float  # the gap to half the angular nodes, all levels together
-    slow: bool  # at m = 2 that gap is more than a quarter of the one between a half and a quarter of them
+    # a row per sum, a column per level, ascending: mu, the root errors, the term sizes, the term counts, the root
+    # errors known only to a whole cell, mu on half the cells and, at m <= 2, mu on half the angular nodes, on half
+    # of both and on a quarter of the angular nodes
+    sums: np.ndarray
+    blocks: int
     evaluations: int
     log_u: np.ndarray | None  # (rays, cells + 1), kept for the next grid
     keys: np.ndarray | None  # (ray * cells + cell) * levels + level of each crossing, ascending
@@ -517,32 +512,39 @@ def _ray_measures(f, params, log_grid, samples, centre):
 
     Returns mu, its error, the (directions, radii) of the grid that gave them
     and the density evaluations of every grid tried.  `_ray_pass` measures
-    one grid.  The ladder starts at `_ray_grid(m, 1000)` and stops at the
-    first grid whose discretisation error, the doubling gap plus the roots
-    known only to a whole cell, lies within its floating-point terms at every
-    level: the trapezoid in the angle converges geometrically on a level set
-    seen whole from the centre (Trefethen & Weideman 2014), and stopping only
-    at the roundoff floor is the safeguard of Aurentz & Trefethen 2017.
-    Otherwise it doubles the cells or the angular nodes, whichever has the
-    larger gap (the cells' with the whole-cell roots), and it stops on the
-    cap `_ray_grid(m, samples)` whatever the error, so the grid it stops on
+    one grid and returns its sums per level; the gap, the error, the stop and
+    the step are formed here.  The gap is to the grid of half the angular
+    nodes and half the cells: a sub-grid at m <= 2, and at m = 3, whose
+    Gauss-Legendre polar rule does not nest in the angle, a second
+    `_ray_pass`, whose evaluations count too.  The error is the gap plus the
+    root errors plus, per sum of n terms over b blocks, 2^-53 (n + b + 8)
+    times the sum of their sizes.
+
+    The ladder starts at `_ray_grid(m, 1000)` and stops at the first grid
+    whose discretisation error, the gap plus the roots known only to a whole
+    cell, lies within its floating-point terms at every level: the trapezoid
+    in the angle converges geometrically on a level set seen whole from the
+    centre (Trefethen & Weideman 2014), and stopping only at the roundoff
+    floor is the safeguard of Aurentz & Trefethen 2017.  Otherwise it doubles
+    the cells or the angular nodes, whichever has the larger gap (the cells'
+    to half the cells, with the whole-cell roots; the angle's to half the
+    angular nodes, at m = 3 taken at half the cells), and it stops on the cap
+    `_ray_grid(m, samples)` whatever the error, so the grid it stops on
     depends on `samples` only where the cap binds.  It leaves for the cap in
-    place of an angular step at m = 3, whose Gauss-Legendre polar rule does
-    not nest in the angle, so the step would reuse nothing, and at m = 2
-    where the gap to half the angular nodes is more than a quarter of the gap
-    between a half and a quarter of them (algebraic convergence, as over a
-    small hole off the centre, whose chords have square-root edges in the
-    angle).  Every grid, the cap too, reuses the density values and roots of
-    a last grid with half its cells or, at m = 2, half its angular nodes.
+    place of an angular step at m = 3, where the step would reuse nothing,
+    and at m = 2 where the gap to half the angular nodes is more than a
+    quarter of the gap between a half and a quarter of them (algebraic
+    convergence, as over a small hole off the centre, whose chords have
+    square-root edges in the angle).  Every grid, the cap too, reuses the
+    density values and roots of a last grid with half its cells or, at m = 2,
+    half its angular nodes.
 
     The error rests on the assumption that no cell holds two crossings of
     one level, which cancel and go unseen: the gap shows such a pair only
     where one grid resolves it.  Where rays cross a small hole of a level set
     off the centre, the gap can fall short of the cap grid's error.
     """
-    samples = int(samples)
-    if samples < 1000:
-        raise InvalidInputError(f"need at least 1000 samples, got {samples}")
+    samples = _integer(samples, 1000, "need an integer count of at least 1000 samples")
     m = params.m
     log_t = np.asarray(log_grid, dtype=float)[::-1]  # ascending
     centre = np.asarray(centre, dtype=float)
@@ -552,41 +554,48 @@ def _ray_measures(f, params, log_grid, samples, centre):
     while True:
         ray = _ray_pass(f, params, log_t, centre, reach, grid, ray, grid != cap)
         points += ray.evaluations
-        if grid == cap or ray.settled:
+        mu, root_error, size, terms, whole, half_cells = ray.sums[:6]
+        if m == 3:
+            half = _ray_pass(f, params, log_t, centre, reach, (grid[0] // 2, grid[1] // 2), None, False)
+            points += half.evaluations
+            coarse = half.sums[0]
+            angular = np.sum(np.abs(half_cells - coarse))
+        else:
+            half_angles, coarse, quarter = ray.sums[6:]
+            angular = np.sum(np.abs(mu - half_angles))
+        gap = np.abs(mu - coarse)
+        roundoff = 2.0**-53 * (terms + ray.blocks + 8.0) * size
+        if grid == cap or np.all(gap + whole <= root_error - whole + roundoff):
             break
-        if grid[1] < cap[1] and (ray.radial >= ray.angular or grid[0] == cap[0]):
+        if grid[1] < cap[1] and (np.sum(np.abs(mu - half_cells) + whole) >= angular or grid[0] == cap[0]):
             grid = (grid[0], 2 * grid[1])
-        elif m == 3 or ray.slow:
+        elif m == 3 or angular > 0.25 * np.sum(np.abs(half_angles - quarter)):
             grid = cap
         else:
             grid = (2 * grid[0], grid[1])
-    return ray.mu[::-1], ray.error[::-1], (len(_sphere_rule(m, grid[0])[1]), grid[1] + 1), points
+    return mu[::-1], (gap + root_error + roundoff)[::-1], (len(_sphere_rule(m, grid[0])[1]), grid[1] + 1), points
 
 
 def _ray_pass(f, params, log_t, centre, reach, grid, prev, keep) -> _RayGrid:
-    """mu and its error on one ray grid (angular nodes, cells), with the terms that choose the ladder's step.
+    """The sums per level of one ray grid (angular nodes, cells), from which `_ray_measures` forms mu and its error.
 
     In polar coordinates about the centre, mu(t) = (1/m) sum over directions
     w of sum_i s_i r_i^m, over the crossings r_i of the ray with the boundary
     of {u > t}, s_i = +1 where the ray leaves the set and -1 where it enters
     it, for any set whose crossings are bracketed, annuli and sets with holes
-    among them.  The directions and weights w
-    come from integrate._sphere_rule; each ray is sampled at the ends of
-    equal cells out to `reach`, beyond which u < t at every level.  One
-    searchsorted counts the levels below log u at every grid point, so a
-    cell whose two counts differ brackets one crossing of each level in
-    between; `_illinois` refines the brackets together to adjacent doubles.
-    The error is the gap to the grid of half the angular nodes and half the
-    cells, plus per root the width of its last bracket and the shift of a
-    2^-50 (|log t| + (alpha p/2)|x|^2 + 1) error in log u - log t over its
-    slope across the cell (the whole cell where an end is a zero of f), times
-    m r^(m-1) w, plus per sum of n terms over b blocks 2^-53 (n + b + 8)
-    times the sum of their sizes.  At m <= 2 the grids of half the cells,
-    half the angular nodes and both, and at m = 2 of a quarter of the
-    angular nodes, are sub-grids, whose doubled cells bracket a level where
-    the counts at their ends straddle it, so their mu costs no evaluation; at
-    m = 3 the grid of both halved is evaluated on its own, and the angular
-    gap is taken against it at half the cells.
+    among them.  The directions and weights w come from one
+    integrate._sphere_rule; each ray is sampled at the ends of equal cells
+    out to `reach`, beyond which u < t at every level.  One searchsorted
+    counts the levels below log u at every grid point, so a cell whose two
+    counts differ brackets one crossing of each level in between; `_illinois`
+    refines the brackets together to adjacent doubles.  A root's error is
+    the width of its last bracket plus the shift of a 2^-50 (|log t| +
+    (alpha p/2)|x|^2 + 1) error in log u - log t over its slope across the
+    cell (the whole cell where an end is a zero of f), times m r^(m-1) w.
+    The grid of half the cells, and at m <= 2 the grids of half the angular
+    nodes, of both halved and of a quarter of the angular nodes, are
+    sub-grids, whose doubled cells bracket a level where the counts at their
+    ends straddle it, so their mu costs no evaluation.
 
     Where `prev` is the grid of half the cells, or at m = 2 of half the
     angular nodes, only the new points are evaluated, and a root `prev` found
@@ -600,27 +609,23 @@ def _ray_pass(f, params, log_t, centre, reach, grid, prev, keep) -> _RayGrid:
     """
     m, count = params.m, len(log_t)
     n_ang, cells = grid
+    n_rad = cells + 1
     # prev has every other radius of this grid, or at m = 2 every other direction
     halved_cells = prev is not None and prev.grid == (n_ang, cells // 2)
     halved_angles = prev is not None and m == 2 and prev.grid == (n_ang // 2, cells)
-    stride = (1, 2, 0)[m - 1]  # the grid's directions per direction of half the angular nodes; 0: not nested
-    rules, jobs = [], []
-    for k, (n, c) in enumerate([(n_ang, cells)] + [(n_ang // 2, cells // 2)] * (stride == 0)):
-        omega, weights = _sphere_rule(m, n)
-        rules.append((omega, weights / m, np.linspace(0.0, reach, c + 1)))
-        # the fewest blocks of whole rays, of near-equal size, with at most 2^16 grid points and, at one
-        # crossing per level, _BLOCK_CROSSINGS crossings each
-        rays = len(weights)
-        most = max(1, min(_block_sizes(rays * (c + 1))[0] // (c + 1), _BLOCK_CROSSINGS // count))
-        count_blocks = -(-rays // most)
-        bounds = (rays * np.arange(count_blocks + 1) // count_blocks).tolist()
-        jobs += [(k, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    nested = halved_cells or halved_angles
+    directions, ray_weights = _sphere_rule(m, n_ang)
+    ray_weights, radii = ray_weights / m, np.linspace(0.0, reach, n_rad)
+    # the fewest blocks of whole rays, of near-equal size, with at most 2^16 grid points and, at one
+    # crossing per level, _BLOCK_CROSSINGS crossings each
+    rays = len(ray_weights)
+    most = max(1, min(_block_sizes(rays * n_rad)[0] // n_rad, _BLOCK_CROSSINGS // count))
+    blocks = -(-rays // most)
+    bounds = (rays * np.arange(blocks + 1) // blocks).tolist()
 
-    def block(k, lo, hi):
-        """Sums per level (see above) and this block's state, or the coarser grid's w s r^m; evaluations."""
-        omega, weights, radii = rules[k]
-        omega, weights, n_rad = omega[lo:hi], weights[lo:hi], len(radii)
-        nested = k == 0 and (halved_cells or halved_angles)
+    def block(lo, hi):
+        """Sums per level (see above), this block's state and its evaluations."""
+        omega, weights = directions[lo:hi], ray_weights[lo:hi]
         new_rays, new_cells = slice(None), slice(None)  # the new points
         if nested:
             log_u = np.empty((hi - lo, n_rad))
@@ -655,17 +660,13 @@ def _ray_pass(f, params, log_t, centre, reach, grid, prev, keep) -> _RayGrid:
         ray, j = np.divmod(cell, n_rad)
         # w s: the ray's weight, + where the count falls (the ray leaves the set), - where it rises
         w = np.where(step[at] < 0, weights[ray], -weights[ray])
-        half_cells = coarse = half_angles = None
-        if k == 0:
-            # the doubled cell holding this one brackets the level where the counts at its ends straddle it
-            inner = cell - j % 2
-            ends = below[inner], below[inner + 2]
-            half_cells = (level >= np.minimum(*ends)) & (level < np.maximum(*ends))
-            if stride:
-                even = (lo + ray) % stride == 0
-                coarse, half_angles = half_cells & even, even
-                quarter = (lo + ray) % (2 * stride) == 0
-            del inner, ends
+        # the doubled cell holding this one brackets the level where the counts at its ends straddle it
+        inner = cell - j % 2
+        ends = below[inner], below[inner + 2]
+        half_cells = (level >= np.minimum(*ends)) & (level < np.maximum(*ends))
+        if m < 3:  # every m-th direction is one of half the angular nodes, every 2m-th one of a quarter
+            half_angles, quarter = (lo + ray) % m == 0, (lo + ray) % (2 * m) == 0
+        del inner, ends
         lt = log_t[level]
         phi_lo, phi_hi = log_u[cell] - lt, log_u[cell + 1] - lt
         columns = [omega[:, c][ray] for c in range(m)]
@@ -712,8 +713,6 @@ def _ray_pass(f, params, log_t, centre, reach, grid, prev, keep) -> _RayGrid:
         r_m1 = r if m == 2 else r * r if m == 3 else np.ones_like(r)
         root_error *= m * r_m1  # d(r^m) = m r^(m-1) dr
         terms = w * r_m1 * r
-        if k:  # a block of the coarser rule adds to its mu alone
-            return None, np.bincount(level, terms, count), evaluations
         size, root_error = np.abs(terms), np.abs(w) * root_error
         sums = [
             np.bincount(level, terms, count),
@@ -723,44 +722,19 @@ def _ray_pass(f, params, log_t, centre, reach, grid, prev, keep) -> _RayGrid:
             np.bincount(level, np.where(whole, root_error, 0.0), count),
             np.bincount(level, np.where(half_cells, terms, 0.0), count),
         ]
-        if stride:
-            sums += [np.bincount(level, np.where(x, stride * terms, 0.0), count) for x in (half_angles, coarse)]
-            sums.append(np.bincount(level, np.where(quarter, 2 * stride * terms, 0.0), count))
+        if m < 3:
+            for x, k in ((half_angles, m), (half_cells & half_angles, m), (quarter, 2 * m)):
+                sums.append(np.bincount(level, np.where(x, k * terms, 0.0), count))
         return sums, (grid_u, keys, r_lo, r_hi) if keep else None, evaluations
 
-    totals = [np.zeros(count) for _ in range(9 if stride else 6)]
-    coarse, blocks, evaluations, parts = np.zeros(count), 0, 0, []
-    for sums, part, e in (block(*job) for job in jobs):
+    sums, evaluations, parts = np.zeros((6 if m == 3 else 9, count)), 0, []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        part_sums, part, e = block(lo, hi)
+        sums += part_sums
         evaluations += e
-        if sums is None:  # a block of the coarser rule at m = 3
-            coarse += part
-            continue
-        for total, s in zip(totals, sums):
-            total += s
-        blocks += 1
         parts.append(part)
-    mu, root_error, size, terms, whole, half_cells = totals[:6]
-    slow = False
-    if stride:
-        half_angles, coarse, quarter = totals[6:]
-        angular_gap = np.sum(np.abs(mu - half_angles))
-        slow = m == 2 and angular_gap > 0.25 * np.sum(np.abs(half_angles - quarter))
-    else:  # at m = 3 the gap to half the angular nodes is taken at half the cells
-        angular_gap = np.sum(np.abs(half_cells - coarse))
-    gap = np.abs(mu - coarse)
-    roundoff = 2.0**-53 * (terms + blocks + 8.0) * size
     state = [np.concatenate(column) for column in zip(*parts)] if keep else [None] * 4
-    return _RayGrid(
-        grid,
-        mu,
-        gap + root_error + roundoff,
-        bool(np.all(gap + whole <= root_error - whole + roundoff)),
-        float(np.sum(np.abs(mu - half_cells) + whole)),
-        float(angular_gap),
-        bool(slow),
-        evaluations,
-        *state,
-    )
+    return _RayGrid(grid, sums, blocks, evaluations, *state)
 
 
 # ---------------------------------------------------------------------------
@@ -802,11 +776,12 @@ def g_diagnostic(
     block i from child i of SeedSequence(seed, spawn_key=(0,)), apart from
     the `find_max` stream default_rng(seed), so reruns are bit-identical on
     any number of cores; mu_stderr is its sd.  Both rules bypass
-    log_density_batch, so `points` counts their density evaluations.  Levels
-    share points and are therefore correlated.  A monotonicity violation is
-    recorded only when the drop between adjacent levels exceeds 3x the
-    summed propagated errors; that rule runs on g / t_max, which the scale
-    of f leaves unchanged.
+    log_density_batch, so `points` counts their density evaluations: the
+    cloud's, or those of every ray grid tried and, at m = 3, of the half
+    grid each is checked against.  Levels share points and are therefore
+    correlated.  A monotonicity violation is recorded only when the drop
+    between adjacent levels exceeds 3x the summed propagated errors; that
+    rule runs on g / t_max, which the scale of f leaves unchanged.
     """
     grid = grid or LevelGrid()
     log_rel = grid.log_levels()[1:]  # log(t / t_max)

@@ -21,6 +21,7 @@ from .functions import (
     Coherent,
     FockParams,
     TestFunction,
+    _integer,
     envelope_radius,
     log_density_batch,
 )
@@ -175,11 +176,10 @@ def check_pointwise_bound(
     method=GaussHermite(32),
 ) -> VerificationReport:
     """Density never exceeds the p-th power of the norm, in logs: margin 1 - max u / ||f||^p."""
-    if n_points < 1:
-        raise InvalidInputError(f"n_points must be at least 1, got {n_points}")
+    n_points = _integer(n_points, 1, "n_points must be an integer of at least 1")
     est = fock_norm(f, params, method=method)
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((int(n_points), params.m)) / math.sqrt(params.rate)
+    X = rng.standard_normal((n_points, params.m)) / math.sqrt(params.rate)
     log_u = log_density_batch(f, params, X)
     worst = int(np.argmax(log_u))
     margin = -math.expm1(float(log_u[worst]) - est.log_value)  # 1 - max u / ||f||^p
@@ -234,8 +234,8 @@ def check_decay(
     than _DECAY_FRACTION of the ray's own peak.  The margin is
     _DECAY_FRACTION less the larger of the two shares.
     """
-    if n_radii < 1 or n_directions < 0:
-        raise InvalidInputError(f"need n_radii >= 1 and n_directions >= 0, got {n_radii} and {n_directions}")
+    n_radii = _integer(n_radii, 1, "n_radii must be an integer of at least 1")
+    n_directions = _integer(n_directions, 0, "n_directions must be an integer of at least 0")
     alpha = params.alpha
     p1 = FockParams(f.m, 1.0, alpha)
     mx = find_max(f, p1, seed=seed)
@@ -808,8 +808,7 @@ def check_isoperimetric_variant(m: int) -> VerificationReport:
     Gamma(m/2) constant overshoots the true squared perimeter for m > 2 by the
     factor (m/2)^(2/m) and undershoots for m = 1.
     """
-    if m < 1:
-        raise InvalidInputError("dimension must be at least 1")
+    m = _integer(m, 1, "dimension must be a positive integer")
     # in logs: Gamma(1 + m/2) overflows a double from m = 342 on
     log_gamma = math.lgamma(1.0 + m / 2.0)
     log_omega = 0.5 * m * math.log(math.pi) - log_gamma

@@ -477,6 +477,13 @@ def test_bad_function_spec_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["const:nan", "sumcoherent:w=nan;a=0,0", "coherent:a=inf,0"])
+def test_non_finite_parameter_exits_2(capsys, spec):
+    # nan passes a sign test and would read as a zero of f, a norm of 0: the family refuses it
+    assert main(["norm", "--fn", spec]) == 2
+    assert "focklab: error: " in capsys.readouterr().err
+
+
 def test_odd_dimension_holomorphic_exits_2(capsys):
     assert main(["norm", "--dim", "3", "--fn", "monomial:k=2"]) == 2
     assert "even dimension" in capsys.readouterr().err

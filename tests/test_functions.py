@@ -34,10 +34,49 @@ P2 = FockParams(2, 2.0, 1.0)
 # parameters
 
 
-@pytest.mark.parametrize("m,p,alpha", [(0, 2, 1), (2, 0, 1), (2, -1, 1), (2, 2, 0), (2, 2, -0.5)])
+@pytest.mark.parametrize(
+    "m,p,alpha",
+    [
+        (0, 2, 1), (2, 0, 1), (2, -1, 1), (2, 2, 0), (2, 2, -0.5),
+        (math.nan, 2, 1), (math.inf, 2, 1), (2.5, 2, 1), ("2", 2, 1), (2, math.nan, 1), (2, 2, math.inf),
+    ],
+)
 def test_params_rejects_bad_values(m, p, alpha):
     with pytest.raises(InvalidInputError):
         FockParams(m, p, alpha)
+
+
+_NON_FINITE = {
+    "const value": lambda x: Constant(value=x, dim=2),
+    "const dim": lambda x: Constant(value=1.0, dim=x),
+    "coherent centre": lambda x: Coherent(center=(x, 0.0), alpha=1.0),
+    "coherent alpha": lambda x: Coherent(center=(0.0, 0.0), alpha=x),
+    "monomial power": lambda x: Monomial(powers=(x,)),
+    "poly coefficient": lambda x: Polynomial(terms={(1,): complex(1.0, x)}),
+    "poly index": lambda x: Polynomial(terms={(x,): 1.0}),
+    "expquad c": lambda x: ExpQuadratic(c=x, dim=2),
+    "expquad dim": lambda x: ExpQuadratic(c=0.1, dim=x),
+    "sumcoherent weight": lambda x: SumOfCoherent(atoms=((x, (0.0, 0.0)),), alpha=1.0),
+    "sumcoherent centre": lambda x: SumOfCoherent(atoms=((1.0, (0.0, x)),), alpha=1.0),
+    "sumcoherent alpha": lambda x: SumOfCoherent(atoms=((1.0, (0.0, 0.0)),), alpha=x),
+    "default members m": default_family_members,
+}
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("build", list(_NON_FINITE.values()), ids=list(_NON_FINITE))
+def test_families_reject_non_finite_parameters(build, x):
+    # a nan or inf parameter is refused where the function is built, before it can reach an integrator
+    with pytest.raises(InvalidInputError):
+        build(x)
+
+
+def test_integer_parameters_must_be_whole():
+    # a fractional count is refused, not truncated
+    for build in (lambda: Monomial(powers=(1.5,)), lambda: Constant(value=1.0, dim=2.5)):
+        with pytest.raises(InvalidInputError):
+            build()
+    assert Monomial(powers=(2.0,)).powers == (2,) and Constant(value=1.0, dim=2.0).dim == 2
 
 
 def test_params_rate():

@@ -1214,6 +1214,24 @@ def test_piecewise_linear_validation_and_value():
         PiecewiseLinear(knots=(0.5,), slopes=(-1.0, 1.0))
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: Power(x),
+        lambda x: PiecewiseLinear(knots=(x,), slopes=(0.0, 1.0)),
+        lambda x: PiecewiseLinear(knots=(0.5, x), slopes=(0.0, 1.0, 2.0)),
+        lambda x: PiecewiseLinear(knots=(0.5,), slopes=(0.0, x)),
+        lambda x: PiecewiseLinear(knots=(0.5,), slopes=(x, x)),
+    ],
+    ids=["power", "knot", "last knot", "last slope", "slopes"],
+)
+def test_g_rejects_non_finite_parameters(build, x):
+    # nan passes every ordering test, and inf makes the nodes nan: both are refused where G is built
+    with pytest.raises(UnsupportedFunctionalError):
+        build(x)
+
+
 # G(u) = 2 max(0, u - 1/2) of u = e^(-r^2): 2 pi times the integral of e^(-s) - 1/2 over s in [0, ln 2]
 _KINKED_G = PiecewiseLinear(knots=(0.5,), slopes=(0.0, 2.0))
 _KINKED_EXACT = math.pi * (1.0 - math.log(2.0))

@@ -906,14 +906,23 @@ def test_ray_measures_are_bit_identical_under_scaling(f):
         assert np.array_equal(prof.mu, base.mu) and np.array_equal(prof.mu_stderr, base.mu_stderr)
 
 
-def test_ray_points_count_every_density_evaluation(monkeypatch):
-    # the grid and every refinement step go through the private density call, and nothing else does
-    f = next(g for g in default_family_members(2) if isinstance(g, Polynomial))
+@pytest.mark.parametrize(
+    "f,params,grid",
+    [
+        (next(g for g in default_family_members(2) if isinstance(g, Polynomial)), P2, None),
+        # stops on 128 x 17, whose half grid of 32 x 9, a second pass at m = 3, is evaluated too
+        (Coherent(center=(0.0, 0.0, 0.0), alpha=1.0), FockParams(3, 2.0, 1.0), (128, 17)),
+    ],
+    ids=["poly-m2", "coherent-m3"],
+)
+def test_ray_points_count_every_density_evaluation(monkeypatch, f, params, grid):
+    # every grid, the m = 3 half grid too, and every refinement step go through the private density call, and
+    # nothing else does
     density, calls = levelset._log_density_and_weight, []
-    monkeypatch.setattr(integrate, "_lane_count", lambda: 1)
     monkeypatch.setattr(levelset, "_log_density_and_weight", lambda f, p, X: calls.append(len(X)) or density(f, p, X))
-    prof = g_diagnostic(f, P2, LevelGrid(10, 0.8), samples=20_000)
+    prof = g_diagnostic(f, params, LevelGrid(10, 0.8), samples=20_000)
     directions, radii = prof.ray_grid
+    assert grid is None or prof.ray_grid == grid
     assert prof.points == sum(calls) > directions * radii
     assert check_monotone_g(prof).details["rule"] == "rays"
 

@@ -25,6 +25,7 @@ from focklab import (
     PiecewiseLinear,
     Polynomial,
     Power,
+    Radial,
     SumOfCoherent,
     convex_functional,
     default_family_members,
@@ -32,7 +33,7 @@ from focklab import (
 )
 from focklab import verify
 from focklab.functions import TestFunction as _TestFunction
-from focklab.levelset import IsoperimetricVariant, LevelGrid, find_max, g_diagnostic
+from focklab.levelset import IsoperimetricVariant, LevelGrid, find_max, g_diagnostic, layer_cake
 from focklab.verify import (
     LogPowerPhi,
     PowerDecayProfile,
@@ -142,8 +143,24 @@ def test_monotone_check_passes_on_clean_profile():
         (check_decay, {"n_radii": 0}),
         (check_decay, {"n_directions": -1}),
         (check_pointwise_bound, {"n_points": 0}),
+        (find_max, {"restarts": 2.5}),
+        (check_decay, {"n_radii": 2.5}),
+        (check_decay, {"n_directions": 2.5}),
+        (check_pointwise_bound, {"n_points": math.nan}),
+        (g_diagnostic, {"samples": math.nan}),
+        (g_diagnostic, {"samples": math.inf}),
+        (lambda f, params, **count: layer_cake(f, params, Power(2.0), **count), {"samples": math.nan}),
+        (lambda f, params, **count: fock_norm(f, params, MonteCarlo(**count)), {"samples": math.nan}),
+        (lambda f, params, **count: fock_norm(f, params, MonteCarlo(**count)), {"samples": math.inf}),
+        (lambda f, params, **count: fock_norm(f, params, GaussHermite(**count)), {"nodes_per_axis": math.nan}),
+        (lambda f, params, **count: fock_norm(f, params, GaussHermite(**count)), {"nodes_per_axis": 8.9}),
+        (lambda f, params, **count: fock_norm(f, params, Radial(**count)), {"radial_nodes": math.nan}),
     ],
-    ids=["restarts", "n_radii", "n_directions", "n_points"],
+    ids=[
+        "restarts", "n_radii", "n_directions", "n_points", "restarts=2.5", "n_radii=2.5", "n_directions=2.5",
+        "n_points=nan", "g samples=nan", "g samples=inf", "layer cake samples=nan", "mc samples=nan",
+        "mc samples=inf", "gh nodes=nan", "gh nodes=8.9", "radial nodes=nan",
+    ],
 )
 def test_bad_counts_raise_typed_errors(check, count):
     # the polynomial has no radial profile, so find_max would run its search
@@ -744,6 +761,13 @@ def test_isoperimetric_sharp_ball_equality(m):
     assert report.details["sharp_ball_relative_gap"] <= 1e-12
     ratio = math.exp(2.0 / m * (gammaln(1.0 + m / 2.0) - gammaln(m / 2.0)))
     assert report.details["literal_over_sharp_ratio"] == pytest.approx(ratio, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("m", [math.nan, math.inf, 2.5, 0], ids=["nan", "inf", "2.5", "0"])
+def test_isoperimetric_variant_rejects_a_bad_m(m):
+    # max(0.0, nan) drops a nan margin, so a nan m would pass
+    with pytest.raises(InvalidInputError):
+        check_isoperimetric_variant(m)
 
 
 def test_isoperimetric_m3_excess_factor():
