@@ -26,7 +26,7 @@ class UnsupportedFunctionalError(FocklabError):
 
 
 class OptimizationFailureError(FocklabError):
-    """Multistart maximization did not produce a usable result."""
+    """The density has no maximum (it vanishes or grows without bound), or no search start finds f nonzero."""
 
 
 class FunctionSpecError(InvalidInputError):

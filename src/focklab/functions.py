@@ -160,6 +160,11 @@ def _integer(value, least: int, message: str) -> int:
     return int(value)
 
 
+def _seed(seed) -> int:
+    """seed as an int where it is a nonnegative integer, as a float too; else InvalidInputError."""
+    return _integer(seed, 0, "seed must be a nonnegative integer")
+
+
 def _as_tuple(v) -> tuple[float, ...]:
     arr = np.atleast_1d(np.asarray(v, dtype=float))
     if arr.ndim != 1:
@@ -178,10 +183,15 @@ class TestFunction:
     of affine terms for a mixture, and c|x|^2 with c >= 0 for ExpQuadratic.
 
     log_scale is an additive offset on log|f|, used for exact scalar
-    multiplication (normalization) without leaving log-space.
+    multiplication (normalization) without leaving log-space; it must be
+    finite, also after `log_shifted`.
     """
 
     log_scale: float = 0.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.log_scale):
+            raise InvalidInputError(f"log_scale must be finite, got {self.log_scale}")
 
     @property
     def m(self) -> int:
@@ -206,6 +216,14 @@ class TestFunction:
             out = out + self.log_scale
         return out
 
+    def _log_abs_jet(self, X: np.ndarray):
+        """(log|f|, its gradient, its Hessian) without log_scale on an (N, m) batch, for the peak search.
+
+        A family without a radial profile must give one to be searched:
+        find_max raises MethodUnavailableError where neither is given.
+        """
+        raise NotImplementedError
+
     def _radial_bound_raw(self, r) -> np.ndarray:
         """Upper bound for log|f| (without log_scale) on the spheres |x| = r, elementwise."""
         raise NotImplementedError
@@ -215,7 +233,7 @@ class TestFunction:
         return None
 
     def max_hints(self, params: FockParams) -> list[np.ndarray]:
-        """Candidate maximizers of the density, used to seed multistart search."""
+        """Candidate maximizers of the density, the first starts of the Newton search; they depend on alpha, not p."""
         return [np.zeros(self.m)]
 
     def log_shifted(self, delta: float) -> "TestFunction":
@@ -234,6 +252,7 @@ class Constant(TestFunction):
     dim: int
 
     def __post_init__(self):
+        super().__post_init__()
         if not (0 <= self.value < math.inf):
             raise InvalidInputError(f"constant value must be finite and nonnegative, got {self.value}")
         object.__setattr__(self, "dim", _integer(self.dim, 1, "dimension must be a positive integer"))
@@ -267,6 +286,7 @@ class Coherent(TestFunction):
     alpha: float
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "center", _as_tuple(self.center))
         if not (0 < self.alpha < math.inf):
             raise InvalidInputError(f"coherent rate alpha must be finite and positive, got {self.alpha}")
@@ -306,6 +326,7 @@ class Monomial(TestFunction):
     powers: tuple[int, ...]
 
     def __post_init__(self):
+        super().__post_init__()
         pw = tuple(_integer(k, 0, "monomial powers must be nonnegative integers") for k in np.atleast_1d(self.powers))
         if not pw:
             raise InvalidInputError("monomial needs at least one power")
@@ -336,6 +357,14 @@ class Monomial(TestFunction):
                 out += r2
         return out
 
+    def _log_abs_jet(self, X):
+        # in logs, so that no power of z overflows: h = log f = sum_j k_j log z_j, h_j = k_j / z_j, h_jj = -k_j / z_j^2
+        K = np.array(self.powers)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = np.where(K > 0, K / (X[:, 0::2] + 1j * X[:, 1::2]), 0.0)
+            hh = -h[:, :, None] * h[:, None, :] * (np.eye(K.size) / np.maximum(K, 1))
+        return _holomorphic_jet(self._log_abs_raw(X), h, hh)
+
     def _radial_bound_raw(self, r):
         with np.errstate(divide="ignore"):
             return self.degree * np.log(np.maximum(r, 0.0)) if self.degree else np.zeros(np.shape(r))
@@ -354,6 +383,19 @@ class Monomial(TestFunction):
         return [x]
 
 
+def _holomorphic_jet(value, h, hh):
+    """(log|f|, its gradient, its Hessian) on R^(2n) from h_j and h_jk, the derivatives of h = log f in z.
+
+    log|f| = Re h, so with z_j = x_j + i y_j the gradient in (x_j, y_j) is
+    (Re h_j, -Im h_j) and the Hessian block (j, k) is
+    [[Re h_jk, -Im h_jk], [-Im h_jk, -Re h_jk]], traceless as log|f| is harmonic.
+    """
+    N, n = h.shape
+    grad = np.stack([h.real, -h.imag], axis=2).reshape(N, 2 * n)
+    rows = np.stack([hh.real, -hh.imag], axis=3), np.stack([-hh.imag, -hh.real], axis=3)
+    return value, grad, np.stack(rows, axis=2).reshape(N, 2 * n, 2 * n)
+
+
 def _validate_multi_index(key) -> tuple[int, ...]:
     return tuple(_integer(k, 0, "polynomial multi-indices must be nonnegative integers") for k in np.atleast_1d(key))
 
@@ -365,6 +407,7 @@ class Polynomial(TestFunction):
     terms: tuple[tuple[tuple[int, ...], complex], ...]
 
     def __post_init__(self):
+        super().__post_init__()
         if isinstance(self.terms, dict):
             items = self.terms.items()
         else:
@@ -427,6 +470,26 @@ class Polynomial(TestFunction):
         with np.errstate(divide="ignore"):
             return np.log(out, out=out)
 
+    def _log_abs_jet(self, X):
+        # h = log f has h_j = f_j / f and h_jk = f_jk / f - h_j h_k
+        N, n = X.shape[0], self.n_complex
+        K, coeff = np.array([k for k, _ in self.terms]), np.array([c for _, c in self.terms])  # a row per term
+        Z = X[:, None, 0::2] + 1j * X[:, None, 1::2]
+
+        def at(*orders):  # the derivative of f of these orders in z_0, z_1, ...
+            return np.prod([powers[r][:, :, j] for j, r in enumerate(orders)], axis=0) @ coeff
+
+        e = np.eye(n, dtype=int)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # d^r/dz^r z^k = k (k - 1) ... (k - r + 1) z^(k - r), for r = 0, 1, 2, per point, term and variable
+            powers = [Z ** np.maximum(K - r, 0) * np.prod([K - i for i in range(r)], axis=0) for r in range(3)]
+            f = at(*[0] * n)
+            h = np.stack([at(*e[j]) for j in range(n)], axis=1) / f[:, None]
+            hh = np.stack([at(*e[j] + e[k]) for j in range(n) for k in range(n)], axis=1).reshape(N, n, n)
+            hh = hh / f[:, None, None] - h[:, :, None] * h[:, None, :]
+            value = np.log(np.abs(f))
+        return _holomorphic_jet(value, h, hh)
+
     def _radial_bound_raw(self, r):
         # triangle inequality with |z_j| <= r: log sum_k |c_k| r^{|k|}
         with np.errstate(divide="ignore"):
@@ -447,6 +510,7 @@ class ExpQuadratic(TestFunction):
     dim: int
 
     def __post_init__(self):
+        super().__post_init__()
         if not (0 <= self.c < math.inf):
             raise InvalidInputError(f"quadratic rate c must be finite and nonnegative, got {self.c}")
         object.__setattr__(self, "dim", _integer(self.dim, 1, "dimension must be a positive integer"))
@@ -476,6 +540,7 @@ class SumOfCoherent(TestFunction):
     alpha: float
 
     def __post_init__(self):
+        super().__post_init__()
         if not (0 < self.alpha < math.inf):
             raise InvalidInputError(f"rate alpha must be finite and positive, got {self.alpha}")
         norm = []
@@ -516,6 +581,14 @@ class SumOfCoherent(TestFunction):
         for c in cols[1:]:
             out = np.logaddexp(out, c)
         return out
+
+    def _log_abs_jet(self, X):
+        # with the atoms' softmax weights w (nan where f = 0): gradient alpha E_w[a], Hessian alpha^2 Cov_w(a)
+        value, A = self._log_abs_raw(X), np.array([a for _, a in self.atoms])
+        with np.errstate(invalid="ignore"):
+            w = np.exp(np.stack(self._atom_exponents(X), axis=1) - value[:, None])
+        D = A - (w @ A)[:, None, :]
+        return value, self.alpha * (w @ A), self.alpha**2 * np.einsum("nj,njk,njl->nkl", w, D, D)
 
     def _radial_bound_raw(self, r):
         r = np.asarray(r, dtype=float)

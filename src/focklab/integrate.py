@@ -49,7 +49,7 @@ from .errors import (
     NoEnvelopeError,
     UnsupportedFunctionalError,
 )
-from .functions import FockParams, TestFunction, _check_dims, _integer, _log_density_and_weight, envelope_radius
+from .functions import FockParams, TestFunction, _check_dims, _integer, _log_density_and_weight, _seed, envelope_radius
 
 __all__ = [
     "GaussHermite",
@@ -108,6 +108,9 @@ class MonteCarlo:
 
     samples: int = 100_000
     seed: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "seed", _seed(self.seed))
 
 
 @dataclass(frozen=True)

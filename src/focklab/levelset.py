@@ -28,6 +28,8 @@ from .functions import (
     _illinois,
     _integer,
     _log_density_and_weight,
+    _seed,
+    _sq_norm,
     _thresholds,
     envelope_radius,
     log_density_batch,
@@ -89,9 +91,12 @@ class MaxResult:
     """Maximum of the density and how `find_max` found it.
 
     rule is "closed_form" for a radial profile's peak, which makes no restarts
-    (0 of 0), or "simplex" for the one multistart search, whose
+    (0 of 0), or "newton" for the one multistart search, whose
     restarts_agreeing of restarts_total ended within 1e-8 of the best log u.
-    t_max is derived, exp(log_t_max): inf or 0 outside the double range.
+    gradient_norm and hessian_eigenvalues (ascending) are those of log u at
+    the argmax, a second-order certificate: the closed form's are exact, with
+    a zero eigenvalue along each direction of a peak sphere.  t_max is
+    derived, exp(log_t_max): inf or 0 outside the double range.
     """
 
     argmax: tuple[float, ...]
@@ -99,6 +104,8 @@ class MaxResult:
     restarts_total: int
     log_t_max: float
     rule: str
+    gradient_norm: float
+    hessian_eigenvalues: tuple[float, ...]
     t_max = property(lambda self: _exp(self.log_t_max))
 
 
@@ -177,90 +184,7 @@ class LevelProfile:
 # maximization
 
 
-_NM_STEP, _NM_ZERO_STEP = 0.05, 0.00025  # initial simplex: relative step, step for a zero coordinate
-_NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA = 1.0, 2.0, 0.5, 0.5  # reflection, expansion, contraction, shrink
-
-
-def _simplex_search(objective, starts, xatol, fatol, maxiter=4000, maxfev=8000):
-    """Nelder-Mead minimization from every row of `starts`, all simplices in lockstep.
-
-    objective maps an (n, N) array of points to n values.  Each simplex takes
-    the steps of scipy's non-adaptive Nelder-Mead with the same options: the
-    initial simplex moves one coordinate at a time by 5 percent (0.00025 if it
-    is zero), the coefficients are the standard (1, 2, 1/2, 1/2), and a simplex stops when
-    both its size and its value spread are within xatol and fatol, after
-    maxiter iterations or after maxfev evaluations.  An iteration makes one
-    objective call for the reflections of every running simplex, one for their
-    expansion or contraction points and one for the shrinks, if any.  A
-    simplex whose best value stops being finite is abandoned.  Returns (fun, x),
-    the best value and point of each start.
-    """
-    S, N = starts.shape
-    sim = np.repeat(starts[:, None, :], N + 1, axis=1)
-    k = np.arange(N)
-    stepped = sim[:, k + 1, k]
-    sim[:, k + 1, k] = np.where(stepped != 0, (1 + _NM_STEP) * stepped, _NM_ZERO_STEP)
-    fsim = objective(sim.reshape(-1, N)).reshape(S, N + 1)
-    order = np.argsort(fsim, axis=1)
-    sim, fsim = sim[np.arange(S)[:, None], order], fsim[np.arange(S)[:, None], order]
-    fcalls = np.full(S, N + 1)
-    iters = 1  # simplices run in lockstep, so the running ones share their iteration count
-    a = np.arange(S)  # the running simplices
-    while True:
-        s, fs = sim[a], fsim[a]
-        done = (fcalls[a] >= maxfev) | ~np.isfinite(fs[:, 0])
-        done |= (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= xatol) & (
-            np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= fatol
-        )
-        a, s, fs = a[~done], s[~done], fs[~done]
-        if a.size == 0 or iters >= maxiter:
-            break
-        iters += 1
-        xbar = s[:, 0]
-        for j in range(1, N):
-            xbar = xbar + s[:, j]
-        xbar = xbar / N
-        worst = s[:, -1]
-        xr = (1 + _NM_RHO) * xbar - _NM_RHO * worst
-        fxr = objective(xr)
-        fcalls[a] += 1
-
-        expand = fxr < fs[:, 0]
-        accept = ~expand & (fxr < fs[:, -2])
-        outside = ~expand & ~accept & (fxr < fs[:, -1])
-        trial = np.where(
-            expand[:, None],
-            (1 + _NM_RHO * _NM_CHI) * xbar - _NM_RHO * _NM_CHI * worst,
-            np.where(
-                outside[:, None],
-                (1 + _NM_PSI * _NM_RHO) * xbar - _NM_PSI * _NM_RHO * worst,
-                (1 - _NM_PSI) * xbar + _NM_PSI * worst,
-            ),
-        )
-        # a simplex out of evaluations stops before its second point, unchanged
-        second = ~accept & (fcalls[a] < maxfev)
-        ft = np.full(a.size, np.nan)
-        ft[second] = objective(trial[second])
-        fcalls[a[second]] += 1
-        take = second & np.where(expand, ft < fxr, np.where(outside, ft <= fxr, ft < fs[:, -1]))
-        replace = accept | take | (second & expand)
-        s[replace, -1] = np.where(take[:, None], trial, xr)[replace]
-        fs[replace, -1] = np.where(take, ft, fxr)[replace]
-
-        shrink = second & ~replace
-        if shrink.any():
-            ss, fss = s[shrink], fs[shrink]
-            moved = ss[:, :1] + _NM_SIGMA * (ss[:, 1:] - ss[:, :1])
-            # only the vertices within the evaluation budget move
-            evaluated = k < (maxfev - fcalls[a[shrink]])[:, None]
-            fss[:, 1:][evaluated] = objective(moved[evaluated])
-            fcalls[a[shrink]] += evaluated.sum(axis=1)
-            ss[:, 1:] = np.where(evaluated[:, :, None], moved, ss[:, 1:])
-            s[shrink], fs[shrink] = ss, fss
-        order = np.argsort(fs, axis=1)
-        rows = np.arange(a.size)[:, None]
-        sim[a], fsim[a] = s[rows, order], fs[rows, order]
-    return np.min(fsim, axis=1), sim[:, 0]
+_NEWTON_STEPS = 200  # a start's most Newton steps
 
 
 def find_max(
@@ -270,59 +194,114 @@ def find_max(
 
     Where f has a radial profile, its `peak` answers (rule "closed_form", 0 of
     0 restarts) and raises OptimizationFailureError where u vanishes or grows
-    without bound.  Otherwise `_search_max` runs the multistart simplex search.
+    without bound.  Otherwise `_search_max` runs the multistart Newton search,
+    which needs f's `_log_abs_jet` and raises MethodUnavailableError without one.
     """
     _check_dims(f, params)
     restarts = _integer(restarts, 0, "restarts must be an integer of at least 0")
+    seed = _seed(seed)
     profile = f.radial_profile(params)
     if profile is None:
         return _search_max(f, params, restarts, seed)
     log_t_max, point = profile.peak()
+    # log u = A + K log r - B r^2: -4B across a peak sphere and 0 along it, or -2B on every axis at a centre peak
+    if profile.K:
+        curvature = (-4.0 * profile.B,) + (0.0,) * (params.m - 1)
+    else:
+        curvature = (-2.0 * profile.B,) * params.m
     return MaxResult(
-        argmax=point, restarts_agreeing=0, restarts_total=0, log_t_max=log_t_max, rule="closed_form"
+        argmax=point,
+        restarts_agreeing=0,
+        restarts_total=0,
+        log_t_max=log_t_max,
+        rule="closed_form",
+        gradient_norm=0.0,
+        hessian_eigenvalues=curvature,
     )
 
 
 def _search_max(f: TestFunction, params: FockParams, restarts: int = 16, seed: int = 0) -> MaxResult:
-    """Multistart simplex ascent on log u; gradient-free on purpose.
+    """Multistart Newton ascent on phi = log|f| - (alpha/2)|x|^2 = log u / p - log_scale.
 
-    Starts at the family's own candidate extremizers, then at `restarts`
-    Gaussian draws matched to the weight scale from default_rng(seed); a start
-    where u = 0 is jittered up to 20 times.  All starts run as one lockstep
-    Nelder-Mead (`_simplex_search`, xatol 1e-12, fatol 1e-14).  A restart
-    agrees when it ends within 1e-8 of the best log u, which a scale factor
-    on f leaves unchanged.  Working on log u, it finds log t_max at any scale.
+    phi, and so the argmax, depends neither on p nor on the scale of f.  The
+    starts are the family's candidate extremizers, then `restarts` draws of
+    N(0, I/alpha) from default_rng(seed); starts where f = 0 are jittered by
+    N(0, I/(100 alpha)), all at once, up to 20 times.  All starts run in
+    lockstep on f's jet (log|f|, its gradient and Hessian).  A step solves
+    the Newton system on the Hessian's eigenvectors, each eigenvalue above
+    -2^-26 alpha (phi flat to within sqrt(eps), or not concave) replaced by
+    -alpha, a 1/alpha gradient step; it halves until it gains 1e-4 of its
+    first-order gain (Armijo), each halving evaluating only the starts that
+    fell short (Nocedal & Wright, Numerical Optimization, 2006, ch. 3).  A
+    start stops when its step is at most 1e-12 (1 + |x|), when its gain is
+    within phi's roundoff 2^-50 (|phi| + alpha |x|^2 + 1), or after
+    _NEWTON_STEPS steps.  log_t_max is one log_density_batch call at the
+    best point; a restart agrees when it ends within 1e-8 of it in log u.
     """
+    if type(f)._log_abs_jet is TestFunction._log_abs_jet:
+        raise MethodUnavailableError(
+            f"{type(f).__name__} has no radial profile and no _log_abs_jet, which the peak search needs"
+        )
     rng = np.random.default_rng(seed)
-    scale = 1.0 / math.sqrt(params.rate)
+    alpha, m = params.alpha, params.m
 
-    def neg_log_u(X):
-        return -log_density_batch(f, params, X)
+    def jet(X):
+        """phi, its gradient and its Hessian; phi is nan where the Hessian is not finite, as at a zero of f."""
+        value, grad, hess = f._log_abs_jet(X)
+        value = np.where(np.isfinite(hess).all(axis=(1, 2)), value - 0.5 * alpha * _sq_norm(X), np.nan)
+        return value, grad - alpha * X, hess - alpha * np.eye(m)
 
-    starts = [np.asarray(h, dtype=float) for h in f.max_hints(params)]
-    starts = np.vstack(starts + [rng.standard_normal((restarts, params.m)) * scale])
-    finite = np.isfinite(neg_log_u(starts))
-    for i in np.flatnonzero(~finite):
-        for _ in range(20):
-            x0 = starts[i] + rng.standard_normal(params.m) * (scale * 0.1)
-            if np.isfinite(neg_log_u(x0[None, :])[0]):
-                starts[i], finite[i] = x0, True
-                break
-    if not finite.any():
+    def move(i, points, new):
+        x[i] = points
+        for old, value in zip((phi, grad, hess), new):
+            old[i] = value
+
+    hints = [np.asarray(h, dtype=float) for h in f.max_hints(params)]
+    x = np.vstack(hints + [rng.standard_normal((restarts, m)) / math.sqrt(alpha)])
+    phi, grad, hess = jet(x)
+    for _ in range(20):
+        if not (bad := np.flatnonzero(~np.isfinite(phi))).size:
+            break
+        trial = x[bad] + rng.standard_normal((bad.size, m)) * (0.1 / math.sqrt(alpha))
+        new = jet(trial)
+        ok = np.isfinite(new[0])
+        move(bad[ok], trial[ok], [v[ok] for v in new])
+    found = np.isfinite(phi)
+    if not found.any():
         raise OptimizationFailureError("no starting point with nonzero density found")
+    x, phi, grad, hess = x[found], phi[found], grad[found], hess[found]
 
-    funs, xs = _simplex_search(neg_log_u, starts[finite], xatol=1e-12, fatol=1e-14)
-    ok = np.isfinite(funs)
-    if not ok.any():
-        raise OptimizationFailureError("all simplex restarts failed")
-    funs, xs = funs[ok], xs[ok]
-    best = int(np.argmin(funs))
+    running = np.arange(len(x))
+    for _ in range(_NEWTON_STEPS):
+        if not running.size:
+            break
+        lam, V = np.linalg.eigh(hess[running])
+        lam[lam >= -(2.0**-26) * alpha] = -alpha
+        step = np.einsum("sij,sj->si", V, np.einsum("sji,sj->si", V, grad[running]) / -lam)
+        slope = np.einsum("si,si->s", grad[running], step)
+        go = np.zeros(running.size, dtype=bool)  # the starts that step on
+        rows = np.arange(running.size)  # the starts still searching their line
+        while (rows := rows[np.sqrt(_sq_norm(step[rows])) > 1e-12 * (1.0 + np.sqrt(_sq_norm(x[running[rows]])))]).size:
+            i = running[rows]
+            new = jet(x[i] + step[rows])
+            ok = new[0] >= phi[i] + 1e-4 * slope[rows]  # false where phi is nan
+            roundoff = 2.0**-50 * (np.abs(phi[i]) + alpha * _sq_norm(x[i]) + 1.0)
+            go[rows[ok]] = (new[0] - phi[i] > roundoff)[ok]
+            move(i[ok], x[i[ok]] + step[rows[ok]], [v[ok] for v in new])
+            rows = rows[~ok]
+            step[rows] *= 0.5
+            slope[rows] *= 0.5
+        running = running[go]
+
+    best = int(np.argmax(phi))
     return MaxResult(
-        argmax=tuple(float(c) for c in xs[best]),
-        restarts_agreeing=int(np.sum(funs - funs[best] <= 1e-8)),
-        restarts_total=len(funs),
-        log_t_max=-float(funs[best]),
-        rule="simplex",
+        argmax=tuple(float(c) for c in x[best]),
+        restarts_agreeing=int(np.sum(params.p * (phi[best] - phi) <= 1e-8)),
+        restarts_total=len(phi),
+        log_t_max=float(log_density_batch(f, params, x[best : best + 1])[0]),
+        rule="newton",
+        gradient_norm=params.p * float(np.linalg.norm(grad[best])),
+        hessian_eigenvalues=tuple(float(v) for v in params.p * np.linalg.eigvalsh(hess[best])),
     )
 
 
@@ -370,6 +349,7 @@ def _nested_measures(f, params, log_grid, samples, seed, log_thresholds=None, we
     log_density_batch, whose perfbench span stack is not thread-safe.
     """
     samples = _integer(samples, 1000, "need an integer count of at least 1000 samples")
+    seed = _seed(seed)
     log_thresholds = log_grid if log_thresholds is None else log_thresholds
     m, count = params.m, len(log_thresholds)
     radii = np.maximum.accumulate(1.05 * envelope_radius(f, params, log_grid))
@@ -784,6 +764,7 @@ def g_diagnostic(
     rule runs on g / t_max, which the scale of f leaves unchanged.
     """
     grid = grid or LevelGrid()
+    seed = _seed(seed)
     log_rel = grid.log_levels()[1:]  # log(t / t_max)
     rel = np.exp(log_rel)
     unscaled = f.log_shifted(-f.log_scale)
@@ -880,6 +861,8 @@ def layer_cake(
     a normal double.
     """
     grid = grid or LevelGrid()
+    seed = _seed(seed)
+    samples = _integer(samples, 1000, "need an integer count of at least 1000 samples")
     log_t_max = find_max(f, params, seed=seed).log_t_max
     exact = f.radial_profile(params) is not None
 

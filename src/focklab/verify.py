@@ -22,6 +22,7 @@ from .functions import (
     FockParams,
     TestFunction,
     _integer,
+    _seed,
     envelope_radius,
     log_density_batch,
 )
@@ -177,6 +178,7 @@ def check_pointwise_bound(
 ) -> VerificationReport:
     """Density never exceeds the p-th power of the norm, in logs: margin 1 - max u / ||f||^p."""
     n_points = _integer(n_points, 1, "n_points must be an integer of at least 1")
+    seed = _seed(seed)
     est = fock_norm(f, params, method=method)
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n_points, params.m)) / math.sqrt(params.rate)
@@ -202,11 +204,13 @@ def check_pointwise_bound(
 
 
 def _max_details(mx: MaxResult) -> dict:
-    """How t_max was found: the rule and, for the search, how many restarts agreed."""
+    """How t_max was found: the rule, for the search how many restarts agreed, and the certificate at the argmax."""
     return {
         "max_rule": mx.rule,
         "restarts_agreeing": mx.restarts_agreeing,
         "restarts_total": mx.restarts_total,
+        "gradient_norm": mx.gradient_norm,
+        "hessian_eigenvalues": mx.hessian_eigenvalues,
     }
 
 
@@ -236,6 +240,7 @@ def check_decay(
     """
     n_radii = _integer(n_radii, 1, "n_radii must be an integer of at least 1")
     n_directions = _integer(n_directions, 0, "n_directions must be an integer of at least 0")
+    seed = _seed(seed)
     alpha = params.alpha
     p1 = FockParams(f.m, 1.0, alpha)
     mx = find_max(f, p1, seed=seed)
@@ -311,6 +316,7 @@ def check_limit_norm(
 ) -> VerificationReport:
     """p-norm ladder decreases to the weighted sup norm; extrapolation hits it to relative tol."""
     p_ladder = [float(p) for p in p_ladder]
+    seed = _seed(seed)
     if len(p_ladder) < 2:
         raise InvalidInputError(f"p ladder needs at least two rungs, got {len(p_ladder)}")
     if any(b <= a for a, b in zip(p_ladder, p_ladder[1:])):

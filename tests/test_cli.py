@@ -248,13 +248,13 @@ def test_verify_searches_only_for_a_peak_without_closed_form(monkeypatch, tmp_pa
     # find_max takes a radial profile's peak and otherwise runs one search; the suite
     # needs t_max in the monotone, decay and limit checks
     calls = []
-    search = levelset._simplex_search
+    search = levelset._search_max
 
     def counted(*args, **kwargs):
         calls.append(1)
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(levelset, "_simplex_search", counted)
+    monkeypatch.setattr(levelset, "_search_max", counted)
     assert main(["verify", "--suite", "all", "--fn", spec, "--output", str(tmp_path / "v.csv")]) == 0
     assert len(calls) == searches
 

@@ -71,6 +71,60 @@ def test_families_reject_non_finite_parameters(build, x):
         build(x)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_log_scale_must_be_finite(x):
+    # a nan or infinite log_scale is refused where the function is built and where it is shifted,
+    # rather than surfacing later as an overflowed integral
+    for build in (
+        lambda: Constant(value=1.0, dim=2, log_scale=x),
+        lambda: Coherent(center=(1.0, 0.0), alpha=1.0).log_shifted(x),
+        lambda: Polynomial(terms={(1,): 1.0}, log_scale=x),
+        lambda: Constant(value=1.0, dim=2).log_shifted(1e308).log_shifted(1e308),
+    ):
+        with pytest.raises(InvalidInputError, match="log_scale must be finite"):
+            build()
+    assert Coherent(center=(1.0, 0.0), alpha=1.0).log_shifted(-700.0).log_scale == -700.0
+
+
+_JETTED = [f for m in (2, 4) for f in default_family_members(m) if f.family in ("poly", "sumcoherent", "monomial")] + [
+    Polynomial(terms={(1, 2): 1 + 2j, (3, 0): -0.5, (0, 0): 2j, (2, 1): 0.25 - 1j}),
+    Monomial(powers=(3, 2)),
+    SumOfCoherent(atoms=((0.2, (1.0, -0.5, 0.3)), (0.5, (-1.0, 0.0, 0.7)), (0.3, (0.0, 2.0, -1.0))), alpha=0.7),
+]
+
+
+@pytest.mark.parametrize("log_scale", [0.0, -37.5], ids=["unshifted", "shifted"])
+@pytest.mark.parametrize("f", _JETTED, ids=lambda f: f"{f.family}-m{f.m}-{len(str(f))}")
+def test_jet_matches_central_differences_of_the_density(f, log_scale):
+    # the jet (log|f|, its gradient and Hessian, without log_scale) against central differences of
+    # log_density_batch at p = 1, from which the weight's (alpha/2)|x|^2 is added back
+    f, h, m = f.log_shifted(log_scale), 1e-4, f.m
+    params = FockParams(m, 1.0, 1.0)
+
+    def log_abs(X):
+        return log_density_batch(f, params, X) + 0.5 * _sq_norm(X) - log_scale
+
+    X = np.random.default_rng(7).standard_normal((6, m))
+    value, grad, hess = f._log_abs_jet(X)
+    np.testing.assert_allclose(value, log_abs(X), rtol=0.0, atol=1e-12)
+    E = h * np.eye(m)
+    for i in range(m):
+        fd = (log_abs(X + E[i]) - log_abs(X - E[i])) / (2.0 * h)
+        np.testing.assert_allclose(grad[:, i], fd, rtol=0.0, atol=1e-6 * (1.0 + np.abs(fd).max()))
+        for j in range(m):
+            fd = (log_abs(X + E[i] + E[j]) - log_abs(X + E[i] - E[j]) - log_abs(X - E[i] + E[j])
+                  + log_abs(X - E[i] - E[j])) / (4.0 * h * h)
+            np.testing.assert_allclose(hess[:, i, j], fd, rtol=0.0, atol=1e-5 * (1.0 + np.abs(fd).max()))
+    np.testing.assert_allclose(hess, hess.transpose(0, 2, 1), rtol=0.0, atol=1e-14 * (1.0 + np.abs(hess).max()))
+
+
+@pytest.mark.parametrize("f", [f for f in _JETTED if f.family != "sumcoherent"], ids=lambda f: f"{f.family}-m{f.m}")
+def test_polynomial_hessian_is_traceless(f):
+    # log|f| is harmonic away from the zeros of a holomorphic f
+    hess = f._log_abs_jet(np.random.default_rng(8).standard_normal((16, f.m)))[2]
+    assert np.all(np.abs(np.trace(hess, axis1=1, axis2=2)) <= 1e-12 * (1.0 + np.abs(hess).max(axis=(1, 2))))
+
+
 def test_integer_parameters_must_be_whole():
     # a fractional count is refused, not truncated
     for build in (lambda: Monomial(powers=(1.5,)), lambda: Constant(value=1.0, dim=2.5)):

@@ -39,7 +39,6 @@ from focklab import integrate, levelset
 from focklab.levelset import (
     _nested_measures,
     _search_max,
-    _simplex_search,
     IsoperimetricVariant,
     LevelGrid,
     find_max,
@@ -66,7 +65,8 @@ MONOMIAL_ROOT_HI = 2.6783469900166605
 
 
 def test_find_max_coherent():
-    mx = _search_max(Coherent(center=(1.0, 0.0), alpha=1.0), P2)
+    # a one-atom mixture is the coherent state at (1, 0), and the search finds its peak
+    mx = _search_max(SumOfCoherent(atoms=((1.0, (1.0, 0.0)),), alpha=1.0), P2)
     assert mx.t_max == pytest.approx(1.0, abs=1e-10)
     assert np.allclose(mx.argmax, [1.0, 0.0], atol=1e-6)
     assert mx.restarts_agreeing >= 2
@@ -85,25 +85,48 @@ def test_find_max_weight_mismatch_center():
     assert np.allclose(mx.argmax, [1.0, 0.0], atol=1e-6)
 
 
+_TWO_PEAKS = SumOfCoherent(atoms=((1.0, (0.0, 0.0)), (1e100, (40.0, 0.0))), alpha=1.0)
+
+
 _PROFILED = [
     f for m in (2, 3) for f in default_family_members(m) if f.radial_profile(FockParams(m, 1.0, 1.0))
 ]
 
 
+def _neg_log_u(f, params):
+    return lambda x: -float(log_density_batch(f, params, x[None, :])[0])
+
+
+_NELDER_MEAD = dict(method="Nelder-Mead", options=dict(xatol=1e-12, fatol=1e-14, maxiter=4000, maxfev=8000))
+
+
+def _central_hessian(f, params, x, h=1e-4):
+    """The Hessian of log u at x from central differences of log_density_batch."""
+    m = len(x)
+    E, signs = h * np.eye(m), list(itertools.product((1, -1), repeat=2))
+    points = np.array([x + s * E[i] + t * E[j] for i in range(m) for j in range(m) for s, t in signs])
+    v = log_density_batch(f, params, points).reshape(m, m, 4)
+    return (v[..., 0] - v[..., 1] - v[..., 2] + v[..., 3]) / (4.0 * h * h)
+
+
 @pytest.mark.parametrize("f", _PROFILED, ids=lambda f: f"{f.family}-m{f.m}")
 def test_closed_form_peak_matches_search(f):
-    # the search sees only log_density_batch, never the profile
+    # scipy's Nelder-Mead sees only log_density_batch, never the profile; so do the central
+    # differences that check the closed form's Hessian eigenvalues
     for p, alpha in itertools.product((0.5, 1.0, 2.0, 4.0), (0.5, 1.0)):
         params = FockParams(f.m, p, alpha)
         prof = f.radial_profile(params)
         log_t, point = prof.peak()
-        mx = _search_max(f, params)
-        assert mx.rule == "simplex"
-        assert abs(mx.log_t_max - log_t) <= 1e-10, (p, alpha)
+        ref = minimize(_neg_log_u(f, params), np.asarray(point) + 0.3, **_NELDER_MEAD)
+        assert abs(-ref.fun - log_t) <= 1e-10, (p, alpha)
         r_peak = math.sqrt(prof.K / (2.0 * prof.B))
-        assert math.dist(mx.argmax, prof.centre) == pytest.approx(r_peak, abs=1e-5)
+        assert math.dist(ref.x, prof.centre) == pytest.approx(r_peak, abs=1e-5)
         assert math.dist(point, prof.centre) == pytest.approx(r_peak, rel=1e-15, abs=1e-300)
         assert log_density_batch(f, params, np.array([point]))[0] == pytest.approx(log_t, abs=1e-12)
+        mx = find_max(f, params)
+        assert mx.gradient_norm == 0.0
+        lam = np.linalg.eigvalsh(_central_hessian(f, params, np.asarray(point)))
+        np.testing.assert_allclose(mx.hessian_eigenvalues, lam, rtol=0.0, atol=1e-5 * (1.0 + np.abs(lam).max()))
 
 
 _SEARCHED = [f for m in (2, 3) for f in default_family_members(m) if f.family in ("poly", "sumcoherent")]
@@ -111,24 +134,60 @@ _SEARCHED = [f for m in (2, 3) for f in default_family_members(m) if f.family in
 
 @pytest.mark.parametrize("f", _SEARCHED, ids=lambda f: f"{f.family}-m{f.m}")
 def test_lockstep_search_matches_scipy(f):
+    # scipy's Nelder-Mead on log_density_batch from the search's own starts, the hints and then the draws
+    # of N(0, I/alpha) from default_rng(seed), finds the peak the Newton search finds on the jet
+    for p, alpha, seed in ((2.0, 1.0, 0), (1.0, 0.5, 3), (8.0, 2.0, 5)):
+        params = FockParams(f.m, p, alpha)
+        draws = np.random.default_rng(seed).standard_normal((6, f.m)) / math.sqrt(alpha)
+        refs = [minimize(_neg_log_u(f, params), x0, **_NELDER_MEAD) for x0 in f.max_hints(params) + list(draws)]
+        ref = min(refs, key=lambda r: r.fun)
+        mx = find_max(f, params, restarts=6, seed=seed)
+        assert mx.rule == "newton" and mx.restarts_total == len(refs)
+        assert -1e-13 * max(1.0, abs(ref.fun)) <= mx.log_t_max + ref.fun <= 1e-10, (p, alpha)
+        # the README polynomial's peak at 0 is degenerate, quartic along x = -y: Nelder-Mead stops ~1e-4 off it
+        np.testing.assert_allclose(mx.argmax, ref.x, rtol=0.0, atol=1e-3 if f.family == "poly" else 1e-6)
+
+
+_SEARCHED_ALL = [
+    f for m in (2, 3, 4) for f in default_family_members(m) if f.radial_profile(FockParams(m, 1.0, 1.0)) is None
+]
+
+
+@pytest.mark.parametrize("f", _SEARCHED_ALL + [_TWO_PEAKS], ids=lambda f: f"{f.family}-m{f.m}-{len(str(f))}")
+def test_search_does_not_depend_on_p(f):
+    # the search runs on log|f| - (alpha/2)|x|^2 = log u / p - log_scale: the argmax is the same bits at every p
+    base = find_max(f, FockParams(f.m, 1.0, 1.0))
+    for p in (0.5, 2.0, 8.0):
+        mx = find_max(f, FockParams(f.m, p, 1.0))
+        assert mx.argmax == base.argmax
+        assert abs(mx.log_t_max / p - base.log_t_max) <= 4.0 * np.spacing(abs(base.log_t_max))
+        assert (mx.restarts_total, mx.rule) == (base.restarts_total, "newton")
+
+
+@pytest.mark.parametrize("f", _SEARCHED_ALL, ids=lambda f: f"{f.family}-m{f.m}-{len(str(f))}")
+def test_search_certificate_matches_central_differences(f):
+    # the gradient and Hessian the search reports at its argmax, against central differences of log u
     params = FockParams(f.m, 2.0, 1.0)
-    starts = np.vstack(f.max_hints(params) + [np.random.default_rng(3).standard_normal((6, f.m))])
+    mx = find_max(f, params)
+    lam = np.linalg.eigvalsh(_central_hessian(f, params, np.asarray(mx.argmax)))
+    np.testing.assert_allclose(mx.hessian_eigenvalues, lam, rtol=0.0, atol=1e-5 * (1.0 + np.abs(lam).max()))
+    assert mx.gradient_norm <= 1e-6 and max(mx.hessian_eigenvalues) <= 1e-6
 
-    def neg_log_u(x):
-        return -float(log_density_batch(f, params, x[None, :])[0])
 
-    # full budgets, then budgets that run out mid-iteration, then an iteration cap
-    for maxiter, maxfev in [(4000, 8000)] + [(4000, n) for n in range(30, 40)] + [(12, 8000)]:
-        funs, xs = _simplex_search(
-            lambda X: -log_density_batch(f, params, X), starts, 1e-11, 1e-13, maxiter, maxfev
-        )
-        for x0, fun, x in zip(starts, funs, xs):
-            ref = minimize(
-                neg_log_u, x0, method="Nelder-Mead",
-                options=dict(xatol=1e-11, fatol=1e-13, maxiter=maxiter, maxfev=maxfev),
-            )
-            assert abs(fun - ref.fun) <= 1e-10, (x0, maxiter, maxfev)
-            np.testing.assert_allclose(x, ref.x, rtol=0, atol=1e-10)
+@pytest.mark.parametrize("powers, alpha", [((300, 1), 1.0), ((150, 0), 0.01)], ids=["300-1", "150-0"])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_monomial_search_runs_past_the_double_range(powers, alpha, p):
+    # z^k overflows near the peak (z0^300 ~ e^855 at |z0| = sqrt(300)), so the monomial's jet works in logs:
+    # the peak lies on r_j = sqrt(k_j / alpha) at log u = p sum_j (k_j / 2)(log(k_j / alpha) - 1)
+    f = Monomial(powers=powers)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mx = find_max(f, FockParams(4, p, alpha))
+    exact = p * sum(0.5 * k * (math.log(k / alpha) - 1.0) for k in powers if k)
+    assert mx.log_t_max == pytest.approx(exact, rel=1e-13, abs=0.0)
+    radii = np.hypot(mx.argmax[0::2], mx.argmax[1::2])
+    np.testing.assert_allclose(radii, np.sqrt(np.array(powers) / alpha), rtol=1e-7, atol=1e-7)
+    assert mx.restarts_agreeing == mx.restarts_total and mx.gradient_norm <= 1e-6 * p
 
 
 @pytest.mark.parametrize("m,p", itertools.product((2, 3), (1.0, 2.0, 4.0)))
@@ -161,12 +220,14 @@ def test_max_result_states_its_rule():
     closed = find_max(coherent, P2)
     assert (closed.rule, closed.restarts_agreeing, closed.restarts_total) == ("closed_form", 0, 0)
     assert closed.argmax == (1.0, 0.0) and closed.t_max == math.exp(closed.log_t_max)
-    assert _search_max(coherent, P2).rule == "simplex"
+    assert (closed.gradient_norm, closed.hessian_eigenvalues) == (0.0, (-2.0, -2.0))  # log u = -|x - a|^2 + A
     mixture = next(g for g in default_family_members(2) if g.family == "sumcoherent")
     searched = find_max(mixture, P2)
-    assert searched.rule == "simplex"
+    assert searched.rule == "newton"
     assert searched.restarts_total == 16 + len(mixture.max_hints(P2))
     assert searched.restarts_agreeing >= 1
+    assert searched.argmax[1] == 0.0  # both atoms lie on the x_1 axis
+    assert searched.gradient_norm <= 1e-8 and len(searched.hessian_eigenvalues) == 2
 
 
 def test_growing_profile_has_no_peak():
@@ -202,9 +263,6 @@ def test_closed_form_peak_past_the_largest_double_raises(f):
             layer_cake(f, P2, Power(1.0), samples=1000)
     # just below the line the closed form is still a number
     assert find_max(Constant(value=1.0, dim=2).log_shifted(354.0), P2).t_max == math.exp(708.0)
-
-
-_TWO_PEAKS = SumOfCoherent(atoms=((1.0, (0.0, 0.0)), (1e100, (40.0, 0.0))), alpha=1.0)
 
 
 @pytest.mark.parametrize(
@@ -243,7 +301,9 @@ def test_flat_profile_peaks_at_its_level():
     mx = find_max(f, params)
     assert mx.rule == "closed_form" and mx.log_t_max == prof.A
     assert mx.t_max == pytest.approx(4.0, rel=1e-15, abs=0.0)
-    assert _search_max(f, params).t_max == pytest.approx(4.0, rel=1e-14, abs=0.0)
+    assert mx.hessian_eigenvalues == (0.0, 0.0)
+    X = np.random.default_rng(1).standard_normal((16, 2)) * 3.0
+    np.testing.assert_allclose(np.exp(log_density_batch(f, params, X)), 4.0, rtol=1e-14, atol=0.0)
 
 
 def test_zero_function_has_no_peak():
@@ -251,7 +311,8 @@ def test_zero_function_has_no_peak():
     f = Constant(value=0.0, dim=2)
     with pytest.raises(OptimizationFailureError, match="vanishes identically"):
         find_max(f, P2)
-    for find in (lambda: _search_max(f, P2), lambda: find_max(Polynomial(terms={(1,): 0}), P2)):
+    nothing = SumOfCoherent(atoms=((0.0, (0.0, 0.0)),), alpha=1.0)
+    for find in (lambda: find_max(nothing, P2), lambda: find_max(Polynomial(terms={(1,): 0}), P2)):
         with pytest.raises(OptimizationFailureError, match="no starting point with nonzero density found"):
             find()
 
@@ -264,7 +325,7 @@ def test_search_jitters_off_a_zero_of_f(alpha):
     hints = f.max_hints(params)
     assert len(hints) == 1 and log_density_batch(f, params, np.array(hints))[0] == -math.inf
     mx = find_max(f, params)
-    assert mx.rule == "simplex" and mx.restarts_total == 17  # the jittered hint and 16 draws
+    assert mx.rule == "newton" and mx.restarts_total == 17  # the jittered hint and 16 draws
     assert mx.log_t_max == pytest.approx(-(1.0 + math.log(alpha)), rel=0.0, abs=1e-12)
     assert math.hypot(*mx.argmax) == pytest.approx(alpha**-0.5, rel=0.0, abs=1e-6)
 

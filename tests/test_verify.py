@@ -33,7 +33,7 @@ from focklab import (
 )
 from focklab import verify
 from focklab.functions import TestFunction as _TestFunction
-from focklab.levelset import IsoperimetricVariant, LevelGrid, find_max, g_diagnostic, layer_cake
+from focklab.levelset import IsoperimetricVariant, LevelGrid, find_max, g_diagnostic, layer_cake, superlevel_measure
 from focklab.verify import (
     LogPowerPhi,
     PowerDecayProfile,
@@ -169,6 +169,36 @@ def test_bad_counts_raise_typed_errors(check, count):
         check(f, FockParams(2, 2.0, 1.0), **count)
 
 
+_MIXTURE = SumOfCoherent(atoms=((0.7, (0.5, 0.0)), (0.3, (-1.0, 0.0))), alpha=1.0)
+_SEEDED = {
+    "find_max searched": lambda seed: find_max(_MIXTURE, P2, seed=seed),
+    "find_max closed form": lambda seed: find_max(Coherent(center=(1.0, 0.0), alpha=1.0), P2, seed=seed),
+    "g_diagnostic": lambda seed: g_diagnostic(
+        next(g for g in default_family_members(2) if isinstance(g, Polynomial)), P2, samples=1000, seed=seed
+    ),
+    "layer_cake exact": lambda seed: layer_cake(Monomial(powers=(1,)), P2, Power(2.0), seed=seed),
+    "superlevel_measure": lambda seed: superlevel_measure(_MIXTURE, P2, 0.1, samples=1000, seed=seed),
+    "MonteCarlo": lambda seed: MonteCarlo(1000, seed=seed),
+    "check_pointwise_bound": lambda seed: check_pointwise_bound(Monomial(powers=(1,)), P2, n_points=10, seed=seed),
+    "check_decay": lambda seed: check_decay(Coherent(center=(1.0, 0.0), alpha=1.0), P2, seed=seed),
+    "check_limit_norm": lambda seed: check_limit_norm(Monomial(powers=(1,)), 1.0, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [2.5, math.nan, -1, "0"], ids=["2.5", "nan", "-1", "str"])
+@pytest.mark.parametrize("call", list(_SEEDED.values()), ids=list(_SEEDED))
+def test_bad_seeds_raise_typed_errors(call, seed):
+    # every entry that takes a seed refuses one that is not a nonnegative integer, also where it ignores it
+    with pytest.raises(InvalidInputError, match="seed must be a nonnegative integer"):
+        call(seed)
+
+
+def test_layer_cake_checks_samples_on_the_radial_branch():
+    # exact radial measures never read samples, but a nan count is still refused
+    with pytest.raises(InvalidInputError, match="samples"):
+        layer_cake(Coherent(center=(1.0, 0.0), alpha=1.0), P2, Power(2.0), samples=math.nan)
+
+
 def test_monotone_check_reports_points():
     def profile():
         return g_diagnostic(
@@ -238,6 +268,17 @@ def test_pointwise_bound_fails_a_bump_at_every_scale(delta):
     assert report.margin < -10.0 * report.tolerance
 
 
+def test_search_needs_a_jet():
+    # the bump has neither a radial profile nor a jet of log|f|, so no check can find its peak
+    for find in (
+        lambda: find_max(_Bump(), P2),
+        lambda: check_decay(_Bump(), P2),
+        lambda: g_diagnostic(_Bump(), P2, samples=10_000),
+    ):
+        with pytest.raises(MethodUnavailableError, match="_log_abs_jet"):
+            find()
+
+
 def test_pointwise_bound_monomial():
     report = check_pointwise_bound(Monomial(powers=(1,)), P2, n_points=5_000, seed=1)
     assert report.passed
@@ -284,10 +325,12 @@ def test_decay_reports_how_t_max_was_found():
     for f in (Coherent(center=(1.0, 0.0), alpha=1.0), Monomial(powers=(2,))):
         d = check_decay(f, P2).details
         assert (d["max_rule"], d["restarts_agreeing"], d["restarts_total"]) == ("closed_form", 0, 0)
+        assert d["gradient_norm"] == 0.0 and max(d["hessian_eigenvalues"]) <= 0.0
         assert "log_t_max_search" not in d and "log_t_max_gap" not in d
     mixture = SumOfCoherent(atoms=((0.7, (0.5, 0.0)), (0.3, (-1.0, 0.0))), alpha=1.0)
     d = check_decay(mixture, P2).details
-    assert d["max_rule"] == "simplex" and d["restarts_total"] == 19
+    assert d["max_rule"] == "newton" and d["restarts_total"] == 19
+    assert d["gradient_norm"] <= 1e-8 and len(d["hessian_eigenvalues"]) == 2 and max(d["hessian_eigenvalues"]) < 0.0
     assert 1 <= d["restarts_agreeing"] <= 19
     assert "log_t_max_search" not in d and "log_t_max_gap" not in d
 
@@ -312,7 +355,7 @@ def test_limit_norm_reports_how_t_max_was_found():
     assert d["sup_norm"] == math.exp(-0.5)
     mixture = SumOfCoherent(atoms=((0.7, (0.5, 0.0)), (0.3, (-1.0, 0.0))), alpha=1.0)
     d = check_limit_norm(mixture, 1.0).details
-    assert d["max_rule"] == "simplex" and d["restarts_total"] == 19
+    assert d["max_rule"] == "newton" and d["restarts_total"] == 19
 
 
 def test_limit_norm_coherent_flat_ladder():
