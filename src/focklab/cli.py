@@ -69,18 +69,13 @@ def _spec_error(message: str, pos: int):
     raise FunctionSpecError(f"{message} (at position {pos})")
 
 
-def _split_groups(payload: str, base: int):
-    """Split `key=value;key=value` into (key, value, position-of-key) triples."""
-    groups = []
+def _chunks(payload: str, base: int):
+    """The nonempty `;`-separated chunks of a payload, stripped, each with the position where it starts."""
     cursor = base
     for chunk in payload.split(";"):
         if chunk.strip():
-            key, eq, value = chunk.partition("=")
-            if not eq:
-                _spec_error(f"expected key=value, got {chunk.strip()!r}", cursor)
-            groups.append((key.strip(), value.strip(), cursor))
+            yield chunk.strip(), cursor
         cursor += len(chunk) + 1
-    return groups
 
 
 def _parse_float(text: str, pos: int) -> float:
@@ -96,6 +91,20 @@ def _parse_vector(text: str, pos: int) -> tuple[float, ...]:
         _spec_error(f"expected comma-separated numbers, got {text!r}", pos)
     return tuple(_parse_float(s, pos) for s in parts)
 
+
+def _parse_powers(text: str, pos: int) -> tuple[int, ...]:
+    vec = _parse_vector(text, pos)
+    if any(v < 0 or not v.is_integer() for v in vec):
+        _spec_error("monomial powers must be nonnegative integers", pos)
+    return tuple(int(v) for v in vec)
+
+
+_KEYS = {  # each key=value family: the parser of each of its keys' values
+    "coherent": {"a": _parse_vector, "alpha": _parse_float},
+    "monomial": {"k": _parse_powers},
+    "expquad": {"c": _parse_float},
+    "sumcoherent": {"w": _parse_float, "a": _parse_vector, "alpha": _parse_float},
+}
 
 _FACTOR_RE = re.compile(r"^z(\d+)(?:\^(\d+))?$")
 
@@ -147,55 +156,46 @@ def parse_function_spec(
                 )
             _spec_error(f"spec implies m={m_needed} but m={dim} was requested", 0)
 
+    if family in _KEYS:
+        # (key, parsed value, position) per group; `last` keeps a repeated key's last value
+        groups = []
+        for chunk, pos in _chunks(payload, base):
+            key, eq, value = (part.strip() for part in chunk.partition("="))
+            if not eq:
+                _spec_error(f"expected key=value, got {chunk!r}", pos)
+            if key not in _KEYS[family]:
+                _spec_error(f"unknown {family} key {key!r}", pos)
+            groups.append((key, _KEYS[family][key](value, pos), pos))
+        last = {key: value for key, value, _ in groups}
+
     if family == "const":
         if not colon or not payload.strip():
             _spec_error("const needs a value, e.g. const:1", base)
         return Constant(value=_parse_float(payload.strip(), base), dim=2 if dim is None else dim)
 
     if family == "coherent":
-        a = None
-        alpha = default_alpha
-        for key, value, pos in _split_groups(payload, base):
-            if key == "a":
-                a = _parse_vector(value, pos)
-            elif key == "alpha":
-                alpha = _parse_float(value, pos)
-            else:
-                _spec_error(f"unknown coherent key {key!r}", pos)
-        if a is None:
+        if "a" not in last:
             _spec_error("coherent needs a center, e.g. coherent:a=1,0", base)
-        if dim is not None and len(a) != dim:
-            _spec_error(f"center has {len(a)} components but m={dim}", base)
-        return Coherent(center=a, alpha=alpha)
+        if dim is not None and len(last["a"]) != dim:
+            _spec_error(f"center has {len(last['a'])} components but m={dim}", base)
+        return Coherent(center=last["a"], alpha=last.get("alpha", default_alpha))
 
     if family == "monomial":
-        powers = None
-        for key, value, pos in _split_groups(payload, base):
-            if key == "k":
-                vec = _parse_vector(value, pos)
-                if any(v < 0 or v != int(v) for v in vec):
-                    _spec_error("monomial powers must be nonnegative integers", pos)
-                powers = tuple(int(v) for v in vec)
-            else:
-                _spec_error(f"unknown monomial key {key!r}", pos)
-        if powers is None:
+        if "k" not in last:
             _spec_error("monomial needs powers, e.g. monomial:k=1", base)
-        want_even(2 * len(powers))
-        return Monomial(powers=powers)
+        want_even(2 * len(last["k"]))
+        return Monomial(powers=last["k"])
 
     if family == "poly":
         if not payload.strip():
             _spec_error("poly needs at least one term", base)
         raw_terms = []
-        cursor = base
         n_vars = 0
-        for chunk in payload.split(";"):
-            if chunk.strip():
-                coeff, powers = _parse_poly_term(chunk.strip(), cursor)
-                raw_terms.append((coeff, powers))
-                if powers:
-                    n_vars = max(n_vars, 1 + max(powers))
-            cursor += len(chunk) + 1
+        for chunk, pos in _chunks(payload, base):
+            coeff, powers = _parse_poly_term(chunk, pos)
+            raw_terms.append((coeff, powers))
+            if powers:
+                n_vars = max(n_vars, 1 + max(powers))
         n_vars = max(n_vars, 1)
         want_even(2 * n_vars)
         terms = tuple(
@@ -205,38 +205,23 @@ def parse_function_spec(
         return Polynomial(terms=terms)
 
     if family == "expquad":
-        c = None
-        for key, value, pos in _split_groups(payload, base):
-            if key == "c":
-                c = _parse_float(value, pos)
-            else:
-                _spec_error(f"unknown expquad key {key!r}", pos)
-        if c is None:
+        if "c" not in last:
             _spec_error("expquad needs a curvature, e.g. expquad:c=0.1", base)
-        return ExpQuadratic(c=c, dim=2 if dim is None else dim)
+        return ExpQuadratic(c=last["c"], dim=2 if dim is None else dim)
 
     if family == "sumcoherent":
-        weights: list[float] = []
-        centers: list[tuple[float, ...]] = []
-        alpha = default_alpha
-        for key, value, pos in _split_groups(payload, base):
-            if key == "w":
-                weights.append(_parse_float(value, pos))
-            elif key == "a":
-                if len(centers) != len(weights) - 1:
-                    _spec_error("each a= must follow its w=", pos)
-                centers.append(_parse_vector(value, pos))
-            elif key == "alpha":
-                alpha = _parse_float(value, pos)
-            else:
-                _spec_error(f"unknown sumcoherent key {key!r}", pos)
+        pairs = [group for group in groups if group[0] != "alpha"]
+        # the w= and a= groups alternate from a w=: the j-th a= is the (2j + 1)-th of them
+        for j, i in enumerate(i for i, (key, _, _) in enumerate(pairs) if key == "a"):
+            if i != 2 * j + 1:
+                _spec_error("each a= must follow its w=", pairs[i][2])
+        weights = [value for key, value, _ in pairs if key == "w"]
+        centers = [value for key, value, _ in pairs if key == "a"]
         if not weights or len(centers) != len(weights):
             _spec_error("sumcoherent needs matching w=/a= pairs", base)
         if dim is not None and any(len(a) != dim for a in centers):
             _spec_error("sumcoherent center dimension mismatch", base)
-        return SumOfCoherent(
-            atoms=tuple(zip(weights, centers)), alpha=alpha
-        )
+        return SumOfCoherent(atoms=tuple(zip(weights, centers)), alpha=last.get("alpha", default_alpha))
 
     _spec_error(f"unknown family {family!r}", 0)
 

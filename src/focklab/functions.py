@@ -49,7 +49,7 @@ def _sq_norm(X: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FockParams:
-    """Ambient dimension m, norm exponent p > 0, and weight rate alpha > 0."""
+    """Ambient dimension m, norm exponent p > 0, and weight rate alpha > 0, with alpha*p a finite double too."""
 
     m: int
     p: float
@@ -57,10 +57,11 @@ class FockParams:
 
     def __post_init__(self):
         object.__setattr__(self, "m", _integer(self.m, 1, "dimension m must be a positive integer"))
-        if not (self.p > 0) or not math.isfinite(self.p):
-            raise InvalidInputError(f"exponent p must be finite and positive, got {self.p}")
-        if not (self.alpha > 0) or not math.isfinite(self.alpha):
-            raise InvalidInputError(f"weight rate alpha must be finite and positive, got {self.alpha}")
+        object.__setattr__(self, "p", _real(self.p, "exponent p must be finite and positive", lambda p: p > 0))
+        object.__setattr__(
+            self, "alpha", _real(self.alpha, "weight rate alpha must be finite and positive", lambda a: a > 0)
+        )
+        _real(self.rate, f"alpha*p = {self.alpha}*{self.p} must be a finite positive double", lambda r: r > 0)
 
     @property
     def rate(self) -> float:
@@ -165,12 +166,32 @@ def _seed(seed) -> int:
     return _integer(seed, 0, "seed must be a nonnegative integer")
 
 
+def _real(value, message: str, within=None, *, array: bool = False, kind=float, error=InvalidInputError):
+    """value as a finite `kind` (float or complex), or an array of them with array=True, on which `within` holds.
+
+    The one check of a caller's real numbers.  within maps the converted value
+    to a bool, elementwise for an array.  A value that does not convert, as an
+    int past the largest double or a non-number does, or that is not finite or
+    breaks `within`, raises error(f"{message}, got {value}").
+    """
+    try:
+        if array:
+            x = np.asarray(value, dtype=kind)
+            ok = np.isfinite(x).all() and (within is None or within(x).all())
+        else:  # cmath, as numpy's reductions cost microseconds on a scalar
+            x = kind(value)
+            ok = cmath.isfinite(x) and (within is None or within(x))
+    except (OverflowError, TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise error(f"{message}, got {value}")
+    return x
+
+
 def _as_tuple(v) -> tuple[float, ...]:
-    arr = np.atleast_1d(np.asarray(v, dtype=float))
+    arr = np.atleast_1d(_real(v, "coordinates must be finite", array=True))
     if arr.ndim != 1:
         raise InvalidInputError("expected a flat coordinate vector")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError(f"coordinates must be finite, got {tuple(arr.tolist())}")
     return tuple(float(c) for c in arr)
 
 
@@ -190,8 +211,7 @@ class TestFunction:
     log_scale: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.log_scale):
-            raise InvalidInputError(f"log_scale must be finite, got {self.log_scale}")
+        object.__setattr__(self, "log_scale", _real(self.log_scale, "log_scale must be finite"))
 
     @property
     def m(self) -> int:
@@ -237,7 +257,7 @@ class TestFunction:
         return [np.zeros(self.m)]
 
     def log_shifted(self, delta: float) -> "TestFunction":
-        return replace(self, log_scale=self.log_scale + delta)
+        return replace(self, log_scale=self.log_scale + _real(delta, "log_scale must be finite, and so its shift"))
 
     def has_envelope(self, params: FockParams) -> bool:
         profile = self.radial_profile(params)
@@ -253,8 +273,9 @@ class Constant(TestFunction):
 
     def __post_init__(self):
         super().__post_init__()
-        if not (0 <= self.value < math.inf):
-            raise InvalidInputError(f"constant value must be finite and nonnegative, got {self.value}")
+        object.__setattr__(
+            self, "value", _real(self.value, "constant value must be finite and nonnegative", lambda v: v >= 0)
+        )
         object.__setattr__(self, "dim", _integer(self.dim, 1, "dimension must be a positive integer"))
 
     @property
@@ -288,8 +309,9 @@ class Coherent(TestFunction):
     def __post_init__(self):
         super().__post_init__()
         object.__setattr__(self, "center", _as_tuple(self.center))
-        if not (0 < self.alpha < math.inf):
-            raise InvalidInputError(f"coherent rate alpha must be finite and positive, got {self.alpha}")
+        object.__setattr__(
+            self, "alpha", _real(self.alpha, "coherent rate alpha must be finite and positive", lambda a: a > 0)
+        )
 
     @property
     def m(self) -> int:
@@ -420,10 +442,7 @@ class Polynomial(TestFunction):
                 n = len(pw)
             elif len(pw) != n:
                 raise InvalidInputError("all multi-indices must have the same length")
-            c = complex(coeff)
-            if not cmath.isfinite(c):
-                raise InvalidInputError(f"polynomial coefficients must be finite, got {coeff}")
-            norm.append((pw, c))
+            norm.append((pw, _real(coeff, "polynomial coefficients must be finite", kind=complex)))
         if not norm:
             raise InvalidInputError("polynomial needs at least one term")
         norm.sort(key=lambda kc: kc[0])
@@ -511,8 +530,9 @@ class ExpQuadratic(TestFunction):
 
     def __post_init__(self):
         super().__post_init__()
-        if not (0 <= self.c < math.inf):
-            raise InvalidInputError(f"quadratic rate c must be finite and nonnegative, got {self.c}")
+        object.__setattr__(
+            self, "c", _real(self.c, "quadratic rate c must be finite and nonnegative", lambda c: c >= 0)
+        )
         object.__setattr__(self, "dim", _integer(self.dim, 1, "dimension must be a positive integer"))
 
     @property
@@ -541,19 +561,17 @@ class SumOfCoherent(TestFunction):
 
     def __post_init__(self):
         super().__post_init__()
-        if not (0 < self.alpha < math.inf):
-            raise InvalidInputError(f"rate alpha must be finite and positive, got {self.alpha}")
+        object.__setattr__(self, "alpha", _real(self.alpha, "rate alpha must be finite and positive", lambda a: a > 0))
         norm = []
         dim = None
         for w, a in self.atoms:
-            if not (0 <= w < math.inf):
-                raise InvalidInputError(f"atom weights must be finite and nonnegative, got {w}")
+            w = _real(w, "atom weights must be finite and nonnegative", lambda w: w >= 0)
             at = _as_tuple(a)
             if dim is None:
                 dim = len(at)
             elif len(at) != dim:
                 raise InvalidInputError("all atom centers must share one dimension")
-            norm.append((float(w), at))
+            norm.append((w, at))
         if not norm:
             raise InvalidInputError("need at least one atom")
         object.__setattr__(self, "atoms", tuple(norm))
@@ -754,10 +772,7 @@ def _envelope_bisect(f: TestFunction, params: FockParams, log_t: np.ndarray) -> 
 
 def _thresholds(t) -> np.ndarray:
     """t, a scalar or an array, as a float array whose entries are finite and positive."""
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all((t_arr > 0) & np.isfinite(t_arr)):
-        raise InvalidInputError(f"threshold t must be finite and positive, got {t}")
-    return t_arr
+    return _real(t, "threshold t must be finite and positive", lambda t: t > 0, array=True)
 
 
 def envelope_radius(f: TestFunction, params: FockParams, log_t):
@@ -769,9 +784,7 @@ def envelope_radius(f: TestFunction, params: FockParams, log_t):
     all levels together, for the others.
     """
     _check_dims(f, params)
-    log_t = np.asarray(log_t, dtype=float)
-    if not np.all(np.isfinite(log_t)):
-        raise InvalidInputError(f"log threshold must be finite, got {log_t}")
+    log_t = _real(log_t, "log threshold must be finite", array=True)
     profile = f.radial_profile(params)
     if not f.has_envelope(params):
         raise NoEnvelopeError(f"log u = A + K log r - B r^2 has B = {profile.B:g} <= 0; no envelope")

@@ -49,7 +49,9 @@ from .errors import (
     NoEnvelopeError,
     UnsupportedFunctionalError,
 )
-from .functions import FockParams, TestFunction, _check_dims, _integer, _log_density_and_weight, _seed, envelope_radius
+from .functions import (
+    FockParams, TestFunction, _check_dims, _integer, _log_density_and_weight, _real, _seed, envelope_radius
+)
 
 __all__ = [
     "GaussHermite",
@@ -586,6 +588,7 @@ def mc_integrate(
     is raised again on the caller, that of the first failing block in block order.
     """
     samples = _integer(samples, 1000, "need an integer count of at least 1000 samples")
+    seed = _seed(seed)
     root_rate, log_c = math.sqrt(params.rate), math.log(norm_constant(params))
 
     def block(X, stream):
@@ -685,16 +688,16 @@ class Power(ConvexFunction):
     exponent: float
 
     def __post_init__(self):
-        if not (self.exponent >= 1.0) or not math.isfinite(self.exponent):
-            raise UnsupportedFunctionalError(
-                f"power exponent must be >= 1, got {self.exponent}"
-            )
+        rule = "power exponent must be >= 1"
+        exponent = _real(self.exponent, rule, lambda r: r >= 1, error=UnsupportedFunctionalError)
+        object.__setattr__(self, "exponent", exponent)
 
     def value(self, t):
         return np.asarray(t, dtype=float) ** self.exponent
 
     def log_value(self, log_t):
-        return self.exponent * np.asarray(log_t, dtype=float)
+        with np.errstate(over="ignore"):  # a large exponent gives +-inf, which the caller reports as an overflow
+            return self.exponent * np.asarray(log_t, dtype=float)
 
     def derivative(self, t):
         r = self.exponent
@@ -714,12 +717,12 @@ class PiecewiseLinear(ConvexFunction):
     slopes: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "knots", tuple(float(k) for k in self.knots))
-        object.__setattr__(self, "slopes", tuple(float(s) for s in self.slopes))
+        for name in ("knots", "slopes"):
+            values = _real(getattr(self, name), "knots and slopes must be finite", array=True,
+                           error=UnsupportedFunctionalError)
+            object.__setattr__(self, name, tuple(float(v) for v in values))
         if len(self.slopes) != len(self.knots) + 1:
             raise UnsupportedFunctionalError("need len(slopes) == len(knots) + 1")
-        if not all(map(math.isfinite, self.knots + self.slopes)):
-            raise UnsupportedFunctionalError("knots and slopes must be finite")
         if any(k <= 0 for k in self.knots) or any(
             b <= a for a, b in zip(self.knots, self.knots[1:])
         ):

@@ -28,6 +28,7 @@ from .functions import (
     _illinois,
     _integer,
     _log_density_and_weight,
+    _real,
     _seed,
     _sq_norm,
     _thresholds,
@@ -134,8 +135,7 @@ class LevelGrid:
 
     def __post_init__(self):
         object.__setattr__(self, "count", _integer(self.count, 2, "grid needs an integer count of at least 2 levels"))
-        if not (0 < self.ratio < 1):
-            raise InvalidInputError("grid ratio must lie in (0, 1)")
+        object.__setattr__(self, "ratio", _real(self.ratio, "grid ratio must lie in (0, 1)", lambda r: 0 < r < 1))
 
     def log_levels(self, count: int | None = None) -> np.ndarray:
         """log(t_k / t_max) = k log ratio, k = 0..count (self.count unless given): the peak, then the grid."""
@@ -723,9 +723,7 @@ def _ray_pass(f, params, log_t, centre, reach, grid, prev, keep) -> _RayGrid:
 
 def g_from_mu(mu, t, params: FockParams, variant: IsoperimetricVariant):
     """g(t) = t * exp(kappa(m) * alpha p * mu^(2/m)), as exp(log t + exponent); scalars give a float."""
-    mu, t = np.asarray(mu, dtype=float), _thresholds(t)
-    if not np.all(mu >= 0):
-        raise InvalidInputError(f"measure must be nonnegative, got {mu}")
+    mu, t = _real(mu, "measure must be finite and nonnegative", lambda mu: mu >= 0, array=True), _thresholds(t)
     expo = variant.kappa(params.m) * params.rate * mu ** (2.0 / params.m)
     with np.errstate(over="ignore"):
         g = np.exp(np.log(t) + expo)

@@ -22,6 +22,7 @@ from .functions import (
     FockParams,
     TestFunction,
     _integer,
+    _real,
     _seed,
     envelope_radius,
     log_density_batch,
@@ -111,8 +112,8 @@ def check_contraction(
     method=GaussHermite(32),
 ) -> VerificationReport:
     """Norm monotonicity in the exponent: the p-norm dominates the q-norm for p < q."""
-    if not (0 < p < q):
-        raise InvalidInputError(f"need 0 < p < q, got p={p}, q={q}")
+    p = _real(p, "exponent p must be finite and positive", lambda p: p > 0)
+    q = _real(q, f"need a finite q > p = {p}", lambda q: q > p)
     est_p = fock_norm(f, FockParams(f.m, p, alpha), method=method)
     est_q = fock_norm(f, FockParams(f.m, q, alpha), method=method)
     margin = est_p.value - est_q.value
@@ -298,7 +299,7 @@ def richardson_limit(values) -> float:
     The ladder error carries an h*log(1/h) term, so the factor-2 elimination is
     applied at every level rather than the classical 2^k schedule.
     """
-    R = [float(v) for v in values]
+    R = [_real(v, "ladder values must be finite") for v in values]
     while len(R) > 1:
         R = [2.0 * R[i + 1] - R[i] for i in range(len(R) - 1)]
     return R[0]
@@ -315,7 +316,7 @@ def check_limit_norm(
     seed: int = 0,
 ) -> VerificationReport:
     """p-norm ladder decreases to the weighted sup norm; extrapolation hits it to relative tol."""
-    p_ladder = [float(p) for p in p_ladder]
+    p_ladder = [_real(p, "p ladder rungs must be finite and positive", lambda p: p > 0) for p in p_ladder]
     seed = _seed(seed)
     if len(p_ladder) < 2:
         raise InvalidInputError(f"p ladder needs at least two rungs, got {len(p_ladder)}")
@@ -424,6 +425,9 @@ class PowerDecayProfile:
 
     beta: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "beta", _real(self.beta, "profile power beta must be finite"))
+
     def log_g(self, log_t: np.ndarray) -> np.ndarray:
         return -self.beta * np.asarray(log_t, dtype=float)
 
@@ -440,14 +444,11 @@ class TabulatedProfile:
     g_values: tuple[float, ...]
 
     def __post_init__(self):
-        t = np.asarray(self.t_points, dtype=float)
-        g = np.asarray(self.g_values, dtype=float)
+        rule = "t and g samples must be finite and positive"
+        t = _real(self.t_points, rule, lambda t: t > 0, array=True)
+        g = _real(self.g_values, rule, lambda g: g > 0, array=True)
         if t.ndim != 1 or t.shape != g.shape or len(t) < 2:
             raise InvalidInputError("need matching 1-D t and g samples, at least 2")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(g))):
-            raise InvalidInputError("t and g samples must be finite")
-        if np.any(t <= 0) or np.any(g <= 0):
-            raise InvalidInputError("t and g samples must be positive")
         if np.any(np.diff(t) <= 0):
             raise InvalidInputError("t samples must be strictly increasing")
         object.__setattr__(self, "t_points", tuple(float(v) for v in t))
@@ -478,8 +479,7 @@ class PowerPhi:
     gamma: float
 
     def __post_init__(self):
-        if not (0 < self.gamma < math.inf):
-            raise InvalidInputError(f"phi power must be positive and finite, got {self.gamma}")
+        object.__setattr__(self, "gamma", _real(self.gamma, "phi power must be positive and finite", lambda g: g > 0))
 
 
 @dataclass(frozen=True)
@@ -493,8 +493,8 @@ class LogPowerPhi:
     power: float
 
     def __post_init__(self):
-        if not (0 < self.power < math.inf and (2.0 * self.power).is_integer()):
-            raise InvalidInputError(f"log-phi power must be a positive multiple of 1/2, got {self.power}")
+        rule = "log-phi power must be a positive multiple of 1/2"
+        object.__setattr__(self, "power", _real(self.power, rule, lambda q: q > 0 and (2.0 * q).is_integer()))
 
 
 @dataclass(frozen=True)
@@ -504,8 +504,7 @@ class PowerPsi:
     r: float
 
     def __post_init__(self):
-        if not (1 <= self.r < math.inf):
-            raise InvalidInputError(f"psi exponent must be finite and at least 1, got {self.r}")
+        object.__setattr__(self, "r", _real(self.r, "psi exponent must be finite and at least 1", lambda r: r >= 1))
 
 
 _UNWEIGHTED = PowerPsi(1.0)  # Psi == 1, the side of the Phi-constraint
@@ -739,10 +738,8 @@ def check_rearrangement_lemma(
     are still accepted and honestly reported, which is how the orientation of
     the hypothesis can be demonstrated numerically.
     """
-    if not (t_max > 0):
-        raise InvalidInputError("t_max must be positive")
-    if not (0 <= t_lo < t_max):
-        raise InvalidInputError("need 0 <= t_lo < t_max")
+    t_max = _real(t_max, "t_max must be finite and positive", lambda t: t > 0)
+    t_lo = _real(t_lo, f"need 0 <= t_lo < t_max = {t_max}", lambda t: 0 <= t < t_max)
     # power profiles, the g == 1 reference among them, integrate in closed form
     closed = isinstance(profile, PowerDecayProfile) and profile.beta > -1.0
     integral = (
@@ -815,8 +812,11 @@ def check_isoperimetric_variant(m: int) -> VerificationReport:
     factor (m/2)^(2/m) and undershoots for m = 1.
     """
     m = _integer(m, 1, "dimension must be a positive integer")
-    # in logs: Gamma(1 + m/2) overflows a double from m = 342 on
-    log_gamma = math.lgamma(1.0 + m / 2.0)
+    # in logs: Gamma(1 + m/2) overflows a double from m = 342 on, and log Gamma from m ~ 5e305 on
+    try:
+        log_gamma = math.lgamma(1.0 + m / 2.0)
+    except OverflowError:
+        raise InvalidInputError(f"log Gamma(1 + m/2) overflows a double at m = {m}") from None
     log_omega = 0.5 * m * math.log(math.pi) - log_gamma
     worst_eq = 0.0
     for r in _ISOPERIMETRIC_RADII:

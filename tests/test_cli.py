@@ -82,10 +82,23 @@ def test_parse_expquad_and_sumcoherent():
         "poly:z0*bogus",
         "sumcoherent:w=1;w=2;a=0,0",
         "coherent:a=1,0,0",  # three components but dim=2
+        "coherent:a",  # expected key=value
+        "expquad:c=x",  # expected a number
+        "coherent:a=1,,0",  # expected comma-separated numbers
+        "poly:2*",  # empty factor in polynomial term
+        "monomial:k=1,1",  # spec implies m=4 but m=2 was requested
+        "monomial:",  # monomial needs powers
+        "monomial:k=inf",  # no integer power
+        "monomial:j=1",  # unknown monomial key
+        "expquad:",  # expquad needs a curvature
+        "expquad:c=1;d=2",  # unknown expquad key
+        "sumcoherent:w=1",  # needs matching w=/a= pairs
+        "sumcoherent:w=1;a=0,0;b=1",  # unknown sumcoherent key
+        "sumcoherent:w=1;a=1,0,0",  # center dimension mismatch
     ],
 )
 def test_parse_rejects_malformed(bad):
-    with pytest.raises(FunctionSpecError):
+    with pytest.raises(FunctionSpecError, match=r"at position \d+"):
         parse_function_spec(bad, dim=2)
 
 
@@ -481,6 +494,12 @@ def test_bad_function_spec_exits_2(capsys):
 def test_non_finite_parameter_exits_2(capsys, spec):
     # nan passes a sign test and would read as a zero of f, a norm of 0: the family refuses it
     assert main(["norm", "--fn", spec]) == 2
+    assert "focklab: error: " in capsys.readouterr().err
+
+
+def test_weight_rate_past_the_largest_double_exits_2(capsys):
+    # alpha = 1e308 is a double, alpha * p = 2e308 is not: FockParams refuses it before the quadrature takes a log
+    assert main(["norm", "--fn", "coherent:a=1,0", "--alpha", "1e308"]) == 2
     assert "focklab: error: " in capsys.readouterr().err
 
 

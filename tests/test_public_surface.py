@@ -1,6 +1,7 @@
 """The public names: every exported name resolves, and so does every name the benchmark uses.
 
-The README's Library example runs and shows what its comments claim.
+The README's Library example runs and shows what its comments claim, and every
+public constructor and function keeps one input contract.
 """
 
 import ast
@@ -9,10 +10,33 @@ import importlib.util
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import focklab
 import focklab.cli
+from focklab import (
+    Coherent,
+    Constant,
+    ExpQuadratic,
+    FockParams,
+    FocklabError,
+    GaussHermite,
+    InvalidInputError,
+    IsoperimetricVariant,
+    LevelGrid,
+    MonteCarlo,
+    Monomial,
+    PiecewiseLinear,
+    Polynomial,
+    Power,
+    Radial,
+    SumOfCoherent,
+    UnsupportedFunctionalError,
+)
+from focklab.verify import LogPowerPhi, PowerDecayProfile, PowerPhi, PowerPsi, TabulatedProfile
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -78,3 +102,157 @@ def test_readme_library_example():
     assert abs(value - (2.0 / p) ** 0.5 * math.gamma(1.0 + p / 2.0) ** (1.0 / p)) <= est.value_error
     assert report.passed and report.details["equality_detected"] is True
     assert violations == ()
+
+
+# ---------------------------------------------------------------------------
+# one input contract: a documented result or a typed error, for every drawn input
+
+_BAD_REALS = (math.nan, math.inf, -math.inf, -1, 0, 2.5, True, 10**400, 1e308)
+_BAD_COUNTS = (math.nan, math.inf, -math.inf, -1, 0, 2.5, True, 10**400)  # 1e308 passes as a count and allocates
+
+
+def _reals(*valid):
+    return st.one_of(st.sampled_from(valid), st.sampled_from(_BAD_REALS))
+
+
+def _counts(*valid):
+    return st.one_of(st.sampled_from(valid), st.sampled_from(_BAD_COUNTS))
+
+
+_F = Coherent(center=(1.0, 0.0), alpha=1.0)
+_SEARCHED = SumOfCoherent(atoms=((0.7, (0.5, 0.0)), (0.3, (-1.0, 0.0))), alpha=1.0)
+_P = FockParams(2, 2.0, 1.0)
+_GH = GaussHermite(8)
+
+
+def _zero(X):
+    return np.zeros(len(X))
+
+
+def _lemma(beta, phi, psi, t_max, t_lo):
+    return focklab.check_rearrangement_lemma(PowerDecayProfile(beta), phi, psi, t_max, t_lo)
+
+
+# name: (call, the documented result type, a strategy per argument)
+_ENTRIES = {
+    "FockParams": (FockParams, FockParams, [_counts(2), _reals(2.0, 0.5), _reals(1.0, 0.5)]),
+    "Constant": (lambda v, m, s: Constant(value=v, dim=m, log_scale=s), Constant,
+                 [_reals(1.0, 0.0), _counts(2), _reals(0.0, -3.0)]),
+    "Coherent": (lambda x, y, a: Coherent(center=(x, y), alpha=a), Coherent, [_reals(1.0), _reals(0.0), _reals(1.0)]),
+    "Monomial": (lambda j, k: Monomial(powers=(j, k)), Monomial, [_counts(1, 0), _counts(2)]),
+    "Polynomial": (lambda k, c, d: Polynomial(terms={(k,): c, (0,): d}), Polynomial,
+                   [_counts(2), _reals(0.5), _reals(1.0)]),
+    "ExpQuadratic": (lambda c, m: ExpQuadratic(c=c, dim=m), ExpQuadratic, [_reals(0.1, 0.0), _counts(2)]),
+    "SumOfCoherent": (lambda w, x, a: SumOfCoherent(atoms=((w, (x, 0.0)), (0.3, (-1.0, 0.0))), alpha=a),
+                      SumOfCoherent, [_reals(0.7), _reals(0.5), _reals(1.0)]),
+    "log_shifted": (_F.log_shifted, Coherent, [_reals(-700.0, 1.0)]),
+    "LevelGrid": (LevelGrid, LevelGrid, [_counts(60, 2), _reals(0.9)]),
+    "Power": (Power, Power, [_reals(2.0, 1.0)]),
+    "PiecewiseLinear": (lambda k, s0, s1: PiecewiseLinear(knots=(k,), slopes=(s0, s1)), PiecewiseLinear,
+                        [_reals(0.5), _reals(0.0), _reals(2.0)]),
+    "TabulatedProfile": (lambda t, g: TabulatedProfile(t_points=(0.5, t), g_values=(1.0, g)), TabulatedProfile,
+                         [_reals(1.0), _reals(0.8)]),
+    "default_family_members": (focklab.default_family_members, tuple, [_counts(2, 3)]),
+    "norm_constant": (lambda p, a: focklab.norm_constant(FockParams(2, p, a)), float, [_reals(2.0), _reals(1.0)]),
+    "envelope_radius": (lambda log_t: focklab.envelope_radius(_F, _P, log_t), float, [_reals(-1.0, 0.0)]),
+    "fock_norm GH": (lambda p, a, n: focklab.fock_norm(_F, FockParams(2, p, a), GaussHermite(n)),
+                     focklab.NormEstimate, [_reals(2.0), _reals(1.0), _counts(8, 16)]),
+    "fock_norm radial": (lambda nr, na: focklab.fock_norm(_F, _P, Radial(nr, na)), focklab.NormEstimate,
+                         [_counts(8), _counts(8)]),
+    "fock_norm MC": (lambda n, seed: focklab.fock_norm(_F, _P, MonteCarlo(n, seed)), focklab.NormEstimate,
+                     [_counts(1000), _counts(0, 7)]),
+    "gauss_hermite_integrate": (lambda n: focklab.gauss_hermite_integrate(_zero, _P, n), focklab.IntegralEstimate,
+                                [_counts(8)]),
+    "radial_integrate": (lambda nr, na: focklab.radial_integrate(_zero, _P, nr, na), focklab.IntegralEstimate,
+                         [_counts(4), _counts(4)]),
+    "mc_integrate": (lambda n, seed: focklab.mc_integrate(_zero, _P, n, seed), focklab.IntegralEstimate,
+                     [_counts(1000), _counts(0)]),
+    "convex_functional Power": (lambda r: focklab.convex_functional(_F, _P, Power(r), _GH),
+                                focklab.FunctionalEstimate, [_reals(2.0, 1.0)]),
+    "convex_functional PiecewiseLinear": (
+        lambda k, s: focklab.convex_functional(_F, _P, PiecewiseLinear(knots=(k,), slopes=(0.0, s)), _GH),
+        focklab.FunctionalEstimate, [_reals(0.5), _reals(2.0)]),
+    "find_max": (lambda restarts, seed: focklab.find_max(_SEARCHED, _P, restarts, seed), focklab.MaxResult,
+                 [_counts(2, 0), _counts(0, 3)]),
+    "g_diagnostic": (lambda count, ratio, samples, seed: focklab.g_diagnostic(
+        _F, _P, grid=LevelGrid(count, ratio), samples=samples, seed=seed), focklab.LevelProfile,
+        [_counts(4), _reals(0.5), _counts(1000), _counts(0)]),
+    "g_from_mu": (lambda mu, t: focklab.g_from_mu(mu, t, _P, IsoperimetricVariant.SHARP_BALL), float,
+                  [_reals(1.0, 0.0), _reals(0.5)]),
+    "layer_cake": (lambda r, ratio, samples, seed: focklab.layer_cake(
+        _F, _P, Power(r), LevelGrid(8, ratio), _GH, samples, seed), focklab.LayerCakeResult,
+        [_reals(2.0), _reals(0.5), _counts(1000), _counts(0)]),
+    "superlevel_measure": (lambda t, samples, seed: focklab.superlevel_measure(_F, _P, t, samples, seed),
+                           focklab.MeasureEstimate, [_reals(0.1), _counts(1000), _counts(0)]),
+    "superlevel_measure_exact": (lambda t: focklab.superlevel_measure_exact(_F, _P, t), float, [_reals(0.1)]),
+    "check_contraction": (lambda p, q, a: focklab.check_contraction(_F, p, q, a, _GH), focklab.VerificationReport,
+                          [_reals(1.0), _reals(2.0), _reals(1.0)]),
+    "check_pointwise_bound": (lambda n, seed: focklab.check_pointwise_bound(_F, _P, n, seed, _GH),
+                              focklab.VerificationReport, [_counts(100), _counts(0)]),
+    "check_decay": (lambda directions, seed, radii: focklab.check_decay(_F, _P, directions, seed, radii),
+                    focklab.VerificationReport, [_counts(2, 0), _counts(0), _counts(8)]),
+    "check_limit_norm": (lambda a, p, q, seed: focklab.check_limit_norm(_F, a, (p, q, 8.0), GaussHermite(16), seed),
+                         focklab.VerificationReport, [_reals(1.0), _reals(2.0), _reals(4.0), _counts(0)]),
+    "check_extremal_convex": (lambda r: focklab.check_extremal_convex(_F, _P, Power(r), _GH),
+                              focklab.VerificationReport, [_reals(2.0)]),
+    "check_isoperimetric_variant": (focklab.check_isoperimetric_variant, focklab.VerificationReport, [_counts(3)]),
+    "check_rearrangement_lemma PowerPhi": (
+        lambda beta, gamma, r, t_max, t_lo: _lemma(beta, PowerPhi(gamma), PowerPsi(r), t_max, t_lo),
+        focklab.VerificationReport, [_reals(0.3), _reals(0.5), _reals(2.0), _reals(1.0), _reals(0.0)]),
+    "check_rearrangement_lemma LogPowerPhi": (
+        lambda power, t_max: _lemma(0.3, LogPowerPhi(power), PowerPsi(2.0), t_max, 0.0),
+        focklab.VerificationReport, [_reals(1.0, 0.5), _reals(1.0)]),
+    "richardson_limit": (lambda a, b, c: focklab.richardson_limit([a, b, c]), float,
+                         [_reals(1.0), _reals(0.5), _reals(0.25)]),
+}
+
+
+@pytest.mark.parametrize("name", list(_ENTRIES))
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(data=st.data())
+def test_every_entry_returns_its_type_or_raises_a_typed_error(name, data):
+    # a real is drawn from valid values and from nan, +-inf, -1, 0, 2.5, True, 10^400 and 1e308, a count
+    # from all of these but 1e308; a bare Python exception, such as an OverflowError, fails the property
+    call, result_type, slots = _ENTRIES[name]
+    args = [data.draw(slot) for slot in slots]
+    try:
+        result = call(*args)
+    except FocklabError:
+        return
+    assert isinstance(result, result_type), (name, args, result)
+
+
+_HUGE = 10**400  # an int past the largest double
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: FockParams(2, _HUGE, 1.0), InvalidInputError, id="FockParams p"),
+        pytest.param(lambda: focklab.fock_norm(_F, FockParams(2, 2.0, 1e308)), InvalidInputError,
+                     id="fock_norm alpha*p"),
+        pytest.param(lambda: Coherent(center=(_HUGE, 0.0), alpha=1.0), InvalidInputError, id="Coherent centre"),
+        pytest.param(lambda: focklab.fock_norm(Coherent(center=(1.0, 0.0), alpha=_HUGE), _P), InvalidInputError,
+                     id="Coherent alpha"),
+        pytest.param(lambda: focklab.fock_norm(ExpQuadratic(c=_HUGE, dim=2), _P), InvalidInputError,
+                     id="ExpQuadratic c"),
+        pytest.param(lambda: Constant(value=1.0, dim=2, log_scale=_HUGE), InvalidInputError, id="log_scale"),
+        pytest.param(lambda: Polynomial(terms={(1,): _HUGE}), InvalidInputError, id="Polynomial coefficient"),
+        pytest.param(lambda: SumOfCoherent(atoms=((_HUGE, (0.0, 0.0)),), alpha=1.0), InvalidInputError,
+                     id="SumOfCoherent weight"),
+        pytest.param(lambda: Power(_HUGE), UnsupportedFunctionalError, id="Power"),
+        pytest.param(lambda: _lemma(0.3, PowerPhi(_HUGE), PowerPsi(2.0), 1.0, 0.0), InvalidInputError,
+                     id="PowerPhi"),
+        pytest.param(lambda: _lemma(0.3, PowerPhi(0.5), PowerPsi(_HUGE), 1.0, 0.0), InvalidInputError,
+                     id="PowerPsi"),
+        pytest.param(lambda: focklab.check_contraction(_F, 1.0, _HUGE, 1.0), InvalidInputError,
+                     id="check_contraction q"),
+        pytest.param(lambda: focklab.check_limit_norm(_F, 1.0, p_ladder=(2.0, _HUGE)), InvalidInputError,
+                     id="check_limit_norm ladder"),
+        pytest.param(lambda: focklab.envelope_radius(_F, _P, _HUGE), InvalidInputError, id="envelope_radius"),
+    ],
+)
+def test_reals_past_the_largest_double_raise_typed_errors(call, error):
+    # each conversion to a double overflowed, or alpha * p did, into a bare OverflowError or ValueError
+    with pytest.raises(error):
+        call()

@@ -806,9 +806,9 @@ def test_isoperimetric_sharp_ball_equality(m):
     assert report.details["literal_over_sharp_ratio"] == pytest.approx(ratio, rel=1e-14, abs=0.0)
 
 
-@pytest.mark.parametrize("m", [math.nan, math.inf, 2.5, 0], ids=["nan", "inf", "2.5", "0"])
+@pytest.mark.parametrize("m", [math.nan, math.inf, 2.5, 0, 1e308], ids=["nan", "inf", "2.5", "0", "1e308"])
 def test_isoperimetric_variant_rejects_a_bad_m(m):
-    # max(0.0, nan) drops a nan margin, so a nan m would pass
+    # max(0.0, nan) drops a nan margin, so a nan m would pass; at m = 1e308, an integer, log Gamma(1 + m/2) overflows
     with pytest.raises(InvalidInputError):
         check_isoperimetric_variant(m)
 
