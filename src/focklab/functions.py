@@ -35,6 +35,10 @@ __all__ = [
     "envelope_radius",
 ]
 
+# the largest ambient dimension: a Monte Carlo block of 2^16 rows then holds 32 MiB, on each of up to 4 lanes
+_MAX_DIM = 64
+
+
 def _sq_norm(X: np.ndarray) -> np.ndarray:
     """|x|^2 of each row of an (N, m) array, one column at a time.
 
@@ -49,14 +53,14 @@ def _sq_norm(X: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FockParams:
-    """Ambient dimension m, norm exponent p > 0, and weight rate alpha > 0, with alpha*p a finite double too."""
+    """Ambient dimension m from 1 to 64, exponent p > 0 and weight rate alpha > 0, with alpha*p a finite double."""
 
     m: int
     p: float
     alpha: float
 
     def __post_init__(self):
-        object.__setattr__(self, "m", _integer(self.m, 1, "dimension m must be a positive integer"))
+        object.__setattr__(self, "m", _dimension(self.m, "dimension m must be a positive integer"))
         object.__setattr__(self, "p", _real(self.p, "exponent p must be finite and positive", lambda p: p > 0))
         object.__setattr__(
             self, "alpha", _real(self.alpha, "weight rate alpha must be finite and positive", lambda a: a > 0)
@@ -150,15 +154,32 @@ class RadialProfile:
         return r_in, r_out
 
 
-def _integer(value, least: int, message: str) -> int:
-    """value as an int where it is an integer, as a float too, of at least `least`; else InvalidInputError."""
+def _shown(value) -> str:
+    """str(value) for an error message, which cannot raise: an int past str's 4300 digits shows its size."""
     try:
-        whole = float(value).is_integer() and value >= least
+        return str(value)
+    except Exception:  # ValueError from int's digit limit, or a __str__ that raises
+        return f"an int of {value.bit_length()} bits" if isinstance(value, int) else f"a {type(value).__name__}"
+
+
+def _integer(value, least: int, message: str, most: int | None = None) -> int:
+    """value as an int where it is an integer, as a float too, from `least` to `most`; else InvalidInputError.
+
+    `most`, where a count sizes what a call allocates or runs, is that count's
+    documented largest value, checked before anything is allocated.
+    """
+    try:
+        whole = float(value).is_integer() and least <= value and (most is None or value <= most)
     except (TypeError, ValueError, OverflowError):
         whole = False
     if not whole:
-        raise InvalidInputError(f"{message}, got {value}")
+        raise InvalidInputError(f"{message}, got {_shown(value)}")
     return int(value)
+
+
+def _dimension(m, message: str = "dimension must be a positive integer") -> int:
+    """m as an int from 1 to _MAX_DIM; else InvalidInputError."""
+    return _integer(m, 1, f"{message} of at most {_MAX_DIM}", _MAX_DIM)
 
 
 def _seed(seed) -> int:
@@ -172,7 +193,7 @@ def _real(value, message: str, within=None, *, array: bool = False, kind=float, 
     The one check of a caller's real numbers.  within maps the converted value
     to a bool, elementwise for an array.  A value that does not convert, as an
     int past the largest double or a non-number does, or that is not finite or
-    breaks `within`, raises error(f"{message}, got {value}").
+    breaks `within`, raises error(f"{message}, got {_shown(value)}").
     """
     try:
         if array:
@@ -184,7 +205,7 @@ def _real(value, message: str, within=None, *, array: bool = False, kind=float, 
     except (OverflowError, TypeError, ValueError):
         ok = False
     if not ok:
-        raise error(f"{message}, got {value}")
+        raise error(f"{message}, got {_shown(value)}")
     return x
 
 
@@ -276,7 +297,7 @@ class Constant(TestFunction):
         object.__setattr__(
             self, "value", _real(self.value, "constant value must be finite and nonnegative", lambda v: v >= 0)
         )
-        object.__setattr__(self, "dim", _integer(self.dim, 1, "dimension must be a positive integer"))
+        object.__setattr__(self, "dim", _dimension(self.dim))
 
     @property
     def m(self) -> int:
@@ -533,7 +554,7 @@ class ExpQuadratic(TestFunction):
         object.__setattr__(
             self, "c", _real(self.c, "quadratic rate c must be finite and nonnegative", lambda c: c >= 0)
         )
-        object.__setattr__(self, "dim", _integer(self.dim, 1, "dimension must be a positive integer"))
+        object.__setattr__(self, "dim", _dimension(self.dim))
 
     @property
     def m(self) -> int:
@@ -650,7 +671,16 @@ def _log_density_and_weight(f: TestFunction, params: FockParams, X: np.ndarray):
 
 
 def log_density_batch(f: TestFunction, params: FockParams, X: np.ndarray) -> np.ndarray:
-    """log u on an (N, m) batch, u = |f|^p exp(-(alpha p/2)|x|^2)."""
+    """log u on an (N, m) batch, u = |f|^p exp(-(alpha p/2)|x|^2).
+
+    X is converted to doubles here, and a batch that does not convert (an int
+    past the largest double, a non-number) raises InvalidInputError; its
+    values are not checked, so a nan point gives a nan density.
+    """
+    try:
+        X = np.asarray(X, dtype=float)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"points must convert to doubles: {exc}") from None
     return _log_density_and_weight(f, params, X)[0]
 
 
@@ -802,7 +832,7 @@ def default_family_members(m: int = 2) -> tuple[TestFunction, ...]:
     Holomorphic families (monomial, polynomial) only exist for even m and are
     omitted otherwise.
     """
-    m = _integer(m, 1, "dimension must be a positive integer")
+    m = _dimension(m)
     e1 = (1.0,) + (0.0,) * (m - 1)
     members: list[TestFunction] = [
         Constant(value=1.0, dim=m),

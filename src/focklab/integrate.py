@@ -12,10 +12,15 @@ keep them.  The two rules yield chunks (X, logw_table, offset), whose
 log-weights are the table plus one scalar: Gauss-Hermite fixes the leading
 coordinates of its tensor grid per chunk, the radial rule takes whole radii.
 One reducer adds log_h(X) to the table in a fresh array, which it owns, runs
-log-sum-exp on it in place and adds the offset to the chunk's log-sum; the
-rules take a coarse/fine gap as error.  Monte Carlo draws block i of
-_CHUNK_POINTS // 4 rows from child i of SeedSequence(seed, spawn_key=(1,))
-and merges the blocks' means and variances in block order.
+log-sum-exp on it in place and adds the offset to the chunk's log-sum.  Both
+rules climb one rung ladder, _ladder: the node counts they are given are a
+cap, and where the cap's fine rule spans more than one chunk, smaller rules
+run first, each rung's integral the fine value of one pair and the coarse
+value of the next, up to the first pair whose gap lies within its roundoff,
+or else to the cap's coarse/fine pair; a rule of one chunk runs that pair
+alone.  Monte Carlo draws block i of _CHUNK_POINTS // 4 rows from child i
+of SeedSequence(seed, spawn_key=(1,)) and merges the blocks' means and
+variances in block order.
 
 One lane runner, _in_lanes, runs numbered blocks in up to 4 lanes (one on the
 calling thread, the others on threads it joins), each lane reusing one buffer
@@ -79,8 +84,14 @@ _CHUNK_POINTS = 1 << 18
 _DOUBLING_BUDGET = 1 << 24
 # _in_lanes runs at most this many lanes at once, in blocks of _CHUNK_POINTS // _MAX_LANES rows
 _MAX_LANES = 4
+# the most samples any sampler takes: 2^14 blocks of 2^16 rows
+_MAX_SAMPLES = 1 << 30
 # numpy's hermgauss keeps every weight a normal double up to about 370 nodes
 _MAX_GH_NODES = 256
+# the Gauss-Hermite ladder's rungs below a cap: 8 and 12 nodes per axis times powers of 2
+_GH_RUNGS = (8, 12, 16, 24, 32, 48, 64, 96, 128, 192)
+# the most radial or angular nodes a radial rule takes; its fine rule doubles both
+_MAX_RADIAL_NODES = 256
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # exp of a larger log overflows a double
 
 
@@ -91,14 +102,26 @@ def _exp(log_value: float) -> float:
 
 @dataclass(frozen=True)
 class GaussHermite:
-    """Tensor Gauss-Hermite rule with a fixed node count per axis."""
+    """Tensor Gauss-Hermite rules up to nodes_per_axis, a cap from 8 to 256.
+
+    The cap's pair is (n, 2n) nodes per axis, or (n/2, n) past 2^24 nodes.
+    Where its fine grid spans more than one chunk of 2^18 nodes (m = 4 from
+    n = 12, never at m <= 2), the rules of 8, 12, 16, 24, ... nodes below n
+    run first and the first pair that agrees to roundoff ends the ladder.
+    """
 
     nodes_per_axis: int = 32
 
 
 @dataclass(frozen=True)
 class Radial:
-    """Generalized Gauss-Laguerre in radius times a product rule on the sphere."""
+    """Generalized Gauss-Laguerre in radius times a product rule on the sphere, m <= 3.
+
+    The two counts, each from 4 to 256, are a cap whose pair doubles both.
+    Where its fine rule spans more than one chunk of 2^18 nodes (the default
+    at m = 3, never at m <= 2), the rules with both counts halved run first
+    and the first pair that agrees to roundoff ends the ladder.
+    """
 
     radial_nodes: int = 48
     angular_nodes: int = 64
@@ -158,7 +181,7 @@ def norm_constant(params: FockParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# deterministic rules: (X, logw_table, offset) chunk generators, one reducer, one refinement pair
+# deterministic rules: (X, logw_table, offset) chunk generators, one reducer, one rung ladder
 
 
 def _log_sum_exp(a: np.ndarray) -> float:
@@ -209,24 +232,36 @@ def _integral(log_h: Callable, rule) -> tuple[float, int]:
     return log_value, n
 
 
-def _refine(log_h: Callable, coarse, fine, pruned=None) -> IntegralEstimate:
-    """Integral of exp(log_h) on the fine rule; relative error max(|coarse/fine - 1|, roundoff).
+def _ladder(log_h: Callable, rungs: list, rule: Callable, pruned: Callable | None = None) -> IntegralEstimate:
+    """Integral of exp(log_h) on the first pair of rungs that agrees to roundoff, else on the last pair.
 
-    Rules yield (X, logw_table, offset).  `pruned`, if given, maps log coarse to
-    None or to a rule that skips fine nodes adding at most 2^-53 coarse in all;
-    it runs in place of `fine`, and that cap over the fine value is added to the error.
-    Raises MethodUnavailableError when either log-integral is nan or +inf.
+    rule(rung) yields the rung's (X, logw_table, offset) chunks.  pruned(rung,
+    log_prev), if given, maps the previous rung's log-integral to None or to a
+    rule of the rung that skips nodes adding at most 2^-53 prev in all; it runs
+    in place of rule(rung), and that cap over the rung's value is added to its
+    error.  Each rung's integral is the fine value of one pair and the coarse
+    value of the next.  A pair states relative error max(|coarse/fine - 1|,
+    roundoff) plus the cap; it ends the ladder when its gap lies within its
+    roundoff and its fine value is nonzero, and the last pair ends it in any
+    case, a zero fine value there handing back the coarse one with its own
+    size as error.  Raises MethodUnavailableError when a log-integral is nan or +inf.
     """
-    log_coarse, _ = _integral(log_h, coarse)
-    log_cap = -math.inf
-    if pruned is not None and (rule := pruned(log_coarse)) is not None:
-        fine, log_cap = rule, log_coarse - 53.0 * math.log(2.0)
-    log_value, n = _integral(log_h, fine)
-    if log_value == -math.inf:  # a zero fine value: the coarse one, its own size as error
-        return IntegralEstimate(log_coarse, 1.0 if log_coarse > -math.inf else 0.0)
-    log_ratio = log_coarse - log_value
-    gap = abs(math.expm1(log_ratio)) if log_ratio <= _LOG_FLOAT_MAX else math.inf
-    return IntegralEstimate(log_value, max(gap, _roundoff(log_value, n)) + _exp(log_cap - log_value))
+    log_coarse, _ = _integral(log_h, rule(rungs[0]))
+    for i, rung in enumerate(rungs[1:], 2):
+        last = i == len(rungs)
+        fine, log_cap = rule(rung), -math.inf
+        if pruned is not None and (skipping := pruned(rung, log_coarse)) is not None:
+            fine, log_cap = skipping, log_coarse - 53.0 * math.log(2.0)
+        log_value, n = _integral(log_h, fine)
+        if log_value > -math.inf:
+            log_ratio = log_coarse - log_value
+            gap = abs(math.expm1(log_ratio)) if log_ratio <= _LOG_FLOAT_MAX else math.inf
+            roundoff = _roundoff(log_value, n)
+            if gap <= roundoff or last:
+                return IntegralEstimate(log_value, max(gap, roundoff) + _exp(log_cap - log_value))
+        elif last:  # a zero fine value: the coarse one, its own size as error
+            return IntegralEstimate(log_coarse, 1.0 if log_coarse > -math.inf else 0.0)
+        log_coarse = log_value
 
 
 @lru_cache(maxsize=32)
@@ -325,11 +360,12 @@ def _gh_pruned(params: FockParams, n: int, envelope: Callable, log_coarse: float
     integral of exp(log_h), u = exp(log_h - (alpha p/2)|x|^2).  So the ball at
     log t = log coarse - 53 log 2 - log S, S the sum of w e^{|y|^2} over all
     nodes, leaves out nodes that add at most t S = 2^-53 coarse; t need not be
-    a double.  None when coarse is zero, when the ball holds no node, and when
-    the cuts of `_gh_cuts` keep every node, so the full rule runs as it is and
-    adds no cap.
+    a double.  None when the rule fits in one _CHUNK_POINTS chunk, where the
+    envelope costs more than it saves, when coarse is zero, when the ball
+    holds no node, and when the cuts of `_gh_cuts` keep every node, so the
+    full rule runs as it is and adds no cap.
     """
-    if log_coarse == -math.inf:
+    if n**params.m <= _CHUNK_POINTS or log_coarse == -math.inf:
         return None
     y, lw = _gh_axis(n)
     scale, log_jac = _gh_frame(params)
@@ -346,17 +382,23 @@ def _gh_pruned(params: FockParams, n: int, envelope: Callable, log_coarse: float
 def gauss_hermite_integrate(
     log_h: Callable, params: FockParams, nodes_per_axis: int = 32, envelope: Callable | None = None
 ) -> IntegralEstimate:
-    """Integral of exp(log_h) against the weight over R^m; error from a node-count refinement pair.
+    """Integral of exp(log_h) against the weight over R^m, on a ladder of rules capped by nodes_per_axis.
 
+    The cap's pair is (n, 2n) nodes per axis, or (max(8, n/2), n) where the
+    2n grid would pass 2^24 points.  Where its fine grid spans more than one
+    chunk of _CHUNK_POINTS = 2^18 nodes, the rules of 8, 12, 16, 24, 32, 48,
+    ... nodes below the cap's coarse one run first, each pair of neighbours
+    compared, and the first pair whose gap lies within its roundoff ends the
+    ladder; else, and at every m <= 2, the cap's pair ends it, as `_ladder` says.
     log_h gets read-only, column-major (N, m) chunks of at most
-    _CHUNK_POINTS = 2^18 nodes that share one buffer; it must not keep them.
+    _CHUNK_POINTS nodes that share one buffer; it must not keep them.
     A chunk fixes the leading coordinates, so 32^4 runs as 32 chunks of 32^3
     nodes.  envelope, if given, maps log t to a radius R with
     log u(x) = log_h(x) - (alpha p/2)|x|^2 < log t wherever |x| > R.  Then a
-    fine grid of more than _CHUNK_POINTS nodes skips the nodes outside that
-    ball at t = 2^-53 coarse / sum(w e^{|y|^2}), taken in logs at every scale,
-    so the skipped nodes add at most 2^-53 coarse, and relative_error gains
-    that cap over the fine value.
+    rule of more than one chunk skips the nodes outside that ball at
+    t = 2^-53 prev / sum(w e^{|y|^2}), prev the rule below it on the ladder,
+    taken in logs at every scale, so the skipped nodes add at most 2^-53 prev,
+    and relative_error gains that cap over the rule's value.
     """
     m = params.m
     if m > 6:
@@ -372,11 +414,11 @@ def gauss_hermite_integrate(
         )
     # refine by doubling while the finer rule fits both budgets, else halve for the coarse one
     double = 2 * n <= _MAX_GH_NODES and (2 * n) ** m <= _DOUBLING_BUDGET
-    n_coarse, n_fine = (n, 2 * n) if double else (max(8, n // 2), n)
-    pruned = None
-    if envelope is not None and n_fine**m > _CHUNK_POINTS:  # below one chunk the envelope costs more
-        pruned = partial(_gh_pruned, params, n_fine, envelope)
-    return _refine(log_h, _gh_rule(params, n_coarse), _gh_rule(params, n_fine), pruned)
+    rungs = [n, 2 * n] if double else [max(8, n // 2), n]
+    if rungs[1] ** m > _CHUNK_POINTS:  # below one chunk a rung costs more than it can save
+        rungs[:0] = [r for r in _GH_RUNGS if r < rungs[0]]
+    pruned = None if envelope is None else (lambda rung, log_prev: _gh_pruned(params, rung, envelope, log_prev))
+    return _ladder(log_h, rungs, partial(_gh_rule, params), pruned)
 
 
 def _laguerre_pair(s: np.ndarray, n: int, a: float):
@@ -471,10 +513,22 @@ def _radial_rule(params: FockParams, nr: int, na: int):
 def radial_integrate(
     log_h: Callable, params: FockParams, radial_nodes: int = 48, angular_nodes: int = 64
 ) -> IntegralEstimate:
-    """Integral of exp(log_h) against the weight, m <= 3; error from doubling both node counts."""
-    message = "radial and angular node counts must be integers of at least 4"
-    nr, na = _integer(radial_nodes, 4, message), _integer(angular_nodes, 4, message)
-    return _refine(log_h, _radial_rule(params, nr, na), _radial_rule(params, 2 * nr, 2 * na))
+    """Integral of exp(log_h) against the weight, m <= 3, on a ladder of rules capped by the two counts.
+
+    The cap's pair doubles both counts.  Where its fine rule spans more than
+    one chunk of _CHUNK_POINTS nodes (the default rule at m = 3), the rules
+    with both counts halved, down to the last with both at least 4, run
+    first, and the first pair that agrees to roundoff ends the ladder, as
+    `_ladder` says; else, and at every m <= 2, the cap's pair ends it.
+    """
+    message = f"radial and angular node counts must be integers from 4 to {_MAX_RADIAL_NODES}"
+    nr = _integer(radial_nodes, 4, message, _MAX_RADIAL_NODES)
+    na = _integer(angular_nodes, 4, message, _MAX_RADIAL_NODES)
+    rungs = [(nr, na), (2 * nr, 2 * na)]
+    if 2 * nr * len(_sphere_rule(params.m, 2 * na)[1]) > _CHUNK_POINTS:
+        while min(rungs[0]) >= 8:  # halve both counts down to the last pair of at least 4
+            rungs.insert(0, (rungs[0][0] // 2, rungs[0][1] // 2))
+    return _ladder(log_h, rungs, lambda rung: _radial_rule(params, *rung))
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +551,11 @@ def _lane_count() -> int:
     """Lanes _in_lanes may run at once: the cores this process may use, at most _MAX_LANES."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return min(cores, _MAX_LANES)
+
+
+def _samples(samples) -> int:
+    """samples as an int from 1000 to _MAX_SAMPLES = 2^30, before any block is sized; else InvalidInputError."""
+    return _integer(samples, 1000, f"need an integer count of 1000 to {_MAX_SAMPLES} samples", _MAX_SAMPLES)
 
 
 def _block_sizes(n: int) -> list[int]:
@@ -561,8 +620,9 @@ def mc_integrate(
 ) -> IntegralEstimate:
     """Integral of exp(log_h) against the weight, by sampling the normalized weight.
 
-    The points come in blocks of _CHUNK_POINTS // 4 = 2^16 rows, the last one
-    ragged.  Block i is default_rng(child i of SeedSequence(seed, spawn_key=(1,)))
+    samples runs from 1000 to 2^30.  The points come in blocks of
+    _CHUNK_POINTS // 4 = 2^16 rows, the last one ragged.  Block i is
+    default_rng(child i of SeedSequence(seed, spawn_key=(1,)))
     .standard_normal((rows, m)) / sqrt(alpha p), so its stream depends on seed
     and i alone, not on samples or the machine.  It shares no draw with the
     level cloud's block streams (children of spawn key (0,)) or with
@@ -587,7 +647,7 @@ def mc_integrate(
     MethodUnavailableError on a nan or +inf log-ratio; an exception in a lane
     is raised again on the caller, that of the first failing block in block order.
     """
-    samples = _integer(samples, 1000, "need an integer count of at least 1000 samples")
+    samples = _samples(samples)
     seed = _seed(seed)
     root_rate, log_c = math.sqrt(params.rate), math.log(norm_constant(params))
 

@@ -41,6 +41,7 @@ from .integrate import (
     _block_sizes,
     _exp,
     _in_lanes,
+    _samples,
     _sphere_rule,
     convex_functional,
 )
@@ -126,15 +127,19 @@ class MeasureEstimate:
     ball_radius: float
 
 
+_MAX_LEVELS = 1 << 16  # the most levels of a grid
+
+
 @dataclass(frozen=True)
 class LevelGrid:
-    """Geometric threshold grid t_k = t_max * ratio^k, k = 1..count, held as log(t_k / t_max)."""
+    """Geometric threshold grid t_k = t_max * ratio^k, k = 1..count, held as log(t_k / t_max); count <= 2^16."""
 
     count: int = 60
     ratio: float = 0.9
 
     def __post_init__(self):
-        object.__setattr__(self, "count", _integer(self.count, 2, "grid needs an integer count of at least 2 levels"))
+        message = f"grid needs an integer count of 2 to {_MAX_LEVELS} levels"
+        object.__setattr__(self, "count", _integer(self.count, 2, message, _MAX_LEVELS))
         object.__setattr__(self, "ratio", _real(self.ratio, "grid ratio must lie in (0, 1)", lambda r: 0 < r < 1))
 
     def log_levels(self, count: int | None = None) -> np.ndarray:
@@ -185,6 +190,7 @@ class LevelProfile:
 
 
 _NEWTON_STEPS = 200  # a start's most Newton steps
+_MAX_RESTARTS = 1 << 12  # the most restarts: all starts step in lockstep, one m x m Hessian each
 
 
 def find_max(
@@ -196,9 +202,10 @@ def find_max(
     0 restarts) and raises OptimizationFailureError where u vanishes or grows
     without bound.  Otherwise `_search_max` runs the multistart Newton search,
     which needs f's `_log_abs_jet` and raises MethodUnavailableError without one.
+    restarts runs from 0 to 2^12.
     """
     _check_dims(f, params)
-    restarts = _integer(restarts, 0, "restarts must be an integer of at least 0")
+    restarts = _integer(restarts, 0, f"restarts must be an integer from 0 to {_MAX_RESTARTS}", _MAX_RESTARTS)
     seed = _seed(seed)
     profile = f.radial_profile(params)
     if profile is None:
@@ -348,7 +355,7 @@ def _nested_measures(f, params, log_grid, samples, seed, log_thresholds=None, we
     through functions._log_density_and_weight, never through the wrapped
     log_density_batch, whose perfbench span stack is not thread-safe.
     """
-    samples = _integer(samples, 1000, "need an integer count of at least 1000 samples")
+    samples = _samples(samples)
     seed = _seed(seed)
     log_thresholds = log_grid if log_thresholds is None else log_thresholds
     m, count = params.m, len(log_thresholds)
@@ -524,7 +531,7 @@ def _ray_measures(f, params, log_grid, samples, centre):
     where one grid resolves it.  Where rays cross a small hole of a level set
     off the centre, the gap can fall short of the cap grid's error.
     """
-    samples = _integer(samples, 1000, "need an integer count of at least 1000 samples")
+    samples = _samples(samples)
     m = params.m
     log_t = np.asarray(log_grid, dtype=float)[::-1]  # ascending
     centre = np.asarray(centre, dtype=float)
@@ -860,7 +867,7 @@ def layer_cake(
     """
     grid = grid or LevelGrid()
     seed = _seed(seed)
-    samples = _integer(samples, 1000, "need an integer count of at least 1000 samples")
+    samples = _samples(samples)
     log_t_max = find_max(f, params, seed=seed).log_t_max
     exact = f.radial_profile(params) is not None
 

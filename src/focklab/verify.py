@@ -10,6 +10,7 @@ state at the weight's rate (constants included), the cases of equality.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -112,27 +113,41 @@ def check_contraction(
     method=GaussHermite(32),
 ) -> VerificationReport:
     """Norm monotonicity in the exponent: the p-norm dominates the q-norm for p < q."""
-    p = _real(p, "exponent p must be finite and positive", lambda p: p > 0)
-    q = _real(q, f"need a finite q > p = {p}", lambda q: q > p)
-    est_p = fock_norm(f, FockParams(f.m, p, alpha), method=method)
-    est_q = fock_norm(f, FockParams(f.m, q, alpha), method=method)
-    margin = est_p.value - est_q.value
-    combined = est_p.value_error + est_q.value_error
-    tolerance = 3.0 * combined
-    equality = _equality_case(f, FockParams(f.m, p, alpha)) and abs(margin) <= tolerance
-    return VerificationReport(
-        check_name="contraction",
-        inputs={"fn": _fn_label(f), "p": p, "q": q, "alpha": alpha, "method": repr(method)},
-        passed=bool(margin >= -tolerance),
-        margin=float(margin),
-        tolerance=float(tolerance),
-        details={
-            "norm_p": est_p.value,
-            "norm_q": est_q.value,
-            "combined_error": combined,
-            "equality_detected": equality,
-        },
-    )
+    return _contraction_reports(f, (p, q), alpha, method)[0]
+
+
+def _contraction_reports(f: TestFunction, exponents, alpha: float, method) -> list[VerificationReport]:
+    """check_contraction on each pair (p, q) of itertools.combinations(exponents, 2), one fock_norm per exponent.
+
+    Every exponent must be finite and positive, and each pair must have
+    p < q; both are checked before any norm is computed.
+    """
+    exponents = [_real(p, "exponent p must be finite and positive", lambda p: p > 0) for p in exponents]
+    pairs = list(itertools.combinations(exponents, 2))
+    for p, q in pairs:
+        _real(q, f"need a finite q > p = {p}", lambda q: q > p)
+    norms = {p: fock_norm(f, FockParams(f.m, p, alpha), method=method) for p in exponents}
+    reports = []
+    for p, q in pairs:
+        est_p, est_q = norms[p], norms[q]
+        margin = est_p.value - est_q.value
+        combined = est_p.value_error + est_q.value_error
+        tolerance = 3.0 * combined
+        equality = _equality_case(f, FockParams(f.m, p, alpha)) and abs(margin) <= tolerance
+        reports.append(VerificationReport(
+            check_name="contraction",
+            inputs={"fn": _fn_label(f), "p": p, "q": q, "alpha": alpha, "method": repr(method)},
+            passed=bool(margin >= -tolerance),
+            margin=float(margin),
+            tolerance=float(tolerance),
+            details={
+                "norm_p": est_p.value,
+                "norm_q": est_q.value,
+                "combined_error": combined,
+                "equality_detected": equality,
+            },
+        ))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +184,8 @@ def check_monotone_g(profile: LevelProfile) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # pointwise bound
 
+_MAX_POINTS = 1 << 24  # the most points check_pointwise_bound draws, in one batch
+
 
 def check_pointwise_bound(
     f: TestFunction,
@@ -177,8 +194,11 @@ def check_pointwise_bound(
     seed: int = 0,
     method=GaussHermite(32),
 ) -> VerificationReport:
-    """Density never exceeds the p-th power of the norm, in logs: margin 1 - max u / ||f||^p."""
-    n_points = _integer(n_points, 1, "n_points must be an integer of at least 1")
+    """Density never exceeds the p-th power of the norm, in logs: margin 1 - max u / ||f||^p.
+
+    n_points, from 1 to 2^24, Gaussian points are drawn in one batch.
+    """
+    n_points = _integer(n_points, 1, f"n_points must be an integer from 1 to {_MAX_POINTS}", _MAX_POINTS)
     seed = _seed(seed)
     est = fock_norm(f, params, method=method)
     rng = np.random.default_rng(seed)
@@ -219,6 +239,7 @@ def _max_details(mx: MaxResult) -> dict:
 # decay along rays
 
 _DECAY_FRACTION = 1e-6  # the share of t_max beyond its envelope radius, and of a ray's peak at its end, decay allows
+_MAX_RAY_COUNT = 1 << 12  # the most random directions, and the most radii per ray, of check_decay
 
 
 def check_decay(
@@ -237,10 +258,14 @@ def check_decay(
     _DECAY_FRACTION t_max, a closed-form bound, every sampled value must lie
     below _DECAY_FRACTION t_max, and the far end of each ray must keep less
     than _DECAY_FRACTION of the ray's own peak.  The margin is
-    _DECAY_FRACTION less the larger of the two shares.
+    _DECAY_FRACTION less the larger of the two shares.  n_directions random
+    rays join the 2m axis rays and the hints, each sampled at n_radii radii;
+    both counts go up to 2^12.
     """
-    n_radii = _integer(n_radii, 1, "n_radii must be an integer of at least 1")
-    n_directions = _integer(n_directions, 0, "n_directions must be an integer of at least 0")
+    n_radii = _integer(n_radii, 1, f"n_radii must be an integer from 1 to {_MAX_RAY_COUNT}", _MAX_RAY_COUNT)
+    n_directions = _integer(
+        n_directions, 0, f"n_directions must be an integer from 0 to {_MAX_RAY_COUNT}", _MAX_RAY_COUNT
+    )
     seed = _seed(seed)
     alpha = params.alpha
     p1 = FockParams(f.m, 1.0, alpha)

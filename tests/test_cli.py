@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import focklab
-from focklab import levelset
+from focklab import levelset, verify
 from focklab import Coherent, Constant, ExpQuadratic, Monomial, Polynomial, SumOfCoherent
 from focklab.cli import RunConfig, _build_parser, _fmt, main, parse_function_spec
 from focklab.errors import FunctionSpecError, InvalidInputError
@@ -250,6 +251,19 @@ def test_verify_suite_artifact(tmp_path):
     assert len(reports) == 6  # pairs from the default p grid 0.5,1,2,4
     assert all(r["pass"] for r in reports)
     assert any(r["details"]["equality_detected"] for r in reports)
+
+
+def test_verify_computes_each_exponent_norm_once(monkeypatch, tmp_path):
+    # the default p grid 0.5,1,2,4 has 6 pairs of 4 exponents: one fock_norm per exponent, and each pair's
+    # report is the one check_contraction gives on its own, which computes both of its norms afresh
+    f, calls, norm = Coherent(center=(1.0, 0.0), alpha=1.0), [], verify.fock_norm
+    pairs = [verify.check_contraction(f, p, q, 1.0).to_dict() for p, q in itertools.combinations((0.5, 1, 2, 4), 2)]
+    monkeypatch.setattr(verify, "fock_norm", lambda f, params, method: calls.append(params.p) or norm(f, params, method))
+    out = tmp_path / "verify.json"
+    argv = ["verify", "--suite", "contraction", "--fn", "coherent:a=1,0", "--format", "json", "--output", str(out)]
+    assert main(argv) == 0
+    assert sorted(calls) == [0.5, 1.0, 2.0, 4.0]
+    assert json.loads(out.read_text())["result"]["reports"] == json.loads(json.dumps(pairs))
 
 
 @pytest.mark.parametrize(

@@ -25,7 +25,7 @@ from focklab import (
     envelope_radius,
     log_density_batch,
 )
-from focklab.functions import RadialProfile, _illinois, _neg_lambertw, _sq_norm
+from focklab.functions import RadialProfile, _illinois, _integer, _neg_lambertw, _real, _sq_norm
 
 P2 = FockParams(2, 2.0, 1.0)
 
@@ -131,6 +131,21 @@ def test_integer_parameters_must_be_whole():
         with pytest.raises(InvalidInputError):
             build()
     assert Monomial(powers=(2.0,)).powers == (2,) and Constant(value=1.0, dim=2.0).dim == 2
+
+
+def test_integer_runs_from_least_to_most():
+    assert _integer(2**30, 1000, "samples", 2**30) == 2**30 and _integer(1000.0, 1000, "samples") == 1000
+    for value in (2**30 + 1, 1e308, 999):
+        with pytest.raises(InvalidInputError, match="samples"):
+            _integer(value, 1000, "samples", 2**30)
+
+
+def test_error_messages_show_an_int_past_str_digits():
+    # str of an int past 4300 digits raises ValueError; the message gives its size instead
+    with pytest.raises(InvalidInputError, match="got an int of 16610 bits"):
+        _integer(10**5000, 1, "count")
+    with pytest.raises(InvalidInputError, match="got an int of 16610 bits"):
+        _real(10**5000, "value")
 
 
 def test_params_rate():

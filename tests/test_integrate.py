@@ -248,7 +248,9 @@ def test_chunked_gh_runs_one_point_chunks_at_m1(monkeypatch):
     monkeypatch.setattr(integrate, "_CHUNK_POINTS", 8)
     sizes = []
     est = gauss_hermite_integrate(lambda X: sizes.append(len(X)) or log_u(X), params, nodes_per_axis=16)
-    assert sizes == [1] * (16 + 32)
+    # the 32-node fine rule spans 32 chunks, so the ladder climbs from the 8-node rule, one chunk of 8;
+    # no pair below the cap agrees to roundoff, so it ends on the cap's pair (16, 32), bit for bit
+    assert sizes == [8] + [1] * (12 + 16 + 32)
     assert est.value == pytest.approx(whole.value, rel=1e-14, abs=0.0)
     assert est.error_bound == pytest.approx(whole.error_bound, abs=1e-14)
 
@@ -304,12 +306,13 @@ def _traced_peak(fn):
 
 
 def test_gh_norm_memory_budget():
-    # m = 4, n = 32: 32^4 in 32 chunks of 32^3 nodes, the pruned 64^4 in chunks of at most 64^3;
-    # measured 12.1 MB (the 64^3-node X buffer, 8.4 MB, its table, log_h and their sum), budget +10%
+    # m = 4, n = 32: the kinked |z1 z2|^p climbs the whole ladder, 32^4 in 32 chunks of 32^3 nodes and the
+    # pruned 64^4 in chunks of at most 64^3; measured 13.5 MB (the 64^3-node X buffer, 8.4 MB, its table,
+    # log_h with its temporaries and their sum), budget +10%. A constant stops on (8, 12), at 1.2 MB
     peak = _traced_peak(
-        lambda: fock_norm(Constant(value=1.0, dim=4), FockParams(4, 2.0, 1.0), method=GaussHermite(32))
+        lambda: fock_norm(Monomial(powers=(1, 1)), FockParams(4, 1.845, 1.0), method=GaussHermite(32))
     )
-    assert peak <= 13.3e6
+    assert peak <= 14.9e6
 
 
 @pytest.mark.lanes
@@ -329,7 +332,8 @@ def test_mc_norm_memory_budget(monkeypatch):
 
 
 def test_gh_functional_memory_budget():
-    # the 16^4 coarse grid in one chunk, the 32^4 fine grid in 32 chunks; measured 4.2 MB, budget +12%
+    # the rungs 8 and 12, the 16^4 coarse grid in one chunk, the 32^4 fine grid in 32 chunks; measured
+    # 4.2 MB, budget +12%
     f = Coherent(center=(0.3, -0.2, 0.1, 0.4), alpha=1.0)
     peak = _traced_peak(
         lambda: convex_functional(f, FockParams(4, 2.0, 1.0), Power(2.0), method=GaussHermite(16))
@@ -338,8 +342,9 @@ def test_gh_functional_memory_budget():
 
 
 def test_radial_norm_memory_budget():
-    # m = 3: the fine 96 x 8192 rule in 3 chunks of 32 radii; measured 13.0 MB, budget +10%
-    peak = _traced_peak(lambda: fock_norm(Constant(value=1.0, dim=3), FockParams(3, 2.0, 1.0), method=Radial()))
+    # m = 3: ExpQuadratic at c = 0.4 climbs the whole ladder, to the fine 96 x 8192 rule in 3 chunks of
+    # 32 radii; measured 12.7 MB (13.0 MB for a constant, which now stops on (6, 8), (12, 16)), budget +10%
+    peak = _traced_peak(lambda: fock_norm(ExpQuadratic(c=0.4, dim=3), FockParams(3, 2.0, 1.0), method=Radial()))
     assert peak <= 14.3e6
 
 
@@ -372,6 +377,7 @@ def _backends(monkeypatch, params):
         sizes = []
         with monkeypatch.context() as patch:
             patch.setattr(integrate, "_CHUNK_POINTS", 64)  # the 32^2 fine grid spans 16 chunks
+            patch.setattr(integrate, "_GH_RUNGS", ())  # the cap's pair alone: no pair below it stops first
             est = gauss_hermite_integrate(
                 lambda X: sizes.append(len(X)) or log_h(X), params, 16, partial(envelope_radius, f, params)
             )
@@ -466,10 +472,21 @@ def _log_p_abs(f, params):
 
 
 def _full_pair(f, params, n_coarse, n_fine):
-    """The refinement pair over the whole fine rule, as the unpruned backend computes it."""
-    return integrate._refine(
-        _log_p_abs(f, params), integrate._gh_rule(params, n_coarse), integrate._gh_rule(params, n_fine)
-    )
+    """The refinement pair over the whole fine rule, as the unpruned backend computes it at the cap."""
+    return integrate._ladder(_log_p_abs(f, params), [n_coarse, n_fine], partial(integrate._gh_rule, params))
+
+
+def _climb(monkeypatch, run):
+    """run() and the (log I, nodes evaluated) of each rule it integrated, in order: one per rung of a ladder."""
+    ran, integral = [], integrate._integral
+
+    def spy(log_h, rule):
+        ran.append(integral(log_h, rule))
+        return ran[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(integrate, "_integral", spy)
+        return run(), ran
 
 
 def _spy_envelope(monkeypatch):
@@ -490,38 +507,44 @@ def _spy_envelope(monkeypatch):
     return calls
 
 
-_PRUNED_CASES = {  # (f, p, GH nodes per axis)
-    "coherent a=(3,0,0,0) p=4": (Coherent(center=(3.0, 0.0, 0.0, 0.0), alpha=1.0), 4.0, 32),
-    "expquad c=0.45": (ExpQuadratic(c=0.45, dim=4), 2.0, 32),
+_PRUNED_CASES = {  # (f, p, GH nodes per axis, the rung the ladder stops on)
+    "coherent a=(3,0,0,0) p=4": (Coherent(center=(3.0, 0.0, 0.0, 0.0), alpha=1.0), 4.0, 32, 64),
+    "expquad c=0.45": (ExpQuadratic(c=0.45, dim=4), 2.0, 32, 64),
     "far two-atom sumcoherent": (
         SumOfCoherent(atoms=((0.6, (3.0, 0.0, 0.0, 0.0)), (0.4, (-2.0, 1.0, 0.0, 0.0))), alpha=1.0),
         2.0,
         32,
+        64,
     ),
     "polynomial in two variables": (
         Polynomial(terms={(1, 2): 1 + 2j, (3, 0): -0.5, (0, 0): 2j, (2, 1): 0.25 - 1j}),
         2.0,
         32,
+        12,
     ),
-    "monomial (3,1)": (Monomial(powers=(3, 1)), 2.0, 32),
+    "monomial (3,1)": (Monomial(powers=(3, 1)), 2.0, 32, 12),
     "coherent shifted by e^30": (
         Coherent(center=(0.3, -0.2, 0.1, 0.4), alpha=1.0).log_shifted(30.0),
         2.0,
         32,
+        16,
     ),
     "coherent shifted by e^-30": (
         Coherent(center=(0.3, -0.2, 0.1, 0.4), alpha=1.0).log_shifted(-30.0),
         2.0,
         32,
+        16,
     ),
-    "coherent GH(16) p=2.5": (Coherent(center=(0.4, -0.3, -0.3, -0.3), alpha=1.0), 2.5, 16),
+    "coherent GH(16) p=2.5": (Coherent(center=(0.4, -0.3, -0.3, -0.3), alpha=1.0), 2.5, 16, 16),
 }
 
 
 @pytest.mark.parametrize("case", list(_PRUNED_CASES))
-def test_pruned_gh_covers_the_nodes_it_skips(case):
-    # m = 4, GH(n): the (2n)^4 fine rule runs in 2n chunks of (2n)^3 nodes, so the envelope prunes it
-    f, p, n = _PRUNED_CASES[case]
+def test_pruned_gh_covers_the_nodes_it_skips(monkeypatch, case):
+    # m = 4, GH(n): the (2n)^4 fine rule runs in 2n chunks of (2n)^3 nodes, so the ladder climbs 8, 12, 16,
+    # 24, ... to the pair (n, 2n), stopping on the first pair that agrees to roundoff, and every rung of more
+    # than one chunk (24^4 and up) skips its nodes outside the envelope ball of the rung below it
+    f, p, n, stop = _PRUNED_CASES[case]
     params = FockParams(4, p, 1.0)
     log_h = _log_p_abs(f, params)
     assert integrate._gh_outer_dims(4, 2 * n) == 1
@@ -529,29 +552,32 @@ def test_pruned_gh_covers_the_nodes_it_skips(case):
     def envelope(log_t):
         return envelope_radius(f, params, log_t)
 
-    log_coarse, _ = integrate._integral(log_h, integrate._gh_rule(params, n))
-    log_full, _ = integrate._integral(log_h, integrate._gh_rule(params, 2 * n))
-    rule = integrate._gh_pruned(params, 2 * n, envelope, log_coarse)
-    # the ball of expquad c=0.45 keeps every fine node: no pruned rule, so the full one runs bit for bit,
-    # without the per-chunk cuts and without the 2^-53 cap
-    assert (rule is None) == (case == "expquad c=0.45")
+    est, ran = _climb(monkeypatch, lambda: gauss_hermite_integrate(log_h, params, n, envelope))
+    rungs = [r for r in (8, 12, 16, 24) if r < n] + [n, 2 * n]
+    assert rungs[len(ran) - 1] == stop
+    for (log_a, _), (log_b, nodes) in zip(ran[:-2], ran[1:-1]):  # no pair below the last one agreed
+        assert abs(math.expm1(log_a - log_b)) > integrate._roundoff(log_b, nodes)
+    log_coarse = ran[-2][0]  # the rung below the one the ladder stops on
+    log_full, _ = integrate._integral(log_h, integrate._gh_rule(params, stop))
+    rule = integrate._gh_pruned(params, stop, envelope, log_coarse)
+    # the ball of expquad c=0.45 keeps every fine node, and a rule of one chunk is never pruned: no pruned
+    # rule, so the full one runs bit for bit, without the per-chunk cuts and without the 2^-53 cap
+    assert (rule is None) == (case == "expquad c=0.45" or stop**4 <= integrate._CHUNK_POINTS)
     if rule is None:
-        est = gauss_hermite_integrate(log_h, params, n, envelope)
         gap = abs(math.expm1(log_coarse - log_full))
         assert est.log_value == log_full
-        assert est.relative_error == max(gap, integrate._roundoff(log_full, (2 * n) ** 4))
+        assert est.relative_error == max(gap, integrate._roundoff(log_full, stop**4))
         return
     sizes = []
     log_pruned, _ = integrate._integral(lambda X: sizes.append(len(X)) or log_h(X), rule)
     kept = sum(sizes)
-    assert 0 < kept <= (2 * n) ** 4
-    est = gauss_hermite_integrate(log_h, params, n, envelope)
+    assert 0 < kept <= stop**4
     assert est.log_value == log_pruned
     cap = math.exp(log_coarse - 53.0 * math.log(2.0) - est.log_value)  # 2^-53 coarse over the fine value
     gap = abs(math.expm1(log_coarse - est.log_value))
     assert est.relative_error == max(gap, integrate._roundoff(est.log_value, kept)) + cap
     full_gap = abs(math.expm1(log_full - est.log_value))
-    assert full_gap <= cap + integrate._roundoff(log_full, (2 * n) ** 4) * math.exp(log_full - est.log_value)
+    assert full_gap <= cap + integrate._roundoff(log_full, stop**4) * math.exp(log_full - est.log_value)
     # the new value lies within its own bound of the value of the whole fine rule
     assert full_gap <= est.relative_error
 
@@ -574,14 +600,17 @@ def test_pruned_gh12_lies_within_the_cap_of_the_full_rule(f, p, delta):
 
 
 def test_fock_norm_prunes_a_fine_rule_of_many_chunks(monkeypatch):
-    f, params = Constant(value=1.0, dim=4), FockParams(4, 2.0, 1.0)
+    # |z1 z2|^p has a kink at 0 at p = 1.845, so no pair agrees to roundoff and the ladder climbs to the
+    # cap's pair (32, 64): each of the rungs 24, 32 and 64 spans more than one chunk and is pruned
+    f, params = Monomial(powers=(1, 1)), FockParams(4, 1.845, 1.0)
     est = gauss_hermite_integrate(_log_p_abs(f, params), params, 32, partial(envelope_radius, f, params))
     calls = _spy_envelope(monkeypatch)
     norm = fock_norm(f, params, method=GaussHermite(32))
     c = norm_constant(params)
-    assert len(calls) == 1
+    assert len(calls) == 3
     assert norm.log_value == math.log(c) + est.log_value and norm.relative_error == est.relative_error
-    assert abs(norm.raw_integral - 1.0) <= norm.error_bound
+    exact = monomial_norm_oracle(1, params.p, 1.0) ** (2.0 * params.p)  # one factor per pair of coordinates
+    assert abs(norm.raw_integral - exact) <= norm.error_bound
 
 
 @pytest.mark.parametrize(
@@ -628,7 +657,8 @@ def test_fine_rule_of_one_chunk_is_never_pruned(monkeypatch, m, n, n_fine):
 
 
 def test_convex_functional_is_never_pruned(monkeypatch):
-    # 64-point chunks: the 64^2 fine grid spans 64 of them, which fock_norm would prune
+    # 64-point chunks: the 64^2 fine grid spans 64 of them, so the ladder climbs, and fock_norm prunes
+    # each rung above one chunk
     monkeypatch.setattr(integrate, "_CHUNK_POINTS", 64)
     f = Coherent(center=(0.4, -0.3), alpha=1.0)
     params = FockParams(2, 2.0, 1.0)
@@ -639,13 +669,13 @@ def test_convex_functional_is_never_pruned(monkeypatch):
         with np.errstate(divide="ignore"):
             return np.log(g) + 0.5 * params.rate * np.sum(X * X, axis=1)
 
-    ref = integrate._refine(log_G, integrate._gh_rule(params, 32), integrate._gh_rule(params, 64))
+    ref = gauss_hermite_integrate(log_G, params, 32)  # the ladder with no envelope
     calls = _spy_envelope(monkeypatch)
     est = convex_functional(f, params, G, method=GaussHermite(32))
     assert calls == []
     assert est.log_value == ref.log_value and est.relative_error == ref.relative_error
     fock_norm(f, params, method=GaussHermite(32))
-    assert len(calls) == 1
+    assert len(calls) == 2  # the rungs 12 and 16, whose pair agrees to roundoff
 
 
 def test_pruning_skips_a_zero_integrand(monkeypatch):
@@ -659,7 +689,9 @@ def test_pruning_skips_a_zero_integrand(monkeypatch):
 def test_pruning_falls_back_when_t_is_not_a_normal_double(monkeypatch, delta):
     # at p = 64, t = 2^-53 I / S underflows (-10.9: to 0, -10.5: to a subnormal, and below)
     # or overflows (12, 30); taken in logs it falls back no more: the one envelope call gets
-    # the threshold of delta = 0 plus 64 delta, and the pruned value stays within its bound
+    # the threshold of delta = 0 plus 64 delta, and the pruned value stays within its bound.
+    # The ladder of a constant stops on (8, 12), below every pruned rung, so it runs the cap's pair alone
+    monkeypatch.setattr(integrate, "_GH_RUNGS", ())
     f, params = Constant(value=1.0, dim=4), FockParams(4, 64.0, 1.0)
     calls = _spy_envelope(monkeypatch)
     fock_norm(f, params, method=GaussHermite(32))
@@ -672,14 +704,15 @@ def test_pruning_falls_back_when_t_is_not_a_normal_double(monkeypatch, delta):
 
 @pytest.mark.parametrize("radius", [0.0, 1e-3, 0.1])
 def test_pruning_falls_back_when_the_ball_holds_no_node(monkeypatch, radius):
-    f = Coherent(center=(0.4, -0.3, 0.2, 0.1), alpha=1.0)
-    params = FockParams(4, 2.0, 1.0)
-    ref = _full_pair(f, params, 32, 64)
+    # the kinked |z1 z2|^p climbs the GH(16) ladder to the cap's pair (16, 32), whose 32^4 rung is pruned
+    f = Monomial(powers=(1, 1))
+    params = FockParams(4, 1.845, 1.0)
+    ref = _full_pair(f, params, 16, 32)
     calls = _spy_envelope(monkeypatch)
     monkeypatch.setattr(integrate, "envelope_radius", lambda f, params, t: calls.append(t) or radius)
-    est = fock_norm(f, params, method=GaussHermite(32))
+    est = fock_norm(f, params, method=GaussHermite(16))
     c = norm_constant(params)
-    assert len(calls) == 1  # at rate 2 the least |x| of the 64^4 rule is 2 x 0.139, above 0.1
+    assert len(calls) == 1  # at rate 1.845 the least |x| of the 32^4 rule is 2 x 0.195 x 1.04, above 0.1
     assert est.log_value == math.log(c) + ref.log_value and est.relative_error == ref.relative_error
 
 
@@ -1111,7 +1144,7 @@ def test_refinement_pair_with_a_zero_side(coarse, fine):
     def log_h(X):
         return np.full(len(X), next(sides))
 
-    est = integrate._refine(log_h, integrate._gh_rule(P2, 8), integrate._gh_rule(P2, 16))
+    est = integrate._ladder(log_h, [8, 16], partial(integrate._gh_rule, P2))
     total = math.log(math.pi)  # int e^0 against e^{-|x|^2} over R^2
     if coarse == fine:
         assert est.log_value == -math.inf and est.relative_error == 0.0 and est.error_bound == 0.0
@@ -1120,8 +1153,78 @@ def test_refinement_pair_with_a_zero_side(coarse, fine):
         assert est.error_bound == est.value
 
 
+_LADDER_RUNGS = [8, 12, 16, 24, 32]  # at m = 2 every rung is one chunk: one log_h call apiece
+
+
+@pytest.mark.parametrize(
+    "sides, stop",
+    [
+        ([0.0, 1e-12, 1e-12, 5.0, 5.0], 3),  # a gap of 1e-12 goes on; the next pair agrees to roundoff
+        ([0.0, -np.inf, 0.0, 0.0, 5.0], 4),  # a zero fine value goes on, and so does the gap of 1 after it
+        ([-np.inf, -np.inf, -np.inf, 0.0, 0.0], 5),  # two zeros agree, but a zero never ends the ladder
+        ([0.0, 1e-12, 2e-12, 3e-12, 4e-12], 5),  # no pair agrees: the cap's pair ends it
+    ],
+)
+def test_ladder_stops_on_the_first_nonzero_pair_within_roundoff(sides, stop):
+    # log_h is the constant sides[k] on rung k, so rung k integrates to e^sides[k] times the rule's mass
+    ran, values = [], iter(sides)
+
+    def log_h(X):
+        ran.append(len(X))
+        return np.full(len(X), next(values))
+
+    est = integrate._ladder(log_h, _LADDER_RUNGS, partial(integrate._gh_rule, P2))
+    assert ran == [n * n for n in _LADDER_RUNGS[:stop]]
+    (log_coarse, _), (log_fine, nodes) = (
+        integrate._integral(lambda X: np.full(len(X), side), integrate._gh_rule(P2, n))
+        for side, n in zip(sides[stop - 2 : stop], _LADDER_RUNGS[stop - 2 : stop])
+    )
+    if log_fine == -math.inf:
+        assert est.log_value == -math.inf and est.relative_error == 0.0
+        return
+    gap, roundoff = abs(math.expm1(log_coarse - log_fine)), integrate._roundoff(log_fine, nodes)
+    assert est.log_value == log_fine and est.relative_error == max(gap, roundoff)
+    assert (gap <= roundoff) == (sides != [0.0, 1e-12, 2e-12, 3e-12, 4e-12])
+
+
+@pytest.mark.parametrize(
+    "center, p, value",
+    [((5.0, 0.0, 0.0, 0.0), 8.0, 0.98934), ((3.0, 0.0, 0.0, 0.0), 4.0, 1.0)],
+    ids=["a=(5,0,0,0) p=8", "a=(3,0,0,0) p=4"],
+)
+def test_off_centre_gh_climbs_to_the_cap_pair(monkeypatch, center, p, value):
+    # a pair that misses the mass off the centre (ROADMAP item 1) never agrees to roundoff, so GH(32)
+    # climbs every rung and returns the cap's pair (32, 64) bit for bit, as it runs with no rung below it
+    f, params = Coherent(center=center, alpha=1.0), FockParams(4, p, 1.0)
+    est, ran = _climb(monkeypatch, lambda: fock_norm(f, params, method=GaussHermite(32)))
+    assert len(ran) == 6  # 8, 12, 16, 24, 32 and 64 nodes per axis
+    monkeypatch.setattr(integrate, "_GH_RUNGS", ())
+    pair = fock_norm(f, params, method=GaussHermite(32))
+    assert est.log_value == pair.log_value and est.relative_error == pair.relative_error
+    assert est.value == pytest.approx(value, rel=1e-5, abs=0.0)
+
+
+def test_radial_ladder_halves_both_counts_past_one_chunk(monkeypatch):
+    # m = 3: the fine 96 x 8192 rule spans 3 chunks, so the rules with both counts halved run first;
+    # a constant stops on (6, 8), (12, 16), a coherent state on (24, 32), (48, 64)
+    def nodes(m, nr, na):
+        return nr * len(integrate._sphere_rule(m, na)[1])
+
+    rungs = [(6, 8), (12, 16), (24, 32), (48, 64), (96, 128)]
+    m3 = FockParams(3, 2.0, 1.0)
+    for f, stop in ((Constant(value=1.0, dim=3), 2), (Coherent(center=(0.7, -0.3, 0.5), alpha=1.0), 4)):
+        est, ran = _climb(monkeypatch, lambda: fock_norm(f, m3, method=Radial()))
+        assert [n for _, n in ran] == [nodes(3, *rung) for rung in rungs[:stop]]
+        (log_coarse, _), (log_fine, n) = ran[-2:]
+        assert abs(math.expm1(log_coarse - log_fine)) <= integrate._roundoff(log_fine, n)
+        assert est.relative_error == integrate._roundoff(log_fine, n)
+    # m = 2: the fine 96 x 128 rule is one chunk, so the pair runs alone
+    _, ran = _climb(monkeypatch, lambda: fock_norm(Coherent(center=(0.7, -0.3), alpha=1.0), P2, method=Radial()))
+    assert [n for _, n in ran] == [48 * 64, 96 * 128]
+
+
 def test_refinement_pair_states_its_roundoff():
-    # the (32, 64) pair agrees to the last bit, while its value is 2.2e-16 off the exact 1
+    # the ladder stops on the pair (8, 12), which agrees to roundoff, while its value is 8.9e-16 off the exact 1
     est = fock_norm(Monomial(powers=(1, 1)), FockParams(4, 2.0, 1.0), method=GaussHermite(32))
     assert est.error_bound >= abs(est.raw_integral - 1.0)
     assert est.error_bound <= 1e-14

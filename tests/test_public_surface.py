@@ -107,8 +107,10 @@ def test_readme_library_example():
 # ---------------------------------------------------------------------------
 # one input contract: a documented result or a typed error, for every drawn input
 
-_BAD_REALS = (math.nan, math.inf, -math.inf, -1, 0, 2.5, True, 10**400, 1e308)
-_BAD_COUNTS = (math.nan, math.inf, -math.inf, -1, 0, 2.5, True, 10**400)  # 1e308 passes as a count and allocates
+# 10**5000 is past the 4300 digits that str takes of an int, so no error message may format it with str
+_BAD_REALS = (math.nan, math.inf, -math.inf, -1, 0, 2.5, True, 10**400, 10**5000, 1e308)
+# 1e308 is drawn by no property: test_counts_past_their_largest_raise_before_allocating takes it site by site
+_BAD_COUNTS = (math.nan, math.inf, -math.inf, -1, 0, 2.5, True, 10**400, 10**5000)
 
 
 def _reals(*valid):
@@ -211,8 +213,8 @@ _ENTRIES = {
 @settings(derandomize=True, max_examples=30, deadline=None, database=None)
 @given(data=st.data())
 def test_every_entry_returns_its_type_or_raises_a_typed_error(name, data):
-    # a real is drawn from valid values and from nan, +-inf, -1, 0, 2.5, True, 10^400 and 1e308, a count
-    # from all of these but 1e308; a bare Python exception, such as an OverflowError, fails the property
+    # a real is drawn from valid values and from nan, +-inf, -1, 0, 2.5, True, 10^400, 10^5000 and 1e308, a
+    # count from all of these but 1e308; a bare Python exception, such as an OverflowError, fails the property
     call, result_type, slots = _ENTRIES[name]
     args = [data.draw(slot) for slot in slots]
     try:
@@ -241,6 +243,9 @@ _HUGE = 10**400  # an int past the largest double
         pytest.param(lambda: SumOfCoherent(atoms=((_HUGE, (0.0, 0.0)),), alpha=1.0), InvalidInputError,
                      id="SumOfCoherent weight"),
         pytest.param(lambda: Power(_HUGE), UnsupportedFunctionalError, id="Power"),
+        pytest.param(lambda: Power(10**5000), UnsupportedFunctionalError, id="Power past str's digits"),
+        pytest.param(lambda: focklab.log_density_batch(_F, _P, [[_HUGE, 0.0]]), InvalidInputError,
+                     id="log_density_batch point"),
         pytest.param(lambda: _lemma(0.3, PowerPhi(_HUGE), PowerPsi(2.0), 1.0, 0.0), InvalidInputError,
                      id="PowerPhi"),
         pytest.param(lambda: _lemma(0.3, PowerPhi(0.5), PowerPsi(_HUGE), 1.0, 0.0), InvalidInputError,
@@ -255,4 +260,40 @@ _HUGE = 10**400  # an int past the largest double
 def test_reals_past_the_largest_double_raise_typed_errors(call, error):
     # each conversion to a double overflowed, or alpha * p did, into a bare OverflowError or ValueError
     with pytest.raises(error):
+        call()
+
+
+_PAST = 1e308  # an integer as a float, past every count's largest value
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: focklab.fock_norm(_F, _P, MonteCarlo(_PAST, 0)), id="MonteCarlo samples"),
+        pytest.param(lambda: focklab.mc_integrate(_zero, _P, 2**30 + 1), id="mc_integrate samples 2^30 + 1"),
+        pytest.param(lambda: focklab.fock_norm(_F, _P, Radial(48, _PAST)), id="Radial angular nodes"),
+        pytest.param(lambda: focklab.radial_integrate(_zero, _P, 257, 64), id="radial_integrate nodes 257"),
+        pytest.param(lambda: focklab.check_decay(_F, _P, n_directions=_PAST), id="check_decay directions"),
+        pytest.param(lambda: focklab.check_decay(_F, _P, n_radii=4097), id="check_decay radii 4097"),
+        pytest.param(lambda: focklab.check_pointwise_bound(_F, _P, _PAST, method=_GH), id="pointwise points"),
+        pytest.param(lambda: LevelGrid(_PAST), id="LevelGrid count"),
+        pytest.param(lambda: focklab.find_max(_SEARCHED, _P, _PAST), id="find_max restarts"),
+        pytest.param(lambda: focklab.g_diagnostic(_F, _P, samples=_PAST), id="g_diagnostic samples"),
+        pytest.param(lambda: focklab.superlevel_measure(_F, _P, 0.1, _PAST), id="superlevel_measure samples"),
+        pytest.param(lambda: focklab.layer_cake(_F, _P, Power(2.0), samples=_PAST), id="layer_cake samples"),
+        pytest.param(lambda: FockParams(_PAST, 2.0, 1.0), id="FockParams m"),
+        pytest.param(lambda: Constant(value=1.0, dim=65), id="Constant dim 65"),
+        pytest.param(lambda: ExpQuadratic(c=0.1, dim=_PAST), id="ExpQuadratic dim"),
+        pytest.param(lambda: focklab.default_family_members(_PAST), id="default_family_members m"),
+    ],
+)
+def test_counts_past_their_largest_raise_before_allocating(monkeypatch, call):
+    # every count is checked against its documented largest value where it enters; the samplers' block lists
+    # are never sized here, so a count that slipped past its check fails on the spy instead of allocating
+    def refuse(n):
+        raise AssertionError(f"blocks sized for {n} points")
+
+    monkeypatch.setattr(focklab.integrate, "_block_sizes", refuse)
+    monkeypatch.setattr(focklab.levelset, "_block_sizes", refuse)
+    with pytest.raises(InvalidInputError):
         call()
