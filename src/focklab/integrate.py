@@ -5,33 +5,28 @@ exp(-(alpha p/2)|x|^2), the measure of the Gauss-Hermite and generalized
 Gauss-Laguerre rules and of the importance-sampling proposal, so fock_norm hands
 them log_h = p log|f| and never forms the weight.
 
-One chunk budget, _CHUNK_POINTS = 2^18 nodes, bounds the live working set of
-every backend: log_h gets its points as read-only (N, m) views, N at most
-_CHUNK_POINTS, of one buffer that the next chunk overwrites, so it must not
-keep them.  The two rules yield chunks (X, logw_table, offset), whose
-log-weights are the table plus one scalar: Gauss-Hermite fixes the leading
-coordinates of its tensor grid per chunk, the radial rule takes whole radii.
-One reducer adds log_h(X) to the table in a fresh array, which it owns, runs
-log-sum-exp on it in place and adds the offset to the chunk's log-sum.  Both
-rules climb one rung ladder, _ladder: the node counts they are given are a
-cap, and where the cap's fine rule spans more than one chunk, smaller rules
-run first, each rung's integral the fine value of one pair and the coarse
-value of the next, up to the first pair whose gap lies within its roundoff,
-or else to the cap's coarse/fine pair; a rule of one chunk runs that pair
-alone.  Monte Carlo draws block i of _CHUNK_POINTS // 4 rows from child i
-of SeedSequence(seed, spawn_key=(1,)) and merges the blocks' means and
-variances in block order.
+Every backend runs through one lane runner, _in_lanes: numbered blocks in up
+to 4 lanes, one on the calling thread and the others on threads it joins, each
+lane reusing one buffer, the results returned in block order.  The two rules
+are lists of chunk specs built on the calling thread: Gauss-Hermite fixes the
+leading coordinates of its tensor grid per chunk, the radial rule takes whole
+radii.  A chunk fills its points and log-weights into its lane's buffer and
+returns its log-sum-exp; the sums merge in chunk order, so a rule has the same
+bits at any lane count.  Monte Carlo and the level cloud of
+levelset._nested_measures draw seeded blocks and merge them in block order.
 
-One lane runner, _in_lanes, runs numbered blocks in up to 4 lanes (one on the
-calling thread, the others on threads it joins), each lane reusing one buffer
-of at most _CHUNK_POINTS // 4 rows, and returns their results in block order.
-Monte Carlo and the level cloud of levelset._nested_measures both run on it.
-So log_h, and the cloud's density, may be called from up to 4 threads at
-once: they must be pure and must call no function that perfbench wraps
-(log_density_batch, envelope_radius, ...), whose span stack is not
-thread-safe; the private functions._log_density_and_weight is not wrapped.
-No backend writes into the array log_h returns.  Every backend returns log I
-with a relative error of at least its roundoff; a nan or +inf log I raises.
+One chunk budget, _CHUNK_POINTS = 2^18 nodes, bounds the working set: no
+block is larger, and the lanes hold at most that many rows together (2^16
+for a rule's chunks), or one block where that is larger, so a 2^18-node chunk
+runs on one lane.  log_h gets read-only (N, m) views of a lane's buffer,
+which the lane's next block overwrites, and may be called from up to 4
+threads at once: it must be pure, must not keep X and must call no function
+that perfbench wraps (log_density_batch, envelope_radius, ...), whose span
+stack is not thread-safe; the private functions._log_density_and_weight is
+not wrapped, and the envelope of a pruned Gauss-Hermite rule runs on the
+calling thread.  No backend writes into the array log_h returns.  Both rules
+climb one rung ladder, _ladder.  Every backend returns log I with a relative
+error of at least its roundoff; a nan or +inf log I raises.
 """
 
 from __future__ import annotations
@@ -107,7 +102,8 @@ class GaussHermite:
     The cap's pair is (n, 2n) nodes per axis, or (n/2, n) past 2^24 nodes.
     Where its fine grid spans more than one chunk of 2^18 nodes (m = 4 from
     n = 12, never at m <= 2), the rules of 8, 12, 16, 24, ... nodes below n
-    run first and the first pair that agrees to roundoff ends the ladder.
+    run first and the first pair that agrees to roundoff ends the ladder, in
+    lanes: the integrand must be pure (gauss_hermite_integrate).
     """
 
     nodes_per_axis: int = 32
@@ -120,7 +116,8 @@ class Radial:
     The two counts, each from 4 to 256, are a cap whose pair doubles both.
     Where its fine rule spans more than one chunk of 2^18 nodes (the default
     at m = 3, never at m <= 2), the rules with both counts halved run first
-    and the first pair that agrees to roundoff ends the ladder.
+    and the first pair that agrees to roundoff ends the ladder.  The chunks
+    run in lanes, so the integrand must be pure (radial_integrate).
     """
 
     radial_nodes: int = 48
@@ -181,7 +178,7 @@ def norm_constant(params: FockParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# deterministic rules: (X, logw_table, offset) chunk generators, one reducer, one rung ladder
+# deterministic rules: chunk specs run in the lanes, one reducer, one rung ladder
 
 
 def _log_sum_exp(a: np.ndarray) -> float:
@@ -217,19 +214,32 @@ def _roundoff(log_value: float, n: int) -> float:
     return 2.0**-53 * (8.0 * abs(log_value) + math.log2(n) + 16.0) if log_value > -math.inf else 0.0
 
 
-def _integral(log_h: Callable, rule) -> tuple[float, int]:
+def _integral(log_h: Callable, rule: tuple) -> tuple[float, int]:
     """(log of the integral of exp(log_h) on the rule, nodes evaluated); raises on nan or +inf.
 
-    The rule yields (X, logw_table, offset).  Each chunk's one fresh array is
-    log_h(X) + logw_table, reduced in place; the offset is added to its log-sum.
+    rule is (sizes, specs, fill, m): chunk i has sizes[i] nodes of m coordinates,
+    and fill(points, table, specs[i], held) writes them into the 1-D points and
+    their log-weights less the chunk's offset into table, both in its lane's
+    buffer, and returns (X, offset), X the (N, m) view of points; held is the
+    spec whose chunk the buffer holds, or None.  A chunk returns
+    _log_sum_exp(log_h(X) + table) + offset on its one fresh array; the sums
+    merge in chunk order, so the value has the same bits at any lane count.
     """
-    sums, n = [], 0
-    for X, table, offset in rule:
-        sums.append(_log_sum_exp(np.add(log_h(X), table)) + offset)
-        n += len(table)
+    sizes, specs, fill, m = rule
+    lane = threading.local()  # the spec each lane's buffer holds, in this call only
+
+    def chunk(buf, spec):
+        points, table = np.split(buf.reshape(-1), [len(buf) * m])
+        X, offset = fill(points, table, spec, getattr(lane, "held", None))
+        lane.held = spec
+        X.flags.writeable = table.flags.writeable = False
+        return _log_sum_exp(np.add(log_h(X), table)) + offset
+
+    # the lanes hold 2^16 nodes together, as one lane does for a 16^4 grid, or else one chunk alone
+    sums = _in_lanes(chunk, sizes, specs, m + 1, _CHUNK_POINTS // _MAX_LANES)
     log_value = _log_sum_exp(np.array(sums))
     _check_fits(log_value)
-    return log_value, n
+    return log_value, sum(sizes)
 
 
 def _ladder(log_h: Callable, rungs: list, rule: Callable, pruned: Callable | None = None) -> IntegralEstimate:
@@ -276,23 +286,6 @@ def _gh_frame(params: FockParams) -> tuple[float, float]:
     return math.sqrt(2.0 / params.rate), 0.5 * params.m * math.log(2.0 / params.rate)
 
 
-def _gh_cuts(n: int, k: int, radius_y: float):
-    """Yield (outer, lo, hi) for each chunk of the n^m rule that keeps a node.
-
-    The chunk fixes its leading k coordinates at y[outer]; each inner axis
-    keeps y[lo:hi], the nodes with |y| <= sqrt(radius_y^2 - |y[outer]|^2), so
-    every node it drops lies outside the ball |y| <= radius_y.
-    """
-    y, _ = _gh_axis(n)
-    for outer in itertools.product(range(n), repeat=k):
-        rho2 = radius_y * radius_y - sum(y[i] * y[i] for i in outer)  # inf keeps every node
-        if rho2 >= 0.0:
-            rho = math.sqrt(rho2)
-            lo, hi = int(np.searchsorted(y, -rho, "left")), int(np.searchsorted(y, rho, "right"))
-            if lo < hi:
-                yield outer, lo, hi
-
-
 def _gh_outer_dims(m: int, n: int) -> int:
     """Outer dimensions k of the n^m rule's chunks: the least with n^(m-k) <= _CHUNK_POINTS."""
     k = 0
@@ -301,41 +294,44 @@ def _gh_outer_dims(m: int, n: int) -> int:
     return k
 
 
-def _gh_rule(params: FockParams, n: int, radius: float = math.inf):
-    """Yield (X, logw_table, offset) chunks of the n^m tensor rule, at most _CHUNK_POINTS nodes each.
+def _gh_rule(params: FockParams, n: int, radius: float = math.inf) -> tuple:
+    """The n^m tensor rule for the weight as chunks (outer, lo, hi) of at most _CHUNK_POINTS nodes.
 
-    The weights integrate against exp(-(alpha p/2)|x|^2), Jacobian included:
-    node i of a chunk has log-weight logw_table[i] + offset.  A chunk fixes
-    the leading k (outer) coordinates and runs the other m - k over a tensor
-    grid, the last coordinate fastest: the full grid at radius inf, else the
-    sub-grid of _gh_cuts, which skips only nodes with |x| > radius, and no
-    chunk that keeps none.  X is a read-only, column-major (N, m) view of one
-    buffer and logw_table a read-only view of another: each inner column and
-    the table (the inner axes' log-weights added in axis order) are filled by
-    broadcasts whenever the sub-grid changes, the outer columns are rewritten
-    per chunk, so the next chunk overwrites the X yielded before it.  The
+    A chunk fixes the leading k coordinates at x[outer] and runs the other
+    m - k over the grid of x[lo:hi], the last fastest; each inner axis keeps
+    |y| <= sqrt(radius_y^2 - |y[outer]|^2), so only nodes with |x| > radius
+    are skipped, and no chunk keeps none.  Its fill writes X, column-major,
+    and the table (the inner log-weights added in axis order) by broadcasts,
+    or only the outer columns where the buffer holds the same sub-grid; the
     offset is the outer log-weights' sum plus the log-Jacobian.
     """
     m = params.m
     y, lw = _gh_axis(n)
     scale, log_jac = _gh_frame(params)
-    x = y * scale
+    x, radius_y = y * scale, radius / scale
     k = _gh_outer_dims(m, n)
-    buf, table_buf = np.empty(n ** (m - k) * m), np.empty(n ** (m - k))
-    cut = None
-    for outer, lo, hi in _gh_cuts(n, k, radius / scale):
-        if (lo, hi) != cut:
-            cut, grid = (lo, hi), (hi - lo,) * (m - k)
-            X = buf[: (hi - lo) ** (m - k) * m].reshape((-1, m), order="F")
-            table = table_buf[: (hi - lo) ** (m - k)]
+    specs = []
+    for outer in itertools.product(range(n), repeat=k):
+        rho2 = radius_y * radius_y - sum(y[i] * y[i] for i in outer)  # inf keeps every node
+        if rho2 >= 0.0:
+            rho = math.sqrt(rho2)
+            lo, hi = int(np.searchsorted(y, -rho, "left")), int(np.searchsorted(y, rho, "right"))
+            if lo < hi:
+                specs.append((outer, lo, hi))
+
+    def fill(points, table, spec, held):
+        outer, lo, hi = spec
+        X = points.reshape((-1, m), order="F")
+        if held is None or held[1:] != (lo, hi):
+            grid = (hi - lo,) * (m - k)
             for j in range(m - k):
                 axis = tuple(hi - lo if i == j else 1 for i in range(m - k))
                 np.copyto(X[:, k + j].reshape(grid), x[lo:hi].reshape(axis))
             _outer_sum(lw[lo:hi], m - k, table)
-            view, table_view = X.view(), table.view()
-            view.flags.writeable = table_view.flags.writeable = False
         X[:, :k] = x[list(outer)]
-        yield view, table_view, sum(lw[i] for i in outer) + log_jac
+        return X, sum(lw[i] for i in outer) + log_jac
+
+    return [(hi - lo) ** (m - k) for _, lo, hi in specs], specs, fill, m
 
 
 def _outer_sum(v: np.ndarray, d: int, out: np.ndarray) -> None:
@@ -362,8 +358,8 @@ def _gh_pruned(params: FockParams, n: int, envelope: Callable, log_coarse: float
     nodes, leaves out nodes that add at most t S = 2^-53 coarse; t need not be
     a double.  None when the rule fits in one _CHUNK_POINTS chunk, where the
     envelope costs more than it saves, when coarse is zero, when the ball
-    holds no node, and when the cuts of `_gh_cuts` keep every node, so the
-    full rule runs as it is and adds no cap.
+    holds no node, and when the pruned rule keeps every node, so the full
+    rule runs as it is and adds no cap.
     """
     if n**params.m <= _CHUNK_POINTS or log_coarse == -math.inf:
         return None
@@ -373,10 +369,8 @@ def _gh_pruned(params: FockParams, n: int, envelope: Callable, log_coarse: float
     radius = envelope(log_t) * (1.0 + 1e-12)  # covers the rounding of the radius and of |y|^2
     if not params.m * float(np.min(y * y)) <= (radius / scale) ** 2:
         return None
-    k = _gh_outer_dims(params.m, n)
-    if sum(hi - lo == n for _, lo, hi in _gh_cuts(n, k, radius / scale)) == n**k:
-        return None
-    return _gh_rule(params, n, radius)
+    rule = _gh_rule(params, n, radius)  # the cuts, walked once
+    return None if sum(rule[0]) == n**params.m else rule
 
 
 def gauss_hermite_integrate(
@@ -390,15 +384,15 @@ def gauss_hermite_integrate(
     ... nodes below the cap's coarse one run first, each pair of neighbours
     compared, and the first pair whose gap lies within its roundoff ends the
     ladder; else, and at every m <= 2, the cap's pair ends it, as `_ladder` says.
-    log_h gets read-only, column-major (N, m) chunks of at most
-    _CHUNK_POINTS nodes that share one buffer; it must not keep them.
-    A chunk fixes the leading coordinates, so 32^4 runs as 32 chunks of 32^3
-    nodes.  envelope, if given, maps log t to a radius R with
-    log u(x) = log_h(x) - (alpha p/2)|x|^2 < log t wherever |x| > R.  Then a
-    rule of more than one chunk skips the nodes outside that ball at
-    t = 2^-53 prev / sum(w e^{|y|^2}), prev the rule below it on the ladder,
-    taken in logs at every scale, so the skipped nodes add at most 2^-53 prev,
-    and relative_error gains that cap over the rule's value.
+    log_h gets read-only, column-major (N, m) chunks of at most _CHUNK_POINTS
+    nodes in the lanes of _in_lanes, which hold 2^16 nodes together or one
+    chunk alone (32^4 runs as 32 chunks of 32^3 on 2 lanes), under the thread
+    contract of mc_integrate.  envelope, if given, runs on the calling thread
+    and maps log t to a radius R with log u(x) = log_h(x) - (alpha p/2)|x|^2
+    < log t wherever |x| > R.  Then a rule of more than one chunk skips the
+    nodes outside that ball at t = 2^-53 prev / sum(w e^{|y|^2}), prev the
+    rule below it on the ladder, taken in logs at every scale, so the skipped
+    nodes add at most 2^-53 prev; relative_error gains that cap over the value.
     """
     m = params.m
     if m > 6:
@@ -483,15 +477,13 @@ def _sphere_rule(m: int, n_ang: int):
     return omega, aw
 
 
-def _radial_rule(params: FockParams, nr: int, na: int):
-    """Yield the radial-spherical rule (m <= 3) as (X, logw_table, offset) chunks of whole radii.
+def _radial_rule(params: FockParams, nr: int, na: int) -> tuple:
+    """The radial-spherical rule (m <= 3) as chunks of whole radii, one per radius range (lo, hi).
 
     A chunk runs every node of the sphere rule at each of its radii, as many
-    radii as fit in _CHUNK_POINTS nodes (at least one), the angle fastest; a
-    rule of at most _CHUNK_POINTS nodes, as every default rule at m <= 2, is
-    one chunk.  X (row-major) and logw_table are
-    read-only views of two buffers that the next chunk overwrites; the offset
-    is the log-Jacobian, the same for every chunk.
+    radii as fit in _CHUNK_POINTS nodes (at least one), the angle fastest, so
+    every default rule at m <= 2 is one chunk.  Its fill writes X, row-major,
+    and the table; the offset is the log-Jacobian.
     """
     m = params.m
     s, lws = _radial_axis(nr, m)
@@ -500,14 +492,15 @@ def _radial_rule(params: FockParams, nr: int, na: int):
     log_jac = math.log(0.5) + 0.5 * m * math.log(2.0 / params.rate)
     log_aw = np.log(aw)
     per = max(1, _CHUNK_POINTS // len(aw))  # radii per chunk
-    buf, table_buf = np.empty((min(per, nr), len(aw), m)), np.empty((min(per, nr), len(aw)))
-    for lo in range(0, nr, per):
-        hi = min(lo + per, nr)
-        np.multiply(r[lo:hi, None, None], omega[None, :, :], out=buf[: hi - lo])
-        np.add(lws[lo:hi, None], log_aw[None, :], out=table_buf[: hi - lo])
-        X, table = buf[: hi - lo].reshape(-1, m), table_buf[: hi - lo].reshape(-1)
-        X.flags.writeable = table.flags.writeable = False
-        yield X, table, log_jac
+    specs = [(lo, min(lo + per, nr)) for lo in range(0, nr, per)]
+
+    def fill(points, table, spec, held):
+        lo, hi = spec
+        np.multiply(r[lo:hi, None, None], omega[None, :, :], out=points.reshape(hi - lo, len(aw), m))
+        np.add(lws[lo:hi, None], log_aw[None, :], out=table.reshape(hi - lo, len(aw)))
+        return points.reshape(-1, m), log_jac
+
+    return [(hi - lo) * len(aw) for lo, hi in specs], specs, fill, m
 
 
 def radial_integrate(
@@ -520,6 +513,9 @@ def radial_integrate(
     with both counts halved, down to the last with both at least 4, run
     first, and the first pair that agrees to roundoff ends the ladder, as
     `_ladder` says; else, and at every m <= 2, the cap's pair ends it.
+    log_h gets read-only, row-major (N, m) chunks in the lanes of _in_lanes,
+    under the thread contract of mc_integrate; a chunk of more than 2^15
+    nodes, as at m = 3, runs on one lane.
     """
     message = f"radial and angular node counts must be integers from 4 to {_MAX_RADIAL_NODES}"
     nr = _integer(radial_nodes, 4, message, _MAX_RADIAL_NODES)
@@ -577,24 +573,25 @@ def _lane(block: Callable, jobs, buf: np.ndarray, results: list) -> None:
         results[i] = exc
 
 
-def _in_lanes(block: Callable, sizes: list[int], args: list, width: int) -> list:
+def _in_lanes(block: Callable, sizes: list[int], args: list, width: int, rows: int | None = None) -> list:
     """[block(buf[:sizes[i]], args[i]) for each block i], in block order, run in lanes.
 
-    There are min(_lane_count(), blocks, ceil(total rows / 2^16)) lanes: one
-    on the calling thread, the others on threads joined before the call
-    returns.  Lane k runs blocks k, k + lanes, ... and hands each the leading
-    rows of its own (max(sizes), width) buffer, which the lane's next block
-    overwrites.  So block may run on up to _MAX_LANES threads at once: it must
-    write only to its buffer and its result, and must call no function that
-    perfbench wraps (log_density_batch, envelope_radius, ...), whose span
-    stack is not thread-safe.  An exception in a lane is raised again on the
-    caller, that of the first failing block in block order.
+    There are min(_lane_count(), blocks, ceil(total rows / 2^16), rows // largest
+    block) lanes, at least one, so they hold at most rows rows (_CHUNK_POINTS
+    unless given) or one block; one runs on the calling thread, the others on
+    threads joined before the call returns.  Lane k runs blocks k, k + lanes,
+    ... and hands each the leading rows of its own (largest, width) buffer,
+    which its next block overwrites.  So block may run on up to _MAX_LANES
+    threads at once: it must write only to its buffer and its result, and must
+    call no function that perfbench wraps.  An exception in a lane is raised
+    again on the caller, that of the first failing block in block order.
     """
     if not sizes:
         return []
     jobs = list(zip(range(len(sizes)), sizes, args))
-    lanes = min(_lane_count(), len(jobs), -(-sum(sizes) // (_CHUNK_POINTS // _MAX_LANES)))
-    bufs = np.empty((lanes, max(sizes), width))
+    largest, rows = max(sizes), _CHUNK_POINTS if rows is None else rows
+    lanes = max(1, min(_lane_count(), len(jobs), -(-sum(sizes) // (_CHUNK_POINTS // _MAX_LANES)), rows // largest))
+    bufs = np.empty((lanes, largest, width))
     results = [None] * len(jobs)
     workers = [
         threading.Thread(target=_lane, args=(block, jobs[k::lanes], bufs[k], results), daemon=True)
@@ -629,13 +626,12 @@ def mc_integrate(
     default_rng(seed), the find_max stream.
 
     The blocks run in the lanes of _in_lanes, one per core this process may
-    use and at most 4, each drawing into its own reused buffer, so the lanes
-    together hold at most _CHUNK_POINTS rows.  log_h may thus be called from
-    up to 4 threads at once, on read-only views of those buffers, under
-    numpy's default error state: it must be pure, must not keep X, and must
-    call no function that perfbench wraps (log_density_batch,
-    envelope_radius, ...), since perfbench/spans.py keeps one span stack that
-    is not thread-safe.  fock_norm's and convex_functional's integrands meet this.
+    use and at most 4, each drawing into its own reused buffer.  So log_h, as
+    on every backend, may be called from up to 4 threads at once, on read-only
+    views of those buffers, under numpy's default error state: it must be
+    pure, must not keep X, and must call no function that perfbench wraps
+    (log_density_batch, envelope_radius, ...), whose span stack is not
+    thread-safe; fock_norm's and convex_functional's integrands meet this.
 
     Each block keeps its peak log-ratio w, the mean of e^(w - peak) and the
     sum of squared deviations about that mean (two passes); the caller

@@ -325,6 +325,12 @@ class _NestedCloud:
     points: int  # density evaluations, all shells together
 
 
+def _counts_below(log_u: np.ndarray, log_t_asc: np.ndarray) -> np.ndarray:
+    """np.bincount(np.searchsorted(log_t_asc, log_u), minlength=len(log_t_asc) + 1), sorting log_u in place."""
+    log_u.sort()
+    return np.diff(np.searchsorted(log_u, log_t_asc, side="right"), prepend=0, append=len(log_u))
+
+
 def _nested_measures(f, params, log_grid, samples, seed, log_thresholds=None, weights=None) -> _NestedCloud:
     """Hit-count estimates of mu at decreasing thresholds from one stratified cloud.
 
@@ -335,14 +341,14 @@ def _nested_measures(f, params, log_grid, samples, seed, log_thresholds=None, we
     rounding in the radii, which moves with the scale of f, add a point where it
     is an integer (samples / (j + 1) for a Gaussian in the plane): every level
     sees the point density of `samples` points in its own ball, to 1e-9.  log u
-    is evaluated once per point, and one searchsorted per block counts its
-    hits at every threshold (log_grid itself unless given, say the layer cake's
-    nodes); shell j can hit only those below log_grid[j-1].  Hits at t_k >= t_l
-    are correlated, Cov(I_k, I_l) = h_k (1 - h_l), where h = (hits + 1) / (n + 2)
-    stays positive when no point or every point hits, so Var(mu_k) and
-    Var(weights . mu) take O(thresholds) per shell.  weights is one vector or
-    a 2-D array of them, one weighted_var per row, each row with the bits of
-    its own 1-D call.
+    is evaluated once per point; each block counts its hits at every threshold
+    (log_grid itself unless given, say the layer cake's nodes) on its sorted log
+    u, `_counts_below`, and shell j can hit only those below log_grid[j-1].
+    Hits at t_k >= t_l are correlated, Cov(I_k, I_l) = h_k (1 - h_l), where
+    h = (hits + 1) / (n + 2) stays positive when no point or every point hits,
+    so Var(mu_k) and Var(weights . mu) take O(thresholds) per shell.  weights
+    is one vector or a 2-D array of them, one weighted_var per row, each row
+    with the bits of its own 1-D call.
 
     Each shell comes in blocks of at most 2^16 rows, numbered in shell order:
     block i draws its normals (the directions), then its uniforms (r^m over
@@ -388,9 +394,7 @@ def _nested_measures(f, params, log_grid, samples, seed, log_thresholds=None, we
         r **= 1.0 / m
         r /= np.sqrt(np.einsum("ij,ij->i", X, X))
         X *= r[:, None]
-        # thresholds below log u, counted on the ascending thresholds
-        below = np.searchsorted(log_t_asc, _log_density_and_weight(f, params, X)[0])
-        return np.bincount(below, minlength=count + 1)
+        return _counts_below(_log_density_and_weight(f, params, X)[0], log_t_asc)
 
     counts = iter(_in_lanes(block, sizes, list(zip(streams, of_shell)), m + 1))
     mu, var = np.zeros(count), np.zeros(count)

@@ -49,7 +49,7 @@ P2 = FockParams(2, 2.0, 1.0)
 
 
 def _lanes(method):
-    """A method case marked `lanes`: Monte Carlo runs its blocks in integrate._in_lanes."""
+    """A method case marked `lanes`: Monte Carlo runs its blocks on several lanes of integrate._in_lanes."""
     return pytest.param(method, marks=pytest.mark.lanes)
 
 
@@ -255,6 +255,19 @@ def test_chunked_gh_runs_one_point_chunks_at_m1(monkeypatch):
     assert est.error_bound == pytest.approx(whole.error_bound, abs=1e-14)
 
 
+def _chunks(rule, reuse):
+    """The (X, logw_table, offset) of each chunk of a rule, in chunk order, filled as one lane of
+    integrate._integral fills them: into one buffer in turn, which the next chunk overwrites, or else
+    each into a fresh buffer."""
+    sizes, specs, fill, m = rule
+    lane, held = np.empty((max(sizes, default=0), m + 1)), None
+    for size, spec in zip(sizes, specs):
+        points, table = np.split((lane[:size] if reuse else np.empty((size, m + 1))).reshape(-1), [size * m])
+        X, offset = fill(points, table, spec, held)
+        held = spec if reuse else None
+        yield X, table, offset
+
+
 def _gh_index_reference(params, n):
     """The (X, logw_table, offset) chunks of _gh_rule built from np.indices, in the same arithmetic."""
     m = params.m
@@ -271,14 +284,18 @@ def _gh_index_reference(params, n):
 
 
 def _assert_gh_grid_matches_reference(params, n):
-    chunks = 0
-    for (X, table, offset), (X_ref, table_ref, offset_ref) in itertools.zip_longest(
-        integrate._gh_rule(params, n), _gh_index_reference(params, n)
-    ):
-        assert X.flags.f_contiguous and not X.flags.writeable and not table.flags.writeable
-        assert np.array_equal(X, X_ref) and np.array_equal(table, table_ref) and offset == offset_ref
-        chunks += 1
-    return chunks
+    """Chunk by chunk, in fresh buffers and in one lane buffer; returns the number of chunks."""
+    counts = []
+    for reuse in (False, True):
+        counts.append(0)
+        for (X, table, offset), (X_ref, table_ref, offset_ref) in itertools.zip_longest(
+            _chunks(integrate._gh_rule(params, n), reuse), _gh_index_reference(params, n)
+        ):
+            assert X.flags.f_contiguous
+            assert np.array_equal(X, X_ref) and np.array_equal(table, table_ref) and offset == offset_ref
+            counts[-1] += 1
+    assert counts[0] == counts[1]
+    return counts[0]
 
 
 @pytest.mark.parametrize("n", [8, 16])
@@ -305,14 +322,27 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_gh_norm_memory_budget():
-    # m = 4, n = 32: the kinked |z1 z2|^p climbs the whole ladder, 32^4 in 32 chunks of 32^3 nodes and the
-    # pruned 64^4 in chunks of at most 64^3; measured 13.5 MB (the 64^3-node X buffer, 8.4 MB, its table,
-    # log_h with its temporaries and their sum), budget +10%. A constant stops on (8, 12), at 1.2 MB
-    peak = _traced_peak(
-        lambda: fock_norm(Monomial(powers=(1, 1)), FockParams(4, 1.845, 1.0), method=GaussHermite(32))
+def _traced_peaks(monkeypatch, fn):
+    """The traced peak of fn() at lane counts 1 and 4: a rule's lanes hold 2^16 nodes together, or one chunk."""
+    peaks = {}
+    for lanes in (1, 4):
+        monkeypatch.setattr(integrate, "_lane_count", lambda lanes=lanes: lanes)
+        peaks[lanes] = _traced_peak(fn)
+    return peaks
+
+
+@pytest.mark.lanes
+def test_gh_norm_memory_budget(monkeypatch):
+    # m = 4, n = 32: the kinked |z1 z2|^p climbs the whole ladder, the pruned 32^4 in chunks of at most 32^3
+    # nodes on lanes that hold 2^16 nodes together, and the pruned 64^4 in chunks of at most 64^3 on one lane;
+    # measured 13.5 MB when every pruned chunk had a whole 64^3-node buffer (8.4 MB), its table, log_h with its
+    # temporaries and their sum, budget +10%; 8.0 MB at 1 and 4 lanes, whose buffers fit the largest chunk kept.
+    # A constant stops on (8, 12)
+    peaks = _traced_peaks(
+        monkeypatch,
+        lambda: fock_norm(Monomial(powers=(1, 1)), FockParams(4, 1.845, 1.0), method=GaussHermite(32)),
     )
-    assert peak <= 14.9e6
+    assert max(peaks.values()) <= 14.9e6, peaks
 
 
 @pytest.mark.lanes
@@ -331,21 +361,27 @@ def test_mc_norm_memory_budget(monkeypatch):
     assert peak <= 12.7e6
 
 
-def test_gh_functional_memory_budget():
-    # the rungs 8 and 12, the 16^4 coarse grid in one chunk, the 32^4 fine grid in 32 chunks; measured
-    # 4.2 MB, budget +12%
+@pytest.mark.lanes
+def test_gh_functional_memory_budget(monkeypatch):
+    # the rungs 8 and 12, the 16^4 coarse grid in one chunk, the 32^4 fine grid in 32 chunks, on 2 lanes of 4:
+    # together they hold 2^16 nodes, as the 16^4 grid does; measured 4.2 MB at 1 and 4 lanes, budget +12%
+    # (4 lanes of 32^3 nodes at once would take 8.4 MB)
     f = Coherent(center=(0.3, -0.2, 0.1, 0.4), alpha=1.0)
-    peak = _traced_peak(
-        lambda: convex_functional(f, FockParams(4, 2.0, 1.0), Power(2.0), method=GaussHermite(16))
+    peaks = _traced_peaks(
+        monkeypatch, lambda: convex_functional(f, FockParams(4, 2.0, 1.0), Power(2.0), method=GaussHermite(16))
     )
-    assert peak <= 4.7e6
+    assert max(peaks.values()) <= 4.7e6, peaks
 
 
-def test_radial_norm_memory_budget():
+@pytest.mark.lanes
+def test_radial_norm_memory_budget(monkeypatch):
     # m = 3: ExpQuadratic at c = 0.4 climbs the whole ladder, to the fine 96 x 8192 rule in 3 chunks of
-    # 32 radii; measured 12.7 MB (13.0 MB for a constant, which now stops on (6, 8), (12, 16)), budget +10%
-    peak = _traced_peak(lambda: fock_norm(ExpQuadratic(c=0.4, dim=3), FockParams(3, 2.0, 1.0), method=Radial()))
-    assert peak <= 14.3e6
+    # 32 radii, each on one lane; measured 12.7 MB (13.0 MB for a constant, which now stops on (6, 8),
+    # (12, 16)) at 1 and 4 lanes, budget +10%
+    peaks = _traced_peaks(
+        monkeypatch, lambda: fock_norm(ExpQuadratic(c=0.4, dim=3), FockParams(3, 2.0, 1.0), method=Radial())
+    )
+    assert max(peaks.values()) <= 14.3e6, peaks
 
 
 def _read_only(log_h):
@@ -451,20 +487,22 @@ def _pruned_index_reference(params, n, radius):
 )
 @pytest.mark.parametrize("radius_y", [0.5, 0.9, 2.0, 3.2, 10.0])
 def test_pruned_gh_grid_matches_filtered_index_reference(monkeypatch, m, n, chunk_points, radius_y):
+    # in one lane buffer, a chunk whose sub-grid is its predecessor's rewrites the outer columns alone
     monkeypatch.setattr(integrate, "_CHUNK_POINTS", chunk_points)
     params = FockParams(m, 2.0, 1.0)
     radius = radius_y * math.sqrt(2.0 / params.rate)
-    chunks, kept = 0, 0
-    for (X, table, offset), (X_ref, table_ref, offset_ref) in itertools.zip_longest(
-        integrate._gh_rule(params, n, radius), _pruned_index_reference(params, n, radius)
-    ):
-        assert X.flags.f_contiguous and not X.flags.writeable and not table.flags.writeable
-        assert np.array_equal(X, X_ref) and np.array_equal(table, table_ref) and offset == offset_ref
-        chunks, kept = chunks + 1, kept + len(table)
-    if radius_y == 0.5 and m > 2:  # below the least |y|, and no outer node leaves room for an inner one
-        assert chunks == 0
-    if radius_y == 10.0:  # past the largest |y| times sqrt(m): the full grid
-        assert kept == n**m
+    for reuse in (False, True):
+        chunks, kept = 0, 0
+        for (X, table, offset), (X_ref, table_ref, offset_ref) in itertools.zip_longest(
+            _chunks(integrate._gh_rule(params, n, radius), reuse), _pruned_index_reference(params, n, radius)
+        ):
+            assert X.flags.f_contiguous
+            assert np.array_equal(X, X_ref) and np.array_equal(table, table_ref) and offset == offset_ref
+            chunks, kept = chunks + 1, kept + len(table)
+        if radius_y == 0.5 and m > 2:  # below the least |y|, and no outer node leaves room for an inner one
+            assert chunks == 0
+        if radius_y == 10.0:  # past the largest |y| times sqrt(m): the full grid
+            assert kept == n**m
 
 
 def _log_p_abs(f, params):
@@ -632,7 +670,7 @@ def test_pruned_gh_keeps_the_same_nodes_at_every_scale(f, p):
         g = f.log_shifted(delta)
         log_coarse, _ = integrate._integral(_log_p_abs(g, params), integrate._gh_rule(params, 32))
         rule = integrate._gh_pruned(params, 64, partial(envelope_radius, g, params), log_coarse)
-        return sum(len(table) for _, table, _ in rule)
+        return sum(rule[0])  # the nodes of its chunks
 
     counts = {delta: kept(delta) for delta in (-30.0, -7.5, 0.0, 12.0, 30.0)}
     assert len(set(counts.values())) == 1, counts
@@ -792,13 +830,15 @@ def test_chunked_radial_rule_matches_one_chunk_reference():
     X_ref = (r[:, None, None] * omega[None, :, :]).reshape(-1, 3)
     table_ref = (lws[:, None] + np.log(aw)[None, :]).reshape(-1)
     log_jac = math.log(0.5) + 1.5 * math.log(2.0 / params.rate)
-    chunks = [(X.copy(), table.copy(), offset) for X, table, offset in integrate._radial_rule(params, nr, na)]
-    assert [len(table) for _, table, _ in chunks] == [32 * len(aw)] * 3
-    assert all(offset == log_jac for _, _, offset in chunks)
-    assert np.array_equal(np.concatenate([X for X, _, _ in chunks]), X_ref)
-    assert np.array_equal(np.concatenate([table for _, table, _ in chunks]), table_ref)
-    (X, table, _), = integrate._radial_rule(FockParams(2, 1.5, 0.8), nr, na)  # m <= 2: one chunk
-    assert len(table) == nr * na and not X.flags.writeable and not table.flags.writeable
+    rule = integrate._radial_rule(params, nr, na)
+    for reuse in (False, True):
+        chunks = [(X.copy(), table.copy(), offset) for X, table, offset in _chunks(rule, reuse)]
+        assert [len(table) for _, table, _ in chunks] == [32 * len(aw)] * 3
+        assert all(offset == log_jac for _, _, offset in chunks)
+        assert np.array_equal(np.concatenate([X for X, _, _ in chunks]), X_ref)
+        assert np.array_equal(np.concatenate([table for _, table, _ in chunks]), table_ref)
+    (X, table, _), = _chunks(integrate._radial_rule(FockParams(2, 1.5, 0.8), nr, na), False)  # m <= 2: one chunk
+    assert len(table) == nr * na and X.flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------
@@ -912,6 +952,59 @@ def test_mc_estimate_does_not_depend_on_the_lane_count(monkeypatch, chunk, sampl
     assert estimates[0].relative_error > 0 and estimates[1:] == estimates[:1] * 2
 
 
+@pytest.mark.lanes
+@pytest.mark.parametrize("backend", ["gh", "gh pruned", "radial"])
+def test_rule_estimate_does_not_depend_on_the_lane_count(monkeypatch, backend):
+    # the chunks' log-sums merge in chunk order whichever lane ran them, and a lane rewrites only the outer
+    # columns of a chunk whose sub-grid its buffer holds; 4 lanes on fewer cores, switching threads every
+    # 10 us. In 512-node chunks a rule's lanes hold 128 nodes together: the GH fine rule, 32 chunks of 32 at
+    # m = 2, runs on up to 4 lanes (pruned, with sub-grids that change from chunk to chunk), and the radial
+    # fine rule, 4 chunks of 8 x 64 nodes, on one lane at every lane count
+    params, f = FockParams(2, 2.5, 1.0), Coherent(center=(0.4, -0.3), alpha=1.0)
+    monkeypatch.setattr(integrate, "_CHUNK_POINTS", 512)
+    monkeypatch.setattr(integrate, "_GH_RUNGS", ())  # the cap's pair alone
+    run = {
+        "gh": lambda: gauss_hermite_integrate(_log_p_abs(f, params), params, 16),
+        "gh pruned": lambda: gauss_hermite_integrate(
+            _log_p_abs(f, params), params, 16, partial(envelope_radius, f, params)
+        ),
+        "radial": lambda: radial_integrate(_log_p_abs(f, params), params, 16, 32),
+    }[backend]
+    lane, ran = integrate._lane, []
+    monkeypatch.setattr(integrate, "_lane", lambda *args: ran.append(threading.current_thread()) or lane(*args))
+    estimates, interval = [], sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        for lanes in (1, 2, 4):
+            monkeypatch.setattr(integrate, "_lane_count", lambda lanes=lanes: lanes)
+            threads = threading.active_count()
+            ran.clear()
+            estimates.append(run())
+            assert threading.active_count() == threads
+            assert len(set(ran)) == (1 if backend == "radial" else lanes)
+    finally:
+        sys.setswitchinterval(interval)
+    assert estimates[0].relative_error > 0 and estimates[1:] == estimates[:1] * 2
+
+
+@pytest.mark.lanes
+def test_rule_lanes_hold_2_16_nodes_together(monkeypatch):
+    # a rule's chunks run on as many lanes as hold 2^16 nodes together, or on one where a chunk is larger:
+    # the 24^3-node chunks of 24^4 on 4 lanes, the 32^3-node ones of 32^4 on 2, and the radial rule's
+    # 2^18-node chunks on one; each lane's buffer holds the largest chunk
+    lane, buffers = integrate._lane, []
+    monkeypatch.setattr(integrate, "_lane", lambda *args: buffers.append(len(args[2])) or lane(*args))  # the buffer
+    monkeypatch.setattr(integrate, "_lane_count", lambda: 4)
+    for rule, lanes in (
+        (integrate._gh_rule(FockParams(4, 2.0, 1.0), 24), [24**3] * 4),
+        (integrate._gh_rule(FockParams(4, 2.0, 1.0), 32), [32**3] * 2),
+        (integrate._radial_rule(FockParams(3, 2.0, 1.0), 96, 128), [1 << 18]),
+    ):
+        buffers.clear()
+        integrate._integral(lambda X: np.zeros(len(X)), rule)
+        assert buffers == lanes
+
+
 class _LaneFailure(Exception):
     pass
 
@@ -947,6 +1040,39 @@ def test_mc_lane_failure_is_raised_on_the_caller(monkeypatch, case):
         # the first block in block order, block 0, failed on the calling thread
         assert (str(info.value) == threading.main_thread().name) == (case == "raises on every lane")
     assert sorted(callers) == [False, True] and threading.active_count() == threads
+
+
+@pytest.mark.lanes
+@pytest.mark.parametrize("case", ["+inf on a worker", "raises on a worker", "raises on every lane"])
+def test_gh_lane_failure_is_raised_on_the_caller(monkeypatch, case):
+    # GH(16) at m = 2 in 128-node chunks: its first rule runs 16 chunks of 16 nodes on two lanes, chunks
+    # 0, 2, ... on the calling thread and 1, 3, ... on a worker; every worker is joined either way
+    monkeypatch.setattr(integrate, "_CHUNK_POINTS", 128)
+    monkeypatch.setattr(integrate, "_GH_RUNGS", ())
+    monkeypatch.setattr(integrate, "_lane_count", lambda: 2)
+    callers = []  # per log_h call: did a worker make it?
+
+    def log_h(X):
+        out = np.zeros(len(X))
+        callers.append(_on_worker())
+        if case == "+inf on a worker" and _on_worker():
+            out[0] = np.inf
+        elif case == "raises on every lane" or _on_worker():
+            raise _LaneFailure(threading.current_thread().name)
+        return out
+
+    threads = threading.active_count()
+    if case == "+inf on a worker":  # the worker's chunk sums are +inf, and so is their merge
+        with pytest.raises(MethodUnavailableError, match="inf"):
+            gauss_hermite_integrate(log_h, P2, 16)
+        assert sorted(callers) == [False] * 8 + [True] * 8
+    else:
+        with pytest.raises(_LaneFailure) as info:
+            gauss_hermite_integrate(log_h, P2, 16)
+        # the first chunk in chunk order that failed: chunk 0 on the calling thread, or else chunk 1 on the worker
+        assert (str(info.value) == threading.main_thread().name) == (case == "raises on every lane")
+        assert sorted(callers) == ([False, True] if case == "raises on every lane" else [False] * 8 + [True])
+    assert threading.active_count() == threads
 
 
 @pytest.mark.lanes

@@ -37,6 +37,7 @@ from focklab import (
 )
 from focklab import integrate, levelset
 from focklab.levelset import (
+    _counts_below,
     _nested_measures,
     _search_max,
     IsoperimetricVariant,
@@ -610,6 +611,26 @@ def test_small_nested_cloud_starts_no_thread(monkeypatch):
     log_grid = np.log(math.exp(-1.0) * 0.9 ** np.arange(1, 31))
     cloud = _nested_measures(Monomial(powers=(1,)), P2, log_grid, 1000, 0)
     assert lanes == [threading.main_thread()] and 1000 < cloud.points < 1 << 16
+
+
+@pytest.mark.parametrize("thresholds", [1, 3, 61], ids=lambda n: f"{n} thresholds")
+def test_cloud_counts_by_sorting_match_bincount(thresholds):
+    # the counts of log u by the number of thresholds below it, from the sorted log u, are those of
+    # bincount(searchsorted(...)) to the last count: with log u on the thresholds, tied thresholds,
+    # -inf (zeros of f), +inf and nan (counted above every threshold)
+    rng = np.random.default_rng(thresholds)
+    log_t_asc = np.sort(np.round(rng.normal(0.0, 2.0, thresholds), 1))
+    log_t_asc[thresholds // 2 :] = np.maximum(log_t_asc[thresholds // 2 :], log_t_asc[thresholds // 2])  # ties
+    special = np.array([-np.inf, np.inf, np.nan, -np.inf, np.nan])
+    for log_u in (
+        np.concatenate([rng.choice(log_t_asc, 500), np.round(rng.normal(0.0, 3.0, 500), 1), special]),
+        rng.permutation(np.concatenate([log_t_asc, log_t_asc, special])),
+        special.copy(),
+        np.full(7, log_t_asc[0]),
+    ):
+        expected = np.bincount(np.searchsorted(log_t_asc, log_u), minlength=thresholds + 1)
+        got = _counts_below(log_u.copy(), log_t_asc)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
 @pytest.mark.lanes
