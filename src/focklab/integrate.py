@@ -5,28 +5,21 @@ exp(-(alpha p/2)|x|^2), the measure of the Gauss-Hermite and generalized
 Gauss-Laguerre rules and of the importance-sampling proposal, so fock_norm hands
 them log_h = p log|f| and never forms the weight.
 
-Every backend runs through one lane runner, _in_lanes: numbered blocks in up
-to 4 lanes, one on the calling thread and the others on threads it joins, each
-lane reusing one buffer, the results returned in block order.  The two rules
-are lists of chunk specs built on the calling thread: Gauss-Hermite fixes the
-leading coordinates of its tensor grid per chunk, the radial rule takes whole
-radii.  A chunk fills its points and log-weights into its lane's buffer and
-returns its log-sum-exp; the sums merge in chunk order, so a rule has the same
-bits at any lane count.  Monte Carlo and the level cloud of
-levelset._nested_measures draw seeded blocks and merge them in block order.
-
+Every backend runs its chunks through one chunk body, _run_chunks, which
+states the contract log_h meets: a chunk fills its points and a table into its
+lane's buffer (up to 4 lanes of _in_lanes, one on the calling thread), and
+the backend's reducer gets log_h(X) + table; the results come back in chunk
+order, whatever the lane count.  Gauss-Hermite fixes the leading coordinates
+of its tensor grid per chunk and the radial rule takes whole radii, their
+tables the log-weights and their reducer a log-sum-exp; Monte Carlo's chunks
+are seeded blocks, its table -log c and its reducer a block's moments.  The
+level cloud of levelset._nested_measures runs its own blocks in the lanes.
 One chunk budget, _CHUNK_POINTS = 2^18 nodes, bounds the working set: no
-block is larger, and the lanes hold at most that many rows together (2^16
-for a rule's chunks), or one block where that is larger, so a 2^18-node chunk
-runs on one lane.  log_h gets read-only (N, m) views of a lane's buffer,
-which the lane's next block overwrites, and may be called from up to 4
-threads at once: it must be pure, must not keep X and must call no function
-that perfbench wraps (log_density_batch, envelope_radius, ...), whose span
-stack is not thread-safe; the private functions._log_density_and_weight is
-not wrapped, and the envelope of a pruned Gauss-Hermite rule runs on the
-calling thread.  No backend writes into the array log_h returns.  Both rules
-climb one rung ladder, _ladder.  Every backend returns log I with a relative
-error of at least its roundoff; a nan or +inf log I raises.
+chunk is larger, and the lanes hold at most that many rows together (2^16
+for a rule's chunks), or one chunk where that is larger.  No backend writes
+into the array log_h returns.  Both rules climb one rung ladder, _ladder.
+Every backend returns log I with a relative error of at least its roundoff;
+a nan or +inf log I raises.
 """
 
 from __future__ import annotations
@@ -178,7 +171,7 @@ def norm_constant(params: FockParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# deterministic rules: chunk specs run in the lanes, one reducer, one rung ladder
+# the chunk body of every backend; the deterministic rules: chunk specs, one reducer, one rung ladder
 
 
 def _log_sum_exp(a: np.ndarray) -> float:
@@ -214,29 +207,43 @@ def _roundoff(log_value: float, n: int) -> float:
     return 2.0**-53 * (8.0 * abs(log_value) + math.log2(n) + 16.0) if log_value > -math.inf else 0.0
 
 
-def _integral(log_h: Callable, rule: tuple) -> tuple[float, int]:
-    """(log of the integral of exp(log_h) on the rule, nodes evaluated); raises on nan or +inf.
+def _run_chunks(log_h: Callable, chunks: tuple, summary: Callable, width: int, rows: int | None = None) -> list:
+    """[summary(log_h(X) + table, offset) for each chunk], in chunk order: every backend's one chunk body.
 
-    rule is (sizes, specs, fill, m): chunk i has sizes[i] nodes of m coordinates,
-    and fill(points, table, specs[i], held) writes them into the 1-D points and
-    their log-weights less the chunk's offset into table, both in its lane's
-    buffer, and returns (X, offset), X the (N, m) view of points; held is the
-    spec whose chunk the buffer holds, or None.  A chunk returns
-    _log_sum_exp(log_h(X) + table) + offset on its one fresh array; the sums
-    merge in chunk order, so the value has the same bits at any lane count.
+    chunks is (sizes, specs, fill, m): chunk i, of sizes[i] points, runs in
+    the lanes of _in_lanes (rows as there) on a (sizes[i], width) buffer,
+    whose first sizes[i] * m entries are its points and the rest its table.
+    fill(points, table, specs[i], held), held the spec whose chunk the buffer
+    holds or None, writes them and returns (X, table, offset): X the (N, m)
+    view of points, table the one written or a scalar.  summary may overwrite
+    log_h(X) + table, the chunk's one fresh array.  log_h gets X read-only, may
+    be called from up to 4 threads at once and must be pure, must not keep X
+    and must call no function that perfbench wraps (log_density_batch,
+    envelope_radius, ...; not functions._log_density_and_weight), whose span
+    stack is not thread-safe.
     """
-    sizes, specs, fill, m = rule
+    sizes, specs, fill, m = chunks
     lane = threading.local()  # the spec each lane's buffer holds, in this call only
 
     def chunk(buf, spec):
         points, table = np.split(buf.reshape(-1), [len(buf) * m])
-        X, offset = fill(points, table, spec, getattr(lane, "held", None))
+        X, table, offset = fill(points, table, spec, getattr(lane, "held", None))
         lane.held = spec
-        X.flags.writeable = table.flags.writeable = False
-        return _log_sum_exp(np.add(log_h(X), table)) + offset
+        X.flags.writeable = False
+        return summary(np.add(log_h(X), table), offset)
 
+    return _in_lanes(chunk, sizes, specs, width, rows)
+
+
+def _integral(log_h: Callable, rule: tuple) -> tuple[float, int]:
+    """(log of the integral of exp(log_h) on the rule, nodes evaluated); raises on nan or +inf.
+
+    rule is the chunks of _run_chunks, its tables the log-weights less the
+    chunk's offset, its sums merged in chunk order: the same bits at any lane count.
+    """
+    sizes, _, _, m = rule
     # the lanes hold 2^16 nodes together, as one lane does for a 16^4 grid, or else one chunk alone
-    sums = _in_lanes(chunk, sizes, specs, m + 1, _CHUNK_POINTS // _MAX_LANES)
+    sums = _run_chunks(log_h, rule, lambda a, offset: _log_sum_exp(a) + offset, m + 1, _CHUNK_POINTS // _MAX_LANES)
     log_value = _log_sum_exp(np.array(sums))
     _check_fits(log_value)
     return log_value, sum(sizes)
@@ -245,7 +252,7 @@ def _integral(log_h: Callable, rule: tuple) -> tuple[float, int]:
 def _ladder(log_h: Callable, rungs: list, rule: Callable, pruned: Callable | None = None) -> IntegralEstimate:
     """Integral of exp(log_h) on the first pair of rungs that agrees to roundoff, else on the last pair.
 
-    rule(rung) yields the rung's (X, logw_table, offset) chunks.  pruned(rung,
+    rule(rung) is the rung's chunks, as _integral takes them.  pruned(rung,
     log_prev), if given, maps the previous rung's log-integral to None or to a
     rule of the rung that skips nodes adding at most 2^-53 prev in all; it runs
     in place of rule(rung), and that cap over the rung's value is added to its
@@ -329,7 +336,7 @@ def _gh_rule(params: FockParams, n: int, radius: float = math.inf) -> tuple:
                 np.copyto(X[:, k + j].reshape(grid), x[lo:hi].reshape(axis))
             _outer_sum(lw[lo:hi], m - k, table)
         X[:, :k] = x[list(outer)]
-        return X, sum(lw[i] for i in outer) + log_jac
+        return X, table, sum(lw[i] for i in outer) + log_jac
 
     return [(hi - lo) ** (m - k) for _, lo, hi in specs], specs, fill, m
 
@@ -384,15 +391,14 @@ def gauss_hermite_integrate(
     ... nodes below the cap's coarse one run first, each pair of neighbours
     compared, and the first pair whose gap lies within its roundoff ends the
     ladder; else, and at every m <= 2, the cap's pair ends it, as `_ladder` says.
-    log_h gets read-only, column-major (N, m) chunks of at most _CHUNK_POINTS
-    nodes in the lanes of _in_lanes, which hold 2^16 nodes together or one
-    chunk alone (32^4 runs as 32 chunks of 32^3 on 2 lanes), under the thread
-    contract of mc_integrate.  envelope, if given, runs on the calling thread
-    and maps log t to a radius R with log u(x) = log_h(x) - (alpha p/2)|x|^2
-    < log t wherever |x| > R.  Then a rule of more than one chunk skips the
-    nodes outside that ball at t = 2^-53 prev / sum(w e^{|y|^2}), prev the
-    rule below it on the ladder, taken in logs at every scale, so the skipped
-    nodes add at most 2^-53 prev; relative_error gains that cap over the value.
+    log_h gets column-major chunks of at most _CHUNK_POINTS nodes, as
+    _run_chunks says (32^4 runs as 32 chunks of 32^3 on 2 lanes).  envelope,
+    if given, runs on the calling thread and maps log t to a radius R with
+    log u(x) = log_h(x) - (alpha p/2)|x|^2 < log t wherever |x| > R.  Then a
+    rule of more than one chunk skips the nodes outside that ball at t =
+    2^-53 prev / sum(w e^{|y|^2}), prev the rule below it on the ladder, taken
+    in logs at every scale, so the skipped nodes add at most 2^-53 prev;
+    relative_error gains that cap over the value.
     """
     m = params.m
     if m > 6:
@@ -498,7 +504,7 @@ def _radial_rule(params: FockParams, nr: int, na: int) -> tuple:
         lo, hi = spec
         np.multiply(r[lo:hi, None, None], omega[None, :, :], out=points.reshape(hi - lo, len(aw), m))
         np.add(lws[lo:hi, None], log_aw[None, :], out=table.reshape(hi - lo, len(aw)))
-        return points.reshape(-1, m), log_jac
+        return points.reshape(-1, m), table, log_jac
 
     return [(hi - lo) * len(aw) for lo, hi in specs], specs, fill, m
 
@@ -513,9 +519,8 @@ def radial_integrate(
     with both counts halved, down to the last with both at least 4, run
     first, and the first pair that agrees to roundoff ends the ladder, as
     `_ladder` says; else, and at every m <= 2, the cap's pair ends it.
-    log_h gets read-only, row-major (N, m) chunks in the lanes of _in_lanes,
-    under the thread contract of mc_integrate; a chunk of more than 2^15
-    nodes, as at m = 3, runs on one lane.
+    log_h gets row-major chunks, as _run_chunks says; a chunk of more than
+    2^15 nodes, as at m = 3, runs on one lane.
     """
     message = f"radial and angular node counts must be integers from 4 to {_MAX_RADIAL_NODES}"
     nr = _integer(radial_nodes, 4, message, _MAX_RADIAL_NODES)
@@ -529,6 +534,18 @@ def radial_integrate(
 
 # ---------------------------------------------------------------------------
 # Monte Carlo
+
+
+def _block_moments(w: np.ndarray, offset: None):
+    """(peak, (n, mean of e^(w - peak), M2 about that mean)) of a block's log-ratios w, overwritten; no offset."""
+    peak = float(np.max(w))
+    _check_fits(peak)  # raises before inf - inf turns the weights into nan
+    if peak == -math.inf:
+        return peak, (len(w), 0.0, 0.0)
+    np.exp(np.subtract(w, peak, out=w), out=w)
+    mean = float(np.mean(w))
+    np.square(np.subtract(w, mean, out=w), out=w)
+    return peak, (len(w), mean, float(np.sum(w)))
 
 
 def _merge_moments(a, b):
@@ -625,54 +642,34 @@ def mc_integrate(
     level cloud's block streams (children of spawn key (0,)) or with
     default_rng(seed), the find_max stream.
 
-    The blocks run in the lanes of _in_lanes, one per core this process may
-    use and at most 4, each drawing into its own reused buffer.  So log_h, as
-    on every backend, may be called from up to 4 threads at once, on read-only
-    views of those buffers, under numpy's default error state: it must be
-    pure, must not keep X, and must call no function that perfbench wraps
-    (log_density_batch, envelope_radius, ...), whose span stack is not
-    thread-safe; fock_norm's and convex_functional's integrands meet this.
-
-    Each block keeps its peak log-ratio w, the mean of e^(w - peak) and the
-    sum of squared deviations about that mean (two passes); the caller
-    rescales the blocks to the global peak and merges them in block order by
-    the pairwise update of Chan, Golub & LeVeque.  log I is peak + log(mean),
-    its relative error the standard error over the mean or the roundoff,
-    whichever is larger.  Bit-identical for identical (seed, samples, params),
-    whatever the lane count and the thread schedule.  Raises
-    MethodUnavailableError on a nan or +inf log-ratio; an exception in a lane
-    is raised again on the caller, that of the first failing block in block order.
+    The blocks are the chunks of _run_chunks, whose contract log_h meets
+    under numpy's default error state, their table -log c, c the normalizer.
+    Each block keeps its peak log-ratio w = log_h - log c, the mean of
+    e^(w - peak) and the sum of squared deviations about that mean (two
+    passes); the caller rescales the blocks to the global peak and merges
+    them in block order by the pairwise update of Chan, Golub & LeVeque.
+    log I is peak + log(mean), its relative error the standard error over the
+    mean or the roundoff, whichever is larger.  Bit-identical for identical
+    (seed, samples, params), whatever the lane count and the thread schedule.
+    Raises MethodUnavailableError on a nan or +inf log-ratio.
     """
-    samples = _samples(samples)
-    seed = _seed(seed)
-    root_rate, log_c = math.sqrt(params.rate), math.log(norm_constant(params))
+    samples, seed = _samples(samples), _seed(seed)
+    m, root_rate, log_c = params.m, math.sqrt(params.rate), math.log(norm_constant(params))
 
-    def block(X, stream):
-        """(peak, (n, mean of e^(w - peak), M2 about that mean)) of one block drawn into X."""
+    def fill(points, table, stream, held):
+        X = points.reshape(-1, m)
         np.random.default_rng(stream).standard_normal(out=X)
         X /= root_rate
-        points = X.view()
-        points.flags.writeable = False
-        w = log_h(points) - log_c  # log-ratios in an array of our own
-        peak = float(np.max(w))
-        _check_fits(peak)  # raises before inf - inf turns the weights into nan
-        if peak == -math.inf:
-            return peak, (len(w), 0.0, 0.0)
-        np.exp(np.subtract(w, peak, out=w), out=w)
-        mean = float(np.mean(w))
-        np.square(np.subtract(w, mean, out=w), out=w)
-        return peak, (len(w), mean, float(np.sum(w)))
+        return X, -log_c, None
 
     sizes = _block_sizes(samples)
     streams = np.random.SeedSequence(seed, spawn_key=(1,)).spawn(len(sizes))
-    results = _in_lanes(block, sizes, streams, params.m)
+    results = _run_chunks(log_h, (sizes, streams, fill, m), _block_moments, m)
     peak = max(block_peak for block_peak, _ in results)
     if peak == -math.inf:
         return IntegralEstimate(-math.inf, 0.0)
-    rescaled = []
-    for block_peak, (n, mean, m2) in results:
-        shrink = math.exp(block_peak - peak)
-        rescaled.append((n, mean * shrink, m2 * shrink * shrink))
+    shrinks = [math.exp(block_peak - peak) for block_peak, _ in results]
+    rescaled = [(n, mean * s, m2 * s * s) for s, (_, (n, mean, m2)) in zip(shrinks, results)]
     _, mean_w, m2 = reduce(_merge_moments, rescaled)
     log_value = peak + math.log(mean_w)  # mean_w >= 1/samples: the peak weight is 1
     stderr = math.sqrt(m2 / (samples - 1)) / math.sqrt(samples) / mean_w

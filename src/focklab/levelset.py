@@ -427,12 +427,11 @@ def superlevel_measure(
     The one-level case of the level cloud, `_nested_measures`.
     t is one threshold; `superlevel_measure_exact` takes an array.
     """
-    if _thresholds(t).ndim:
+    if (t_checked := _thresholds(t)).ndim:
         raise InvalidInputError(f"expected one threshold t, got shape {np.shape(t)}")
-    cloud = _nested_measures(f, params, np.log([float(t)]), samples, seed)
-    return MeasureEstimate(
-        float(cloud.mu[0]), math.sqrt(cloud.var[0]), t, int(samples), seed, float(cloud.radii[0])
-    )
+    t, samples, seed = float(t_checked), _samples(samples), _seed(seed)  # the estimate shows the checked values
+    cloud = _nested_measures(f, params, np.log([t]), samples, seed)
+    return MeasureEstimate(float(cloud.mu[0]), math.sqrt(cloud.var[0]), t, samples, seed, float(cloud.radii[0]))
 
 
 def superlevel_measure_exact(f: TestFunction, params: FockParams, t):
@@ -773,7 +772,7 @@ def g_diagnostic(
     rule runs on g / t_max, which the scale of f leaves unchanged.
     """
     grid = grid or LevelGrid()
-    seed = _seed(seed)
+    seed, samples = _seed(seed), _samples(samples)
     log_rel = grid.log_levels()[1:]  # log(t / t_max)
     rel = np.exp(log_rel)
     unscaled = f.log_shifted(-f.log_scale)

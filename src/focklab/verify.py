@@ -119,24 +119,27 @@ def check_contraction(
 def _contraction_reports(f: TestFunction, exponents, alpha: float, method) -> list[VerificationReport]:
     """check_contraction on each pair (p, q) of itertools.combinations(exponents, 2), one fock_norm per exponent.
 
-    Every exponent must be finite and positive, and each pair must have
-    p < q; both are checked before any norm is computed.
+    At least two exponents, each finite and positive with p < q in each pair,
+    and alpha are checked before any norm is computed; the reports show them.
     """
     exponents = [_real(p, "exponent p must be finite and positive", lambda p: p > 0) for p in exponents]
+    if len(exponents) < 2:
+        raise InvalidInputError(f"contraction needs at least two distinct exponents, got {exponents}")
     pairs = list(itertools.combinations(exponents, 2))
     for p, q in pairs:
         _real(q, f"need a finite q > p = {p}", lambda q: q > p)
-    norms = {p: fock_norm(f, FockParams(f.m, p, alpha), method=method) for p in exponents}
+    params = {p: FockParams(f.m, p, alpha) for p in exponents}
+    norms = {p: fock_norm(f, params[p], method=method) for p in exponents}
     reports = []
     for p, q in pairs:
         est_p, est_q = norms[p], norms[q]
         margin = est_p.value - est_q.value
         combined = est_p.value_error + est_q.value_error
         tolerance = 3.0 * combined
-        equality = _equality_case(f, FockParams(f.m, p, alpha)) and abs(margin) <= tolerance
+        equality = _equality_case(f, params[p]) and abs(margin) <= tolerance
         reports.append(VerificationReport(
             check_name="contraction",
-            inputs={"fn": _fn_label(f), "p": p, "q": q, "alpha": alpha, "method": repr(method)},
+            inputs={"fn": _fn_label(f), "p": p, "q": q, "alpha": params[p].alpha, "method": repr(method)},
             passed=bool(margin >= -tolerance),
             margin=float(margin),
             tolerance=float(tolerance),
@@ -347,7 +350,8 @@ def check_limit_norm(
         raise InvalidInputError(f"p ladder needs at least two rungs, got {len(p_ladder)}")
     if any(b <= a for a, b in zip(p_ladder, p_ladder[1:])):
         raise InvalidInputError("p ladder must be strictly increasing")
-    norms = [fock_norm(f, FockParams(f.m, p, alpha), method=method) for p in p_ladder]
+    params = [FockParams(f.m, p, alpha) for p in p_ladder]
+    norms = [fock_norm(f, rung, method=method) for rung in params]
     values = [n.value for n in norms]
     errors = [n.value_error for n in norms]
 
@@ -366,7 +370,7 @@ def check_limit_norm(
     margin = min(mono_margin, above_margin, extrap_margin)
     return VerificationReport(
         check_name="limit_norm",
-        inputs={"fn": _fn_label(f), "alpha": alpha, "p_ladder": list(p_ladder), "method": repr(method)},
+        inputs={"fn": _fn_label(f), "alpha": params[0].alpha, "p_ladder": p_ladder, "method": repr(method)},
         passed=bool(margin >= 0.0),
         margin=float(margin),
         tolerance=0.0,

@@ -511,6 +511,14 @@ def test_non_finite_parameter_exits_2(capsys, spec):
     assert "focklab: error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["verify", "--suite", "contraction", "--p-grid", "2"], ["sweep", "--p-grid", "2,2"]])
+def test_contraction_on_one_exponent_exits_2(tmp_path, capsys, command):
+    # one distinct exponent makes no pair to check: a typed error, not an empty table that reads all_pass=1
+    out = tmp_path / "run.csv"
+    assert main([*command, "--fn", "coherent:a=1,0", "--output", str(out)]) == 2
+    assert "two distinct exponents" in capsys.readouterr().err and not out.exists()
+
+
 def test_weight_rate_past_the_largest_double_exits_2(capsys):
     # alpha = 1e308 is a double, alpha * p = 2e308 is not: FockParams refuses it before the quadrature takes a log
     assert main(["norm", "--fn", "coherent:a=1,0", "--alpha", "1e308"]) == 2

@@ -263,7 +263,7 @@ def _chunks(rule, reuse):
     lane, held = np.empty((max(sizes, default=0), m + 1)), None
     for size, spec in zip(sizes, specs):
         points, table = np.split((lane[:size] if reuse else np.empty((size, m + 1))).reshape(-1), [size * m])
-        X, offset = fill(points, table, spec, held)
+        X, table, offset = fill(points, table, spec, held)
         held = spec if reuse else None
         yield X, table, offset
 
@@ -1014,7 +1014,7 @@ def _on_worker():
 
 
 @pytest.mark.lanes
-@pytest.mark.parametrize("case", ["+inf on a worker", "raises on a worker", "raises on every lane"])
+@pytest.mark.parametrize("case", ["+inf on a worker", "nan on a worker", "raises on a worker", "raises on every lane"])
 def test_mc_lane_failure_is_raised_on_the_caller(monkeypatch, case):
     # two lanes: block 0 on the calling thread, block 1 on a worker; every worker is joined either way
     monkeypatch.setattr(integrate, "_CHUNK_POINTS", 4000)
@@ -1026,6 +1026,8 @@ def test_mc_lane_failure_is_raised_on_the_caller(monkeypatch, case):
         callers.append(_on_worker())
         if case == "+inf on a worker" and _on_worker():
             out[0] = np.inf
+        elif case == "nan on a worker":  # in the worker's first block alone, finite everywhere else
+            out[0] = np.nan if _on_worker() and callers.count(True) == 1 else 0.0
         elif case == "raises on every lane" or _on_worker():
             raise _LaneFailure(threading.current_thread().name)
         return out
@@ -1033,6 +1035,9 @@ def test_mc_lane_failure_is_raised_on_the_caller(monkeypatch, case):
     threads = threading.active_count()
     if case == "+inf on a worker":
         with pytest.raises(MethodUnavailableError, match="inf"):
+            mc_integrate(log_h, P2, samples=2000, seed=0)
+    elif case == "nan on a worker":  # block 1's nan peak, though block 0's is finite
+        with pytest.raises(MethodUnavailableError, match="nan"):
             mc_integrate(log_h, P2, samples=2000, seed=0)
     else:
         with pytest.raises(_LaneFailure) as info:
@@ -1043,7 +1048,7 @@ def test_mc_lane_failure_is_raised_on_the_caller(monkeypatch, case):
 
 
 @pytest.mark.lanes
-@pytest.mark.parametrize("case", ["+inf on a worker", "raises on a worker", "raises on every lane"])
+@pytest.mark.parametrize("case", ["+inf on a worker", "nan on a worker", "raises on a worker", "raises on every lane"])
 def test_gh_lane_failure_is_raised_on_the_caller(monkeypatch, case):
     # GH(16) at m = 2 in 128-node chunks: its first rule runs 16 chunks of 16 nodes on two lanes, chunks
     # 0, 2, ... on the calling thread and 1, 3, ... on a worker; every worker is joined either way
@@ -1057,6 +1062,8 @@ def test_gh_lane_failure_is_raised_on_the_caller(monkeypatch, case):
         callers.append(_on_worker())
         if case == "+inf on a worker" and _on_worker():
             out[0] = np.inf
+        elif case == "nan on a worker":  # in the worker's first chunk alone, finite everywhere else
+            out[0] = np.nan if _on_worker() and callers.count(True) == 1 else 0.0
         elif case == "raises on every lane" or _on_worker():
             raise _LaneFailure(threading.current_thread().name)
         return out
@@ -1064,6 +1071,10 @@ def test_gh_lane_failure_is_raised_on_the_caller(monkeypatch, case):
     threads = threading.active_count()
     if case == "+inf on a worker":  # the worker's chunk sums are +inf, and so is their merge
         with pytest.raises(MethodUnavailableError, match="inf"):
+            gauss_hermite_integrate(log_h, P2, 16)
+        assert sorted(callers) == [False] * 8 + [True] * 8
+    elif case == "nan on a worker":  # chunk 1's nan sum makes the merge nan, though every other chunk is finite
+        with pytest.raises(MethodUnavailableError, match="nan"):
             gauss_hermite_integrate(log_h, P2, 16)
         assert sorted(callers) == [False] * 8 + [True] * 8
     else:

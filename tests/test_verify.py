@@ -4,6 +4,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter, itemgetter
 
 import numpy as np
 import pytest
@@ -118,6 +119,32 @@ def test_contraction_equality_at_any_scale():
 def test_contraction_requires_ordered_exponents():
     with pytest.raises(InvalidInputError):
         check_contraction(Monomial(powers=(1,)), 4.0, 2.0, 1.0)
+
+
+_F1, _P1 = Coherent(center=(0.5,), alpha=1.0), FockParams(1, 2.0, 1.0)
+
+
+def _profile():
+    return g_diagnostic(_F1, _P1, LevelGrid(count=4), samples=2e4)
+
+
+def _limit_inputs():
+    inputs = check_limit_norm(_F1, 1, p_ladder=(2, 4), method=GH16).inputs
+    return inputs["alpha"], *inputs["p_ladder"]
+
+
+@pytest.mark.parametrize("shown, checked", [
+    (lambda: (_profile().samples,), (20000,)),
+    (lambda: (check_monotone_g(_profile()).inputs["samples"],), (20000,)),
+    (lambda: attrgetter("threshold", "samples", "seed")(superlevel_measure(_F1, _P1, np.array(0.25), 2e3, 1.0)),
+     (0.25, 2000, 1)),
+    (lambda: itemgetter("p", "q", "alpha")(check_contraction(_F1, 1, 2, 1, method=GH16).inputs), (1.0, 2.0, 1.0)),
+    (_limit_inputs, (1.0, 2.0, 4.0)),
+], ids=["g_diagnostic", "check_monotone_g", "superlevel_measure", "check_contraction", "check_limit_norm"])
+def test_reports_show_the_checked_inputs(shown, checked):
+    # a caller's 2e4, 1.0, 0-d array or int reads back as the int or float that was checked
+    values = shown()
+    assert values == checked and [type(v) for v in values] == [type(v) for v in checked]
 
 
 # ---------------------------------------------------------------------------
