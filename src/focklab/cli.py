@@ -16,6 +16,7 @@ import re
 import sys
 import tempfile
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .functions import (
     Polynomial,
     SumOfCoherent,
     TestFunction,
+    _stream,
 )
 from .integrate import GaussHermite, MonteCarlo, Power, Radial, fock_norm
 from .levelset import IsoperimetricVariant, LevelGrid, g_diagnostic
@@ -346,7 +348,7 @@ def _suite_reports(config: RunConfig, f: TestFunction) -> list:
     if suite in ("monotone", "all"):
         reports.append(check_monotone_g(_level_profile(config, f)))
     if suite in ("rearrangement", "all"):
-        rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(_stream(config.seed, "lemma"))
         for _ in range(config.count):
             profile_spec, phi, psi, t_max = random_rearrangement_case(rng)
             reports.append(check_rearrangement_lemma(profile_spec, phi, psi, t_max))
@@ -529,6 +531,7 @@ def run(config: RunConfig) -> int:
 # argument parsing
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="focklab",

@@ -187,6 +187,15 @@ def _seed(seed) -> int:
     return _integer(seed, 0, "seed must be a nonnegative integer")
 
 
+# every seeded draw's stream is SeedSequence(seed, spawn_key=_STREAMS[draw]), so no two share a draw: the
+# peak search's () is default_rng(seed) itself, and the samplers' blocks are children of their key
+_STREAMS = {"find_max": (), "cloud": (0,), "mc": (1,), "decay": (2,), "pointwise": (3,), "lemma": (4,)}
+
+
+def _stream(seed: int, draw: str) -> np.random.SeedSequence:
+    return np.random.SeedSequence(seed, spawn_key=_STREAMS[draw])
+
+
 def _real(value, message: str, within=None, *, array: bool = False, kind=float, error=InvalidInputError):
     """value as a finite `kind` (float or complex), or an array of them with array=True, on which `within` holds.
 

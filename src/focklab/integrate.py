@@ -5,21 +5,21 @@ exp(-(alpha p/2)|x|^2), the measure of the Gauss-Hermite and generalized
 Gauss-Laguerre rules and of the importance-sampling proposal, so fock_norm hands
 them log_h = p log|f| and never forms the weight.
 
-Every backend runs its chunks through one chunk body, _run_chunks, which
-states the contract log_h meets: a chunk fills its points and a table into its
-lane's buffer (up to 4 lanes of _in_lanes, one on the calling thread), and
-the backend's reducer gets log_h(X) + table; the results come back in chunk
-order, whatever the lane count.  Gauss-Hermite fixes the leading coordinates
-of its tensor grid per chunk and the radial rule takes whole radii, their
-tables the log-weights and their reducer a log-sum-exp; Monte Carlo's chunks
-are seeded blocks, its table -log c and its reducer a block's moments.  The
-level cloud of levelset._nested_measures runs its own blocks in the lanes.
-One chunk budget, _CHUNK_POINTS = 2^18 nodes, bounds the working set: no
-chunk is larger, and the lanes hold at most that many rows together (2^16
-for a rule's chunks), or one chunk where that is larger.  No backend writes
-into the array log_h returns.  Both rules climb one rung ladder, _ladder.
-Every backend returns log I with a relative error of at least its roundoff;
-a nan or +inf log I raises.
+Every backend, and the level cloud of levelset._nested_measures, runs its
+chunks through one runner, _run_chunks, which states the contract log_h
+meets: a chunk fills its points and a table into its lane's buffer (up to 4
+lanes, one on the calling thread), and the caller's reducer gets log_h(X) +
+table, in chunk order at any lane count.  Gauss-Hermite fixes the leading
+coordinates of its tensor grid per chunk and the radial rule takes whole
+radii, their tables the log-weights and their reducer a log-sum-exp; Monte
+Carlo's chunks are seeded blocks, its table -log c and its reducer a block's
+moments; the cloud's are seeded blocks on a shell, its table -0.0 and its
+reducer the counts below each threshold.  One chunk budget, _CHUNK_POINTS =
+2^18 nodes, bounds the working set: no chunk is larger, and the lanes hold
+at most that many rows together (2^16 for a rule's chunks), or one chunk
+where that is larger.  No backend writes into the array log_h returns.
+Both rules climb one rung ladder, _ladder.  Every backend returns log I
+with a relative error of at least its roundoff; a nan or +inf log I raises.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .errors import (
     UnsupportedFunctionalError,
 )
 from .functions import (
-    FockParams, TestFunction, _check_dims, _integer, _log_density_and_weight, _real, _seed, envelope_radius
+    FockParams, TestFunction, _check_dims, _integer, _log_density_and_weight, _real, _seed, _stream, envelope_radius
 )
 
 __all__ = [
@@ -70,7 +70,7 @@ _MAX_TENSOR_POINTS = 1 << 27
 # are error-estimated by doubling
 _CHUNK_POINTS = 1 << 18
 _DOUBLING_BUDGET = 1 << 24
-# _in_lanes runs at most this many lanes at once, in blocks of _CHUNK_POINTS // _MAX_LANES rows
+# _run_chunks runs at most this many lanes at once; the samplers' blocks have _CHUNK_POINTS // _MAX_LANES rows
 _MAX_LANES = 4
 # the most samples any sampler takes: 2^14 blocks of 2^16 rows
 _MAX_SAMPLES = 1 << 30
@@ -208,21 +208,30 @@ def _roundoff(log_value: float, n: int) -> float:
 
 
 def _run_chunks(log_h: Callable, chunks: tuple, summary: Callable, width: int, rows: int | None = None) -> list:
-    """[summary(log_h(X) + table, offset) for each chunk], in chunk order: every backend's one chunk body.
+    """[summary(log_h(X) + table, offset) for each chunk], in chunk order, run in lanes: the one chunk runner.
 
-    chunks is (sizes, specs, fill, m): chunk i, of sizes[i] points, runs in
-    the lanes of _in_lanes (rows as there) on a (sizes[i], width) buffer,
-    whose first sizes[i] * m entries are its points and the rest its table.
+    chunks is (sizes, specs, fill, m): chunk i, of sizes[i] points, runs on
+    the leading sizes[i] rows of its lane's (largest, width) buffer, whose
+    first sizes[i] * m entries are its points and the rest its table.
     fill(points, table, specs[i], held), held the spec whose chunk the buffer
     holds or None, writes them and returns (X, table, offset): X the (N, m)
     view of points, table the one written or a scalar.  summary may overwrite
-    log_h(X) + table, the chunk's one fresh array.  log_h gets X read-only, may
-    be called from up to 4 threads at once and must be pure, must not keep X
-    and must call no function that perfbench wraps (log_density_batch,
-    envelope_radius, ...; not functions._log_density_and_weight), whose span
-    stack is not thread-safe.
+    log_h(X) + table, the chunk's one fresh array.
+
+    There are min(_lane_count(), chunks, ceil(total points / 2^16), rows //
+    largest chunk) lanes, at least one, so they hold at most rows rows
+    (_CHUNK_POINTS unless given) or one chunk; one runs on the calling thread,
+    the others on threads joined before the call returns.  Lane k runs chunks
+    k, k + lanes, ..., each overwriting the last in its buffer.  log_h gets X
+    read-only, may be called from up to 4 threads at once and must be pure,
+    must not keep X and must call no function that perfbench wraps
+    (log_density_batch, envelope_radius, ...; not
+    functions._log_density_and_weight), whose span stack is not thread-safe.
+    A lane's exception is raised again on the caller, the first in chunk order.
     """
     sizes, specs, fill, m = chunks
+    if not sizes:
+        return []
     lane = threading.local()  # the spec each lane's buffer holds, in this call only
 
     def chunk(buf, spec):
@@ -232,7 +241,44 @@ def _run_chunks(log_h: Callable, chunks: tuple, summary: Callable, width: int, r
         X.flags.writeable = False
         return summary(np.add(log_h(X), table), offset)
 
-    return _in_lanes(chunk, sizes, specs, width, rows)
+    jobs = list(zip(range(len(sizes)), sizes, specs))
+    largest, rows = max(sizes), _CHUNK_POINTS if rows is None else rows
+    lanes = max(1, min(_lane_count(), len(jobs), -(-sum(sizes) // (_CHUNK_POINTS // _MAX_LANES)), rows // largest))
+    bufs = np.empty((lanes, largest, width))
+    results = [None] * len(jobs)
+    started = []
+    try:
+        for k in range(1, lanes):
+            worker = threading.Thread(target=_lane, args=(chunk, jobs[k::lanes], bufs[k], results), daemon=True)
+            worker.start()
+            started.append(worker)
+        _lane(chunk, jobs[::lanes], bufs[0], results)
+    finally:
+        for worker in started:
+            worker.join()
+    for result in results:  # a lane's unfilled chunks follow the exception that stopped it
+        if isinstance(result, BaseException):
+            raise result
+    return results
+
+
+def _lane_count() -> int:
+    """Lanes _run_chunks may run at once: the cores this process may use, at most _MAX_LANES."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cores, _MAX_LANES)
+
+
+def _lane(chunk: Callable, jobs, buf: np.ndarray, results: list) -> None:
+    """results[i] = chunk(buf[:rows], spec) for each (i, rows, spec) of jobs, in order.
+
+    The first exception is stored in place of its chunk's result and stops
+    the lane, so the caller can raise it again.
+    """
+    try:
+        for i, rows, spec in jobs:
+            results[i] = chunk(buf[:rows], spec)
+    except BaseException as exc:  # raised again on the calling thread
+        results[i] = exc
 
 
 def _integral(log_h: Callable, rule: tuple) -> tuple[float, int]:
@@ -560,12 +606,6 @@ def _merge_moments(a, b):
     return n, mean_a + delta * (n_b / n), m2_a + m2_b + delta * delta * (n_a * n_b / n)
 
 
-def _lane_count() -> int:
-    """Lanes _in_lanes may run at once: the cores this process may use, at most _MAX_LANES."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(cores, _MAX_LANES)
-
-
 def _samples(samples) -> int:
     """samples as an int from 1000 to _MAX_SAMPLES = 2^30, before any block is sized; else InvalidInputError."""
     return _integer(samples, 1000, f"need an integer count of 1000 to {_MAX_SAMPLES} samples", _MAX_SAMPLES)
@@ -577,58 +617,6 @@ def _block_sizes(n: int) -> list[int]:
     return [min(rows, n - lo) for lo in range(0, n, rows)]
 
 
-def _lane(block: Callable, jobs, buf: np.ndarray, results: list) -> None:
-    """results[i] = block(buf[:rows], arg) for each (i, rows, arg) of jobs, in order.
-
-    The first exception is stored in place of its block's result and stops
-    the lane, so the caller can raise it again.
-    """
-    try:
-        for i, rows, arg in jobs:
-            results[i] = block(buf[:rows], arg)
-    except BaseException as exc:  # raised again on the calling thread
-        results[i] = exc
-
-
-def _in_lanes(block: Callable, sizes: list[int], args: list, width: int, rows: int | None = None) -> list:
-    """[block(buf[:sizes[i]], args[i]) for each block i], in block order, run in lanes.
-
-    There are min(_lane_count(), blocks, ceil(total rows / 2^16), rows // largest
-    block) lanes, at least one, so they hold at most rows rows (_CHUNK_POINTS
-    unless given) or one block; one runs on the calling thread, the others on
-    threads joined before the call returns.  Lane k runs blocks k, k + lanes,
-    ... and hands each the leading rows of its own (largest, width) buffer,
-    which its next block overwrites.  So block may run on up to _MAX_LANES
-    threads at once: it must write only to its buffer and its result, and must
-    call no function that perfbench wraps.  An exception in a lane is raised
-    again on the caller, that of the first failing block in block order.
-    """
-    if not sizes:
-        return []
-    jobs = list(zip(range(len(sizes)), sizes, args))
-    largest, rows = max(sizes), _CHUNK_POINTS if rows is None else rows
-    lanes = max(1, min(_lane_count(), len(jobs), -(-sum(sizes) // (_CHUNK_POINTS // _MAX_LANES)), rows // largest))
-    bufs = np.empty((lanes, largest, width))
-    results = [None] * len(jobs)
-    workers = [
-        threading.Thread(target=_lane, args=(block, jobs[k::lanes], bufs[k], results), daemon=True)
-        for k in range(1, lanes)
-    ]
-    started = []
-    try:
-        for worker in workers:
-            worker.start()
-            started.append(worker)
-        _lane(block, jobs[::lanes], bufs[0], results)
-    finally:
-        for worker in started:
-            worker.join()
-    for result in results:  # a lane's unfilled blocks follow the exception that stopped it
-        if isinstance(result, BaseException):
-            raise result
-    return results
-
-
 def mc_integrate(
     log_h: Callable, params: FockParams, samples: int = 100_000, seed: int = 0
 ) -> IntegralEstimate:
@@ -636,11 +624,10 @@ def mc_integrate(
 
     samples runs from 1000 to 2^30.  The points come in blocks of
     _CHUNK_POINTS // 4 = 2^16 rows, the last one ragged.  Block i is
-    default_rng(child i of SeedSequence(seed, spawn_key=(1,)))
+    default_rng(child i of the "mc" stream SeedSequence(seed, spawn_key=(1,)))
     .standard_normal((rows, m)) / sqrt(alpha p), so its stream depends on seed
     and i alone, not on samples or the machine.  It shares no draw with the
-    level cloud's block streams (children of spawn key (0,)) or with
-    default_rng(seed), the find_max stream.
+    other streams of functions._STREAMS.
 
     The blocks are the chunks of _run_chunks, whose contract log_h meets
     under numpy's default error state, their table -log c, c the normalizer.
@@ -663,7 +650,7 @@ def mc_integrate(
         return X, -log_c, None
 
     sizes = _block_sizes(samples)
-    streams = np.random.SeedSequence(seed, spawn_key=(1,)).spawn(len(sizes))
+    streams = _stream(seed, "mc").spawn(len(sizes))
     results = _run_chunks(log_h, (sizes, streams, fill, m), _block_moments, m)
     peak = max(block_peak for block_peak, _ in results)
     if peak == -math.inf:

@@ -31,6 +31,7 @@ from .functions import (
     _real,
     _seed,
     _sq_norm,
+    _stream,
     _thresholds,
     envelope_radius,
     log_density_batch,
@@ -40,7 +41,7 @@ from .integrate import (
     GaussHermite,
     _block_sizes,
     _exp,
-    _in_lanes,
+    _run_chunks,
     _samples,
     _sphere_rule,
     convex_functional,
@@ -249,7 +250,7 @@ def _search_max(f: TestFunction, params: FockParams, restarts: int = 16, seed: i
         raise MethodUnavailableError(
             f"{type(f).__name__} has no radial profile and no _log_abs_jet, which the peak search needs"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_stream(seed, "find_max"))
     alpha, m = params.alpha, params.m
 
     def jet(X):
@@ -352,14 +353,14 @@ def _nested_measures(f, params, log_grid, samples, seed, log_thresholds=None, we
 
     Each shell comes in blocks of at most 2^16 rows, numbered in shell order:
     block i draws its normals (the directions), then its uniforms (r^m over
-    the shell) from default_rng(child i of SeedSequence(seed, spawn_key=(0,))),
-    which shares no draw with Monte Carlo (spawn key (1,)) or default_rng(seed).
-    The blocks run in the lanes of integrate._in_lanes and return only their
-    counts of thresholds below log u; the caller adds up each shell's counts
-    and accumulates shell by shell, so every result is bit-identical for any
-    lane count.  A block may run on a worker thread, so it reaches the density
-    through functions._log_density_and_weight, never through the wrapped
-    log_density_batch, whose perfbench span stack is not thread-safe.
+    the shell) from default_rng(child i of the "cloud" stream of
+    functions._STREAMS, spawn key (0,)).  The blocks are chunks of
+    integrate._run_chunks: fill draws the normals as the points and the
+    uniforms as the table of a (rows, m + 1) buffer and returns the table
+    -0.0, the IEEE identity; the reducer _counts_below returns the block's
+    counts of thresholds below log u.  The caller adds up each shell's counts
+    in block order, so every result is bit-identical for any lane count;
+    log u comes from functions._log_density_and_weight, as _run_chunks asks.
     """
     samples = _samples(samples)
     seed = _seed(seed)
@@ -377,14 +378,11 @@ def _nested_measures(f, params, log_grid, samples, seed, log_thresholds=None, we
     blocks = [_block_sizes(n_j) for n_j in n]
     sizes = [rows for shell_blocks in blocks for rows in shell_blocks]
     of_shell = [j for j, shell_blocks in zip(shells, blocks) for _ in shell_blocks]
-    streams = np.random.SeedSequence(seed, spawn_key=(0,)).spawn(len(sizes))
 
-    def block(buf, job):
-        """Counts of the block's points by the number of thresholds below their log u."""
+    def fill(points, r, job, held):
+        """The block's points: rows x m normals along each ray, then rows uniforms for r^m over its shell."""
         stream, j = job
-        rows = len(buf)
-        flat = buf.reshape(-1)  # rows x m normals, then rows uniforms for r^m
-        X, r = flat[: rows * m].reshape(rows, m), flat[rows * m :]
+        X = points.reshape(-1, m)
         rng = np.random.default_rng(stream)
         rng.standard_normal(out=X)
         rng.random(out=r)
@@ -394,9 +392,12 @@ def _nested_measures(f, params, log_grid, samples, seed, log_thresholds=None, we
         r **= 1.0 / m
         r /= np.sqrt(np.einsum("ij,ij->i", X, X))
         X *= r[:, None]
-        return _counts_below(_log_density_and_weight(f, params, X)[0], log_t_asc)
+        return X, -0.0, None  # x + -0.0 is x, bit for bit
 
-    counts = iter(_in_lanes(block, sizes, list(zip(streams, of_shell)), m + 1))
+    chunks = (sizes, list(zip(_stream(seed, "cloud").spawn(len(sizes)), of_shell)), fill, m)
+    counts = iter(_run_chunks(
+        lambda X: _log_density_and_weight(f, params, X)[0], chunks, lambda a, _: _counts_below(a, log_t_asc), m + 1
+    ))
     mu, var = np.zeros(count), np.zeros(count)
     rows = () if weights is None else np.atleast_2d(weights)
     weighted_var = [0.0] * len(rows)

@@ -25,6 +25,7 @@ from .functions import (
     _integer,
     _real,
     _seed,
+    _stream,
     envelope_radius,
     log_density_batch,
 )
@@ -199,13 +200,12 @@ def check_pointwise_bound(
 ) -> VerificationReport:
     """Density never exceeds the p-th power of the norm, in logs: margin 1 - max u / ||f||^p.
 
-    n_points, from 1 to 2^24, Gaussian points are drawn in one batch.
+    n_points, from 1 to 2^24, Gaussian points are drawn in one batch, from the "pointwise" stream.
     """
     n_points = _integer(n_points, 1, f"n_points must be an integer from 1 to {_MAX_POINTS}", _MAX_POINTS)
     seed = _seed(seed)
     est = fock_norm(f, params, method=method)
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n_points, params.m)) / math.sqrt(params.rate)
+    X = np.random.default_rng(_stream(seed, "pointwise")).standard_normal((n_points, params.m)) / math.sqrt(params.rate)
     log_u = log_density_batch(f, params, X)
     worst = int(np.argmax(log_u))
     margin = -math.expm1(float(log_u[worst]) - est.log_value)  # 1 - max u / ||f||^p
@@ -262,8 +262,8 @@ def check_decay(
     below _DECAY_FRACTION t_max, and the far end of each ray must keep less
     than _DECAY_FRACTION of the ray's own peak.  The margin is
     _DECAY_FRACTION less the larger of the two shares.  n_directions random
-    rays join the 2m axis rays and the hints, each sampled at n_radii radii;
-    both counts go up to 2^12.
+    rays, from the "decay" stream, join the 2m axis rays and the hints, each
+    sampled at n_radii radii (both up to 2^12); details["rays"] counts all.
     """
     n_radii = _integer(n_radii, 1, f"n_radii must be an integer from 1 to {_MAX_RAY_COUNT}", _MAX_RAY_COUNT)
     n_directions = _integer(
@@ -276,7 +276,6 @@ def check_decay(
     r_env = envelope_radius(f, p1, mx.log_t_max + math.log(_DECAY_FRACTION))
     r_max = 1.2 * max(1.0, envelope_radius(f, p1, mx.log_t_max + math.log(1e-8))) + 1.0
 
-    rng = np.random.default_rng(seed)
     dirs = []
     for d in range(f.m):
         e = np.zeros(f.m)
@@ -286,7 +285,7 @@ def check_decay(
         h = np.asarray(h, dtype=float)
         if np.linalg.norm(h) > 1e-12:
             dirs.append(h / np.linalg.norm(h))
-    extra = rng.standard_normal((n_directions, f.m))
+    extra = np.random.default_rng(_stream(seed, "decay")).standard_normal((n_directions, f.m))
     dirs.extend(extra / np.linalg.norm(extra, axis=1, keepdims=True))
 
     dirs = np.array(dirs)
@@ -303,11 +302,12 @@ def check_decay(
     margin = _DECAY_FRACTION - worst_share
     return VerificationReport(
         check_name="decay",
-        inputs={"fn": _fn_label(f), "alpha": alpha, "n_directions": len(dirs), "seed": seed},
+        inputs={"fn": _fn_label(f), "alpha": alpha, "n_directions": n_directions, "n_radii": n_radii, "seed": seed},
         passed=bool(margin >= 0.0),
         margin=margin,
         tolerance=0.0,
         details={
+            "rays": len(dirs),
             "r_max": r_max,
             "r_envelope": r_env,
             "worst_tail_fraction": worst_share,

@@ -154,6 +154,17 @@ def test_seed_from_environment(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["config"]["seed"] == 77
 
 
+def test_two_calls_in_one_process_write_their_own_configs(tmp_path, monkeypatch):
+    # main builds its parser once per process and parses each argv fresh: no flag of one call reaches the next
+    monkeypatch.delenv("FOCKLAB_SEED", raising=False)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert main(["norm", "--fn", "const:2", "--p", "4", "--seed", "3", "--format", "json", "--output", str(first)]) == 0
+    assert main(["norm", "--fn", "monomial:k=1", "--format", "json", "--output", str(second)]) == 0
+    configs = [json.loads(path.read_text())["config"] for path in (first, second)]
+    assert [(c["fn"], c["p"], c["seed"]) for c in configs] == [("const:2", 4.0, 3), ("monomial:k=1", 2.0, 0)]
+    assert _build_parser() is _build_parser()
+
+
 _COMMON_FLAGS = {
     "--config", "--fn", "--dim", "--p", "--alpha", "--method", "--nodes", "--radial-nodes",
     "--angular-nodes", "--samples", "--seed", "--format", "--output",
@@ -377,6 +388,31 @@ def test_rerun_is_byte_identical(tmp_path):
     first = out.read_bytes()
     assert main(args) == 0
     assert out.read_bytes() == first
+
+
+def test_seeded_draws_do_not_share_a_stream(tmp_path, monkeypatch):
+    # at one seed, the first draws of the peak search, check_decay, check_pointwise_bound, the lemma cases,
+    # Monte Carlo's first block and the level cloud's first block all differ
+    seed, streams, default_rng = 7, [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda s=None: streams.append(s) or default_rng(s))
+    params, coherent = focklab.FockParams(2, 2.0, 1.0), Coherent(center=(0.5, 0.0), alpha=1.0)
+    mixture = next(f for f in focklab.default_family_members(2) if isinstance(f, SumOfCoherent))
+    lemma = ["verify", "--suite", "rearrangement", "--count", "1", "--seed", str(seed), "--output", str(tmp_path / "r")]
+    draws = {  # coherent's peak has a closed form, so only the draw named makes a stream
+        "find_max": lambda: levelset.find_max(mixture, params, seed=seed),
+        "decay": lambda: verify.check_decay(coherent, params, seed=seed),
+        "pointwise": lambda: verify.check_pointwise_bound(coherent, params, n_points=16, seed=seed),
+        "lemma": lambda: main(lemma),
+        "mc": lambda: focklab.mc_integrate(lambda X: np.zeros(len(X)), params, 1000, seed),
+        "cloud": lambda: levelset.superlevel_measure(coherent, params, 0.1, 1000, seed),
+    }
+    first = {}
+    for name, draw in draws.items():
+        streams.clear()
+        draw()
+        first[name] = default_rng(streams[0]).random(4)
+    for (a, x), (b, y) in itertools.combinations(first.items(), 2):
+        assert not np.array_equal(x, y), (a, b)
 
 
 def test_mc_norm_byte_identical(tmp_path):

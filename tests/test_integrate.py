@@ -49,7 +49,7 @@ P2 = FockParams(2, 2.0, 1.0)
 
 
 def _lanes(method):
-    """A method case marked `lanes`: Monte Carlo runs its blocks on several lanes of integrate._in_lanes."""
+    """A method case marked `lanes`: Monte Carlo runs its blocks on several lanes of integrate._run_chunks."""
     return pytest.param(method, marks=pytest.mark.lanes)
 
 

@@ -133,6 +133,11 @@ def _limit_inputs():
     return inputs["alpha"], *inputs["p_ladder"]
 
 
+def _decay_counts():
+    report = check_decay(_F1, _P1, n_directions=8.0, n_radii=24.0)
+    return report.inputs["n_directions"], report.inputs["n_radii"], report.details["rays"]
+
+
 @pytest.mark.parametrize("shown, checked", [
     (lambda: (_profile().samples,), (20000,)),
     (lambda: (check_monotone_g(_profile()).inputs["samples"],), (20000,)),
@@ -140,7 +145,9 @@ def _limit_inputs():
      (0.25, 2000, 1)),
     (lambda: itemgetter("p", "q", "alpha")(check_contraction(_F1, 1, 2, 1, method=GH16).inputs), (1.0, 2.0, 1.0)),
     (_limit_inputs, (1.0, 2.0, 4.0)),
-], ids=["g_diagnostic", "check_monotone_g", "superlevel_measure", "check_contraction", "check_limit_norm"])
+    (_decay_counts, (8, 24, 12)),  # 8 random rays join 2 axis rays and 2 nonzero hints
+], ids=["g_diagnostic", "check_monotone_g", "superlevel_measure", "check_contraction", "check_limit_norm",
+        "check_decay"])
 def test_reports_show_the_checked_inputs(shown, checked):
     # a caller's 2e4, 1.0, 0-d array or int reads back as the int or float that was checked
     values = shown()
