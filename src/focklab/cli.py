@@ -49,19 +49,6 @@ from .verify import (
 
 __all__ = ["RunConfig", "parse_function_spec", "run", "main"]
 
-_SUITES = (
-    "all",
-    "contraction",
-    "monotone",
-    "pointwise",
-    "decay",
-    "limit",
-    "extremal",
-    "rearrangement",
-    "isoperimetric",
-)
-
-
 # ---------------------------------------------------------------------------
 # function-spec grammar
 
@@ -319,42 +306,39 @@ def _cmd_profile(config: RunConfig, f: TestFunction):
     extra.append(("ray_grid", "none" if profile.ray_grid is None else "x".join(map(str, profile.ray_grid))))
     extra.append(("points", str(profile.points)))
     extra.append(("n_violations", str(len(profile.violations))))
-    status = 0
-    if profile.violations:
-        worst = max(v[2] for v in profile.violations)
-        status = (
-            f"monotonicity violated at {len(profile.violations)} level pair(s); "
-            f"largest excess {worst:.3e} (variant {config.variant})"
-        )
+    report = check_monotone_g(profile)
+    status = 0 if report.passed else (
+        f"monotonicity violated at {len(profile.violations)} level pair(s); "
+        f"largest excess {-report.margin:.3e} of g/t_max (variant {config.variant})"
+    )
     return result, ["t", "mu", "mu_stderr", "g", "violation"], rows, extra, status
 
 
+def _lemma_reports(config: RunConfig, f: TestFunction, params: FockParams) -> list:
+    """config.count random lemma cases, drawn from the "lemma" stream."""
+    rng = np.random.default_rng(_stream(config.seed, "lemma"))
+    return [check_rearrangement_lemma(*random_rearrangement_case(rng)) for _ in range(config.count)]
+
+
+_CHECKS = {  # each suite's reports from (config, f, params), in the order `all` runs them
+    # every pair of the p grid, from one norm per exponent
+    "contraction": lambda c, f, params: _contraction_reports(f, c.p_values(), c.alpha, c.backend()),
+    "pointwise": lambda c, f, params: [check_pointwise_bound(f, params, seed=c.seed, method=c.backend())],
+    "decay": lambda c, f, params: [check_decay(f, params, seed=c.seed)],
+    "limit": lambda c, f, params: [check_limit_norm(f, c.alpha, seed=c.seed)],
+    "extremal": lambda c, f, params: [check_extremal_convex(f, params, Power(2.0), method=c.backend())],
+    "monotone": lambda c, f, params: [check_monotone_g(_level_profile(c, f))],
+    "rearrangement": _lemma_reports,
+    "isoperimetric": lambda c, f, params: [check_isoperimetric_variant(f.m)],
+}
+_SUITES = ("all", *_CHECKS)
+
+
 def _suite_reports(config: RunConfig, f: TestFunction) -> list:
-    suite = config.suite
     # contraction alone ignores p, so a sweep never validates it
-    params = FockParams(f.m, config.p, config.alpha) if suite != "contraction" else None
-    method = config.backend()
-    reports = []
-    if suite in ("contraction", "all"):  # every pair of the p grid, from one norm per exponent
-        reports.extend(_contraction_reports(f, config.p_values(), config.alpha, method))
-    if suite in ("pointwise", "all"):
-        reports.append(check_pointwise_bound(f, params, seed=config.seed, method=method))
-    if suite in ("decay", "all"):
-        reports.append(check_decay(f, params, seed=config.seed))
-    if suite in ("limit", "all"):
-        reports.append(check_limit_norm(f, config.alpha, seed=config.seed))
-    if suite in ("extremal", "all"):
-        reports.append(check_extremal_convex(f, params, Power(2.0), method=method))
-    if suite in ("monotone", "all"):
-        reports.append(check_monotone_g(_level_profile(config, f)))
-    if suite in ("rearrangement", "all"):
-        rng = np.random.default_rng(_stream(config.seed, "lemma"))
-        for _ in range(config.count):
-            profile_spec, phi, psi, t_max = random_rearrangement_case(rng)
-            reports.append(check_rearrangement_lemma(profile_spec, phi, psi, t_max))
-    if suite in ("isoperimetric", "all"):
-        reports.append(check_isoperimetric_variant(f.m))
-    return reports
+    params = FockParams(f.m, config.p, config.alpha) if config.suite != "contraction" else None
+    suites = _CHECKS if config.suite == "all" else (config.suite,)
+    return [report for suite in suites for report in _CHECKS[suite](config, f, params)]
 
 
 def _cmd_verify(config: RunConfig, f: TestFunction):

@@ -218,6 +218,14 @@ def _real(value, message: str, within=None, *, array: bool = False, kind=float, 
     return x
 
 
+def _pairs(items, message: str) -> list[tuple]:
+    """items as a list of 2-tuples, where it is an iterable of pairs; else InvalidInputError."""
+    try:
+        return [(a, b) for a, b in items]
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{message}, got {_shown(items)}") from None
+
+
 def _as_tuple(v) -> tuple[float, ...]:
     arr = np.atleast_1d(_real(v, "coordinates must be finite", array=True))
     if arr.ndim != 1:
@@ -460,13 +468,10 @@ class Polynomial(TestFunction):
 
     def __post_init__(self):
         super().__post_init__()
-        if isinstance(self.terms, dict):
-            items = self.terms.items()
-        else:
-            items = self.terms
+        items = self.terms.items() if isinstance(self.terms, dict) else self.terms
         norm = []
         n = None
-        for key, coeff in items:
+        for key, coeff in _pairs(items, "polynomial terms must be (multi-index, coefficient) pairs"):
             pw = _validate_multi_index(key)
             if n is None:
                 n = len(pw)
@@ -594,7 +599,7 @@ class SumOfCoherent(TestFunction):
         object.__setattr__(self, "alpha", _real(self.alpha, "rate alpha must be finite and positive", lambda a: a > 0))
         norm = []
         dim = None
-        for w, a in self.atoms:
+        for w, a in _pairs(self.atoms, "atoms must be (weight, centre) pairs"):
             w = _real(w, "atom weights must be finite and nonnegative", lambda w: w >= 0)
             at = _as_tuple(a)
             if dim is None:

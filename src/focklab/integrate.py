@@ -760,6 +760,8 @@ class PiecewiseLinear(ConvexFunction):
         for name in ("knots", "slopes"):
             values = _real(getattr(self, name), "knots and slopes must be finite", array=True,
                            error=UnsupportedFunctionalError)
+            if values.ndim != 1:
+                raise UnsupportedFunctionalError(f"{name} must be a flat sequence, got shape {values.shape}")
             object.__setattr__(self, name, tuple(float(v) for v in values))
         if len(self.slopes) != len(self.knots) + 1:
             raise UnsupportedFunctionalError("need len(slopes) == len(knots) + 1")

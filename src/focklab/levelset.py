@@ -159,10 +159,10 @@ class LevelProfile:
     density evaluation made for mu: every grid the ray ladder tried, or the
     cloud.
     violations holds triples (t_hi, t_lo, excess): adjacent grid levels where g
-    dropped while t decreased, by more than 3x the propagated error of mu;
-    violation_levels holds the index of each t_lo.  t_max is derived,
-    exp(log_t_max); it, t_grid and g read inf or 0 outside the double range;
-    mu and the flags do not depend on it.
+    dropped while t decreased by more than 3x the propagated error of mu, and
+    by how much, on g/t_max; violation_levels holds the index of each t_lo.
+    t_max is derived, exp(log_t_max); it, t_grid and g read inf or 0 outside
+    the double range; mu, the flags and the excesses do not depend on it.
     """
 
     params: FockParams
@@ -735,6 +735,10 @@ def _ray_pass(f, params, log_t, centre, reach, grid, prev, keep) -> _RayGrid:
 def g_from_mu(mu, t, params: FockParams, variant: IsoperimetricVariant):
     """g(t) = t * exp(kappa(m) * alpha p * mu^(2/m)), as exp(log t + exponent); scalars give a float."""
     mu, t = _real(mu, "measure must be finite and nonnegative", lambda mu: mu >= 0, array=True), _thresholds(t)
+    try:
+        np.broadcast_shapes(mu.shape, t.shape)
+    except ValueError:
+        raise InvalidInputError(f"mu of shape {mu.shape} and t of shape {t.shape} do not broadcast") from None
     expo = variant.kappa(params.m) * params.rate * mu ** (2.0 / params.m)
     with np.errstate(over="ignore"):
         g = np.exp(np.log(t) + expo)
@@ -769,8 +773,8 @@ def g_diagnostic(
     cloud's, or those of every ray grid tried and, at m = 3, of the half
     grid each is checked against.  Levels share points and are therefore
     correlated.  A monotonicity violation is recorded only when the drop
-    between adjacent levels exceeds 3x the summed propagated errors; that
-    rule runs on g / t_max, which the scale of f leaves unchanged.
+    between adjacent levels exceeds 3x the summed propagated errors; the
+    rule and its excess run on g / t_max, which f's scale leaves unchanged.
     """
     grid = grid or LevelGrid()
     seed, samples = _seed(seed), _samples(samples)
@@ -799,7 +803,7 @@ def g_diagnostic(
     t_max = _exp(log_t_max)
     t_grid, g, g_err = t_max * rel, t_max * g, t_max * g_err
     violations = [
-        (float(t_grid[k]), float(t_grid[k + 1]), t_max * float(drop[k] - thresh[k])) for k in levels
+        (float(t_grid[k]), float(t_grid[k + 1]), float(drop[k] - thresh[k])) for k in levels
     ]
 
     return LevelProfile(

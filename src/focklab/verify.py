@@ -74,18 +74,20 @@ def _jsonable(obj):
 
 @dataclass
 class VerificationReport:
+    """One check's outcome; passed is derived, margin >= -tolerance, which a nan margin fails."""
+
     check_name: str
     inputs: dict
-    passed: bool
     margin: float
     tolerance: float
     details: dict = field(default_factory=dict)
+    passed = property(lambda self: bool(self.margin >= -self.tolerance))
 
     def to_dict(self) -> dict:
         return {
             "check_name": self.check_name,
             "inputs": _jsonable(self.inputs),
-            "pass": bool(self.passed),
+            "pass": self.passed,
             "margin": float(self.margin),
             "tolerance": float(self.tolerance),
             "details": _jsonable(self.details),
@@ -141,7 +143,6 @@ def _contraction_reports(f: TestFunction, exponents, alpha: float, method) -> li
         reports.append(VerificationReport(
             check_name="contraction",
             inputs={"fn": _fn_label(f), "p": p, "q": q, "alpha": params[p].alpha, "method": repr(method)},
-            passed=bool(margin >= -tolerance),
             margin=float(margin),
             tolerance=float(tolerance),
             details={
@@ -159,7 +160,11 @@ def _contraction_reports(f: TestFunction, exponents, alpha: float, method) -> li
 
 
 def check_monotone_g(profile: LevelProfile) -> VerificationReport:
-    """Passes iff the profile recorded no monotonicity violations beyond error."""
+    """Passes iff the profile recorded no monotonicity violations beyond error.
+
+    The margin, minus the largest violation's excess on g/t_max (-0.0 with
+    none), is negative exactly when there are violations, at any scale of f.
+    """
     worst = max((v[2] for v in profile.violations), default=0.0)
     return VerificationReport(
         check_name="monotone_g",
@@ -171,7 +176,6 @@ def check_monotone_g(profile: LevelProfile) -> VerificationReport:
             "levels": len(profile.t_grid),
             "samples": profile.samples,
         },
-        passed=not profile.violations,
         margin=float(-worst),
         tolerance=0.0,
         details={
@@ -220,7 +224,6 @@ def check_pointwise_bound(
     return VerificationReport(
         check_name="pointwise_bound",
         inputs={"fn": _fn_label(f), "p": params.p, "alpha": params.alpha, "n_points": n_points, "seed": seed},
-        passed=bool(margin >= -tolerance),
         margin=margin,
         tolerance=float(tolerance),
         details=details,
@@ -303,7 +306,6 @@ def check_decay(
     return VerificationReport(
         check_name="decay",
         inputs={"fn": _fn_label(f), "alpha": alpha, "n_directions": n_directions, "n_radii": n_radii, "seed": seed},
-        passed=bool(margin >= 0.0),
         margin=margin,
         tolerance=0.0,
         details={
@@ -327,7 +329,10 @@ def richardson_limit(values) -> float:
     The ladder error carries an h*log(1/h) term, so the factor-2 elimination is
     applied at every level rather than the classical 2^k schedule.
     """
-    R = [_real(v, "ladder values must be finite") for v in values]
+    R = _real(values, "ladder values must be finite", array=True)
+    if R.ndim != 1 or not R.size:
+        raise InvalidInputError(f"need a flat, nonempty ladder of values, got shape {R.shape}")
+    R = R.tolist()
     while len(R) > 1:
         R = [2.0 * R[i + 1] - R[i] for i in range(len(R) - 1)]
     return R[0]
@@ -344,10 +349,11 @@ def check_limit_norm(
     seed: int = 0,
 ) -> VerificationReport:
     """p-norm ladder decreases to the weighted sup norm; extrapolation hits it to relative tol."""
-    p_ladder = [_real(p, "p ladder rungs must be finite and positive", lambda p: p > 0) for p in p_ladder]
+    p_ladder = _real(p_ladder, "p ladder rungs must be finite and positive", lambda p: p > 0, array=True)
     seed = _seed(seed)
-    if len(p_ladder) < 2:
-        raise InvalidInputError(f"p ladder needs at least two rungs, got {len(p_ladder)}")
+    if p_ladder.ndim != 1 or p_ladder.size < 2:
+        raise InvalidInputError(f"p ladder needs a flat sequence of at least two rungs, got shape {p_ladder.shape}")
+    p_ladder = p_ladder.tolist()
     if any(b <= a for a, b in zip(p_ladder, p_ladder[1:])):
         raise InvalidInputError("p ladder must be strictly increasing")
     params = [FockParams(f.m, p, alpha) for p in p_ladder]
@@ -371,7 +377,6 @@ def check_limit_norm(
     return VerificationReport(
         check_name="limit_norm",
         inputs={"fn": _fn_label(f), "alpha": params[0].alpha, "p_ladder": p_ladder, "method": repr(method)},
-        passed=bool(margin >= 0.0),
         margin=float(margin),
         tolerance=0.0,
         details={
@@ -427,7 +432,6 @@ def check_extremal_convex(
     return VerificationReport(
         check_name="extremal_convex",
         inputs={"fn": _fn_label(f), "p": params.p, "alpha": params.alpha, "G": repr(G)},
-        passed=bool(margin >= -tolerance),
         margin=float(margin),
         tolerance=float(tolerance),
         details={
@@ -690,10 +694,9 @@ def _lemma_closed_form(beta: float, phi, psi, log_scale: float, T: float, t_lo: 
     With b = 1 + beta the argument of Phi is e^log_scale t^(-b): power phi
     integrates a power of t, log-phi an incomplete gamma in v = log_scale - b log t
     with first argument power + 1, a multiple of 1/2.  Both are formed in logs
-    and return inf where the integral passes the largest double.
+    and return inf where the integral passes the largest double.  The caller
+    gates integrability at t_lo = 0, as check_rearrangement_lemma does.
     """
-    if t_lo == 0.0:
-        _lemma_s_max(phi, psi, beta)  # the integrability gate of the panel rule
     r = psi.r
     b, log_T = 1.0 + beta, math.log(T)
     if isinstance(phi, PowerPhi):
@@ -769,6 +772,8 @@ def check_rearrangement_lemma(
     """
     t_max = _real(t_max, "t_max must be finite and positive", lambda t: t > 0)
     t_lo = _real(t_lo, f"need 0 <= t_lo < t_max = {t_max}", lambda t: 0 <= t < t_max)
+    if t_lo == 0.0:  # the panel rule's integrability gate at its strictest, r = 1 and the profile's beta
+        _lemma_s_max(phi, _UNWEIGHTED, _profile_beta(profile))
     # power profiles, the g == 1 reference among them, integrate in closed form
     closed = isinstance(profile, PowerDecayProfile) and profile.beta > -1.0
     integral = (
@@ -798,7 +803,6 @@ def check_rearrangement_lemma(
             "t_max": t_max,
             "t_lo": t_lo,
         },
-        passed=bool(margin >= -_LEMMA_TOLERANCE),
         margin=float(margin),
         tolerance=_LEMMA_TOLERANCE,
         details={
@@ -862,7 +866,6 @@ def check_isoperimetric_variant(m: int) -> VerificationReport:
     return VerificationReport(
         check_name="isoperimetric_variant",
         inputs={"m": m, "radii": list(_ISOPERIMETRIC_RADII)},
-        passed=bool(margin >= -_ISOPERIMETRIC_TOLERANCE),
         margin=float(margin),
         tolerance=_ISOPERIMETRIC_TOLERANCE,
         details={

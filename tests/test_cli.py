@@ -249,6 +249,19 @@ def test_profile_literal_variant_fails(tmp_path, capsys):
     assert "monotonicity violated" in capsys.readouterr().err
 
 
+def test_failing_profile_below_the_least_double_reports_the_monotone_margin(tmp_path, capsys):
+    # u = 1e-400 e^-|x|^2 has t_max past the least double: the excess, on g/t_max, still reads the drop
+    args = ["--fn", "const:1e-200", "--dim", "3", "--variant", "paper-literal",
+            "--levels", "15", "--ratio", "0.85", "--samples", "20000"]
+    assert main(["profile", *args, "--output", str(tmp_path / "prof.csv")]) == 1
+    err = capsys.readouterr().err
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--suite", "monotone", *args, "--format", "json", "--output", str(out)]) == 1
+    (report,) = json.loads(out.read_text())["result"]["reports"]
+    assert report["pass"] is False and report["margin"] < 0.0
+    assert f"largest excess {-report['margin']:.3e} of g/t_max" in err
+
+
 def test_verify_suite_artifact(tmp_path):
     out = tmp_path / "verify.json"
     code = main([

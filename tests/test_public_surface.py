@@ -263,6 +263,33 @@ def test_reals_past_the_largest_double_raise_typed_errors(call, error):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: focklab.richardson_limit([]), InvalidInputError, id="richardson_limit empty"),
+        pytest.param(lambda: focklab.richardson_limit(5.0), InvalidInputError, id="richardson_limit scalar"),
+        pytest.param(lambda: focklab.check_limit_norm(_F, 1.0, p_ladder=2.0), InvalidInputError,
+                     id="check_limit_norm scalar ladder"),
+        pytest.param(lambda: focklab.g_from_mu([1, 2], [0.5, 0.2, 0.1], _P, IsoperimetricVariant.SHARP_BALL),
+                     InvalidInputError, id="g_from_mu shapes"),
+        pytest.param(lambda: PiecewiseLinear(knots=1.0, slopes=(0.0, 1.0)), UnsupportedFunctionalError,
+                     id="PiecewiseLinear scalar knots"),
+        pytest.param(lambda: PiecewiseLinear(knots=[[1.0]], slopes=(0.0, 1.0)), UnsupportedFunctionalError,
+                     id="PiecewiseLinear nested knots"),
+        pytest.param(lambda: Polynomial(terms=5), InvalidInputError, id="Polynomial scalar terms"),
+        pytest.param(lambda: Polynomial(terms=(((1,),),)), InvalidInputError, id="Polynomial one-element term"),
+        pytest.param(lambda: SumOfCoherent(atoms=5, alpha=1.0), InvalidInputError, id="SumOfCoherent scalar atoms"),
+        pytest.param(lambda: SumOfCoherent(atoms=((1.0,),), alpha=1.0), InvalidInputError,
+                     id="SumOfCoherent one-element atom"),
+    ],
+)
+def test_malformed_containers_raise_typed_errors(call, error):
+    # a scalar where a sequence belongs, a nested or empty one, or a short pair raised a bare IndexError,
+    # TypeError or ValueError from the iteration, the unpacking or numpy's broadcast
+    with pytest.raises(error):
+        call()
+
+
 _PAST = 1e308  # an integer as a float, past every count's largest value
 
 

@@ -817,6 +817,21 @@ def test_verdicts_are_invariant_under_scaling(f, delta):
         assert passed == base[name], (name, delta)
 
 
+@pytest.mark.parametrize("delta", [-400.0, 400.0])
+def test_failing_monotone_margin_is_invariant_under_scaling(delta):
+    # the excess is taken on g/t_max: at delta = +-400, t_max = e^(+-800) is no double, yet the margin of the
+    # failing paper-literal profile is the one it has at delta = 0
+    def report(f):
+        prof = g_diagnostic(f, FockParams(3, 2.0, 1.0), grid=LevelGrid(count=15, ratio=0.85),
+                            variant=IsoperimetricVariant.PAPER_LITERAL, samples=20_000)
+        return check_monotone_g(prof)
+
+    f = Coherent(center=(0.0, 0.0, 0.0), alpha=1.0)
+    base, scaled = report(f), report(f.log_shifted(delta))
+    assert not base.passed and not scaled.passed
+    assert base.margin < 0.0 and abs(scaled.margin - base.margin) <= 1e-12 * abs(base.margin)
+
+
 def test_random_rearrangement_cases_all_pass():
     rng = np.random.default_rng(100)
     for _ in range(100):
