@@ -379,6 +379,17 @@ class Coherent(TestFunction):
         return [centre, np.asarray(self.center), np.zeros(self.m)]
 
 
+def _multi_index(key, message: str) -> tuple[int, ...]:
+    """key, a nonnegative integer or a flat sequence of them, as a tuple of ints; else InvalidInputError."""
+    try:
+        key_array = np.atleast_1d(key)
+    except ValueError:  # numpy refuses a ragged nesting
+        key_array = None
+    if key_array is None or key_array.ndim != 1:
+        raise InvalidInputError(f"{message}, got {_shown(key)}")
+    return tuple(_integer(k, 0, message) for k in key_array)
+
+
 @dataclass(frozen=True, kw_only=True)
 class Monomial(TestFunction):
     """f(z) = z^k on C^n identified with R^(2n); k is a multi-index."""
@@ -387,7 +398,7 @@ class Monomial(TestFunction):
 
     def __post_init__(self):
         super().__post_init__()
-        pw = tuple(_integer(k, 0, "monomial powers must be nonnegative integers") for k in np.atleast_1d(self.powers))
+        pw = _multi_index(self.powers, "monomial powers must be nonnegative integers")
         if not pw:
             raise InvalidInputError("monomial needs at least one power")
         object.__setattr__(self, "powers", pw)
@@ -456,10 +467,6 @@ def _holomorphic_jet(value, h, hh):
     return value, grad, np.stack(rows, axis=2).reshape(N, 2 * n, 2 * n)
 
 
-def _validate_multi_index(key) -> tuple[int, ...]:
-    return tuple(_integer(k, 0, "polynomial multi-indices must be nonnegative integers") for k in np.atleast_1d(key))
-
-
 @dataclass(frozen=True, kw_only=True)
 class Polynomial(TestFunction):
     """f(z) = sum_k c_k z^k on C^n; terms is a mapping multi-index -> complex."""
@@ -472,7 +479,7 @@ class Polynomial(TestFunction):
         norm = []
         n = None
         for key, coeff in _pairs(items, "polynomial terms must be (multi-index, coefficient) pairs"):
-            pw = _validate_multi_index(key)
+            pw = _multi_index(key, "polynomial multi-indices must be nonnegative integers")
             if n is None:
                 n = len(pw)
             elif len(pw) != n:

@@ -18,8 +18,10 @@ reducer the counts below each threshold.  One chunk budget, _CHUNK_POINTS =
 2^18 nodes, bounds the working set: no chunk is larger, and the lanes hold
 at most that many rows together (2^16 for a rule's chunks), or one chunk
 where that is larger.  No backend writes into the array log_h returns.
-Both rules climb one rung ladder, _ladder.  Every backend returns log I
-with a relative error of at least its roundoff; a nan or +inf log I raises.
+Both rules climb one rung ladder, _ladder, which states what a rung hands
+it; Gauss-Hermite's rung, _gh_rung, states its pruning to the envelope ball.
+Every backend returns log I with a relative error of at least its roundoff;
+a nan or +inf log I raises.
 """
 
 from __future__ import annotations
@@ -92,11 +94,8 @@ def _exp(log_value: float) -> float:
 class GaussHermite:
     """Tensor Gauss-Hermite rules up to nodes_per_axis, a cap from 8 to 256.
 
-    The cap's pair is (n, 2n) nodes per axis, or (n/2, n) past 2^24 nodes.
-    Where its fine grid spans more than one chunk of 2^18 nodes (m = 4 from
-    n = 12, never at m <= 2), the rules of 8, 12, 16, 24, ... nodes below n
-    run first and the first pair that agrees to roundoff ends the ladder, in
-    lanes: the integrand must be pure (gauss_hermite_integrate).
+    Its rungs and their pruning are those of gauss_hermite_integrate; they
+    run in lanes, so the integrand must be pure.
     """
 
     nodes_per_axis: int = 32
@@ -106,11 +105,8 @@ class GaussHermite:
 class Radial:
     """Generalized Gauss-Laguerre in radius times a product rule on the sphere, m <= 3.
 
-    The two counts, each from 4 to 256, are a cap whose pair doubles both.
-    Where its fine rule spans more than one chunk of 2^18 nodes (the default
-    at m = 3, never at m <= 2), the rules with both counts halved run first
-    and the first pair that agrees to roundoff ends the ladder.  The chunks
-    run in lanes, so the integrand must be pure (radial_integrate).
+    The two counts, each from 4 to 256, are a cap; its rungs are those of
+    radial_integrate, run in lanes, so the integrand must be pure.
     """
 
     radial_nodes: int = 48
@@ -295,26 +291,24 @@ def _integral(log_h: Callable, rule: tuple) -> tuple[float, int]:
     return log_value, sum(sizes)
 
 
-def _ladder(log_h: Callable, rungs: list, rule: Callable, pruned: Callable | None = None) -> IntegralEstimate:
+def _ladder(log_h: Callable, rungs: list, rule: Callable) -> IntegralEstimate:
     """Integral of exp(log_h) on the first pair of rungs that agrees to roundoff, else on the last pair.
 
-    rule(rung) is the rung's chunks, as _integral takes them.  pruned(rung,
-    log_prev), if given, maps the previous rung's log-integral to None or to a
-    rule of the rung that skips nodes adding at most 2^-53 prev in all; it runs
-    in place of rule(rung), and that cap over the rung's value is added to its
-    error.  Each rung's integral is the fine value of one pair and the coarse
-    value of the next.  A pair states relative error max(|coarse/fine - 1|,
-    roundoff) plus the cap; it ends the ladder when its gap lies within its
-    roundoff and its fine value is nonzero, and the last pair ends it in any
-    case, a zero fine value there handing back the coarse one with its own
-    size as error.  Raises MethodUnavailableError when a log-integral is nan or +inf.
+    rule(rung, log_prev) is (chunks, log_cap): the rung's chunks, as _integral
+    takes them, and the log of a cap on what the nodes it skips add, -inf
+    where it skips none; log_prev is the log-integral of the rung below, -inf
+    for the first rung.  Each rung's integral is the fine value of one pair
+    and the coarse value of the next.  A pair states relative error
+    max(|coarse/fine - 1|, roundoff) plus the fine rung's cap over its value;
+    it ends the ladder when its gap lies within its roundoff and its fine
+    value is nonzero, and the last pair ends it in any case, a zero fine value
+    there handing back the coarse one with its own size as error.  Raises
+    MethodUnavailableError when a log-integral is nan or +inf.
     """
-    log_coarse, _ = _integral(log_h, rule(rungs[0]))
+    log_coarse, _ = _integral(log_h, rule(rungs[0], -math.inf)[0])
     for i, rung in enumerate(rungs[1:], 2):
         last = i == len(rungs)
-        fine, log_cap = rule(rung), -math.inf
-        if pruned is not None and (skipping := pruned(rung, log_coarse)) is not None:
-            fine, log_cap = skipping, log_coarse - 53.0 * math.log(2.0)
+        fine, log_cap = rule(rung, log_coarse)
         log_value, n = _integral(log_h, fine)
         if log_value > -math.inf:
             log_ratio = log_coarse - log_value
@@ -402,28 +396,31 @@ def _outer_sum(v: np.ndarray, d: int, out: np.ndarray) -> None:
         out[0] = 0.0
 
 
-def _gh_pruned(params: FockParams, n: int, envelope: Callable, log_coarse: float):
-    """The n^m rule without its nodes outside the envelope ball, or None for the full rule.
+def _gh_rung(params: FockParams, envelope: Callable | None, n: int, log_prev: float) -> tuple:
+    """The n^m rule as a rung of _ladder: (chunks, log_cap), without its nodes outside the envelope ball.
 
     A node x = s y of weight w (Jacobian included) adds w e^{|y|^2} u(x) to the
     integral of exp(log_h), u = exp(log_h - (alpha p/2)|x|^2).  So the ball at
-    log t = log coarse - 53 log 2 - log S, S the sum of w e^{|y|^2} over all
-    nodes, leaves out nodes that add at most t S = 2^-53 coarse; t need not be
-    a double.  None when the rule fits in one _CHUNK_POINTS chunk, where the
-    envelope costs more than it saves, when coarse is zero, when the ball
-    holds no node, and when the pruned rule keeps every node, so the full
-    rule runs as it is and adds no cap.
+    log t = log_cap - log S, log_cap = log prev - 53 log 2 and S the sum of
+    w e^{|y|^2} over all nodes, leaves out nodes that add at most t S =
+    2^-53 prev; t need not be a double.  The full rule runs, with cap -inf,
+    where there is no envelope, where the rule fits in one _CHUNK_POINTS
+    chunk and the envelope costs more than it saves, where prev is zero,
+    where the ball holds no node and where it keeps every node, its rule
+    then the full one as built.
     """
-    if n**params.m <= _CHUNK_POINTS or log_coarse == -math.inf:
-        return None
+    m = params.m
+    if envelope is None or n**m <= _CHUNK_POINTS or log_prev == -math.inf:
+        return _gh_rule(params, n), -math.inf
     y, lw = _gh_axis(n)
     scale, log_jac = _gh_frame(params)
-    log_t = log_coarse - 53.0 * math.log(2.0) - params.m * _log_sum_exp(lw + y * y) - log_jac
+    log_cap = log_prev - 53.0 * math.log(2.0)
+    log_t = log_cap - m * _log_sum_exp(lw + y * y) - log_jac
     radius = envelope(log_t) * (1.0 + 1e-12)  # covers the rounding of the radius and of |y|^2
-    if not params.m * float(np.min(y * y)) <= (radius / scale) ** 2:
-        return None
+    if not m * float(np.min(y * y)) <= (radius / scale) ** 2:
+        return _gh_rule(params, n), -math.inf
     rule = _gh_rule(params, n, radius)  # the cuts, walked once
-    return None if sum(rule[0]) == n**params.m else rule
+    return rule, -math.inf if sum(rule[0]) == n**m else log_cap
 
 
 def gauss_hermite_integrate(
@@ -434,17 +431,12 @@ def gauss_hermite_integrate(
     The cap's pair is (n, 2n) nodes per axis, or (max(8, n/2), n) where the
     2n grid would pass 2^24 points.  Where its fine grid spans more than one
     chunk of _CHUNK_POINTS = 2^18 nodes, the rules of 8, 12, 16, 24, 32, 48,
-    ... nodes below the cap's coarse one run first, each pair of neighbours
-    compared, and the first pair whose gap lies within its roundoff ends the
-    ladder; else, and at every m <= 2, the cap's pair ends it, as `_ladder` says.
-    log_h gets column-major chunks of at most _CHUNK_POINTS nodes, as
-    _run_chunks says (32^4 runs as 32 chunks of 32^3 on 2 lanes).  envelope,
-    if given, runs on the calling thread and maps log t to a radius R with
-    log u(x) = log_h(x) - (alpha p/2)|x|^2 < log t wherever |x| > R.  Then a
-    rule of more than one chunk skips the nodes outside that ball at t =
-    2^-53 prev / sum(w e^{|y|^2}), prev the rule below it on the ladder, taken
-    in logs at every scale, so the skipped nodes add at most 2^-53 prev;
-    relative_error gains that cap over the value.
+    ... nodes below the cap's coarse one run first; `_ladder` says which pair
+    ends the climb.  log_h gets column-major chunks of at most _CHUNK_POINTS
+    nodes, as _run_chunks says (32^4 runs as 32 chunks of 32^3 on 2 lanes).
+    envelope, if given, runs on the calling thread and maps log t to a radius
+    R with log u(x) = log_h(x) - (alpha p/2)|x|^2 < log t wherever |x| > R;
+    each rung skips its nodes outside that ball as `_gh_rung` says.
     """
     m = params.m
     if m > 6:
@@ -463,8 +455,7 @@ def gauss_hermite_integrate(
     rungs = [n, 2 * n] if double else [max(8, n // 2), n]
     if rungs[1] ** m > _CHUNK_POINTS:  # below one chunk a rung costs more than it can save
         rungs[:0] = [r for r in _GH_RUNGS if r < rungs[0]]
-    pruned = None if envelope is None else (lambda rung, log_prev: _gh_pruned(params, rung, envelope, log_prev))
-    return _ladder(log_h, rungs, partial(_gh_rule, params), pruned)
+    return _ladder(log_h, rungs, partial(_gh_rung, params, envelope))
 
 
 def _laguerre_pair(s: np.ndarray, n: int, a: float):
@@ -561,12 +552,11 @@ def radial_integrate(
     """Integral of exp(log_h) against the weight, m <= 3, on a ladder of rules capped by the two counts.
 
     The cap's pair doubles both counts.  Where its fine rule spans more than
-    one chunk of _CHUNK_POINTS nodes (the default rule at m = 3), the rules
-    with both counts halved, down to the last with both at least 4, run
-    first, and the first pair that agrees to roundoff ends the ladder, as
-    `_ladder` says; else, and at every m <= 2, the cap's pair ends it.
-    log_h gets row-major chunks, as _run_chunks says; a chunk of more than
-    2^15 nodes, as at m = 3, runs on one lane.
+    one chunk of _CHUNK_POINTS nodes (the default rule at m = 3, never at
+    m <= 2), the rules with both counts halved, down to the last with both at
+    least 4, run first; `_ladder` says which pair ends the climb, and no rung
+    skips a node.  log_h gets row-major chunks, as _run_chunks says; a chunk
+    of more than 2^15 nodes, as at m = 3, runs on one lane.
     """
     message = f"radial and angular node counts must be integers from 4 to {_MAX_RADIAL_NODES}"
     nr = _integer(radial_nodes, 4, message, _MAX_RADIAL_NODES)
@@ -575,7 +565,7 @@ def radial_integrate(
     if 2 * nr * len(_sphere_rule(params.m, 2 * na)[1]) > _CHUNK_POINTS:
         while min(rungs[0]) >= 8:  # halve both counts down to the last pair of at least 4
             rungs.insert(0, (rungs[0][0] // 2, rungs[0][1] // 2))
-    return _ladder(log_h, rungs, lambda rung: _radial_rule(params, *rung))
+    return _ladder(log_h, rungs, lambda rung, log_prev: (_radial_rule(params, *rung), -math.inf))
 
 
 # ---------------------------------------------------------------------------

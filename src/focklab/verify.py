@@ -276,8 +276,9 @@ def check_decay(
     alpha = params.alpha
     p1 = FockParams(f.m, 1.0, alpha)
     mx = find_max(f, p1, seed=seed)
-    r_env = envelope_radius(f, p1, mx.log_t_max + math.log(_DECAY_FRACTION))
-    r_max = 1.2 * max(1.0, envelope_radius(f, p1, mx.log_t_max + math.log(1e-8))) + 1.0
+    levels = mx.log_t_max + np.array([math.log(_DECAY_FRACTION), math.log(1e-8)])
+    r_env, r_far = envelope_radius(f, p1, levels).tolist()
+    r_max = 1.2 * max(1.0, r_far) + 1.0
 
     dirs = []
     for d in range(f.m):

@@ -511,7 +511,7 @@ def _log_p_abs(f, params):
 
 def _full_pair(f, params, n_coarse, n_fine):
     """The refinement pair over the whole fine rule, as the unpruned backend computes it at the cap."""
-    return integrate._ladder(_log_p_abs(f, params), [n_coarse, n_fine], partial(integrate._gh_rule, params))
+    return integrate._ladder(_log_p_abs(f, params), [n_coarse, n_fine], partial(integrate._gh_rung, params, None))
 
 
 def _climb(monkeypatch, run):
@@ -597,11 +597,11 @@ def test_pruned_gh_covers_the_nodes_it_skips(monkeypatch, case):
         assert abs(math.expm1(log_a - log_b)) > integrate._roundoff(log_b, nodes)
     log_coarse = ran[-2][0]  # the rung below the one the ladder stops on
     log_full, _ = integrate._integral(log_h, integrate._gh_rule(params, stop))
-    rule = integrate._gh_pruned(params, stop, envelope, log_coarse)
-    # the ball of expquad c=0.45 keeps every fine node, and a rule of one chunk is never pruned: no pruned
-    # rule, so the full one runs bit for bit, without the per-chunk cuts and without the 2^-53 cap
-    assert (rule is None) == (case == "expquad c=0.45" or stop**4 <= integrate._CHUNK_POINTS)
-    if rule is None:
+    rule, log_cap = integrate._gh_rung(params, envelope, stop, log_coarse)
+    # the ball of expquad c=0.45 keeps every fine node, and a rule of one chunk is never pruned: no cap,
+    # so the full rule runs bit for bit, without the per-chunk cuts and without the 2^-53 cap
+    assert (log_cap == -math.inf) == (case == "expquad c=0.45" or stop**4 <= integrate._CHUNK_POINTS)
+    if log_cap == -math.inf:
         gap = abs(math.expm1(log_coarse - log_full))
         assert est.log_value == log_full
         assert est.relative_error == max(gap, integrate._roundoff(log_full, stop**4))
@@ -651,6 +651,25 @@ def test_fock_norm_prunes_a_fine_rule_of_many_chunks(monkeypatch):
     assert abs(norm.raw_integral - exact) <= norm.error_bound
 
 
+@pytest.mark.lanes
+@pytest.mark.parametrize(
+    "f, p, log_value",
+    [
+        (Monomial(powers=(1, 1)), 1.845, "0x1.657e2794ea640p-4"),
+        (Coherent(center=(3.0, 0.0, 0.0, 0.0), alpha=1.0), 4.0, "0x1.8000000000000p-49"),
+    ],
+    ids=["monomial (1,1) p=1.845", "coherent a=(3,0,0,0) p=4"],
+)
+def test_each_rung_builds_its_grid_once(monkeypatch, f, p, log_value):
+    # both climb every rung of GH(32) at m = 4, and the rungs 24, 32 and 64 are pruned: the rung builds
+    # its ball-cut grid in place of the full one, never both, and the value keeps its bits
+    built, build = [], integrate._gh_rule
+    monkeypatch.setattr(integrate, "_gh_rule", lambda params, n, *radius: built.append(n) or build(params, n, *radius))
+    est = fock_norm(f, FockParams(4, p, 1.0), method=GaussHermite(32))
+    assert built == [8, 12, 16, 24, 32, 64]
+    assert est.log_value.hex() == log_value
+
+
 @pytest.mark.parametrize(
     "f, p",
     [
@@ -669,8 +688,8 @@ def test_pruned_gh_keeps_the_same_nodes_at_every_scale(f, p):
     def kept(delta):
         g = f.log_shifted(delta)
         log_coarse, _ = integrate._integral(_log_p_abs(g, params), integrate._gh_rule(params, 32))
-        rule = integrate._gh_pruned(params, 64, partial(envelope_radius, g, params), log_coarse)
-        return sum(rule[0])  # the nodes of its chunks
+        (sizes, _, _, _), _ = integrate._gh_rung(params, partial(envelope_radius, g, params), 64, log_coarse)
+        return sum(sizes)  # the nodes of its chunks
 
     counts = {delta: kept(delta) for delta in (-30.0, -7.5, 0.0, 12.0, 30.0)}
     assert len(set(counts.values())) == 1, counts
@@ -1281,7 +1300,7 @@ def test_refinement_pair_with_a_zero_side(coarse, fine):
     def log_h(X):
         return np.full(len(X), next(sides))
 
-    est = integrate._ladder(log_h, [8, 16], partial(integrate._gh_rule, P2))
+    est = integrate._ladder(log_h, [8, 16], partial(integrate._gh_rung, P2, None))
     total = math.log(math.pi)  # int e^0 against e^{-|x|^2} over R^2
     if coarse == fine:
         assert est.log_value == -math.inf and est.relative_error == 0.0 and est.error_bound == 0.0
@@ -1310,7 +1329,7 @@ def test_ladder_stops_on_the_first_nonzero_pair_within_roundoff(sides, stop):
         ran.append(len(X))
         return np.full(len(X), next(values))
 
-    est = integrate._ladder(log_h, _LADDER_RUNGS, partial(integrate._gh_rule, P2))
+    est = integrate._ladder(log_h, _LADDER_RUNGS, partial(integrate._gh_rung, P2, None))
     assert ran == [n * n for n in _LADDER_RUNGS[:stop]]
     (log_coarse, _), (log_fine, nodes) = (
         integrate._integral(lambda X: np.full(len(X), side), integrate._gh_rule(P2, n))

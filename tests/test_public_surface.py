@@ -278,6 +278,9 @@ def test_reals_past_the_largest_double_raise_typed_errors(call, error):
                      id="PiecewiseLinear nested knots"),
         pytest.param(lambda: Polynomial(terms=5), InvalidInputError, id="Polynomial scalar terms"),
         pytest.param(lambda: Polynomial(terms=(((1,),),)), InvalidInputError, id="Polynomial one-element term"),
+        pytest.param(lambda: Polynomial(terms={((1,), (2, 3)): 1.0}), InvalidInputError,
+                     id="Polynomial ragged multi-index"),
+        pytest.param(lambda: Monomial(powers=[[1], [2, 3]]), InvalidInputError, id="Monomial ragged powers"),
         pytest.param(lambda: SumOfCoherent(atoms=5, alpha=1.0), InvalidInputError, id="SumOfCoherent scalar atoms"),
         pytest.param(lambda: SumOfCoherent(atoms=((1.0,),), alpha=1.0), InvalidInputError,
                      id="SumOfCoherent one-element atom"),
