@@ -321,7 +321,7 @@ def _search_max(f: TestFunction, params: FockParams, restarts: int = 16, seed: i
 class _NestedCloud:
     mu: np.ndarray  # mu at each threshold
     var: np.ndarray  # Var(mu), one per threshold
-    weighted_var: float | np.ndarray  # Var(weights . mu): 0 without weights, one per row of 2-D weights
+    weighted_var: float  # Var(weights . mu) for the one weight vector; 0 without weights
     radii: np.ndarray  # padded ball radii R_k, nondecreasing
     points: int  # density evaluations, all shells together
 
@@ -347,9 +347,8 @@ def _nested_measures(f, params, log_grid, samples, seed, log_thresholds=None, we
     u, `_counts_below`, and shell j can hit only those below log_grid[j-1].
     Hits at t_k >= t_l are correlated, Cov(I_k, I_l) = h_k (1 - h_l), where
     h = (hits + 1) / (n + 2) stays positive when no point or every point hits,
-    so Var(mu_k) and Var(weights . mu) take O(thresholds) per shell.  weights
-    is one vector or a 2-D array of them, one weighted_var per row, each row
-    with the bits of its own 1-D call.
+    so Var(mu_k) and Var(weights . mu), for one weight vector over the
+    thresholds, take O(thresholds) per shell.
 
     Each shell comes in blocks of at most 2^16 rows, numbered in shell order:
     block i draws its normals (the directions), then its uniforms (r^m over
@@ -399,8 +398,7 @@ def _nested_measures(f, params, log_grid, samples, seed, log_thresholds=None, we
         lambda X: _log_density_and_weight(f, params, X)[0], chunks, lambda a, _: _counts_below(a, log_t_asc), m + 1
     ))
     mu, var = np.zeros(count), np.zeros(count)
-    rows = () if weights is None else np.atleast_2d(weights)
-    weighted_var = [0.0] * len(rows)
+    weighted_var = 0.0
     for j, n_j, shell_blocks in zip(shells, n, blocks):
         shell_counts = sum(next(counts) for _ in shell_blocks)  # the shell's blocks, in block order
         at_least = np.cumsum(shell_counts[::-1])[::-1]
@@ -410,13 +408,9 @@ def _nested_measures(f, params, log_grid, samples, seed, log_thresholds=None, we
         h = (hits + 1.0) / (n_j + 2.0)
         s2n = shell[j] ** 2 / n_j
         var[k:] += s2n * (h * (1.0 - h))
-        for row, c in enumerate(rows):  # c.Cov.c = sum_l c_l (1 - h_l) (2 sum_{i<=l} c_i h_i - c_l h_l)
-            ch = c[k:] * h
-            weighted_var[row] += s2n * float(c[k:] * (1.0 - h) @ (2.0 * np.cumsum(ch) - ch))
-    if weights is None or np.ndim(weights) == 1:
-        weighted_var = weighted_var[0] if weighted_var else 0.0
-    else:
-        weighted_var = np.array(weighted_var)
+        if weights is not None:  # w.Cov.w = sum_l w_l (1 - h_l) (2 sum_{i<=l} w_i h_i - w_l h_l)
+            ch = weights[k:] * h
+            weighted_var += s2n * float(weights[k:] * (1.0 - h) @ (2.0 * np.cumsum(ch) - ch))
     return _NestedCloud(mu, var, weighted_var, radii, sum(n))
 
 

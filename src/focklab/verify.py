@@ -552,7 +552,7 @@ def _profile_beta(profile) -> float:
 
 
 def _lemma_s_max(phi, psi, beta: float, onset: float = 0.0) -> float:
-    """Length S of the window [0, S] in s = log(T/t) that the panel rule integrates when t_lo = 0.
+    """Length S of the window [0, S] in s = log(T/t) that the panel rule integrates.
 
     For log-phi the integrand is (b (s - onset))^q e^(-r s) past the onset
     of _log_phi_onset, q = phi.power, r = psi.r: a Gamma(q + 1) density in
@@ -563,8 +563,8 @@ def _lemma_s_max(phi, psi, beta: float, onset: float = 0.0) -> float:
     """
     if isinstance(phi, PowerPhi):
         lam = psi.r - phi.gamma * (1.0 + max(beta, 0.0))
-        if lam <= 0.04:
-            raise InvalidInputError("phi grows too fast for this profile; not integrable")
+        if lam <= 0.04:  # diverges for lam <= 0; up to 0.04 the window would pass S = 1170
+            raise InvalidInputError(f"phi grows too fast for this profile: lam = {lam:.3g}, not above 0.04")
         return max(60.0, 45.0 / lam + 45.0)
     a = phi.power + 1.0
     return max(140.0, onset + (a + 42.0 + math.sqrt(84.0 * a)) / psi.r)
@@ -624,7 +624,7 @@ def _lemma_rule(profile, phi, log_scale, log_T, S):
     w = 0.5 * (b - a) * weights
     if kink is not None:
         # s = kink + (b - kink) tau^2 tames the half-power kink of log-phi
-        k = np.abs(a[:, 0] - max(kink, 0.0)) < 1e-12
+        k = a[:, 0] == max(kink, 0.0)  # the panel starting at the kink, or at s = 0 if the kink is left of it
         tau0 = np.sqrt((a[k] - kink) / (b[k] - kink))
         tau = tau0 + (1.0 - tau0) * 0.5 * (nodes + 1.0)
         s[k] = kink + (b[k] - kink) * tau**2
@@ -632,14 +632,11 @@ def _lemma_rule(profile, phi, log_scale, log_T, S):
     return s.ravel(), w.ravel()
 
 
-def _lemma_integral(profile, phi, psi, log_scale: float, T: float, t_lo: float) -> float:
-    """integral over (t_lo, T] of Phi(scale * g(t)/t) * Psi(t) dt, via s = log(T/t)."""
+def _lemma_integral(profile, phi, psi, log_scale: float, T: float) -> float:
+    """integral over (0, T] of Phi(scale * g(t)/t) * Psi(t) dt, via s = log(T/t)."""
     log_T = math.log(T)
-    if t_lo > 0.0:
-        S = log_T - math.log(t_lo)
-    else:
-        onset = _log_phi_onset(profile, log_scale, log_T) if isinstance(phi, LogPowerPhi) else 0.0
-        S = _lemma_s_max(phi, psi, _profile_beta(profile), onset)
+    onset = _log_phi_onset(profile, log_scale, log_T) if isinstance(phi, LogPowerPhi) else 0.0
+    S = _lemma_s_max(phi, psi, _profile_beta(profile), onset)
     s, w = _lemma_rule(profile, phi, log_scale, log_T, S)
     lt = log_T - s
     la = log_scale + profile.log_g(lt) - lt
@@ -674,65 +671,38 @@ def _gamma_q(a: float, x: float) -> float:
     return q
 
 
-def _log_gamma_lower(a: float, x: float) -> float:
-    """log of the lower incomplete gamma function gamma(a, x) for 0 < x <= a.
-
-    gamma(a, x) = x^a e^-x sum_j x^j / (a (a+1) ... (a+j)) (DLMF 8.7.1); with
-    x <= a every term is at most the one before, so the sum stops at the
-    first term that no longer changes it.
-    """
-    term = total = 1.0 / a
-    j = 1
-    while total + (term := term * x / (a + j)) != total:
-        total += term
-        j += 1
-    return a * math.log(x) - x + math.log(total)
-
-
-def _lemma_closed_form(beta: float, phi, psi, log_scale: float, T: float, t_lo: float) -> float:
+def _lemma_closed_form(beta: float, phi, psi, log_scale: float, T: float) -> float:
     """_lemma_integral for g(t) = t^(-beta), beta > -1, in closed form.
 
     With b = 1 + beta the argument of Phi is e^log_scale t^(-b): power phi
     integrates a power of t, log-phi an incomplete gamma in v = log_scale - b log t
     with first argument power + 1, a multiple of 1/2.  Both are formed in logs
     and return inf where the integral passes the largest double.  The caller
-    gates integrability at t_lo = 0, as check_rearrangement_lemma does.
+    gates integrability, lam > 0.04 for power phi, as check_rearrangement_lemma does.
     """
     r = psi.r
     b, log_T = 1.0 + beta, math.log(T)
     if isinstance(phi, PowerPhi):
         lam = r - phi.gamma * b
-        L = log_T - math.log(t_lo) if t_lo > 0.0 else math.inf
-        # (T^lam - t_lo^lam) / lam = T^lam * span
-        span = -math.expm1(-lam * L) / lam if lam != 0.0 else L
-        return r * _exp(phi.gamma * log_scale + lam * log_T) * span
+        return r * _exp(phi.gamma * log_scale + lam * log_T) * (1.0 / lam)  # r T^lam / lam
     q, k = phi.power, r / b
     v_a = max(0.0, log_scale - b * log_T)
-    v_b = max(v_a, log_scale - b * math.log(t_lo)) if t_lo > 0.0 else math.inf
-    # e^(k log_scale) k^-q (Gamma(q+1, k v_a) - Gamma(q+1, k v_b)), in logs: Gamma(q + 1)
-    # alone overflows from q = 171 on
-    a, x_a, x_b = q + 1.0, k * v_a, k * v_b
-    if x_b <= a:  # both Q near 1: take the gap as gamma(a, x_b) - gamma(a, x_a), which keeps its digits
-        lo, hi = (_log_gamma_lower(a, x) if x > 0.0 else -math.inf for x in (x_a, x_b))
-        if not lo < hi:
-            return 0.0
-        log_gap = hi + math.log1p(-math.exp(lo - hi))
-    else:
-        gap = _gamma_q(a, x_a) - _gamma_q(a, x_b)
-        if not gap > 0.0:
-            return 0.0
-        log_gap = math.lgamma(a) + math.log(gap)
-    return _exp(k * log_scale - q * math.log(k) + log_gap)
+    # e^(k log_scale) k^-q Gamma(q+1, k v_a), in logs: Gamma(q + 1) alone overflows from q = 171 on;
+    # the sum's grouping, like 1.0 / lam above, gives the bits that the CLI cases' test pins
+    upper = _gamma_q(q + 1.0, k * v_a)
+    if not upper > 0.0:
+        return 0.0
+    return _exp(k * log_scale - q * math.log(k) + (math.lgamma(q + 1.0) + math.log(upper)))
 
 
-def _solve_constraint_scale(integral, phi, T: float, t_lo: float, target: float) -> float:
+def _solve_constraint_scale(integral, phi, T: float, target: float) -> float:
     """log of the multiplier making the profile side match the g == 1 constraint.
 
-    integral(phi, psi, log_scale, T, t_lo) is the profile side's rule.  Power phi
+    integral(phi, psi, log_scale, T) is the profile side's rule.  Power phi
     is homogeneous, C(ls) = e^(gamma ls) C(0), so its scale is explicit.
     """
     def C(ls):
-        return integral(phi, _UNWEIGHTED, ls, T, t_lo)
+        return integral(phi, _UNWEIGHTED, ls, T)
 
     c0 = C(0.0) if isinstance(phi, PowerPhi) else 0.0
     if 0.0 < c0 < math.inf:
@@ -763,33 +733,31 @@ def check_rearrangement_lemma(
     phi,
     psi: PowerPsi,
     t_max: float,
-    t_lo: float = 0.0,
 ) -> VerificationReport:
-    """With the Phi-constraint matched, the g == 1 side dominates the Psi-weighted side.
+    """With the Phi-constraint matched on (0, t_max], the g == 1 side dominates the Psi-weighted side.
 
     The inequality only holds for nonincreasing profiles; increasing profiles
     are still accepted and honestly reported, which is how the orientation of
     the hypothesis can be demonstrated numerically.
     """
     t_max = _real(t_max, "t_max must be finite and positive", lambda t: t > 0)
-    t_lo = _real(t_lo, f"need 0 <= t_lo < t_max = {t_max}", lambda t: 0 <= t < t_max)
-    if t_lo == 0.0:  # the panel rule's integrability gate at its strictest, r = 1 and the profile's beta
-        _lemma_s_max(phi, _UNWEIGHTED, _profile_beta(profile))
+    # the panel rule's integrability gate at its strictest, r = 1 and the profile's beta
+    _lemma_s_max(phi, _UNWEIGHTED, _profile_beta(profile))
     # power profiles, the g == 1 reference among them, integrate in closed form
     closed = isinstance(profile, PowerDecayProfile) and profile.beta > -1.0
     integral = (
         partial(_lemma_closed_form, profile.beta) if closed else partial(_lemma_integral, profile)
     )
-    target = _lemma_closed_form(0.0, phi, _UNWEIGHTED, 0.0, t_max, t_lo)
+    target = _lemma_closed_form(0.0, phi, _UNWEIGHTED, 0.0, t_max)
     if target == math.inf:
         raise MethodUnavailableError(f"the lemma's constraint integral overflows a double for {phi!r}")
-    log_scale = _solve_constraint_scale(integral, phi, t_max, t_lo, target)
+    log_scale = _solve_constraint_scale(integral, phi, t_max, target)
     # the panel rule checks the scale independently of the rule that solved for it
-    residual = _lemma_integral(profile, phi, _UNWEIGHTED, log_scale, t_max, t_lo) - target
+    residual = _lemma_integral(profile, phi, _UNWEIGHTED, log_scale, t_max) - target
     if not abs(residual) <= 1e-9 * target:  # the rules agree to ~1e-14 where both apply
         raise InvalidInputError(f"constraint residual {residual:.3g} exceeds 1e-9 * {target:.6g}")
-    lhs = integral(phi, psi, log_scale, t_max, t_lo)
-    rhs = _lemma_closed_form(0.0, phi, psi, 0.0, t_max, t_lo)
+    lhs = integral(phi, psi, log_scale, t_max)
+    rhs = _lemma_closed_form(0.0, phi, psi, 0.0, t_max)
     if math.inf in (lhs, rhs):
         raise MethodUnavailableError(f"the lemma's weighted integrals overflow a double for {phi!r}")
     margin = rhs - lhs
@@ -802,7 +770,6 @@ def check_rearrangement_lemma(
             "phi": repr(phi),
             "psi": repr(psi),
             "t_max": t_max,
-            "t_lo": t_lo,
         },
         margin=float(margin),
         tolerance=_LEMMA_TOLERANCE,

@@ -505,16 +505,19 @@ def test_level_stream_differs_from_find_max_streams():
 @pytest.mark.lanes
 def test_nested_covariance_matches_replicates():
     # annular superlevel sets: levels share the inner shells, so they correlate;
-    # the stated Var(e_k) and Var(e_k + e_l) together give every covariance entry
+    # the stated Var(e_k) and Var(e_k + e_l) together give every covariance entry,
+    # seed s stating the pair s % 3
     f = Monomial(powers=(1,))
     log_grid = np.log(math.exp(-1.0) * np.array([0.9, 0.6, 0.3]))
     pairs = list(itertools.combinations(range(3), 2))
     pair_weights = np.array([np.eye(3)[k] + np.eye(3)[l] for k, l in pairs])
-    clouds = [_nested_measures(f, P2, log_grid, 1000, seed, weights=pair_weights) for seed in range(2000)]
+    clouds = [
+        _nested_measures(f, P2, log_grid, 1000, seed, weights=pair_weights[seed % 3]) for seed in range(2000)
+    ]
     empirical = np.cov(np.array([c.mu for c in clouds]).T)
     stated = np.diag(np.mean([c.var for c in clouds], axis=0))
     for i, (k, l) in enumerate(pairs):
-        pair_var = np.mean([c.weighted_var[i] for c in clouds])
+        pair_var = np.mean([c.weighted_var for c in clouds[i::3]])
         stated[k, l] = stated[l, k] = 0.5 * (pair_var - stated[k, k] - stated[l, l])
     sd = np.sqrt(np.diag(stated))
     scale = np.outer(sd, sd)
@@ -1120,16 +1123,6 @@ def test_ray_error_covers_a_hole_off_the_centre(k, samples):
 def test_ray_ladder_runs_a_hole_to_the_cap(k, samples, grid):
     # the gap over a hole decays only algebraically: a stop rule that let these stop early would trust it
     assert _hole_profile(k, samples).ray_grid == grid
-
-
-@pytest.mark.lanes
-def test_nested_weight_rows_match_one_dimensional_calls():
-    # a 2-D weights array gives one weighted_var per row, each with the bits of its own 1-D call
-    log_grid = np.log(math.exp(-1.0) * np.array([0.9, 0.6, 0.3]))
-    rows = np.array([[1.0, 0.0, 2.0], [0.5, 1.5, -1.0]])
-    both = _nested_measures(Monomial(powers=(1,)), P2, log_grid, 5000, 7, weights=rows)
-    for row, w in zip(both.weighted_var, rows):
-        assert row == _nested_measures(Monomial(powers=(1,)), P2, log_grid, 5000, 7, weights=w).weighted_var
 
 
 # ---------------------------------------------------------------------------

@@ -131,8 +131,8 @@ def _zero(X):
     return np.zeros(len(X))
 
 
-def _lemma(beta, phi, psi, t_max, t_lo):
-    return focklab.check_rearrangement_lemma(PowerDecayProfile(beta), phi, psi, t_max, t_lo)
+def _lemma(beta, phi, psi, t_max):
+    return focklab.check_rearrangement_lemma(PowerDecayProfile(beta), phi, psi, t_max)
 
 
 # name: (call, the documented result type, a strategy per argument)
@@ -199,10 +199,10 @@ _ENTRIES = {
                               focklab.VerificationReport, [_reals(2.0)]),
     "check_isoperimetric_variant": (focklab.check_isoperimetric_variant, focklab.VerificationReport, [_counts(3)]),
     "check_rearrangement_lemma PowerPhi": (
-        lambda beta, gamma, r, t_max, t_lo: _lemma(beta, PowerPhi(gamma), PowerPsi(r), t_max, t_lo),
-        focklab.VerificationReport, [_reals(0.3), _reals(0.5), _reals(2.0), _reals(1.0), _reals(0.0)]),
+        lambda beta, gamma, r, t_max: _lemma(beta, PowerPhi(gamma), PowerPsi(r), t_max),
+        focklab.VerificationReport, [_reals(0.3), _reals(0.5), _reals(2.0), _reals(1.0)]),
     "check_rearrangement_lemma LogPowerPhi": (
-        lambda power, t_max: _lemma(0.3, LogPowerPhi(power), PowerPsi(2.0), t_max, 0.0),
+        lambda power, t_max: _lemma(0.3, LogPowerPhi(power), PowerPsi(2.0), t_max),
         focklab.VerificationReport, [_reals(1.0, 0.5), _reals(1.0)]),
     "richardson_limit": (lambda a, b, c: focklab.richardson_limit([a, b, c]), float,
                          [_reals(1.0), _reals(0.5), _reals(0.25)]),

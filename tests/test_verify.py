@@ -1,5 +1,6 @@
 """Inequality checks: contraction, bounds, limits, rearrangement, isoperimetry."""
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import gammainc, gammaincc, gammaln
+from scipy.special import gammaincc, gammaln
 
 from focklab import (
     Coherent,
@@ -34,6 +35,7 @@ from focklab import (
 )
 from focklab import verify
 from focklab.functions import TestFunction as _TestFunction
+from focklab.functions import _stream
 from focklab.levelset import IsoperimetricVariant, LevelGrid, find_max, g_diagnostic, layer_cake, superlevel_measure
 from focklab.verify import (
     LogPowerPhi,
@@ -57,7 +59,6 @@ from focklab.verify import (  # white-box cross-checks
     _lemma_closed_form,
     _lemma_integral,
     _lemma_s_max,
-    _log_gamma_lower,
 )
 
 P2 = FockParams(2, 2.0, 1.0)
@@ -549,7 +550,7 @@ def test_lemma_quadrature_against_scipy():
         return max(ls - 1.3 * math.log(t), 0.0) * 2.0 * t
 
     ref, _ = quad(integrand, 0.0, 1.0, points=[kink], limit=200)
-    ours = _lemma_integral(profile, phi, psi, ls, 1.0, 0.0)
+    ours = _lemma_integral(profile, phi, psi, ls, 1.0)
     assert ours == pytest.approx(ref, rel=1e-9)
 
 
@@ -563,19 +564,17 @@ def test_rearrangement_tabulated_profile():
     )
     tab = TabulatedProfile.from_level_profile(prof)
     report = check_rearrangement_lemma(
-        tab, PowerPhi(gamma=0.5), PowerPsi(r=2.0),
-        t_max=tab.t_points[-1], t_lo=tab.t_points[0],
+        tab, PowerPhi(gamma=0.5), PowerPsi(r=2.0), t_max=tab.t_points[-1]
     )
     assert report.passed, report.details
 
 
-@pytest.mark.parametrize("t_lo", [0.0, 0.2])
 @pytest.mark.parametrize("psi", [PowerPsi(r=1.0), PowerPsi(r=2.5)], ids=["constraint", "weighted"])
 @pytest.mark.parametrize(
     "phi", [PowerPhi(gamma=0.4), LogPowerPhi(power=0.5), LogPowerPhi(power=1.5)], ids=repr
 )
 @pytest.mark.parametrize("log_scale", [-0.7, 0.8])
-def test_lemma_closed_form_against_quad(phi, psi, t_lo, log_scale):
+def test_lemma_closed_form_against_quad(phi, psi, log_scale):
     beta, T = 0.6, 1.3
     b = 1.0 + beta
     r = psi.r
@@ -587,9 +586,9 @@ def test_lemma_closed_form_against_quad(phi, psi, t_lo, log_scale):
             return math.exp(phi.gamma * log_a) * r * t ** (r - 1.0)
         return max(log_a, 0.0) ** phi.power * r * t ** (r - 1.0)
 
-    points = [kink] if t_lo < kink < T else None
-    ref, _ = quad(integrand, t_lo, T, points=points, limit=200, epsabs=0.0, epsrel=1e-13)
-    ours = _lemma_closed_form(beta, phi, psi, log_scale, T, t_lo)
+    points = [kink] if kink < T else None
+    ref, _ = quad(integrand, 0.0, T, points=points, limit=200, epsabs=0.0, epsrel=1e-13)
+    ours = _lemma_closed_form(beta, phi, psi, log_scale, T)
     assert ours == pytest.approx(ref, rel=1e-10)
 
 
@@ -602,13 +601,63 @@ def test_lemma_closed_form_matches_panels():
         report = check_rearrangement_lemma(profile, phi, psi, t_max)
         assert report.details["lemma_rule"] == "closed_form"
         ls = report.details["constraint_scale_log"]
-        t_lo = float(rng.uniform(0.0, 0.9)) * t_max
+        rng.uniform(0.0, 0.9)  # a spare draw that keeps the case sequence, draw 198 among it
         for weight in (psi, PowerPsi(r=1.0)):
-            for lo in (0.0, t_lo):
-                exact = _lemma_closed_form(profile.beta, phi, weight, ls, t_max, lo)
-                panels = _lemma_integral(profile, phi, weight, ls, t_max, lo)
-                case = (profile, phi, weight, lo)
-                assert panels == pytest.approx(exact, rel=1e-9, abs=1e-300), case
+            exact = _lemma_closed_form(profile.beta, phi, weight, ls, t_max)
+            panels = _lemma_integral(profile, phi, weight, ls, t_max)
+            assert panels == pytest.approx(exact, rel=1e-9, abs=1e-300), (profile, phi, weight)
+
+
+# the first six CLI cases of `verify --suite rearrangement --seed 0`: margin, scale and residual by float.hex
+_CLI_LEMMA_BITS = [
+    ("0x1.13931806f1c98p-5", "-0x1.ebde228827753p-1", "0x1.c000000000000p-51"),
+    ("0x1.f58b9f8c6e4acp-4", "-0x1.0d3e210695114p-2", "0x1.a000000000000p-50"),
+    ("0x1.66291f222b638p-3", "-0x1.f40df0d8a44a8p-3", "-0x1.0000000000000p-53"),
+    ("0x1.1fc674a1932c0p-2", "-0x1.d18463a65becbp+0", "-0x1.0000000000000p-49"),
+    ("0x1.74422b2c7fa46p-3", "-0x1.998c52874ba7cp-2", "0x1.8000000000000p-51"),
+    ("0x1.114ddc3548c68p-3", "-0x1.57c9c9f47ccb4p-2", "-0x1.0000000000000p-53"),
+]
+
+
+def test_cli_lemma_cases_keep_their_bits():
+    # draw 0 is power phi, draws 1-5 log-phi: the homogeneous scale and the bisection both run
+    rng = np.random.default_rng(_stream(0, "lemma"))
+    for bits in _CLI_LEMMA_BITS:
+        report = check_rearrangement_lemma(*random_rearrangement_case(rng))
+        details = report.details
+        got = (report.margin, details["constraint_scale_log"], details["constraint_residual"])
+        assert tuple(float(x).hex() for x in got) == bits
+
+
+_G_ONE_ROUNDOFF = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 27, the lemma's tolerance: the absolute 1e-8 is below the roundoff of the weighted "
+    "integrals, near 4e7 at t_max = 1e3",
+)
+
+
+def _g_one_case(table, phi, r, t_max):
+    marks = _G_ONE_ROUNDOFF if table and isinstance(phi, PowerPhi) and r == 3.0 and t_max == 1e3 else ()
+    return pytest.param(table, phi, r, t_max, marks=marks, id=f"{'table' if table else 'power'}-{phi!r}-{r}-{t_max}")
+
+
+@pytest.mark.parametrize("table, phi, r, t_max", [
+    _g_one_case(*case) for case in itertools.product(
+        (False, True),
+        [LogPowerPhi(0.5), LogPowerPhi(1.0), LogPowerPhi(1.5), PowerPhi(0.25), PowerPhi(0.5), PowerPhi(0.75)],
+        (1.0, 2.0, 3.0),
+        (1e-3, 1.0, 1e3),
+    )
+])
+def test_lemma_equality_profile_is_within_tolerance(table, phi, r, t_max):
+    # g == 1 is the reference itself, so the margin is 0; at t_max = 1 the solved log-phi kink lands a
+    # hair past s = 0, and only the panel starting at the kink, not the sliver before it, is substituted
+    profile = (
+        TabulatedProfile(t_points=(1e-3 * min(t_max, 1.0), 1e3 * max(t_max, 1.0)), g_values=(1.0, 1.0))
+        if table else PowerDecayProfile(0.0)
+    )
+    report = check_rearrangement_lemma(profile, phi, PowerPsi(r), t_max)
+    assert abs(report.margin) <= report.tolerance, report.margin
 
 
 @pytest.mark.parametrize("phi", [PowerPhi(gamma=0.4), LogPowerPhi(power=1.0)], ids=repr)
@@ -618,7 +667,7 @@ def test_lemma_integral_is_one_array_pass(monkeypatch, phi):
     calls = []
     log_g = PowerDecayProfile.log_g
     monkeypatch.setattr(PowerDecayProfile, "log_g", lambda self, lt: calls.append(1) or log_g(self, lt))
-    _lemma_integral(PowerDecayProfile(beta=0.3), phi, PowerPsi(r=2.0), 0.5, 1.0, 0.0)
+    _lemma_integral(PowerDecayProfile(beta=0.3), phi, PowerPsi(r=2.0), 0.5, 1.0)
     assert 1 <= len(calls) <= 2
 
 
@@ -651,30 +700,6 @@ def test_gamma_q_matches_scipy(a, x):
         assert _gamma_q(a, x) == pytest.approx(ref, rel=2e-13, abs=0.0)
 
 
-@pytest.mark.parametrize("frac", [1e-300, 1e-8, 0.1, 0.5, 1.0])
-@pytest.mark.parametrize("a", [0.5, 1.0, 2.5, 7.5, 172.5])
-def test_log_gamma_lower_matches_scipy(a, frac):
-    x = frac * a  # the series' domain 0 < x <= a
-    p = gammainc(a, x)
-    # where scipy's P underflows, x is tiny and the series' first two terms are the whole sum
-    ref = math.log(p) + gammaln(a) if p > 0.0 else a * math.log(x) - x - math.log(a) + math.log1p(x / (a + 1.0))
-    assert _log_gamma_lower(a, x) == pytest.approx(ref, rel=1e-14, abs=1e-14)
-
-
-@pytest.mark.parametrize("eps", [1e-3, 1e-6])
-@pytest.mark.parametrize("power", [0.5, 1.5, 3.5])
-def test_lemma_closed_form_keeps_a_narrow_window_near_the_kink(power, eps):
-    # on [T(1 - eps), T], with the kink at T, both Q(power + 1, .) are 1 - O(eps^power);
-    # their difference lost every digit (0.0 at power 3.5, eps 1e-6), the lower gamma keeps them
-    beta, T, psi = 0.6, 1.3, PowerPsi(r=2.5)
-    b = 1.0 + beta
-    k, log_scale, t_lo = psi.r / b, b * math.log(T), T * (1.0 - eps)
-    x_b = k * (log_scale - b * math.log(t_lo))
-    ref = math.exp(k * log_scale - power * math.log(k) + gammaln(power + 1.0)) * gammainc(power + 1.0, x_b)
-    ours = _lemma_closed_form(beta, LogPowerPhi(power=power), psi, log_scale, T, t_lo)
-    assert ours == pytest.approx(ref, rel=1e-12)
-
-
 @pytest.mark.parametrize(
     "cls,value",
     [
@@ -695,15 +720,11 @@ def test_lemma_parameters_accept_half_integer_powers():
 
 
 def test_lemma_integrability_gate_still_raises():
-    # lambda = 1 - gamma (1 + beta) = 0.03 <= 0.04 for the constraint integral
+    # lambda = 1 - gamma (1 + beta) = 0.03 <= 0.04 for the constraint integral: finite, but the
+    # panel window would pass S = 1170, and the message states lambda and the floor
     phi = PowerPhi(gamma=0.97 / 1.5)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match=r"lam = 0\.03, not above 0\.04"):
         check_rearrangement_lemma(PowerDecayProfile(beta=0.5), phi, PowerPsi(r=2.0), 1.0)
-    # a window bounded away from t = 0 is integrable whatever lambda is
-    report = check_rearrangement_lemma(
-        PowerDecayProfile(beta=0.5), phi, PowerPsi(r=2.0), 1.0, t_lo=0.1
-    )
-    assert abs(report.details["constraint_residual"]) <= 1e-12
 
 
 def test_lemma_residual_gate_rejects_a_missed_integrand():
@@ -716,12 +737,8 @@ def test_lemma_residual_gate_rejects_a_missed_integrand():
 
 def test_lemma_log_phi_near_the_largest_double():
     # power 170.5: Gamma(171.5) = 9.5e307 fits a double, though the panel integrand
-    # max(la, 0)^power once overflowed; on (1e-100, 1] both rules cover the integrand
+    # max(la, 0)^power once overflowed; on (0, 1] the panel window grows with the power and covers it
     phi, psi = LogPowerPhi(power=170.5), PowerPsi(r=2.0)
-    report = check_rearrangement_lemma(PowerDecayProfile(beta=0.3), phi, psi, 1.0, t_lo=1e-100)
-    assert report.passed and math.isfinite(report.margin)
-    assert report.details["weighted_reference"] == _lemma_closed_form(0.0, phi, psi, 0.0, 1.0, 1e-100)
-    # on (0, 1] the panel window grows with the power and covers the integrand too
     report = check_rearrangement_lemma(PowerDecayProfile(beta=0.3), phi, psi, 1.0)
     assert report.passed and math.isfinite(report.margin)
 
@@ -735,7 +752,7 @@ def test_lemma_log_phi_window_covers_high_powers(beta, r, t_max, power):
     # onset log T + q log(1 + beta) past s = 0, beyond a fixed window of 140 for most of these
     phi = LogPowerPhi(power)
     report = check_rearrangement_lemma(PowerDecayProfile(beta), phi, PowerPsi(r), t_max)
-    target = _lemma_closed_form(0.0, phi, PowerPsi(1.0), 0.0, t_max, 0.0)
+    target = _lemma_closed_form(0.0, phi, PowerPsi(1.0), 0.0, t_max)
     assert report.passed
     assert abs(report.details["constraint_residual"]) <= 1e-12 * target
 
@@ -747,12 +764,11 @@ def test_lemma_log_phi_window_stays_140_for_the_cli_powers(power, r):
 
 
 @pytest.mark.parametrize("power", [171.5, 1e300])
-@pytest.mark.parametrize("t_lo", [0.0, 1e-100])
-def test_lemma_log_phi_past_the_largest_double_raises(power, t_lo):
+def test_lemma_log_phi_past_the_largest_double_raises(power):
     # the constraint integral Gamma(power + 1, .) leaves the double range: a typed error
     with pytest.raises(MethodUnavailableError, match="overflows a double"):
-        check_rearrangement_lemma(PowerDecayProfile(beta=0.3), LogPowerPhi(power), PowerPsi(2.0), 1.0, t_lo)
-    assert _lemma_closed_form(0.0, LogPowerPhi(power), PowerPsi(1.0), 0.0, 1.0, t_lo) == math.inf
+        check_rearrangement_lemma(PowerDecayProfile(beta=0.3), LogPowerPhi(power), PowerPsi(2.0), 1.0)
+    assert _lemma_closed_form(0.0, LogPowerPhi(power), PowerPsi(1.0), 0.0, 1.0) == math.inf
 
 
 def test_tabulated_profile_validation():
@@ -772,7 +788,7 @@ def test_tabulated_monotonicity_is_scale_free():
     # g doubles on a table of tiny values; a falling table stays falling when scaled by e^30
     rising = TabulatedProfile(t_points=(1.0, 2.0), g_values=(1e-13, 2e-13))
     assert not rising.nonincreasing
-    report = check_rearrangement_lemma(rising, PowerPhi(gamma=0.5), PowerPsi(r=2.0), t_max=2.0, t_lo=1.0)
+    report = check_rearrangement_lemma(rising, PowerPhi(gamma=0.5), PowerPsi(r=2.0), t_max=2.0)
     assert report.details["profile_nonincreasing"] is False
     falling = (2.0, 1.0, 1.0)
     for scale in (1.0, math.exp(30.0)):
